@@ -33,7 +33,12 @@ class CapacityVector:
         )
 
     def __sub__(self, other: "CapacityVector") -> "CapacityVector":
-        return self + (-other)
+        return CapacityVector(
+            self.vcpu - other.vcpu,
+            self.memory - other.memory,
+            self.storage - other.storage,
+            self.bandwidth - other.bandwidth,
+        )
 
     def __neg__(self) -> "CapacityVector":
         return CapacityVector(-self.vcpu, -self.memory, -self.storage, -self.bandwidth)
@@ -53,16 +58,20 @@ class CapacityVector:
 
     def covers(self, other: "CapacityVector") -> bool:
         """True when every component is >= the corresponding one in `other`."""
-        return all(self.get(d) >= other.get(d) for d in DIMENSIONS)
+        return (self.vcpu >= other.vcpu and self.memory >= other.memory
+                and self.storage >= other.storage
+                and self.bandwidth >= other.bandwidth)
 
     def deficient_dimensions(self, required: "CapacityVector") -> list:
         return [d for d in DIMENSIONS if self.get(d) < required.get(d)]
 
     def is_zero(self) -> bool:
-        return all(self.get(d) == 0 for d in DIMENSIONS)
+        return (self.vcpu == 0 and self.memory == 0 and self.storage == 0
+                and self.bandwidth == 0)
 
     def is_nonnegative(self) -> bool:
-        return all(self.get(d) >= 0 for d in DIMENSIONS)
+        return (self.vcpu >= 0 and self.memory >= 0 and self.storage >= 0
+                and self.bandwidth >= 0)
 
     def restricted(self, kind: str) -> "CapacityVector":
         """Zero out every dimension not belonging to the resource kind."""

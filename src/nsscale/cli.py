@@ -5,6 +5,8 @@ Exit status contract (stable, for CI use):
   1  validation errors (catalog/scenario/arguments)
   2  IO errors (unreadable or unwritable paths, malformed JSON)
   3  run finished but a scaling operation failed
+  4  internal error (for example a broken capacity invariant); one
+     "internal error: ..." line on stderr instead of a traceback
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_OPERATION_FAILED = 3
+EXIT_INTERNAL = 4
 
 
 def _read_documents(paths: list) -> list:
@@ -254,7 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print("internal error: %s: %s" % (type(exc).__name__, message),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ available), reservations, resource handles, and NS/VNF instance records."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .capacity import DIMENSIONS, KIND_DIMENSIONS, CapacityVector, ZERO
 
@@ -17,11 +17,23 @@ STARTED = "STARTED"
 
 NS_INSTANTIATED = "instantiated"
 NS_SCALING = "scaling"
-NS_TERMINATED = "terminated"
 
 
 class InventoryError(RuntimeError):
     pass
+
+
+class ConservationError(RuntimeError):
+    """A zone's accounting is broken: allocated, reserved or available went
+    negative. Not an InventoryError on purpose, so that no operation
+    rollback can absorb it as an ordinary failure."""
+
+    def __init__(self, zone_id: str, part: str, dimension: str, value: float):
+        super().__init__("zone %s: %s %s is %s"
+                         % (zone_id, part, dimension, value))
+        self.zone_id = zone_id
+        self.part = part
+        self.dimension = dimension
 
 
 class InsufficientCapacityError(InventoryError):
@@ -81,6 +93,8 @@ class ResourceZone:
 
     def _check_fits(self, spec: CapacityVector):
         avail = self.available
+        if avail.covers(spec):
+            return
         for d in DIMENSIONS:
             if spec.get(d) > avail.get(d):
                 raise InsufficientCapacityError(self.id, d, spec.get(d), avail.get(d))
@@ -99,6 +113,7 @@ class ResourceZone:
                                   self.id, spec, kind)
         self.reserved = self.reserved + spec
         self.reservations[reservation.id] = reservation
+        self.check_conservation()
         return reservation
 
     def cancel(self, reservation: Reservation):
@@ -107,6 +122,7 @@ class ResourceZone:
                 "reservation %s is %s" % (reservation.id, reservation.state))
         reservation.state = RESERVATION_CANCELLED
         self.reserved = self.reserved - reservation.spec
+        self.check_conservation()
 
     def allocate(self, spec: CapacityVector, kind: str,
                  from_reservation: Reservation | None = None) -> ResourceHandle:
@@ -133,6 +149,7 @@ class ResourceZone:
                                 self.id, spec, kind)
         self.allocated = self.allocated + spec
         self._outstanding[handle.id] = handle
+        self.check_conservation()
         return handle
 
     def release(self, handle: ResourceHandle):
@@ -140,17 +157,35 @@ class ResourceZone:
             raise DoubleReleaseError("handle %s is not outstanding" % handle.id)
         del self._outstanding[handle.id]
         self.allocated = self.allocated - handle.spec
+        self.check_conservation()
 
     def outstanding_handles(self) -> list:
         return list(self._outstanding.values())
 
     def check_conservation(self):
-        """allocated + reserved + available == total with every part >= 0."""
-        assert self.allocated.is_nonnegative(), self.id
-        assert self.reserved.is_nonnegative(), self.id
-        assert self.available.is_nonnegative(), self.id
-        recomputed = self.total - self.allocated - self.reserved
-        assert recomputed == self.available
+        """Raise ConservationError unless allocated, reserved and available
+        are >= 0 in every dimension. `available` is derived as total -
+        allocated - reserved, so the three parts then sum to total.
+
+        reserve, cancel, allocate and release call this after every write,
+        so it is O(1): direct field comparisons, no vector temporaries, and
+        no `assert`, which `python -O` would strip. To audit every zone at
+        every event instead, attach a callback to `Simulator.on_event`."""
+        a, r, t = self.allocated, self.reserved, self.total
+        if (a.vcpu >= 0 and a.memory >= 0 and a.storage >= 0
+                and a.bandwidth >= 0
+                and r.vcpu >= 0 and r.memory >= 0 and r.storage >= 0
+                and r.bandwidth >= 0
+                and t.vcpu - a.vcpu - r.vcpu >= 0
+                and t.memory - a.memory - r.memory >= 0
+                and t.storage - a.storage - r.storage >= 0
+                and t.bandwidth - a.bandwidth - r.bandwidth >= 0):
+            return
+        for part, vec in (("allocated", a), ("reserved", r),
+                          ("available", self.available)):
+            for d in DIMENSIONS:
+                if not vec.get(d) >= 0:
+                    raise ConservationError(self.id, part, d, vec.get(d))
 
     def snapshot(self) -> dict:
         return {

@@ -216,8 +216,9 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
 
 
 def _window_of(ast: rules_mod.RuleAst, metric_ref: str) -> int:
-    """Largest window any aggregate uses for the metric (for missing-stream
-    detection)."""
+    """Smallest window any aggregate uses for the metric (for missing-stream
+    detection). Every window ends at `now`, so when the smallest one holds a
+    sample, so do all the others, and no aggregate comes back empty."""
     windows = []
 
     def walk(node):
@@ -231,7 +232,7 @@ def _window_of(ast: rules_mod.RuleAst, metric_ref: str) -> int:
             walk(node.operand)
 
     walk(ast.expr)
-    return max(windows) if windows else 1
+    return min(windows) if windows else 1
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,

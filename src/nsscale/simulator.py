@@ -9,14 +9,11 @@ instantaneous. The run is strictly single-threaded, so identical
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import drpa as drpa_mod
 from .capacity import CapacityVector, ZERO
-from .descriptors import (
-    CLASS_ADD_VNF, CLASS_NONE, CLASS_REMOVE_VNF, CLASS_VNF_SCALING,
-    aggregate_capacity, ns_il_delta, vnf_il_delta,
-)
+from .descriptors import ns_il_delta, vdu_capacity, vnf_il_delta
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
     SET_VNF_IL, STARTED, STOPPED, InventoryError, NsInfo, NS_INSTANTIATED,
@@ -24,8 +21,8 @@ from .inventory import (
     record_vnf_info_update,
 )
 from .monitoring import (
-    PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, MetricSample, MetricStore,
-    evaluate_rules, indicator_change,
+    PERF_INFO_AVAILABLE, MetricSample, MetricStore, evaluate_rules,
+    indicator_change,
 )
 from .scenario import (
     Scenario, ScenarioValidationError, build_topology, validate_scenario,
@@ -138,7 +135,9 @@ class Simulator:
         self.operations = []
         self.decisions = []
         self.transitions = []
-        self.on_event = None  # callback(record, pops) for auditing
+        # callback(record, pops) after every event, e.g. to audit every
+        # zone at every event; the zones check themselves only on writes.
+        self.on_event = None
         self._clock = 0
         self._seq = 0
         self._op_counter = itertools.count(1)
@@ -159,9 +158,6 @@ class Simulator:
         self.trace.append(record)
         if op is not None and step is not None:
             op.step_log.append((step, self._clock))
-        for pop in self.pops:
-            for zone in pop.zones:
-                zone.check_conservation()
         if self.on_event is not None:
             self.on_event(record, self.pops)
         return record
@@ -210,7 +206,7 @@ class Simulator:
         anti = self.constraints.get("anti_affinity", {})
         for vdu_id in sorted(il.counts):
             vdu = vnfd.vdu(vdu_id)
-            spec = _vdu_capacity(vnfd, vdu_id)
+            spec = vdu_capacity(vnfd, vdu_id)
             label = anti.get(vdu.vnfc_name, anti.get(profile.id, ""))
             for i in range(il.counts[vdu_id]):
                 pop, zone = self._place_direct(spec, label)
@@ -564,9 +560,9 @@ class Simulator:
             for inst in new_instances:
                 self._log_transition(vnf_id, inst, None, STOPPED, 15)
             if not self.vnf_infos[vnf_id].vim_ref:
-                self.vnf_infos[vnf_id] = _with_vim(
+                self.vnf_infos[vnf_id] = replace(
                     self.vnf_infos[vnf_id],
-                    self._vim_of_pop(new_instances[0].pop_ref))
+                    vim_ref=self._vim_of_pop(new_instances[0].pop_ref))
 
             op.phase = PHASE_STARTING
             self._send(vnfm, self.nfvo, "OperateVnfRequest",
@@ -929,23 +925,3 @@ class Simulator:
             "zones": zones,
             "vl_bitrates": vl_bitrates,
         }
-
-
-def _vdu_capacity(vnfd, vdu_id):
-    from .descriptors import vdu_capacity
-    return vdu_capacity(vnfd, vdu_id)
-
-
-def _with_vim(info: VnfInfo, vim_ref: str) -> VnfInfo:
-    from dataclasses import replace
-    return replace(info, vim_ref=vim_ref)
-
-
-def run_scenario(scenario: Scenario, seed: int | None = None,
-                 on_event=None) -> RunResult:
-    """Validate and execute a scenario. The seed is recorded for
-    reproducibility; the event loop itself is fully deterministic."""
-    sim = Simulator(scenario)
-    if on_event is not None:
-        sim.on_event = on_event
-    return sim.run()

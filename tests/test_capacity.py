@@ -69,3 +69,17 @@ def test_negation_is_involution(a):
 @given(vectors, vectors)
 def test_covers_iff_difference_nonnegative(a, b):
     assert a.covers(b) == (a - b).is_nonnegative()
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+mixed_vectors = st.builds(CapacityVector, *[st.one_of(amounts, finite)] * 4)
+
+
+@given(mixed_vectors, mixed_vectors)
+def test_direct_field_methods_match_per_dimension_definitions(a, b):
+    assert a.covers(b) == all(a.get(d) >= b.get(d) for d in DIMENSIONS)
+    assert a.is_zero() == all(a.get(d) == 0 for d in DIMENSIONS)
+    assert a.is_nonnegative() == all(a.get(d) >= 0 for d in DIMENSIONS)
+    assert a - b == CapacityVector(**{d: a.get(d) - b.get(d)
+                                      for d in DIMENSIONS})
+    assert a - b == a + (-b)

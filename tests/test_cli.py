@@ -3,6 +3,7 @@ import json
 import broken_descriptors
 import sample_catalog as sc
 from nsscale.cli import main
+from nsscale.inventory import ConservationError, ResourceZone
 
 
 def write_json(path, data):
@@ -148,3 +149,15 @@ def test_explain_quiet_tick(tmp_path, capsys):
 def test_explain_beyond_horizon(tmp_path, capsys):
     assert main(["explain", scenario_file(tmp_path), "--at", "9999"]) == 1
     assert "horizon" in capsys.readouterr().out
+
+
+def test_run_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(zone):
+        raise ConservationError(zone.id, "available", "vcpu", -1)
+
+    monkeypatch.setattr(ResourceZone, "check_conservation", broken)
+    assert main(["run", scenario_file(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "internal error: ConservationError: zone zone-a: available vcpu is -1"]
+    assert "Traceback" not in captured.out + captured.err

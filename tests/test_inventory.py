@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from nsscale.capacity import CapacityVector, ZERO
 from nsscale.inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
-    STARTED, STOPPED, DoubleReleaseError, IllegalTransitionError,
+    STARTED, STOPPED, ConservationError, DoubleReleaseError,
+    IllegalTransitionError, InventoryError,
     InsufficientCapacityError, NfviPop, ReservationStateError, ResourceZone,
     VnfcInstance, VnfInfo, capacity_report, pop_available,
     record_vnf_info_update,
@@ -81,6 +86,47 @@ def test_double_release_rejected():
     zone.release(handle)
     with pytest.raises(DoubleReleaseError):
         zone.release(handle)
+
+
+@pytest.mark.parametrize("part, reserved, allocated", [
+    ("reserved", CapacityVector(vcpu=-1), ZERO),
+    ("allocated", ZERO, CapacityVector(memory=-0.5)),
+    ("available", ZERO, CapacityVector(storage=101)),
+])
+def test_broken_zone_raises_conservation_error(part, reserved, allocated):
+    zone = make_zone()
+    zone.check_conservation()
+    zone.reserved, zone.allocated = reserved, allocated
+    with pytest.raises(ConservationError) as err:
+        zone.check_conservation()
+    assert err.value.part == part
+    assert not isinstance(err.value, InventoryError)
+
+
+def test_conservation_error_survives_python_O():
+    """The check is not an `assert`, so `python -O` keeps it."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    script = "\n".join([
+        "from nsscale.capacity import CapacityVector",
+        "from nsscale.inventory import ConservationError, ResourceZone",
+        "zone = ResourceZone('z1', CapacityVector(vcpu=4))",
+        "zone.reserved = CapacityVector(vcpu=-1)",
+        "try:",
+        "    zone.check_conservation()",
+        "except ConservationError as exc:",
+        "    print('raised', exc.part)",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised reserved"
+
+
+def test_write_that_breaks_conservation_raises_at_once():
+    zone = make_zone()
+    with pytest.raises(ConservationError):
+        zone.reserve(CapacityVector(vcpu=-1), "compute")
 
 
 def test_capacity_report_is_ordered_and_pure():

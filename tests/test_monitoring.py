@@ -1,11 +1,12 @@
 import pytest
 
-from nsscale.descriptors import load_catalog
+from nsscale.descriptors import AutoScalingRule, load_catalog
 from nsscale.monitoring import (
     PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, VNF_INDICATOR_CHANGE,
     MetricSample, MetricStore, ThresholdSpec, TimeRegressionError,
     UndeclaredIndicatorError, evaluate_rules, indicator_change,
 )
+from nsscale.rules import parse_rule
 import sample_catalog as sc
 
 
@@ -127,3 +128,18 @@ def test_indicator_change_requires_declaration():
     assert note.payload["value"] == 7
     with pytest.raises(UndeclaredIndicatorError):
         indicator_change(vnfd, "vnf-1", "drops", 1, 42)
+
+
+def test_mixed_windows_report_missing_stream_instead_of_crashing():
+    text = "WHEN avg(cpu_load, 1) > 0.7 OR max(cpu_load, 10) > 2 THEN scale_out"
+    rule = AutoScalingRule("r-mixed", text, parse_rule(text), 0, "scale-out")
+    store = make_store()
+    store.ingest(MetricSample(5, "vnfd-b", "cpu_load", 3.0))
+    # the 1-tick window ending at 8 is empty, the 10-tick one is not
+    [verdict] = evaluate_rules((rule,), store, 8, {}, {})
+    assert verdict.satisfied
+    assert verdict.missing_streams == frozenset({"cpu_load"})
+    # both windows hold the sample: the rule evaluates and fires
+    [verdict] = evaluate_rules((rule,), store, 5, {}, {})
+    assert not verdict.satisfied
+    assert not verdict.missing_streams

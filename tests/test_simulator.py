@@ -1,6 +1,10 @@
 import sample_catalog as sc
 from conftest import build_sim, run_dict
-from nsscale.inventory import STARTED, STOPPED
+import pytest
+
+from nsscale.inventory import (
+    STARTED, STOPPED, ConservationError, ResourceZone,
+)
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
 )
@@ -152,6 +156,50 @@ def test_conservation_holds_at_every_event():
     result = run_dict(sc.sample_scenario(workload=sc.escalation_workload()),
                       on_event=audit)
     assert len(checked) == len(result.trace)
+
+
+ZONE_WRITES = ("reserve", "cancel", "allocate", "release")
+
+
+def test_every_zone_write_is_checked_once(monkeypatch):
+    """Each completed reserve/cancel/allocate/release checks its zone once,
+    the initial level's allocations included."""
+    counts = {"checks": 0, "writes": 0}
+    check = ResourceZone.check_conservation
+
+    def counted_check(zone):
+        counts["checks"] += 1
+        return check(zone)
+
+    monkeypatch.setattr(ResourceZone, "check_conservation", counted_check)
+    for name in ZONE_WRITES:
+        def counted(zone, *args, _write=getattr(ResourceZone, name),
+                    **kwargs):
+            result = _write(zone, *args, **kwargs)
+            counts["writes"] += 1
+            return result
+        monkeypatch.setattr(ResourceZone, name, counted)
+
+    sim = build_sim(sc.sample_scenario(workload=sc.escalation_workload()))
+    initial = counts["writes"]
+    assert initial > 0
+    assert counts["checks"] == initial
+    sim.run()
+    assert counts["writes"] > initial
+    assert counts["checks"] == counts["writes"]
+
+
+def test_conservation_error_is_not_rolled_back_as_a_failed_operation(
+        monkeypatch):
+    sim = build_sim(sc.sample_scenario(workload=sc.jump_workload()))
+
+    def broken(zone):
+        raise ConservationError(zone.id, "available", "vcpu", -1)
+
+    monkeypatch.setattr(ResourceZone, "check_conservation", broken)
+    with pytest.raises(ConservationError):
+        sim.run()
+    assert not any(r.message == "OperationFailed" for r in sim.trace)
 
 
 def test_initial_capacity_shortage_is_a_validation_error():
