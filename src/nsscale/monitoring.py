@@ -3,14 +3,17 @@ evaluation over windowed data."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from . import rules as rules_mod
-from .descriptors import AutoScalingRule, MonitoredInfoItem, Vnfd
+from .descriptors import Vnfd
 
 PERF_INFO_AVAILABLE = "PerfInfoAvailable"
 THRESHOLD_CROSSED = "ThresholdCrossed"
 VNF_INDICATOR_CHANGE = "VnfIndicatorChange"
+
+_UNRESOLVED = object()  # MetricStore.resolve memo miss; None is an answer
 
 
 class TimeRegressionError(ValueError):
@@ -18,10 +21,6 @@ class TimeRegressionError(ValueError):
 
 
 class UndeclaredIndicatorError(ValueError):
-    pass
-
-
-class UnknownMetricError(KeyError):
     pass
 
 
@@ -63,12 +62,16 @@ class RuleVerdict:
 class MetricStore:
     """Append-only store of metric streams keyed by (subject, name).
 
+    Each stream is two parallel lists, its ticks and its values; ingest
+    keeps the ticks non-decreasing, so a window is cut by bisection.
     Single-writer by contract; readers see a consistent snapshot between
     ingests.
     """
 
     def __init__(self, monitored_info: tuple = ()):
-        self._streams = {}  # (subject, name) -> list[(time, value)]
+        self._times = {}  # (subject, name) -> [tick], non-decreasing
+        self._values = {}  # (subject, name) -> [value], parallel to _times
+        self._resolved = {}  # metric ref -> stream key or None
         self._periods = {}
         self._last_report = {}
         self._last_threshold_value = {}
@@ -77,33 +80,42 @@ class MetricStore:
                 self._periods[(item.subject, item.name)] = item.collection_period
 
     def streams(self) -> dict:
-        return self._streams
-
-    def has_stream(self, subject: str, name: str) -> bool:
-        return (subject, name) in self._streams
+        """Stream key -> the stream's values in arrival order."""
+        return self._values
 
     def resolve(self, metric_ref: str):
         """Map a rule metric reference to a (subject, name) stream key.
 
         "subject.name" selects exactly; a bare name matches the
-        lexicographically first subject carrying that name.
+        lexicographically first subject carrying that name. Answers are
+        memoized until a new stream appears.
         """
+        key = self._resolved.get(metric_ref, _UNRESOLVED)
+        if key is _UNRESOLVED:
+            key = self._resolved[metric_ref] = self._resolve(metric_ref)
+        return key
+
+    def _resolve(self, metric_ref: str):
         if "." in metric_ref:
             subject, name = metric_ref.split(".", 1)
             key = (subject, name)
-            return key if key in self._streams else None
-        matches = sorted(k for k in self._streams if k[1] == metric_ref)
+            return key if key in self._values else None
+        matches = sorted(k for k in self._values if k[1] == metric_ref)
         return matches[0] if matches else None
 
     def latest(self, subject: str, name: str):
-        stream = self._streams.get((subject, name))
-        return stream[-1][1] if stream else None
+        values = self._values.get((subject, name))
+        return values[-1] if values else None
 
     def window_values(self, subject: str, name: str, window: int, now: int) -> list:
-        """Values of samples in the last `window` ticks ending at `now`."""
-        stream = self._streams.get((subject, name), [])
-        lo = now - window
-        return [v for t, v in stream if lo < t <= now]
+        """Values of samples in the last `window` ticks ending at `now`,
+        that is with `now - window < tick <= now`."""
+        key = (subject, name)
+        times = self._times.get(key)
+        if not times:
+            return []
+        return self._values[key][bisect_right(times, now - window):
+                                 bisect_right(times, now)]
 
     def aggregate(self, func: str, subject: str, name: str, window: int, now: int):
         values = self.window_values(subject, name, window, now)
@@ -122,12 +134,17 @@ class MetricStore:
         """Append a sample; emit PerfInfoAvailable on collection-period
         boundaries and ThresholdCrossed edge-triggered notifications."""
         key = (sample.subject, sample.name)
-        stream = self._streams.setdefault(key, [])
-        if stream and sample.time < stream[-1][0]:
+        times = self._times.get(key)
+        if times is None:
+            times = self._times[key] = []
+            self._values[key] = []
+            self._resolved.clear()  # a bare name may now match this stream
+        elif sample.time < times[-1]:
             raise TimeRegressionError(
                 "sample at tick %d precedes tick %d for stream %s"
-                % (sample.time, stream[-1][0], key))
-        stream.append((sample.time, sample.value))
+                % (sample.time, times[-1], key))
+        times.append(sample.time)
+        self._values[key].append(sample.value)
 
         notifications = []
         period = self._periods.get(key)
@@ -164,11 +181,6 @@ def _crossed(value: float, spec: ThresholdSpec) -> bool:
     return value < spec.bound
 
 
-def ingest_sample(store: MetricStore, sample: MetricSample,
-                  thresholds: tuple = (), origin: str = "monitor") -> list:
-    return store.ingest(sample, thresholds, origin)
-
-
 def evaluate_rules(rules: tuple, store: MetricStore, now: int,
                    dimension_map: dict | None = None,
                    cooldown_state: dict | None = None) -> list:
@@ -182,18 +194,23 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     dimension_map = dimension_map or {}
     verdicts = []
     for rule in rules:
-        missing = frozenset(
-            ref for ref in rule.ast.metric_refs
-            if store.resolve(ref) is None
-            or not store.window_values(*store.resolve(ref),
-                                       _window_of(rule.ast, ref), now))
+        # Every window ends at `now`, so when a metric's smallest window
+        # holds a sample, so do its others, and no aggregate comes back
+        # empty.
+        keys = {}
+        missing = []
+        for ref, window in zip(rule.ast.metric_refs, rule.ast.min_windows):
+            key = keys[ref] = store.resolve(ref)
+            if key is None or not store.window_values(key[0], key[1],
+                                                      window, now):
+                missing.append(ref)
         if missing:
             verdicts.append(RuleVerdict(rule.id, True, frozenset(), now,
-                                        missing_streams=missing))
+                                        missing_streams=frozenset(missing)))
             continue
 
         def lookup(func, metric, window):
-            subject, name = store.resolve(metric)
+            subject, name = keys[metric]
             return store.aggregate(func, subject, name, window, now)
 
         fired = rules_mod.evaluate_expr(rule.ast.expr, lookup)
@@ -213,26 +230,6 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
             if ref.split(".", 1)[-1] in dimension_map)
         verdicts.append(RuleVerdict(rule.id, False, dims, now))
     return verdicts
-
-
-def _window_of(ast: rules_mod.RuleAst, metric_ref: str) -> int:
-    """Smallest window any aggregate uses for the metric (for missing-stream
-    detection). Every window ends at `now`, so when the smallest one holds a
-    sample, so do all the others, and no aggregate comes back empty."""
-    windows = []
-
-    def walk(node):
-        if isinstance(node, rules_mod.Comparison):
-            if node.left.metric == metric_ref:
-                windows.append(node.left.window)
-        elif isinstance(node, (rules_mod.And, rules_mod.Or)):
-            for op in node.operands:
-                walk(op)
-        elif isinstance(node, rules_mod.Not):
-            walk(node.operand)
-
-    walk(ast.expr)
-    return min(windows) if windows else 1
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,

@@ -66,6 +66,8 @@ class RuleAst:
     action: str
     cooldown: int = 0
     metric_refs: tuple = field(default=())
+    # smallest aggregate window of each metric_refs entry, in the same order
+    min_windows: tuple = field(default=())
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,11 @@ class _Parser:
         end = self.next()
         if end.text != "<end>":
             raise RuleSyntaxError("trailing input %r" % end.text, end.column)
-        return RuleAst(expr, action, cooldown, tuple(sorted(_collect_metrics(expr))))
+        windows = {}
+        _collect_min_windows(expr, windows)
+        refs = tuple(sorted(windows))
+        return RuleAst(expr, action, cooldown, refs,
+                       tuple(windows[ref] for ref in refs))
 
     def parse_expr(self):
         operands = [self.parse_term()]
@@ -226,17 +232,19 @@ class _Parser:
         return Comparison(Aggregate(func, metric.text, window_len), op.text, float(value.text))
 
 
-def _collect_metrics(node) -> set:
+def _collect_min_windows(node, windows: dict):
+    """Record in `windows` the smallest window each metric is aggregated
+    over anywhere under `node`."""
     if isinstance(node, Comparison):
-        return {node.left.metric}
-    if isinstance(node, (And, Or)):
-        refs = set()
+        metric, window = node.left.metric, node.left.window
+        windows[metric] = min(window, windows.get(metric, window))
+    elif isinstance(node, (And, Or)):
         for op in node.operands:
-            refs |= _collect_metrics(op)
-        return refs
-    if isinstance(node, Not):
-        return _collect_metrics(node.operand)
-    raise TypeError(node)
+            _collect_min_windows(op, windows)
+    elif isinstance(node, Not):
+        _collect_min_windows(node.operand, windows)
+    else:
+        raise TypeError(node)
 
 
 def parse_rule(text: str) -> RuleAst:

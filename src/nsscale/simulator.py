@@ -144,6 +144,10 @@ class Simulator:
         self._instance_counter = itertools.count(1)
         self._cooldown_state = {}
         self._failure = ""
+        # vl profile id -> (pop id, zone, bandwidth) left over by a shrink,
+        # re-allocated by _finish_vl_shrink
+        self._vl_shrink_remainder = {}
+        self._vnfc_counters = {}  # vnf instance id -> highest VNFC suffix
 
         self._instantiate_initial()
 
@@ -811,14 +815,13 @@ class Simulator:
             entry = handles.pop()
             chosen.append(entry)
             total += entry[2].spec.bandwidth
-        self._vl_shrink_remainder = getattr(self, "_vl_shrink_remainder", {})
         if total > delta:
             self._vl_shrink_remainder[vl_profile_id] = (
                 chosen[-1][0], chosen[-1][1], total - delta)
         return chosen
 
     def _finish_vl_shrink(self, vl_decreases):
-        remainder = getattr(self, "_vl_shrink_remainder", {})
+        remainder = self._vl_shrink_remainder
         for pid in sorted(vl_decreases):
             if pid in remainder:
                 pop_id, zone, bandwidth = remainder.pop(pid)
@@ -844,9 +847,7 @@ class Simulator:
         raise KeyError(zone_id)
 
     def _next_vnfc_index(self, vnf_id: str) -> int:
-        counter = getattr(self, "_vnfc_counters", None)
-        if counter is None:
-            counter = self._vnfc_counters = {}
+        counter = self._vnfc_counters
         # Removals leave holes, so the instance count is not a safe index;
         # track the highest suffix ever used for this VNF instead.
         used = [int(inst.id.rsplit("-c", 1)[1])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from nsscale.descriptors import AutoScalingRule, load_catalog
 from nsscale.monitoring import (
@@ -143,3 +144,56 @@ def test_mixed_windows_report_missing_stream_instead_of_crashing():
     [verdict] = evaluate_rules((rule,), store, 5, {}, {})
     assert not verdict.satisfied
     assert not verdict.missing_streams
+
+
+# (subject, tick step, value): ticks per subject never go back, and a step
+# of 0 repeats the previous tick.
+samples = st.lists(st.tuples(
+    st.sampled_from(("vnfd-a", "vnfd-b")), st.integers(0, 3),
+    st.floats(-1e6, 1e6, allow_nan=False)), max_size=60)
+
+
+@given(samples, st.integers(1, 50), st.integers(1, 5))
+def test_window_cut_matches_brute_force_definition(steps, window, regress_by):
+    store = MetricStore()
+    streams = {}  # subject -> [(tick, value)] as ingested
+    clock = {}
+    for subject, step, value in steps:
+        tick = clock[subject] = clock.get(subject, 0) + step
+        store.ingest(MetricSample(tick, subject, "cpu_load", value))
+        streams.setdefault(subject, []).append((tick, value))
+    for subject, stream in streams.items():
+        counts = {k: len(v) for k, v in store.streams().items()}
+        with pytest.raises(TimeRegressionError):
+            store.ingest(MetricSample(stream[-1][0] - regress_by, subject,
+                                      "cpu_load", 0.0))
+        assert {k: len(v) for k, v in store.streams().items()} == counts
+    # every `now` from before the first tick to past the last window's end,
+    # so each sample sits on both edges of some window
+    for now in range(-1, max(clock.values(), default=0) + window + 2):
+        for subject in ("vnfd-a", "vnfd-b"):
+            expected = [v for t, v in streams.get(subject, ())
+                        if now - window < t <= now]
+            assert store.window_values(subject, "cpu_load", window, now) \
+                == expected
+            for func, reference in (("avg", lambda v: sum(v) / len(v)),
+                                    ("max", max), ("min", min)):
+                assert store.aggregate(func, subject, "cpu_load", window,
+                                       now) \
+                    == (reference(expected) if expected else None)
+
+
+def test_bare_name_resolves_again_when_an_earlier_subject_appears():
+    store = make_store()
+    store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 1.0))
+    assert store.resolve("cpu_load") == ("vnfd-b", "cpu_load")
+    store.ingest(MetricSample(2, "vnfd-a", "cpu_load", 2.0))
+    assert store.resolve("cpu_load") == ("vnfd-a", "cpu_load")
+
+
+def test_qualified_name_resolves_once_its_stream_exists():
+    store = make_store()
+    store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 1.0))
+    assert store.resolve("vnfd-c.cpu_load") is None
+    store.ingest(MetricSample(2, "vnfd-c", "cpu_load", 2.0))
+    assert store.resolve("vnfd-c.cpu_load") == ("vnfd-c", "cpu_load")

@@ -83,3 +83,10 @@ def test_metric_refs_are_sorted_and_unique():
         "WHEN avg(z, 1) > 1 AND avg(a, 1) > 1 AND max(z, 2) > 1 "
         "THEN scale_out")
     assert ast.metric_refs == ("a", "z")
+
+
+def test_min_windows_follow_metric_refs():
+    ast = parse_rule("WHEN avg(b, 5) > 1 AND max(a, 3) > 1 "
+                     "OR NOT min(b, 2) < 0 THEN scale_out")
+    assert ast.metric_refs == ("a", "b")
+    assert ast.min_windows == (3, 2)
