@@ -67,8 +67,6 @@ def _load_and_build(args):
     except (OSError, json.JSONDecodeError) as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return None, EXIT_IO
-    if getattr(args, "seed", None) is not None:
-        scenario.options["seed"] = args.seed
     if getattr(args, "no_reservation", False):
         scenario.options["reservation_enabled"] = False
     try:
@@ -220,8 +218,18 @@ def _print_rationale(tick, decision):
         print("  place %s at %s" % (key, decision.placement[key]))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which the contract above gives
+    to IO errors; argument errors exit 1. Sub-command parsers inherit
+    this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nsscale",
         description="Network-service scaling simulator for NFV deployments.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -232,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a scenario")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace", default=None, help="write the event trace here")
     p.add_argument("--state", default=None, help="write the final state here")
     p.add_argument("--no-reservation", action="store_true",
@@ -249,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="explain the scaling decision at a tick")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--at", type=int, required=True, help="workload tick")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-reservation", action="store_true")
     p.set_defaults(func=cmd_explain)
     return parser

@@ -718,6 +718,13 @@ class ProfileDelta:
     def count_delta(self) -> int:
         return self.to_count - self.from_count
 
+    @property
+    def retained(self) -> int:
+        """Instances that exist on both levels; they change level in place
+        when `il_changed`."""
+        return min(self.from_count, self.to_count) \
+            if self.from_il is not None else 0
+
 
 @dataclass(frozen=True)
 class NsIlDelta:

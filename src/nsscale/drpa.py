@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .capacity import DIMENSIONS, CapacityVector, ZERO
+from .capacity import DIMENSIONS, CapacityVector
 from .descriptors import (
     CLASS_NONE, Catalog, Nsd, NsDeploymentFlavor, NsIlDelta,
     aggregate_capacity, ns_il_delta, vdu_capacity, vnf_il_delta,
 )
-from .inventory import NsInfo, ZoneReport, pop_available
+from .inventory import NsInfo
 from .monitoring import MetricStore
 
 ACTION_NONE = "none"
@@ -118,9 +118,7 @@ class DrpaDecision:
 class DrpaInput:
     verdicts: tuple
     ns_info: NsInfo
-    vnf_infos: tuple
     catalog: Catalog
-    capacity: list  # capacity_report output
     metric_store: MetricStore
 
 
@@ -200,38 +198,28 @@ def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
         profile = flavor.profile(pd.profile_id)
         vnfd = catalog.vnfds[profile.vnfd_ref]
         vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
-        retained = min(pd.from_count, pd.to_count) if pd.from_il is not None else 0
-        if pd.il_changed and retained > 0:
+        batches = []  # (key tag, VDU counts, instance index field)
+        if pd.il_changed and pd.retained > 0:
             # Each retained instance moves level in place.
-            il_delta = vnf_il_delta(vnfd, vnf_flavor, pd.from_il, pd.to_il)
-            for e in range(retained):
-                for vdu_id in sorted(il_delta.add):
-                    vdu = vnfd.vdu(vdu_id)
-                    for i in range(il_delta.add[vdu_id]):
-                        items.append(PlacementItem(
-                            key="%s/scale%d/vnfc/%s/%d" % (pd.profile_id, e, vdu_id, i),
-                            spec=vdu_capacity(vnfd, vdu_id),
-                            kind="vnfc", profile_id=pd.profile_id, vdu_ref=vdu_id,
-                            vnfc_name=vdu.vnfc_name, vnf_il_ref=pd.to_il,
-                            retained_instance_index=e,
-                            anti_affinity=anti.get(vdu.vnfc_name,
-                                                   anti.get(pd.profile_id, "")),
-                        ))
+            add = vnf_il_delta(vnfd, vnf_flavor, pd.from_il, pd.to_il).add
+            batches += [("scale%d" % e, add, {"retained_instance_index": e})
+                        for e in range(pd.retained)]
         if pd.count_delta > 0:
-            target_il = vnf_flavor.il(pd.to_il)
-            for j in range(pd.count_delta):
-                for vdu_id in sorted(target_il.counts):
-                    vdu = vnfd.vdu(vdu_id)
-                    for i in range(target_il.counts[vdu_id]):
-                        items.append(PlacementItem(
-                            key="%s/inst%d/vnfc/%s/%d" % (pd.profile_id, j, vdu_id, i),
-                            spec=vdu_capacity(vnfd, vdu_id),
-                            kind="vnfc", profile_id=pd.profile_id, vdu_ref=vdu_id,
-                            vnfc_name=vdu.vnfc_name, vnf_il_ref=pd.to_il,
-                            new_instance_index=j,
-                            anti_affinity=anti.get(vdu.vnfc_name,
-                                                   anti.get(pd.profile_id, "")),
-                        ))
+            counts = vnf_flavor.il(pd.to_il).counts
+            batches += [("inst%d" % j, counts, {"new_instance_index": j})
+                        for j in range(pd.count_delta)]
+        for tag, counts, index in batches:
+            for vdu_id in sorted(counts):
+                vdu = vnfd.vdu(vdu_id)
+                for i in range(counts[vdu_id]):
+                    items.append(PlacementItem(
+                        key="%s/%s/vnfc/%s/%d" % (pd.profile_id, tag, vdu_id, i),
+                        spec=vdu_capacity(vnfd, vdu_id),
+                        kind="vnfc", profile_id=pd.profile_id, vdu_ref=vdu_id,
+                        vnfc_name=vdu.vnfc_name, vnf_il_ref=pd.to_il,
+                        anti_affinity=anti.get(vdu.vnfc_name,
+                                               anti.get(pd.profile_id, "")),
+                        **index))
     for vl_profile_id, (before, after) in sorted(delta.vl_changes.items()):
         if after > before:
             items.append(PlacementItem(
@@ -277,13 +265,9 @@ def _first_fit(items: list, availability: dict, vim_of: dict) -> PlacementMap:
     return PlacementMap(assignments, vims)
 
 
-def placement_exists(items: list, availability: dict) -> bool:
+def _exists_with_exclusions(items, availability, excluded):
     """Exhaustive assignment search; the independent check used by the
     brute-force selector."""
-    return _exists_with_exclusions(list(items), dict(availability), {})
-
-
-def _exists_with_exclusions(items, availability, excluded):
     if not items:
         return True
     item = items[0]
@@ -318,10 +302,12 @@ def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
         raise NoFeasibleLevelError("empty candidate set")
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
+    classification = {}  # candidate -> classification of its delta
     for ns_il_id in candidates:
         cost = cost_model.cost(aggregate_capacity(catalog, nsd, flavor, ns_il_id))
         instances = _total_instances(flavor, ns_il_id)
         delta = ns_il_delta(catalog, nsd, flavor, ns_info.current_ns_il, ns_il_id)
+        classification[ns_il_id] = delta.classification
         items = delta_additions(catalog, nsd, flavor, delta, constraints)
         try:
             placement = plan_placement(items, pops, constraints)
@@ -336,11 +322,10 @@ def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
             {e.ns_il_id: e.reason for e in evaluations})
     best = min(feasible,
                key=lambda e: (e.cost, e.total_instances, order[e.ns_il_id]))
-    delta = ns_il_delta(catalog, nsd, flavor, ns_info.current_ns_il, best.ns_il_id)
     return DrpaDecision(
         action=ACTION_SCALE,
         target_ns_il=best.ns_il_id,
-        classification=delta.classification,
+        classification=classification[best.ns_il_id],
         placement=dict(best.placement.assignments),
         selected_vims=best.placement.selected_vims,
         rationale=tuple(evaluations),

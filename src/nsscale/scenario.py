@@ -34,10 +34,6 @@ class Scenario:
         return bool(self.options.get("reservation_enabled", True))
 
     @property
-    def seed(self) -> int:
-        return int(self.options.get("seed", 0))
-
-    @property
     def target_utilization(self) -> float:
         return float(self.options.get("target_utilization",
                                       DEFAULT_TARGET_UTILIZATION))

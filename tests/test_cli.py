@@ -1,6 +1,7 @@
 import json
 
 import broken_descriptors
+import pytest
 import sample_catalog as sc
 from nsscale.cli import main
 from nsscale.inventory import ConservationError, ResourceZone
@@ -62,9 +63,26 @@ def test_run_writes_trace_and_state(tmp_path, capsys):
 def test_run_is_reproducible(tmp_path):
     scenario = scenario_file(tmp_path)
     t1, t2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert main(["run", scenario, "--seed", "7", "--trace", str(t1)]) == 0
-    assert main(["run", scenario, "--seed", "7", "--trace", str(t2)]) == 0
+    assert main(["run", scenario, "--trace", str(t1)]) == 0
+    assert main(["run", scenario, "--trace", str(t2)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "x.json", "--bogus"],
+    ["run", "x.json", "--seed", "7"],
+    ["explain", "x.json"],
+    ["graph", "a.json"],
+    [],
+])
+def test_argument_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nsscale")
+    assert "error:" in err
 
 
 def test_run_no_reservation_flag(tmp_path):

@@ -12,7 +12,7 @@ from nsscale.drpa import (
     exhaustive_select, plan_placement, select_optimum,
 )
 from nsscale.descriptors import ns_il_delta
-from nsscale.inventory import NfviPop, NsInfo, ResourceZone, capacity_report
+from nsscale.inventory import NfviPop, NsInfo, ResourceZone
 from nsscale.monitoring import MetricSample, MetricStore, RuleVerdict
 
 
@@ -184,8 +184,7 @@ def test_select_optimum_tie_breaks_on_instances(catalog, nsd, flavor):
 
 def test_decide_none_when_all_satisfied(catalog):
     inp = DrpaInput(verdicts=(verdict({"vcpu"}, satisfied=True),),
-                    ns_info=_ns_info(), vnf_infos=(), catalog=catalog,
-                    capacity=capacity_report([make_pop()]),
+                    ns_info=_ns_info(), catalog=catalog,
                     metric_store=MetricStore())
     assert decide(inp, CostModel()).action == ACTION_NONE
 
@@ -193,9 +192,7 @@ def test_decide_none_when_all_satisfied(catalog):
 def test_decide_full_pipeline(catalog):
     store = make_store([(10, "vnfd-b", "cpu_load", 0.9)])
     inp = DrpaInput(verdicts=(verdict({"vcpu"}),), ns_info=_ns_info(),
-                    vnf_infos=(), catalog=catalog,
-                    capacity=capacity_report([make_pop()]),
-                    metric_store=store)
+                    catalog=catalog, metric_store=store)
     decision = decide(inp, CostModel(), 0.6, [make_pop()],
                       dimension_map=sc.DIMENSION_MAP)
     # 0.9 * 6 / 0.6 = 9 vcpu: level-2 (8) is out, level-3 (12) is optimal

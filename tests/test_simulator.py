@@ -2,6 +2,7 @@ import sample_catalog as sc
 from conftest import build_sim, run_dict
 import pytest
 
+from nsscale.capacity import ZERO
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone,
 )
@@ -208,3 +209,31 @@ def test_initial_capacity_shortage_is_a_validation_error():
     topology = sc.sample_topology(vcpu=4)
     with pytest.raises(ScenarioValidationError):
         build_sim(sc.sample_scenario(topology=topology))
+
+
+def _twin_zone_topology(vcpu):
+    """Two PoPs on one VIM, each with one zone called zone-a, so zone ids
+    and handle ids (h-zone-a-<n>) repeat across PoPs."""
+    def zone(v):
+        return {"id": "zone-a", "total": {"vcpu": v, "memory": 2 * v + 20,
+                                          "storage": 300, "bandwidth": 2000}}
+    return {"vims": [{"id": "vim-1"}], "pops": [
+        {"id": "pop-1", "vim_ref": "vim-1", "zones": [zone(vcpu)]},
+        {"id": "pop-2", "vim_ref": "vim-1", "zones": [zone(64)]},
+    ]}
+
+
+@pytest.mark.parametrize("reservation", [True, False])
+@pytest.mark.parametrize("vcpu", [6, 9, 14])
+def test_release_hits_the_zone_of_the_instances_pop(vcpu, reservation):
+    sim = build_sim(sc.sample_scenario(
+        workload=sc.scale_in_workload(), ns_il="level-4",
+        topology=_twin_zone_topology(vcpu),
+        options={"reservation_enabled": reservation}))
+    result = sim.run()
+    assert result.status == STATUS_COMPLETED
+    assert result.final_state["ns_info"]["current_ns_il"] == "level-3"
+    for pop in sim.pops:
+        for zone in pop.zones:
+            held = sum((h.spec for h in zone.outstanding_handles()), ZERO)
+            assert zone.allocated == held, pop.id
