@@ -16,11 +16,8 @@ import json
 import sys
 
 from . import drpa as drpa_mod
-from .descriptors import (
-    CatalogError, aggregate_capacity, load_catalog, ns_il_delta,
-    validate_catalog,
-)
-from .scenario import ScenarioValidationError, load_scenario
+from .descriptors import CatalogError, load_catalog, validate_catalog
+from .scenario import ScenarioValidationError, load_scenario, workload_records
 from .simulator import STATUS_COMPLETED, Simulator
 from .trace import canonical_json, trace_lines
 
@@ -72,17 +69,24 @@ def _load_and_build(args):
     try:
         sim = Simulator(scenario)
     except ScenarioValidationError as exc:
-        for problem in exc.problems:
-            print(problem)
-        return None, EXIT_VALIDATION
+        return None, _report_problems(exc)
     return sim, EXIT_OK
+
+
+def _report_problems(exc: ScenarioValidationError) -> int:
+    for problem in exc.problems:
+        print(problem)
+    return EXIT_VALIDATION
 
 
 def cmd_run(args) -> int:
     sim, status = _load_and_build(args)
     if sim is None:
         return status
-    result = sim.run()
+    try:
+        result = sim.run()
+    except ScenarioValidationError as exc:  # a malformed workload record
+        return _report_problems(exc)
     try:
         if args.trace:
             with open(args.trace, "w") as fh:
@@ -134,15 +138,15 @@ def cmd_graph(args) -> int:
         print("unknown flavor %r in NSD %r" % (args.flavor, nsd_id))
         return EXIT_VALIDATION
 
-    nodes = [il.id for il in flavor.ns_ils]
+    levels = drpa_mod.LevelGraph(catalog, nsd, flavor)
+    nodes = levels.nodes
     edges = []
     for src in nodes:
         for dst in nodes:
             if src == dst:
                 continue
-            delta = ns_il_delta(catalog, nsd, flavor, src, dst)
-            net = (aggregate_capacity(catalog, nsd, flavor, dst) -
-                   aggregate_capacity(catalog, nsd, flavor, src))
+            delta = levels.delta(src, dst)
+            net = levels.capacity(dst) - levels.capacity(src)
             edges.append({
                 "from": src,
                 "to": dst,
@@ -171,10 +175,11 @@ def cmd_explain(args) -> int:
     sim, status = _load_and_build(args)
     if sim is None:
         return status
-    scenario = sim.scenario
-    ticks = [rec[0] for rec in scenario.workload.get("metrics", ())]
-    ticks += [rec[0] for rec in scenario.workload.get("indicators", ())]
-    horizon = max(ticks) if ticks else 0
+    try:
+        records = workload_records(sim.scenario.workload)
+    except ScenarioValidationError as exc:
+        return _report_problems(exc)
+    horizon = records[-1][0] if records else 0
     if args.at > horizon:
         print("tick %d is beyond the workload horizon (%d)"
               % (args.at, horizon))

@@ -1,12 +1,14 @@
 """Scaling decision pipeline: demand estimation, candidate level filtering,
 cost-optimal level selection, and infrastructure-site placement.
 
-Every function here is pure over its input snapshots.
+Every function here is pure over its input snapshots; a `LevelGraph` only
+keeps what the descriptors determine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .capacity import DIMENSIONS, CapacityVector
 from .descriptors import (
@@ -120,6 +122,7 @@ class DrpaInput:
     ns_info: NsInfo
     catalog: Catalog
     metric_store: MetricStore
+    levels: LevelGraph | None = None  # the run's graph of the NS's flavor
 
 
 def estimate_demand(verdicts: tuple, store: MetricStore,
@@ -128,7 +131,12 @@ def estimate_demand(verdicts: tuple, store: MetricStore,
                     dimension_map: dict | None = None) -> DemandEstimate:
     """Linear utilization scaling: a violated dimension must end up at the
     target utilization given its observed load; other dimensions keep their
-    current capacity."""
+    current capacity.
+
+    A violated dimension's requirement, utilization * capacity / target, is
+    computed exactly over the decimal values the three numbers print as and
+    rounded to float once, so 1.1 * 12 / 0.6 is exactly 22 and a level of
+    22 covers it. Non-finite operands keep float arithmetic."""
     dimension_map = dimension_map or {}
     violated = set()
     for verdict in verdicts:
@@ -143,10 +151,21 @@ def estimate_demand(verdicts: tuple, store: MetricStore,
                 required[dim] = capacity
                 continue
             basis[dim] = (utilization, capacity)
-            required[dim] = utilization * capacity / target_utilization
+            required[dim] = _exact_ratio(utilization, capacity,
+                                         target_utilization)
         else:
             required[dim] = capacity
     return DemandEstimate(CapacityVector(**required), target_utilization, basis)
+
+
+def _exact_ratio(utilization, capacity, target) -> float:
+    try:
+        (nu, du), (nc, dc), (nt, dt) = (
+            Decimal(str(x)).as_integer_ratio()
+            for x in (utilization, capacity, target))
+        return nu * nc * dt / (du * dc * nt)  # int / int rounds once
+    except (ArithmeticError, ValueError):  # a non-finite operand or result
+        return utilization * capacity / target
 
 
 def _observed_utilization(store: MetricStore, dimension: str,
@@ -162,20 +181,23 @@ def _observed_utilization(store: MetricStore, dimension: str,
 
 def candidate_ns_ils(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                      estimate: DemandEstimate, direction: str, current: str,
-                     cost_model: CostModel | None = None) -> list:
+                     cost_model: CostModel | None = None,
+                     levels: LevelGraph | None = None) -> list:
     """Levels able to carry the estimated demand, in declaration order.
 
     Scale-out excludes the current level; scale-in additionally requires a
-    cost strictly below the current level's.
+    cost strictly below the current level's. `levels` is the graph of
+    `flavor` to read capacities from; without it a throwaway one is built.
     """
     flavor.ns_il(current)  # raises UnknownLevelError for a bad current
+    levels = levels or LevelGraph(catalog, nsd, flavor)
     cost_model = cost_model or CostModel()
-    current_cost = cost_model.cost(aggregate_capacity(catalog, nsd, flavor, current))
+    current_cost = cost_model.cost(levels.capacity(current))
     candidates = []
     for ns_il in flavor.ns_ils:
         if ns_il.id == current:
             continue
-        capacity = aggregate_capacity(catalog, nsd, flavor, ns_il.id)
+        capacity = levels.capacity(ns_il.id)
         if not capacity.covers(estimate.required):
             continue
         if direction == "scale-in" and cost_model.cost(capacity) >= current_cost:
@@ -230,7 +252,56 @@ def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
     return items
 
 
-def plan_placement(items: list, pops: list, constraints: dict | None = None) -> PlacementMap:
+class LevelGraph:
+    """The instantiation levels of one NS deployment flavor and the moves
+    between them: each level's aggregate capacity, each ordered pair's
+    `NsIlDelta` and the placement items that delta adds.
+
+    All of it depends only on the descriptors and the placement
+    constraints, which do not change during a run, so each entry is derived
+    on first use and kept. Nothing is derived up front: a run visits only
+    some of the ordered pairs. Returned values are shared between callers,
+    who must not mutate them (`NsIlDelta.vl_changes` is a dict)."""
+
+    def __init__(self, catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
+                 constraints: dict | None = None):
+        self.catalog = catalog
+        self.nsd = nsd
+        self.flavor = flavor
+        self.constraints = constraints
+        self._capacity = {}  # level id -> CapacityVector
+        self._delta = {}  # (from, to) -> NsIlDelta
+        self._additions = {}  # (from, to) -> tuple of PlacementItem
+
+    @property
+    def nodes(self) -> list:
+        """Level ids in declaration order."""
+        return [il.id for il in self.flavor.ns_ils]
+
+    def capacity(self, ns_il_id: str) -> CapacityVector:
+        capacity = self._capacity.get(ns_il_id)
+        if capacity is None:
+            capacity = self._capacity[ns_il_id] = aggregate_capacity(
+                self.catalog, self.nsd, self.flavor, ns_il_id)
+        return capacity
+
+    def delta(self, from_il: str, to_il: str) -> NsIlDelta:
+        delta = self._delta.get((from_il, to_il))
+        if delta is None:
+            delta = self._delta[from_il, to_il] = ns_il_delta(
+                self.catalog, self.nsd, self.flavor, from_il, to_il)
+        return delta
+
+    def additions(self, from_il: str, to_il: str) -> tuple:
+        items = self._additions.get((from_il, to_il))
+        if items is None:
+            items = self._additions[from_il, to_il] = tuple(delta_additions(
+                self.catalog, self.nsd, self.flavor,
+                self.delta(from_il, to_il), self.constraints))
+        return items
+
+
+def plan_placement(items: list, pops: list) -> PlacementMap:
     """First-fit over sites in ascending id order, against site-aggregate
     available capacity. Items sharing an anti-affinity label land on
     distinct sites."""
@@ -239,7 +310,9 @@ def plan_placement(items: list, pops: list, constraints: dict | None = None) -> 
     return _first_fit(items, availability, vim_of)
 
 
-def _first_fit(items: list, availability: dict, vim_of: dict) -> PlacementMap:
+def _first_fit(items, availability: dict, vim_of: dict) -> PlacementMap:
+    """`plan_placement` over a capacity snapshot (pop id -> available),
+    which it leaves unchanged."""
     remaining = dict(availability)
     label_sites = {}  # anti-affinity label -> set of pop ids already used
     assignments = {}
@@ -295,22 +368,28 @@ def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                    candidates: list, cost_model: CostModel, pops: list,
                    ns_info: NsInfo, constraints: dict | None = None,
                    estimate: DemandEstimate | None = None,
-                   verdicts: tuple = ()) -> DrpaDecision:
+                   verdicts: tuple = (),
+                   levels: LevelGraph | None = None) -> DrpaDecision:
     """Minimum weighted-capacity cost among placeable candidates.
-    Ties break on fewest total VNF instances, then declaration order."""
+    Ties break on fewest total VNF instances, then declaration order.
+
+    Every candidate is placed against one snapshot of the sites' available
+    capacity. `levels` is the graph of `flavor`, bound to `constraints`;
+    without it a throwaway one is built."""
     if not candidates:
         raise NoFeasibleLevelError("empty candidate set")
+    levels = levels or LevelGraph(catalog, nsd, flavor, constraints)
+    current = ns_info.current_ns_il
+    availability = {pop.id: pop.available() for pop in pops}
+    vim_of = {pop.id: pop.vim_ref for pop in pops}
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
-    classification = {}  # candidate -> classification of its delta
     for ns_il_id in candidates:
-        cost = cost_model.cost(aggregate_capacity(catalog, nsd, flavor, ns_il_id))
+        cost = cost_model.cost(levels.capacity(ns_il_id))
         instances = _total_instances(flavor, ns_il_id)
-        delta = ns_il_delta(catalog, nsd, flavor, ns_info.current_ns_il, ns_il_id)
-        classification[ns_il_id] = delta.classification
-        items = delta_additions(catalog, nsd, flavor, delta, constraints)
         try:
-            placement = plan_placement(items, pops, constraints)
+            placement = _first_fit(levels.additions(current, ns_il_id),
+                                   availability, vim_of)
             evaluations.append(CandidateEval(ns_il_id, cost, instances, True,
                                              placement=placement))
         except UnplaceableError as exc:
@@ -325,7 +404,7 @@ def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
     return DrpaDecision(
         action=ACTION_SCALE,
         target_ns_il=best.ns_il_id,
-        classification=classification[best.ns_il_id],
+        classification=levels.delta(current, best.ns_il_id).classification,
         placement=dict(best.placement.assignments),
         selected_vims=best.placement.selected_vims,
         rationale=tuple(evaluations),
@@ -338,7 +417,10 @@ def decide(inp: DrpaInput, cost_model: CostModel,
            target_utilization: float = DEFAULT_TARGET_UTILIZATION,
            pops: list | None = None, constraints: dict | None = None,
            dimension_map: dict | None = None) -> DrpaDecision:
-    """Full pipeline: rule verdicts -> demand -> candidates -> optimum."""
+    """Full pipeline: rule verdicts -> demand -> candidates -> optimum.
+
+    `inp.levels`, when given, is the graph of the NS's flavor bound to
+    `constraints`; without it a throwaway one is built."""
     nsd = inp.catalog.nsds[inp.ns_info.nsd_ref]
     flavor = nsd.flavor(inp.ns_info.flavor_ref)
     hints = {rule.id: rule.direction_hint for rule in nsd.auto_scaling_rules}
@@ -349,15 +431,16 @@ def decide(inp: DrpaInput, cost_model: CostModel,
         direction = "scale-out"
     else:
         direction = "scale-in"
-    current_capacity = aggregate_capacity(inp.catalog, nsd, flavor,
-                                          inp.ns_info.current_ns_il)
+    levels = inp.levels or LevelGraph(inp.catalog, nsd, flavor, constraints)
+    current_capacity = levels.capacity(inp.ns_info.current_ns_il)
     estimate = estimate_demand(tuple(fired), inp.metric_store, current_capacity,
                                target_utilization, dimension_map)
     candidates = candidate_ns_ils(inp.catalog, nsd, flavor, estimate, direction,
-                                  inp.ns_info.current_ns_il, cost_model)
+                                  inp.ns_info.current_ns_il, cost_model, levels)
     return select_optimum(inp.catalog, nsd, flavor, candidates, cost_model,
                           pops or [], inp.ns_info, constraints,
-                          estimate=estimate, verdicts=tuple(inp.verdicts))
+                          estimate=estimate, verdicts=tuple(inp.verdicts),
+                          levels=levels)
 
 
 def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,

@@ -4,6 +4,7 @@ NS instance, the workload timeline, thresholds, and run options."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -140,3 +141,50 @@ def validate_scenario(scenario: Scenario) -> tuple:
                 problems.append("initial_instance: unknown NS-IL %r"
                                 % init.get("ns_il_ref"))
     return catalog, problems
+
+
+METRIC_RECORD = 0
+INDICATOR_RECORD = 1
+
+
+def workload_records(workload: dict) -> list:
+    """The workload's metric and indicator records as one list of
+    `(tick, kind, index, subject, name, value)` tuples in delivery order:
+    by tick, metrics before indicators, then file order. `kind` is
+    METRIC_RECORD or INDICATOR_RECORD.
+
+    Each record is `[tick, subject, name, value]` with an int tick and str
+    subject and name. A metric value is a finite int or float, never a
+    bool; an indicator value is free-form. Raises ScenarioValidationError
+    with one `workload:` problem per bad record.
+
+    The check runs here, in the one pass the run makes over the records,
+    rather than in `validate_scenario`: a workload holds thousands of
+    records, and checking them costs more than the rest of a simulator's
+    set-up."""
+    records = []
+    problems = []
+    for kind, field_name, shape in (
+            (METRIC_RECORD, "metrics",
+             "[int tick, str subject, str metric, finite number]"),
+            (INDICATOR_RECORD, "indicators",
+             "[int tick, str vnf, str indicator, value]")):
+        entries = workload.get(field_name, ())
+        if type(entries) not in (list, tuple):
+            problems.append("workload: %s is not a list" % field_name)
+            continue
+        for i, rec in enumerate(entries):
+            if (type(rec) in (list, tuple) and len(rec) == 4
+                    and type(rec[0]) is int and type(rec[1]) is str
+                    and type(rec[2]) is str
+                    and (kind == INDICATOR_RECORD
+                         or type(rec[3]) is int
+                         or type(rec[3]) is float and math.isfinite(rec[3]))):
+                records.append((rec[0], kind, i, rec[1], rec[2], rec[3]))
+            else:
+                problems.append("workload: %s[%d] is not %s: %r"
+                                % (field_name, i, shape, rec))
+    if problems:
+        raise ScenarioValidationError(problems)
+    records.sort()  # (tick, kind, index) is unique: nothing past it compares
+    return records

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field, replace
 
 from . import drpa as drpa_mod
 from .capacity import CapacityVector, ZERO
-from .descriptors import ns_il_delta, vdu_capacity, vnf_il_delta
+from .descriptors import (
+    vdu_capacity, vnf_il_delta,
+    ns_il_delta,  # unused here; the benchmark's tracer wraps this name
+)
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
     SET_VNF_IL, STARTED, STOPPED, InventoryError, NsInfo, NS_INSTANTIATED,
@@ -25,7 +28,8 @@ from .monitoring import (
     indicator_change,
 )
 from .scenario import (
-    Scenario, ScenarioValidationError, build_topology, validate_scenario,
+    METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
+    validate_scenario, workload_records,
 )
 from .trace import EventRecord, payload_digest
 
@@ -120,6 +124,9 @@ class Simulator:
         self.dimension_map = scenario.dimension_map()
         self.constraints = scenario.placement_constraints()
         self.cost_model = scenario.cost_model()
+        # Filled as decisions need it; building it derives nothing.
+        self.levels = drpa_mod.LevelGraph(catalog, self.nsd, self.flavor,
+                                          self.constraints)
         self.target_utilization = scenario.target_utilization
         self.reservation_enabled = scenario.reservation_enabled
 
@@ -255,35 +262,23 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunResult:
-        for record in self._workload_records():
-            if record["type"] == "metric":
-                self._deliver_metric(record)
+        """Deliver the workload and return the outcome. A malformed
+        workload record raises ScenarioValidationError before any event."""
+        for tick, kind, _, subject, name, value in workload_records(
+                self.scenario.workload):
+            if kind == METRIC_RECORD:
+                self._deliver_metric(tick, subject, name, value)
             else:
-                self._deliver_indicator(record)
+                self._deliver_indicator(tick, subject, name, value)
         status = STATUS_OPERATION_FAILED if self._failure else STATUS_COMPLETED
         return RunResult(status, self.trace, self.final_state(),
                          self.operations, self.decisions, self.transitions,
                          failure_reason=self._failure)
 
-    def _workload_records(self) -> list:
-        records = []
-        for i, rec in enumerate(self.scenario.workload.get("metrics", ())):
-            tick, subject, metric, value = rec
-            records.append({"type": "metric", "tick": tick, "subject": subject,
-                            "metric": metric, "value": value, "order": (0, i)})
-        for i, rec in enumerate(self.scenario.workload.get("indicators", ())):
-            tick, vnf, indicator, value = rec
-            records.append({"type": "indicator", "tick": tick, "vnf": vnf,
-                            "indicator": indicator, "value": value,
-                            "order": (1, i)})
-        records.sort(key=lambda r: (r["tick"], r["order"]))
-        return records
-
-    def _deliver_metric(self, record):
-        self._clock = max(self._clock, record["tick"])
-        sample = MetricSample(record["tick"], record["subject"],
-                              record["metric"], record["value"])
-        src = self.vnfm_actor.get(record["subject"],
+    def _deliver_metric(self, tick, subject, metric, value):
+        self._clock = max(self._clock, tick)
+        sample = MetricSample(tick, subject, metric, value)
+        src = self.vnfm_actor.get(subject,
                                   next(iter(self.vim_actor.values()), "VIM-0"))
         notifications = self.store.ingest(sample, self.thresholds, origin=src)
         for note in notifications:
@@ -291,20 +286,16 @@ class Simulator:
             self._send(src, self.nfvo, note.variant, note.payload, step=step)
             self._on_notification(note)
 
-    def _deliver_indicator(self, record):
-        self._clock = max(self._clock, record["tick"])
-        subject = record["vnf"]
+    def _deliver_indicator(self, tick, subject, indicator, value):
+        self._clock = max(self._clock, tick)
         vnfd_ref = subject if subject in self.catalog.vnfds else \
             self.vnf_infos[subject].vnfd_ref
         vnfd = self.catalog.vnfds[vnfd_ref]
-        note = indicator_change(vnfd, subject, record["indicator"],
-                                record["value"], record["tick"],
+        note = indicator_change(vnfd, subject, indicator, value, tick,
                                 origin=self.em_actor[vnfd_ref])
-        if isinstance(record["value"], (int, float)):
+        if isinstance(value, (int, float)):
             # numeric indicators feed the rule engine like any metric
-            self.store.ingest(MetricSample(record["tick"], vnfd_ref,
-                                           record["indicator"],
-                                           record["value"]))
+            self.store.ingest(MetricSample(tick, vnfd_ref, indicator, value))
         em = self.em_actor[vnfd_ref]
         vnfm = self.vnfm_actor[vnfd_ref]
         self._send(em, vnfm, note.variant, note.payload, step=3)
@@ -321,7 +312,8 @@ class Simulator:
             return
         inp = drpa_mod.DrpaInput(
             verdicts=tuple(verdicts), ns_info=self.ns_info,
-            catalog=self.catalog, metric_store=self.store)
+            catalog=self.catalog, metric_store=self.store,
+            levels=self.levels)
         try:
             decision = drpa_mod.decide(
                 inp, self.cost_model, self.target_utilization, self.pops,
@@ -342,11 +334,10 @@ class Simulator:
     # -- procedure execution -------------------------------------------------
 
     def _execute_decision(self, decision):
-        delta = ns_il_delta(self.catalog, self.nsd, self.flavor,
-                            self.ns_info.current_ns_il, decision.target_ns_il)
+        move = (self.ns_info.current_ns_il, decision.target_ns_il)
+        delta = self.levels.delta(*move)
         # The operation's whole plan: every VNFC and VL addition it places.
-        items = drpa_mod.delta_additions(self.catalog, self.nsd, self.flavor,
-                                         delta, self.constraints)
+        items = self.levels.additions(*move)
         op = ScalingOperation("op-%d" % next(self._op_counter),
                               delta.classification)
         self.operations.append(op)

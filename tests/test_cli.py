@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import broken_descriptors
 import pytest
@@ -148,6 +149,44 @@ def test_graph_output_is_byte_stable(tmp_path):
     main(["graph", catalog, "--flavor", "df-1", "--out", str(a)])
     main(["graph", catalog, "--flavor", "df-1", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_graph_document_is_unchanged(tmp_path):
+    out_doc = tmp_path / "graph.json"
+    assert main(["graph", catalog_file(tmp_path), "--flavor", "df-1",
+                 "--out", str(out_doc)]) == 0
+    golden = Path(__file__).parent / "data" / "sample_graph.json"
+    assert out_doc.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["run"], ["explain", "--at", "10"]])
+@pytest.mark.parametrize("field, record", [
+    ("metrics", [12, "vnfd-b", "cpu_load", "high"]),
+    ("metrics", [12, "vnfd-b", "cpu_load", None]),
+    ("metrics", [12, "vnfd-b", "cpu_load", True]),
+    ("metrics", ["12", "vnfd-b", "cpu_load", 0.9]),
+    ("metrics", [12, "vnfd-b", "cpu_load"]),
+    ("metrics", [12, "vnfd-b", "cpu_load", float("nan")]),
+    ("metrics", [12, "vnfd-b", "cpu_load", float("inf")]),
+    ("indicators", [12, "vnfd-b", "congestion"]),
+])
+def test_malformed_workload_record_exits_one(tmp_path, capsys, command,
+                                             field, record):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    records = scenario["workload"].setdefault(field, [])
+    records.append(record)
+    path = scenario_file(tmp_path, scenario)
+    assert main([command[0], path] + command[1:]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert out[0].startswith("workload: %s[%d] is not "
+                             % (field, len(records) - 1))
+
+
+def test_workload_field_that_is_not_a_list_exits_one(tmp_path, capsys):
+    scenario = sc.sample_scenario(workload={"metrics": None})
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    assert capsys.readouterr().out == "workload: metrics is not a list\n"
 
 
 def test_explain_at_decision_tick(tmp_path, capsys):

@@ -6,12 +6,13 @@ import sample_catalog as sc
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import load_catalog
 from nsscale.drpa import (
-    ACTION_NONE, ACTION_SCALE, CostModel, DrpaInput, NoFeasibleLevelError,
-    NoPlaceableCandidateError, PlacementItem, UnplaceableError,
-    candidate_ns_ils, decide, delta_additions, estimate_demand,
-    exhaustive_select, plan_placement, select_optimum,
+    ACTION_NONE, ACTION_SCALE, CostModel, DrpaInput, LevelGraph,
+    NoFeasibleLevelError, NoPlaceableCandidateError, PlacementItem,
+    UnplaceableError, candidate_ns_ils, decide, delta_additions,
+    estimate_demand, exhaustive_select, plan_placement, select_optimum,
 )
-from nsscale.descriptors import ns_il_delta
+from nsscale.descriptors import aggregate_capacity, ns_il_delta
+from scenario_gen import random_catalog
 from nsscale.inventory import NfviPop, NsInfo, ResourceZone
 from nsscale.monitoring import MetricSample, MetricStore, RuleVerdict
 
@@ -63,6 +64,29 @@ def test_demand_without_observation_keeps_capacity():
     est = estimate_demand((verdict({"vcpu"}),), MetricStore(),
                           CapacityVector(vcpu=8), 0.6, {"cpu_load": "vcpu"})
     assert est.required.vcpu == 8
+
+
+@pytest.mark.parametrize("load, required", [(1.1, 22), (0.9, 18)])
+def test_demand_has_no_float_drift(load, required):
+    # As floats, load * 12 / 0.6 is 22.000000000000004 and
+    # 18.000000000000004.
+    store = make_store([(10, "vnfd-b", "cpu_load", load)])
+    est = estimate_demand((verdict({"vcpu"}),), store,
+                          CapacityVector(vcpu=12), 0.6, sc.DIMENSION_MAP)
+    assert est.required.vcpu == required
+
+
+def test_demand_equal_to_a_level_selects_that_level(catalog, nsd, flavor):
+    # 1.1 at level-3 (12 vcpu) needs exactly level-4's 22 vcpu.
+    store = make_store([(10, "vnfd-b", "cpu_load", 1.1)])
+    est = estimate_demand((verdict({"vcpu"}),), store,
+                          aggregate_capacity(catalog, nsd, flavor, "level-3"),
+                          0.6, sc.DIMENSION_MAP)
+    assert candidate_ns_ils(catalog, nsd, flavor, est, "scale-out",
+                            "level-3") == ["level-4"]
+    assert exhaustive_select(catalog, nsd, flavor, est, CostModel(),
+                             [make_pop()], current="level-3",
+                             exclude=("level-3",)) == "level-4"
 
 
 class Est:
@@ -229,10 +253,28 @@ def test_weight_increase_never_buys_more_of_that_dimension(catalog, nsd,
                                   "level-1")
     base = select_optimum(catalog, nsd, flavor, candidates, CostModel(),
                           pops, _ns_info())
-    from nsscale.descriptors import aggregate_capacity
     for dim, kw in [("vcpu", "w_vcpu"), ("bandwidth", "w_bandwidth")]:
         heavy = select_optimum(catalog, nsd, flavor, candidates,
                                CostModel(**{kw: 10.0}), pops, _ns_info())
         before = aggregate_capacity(catalog, nsd, flavor, base.target_ns_il)
         after = aggregate_capacity(catalog, nsd, flavor, heavy.target_ns_il)
         assert after.get(dim) <= before.get(dim)
+
+
+def test_level_graph_equals_direct_derivation():
+    rng = random.Random(5)
+    for _ in range(25):
+        catalog, nsd, flavor = random_catalog(rng)
+        constraints = {"anti_affinity": {"C0": "spread"}}
+        levels = LevelGraph(catalog, nsd, flavor, constraints)
+        ids = [il.id for il in flavor.ns_ils]
+        assert levels.nodes == ids
+        for a in ids:
+            assert levels.capacity(a) == \
+                aggregate_capacity(catalog, nsd, flavor, a)
+            for b in ids:
+                delta = ns_il_delta(catalog, nsd, flavor, a, b)
+                assert levels.delta(a, b) == delta
+                assert levels.additions(a, b) == tuple(delta_additions(
+                    catalog, nsd, flavor, delta, constraints))
+                assert levels.additions(a, b) is levels.additions(a, b)

@@ -237,3 +237,33 @@ def test_release_hits_the_zone_of_the_instances_pop(vcpu, reservation):
         for zone in pop.zones:
             held = sum((h.spec for h in zone.outstanding_handles()), ZERO)
             assert zone.allocated == held, pop.id
+
+
+def test_run_derives_each_level_and_move_once(monkeypatch):
+    import nsscale.drpa as drpa
+    real_capacity, real_delta = drpa.aggregate_capacity, drpa.ns_il_delta
+    capacities, deltas = [], []
+
+    def counted_capacity(catalog, nsd, flavor, level):
+        capacities.append(level)
+        return real_capacity(catalog, nsd, flavor, level)
+
+    def counted_delta(catalog, nsd, flavor, a, b):
+        deltas.append((a, b))
+        return real_delta(catalog, nsd, flavor, a, b)
+
+    monkeypatch.setattr(drpa, "aggregate_capacity", counted_capacity)
+    monkeypatch.setattr(drpa, "ns_il_delta", counted_delta)
+    scenario = sc.sample_scenario(workload=sc.escalation_workload())
+    sim = build_sim(scenario)
+    first = sim.run()
+    assert len(first.decisions) == 3
+    assert capacities and len(capacities) == len(set(capacities))
+    assert deltas and len(deltas) == len(set(deltas))
+    for a, b in deltas:  # the run changed no shared delta
+        assert sim.levels.delta(a, b) == \
+            real_delta(sim.catalog, sim.nsd, sim.flavor, a, b)
+    second = run_dict(scenario)
+    assert trace_lines(first.trace) == trace_lines(second.trace)
+    assert canonical_json(first.final_state) == \
+        canonical_json(second.final_state)
