@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .capacity import DIMENSIONS, CapacityVector
+from .capacity import DIMENSIONS, ZERO, CapacityVector
 from .descriptors import (
     CLASS_NONE, Catalog, Nsd, NsDeploymentFlavor, NsIlDelta,
     aggregate_capacity, ns_il_delta, vdu_capacity, vnf_il_delta,
 )
-from .inventory import NsInfo
+from .inventory import (
+    NoZoneFitsError, NsInfo, capacity_report, vim_placement,
+)
 from .monitoring import MetricStore
 
 ACTION_NONE = "none"
@@ -301,60 +303,63 @@ class LevelGraph:
         return items
 
 
-def plan_placement(items: list, pops: list) -> PlacementMap:
-    """First-fit over sites in ascending id order, against site-aggregate
-    available capacity. Items sharing an anti-affinity label land on
-    distinct sites."""
-    availability = {pop.id: pop.available() for pop in pops}
-    vim_of = {pop.id: pop.vim_ref for pop in pops}
-    return _first_fit(items, availability, vim_of)
-
-
-def _first_fit(items, availability: dict, vim_of: dict) -> PlacementMap:
-    """`plan_placement` over a capacity snapshot (pop id -> available),
-    which it leaves unchanged."""
-    remaining = dict(availability)
-    label_sites = {}  # anti-affinity label -> set of pop ids already used
+def plan_placement(items, snapshot: list) -> PlacementMap:
+    """Assign each item to the first PoP, in id order, in which the VIM's
+    own zone rule (`vim_placement`) finds it a zone in `snapshot`, a
+    `capacity_report`, after the items placed before it. Items sharing an
+    anti-affinity label land on distinct PoPs. The snapshot is left
+    unchanged."""
+    zones_of = {}  # pop id -> its zones, in the snapshot's pop id order
+    vim_of = {}
+    for zone in snapshot:
+        zones_of.setdefault(zone.pop_id, []).append(zone)
+        vim_of[zone.pop_id] = zone.vim_ref
+    pending = {pop_id: {} for pop_id in zones_of}  # pop id -> zone id -> spec
+    label_pops = {}  # anti-affinity label -> pop ids already used
     assignments = {}
     for item in items:
-        placed = False
-        best_shortfall = None
-        for pop_id in sorted(remaining):
-            if item.anti_affinity and pop_id in label_sites.get(item.anti_affinity, set()):
+        used = label_pops.get(item.anti_affinity, ())
+        shortfalls = []
+        for pop_id, zones in zones_of.items():
+            if pop_id in used:
                 continue
-            if remaining[pop_id].covers(item.spec):
-                assignments[item.key] = pop_id
-                remaining[pop_id] = remaining[pop_id] - item.spec
-                if item.anti_affinity:
-                    label_sites.setdefault(item.anti_affinity, set()).add(pop_id)
-                placed = True
-                break
-            shortfall = remaining[pop_id].deficient_dimensions(item.spec)
-            if best_shortfall is None or len(shortfall) < len(best_shortfall):
-                best_shortfall = shortfall
-        if not placed:
-            raise UnplaceableError(item.key, best_shortfall or ["anti-affinity"])
-    vims = frozenset(vim_of[p] for p in assignments.values())
-    return PlacementMap(assignments, vims)
+            placed = pending[pop_id]
+            try:
+                zone = vim_placement(zones, item.spec, pending=placed)
+            except NoZoneFitsError as exc:
+                shortfalls.append(exc.shortfall)
+                continue
+            placed[zone.id] = placed.get(zone.id, ZERO) + item.spec
+            assignments[item.key] = pop_id
+            if item.anti_affinity:
+                label_pops.setdefault(item.anti_affinity, set()).add(pop_id)
+            break
+        else:
+            shortfall = min(shortfalls, key=len, default=())
+            raise UnplaceableError(item.key, shortfall or ["anti-affinity"])
+    return PlacementMap(assignments,
+                        frozenset(vim_of[p] for p in assignments.values()))
 
 
-def _exists_with_exclusions(items, availability, excluded):
-    """Exhaustive assignment search; the independent check used by the
-    brute-force selector."""
+def _zone_assignment_exists(items, free: dict, label_pops: dict) -> bool:
+    """Exhaustive search for an assignment of every item to a zone of
+    `free` ((pop id, zone id) -> available capacity) in which items sharing
+    an anti-affinity label take distinct PoPs; the independent check used by
+    the brute-force selector."""
     if not items:
         return True
     item = items[0]
-    for pop_id in sorted(availability):
-        if item.anti_affinity and pop_id in excluded.get(item.anti_affinity, set()):
+    used = label_pops.get(item.anti_affinity, frozenset())
+    for key in sorted(free):
+        if key[0] in used or not free[key].covers(item.spec):
             continue
-        if not availability[pop_id].covers(item.spec):
-            continue
-        reduced = dict(availability)
-        reduced[pop_id] = reduced[pop_id] - item.spec
-        next_excluded = {k: set(v) for k, v in excluded.items()}
+        reduced = dict(free)
+        reduced[key] = free[key] - item.spec
+        next_labels = label_pops
         if item.anti_affinity:
-            next_excluded.setdefault(item.anti_affinity, set()).add(pop_id)
-        if _exists_with_exclusions(items[1:], reduced, next_excluded):
+            next_labels = dict(label_pops)
+            next_labels[item.anti_affinity] = used | {key[0]}
+        if _zone_assignment_exists(items[1:], reduced, next_labels):
             return True
     return False
 
@@ -373,23 +378,22 @@ def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
     """Minimum weighted-capacity cost among placeable candidates.
     Ties break on fewest total VNF instances, then declaration order.
 
-    Every candidate is placed against one snapshot of the sites' available
-    capacity. `levels` is the graph of `flavor`, bound to `constraints`;
-    without it a throwaway one is built."""
+    Every candidate is placed by `plan_placement` against one
+    `capacity_report` of `pops`. `levels` is the graph of `flavor`, bound to
+    `constraints`; without it a throwaway one is built."""
     if not candidates:
         raise NoFeasibleLevelError("empty candidate set")
     levels = levels or LevelGraph(catalog, nsd, flavor, constraints)
     current = ns_info.current_ns_il
-    availability = {pop.id: pop.available() for pop in pops}
-    vim_of = {pop.id: pop.vim_ref for pop in pops}
+    snapshot = capacity_report(pops)
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
     for ns_il_id in candidates:
         cost = cost_model.cost(levels.capacity(ns_il_id))
         instances = _total_instances(flavor, ns_il_id)
         try:
-            placement = _first_fit(levels.additions(current, ns_il_id),
-                                   availability, vim_of)
+            placement = plan_placement(levels.additions(current, ns_il_id),
+                                       snapshot)
             evaluations.append(CandidateEval(ns_il_id, cost, instances, True,
                                              placement=placement))
         except UnplaceableError as exc:
@@ -445,13 +449,15 @@ def decide(inp: DrpaInput, cost_model: CostModel,
 
 def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                       estimate: DemandEstimate, cost_model: CostModel,
-                      pops: list, current: str | None = None,
-                      exclude: tuple = (), constraints: dict | None = None):
+                      pops: list, current: str, exclude: tuple = (),
+                      constraints: dict | None = None):
     """Brute-force selection oracle: enumerate every level, check feasibility
-    by direct capacity comparison plus exhaustive placement search, and take
-    the argmin under the same tie-breaks as select_optimum. Returns None when
-    nothing is feasible."""
-    availability = {pop.id: pop.available() for pop in pops}
+    by direct capacity comparison plus an exhaustive search over zone
+    assignments of the move's placement items in one capacity snapshot, and
+    take the argmin under the same tie-breaks as select_optimum. Returns None
+    when nothing is feasible."""
+    free = {(zone.pop_id, zone.id): zone.available
+            for zone in capacity_report(pops)}
     best = None
     for index, ns_il in enumerate(flavor.ns_ils):
         if ns_il.id in exclude:
@@ -459,12 +465,9 @@ def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
         capacity = aggregate_capacity(catalog, nsd, flavor, ns_il.id)
         if not capacity.covers(estimate.required):
             continue
-        if current is not None:
-            delta = ns_il_delta(catalog, nsd, flavor, current, ns_il.id)
-            items = delta_additions(catalog, nsd, flavor, delta, constraints)
-        else:
-            items = [PlacementItem(key="all", spec=capacity, kind="vnfc")]
-        if not _exists_with_exclusions(items, dict(availability), {}):
+        delta = ns_il_delta(catalog, nsd, flavor, current, ns_il.id)
+        items = delta_additions(catalog, nsd, flavor, delta, constraints)
+        if not _zone_assignment_exists(items, free, {}):
             continue
         key = (cost_model.cost(capacity), _total_instances(flavor, ns_il.id), index)
         if best is None or key < best[0]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .capacity import DIMENSIONS, KIND_DIMENSIONS, CapacityVector, ZERO
 
@@ -43,6 +44,15 @@ class InsufficientCapacityError(InventoryError):
             % (zone_id, needed, dimension, available))
         self.zone_id = zone_id
         self.dimension = dimension
+
+
+class NoZoneFitsError(InventoryError):
+    """No zone of a PoP can take a spec; `shortfall` lists the dimensions
+    the closest zone lacks."""
+
+    def __init__(self, spec: CapacityVector, shortfall: list = ()):
+        super().__init__("no zone fits %s" % spec.as_dict())
+        self.shortfall = list(shortfall)
 
 
 class ReservationStateError(InventoryError):
@@ -89,7 +99,11 @@ class ResourceZone:
 
     @property
     def available(self) -> CapacityVector:
-        return self.total - self.allocated - self.reserved
+        t, a, r = self.total, self.allocated, self.reserved
+        return CapacityVector(t.vcpu - a.vcpu - r.vcpu,
+                              t.memory - a.memory - r.memory,
+                              t.storage - a.storage - r.storage,
+                              t.bandwidth - a.bandwidth - r.bandwidth)
 
     def _check_fits(self, spec: CapacityVector):
         avail = self.available
@@ -208,18 +222,11 @@ class NfviPop:
                 return zone
         raise KeyError(zone_id)
 
-    def available(self) -> CapacityVector:
-        total = ZERO
-        for zone in self.zones:
-            total = total + zone.available
-        return total
 
-
-@dataclass(frozen=True)
-class ZoneReport:
+class ZoneReport(NamedTuple):
     pop_id: str
     vim_ref: str
-    zone_id: str
+    id: str  # the zone's id, unique within its PoP
     total: CapacityVector
     allocated: CapacityVector
     reserved: CapacityVector
@@ -236,12 +243,28 @@ def capacity_report(pops: list) -> list:
     return report
 
 
-def pop_available(report: list, pop_id: str) -> CapacityVector:
-    total = ZERO
-    for entry in report:
-        if entry.pop_id == pop_id:
-            total = total + entry.available
-    return total
+def vim_placement(zones: list, spec: CapacityVector,
+                  excluded_zone_ids=(), pending: dict | None = None):
+    """The one rule that picks a zone. `zones` are one PoP's, live
+    (`ResourceZone`) or from a capacity report (`ZoneReport`); the chosen
+    zone is the first in id order that is not excluded and whose available
+    capacity, less `pending` (zone id -> capacity placed but not yet
+    reserved or allocated), covers the spec. Otherwise raises
+    NoZoneFitsError with the shortest list of dimensions a zone lacks."""
+    pending = pending or {}
+    free = []  # available less pending, of every zone tried
+    for zone in sorted(zones, key=lambda z: z.id):
+        if zone.id in excluded_zone_ids:
+            continue
+        capacity = zone.available
+        if zone.id in pending:
+            capacity = capacity - pending[zone.id]
+        if capacity.covers(spec):
+            return zone
+        free.append(capacity)
+    raise NoZoneFitsError(spec, min(
+        (capacity.deficient_dimensions(spec) for capacity in free),
+        key=len, default=()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from .descriptors import (
 )
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
-    SET_VNF_IL, STARTED, STOPPED, InventoryError, NsInfo, NS_INSTANTIATED,
-    NS_SCALING, VnfcInstance, VnfInfo, record_vnf_info_update,
-    capacity_report,  # unused here; the benchmark's tracer wraps this name
+    SET_VNF_IL, STARTED, STOPPED, InventoryError, NoZoneFitsError, NsInfo,
+    NS_INSTANTIATED, NS_SCALING, VnfcInstance, VnfInfo, capacity_report,
+    record_vnf_info_update, vim_placement,
 )
 from .monitoring import (
     PERF_INFO_AVAILABLE, MetricSample, MetricStore, evaluate_rules,
@@ -46,32 +46,11 @@ PHASE_COMPLETED = "completed"
 PHASE_FAILED = "failed"
 
 
-class NoZoneFitsError(InventoryError):
-    pass
-
-
 class OperationFailure(RuntimeError):
     def __init__(self, step: int, reason: str):
         super().__init__("step %d: %s" % (step, reason))
         self.step = step
         self.reason = reason
-
-
-def vim_placement(zones: list, spec: CapacityVector,
-                  excluded_zone_ids: set | None = None,
-                  pending: dict | None = None):
-    """First-fit over zones in ascending id order; the chosen zone covers the
-    spec and is not excluded by a zone-level anti-affinity label.  `pending`
-    (zone id -> capacity) discounts commitments that are placed but not yet
-    reserved, so multi-item placement never over-promises a zone."""
-    excluded = excluded_zone_ids or set()
-    pending = pending or {}
-    for zone in sorted(zones, key=lambda z: z.id):
-        if zone.id in excluded:
-            continue
-        if (zone.available - pending.get(zone.id, ZERO)).covers(spec):
-            return zone
-    raise NoZoneFitsError("no zone fits %s" % spec.as_dict())
 
 
 @dataclass
@@ -85,7 +64,8 @@ class ScalingOperation:
     # rollback bookkeeping
     handles: list = field(default_factory=list)  # [(zone, handle)]
     reservations: list = field(default_factory=list)  # [(zone, reservation)]
-    label_zones: dict = field(default_factory=dict)  # label -> {zone ids}
+    # anti-affinity label -> {(pop id, zone id)}; zone ids repeat across PoPs
+    label_zones: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -189,75 +169,70 @@ class Simulator:
 
     def _instantiate_initial(self):
         """Allocate the initial NS level. Pre-run setup: consumes capacity
-        and populates repositories but emits no workflow messages."""
+        and populates repositories but emits no workflow messages. The
+        level is planned as a decision plans a move, without anti-affinity,
+        and the VIM then places each VNFC and VL in its planned PoP."""
         ns_il = self.flavor.ns_il(self.ns_info.current_ns_il)
+        vnfs = []  # (vnf instance id, profile, VNF level, VNFC items)
+        for profile in self.flavor.vnf_profiles:
+            il_ref, count = ns_il.vnf_entries.get(profile.id, ("", 0))
+            vnfd = self.catalog.vnfds[profile.vnfd_ref]
+            for _ in range(count):
+                vnf_id = "vnf-%s-%d" % (profile.id,
+                                        next(self._instance_counter))
+                counts = vnfd.flavor(profile.vnf_flavor_ref).il(il_ref).counts
+                vnfs.append((vnf_id, profile, il_ref, [
+                    drpa_mod.PlacementItem(
+                        "%s/%s/%d" % (vnf_id, vdu_id, i),
+                        vdu_capacity(vnfd, vdu_id), "vnfc", vdu_ref=vdu_id)
+                    for vdu_id in sorted(counts)
+                    for i in range(counts[vdu_id])]))
+        vls = [drpa_mod.PlacementItem(
+                   "vl/%s" % vl_profile.id,
+                   CapacityVector(bandwidth=ns_il.vl_entries[vl_profile.id]),
+                   "vl", vl_profile_id=vl_profile.id)
+               for vl_profile in self.flavor.vl_profiles
+               if ns_il.vl_entries.get(vl_profile.id, 0) > 0]
         try:
-            for profile in self.flavor.vnf_profiles:
-                if profile.id not in ns_il.vnf_entries:
-                    continue
-                il_ref, count = ns_il.vnf_entries[profile.id]
-                for _ in range(count):
-                    self._create_vnf_instance(profile, il_ref)
-            for vl_profile in self.flavor.vl_profiles:
-                bitrate = ns_il.vl_entries.get(vl_profile.id, 0)
-                if bitrate > 0:
-                    self._allocate_vl(vl_profile.id,
-                                      CapacityVector(bandwidth=bitrate))
-        except InventoryError as exc:
+            placement = drpa_mod.plan_placement(
+                [item for *_, items in vnfs for item in items] + vls,
+                capacity_report(self.pops)).assignments
+            for vnf_id, profile, il_ref, items in vnfs:
+                instances = []
+                for item in items:
+                    pop = self._pop(placement[item.key])
+                    zone = vim_placement(pop.zones, item.spec)
+                    compute = zone.allocate(item.spec.restricted("compute"),
+                                            "compute")
+                    storage = item.spec.restricted("storage")
+                    instances.append(VnfcInstance(
+                        "%s-c%d" % (vnf_id, len(instances) + 1),
+                        item.vdu_ref, STARTED, compute,
+                        () if storage.is_zero()
+                        else (zone.allocate(storage, "storage"),),
+                        zone.id, pop.id))
+                self.vnf_infos[vnf_id] = VnfInfo(
+                    vnf_id, profile.vnfd_ref, profile.vnf_flavor_ref, il_ref,
+                    tuple(instances),
+                    self._vim_of_pop(instances[0].pop_ref) if instances
+                    else "", audit=(("instantiation", self._clock),))
+                self.profile_instances.setdefault(profile.id, []).append(
+                    vnf_id)
+                self.ns_info.vnf_instance_refs.append(vnf_id)
+            for item in vls:
+                self._allocate_vl(item.vl_profile_id, item.spec,
+                                  placement[item.key])
+        except (drpa_mod.UnplaceableError, InventoryError) as exc:
             raise ScenarioValidationError(
                 ["initial instantiation: %s" % exc])
 
-    def _create_vnf_instance(self, profile, il_ref: str,
-                             started: bool = True) -> str:
-        vnfd = self.catalog.vnfds[profile.vnfd_ref]
-        vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
-        il = vnf_flavor.il(il_ref)
-        vnf_id = "vnf-%s-%d" % (profile.id, next(self._instance_counter))
-        instances = []
-        anti = self.constraints.get("anti_affinity", {})
-        for vdu_id in sorted(il.counts):
-            vdu = vnfd.vdu(vdu_id)
-            spec = vdu_capacity(vnfd, vdu_id)
-            label = anti.get(vdu.vnfc_name, anti.get(profile.id, ""))
-            for i in range(il.counts[vdu_id]):
-                pop, zone = self._place_direct(spec, label)
-                compute = zone.allocate(spec.restricted("compute"), "compute")
-                storage = ()
-                if not spec.restricted("storage").is_zero():
-                    storage = (zone.allocate(spec.restricted("storage"),
-                                             "storage"),)
-                instances.append(VnfcInstance(
-                    id="%s-c%d" % (vnf_id, len(instances) + 1),
-                    vdu_ref=vdu_id,
-                    state=STARTED if started else STOPPED,
-                    compute_handle=compute, storage_handles=storage,
-                    zone_ref=zone.id, pop_ref=pop.id))
-        vim_ref = self._vim_of_pop(instances[0].pop_ref) if instances else ""
-        info = VnfInfo(
-            vnf_instance_id=vnf_id, vnfd_ref=vnfd.id,
-            vnf_flavor_ref=vnf_flavor.id, current_vnf_il=il_ref,
-            vnfc_instances=tuple(instances), vim_ref=vim_ref,
-            audit=(("instantiation", self._clock),))
-        self.vnf_infos[vnf_id] = info
-        self.profile_instances.setdefault(profile.id, []).append(vnf_id)
-        self.ns_info.vnf_instance_refs.append(vnf_id)
-        return vnf_id
-
-    def _place_direct(self, spec: CapacityVector, label: str = ""):
-        for pop in sorted(self.pops, key=lambda p: p.id):
-            try:
-                zone = vim_placement(pop.zones, spec)
-            except NoZoneFitsError:
-                continue
-            return pop, zone
-        raise NoZoneFitsError("no site fits %s" % spec.as_dict())
-
-    def _allocate_vl(self, vl_profile_id: str, spec: CapacityVector):
-        pop, zone = self._place_direct(spec)
+    def _allocate_vl(self, vl_profile_id: str, spec: CapacityVector,
+                     pop_id: str):
+        zone = vim_placement(self._pop(pop_id).zones, spec)
         handle = zone.allocate(spec, "network")
         self.vl_handles.setdefault(vl_profile_id, []).append(
-            (pop.id, zone, handle))
-        return pop, zone, handle
+            (pop_id, zone, handle))
+        return zone, handle
 
     # -- main loop ----------------------------------------------------------
 
@@ -374,7 +349,7 @@ class Simulator:
                 commit()
             if vl_inc or vl_dec:
                 # VL-only change: adjust bitrates without VNF involvement.
-                self._apply_vl_changes_direct(op, vl_inc, vl_dec)
+                self._apply_vl_changes_direct(op, decision, vl_inc, vl_dec)
                 commit()
             self.ns_info.current_ns_il = decision.target_ns_il
             op.phase = PHASE_COMPLETED
@@ -486,10 +461,11 @@ class Simulator:
                                 vl_dec if j == 0 else {},
                                 delete_vnf=True)
 
-    def _apply_vl_changes_direct(self, op, vl_increases, vl_decreases):
+    def _apply_vl_changes_direct(self, op, decision, vl_increases,
+                                 vl_decreases):
         for item in vl_increases:
-            pop, zone, handle = self._allocate_vl(item.vl_profile_id, item.spec)
-            op.handles.append((zone, handle))
+            op.handles.append(self._allocate_vl(
+                item.vl_profile_id, item.spec, decision.placement[item.key]))
         if vl_decreases:
             self._shrink_vls(op, vl_decreases)
 
@@ -580,15 +556,18 @@ class Simulator:
             if item.key not in decision.placement:
                 raise OperationFailure(
                     6, "grant denied: %s not in the scaling decision" % item.key)
-        needed = {}
-        for item in items:
-            pop_id = decision.placement[item.key]
-            needed[pop_id] = needed.get(pop_id, ZERO) + item.spec
-        for pop_id, spec in sorted(needed.items()):
-            if not self._pop(pop_id).available().covers(spec):
-                raise OperationFailure(
-                    6, "grant denied: capacity at %s no longer covers %s"
-                    % (pop_id, spec.as_dict()))
+
+    def _vim_zone(self, op, item, pop, pending=None):
+        """The zone the VIM picks for `item` in `pop`: `vim_placement`,
+        excluding the zones of `pop` this operation already gave to the
+        item's anti-affinity label."""
+        label = item.anti_affinity
+        excluded = {zone_id for pop_id, zone_id in op.label_zones.get(label, ())
+                    if pop_id == pop.id}
+        zone = vim_placement(pop.zones, item.spec, excluded, pending)
+        if label:
+            op.label_zones.setdefault(label, set()).add((pop.id, zone.id))
+        return zone
 
     def _reservation_subphase(self, op, decision, items) -> dict:
         """Three reservation requests (compute, storage, network) per
@@ -604,7 +583,7 @@ class Simulator:
             # item's compute/storage/network all land in the same zone and a
             # later kind can never outgrow the zone the first one picked.
             item_zone = {}
-            pending = {}
+            pending = {}  # pop id -> zone id -> placed, not yet reserved
             for kind in ("compute", "storage", "network"):
                 kind_items = [
                     (item, item.spec.restricted(kind))
@@ -621,28 +600,23 @@ class Simulator:
                 placed = []
                 ids = []
                 for item, spec in kind_items:
+                    pop_id = decision.placement[item.key]
+                    unreserved = pending.setdefault(pop_id, {})
                     zone = item_zone.get(item.key)
                     if zone is None:
-                        pop = self._pop(decision.placement[item.key])
-                        excluded = op.label_zones.get(item.anti_affinity,
-                                                      set()) \
-                            if item.anti_affinity else set()
                         try:
-                            zone = vim_placement(pop.zones, item.spec,
-                                                 excluded, pending)
+                            zone = self._vim_zone(op, item, self._pop(pop_id),
+                                                  unreserved)
                         except NoZoneFitsError as exc:
                             self._send(vim, self.nfvo, "ReserveResponse",
                                        {"op_id": op.op_id, "kind": kind,
                                         "error": str(exc)}, step=9, op=op)
                             raise OperationFailure(7, str(exc))
                         item_zone[item.key] = zone
-                        pending[zone.id] = \
-                            pending.get(zone.id, ZERO) + item.spec
-                        if item.anti_affinity:
-                            op.label_zones.setdefault(item.anti_affinity,
-                                                      set()).add(zone.id)
+                        unreserved[zone.id] = \
+                            unreserved.get(zone.id, ZERO) + item.spec
                     reservation = zone.reserve(spec, kind)
-                    pending[zone.id] = pending[zone.id] - spec
+                    unreserved[zone.id] = unreserved[zone.id] - spec
                     op.reservations.append((zone, reservation))
                     reservations[(item.key, kind)] = (zone, reservation)
                     placed.append({"key": item.key, "zone": zone.id})
@@ -668,15 +642,10 @@ class Simulator:
             if not self.reservation_enabled:
                 # Pick the zone once per item (full spec) so every handle of
                 # this VNFC can later be released against the same zone.
-                excluded = op.label_zones.get(item.anti_affinity, set()) \
-                    if item.anti_affinity else set()
                 try:
-                    zone = vim_placement(pop.zones, item.spec, excluded)
+                    zone = self._vim_zone(op, item, pop)
                 except NoZoneFitsError as exc:
                     raise OperationFailure(12, str(exc))
-                if item.anti_affinity:
-                    op.label_zones.setdefault(item.anti_affinity,
-                                              set()).add(zone.id)
             for kind in kinds:
                 spec = item.spec.restricted(kind)
                 if spec.is_zero():

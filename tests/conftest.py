@@ -1,9 +1,23 @@
 import pytest
 
 import sample_catalog as sc
+import nsscale.simulator
 from nsscale.descriptors import load_catalog
+from nsscale.inventory import NoZoneFitsError
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
+
+# One PoP with two zones of 7 vcpu: level-1 fits, and level-3's 8-vcpu
+# VNFC fits no zone although the PoP's 14 vcpu cover level-3's 12.
+SEVEN_AND_SEVEN = {
+    "vims": [{"id": "vim-1"}],
+    "pops": [{"id": "pop-1", "vim_ref": "vim-1", "zones": [
+        {"id": "zone-a", "total": {"vcpu": 7, "memory": 40,
+                                   "storage": 60, "bandwidth": 1000}},
+        {"id": "zone-b", "total": {"vcpu": 7, "memory": 40,
+                                   "storage": 60, "bandwidth": 1000}},
+    ]}],
+}
 
 
 @pytest.fixture
@@ -35,3 +49,17 @@ def run_dict(scenario_dict, on_event=None):
     if on_event is not None:
         sim.on_event = on_event
     return sim.run()
+
+
+def refuse_large_vnfcs(monkeypatch):
+    """Make the VIM find no zone for a spec of 8 vcpu or more, as if its
+    zones had filled since the decision. The sample's initial levels hold
+    only smaller VNFCs, and the DRPA's own placement is left alone."""
+    real = nsscale.simulator.vim_placement
+
+    def placement(zones, spec, *args):
+        if spec.vcpu >= 8:
+            raise NoZoneFitsError(spec)
+        return real(zones, spec, *args)
+
+    monkeypatch.setattr(nsscale.simulator, "vim_placement", placement)

@@ -4,6 +4,7 @@ from pathlib import Path
 import broken_descriptors
 import pytest
 import sample_catalog as sc
+from conftest import SEVEN_AND_SEVEN, refuse_large_vnfcs
 from nsscale.cli import main
 from nsscale.inventory import ConservationError, ResourceZone
 
@@ -100,17 +101,17 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     assert "level-99" in capsys.readouterr().out
 
 
-def test_run_operation_failure_exits_three(tmp_path, capsys):
-    scenario = sc.sample_scenario(workload=sc.jump_workload(), topology={
-        "vims": [{"id": "vim-1"}],
-        "pops": [{"id": "pop-1", "vim_ref": "vim-1", "zones": [
-            {"id": "zone-a", "total": {"vcpu": 7, "memory": 40,
-                                       "storage": 60, "bandwidth": 1000}},
-            {"id": "zone-b", "total": {"vcpu": 7, "memory": 40,
-                                       "storage": 60, "bandwidth": 1000}},
-        ]}]})
-    assert main(["run", scenario_file(tmp_path, scenario)]) == 3
+def test_run_operation_failure_exits_three(tmp_path, capsys, monkeypatch):
+    refuse_large_vnfcs(monkeypatch)
+    assert main(["run", scenario_file(tmp_path)]) == 3
     assert "failure" in capsys.readouterr().out
+
+
+def test_run_refused_by_the_drpa_exits_zero(tmp_path, capsys):
+    scenario = sc.sample_scenario(workload=sc.jump_workload(),
+                                  topology=SEVEN_AND_SEVEN)
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 0
+    assert "failure" not in capsys.readouterr().out
 
 
 def test_graph_emits_all_edges(tmp_path, capsys):

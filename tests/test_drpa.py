@@ -13,7 +13,7 @@ from nsscale.drpa import (
 )
 from nsscale.descriptors import aggregate_capacity, ns_il_delta
 from scenario_gen import random_catalog
-from nsscale.inventory import NfviPop, NsInfo, ResourceZone
+from nsscale.inventory import NfviPop, NsInfo, ResourceZone, capacity_report
 from nsscale.monitoring import MetricSample, MetricStore, RuleVerdict
 
 
@@ -137,10 +137,14 @@ def test_delta_additions_whole_instance(catalog, nsd, flavor):
     assert all(i.new_instance_index == 0 for i in items if i.kind == "vnfc")
 
 
+def plan(items, pops):
+    return plan_placement(items, capacity_report(pops))
+
+
 def test_plan_placement_first_fit_by_pop_id():
     items = [PlacementItem("a", CapacityVector(vcpu=8), "vnfc")]
     pops = [make_pop("pop-2"), make_pop("pop-1", vcpu=10)]
-    placement = plan_placement(items, pops)
+    placement = plan(items, pops)
     assert placement.assignments == {"a": "pop-1"}
     assert placement.selected_vims == frozenset({"vim-1"})
 
@@ -148,8 +152,36 @@ def test_plan_placement_first_fit_by_pop_id():
 def test_plan_placement_skips_full_pops():
     items = [PlacementItem("a", CapacityVector(vcpu=8), "vnfc")]
     pops = [make_pop("pop-1", vcpu=4), make_pop("pop-2")]
-    placement = plan_placement(items, pops)
+    placement = plan(items, pops)
     assert placement.assignments == {"a": "pop-2"}
+
+
+def test_plan_placement_needs_one_zone_to_fit():
+    # pop-1 holds 12 vcpu in all, but no zone of it holds 8
+    split = NfviPop("pop-1", "vim-1", [
+        ResourceZone("z-1", CapacityVector(vcpu=6, memory=64)),
+        ResourceZone("z-2", CapacityVector(vcpu=6, memory=64))])
+    items = [PlacementItem("a", CapacityVector(vcpu=8), "vnfc")]
+    assert plan(items, [split, make_pop("pop-2")]).assignments == \
+        {"a": "pop-2"}
+    with pytest.raises(UnplaceableError) as err:
+        plan(items, [split])
+    assert err.value.shortfall == ["vcpu"]
+
+
+def test_plan_placement_counts_the_items_placed_before():
+    split = NfviPop("pop-1", "vim-1", [
+        ResourceZone("z-1", CapacityVector(vcpu=6, memory=64)),
+        ResourceZone("z-2", CapacityVector(vcpu=6, memory=64))])
+    items = [PlacementItem(k, CapacityVector(vcpu=4), "vnfc")
+             for k in ("a", "b", "c")]
+    # a and b take a zone each; c fits neither remainder of 2
+    assert plan(items, [split, make_pop("pop-2")]).assignments == \
+        {"a": "pop-1", "b": "pop-1", "c": "pop-2"}
+    snapshot = capacity_report([split])
+    with pytest.raises(UnplaceableError):
+        plan_placement(items, snapshot)
+    assert snapshot == capacity_report([split])  # left unchanged
 
 
 def test_anti_affinity_forces_distinct_pops():
@@ -158,17 +190,17 @@ def test_anti_affinity_forces_distinct_pops():
         PlacementItem("b", CapacityVector(vcpu=2), "vnfc", anti_affinity="x"),
     ]
     pops = [make_pop("pop-1"), make_pop("pop-2", vim="vim-2")]
-    placement = plan_placement(items, pops)
+    placement = plan(items, pops)
     assert set(placement.assignments.values()) == {"pop-1", "pop-2"}
     assert placement.selected_vims == frozenset({"vim-1", "vim-2"})
     with pytest.raises(UnplaceableError):
-        plan_placement(items, [make_pop("pop-1")])
+        plan(items, [make_pop("pop-1")])
 
 
 def test_unplaceable_names_item_and_shortfall():
     items = [PlacementItem("big", CapacityVector(vcpu=100), "vnfc")]
     with pytest.raises(UnplaceableError) as err:
-        plan_placement(items, [make_pop("pop-1")])
+        plan(items, [make_pop("pop-1")])
     assert err.value.item_key == "big"
     assert err.value.shortfall == ["vcpu"]
 
@@ -278,3 +310,20 @@ def test_level_graph_equals_direct_derivation():
                 assert levels.additions(a, b) == tuple(delta_additions(
                     catalog, nsd, flavor, delta, constraints))
                 assert levels.additions(a, b) is levels.additions(a, b)
+
+
+def test_exhaustive_select_asks_for_a_zone_per_item(catalog, nsd, flavor):
+    # level-3 -> level-4 adds an 8-vcpu VNFC: 7 + 7 vcpu in two zones is
+    # enough in aggregate, but no zone holds it
+    def pop(*vcpus):
+        return NfviPop("pop-1", "vim-1", [
+            ResourceZone("z-%d" % i, CapacityVector(vcpu=v, memory=64,
+                                                   storage=256,
+                                                   bandwidth=2000))
+            for i, v in enumerate(vcpus)])
+
+    demand = Est(vcpu=18)
+    assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
+                             [pop(7, 7)], current="level-3") is None
+    assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
+                             [pop(2, 8)], current="level-3") == "level-4"

@@ -10,8 +10,8 @@ from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, DoubleReleaseError,
     IllegalTransitionError, InventoryError,
     InsufficientCapacityError, NfviPop, ReservationStateError, ResourceZone,
-    VnfcInstance, VnfInfo, capacity_report, pop_available,
-    record_vnf_info_update,
+    NoZoneFitsError, VnfcInstance, VnfInfo, capacity_report,
+    record_vnf_info_update, vim_placement,
 )
 
 
@@ -136,8 +136,40 @@ def test_capacity_report_is_ordered_and_pure():
     ]
     report = capacity_report(pops)
     assert [r.pop_id for r in report] == ["pop-1", "pop-2"]
-    assert pop_available(report, "pop-1").vcpu == 4
-    assert pop_available(report, "pop-2") == pops[0].zones[0].total
+    assert report[0].available.vcpu == 4
+    assert report[1].available == pops[0].zones[0].total
+    pops[0].zones[0].allocate(CapacityVector(vcpu=1), "compute")
+    assert report[1].available == pops[0].zones[0].total  # a copy
+
+
+def _zones(*vcpus):
+    return [ResourceZone("z%d" % i, CapacityVector(vcpu=v, memory=8))
+            for i, v in reversed(list(enumerate(vcpus, 1)))]
+
+
+def test_vim_placement_takes_first_fitting_zone_by_id():
+    zones = _zones(2, 6, 6)
+    assert vim_placement(zones, CapacityVector(vcpu=4)).id == "z2"
+    assert vim_placement(zones, CapacityVector(vcpu=4), {"z2"}).id == "z3"
+    pending = {"z2": CapacityVector(vcpu=3)}
+    assert vim_placement(zones, CapacityVector(vcpu=4),
+                         pending=pending).id == "z3"
+
+
+def test_vim_placement_reads_a_capacity_report_alike():
+    pops = [NfviPop("pop-1", "vim-1", _zones(2, 6))]
+    report = capacity_report(pops)
+    assert [z.id for z in report] == ["z1", "z2"]
+    assert vim_placement(report, CapacityVector(vcpu=4)) is report[1]
+
+
+def test_vim_placement_reports_the_smallest_shortfall():
+    with pytest.raises(NoZoneFitsError) as err:
+        vim_placement(_zones(2, 6), CapacityVector(vcpu=4, memory=10))
+    assert err.value.shortfall == ["memory"]
+    assert "no zone fits" in str(err.value)
+    with pytest.raises(NoZoneFitsError):
+        vim_placement(_zones(6), CapacityVector(vcpu=4), {"z1"})
 
 
 def _info(states=("STARTED",)):

@@ -1,11 +1,15 @@
+import random
+
 import sample_catalog as sc
-from conftest import build_sim, run_dict
+import scenario_gen
+from conftest import SEVEN_AND_SEVEN, build_sim, refuse_large_vnfcs, run_dict
 import pytest
 
 from nsscale.capacity import ZERO
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone,
 )
+from nsscale.scenario import ScenarioValidationError
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
 )
@@ -114,18 +118,9 @@ def test_identical_runs_are_byte_identical():
     assert canonical_json(a.final_state) == canonical_json(b.final_state)
 
 
-def test_zone_exhaustion_fails_and_rolls_back():
-    topology = {
-        "vims": [{"id": "vim-1"}],
-        "pops": [{"id": "pop-1", "vim_ref": "vim-1", "zones": [
-            {"id": "zone-a", "total": {"vcpu": 7, "memory": 40,
-                                       "storage": 60, "bandwidth": 1000}},
-            {"id": "zone-b", "total": {"vcpu": 7, "memory": 40,
-                                       "storage": 60, "bandwidth": 1000}},
-        ]}],
-    }
-    result = run_dict(sc.sample_scenario(workload=sc.jump_workload(),
-                                         topology=topology))
+def test_zone_exhaustion_fails_and_rolls_back(monkeypatch):
+    refuse_large_vnfcs(monkeypatch)
+    result = run_dict(sc.sample_scenario(workload=sc.jump_workload()))
     assert result.status == STATUS_OPERATION_FAILED
     op = result.operations[0]
     assert op.phase == PHASE_FAILED
@@ -140,6 +135,21 @@ def test_zone_exhaustion_fails_and_rolls_back():
               if v["vnfd_ref"] == "vnfd-b"][0]
     assert [i["vdu_ref"] for i in b_info["vnfc_instances"]] == \
         ["vdu-1", "vdu-3"]
+
+
+def test_fragmented_zones_are_refused_by_the_drpa():
+    # 7 + 7 vcpu cover level-3's 12 in aggregate, but its 8-vcpu VNFC fits
+    # no zone: the decision fails and no operation starts
+    sim = build_sim(sc.sample_scenario(workload=sc.jump_workload(),
+                                       topology=SEVEN_AND_SEVEN))
+    initial = canonical_json(sim.final_state())
+    result = sim.run()
+    assert result.status == STATUS_COMPLETED
+    [(_, error)] = result.decisions
+    assert error.startswith("no placeable candidate")
+    assert "no site fits p-b/scale0/vnfc/vdu-2/0 (short on ['vcpu'])" in error
+    assert result.operations == []
+    assert canonical_json(result.final_state) == initial
 
 
 def test_conservation_holds_at_every_event():
@@ -267,3 +277,98 @@ def test_run_derives_each_level_and_move_once(monkeypatch):
     assert trace_lines(first.trace) == trace_lines(second.trace)
     assert canonical_json(first.final_state) == \
         canonical_json(second.final_state)
+
+
+def _zone(zone_id, vcpu, memory, storage, bandwidth):
+    return {"id": zone_id, "total": {"vcpu": vcpu, "memory": memory,
+                                     "storage": storage,
+                                     "bandwidth": bandwidth}}
+
+
+def test_anti_affinity_keeps_apart_zones_of_one_name_in_two_pops():
+    # The new VNF-B's two VNFCs go to distinct PoPs, whose zones are both
+    # called zone-1; the second must not be excluded by the first's name.
+    scenario = sc.sample_scenario(
+        workload={"metrics": [[10, "vnfd-b", "cpu_load", 0.9]]},
+        ns_il="level-3",
+        topology={"vims": [{"id": "vim-1"}, {"id": "vim-2"}], "pops": [
+            {"id": "pop-1", "vim_ref": "vim-1",
+             "zones": [_zone("zone-1", 64, 128, 256, 2000)]},
+            {"id": "pop-2", "vim_ref": "vim-2",
+             "zones": [_zone("zone-1", 64, 128, 256, 2000)]}]})
+    scenario["rules"]["placement_constraints"] = {
+        "anti_affinity": {"p-b": "spread"}}
+    result = run_dict(scenario)
+    assert result.status == STATUS_COMPLETED, result.failure_reason
+    assert result.final_state["ns_info"]["current_ns_il"] == "level-4"
+    new = result.final_state["vnf_infos"]["vnf-p-b-4"]["vnfc_instances"]
+    assert sorted(i["pop"] for i in new) == ["pop-1", "pop-2"]
+
+
+def test_pending_keeps_apart_zones_of_one_name_in_two_pops():
+    # One VIM reserves in both PoPs; what it has placed but not yet reserved
+    # in pop-1's zone-1 must not count against pop-2's zone-1.
+    scenario = sc.sample_scenario(
+        workload=sc.escalation_workload(),
+        topology={"vims": [{"id": "vim-1"}], "pops": [
+            {"id": "pop-1", "vim_ref": "vim-1",
+             "zones": [_zone("zone-1", 20, 40, 50, 800)]},
+            {"id": "pop-2", "vim_ref": "vim-1",
+             "zones": [_zone("zone-1", 2, 4, 10, 0)]}]})
+    result = run_dict(scenario)
+    assert result.status == STATUS_COMPLETED, result.failure_reason
+    assert result.final_state["ns_info"]["current_ns_il"] == "level-4"
+
+
+def _one_pop(vcpu_a, vcpu_b):
+    return {"vims": [{"id": "vim-1"}], "pops": [
+        {"id": "pop-1", "vim_ref": "vim-1", "zones": [
+            _zone("zone-a", vcpu_a, 128, 256, 2000),
+            _zone("zone-b", vcpu_b, 128, 256, 2000)]}]}
+
+
+@pytest.mark.parametrize("level, vcpus, vnf_il, bitrate", [
+    ("level-3", (16, 7), "il-3", 400),  # once left a VNF with no VNFCs
+    ("level-2", (19, 7), "il-2", 200),  # once left p-b and vlp-1 moved
+])
+def test_zone_infeasible_level_is_refused_before_any_change(
+        level, vcpus, vnf_il, bitrate):
+    # Full load needs level-4, whose new 8-vcpu VNFCs the PoP's aggregate
+    # covers but its zones cannot all hold.
+    sim = build_sim(sc.sample_scenario(
+        workload=sc.jump_workload(), ns_il=level, topology=_one_pop(*vcpus)))
+    initial = canonical_json(sim.final_state())
+    result = sim.run()
+    [(_, error)] = result.decisions
+    assert error.startswith("no placeable candidate")
+    assert result.operations == []
+    state = result.final_state
+    assert "vnf-p-b-4" not in state["vnf_infos"]
+    assert state["vnf_infos"]["vnf-p-b-2"]["current_vnf_il"] == vnf_il
+    assert state["vl_bitrates"]["vlp-1"] == bitrate
+    assert canonical_json(state) == initial
+
+
+def small_zone_scenario(seed):
+    """random_scenario with every zone cut to 4-20 vcpu, so that PoP
+    aggregates often cover what no single zone holds."""
+    rng = random.Random(seed)
+    scenario = scenario_gen.random_scenario(rng)
+    for pop in scenario["topology"]["pops"]:
+        for zone in pop["zones"]:
+            zone["total"]["vcpu"] = rng.randint(4, 20)
+    return scenario
+
+
+def test_plans_the_drpa_accepts_execute():
+    attempted = 0
+    for seed in range(150):
+        try:
+            sim = build_sim(small_zone_scenario(seed))
+        except ScenarioValidationError:  # the initial level does not fit
+            continue
+        result = sim.run()
+        for op in result.operations:
+            assert op.failed_step not in (6, 7, 12), (seed, op.error)
+        attempted += len(result.operations)
+    assert attempted >= 100
