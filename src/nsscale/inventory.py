@@ -95,7 +95,6 @@ class ResourceZone:
         self.reserved = ZERO
         self._counter = itertools.count(1)
         self._outstanding = {}  # handle id -> ResourceHandle
-        self.reservations = {}  # reservation id -> Reservation
 
     @property
     def available(self) -> CapacityVector:
@@ -126,7 +125,6 @@ class ResourceZone:
         reservation = Reservation("res-%s-%d" % (self.id, next(self._counter)),
                                   self.id, spec, kind)
         self.reserved = self.reserved + spec
-        self.reservations[reservation.id] = reservation
         self.check_conservation()
         return reservation
 
@@ -175,6 +173,15 @@ class ResourceZone:
 
     def outstanding_handles(self) -> list:
         return list(self._outstanding.values())
+
+    def checkpoint(self) -> tuple:
+        """What `restore` needs to put the zone's accounting back as it is
+        now. The id counter is not part of it: ids are never reused."""
+        return self.allocated, self.reserved, dict(self._outstanding)
+
+    def restore(self, checkpoint: tuple):
+        self.allocated, self.reserved, outstanding = checkpoint
+        self._outstanding = dict(outstanding)
 
     def check_conservation(self):
         """Raise ConservationError unless allocated, reserved and available
@@ -320,7 +327,6 @@ class NsInfo:
     flavor_ref: str
     current_ns_il: str
     vnf_instance_refs: list
-    vl_instance_refs: list
     state: str = NS_INSTANTIATED
 
 

@@ -61,9 +61,6 @@ class ScalingOperation:
     step_log: list = field(default_factory=list)  # [(step, tick)]
     failed_step: int | None = None
     error: str = ""
-    # rollback bookkeeping
-    handles: list = field(default_factory=list)  # [(zone, handle)]
-    reservations: list = field(default_factory=list)  # [(zone, reservation)]
     # anti-affinity label -> {(pop id, zone id)}; zone ids repeat across PoPs
     label_zones: dict = field(default_factory=dict)
 
@@ -113,7 +110,7 @@ class Simulator:
         self.ns_info = NsInfo(
             ns_instance_id="ns-1", nsd_ref=self.nsd.id,
             flavor_ref=self.flavor.id, current_ns_il=init["ns_il_ref"],
-            vnf_instance_refs=[], vl_instance_refs=[])
+            vnf_instance_refs=[])
         self.vnf_infos = {}  # vnf instance id -> VnfInfo
         self.profile_instances = {}  # profile id -> [vnf instance ids]
         self.vl_handles = {}  # vl profile id -> [(pop_id, zone, handle)]
@@ -131,9 +128,6 @@ class Simulator:
         self._instance_counter = itertools.count(1)
         self._cooldown_state = {}
         self._failure = ""
-        # vl profile id -> (pop id, zone, bandwidth) left over by a shrink,
-        # re-allocated by _finish_vl_shrink
-        self._vl_shrink_remainder = {}
         self._vnfc_counters = {}  # vnf instance id -> highest VNFC suffix
 
         self._instantiate_initial()
@@ -152,12 +146,6 @@ class Simulator:
         if self.on_event is not None:
             self.on_event(record, self.pops)
         return record
-
-    def _vim_of_pop(self, pop_id: str) -> str:
-        for pop in self.pops:
-            if pop.id == pop_id:
-                return pop.vim_ref
-        raise KeyError(pop_id)
 
     def _pop(self, pop_id: str):
         for pop in self.pops:
@@ -214,7 +202,7 @@ class Simulator:
                 self.vnf_infos[vnf_id] = VnfInfo(
                     vnf_id, profile.vnfd_ref, profile.vnf_flavor_ref, il_ref,
                     tuple(instances),
-                    self._vim_of_pop(instances[0].pop_ref) if instances
+                    self._pop(instances[0].pop_ref).vim_ref if instances
                     else "", audit=(("instantiation", self._clock),))
                 self.profile_instances.setdefault(profile.id, []).append(
                     vnf_id)
@@ -316,6 +304,7 @@ class Simulator:
         op = ScalingOperation("op-%d" % next(self._op_counter),
                               delta.classification)
         self.operations.append(op)
+        saved = self._checkpoint()
         self.ns_info.state = NS_SCALING
         try:
             # VL increases ride the first allocating sub-procedure, decreases
@@ -328,33 +317,24 @@ class Simulator:
                 pool.clear()
                 return taken
 
-            def commit():
-                # Rollback must never touch resources a finished
-                # sub-procedure already handed to running instances.
-                op.handles.clear()
-                op.reservations.clear()
-
             for pd in delta.profile_deltas:
                 if pd.il_changed and pd.retained > 0:
                     for e in range(pd.retained):
                         self._scale_vnf_procedure(
                             op, decision, pd, items, take(vl_inc),
                             take(vl_dec), e)
-                        commit()
                 if pd.count_delta > 0:
                     self._add_vnf_procedure(op, decision, pd, items,
                                             take(vl_inc))
                 elif pd.count_delta < 0:
                     self._remove_vnf_procedure(op, decision, pd, take(vl_dec))
-                commit()
             if vl_inc or vl_dec:
                 # VL-only change: adjust bitrates without VNF involvement.
-                self._apply_vl_changes_direct(op, decision, vl_inc, vl_dec)
-                commit()
+                self._apply_vl_changes_direct(decision, vl_inc, vl_dec)
             self.ns_info.current_ns_il = decision.target_ns_il
             op.phase = PHASE_COMPLETED
         except (OperationFailure, InventoryError) as exc:
-            self._rollback(op)
+            self._restore(saved)
             op.phase = PHASE_FAILED
             op.failed_step = getattr(exc, "step", 12)
             op.error = getattr(exc, "reason", str(exc))
@@ -365,14 +345,29 @@ class Simulator:
         finally:
             self.ns_info.state = NS_INSTANTIATED
 
-    def _rollback(self, op: ScalingOperation):
-        for zone, handle in op.handles:
-            zone.release(handle)
-        op.handles.clear()
-        for zone, reservation in op.reservations:
-            if reservation.state == "active":
-                zone.cancel(reservation)
-        op.reservations.clear()
+    def _checkpoint(self) -> tuple:
+        """What an operation may change, apart from id counters and the
+        run's history: zone accounting and the instance repositories.
+        VnfInfo and handle entries are immutable, so copying the containers
+        is enough."""
+        return (
+            [(zone, zone.checkpoint()) for pop in self.pops
+             for zone in pop.zones],
+            dict(self.vnf_infos),
+            {pid: list(ids) for pid, ids in self.profile_instances.items()},
+            list(self.ns_info.vnf_instance_refs),
+            {pid: list(entries) for pid, entries in self.vl_handles.items()},
+        )
+
+    def _restore(self, saved: tuple):
+        """Undo a failed operation: `final_state` reads as before it. Id
+        counters are not rewound, and the trace and transitions keep the
+        failed operation's history."""
+        zones, self.vnf_infos, self.profile_instances, refs, \
+            self.vl_handles = saved
+        for zone, checkpoint in zones:
+            zone.restore(checkpoint)
+        self.ns_info.vnf_instance_refs = refs
 
     def _scale_vnf_procedure(self, op, decision, pd, items, vl_increases,
                              vl_dec, index):
@@ -461,13 +456,12 @@ class Simulator:
                                 vl_dec if j == 0 else {},
                                 delete_vnf=True)
 
-    def _apply_vl_changes_direct(self, op, decision, vl_increases,
-                                 vl_decreases):
+    def _apply_vl_changes_direct(self, decision, vl_increases, vl_decreases):
         for item in vl_increases:
-            op.handles.append(self._allocate_vl(
-                item.vl_profile_id, item.spec, decision.placement[item.key]))
+            self._allocate_vl(item.vl_profile_id, item.spec,
+                              decision.placement[item.key])
         if vl_decreases:
-            self._shrink_vls(op, vl_decreases)
+            self._shrink_vls(vl_decreases)
 
     # -- allocation phase ----------------------------------------------------
 
@@ -521,7 +515,7 @@ class Simulator:
             if not self.vnf_infos[vnf_id].vim_ref:
                 self.vnf_infos[vnf_id] = replace(
                     self.vnf_infos[vnf_id],
-                    vim_ref=self._vim_of_pop(new_instances[0].pop_ref))
+                    vim_ref=self._pop(new_instances[0].pop_ref).vim_ref)
 
             op.phase = PHASE_STARTING
             self._send(vnfm, self.nfvo, "OperateVnfRequest",
@@ -545,10 +539,6 @@ class Simulator:
         elif finalize_il is not None and vl_items:
             # pure VL growth attached to this VNF's operation
             self._update_vnf_info(vnf_id, SET_VNF_IL, 19, vnf_il=finalize_il)
-        # Committed: these resources now belong to running instances and
-        # must survive a later sub-procedure's rollback.
-        op.handles.clear()
-        op.reservations.clear()
         return new_ids
 
     def _grant_check(self, op, decision, items):
@@ -576,7 +566,7 @@ class Simulator:
         by_vim = {}
         for item in items:
             pop_id = decision.placement[item.key]
-            by_vim.setdefault(self._vim_of_pop(pop_id), []).append(item)
+            by_vim.setdefault(self._pop(pop_id).vim_ref, []).append(item)
         for vim_ref in sorted(decision.selected_vims):
             vim = self.vim_actor[vim_ref]
             # Zone choice is made once per item against its full spec, so an
@@ -617,7 +607,6 @@ class Simulator:
                             unreserved.get(zone.id, ZERO) + item.spec
                     reservation = zone.reserve(spec, kind)
                     unreserved[zone.id] = unreserved[zone.id] - spec
-                    op.reservations.append((zone, reservation))
                     reservations[(item.key, kind)] = (zone, reservation)
                     placed.append({"key": item.key, "zone": zone.id})
                     ids.append(reservation.id)
@@ -635,7 +624,7 @@ class Simulator:
         for item in sorted(items, key=lambda i: i.key):
             pop_id = decision.placement[item.key]
             pop = self._pop(pop_id)
-            vim = self.vim_actor[self._vim_of_pop(pop_id)]
+            vim = self.vim_actor[pop.vim_ref]
             kinds = ["network"] if item.kind == "vl" else ["compute", "storage"]
             handles = {}
             zone = None
@@ -672,7 +661,6 @@ class Simulator:
                            {"op_id": op.op_id, "kind": kind,
                             "handle": handle.id, "zone": zone.id},
                            step=12, op=op)
-                op.handles.append((zone, handle))
                 handles[kind] = handle
                 self._send(vim, vnfm, "AllocateResponse",
                            {"op_id": op.op_id, "kind": kind,
@@ -725,10 +713,10 @@ class Simulator:
             entry.append((inst.compute_handle, zone))
             for handle in inst.storage_handles:
                 entry.append((handle, zone))
-        for pid, (before, after) in sorted(vl_decreases.items()):
-            for pop_id, zone, handle in self._vl_handles_to_release(pid, before - after):
-                by_vim.setdefault(self._vim_of_pop(pop_id), []).append(
-                    (handle, zone))
+        vl_released, remainders = self._vl_handles_to_release(vl_decreases)
+        for pop_id, zone, handle in vl_released:
+            by_vim.setdefault(self._pop(pop_id).vim_ref, []).append(
+                (handle, zone))
 
         for vim_ref in sorted(by_vim):
             vim = self.vim_actor[vim_ref]
@@ -744,7 +732,7 @@ class Simulator:
             self._send(vim, vnfm, "ReleaseResponse",
                        {"op_id": op.op_id, "handles": handle_ids},
                        step=27, op=op)
-        self._finish_vl_shrink(vl_decreases)
+        self._finish_vl_shrink(remainders)
         self._update_vnf_info(vnf_id, DELETE_INSTANCES, 28,
                               instance_ids=tuple(sorted(remove_ids)),
                               vnf_il=finalize_il)
@@ -755,37 +743,37 @@ class Simulator:
                     ids.remove(vnf_id)
             self.ns_info.vnf_instance_refs.remove(vnf_id)
 
-    def _vl_handles_to_release(self, vl_profile_id: str, delta: float) -> list:
-        """Newest-first handles summing to at least the bitrate decrease; a
-        remainder is re-allocated by _finish_vl_shrink."""
-        handles = self.vl_handles.get(vl_profile_id, [])
+    def _vl_handles_to_release(self, vl_decreases) -> tuple:
+        """Per VL profile in id order, the newest-first handles summing to
+        at least its bitrate decrease. Also returns the remainders for
+        _finish_vl_shrink to re-allocate: [(vl profile id, pop id, zone,
+        bandwidth)]."""
         chosen = []
-        total = 0
-        while handles and total < delta:
-            entry = handles.pop()
-            chosen.append(entry)
-            total += entry[2].spec.bandwidth
-        if total > delta:
-            self._vl_shrink_remainder[vl_profile_id] = (
-                chosen[-1][0], chosen[-1][1], total - delta)
-        return chosen
-
-    def _finish_vl_shrink(self, vl_decreases):
-        remainder = self._vl_shrink_remainder
-        for pid in sorted(vl_decreases):
-            if pid in remainder:
-                pop_id, zone, bandwidth = remainder.pop(pid)
-                handle = zone.allocate(CapacityVector(bandwidth=bandwidth),
-                                       "network")
-                self.vl_handles.setdefault(pid, []).append(
-                    (pop_id, zone, handle))
-
-    def _shrink_vls(self, op, vl_decreases):
+        remainders = []
         for pid, (before, after) in sorted(vl_decreases.items()):
-            for pop_id, zone, handle in self._vl_handles_to_release(
-                    pid, before - after):
-                zone.release(handle)
-        self._finish_vl_shrink(vl_decreases)
+            delta = before - after
+            handles = self.vl_handles.get(pid, [])
+            total = 0
+            while handles and total < delta:
+                entry = handles.pop()
+                chosen.append(entry)
+                total += entry[2].spec.bandwidth
+            if total > delta:
+                pop_id, zone, _ = chosen[-1]
+                remainders.append((pid, pop_id, zone, total - delta))
+        return chosen, remainders
+
+    def _finish_vl_shrink(self, remainders):
+        for pid, pop_id, zone, bandwidth in remainders:
+            handle = zone.allocate(CapacityVector(bandwidth=bandwidth),
+                                   "network")
+            self.vl_handles.setdefault(pid, []).append((pop_id, zone, handle))
+
+    def _shrink_vls(self, vl_decreases):
+        chosen, remainders = self._vl_handles_to_release(vl_decreases)
+        for _, zone, handle in chosen:
+            zone.release(handle)
+        self._finish_vl_shrink(remainders)
 
     # -- helpers -------------------------------------------------------------
 

@@ -48,15 +48,3 @@ class EventRecord:
 
 def trace_lines(trace: list) -> str:
     return "".join(record.line() + "\n" for record in trace)
-
-
-def parse_trace(text: str) -> list:
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        seq, tick, step, src, dst, message, digest = line.split(" ")
-        records.append(EventRecord(
-            int(seq), int(tick), None if step == "-" else int(step),
-            src, dst, message, digest))
-    return records

@@ -80,6 +80,25 @@ def test_cancel_and_stale_reservation():
         zone.allocate(CapacityVector(vcpu=2), "compute", from_reservation=res)
 
 
+def test_restore_undoes_writes_but_reuses_no_id():
+    zone = make_zone()
+    kept = zone.allocate(CapacityVector(vcpu=2), "compute")
+    gone = zone.allocate(CapacityVector(vcpu=1), "compute")
+    saved = zone.checkpoint()
+    before = zone.snapshot()
+    zone.release(gone)
+    zone.reserve(CapacityVector(vcpu=4), "compute")
+    later = zone.allocate(CapacityVector(storage=5), "storage")
+    zone.restore(saved)
+    assert zone.snapshot() == before
+    assert zone.outstanding_handles() == [kept, gone]
+    zone.release(gone)  # outstanding again, so releasable once more
+    with pytest.raises(DoubleReleaseError):
+        zone.release(later)
+    fresh = zone.allocate(CapacityVector(vcpu=1), "compute")
+    assert fresh.id not in {kept.id, gone.id, later.id}
+
+
 def test_double_release_rejected():
     zone = make_zone()
     handle = zone.allocate(CapacityVector(vcpu=2), "compute")
