@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
         return status
     try:
         result = sim.run()
-    except ScenarioValidationError as exc:  # a malformed workload record
+    except ScenarioValidationError as exc:  # a bad workload record
         return _report_problems(exc)
     try:
         if args.trace:
@@ -184,7 +184,10 @@ def cmd_explain(args) -> int:
         print("tick %d is beyond the workload horizon (%d)"
               % (args.at, horizon))
         return EXIT_VALIDATION
-    result = sim.run()
+    try:
+        result = sim.run()
+    except ScenarioValidationError as exc:  # a bad indicator record
+        return _report_problems(exc)
     found = [d for t, d in result.decisions if t == args.at]
     if not found:
         print("tick %d: action: none" % args.at)

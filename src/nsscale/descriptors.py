@@ -373,14 +373,6 @@ def _load_nsd(doc: dict, location: str) -> Nsd:
     )
 
 
-_LOADERS = {
-    "nsd": ("nsds", _load_nsd),
-    "vnfd": ("vnfds", _load_vnfd),
-    "vld": ("vlds", _load_vld),
-    "vnffgd": None,  # handled inline
-}
-
-
 def load_catalog(documents: list) -> Catalog:
     """Build a Catalog from descriptor documents (parsed JSON objects).
 

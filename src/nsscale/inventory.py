@@ -305,6 +305,7 @@ class VnfInfo:
     vnfc_instances: tuple
     vim_ref: str
     audit: tuple = ()  # ((step-or-"instantiation", tick), ...)
+    profile_ref: str = ""  # the NS flavor's VNF profile it instantiates
 
     def instance(self, instance_id: str) -> VnfcInstance:
         for inst in self.vnfc_instances:
@@ -326,7 +327,6 @@ class NsInfo:
     nsd_ref: str
     flavor_ref: str
     current_ns_il: str
-    vnf_instance_refs: list
     state: str = NS_INSTANTIATED
 
 

@@ -9,6 +9,7 @@ scenarios produce byte-identical traces.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from . import drpa as drpa_mod
@@ -24,8 +25,8 @@ from .inventory import (
     record_vnf_info_update, vim_placement,
 )
 from .monitoring import (
-    PERF_INFO_AVAILABLE, MetricSample, MetricStore, evaluate_rules,
-    indicator_change,
+    PERF_INFO_AVAILABLE, MetricSample, MetricStore, UndeclaredIndicatorError,
+    evaluate_rules, indicator_change,
 )
 from .scenario import (
     METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
@@ -109,10 +110,10 @@ class Simulator:
 
         self.ns_info = NsInfo(
             ns_instance_id="ns-1", nsd_ref=self.nsd.id,
-            flavor_ref=self.flavor.id, current_ns_il=init["ns_il_ref"],
-            vnf_instance_refs=[])
-        self.vnf_infos = {}  # vnf instance id -> VnfInfo
-        self.profile_instances = {}  # profile id -> [vnf instance ids]
+            flavor_ref=self.flavor.id, current_ns_il=init["ns_il_ref"])
+        # vnf instance id -> VnfInfo, the one registry of VNF instances; in
+        # creation order, so a profile's newest instance is its last entry
+        self.vnf_infos = {}
         self.vl_handles = {}  # vl profile id -> [(pop_id, zone, handle)]
 
         self.trace = []
@@ -128,7 +129,9 @@ class Simulator:
         self._instance_counter = itertools.count(1)
         self._cooldown_state = {}
         self._failure = ""
-        self._vnfc_counters = {}  # vnf instance id -> highest VNFC suffix
+        # vnf instance id -> VNFC id suffixes; removals leave holes, so an
+        # instance count is not a safe suffix
+        self._vnfc_counters = defaultdict(lambda: itertools.count(1))
 
         self._instantiate_initial()
 
@@ -194,19 +197,16 @@ class Simulator:
                                             "compute")
                     storage = item.spec.restricted("storage")
                     instances.append(VnfcInstance(
-                        "%s-c%d" % (vnf_id, len(instances) + 1),
-                        item.vdu_ref, STARTED, compute,
-                        () if storage.is_zero()
+                        self._new_vnfc_id(vnf_id), item.vdu_ref, STARTED,
+                        compute, () if storage.is_zero()
                         else (zone.allocate(storage, "storage"),),
                         zone.id, pop.id))
                 self.vnf_infos[vnf_id] = VnfInfo(
                     vnf_id, profile.vnfd_ref, profile.vnf_flavor_ref, il_ref,
                     tuple(instances),
                     self._pop(instances[0].pop_ref).vim_ref if instances
-                    else "", audit=(("instantiation", self._clock),))
-                self.profile_instances.setdefault(profile.id, []).append(
-                    vnf_id)
-                self.ns_info.vnf_instance_refs.append(vnf_id)
+                    else "", audit=(("instantiation", self._clock),),
+                    profile_ref=profile.id)
             for item in vls:
                 self._allocate_vl(item.vl_profile_id, item.spec,
                                   placement[item.key])
@@ -226,13 +226,15 @@ class Simulator:
 
     def run(self) -> RunResult:
         """Deliver the workload and return the outcome. A malformed
-        workload record raises ScenarioValidationError before any event."""
-        for tick, kind, _, subject, name, value in workload_records(
+        workload record raises ScenarioValidationError before any event, an
+        indicator record with an unknown subject or indicator when it is
+        delivered."""
+        for tick, kind, index, subject, name, value in workload_records(
                 self.scenario.workload):
             if kind == METRIC_RECORD:
                 self._deliver_metric(tick, subject, name, value)
             else:
-                self._deliver_indicator(tick, subject, name, value)
+                self._deliver_indicator(index, tick, subject, name, value)
         status = STATUS_OPERATION_FAILED if self._failure else STATUS_COMPLETED
         return RunResult(status, self.trace, self.final_state(),
                          self.operations, self.decisions, self.transitions,
@@ -249,17 +251,28 @@ class Simulator:
             self._send(src, self.nfvo, note.variant, note.payload, step=step)
             self._on_notification(note)
 
-    def _deliver_indicator(self, tick, subject, indicator, value):
+    def _deliver_indicator(self, index, tick, subject, indicator, value):
+        """`subject` is a VNFD of the NSD or a VNF instance that exists at
+        `tick`; `index` is the record's place in the workload's
+        indicators."""
         self._clock = max(self._clock, tick)
-        vnfd_ref = subject if subject in self.catalog.vnfds else \
-            self.vnf_infos[subject].vnfd_ref
-        vnfd = self.catalog.vnfds[vnfd_ref]
-        note = indicator_change(vnfd, subject, indicator, value, tick,
-                                origin=self.em_actor[vnfd_ref])
+        info = self.vnf_infos.get(subject)
+        vnfd_ref = subject if subject in self.em_actor else \
+            info.vnfd_ref if info is not None else None
+        where = "workload: indicators[%d] at tick %d: " % (index, tick)
+        if vnfd_ref is None:
+            raise ScenarioValidationError(
+                [where + "subject %r is neither a VNFD of the NSD nor a VNF "
+                 "instance" % subject])
+        em = self.em_actor[vnfd_ref]
+        try:
+            note = indicator_change(self.catalog.vnfds[vnfd_ref], subject,
+                                    indicator, value, tick, origin=em)
+        except UndeclaredIndicatorError as exc:
+            raise ScenarioValidationError([where + str(exc)])
         if isinstance(value, (int, float)):
             # numeric indicators feed the rule engine like any metric
             self.store.ingest(MetricSample(tick, vnfd_ref, indicator, value))
-        em = self.em_actor[vnfd_ref]
         vnfm = self.vnfm_actor[vnfd_ref]
         self._send(em, vnfm, note.variant, note.payload, step=3)
         self._send(vnfm, self.nfvo, note.variant, note.payload, step=3)
@@ -307,8 +320,9 @@ class Simulator:
         saved = self._checkpoint()
         self.ns_info.state = NS_SCALING
         try:
-            # VL increases ride the first allocating sub-procedure, decreases
-            # the first releasing one; a leftover is applied directly.
+            # VL increases ride the first sub-procedure that can allocate,
+            # decreases the first that can release; a leftover is applied
+            # without VNF involvement.
             vl_inc = [i for i in items if i.kind == "vl"]
             vl_dec = {k: v for k, v in delta.vl_changes.items() if v[1] < v[0]}
 
@@ -318,19 +332,45 @@ class Simulator:
                 return taken
 
             for pd in delta.profile_deltas:
-                if pd.il_changed and pd.retained > 0:
-                    for e in range(pd.retained):
-                        self._scale_vnf_procedure(
-                            op, decision, pd, items, take(vl_inc),
-                            take(vl_dec), e)
-                if pd.count_delta > 0:
-                    self._add_vnf_procedure(op, decision, pd, items,
-                                            take(vl_inc))
-                elif pd.count_delta < 0:
-                    self._remove_vnf_procedure(op, decision, pd, take(vl_dec))
-            if vl_inc or vl_dec:
-                # VL-only change: adjust bitrates without VNF involvement.
-                self._apply_vl_changes_direct(decision, vl_inc, vl_dec)
+                profile = self.flavor.profile(pd.profile_id)
+                vnfd = self.catalog.vnfds[profile.vnfd_ref]
+                vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
+                vnf_ids = [vnf_id for vnf_id, info in self.vnf_infos.items()
+                           if info.profile_ref == profile.id]
+                for e in range(pd.retained if pd.il_changed else 0):
+                    # A retained instance changes level in place.
+                    drop = vnf_il_delta(vnfd, vnf_flavor, pd.from_il,
+                                        pd.to_il).remove
+                    self._vnf_procedure(
+                        op, decision, vnf_ids[e], {"new_vnf_il": pd.to_il},
+                        [i for i in items if i.profile_id == profile.id
+                         and i.retained_instance_index == e],
+                        take(vl_inc), take(vl_dec), drop)
+                for j in range(pd.count_delta):
+                    vnf_id = "vnf-%s-%d" % (profile.id,
+                                            next(self._instance_counter))
+                    self.vnf_infos[vnf_id] = VnfInfo(
+                        vnf_id, vnfd.id, vnf_flavor.id, pd.to_il, (), "",
+                        audit=(("instantiation", self._clock),),
+                        profile_ref=profile.id)
+                    self._vnf_procedure(
+                        op, decision, vnf_id,
+                        {"new_vnf_il": pd.to_il, "new_instance": True},
+                        [i for i in items if i.profile_id == profile.id
+                         and i.new_instance_index == j],
+                        take(vl_inc), {}, {})
+                for _ in range(-pd.count_delta):
+                    # A shrinking profile loses its newest instances.
+                    self._vnf_procedure(
+                        op, decision, vnf_ids.pop(), {"remove_instance": True},
+                        [], [], take(vl_dec), None)
+            for item in vl_inc:
+                self._allocate_vl(item.vl_profile_id, item.spec,
+                                  decision.placement[item.key])
+            chosen, remainders = self._vl_handles_to_release(vl_dec)
+            for _, zone, handle in chosen:
+                zone.release(handle)
+            self._finish_vl_shrink(remainders)
             self.ns_info.current_ns_il = decision.target_ns_il
             op.phase = PHASE_COMPLETED
         except (OperationFailure, InventoryError) as exc:
@@ -347,15 +387,13 @@ class Simulator:
 
     def _checkpoint(self) -> tuple:
         """What an operation may change, apart from id counters and the
-        run's history: zone accounting and the instance repositories.
-        VnfInfo and handle entries are immutable, so copying the containers
-        is enough."""
+        run's history: zone accounting, the VNF instances and the VL
+        handles. VnfInfo and handle entries are immutable, so copying the
+        containers is enough."""
         return (
             [(zone, zone.checkpoint()) for pop in self.pops
              for zone in pop.zones],
             dict(self.vnf_infos),
-            {pid: list(ids) for pid, ids in self.profile_instances.items()},
-            list(self.ns_info.vnf_instance_refs),
             {pid: list(entries) for pid, entries in self.vl_handles.items()},
         )
 
@@ -363,105 +401,46 @@ class Simulator:
         """Undo a failed operation: `final_state` reads as before it. Id
         counters are not rewound, and the trace and transitions keep the
         failed operation's history."""
-        zones, self.vnf_infos, self.profile_instances, refs, \
-            self.vl_handles = saved
+        zones, self.vnf_infos, self.vl_handles = saved
         for zone, checkpoint in zones:
             zone.restore(checkpoint)
-        self.ns_info.vnf_instance_refs = refs
 
-    def _scale_vnf_procedure(self, op, decision, pd, items, vl_increases,
-                             vl_dec, index):
-        """Change one VNF instance's level in place: allocation before
-        release so the replacement instance is running before the old one
-        stops. `items` is the operation's plan; this instance takes the
-        VNFC additions keyed to its index."""
-        profile = self.flavor.profile(pd.profile_id)
-        vnfd = self.catalog.vnfds[profile.vnfd_ref]
-        vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
-        vnf_id = self.profile_instances[pd.profile_id][index]
-        vnfm = self.vnfm_actor[profile.vnfd_ref]
-        em = self.em_actor[profile.vnfd_ref]
-
+    def _vnf_procedure(self, op, decision, vnf_id, request, items,
+                       vl_increases, vl_decreases, drop):
+        """One VNF instance's part of an operation: allocation of its VNFC
+        `items` and of `vl_increases` before release of the VNFCs `drop`
+        counts per VDU and of `vl_decreases`, so that new VNFCs run before
+        old ones stop. `drop` None deletes the instance with all its VNFCs.
+        `request` holds the ScaleVnfToLevelRequest fields that name the
+        change."""
+        vnfd_ref = self.vnf_infos[vnf_id].vnfd_ref
+        vnfm = self.vnfm_actor[vnfd_ref]
+        em = self.em_actor[vnfd_ref]
         self._send(self.nfvo, vnfm, "ScaleVnfToLevelRequest",
-                   {"op_id": op.op_id, "vnf_instance": vnf_id,
-                    "new_vnf_il": pd.to_il}, step=5, op=op)
+                   {"op_id": op.op_id, "vnf_instance": vnf_id, **request},
+                   step=5, op=op)
         self._send(vnfm, self.nfvo, "ScaleVnfToLevelResponse",
                    {"op_id": op.op_id}, step=5, op=op)
 
-        il_delta = vnf_il_delta(vnfd, vnf_flavor, pd.from_il, pd.to_il)
-        add_items = [i for i in items
-                     if i.profile_id == pd.profile_id
-                     and i.retained_instance_index == index]
-
+        new_il = request.get("new_vnf_il")
+        release = drop is None or bool(drop) or bool(vl_decreases)
         new_ids = []
-        release_needed = bool(il_delta.remove) or bool(vl_dec)
-        if add_items or vl_increases:
+        if items or vl_increases:
             new_ids = self._allocation_phase(
-                op, decision, vnfm, em, vnf_id, add_items, vl_increases,
-                finalize_il=None if release_needed else pd.to_il)
-        if release_needed:
-            remove_ids = self._select_removals(vnf_id, il_delta.remove, new_ids)
-            self._release_phase(op, vnfm, em, vnf_id, remove_ids, vl_dec,
-                                finalize_il=pd.to_il)
-        if not add_items and not vl_increases and not release_needed:
+                op, decision, vnfm, em, vnf_id, items, vl_increases,
+                finalize_il=None if release else new_il)
+        elif not release:
             # Degenerate rename: the levels carry identical counts.
-            self._update_vnf_info(vnf_id, SET_VNF_IL, 19, vnf_il=pd.to_il)
-
-    def _add_vnf_procedure(self, op, decision, pd, items, vl_increases):
-        """Add whole VNF instances: full allocation phase for all their VNFC
-        instances plus the VL bitrate modification."""
-        profile = self.flavor.profile(pd.profile_id)
-        vnfm = self.vnfm_actor[profile.vnfd_ref]
-        em = self.em_actor[profile.vnfd_ref]
-        for j in range(pd.count_delta):
-            vnfd = self.catalog.vnfds[profile.vnfd_ref]
-            vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
-            vnf_id = "vnf-%s-%d" % (profile.id, next(self._instance_counter))
-            self.vnf_infos[vnf_id] = VnfInfo(
-                vnf_instance_id=vnf_id, vnfd_ref=vnfd.id,
-                vnf_flavor_ref=vnf_flavor.id, current_vnf_il=pd.to_il,
-                vnfc_instances=(), vim_ref="",
-                audit=(("instantiation", self._clock),))
-            self.profile_instances.setdefault(profile.id, []).append(vnf_id)
-            self.ns_info.vnf_instance_refs.append(vnf_id)
-            self._send(self.nfvo, vnfm, "ScaleVnfToLevelRequest",
-                       {"op_id": op.op_id, "vnf_instance": vnf_id,
-                        "new_vnf_il": pd.to_il, "new_instance": True},
-                       step=5, op=op)
-            self._send(vnfm, self.nfvo, "ScaleVnfToLevelResponse",
-                       {"op_id": op.op_id}, step=5, op=op)
-            vnfc_items = [i for i in items
-                          if i.profile_id == pd.profile_id
-                          and i.new_instance_index == j]
-            self._allocation_phase(op, decision, vnfm, em, vnf_id, vnfc_items,
-                                   vl_increases if j == 0 else [],
-                                   finalize_il=pd.to_il)
-
-    def _remove_vnf_procedure(self, op, decision, pd, vl_dec):
-        """Remove whole VNF instances: full release phase for all their VNFC
-        instances plus the VL bitrate modification."""
-        profile = self.flavor.profile(pd.profile_id)
-        vnfm = self.vnfm_actor[profile.vnfd_ref]
-        em = self.em_actor[profile.vnfd_ref]
-        for j in range(-pd.count_delta):
-            vnf_id = self.profile_instances[pd.profile_id][-1]
-            self._send(self.nfvo, vnfm, "ScaleVnfToLevelRequest",
-                       {"op_id": op.op_id, "vnf_instance": vnf_id,
-                        "remove_instance": True}, step=5, op=op)
-            self._send(vnfm, self.nfvo, "ScaleVnfToLevelResponse",
-                       {"op_id": op.op_id}, step=5, op=op)
-            info = self.vnf_infos[vnf_id]
-            remove_ids = [inst.id for inst in info.vnfc_instances]
+            self._update_vnf_info(vnf_id, SET_VNF_IL, 19, vnf_il=new_il)
+        if release:
+            if drop is None:
+                remove_ids = [inst.id for inst in
+                              self.vnf_infos[vnf_id].vnfc_instances]
+            else:
+                remove_ids = self._select_removals(vnf_id, drop, new_ids)
             self._release_phase(op, vnfm, em, vnf_id, remove_ids,
-                                vl_dec if j == 0 else {},
-                                delete_vnf=True)
-
-    def _apply_vl_changes_direct(self, decision, vl_increases, vl_decreases):
-        for item in vl_increases:
-            self._allocate_vl(item.vl_profile_id, item.spec,
-                              decision.placement[item.key])
-        if vl_decreases:
-            self._shrink_vls(vl_decreases)
+                                vl_decreases, finalize_il=new_il,
+                                delete_vnf=drop is None)
 
     # -- allocation phase ----------------------------------------------------
 
@@ -475,21 +454,15 @@ class Simulator:
                    step=6, op=op)
         self._grant_check(op, decision, items)
 
+        grant = {"op_id": op.op_id, "granted": True,
+                 "vim_connectivity": sorted(decision.selected_vims)}
         reservations = {}  # (item key, kind) -> (zone, reservation)
         if self.reservation_enabled:
             op.phase = PHASE_RESERVATION
             reservations = self._reservation_subphase(op, decision, items)
-            self._send(self.nfvo, vnfm, "GrantResponse",
-                       {"op_id": op.op_id, "granted": True,
-                        "reservation_ids": sorted(
-                            r.id for _, r in reservations.values()),
-                        "vim_connectivity": sorted(decision.selected_vims)},
-                       step=10, op=op)
-        else:
-            self._send(self.nfvo, vnfm, "GrantResponse",
-                       {"op_id": op.op_id, "granted": True,
-                        "vim_connectivity": sorted(decision.selected_vims)},
-                       step=10, op=op)
+            grant["reservation_ids"] = sorted(
+                r.id for _, r in reservations.values())
+        self._send(self.nfvo, vnfm, "GrantResponse", grant, step=10, op=op)
 
         op.phase = PHASE_CREATION
         allocated = self._creation_subphase(op, decision, vnfm, items,
@@ -499,7 +472,7 @@ class Simulator:
         for item in vnfc_items:
             compute, storage, zone, pop_id = allocated[item.key]
             new_instances.append(VnfcInstance(
-                id="%s-c%d" % (vnf_id, self._next_vnfc_index(vnf_id)),
+                id=self._new_vnfc_id(vnf_id),
                 vdu_ref=item.vdu_ref, state=STOPPED,
                 compute_handle=compute, storage_handles=storage,
                 zone_ref=zone.id, pop_ref=pop_id))
@@ -593,19 +566,18 @@ class Simulator:
                     pop_id = decision.placement[item.key]
                     unreserved = pending.setdefault(pop_id, {})
                     zone = item_zone.get(item.key)
-                    if zone is None:
-                        try:
-                            zone = self._vim_zone(op, item, self._pop(pop_id),
-                                                  unreserved)
-                        except NoZoneFitsError as exc:
-                            self._send(vim, self.nfvo, "ReserveResponse",
-                                       {"op_id": op.op_id, "kind": kind,
-                                        "error": str(exc)}, step=9, op=op)
-                            raise OperationFailure(7, str(exc))
-                        item_zone[item.key] = zone
-                        unreserved[zone.id] = \
-                            unreserved.get(zone.id, ZERO) + item.spec
-                    reservation = zone.reserve(spec, kind)
+                    try:
+                        if zone is None:
+                            zone = item_zone[item.key] = self._vim_zone(
+                                op, item, self._pop(pop_id), unreserved)
+                            unreserved[zone.id] = \
+                                unreserved.get(zone.id, ZERO) + item.spec
+                        reservation = zone.reserve(spec, kind)
+                    except InventoryError as exc:
+                        self._send(vim, self.nfvo, "ReserveResponse",
+                                   {"op_id": op.op_id, "kind": kind,
+                                    "error": str(exc)}, step=9, op=op)
+                        raise OperationFailure(7, str(exc))
                     unreserved[zone.id] = unreserved[zone.id] - spec
                     reservations[(item.key, kind)] = (zone, reservation)
                     placed.append({"key": item.key, "zone": zone.id})
@@ -639,24 +611,23 @@ class Simulator:
                 spec = item.spec.restricted(kind)
                 if spec.is_zero():
                     continue
+                reservation = None
+                request = {"op_id": op.op_id, "kind": kind}
                 if self.reservation_enabled:
                     zone, reservation = reservations[(item.key, kind)]
-                    self._send(vnfm, vim, "AllocateRequest",
-                               {"op_id": op.op_id, "kind": kind,
-                                "reservation_id": reservation.id},
-                               step=11, op=op)
+                    request["reservation_id"] = reservation.id
+                else:
+                    request.update(spec=spec.as_dict(), pop=pop_id,
+                                   anti_affinity=item.anti_affinity)
+                self._send(vnfm, vim, "AllocateRequest", request,
+                           step=11, op=op)
+                try:
                     handle = zone.allocate(spec, kind,
                                            from_reservation=reservation)
-                else:
-                    self._send(vnfm, vim, "AllocateRequest",
-                               {"op_id": op.op_id, "kind": kind,
-                                "spec": spec.as_dict(), "pop": pop_id,
-                                "anti_affinity": item.anti_affinity},
-                               step=11, op=op)
-                    try:
-                        handle = zone.allocate(spec, kind)
-                    except InventoryError as exc:
-                        raise OperationFailure(12, str(exc))
+                except InventoryError as exc:
+                    if reservation is not None:
+                        raise  # its own text is the failure reason
+                    raise OperationFailure(12, str(exc))
                 self._send(vim, vim, "ResourceAllocation",
                            {"op_id": op.op_id, "kind": kind,
                             "handle": handle.id, "zone": zone.id},
@@ -737,11 +708,7 @@ class Simulator:
                               instance_ids=tuple(sorted(remove_ids)),
                               vnf_il=finalize_il)
         if delete_vnf:
-            info = self.vnf_infos.pop(vnf_id)
-            for pid, ids in self.profile_instances.items():
-                if vnf_id in ids:
-                    ids.remove(vnf_id)
-            self.ns_info.vnf_instance_refs.remove(vnf_id)
+            del self.vnf_infos[vnf_id]
 
     def _vl_handles_to_release(self, vl_decreases) -> tuple:
         """Per VL profile in id order, the newest-first handles summing to
@@ -769,22 +736,10 @@ class Simulator:
                                    "network")
             self.vl_handles.setdefault(pid, []).append((pop_id, zone, handle))
 
-    def _shrink_vls(self, vl_decreases):
-        chosen, remainders = self._vl_handles_to_release(vl_decreases)
-        for _, zone, handle in chosen:
-            zone.release(handle)
-        self._finish_vl_shrink(remainders)
-
     # -- helpers -------------------------------------------------------------
 
-    def _next_vnfc_index(self, vnf_id: str) -> int:
-        counter = self._vnfc_counters
-        # Removals leave holes, so the instance count is not a safe index;
-        # track the highest suffix ever used for this VNF instead.
-        used = [int(inst.id.rsplit("-c", 1)[1])
-                for inst in self.vnf_infos[vnf_id].vnfc_instances]
-        counter[vnf_id] = max(counter.get(vnf_id, 0), max(used, default=0)) + 1
-        return counter[vnf_id]
+    def _new_vnfc_id(self, vnf_id: str) -> str:
+        return "%s-c%d" % (vnf_id, next(self._vnfc_counters[vnf_id]))
 
     def _affected_peers(self, vnf_id: str, changed_ids) -> list:
         """Running VNFC instances of the same VNF whose connectivity changes
@@ -851,7 +806,7 @@ class Simulator:
                 "flavor_ref": self.ns_info.flavor_ref,
                 "current_ns_il": self.ns_info.current_ns_il,
                 "state": self.ns_info.state,
-                "vnf_instance_refs": sorted(self.ns_info.vnf_instance_refs),
+                "vnf_instance_refs": sorted(self.vnf_infos),
             },
             "vnf_infos": vnf_infos,
             "zones": zones,

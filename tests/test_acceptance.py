@@ -155,7 +155,7 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
             if oracle is not None:
                 mismatches += 1
             continue
-        ns_info = NsInfo("ns-1", nsd.id, flavor.id, current, [])
+        ns_info = NsInfo("ns-1", nsd.id, flavor.id, current)
         decision = select_optimum(catalog, nsd, flavor, candidates,
                                   CostModel(), pops, ns_info)
         if decision.target_ns_il != oracle:

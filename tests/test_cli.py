@@ -219,3 +219,35 @@ def test_run_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines() == [
         "internal error: ConservationError: zone zone-a: available vcpu is -1"]
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", [["run"], ["explain", "--at", "10"]])
+@pytest.mark.parametrize("record, problem", [
+    ([12, "vnf-nope", "congestion", "high"],
+     "subject 'vnf-nope' is neither a VNFD of the NSD nor a VNF instance"),
+    ([12, "vnfd-b", "bogus", "high"],
+     "indicator 'bogus' not declared in VNFD 'vnfd-b'"),
+])
+def test_unknown_indicator_record_exits_one(tmp_path, capsys, command,
+                                            record, problem):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["workload"]["indicators"] = [
+        [11, "vnfd-b", "congestion", "low"], record]
+    path = scenario_file(tmp_path, scenario)
+    assert main([command[0], path] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "workload: indicators[1] at tick 12: %s" % problem]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("tick, status", [(75, 0), (65, 1)])
+def test_indicator_subject_is_a_vnf_instance_of_its_tick(tmp_path, capsys,
+                                                        tick, status):
+    # the tick-70 load adds vnf-p-b-4 on the way to level-4
+    scenario = sc.sample_scenario(workload=sc.escalation_workload())
+    scenario["workload"]["indicators"] = [[tick, "vnf-p-b-4", "congestion",
+                                           "high"]]
+    assert main(["run", scenario_file(tmp_path, scenario)]) == status
+    out = capsys.readouterr().out
+    assert ("final ns-il: level-4" in out) == (status == 0)

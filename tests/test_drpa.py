@@ -206,7 +206,7 @@ def test_unplaceable_names_item_and_shortfall():
 
 
 def _ns_info(level="level-1"):
-    return NsInfo("ns-1", "nsd-1", "df-1", level, [])
+    return NsInfo("ns-1", "nsd-1", "df-1", level)
 
 
 def test_select_optimum_minimizes_cost(catalog, nsd, flavor):

@@ -146,3 +146,22 @@ def test_zone_write_faults_roll_back_in_random_scenarios(seed, data):
     for k in data.draw(st.lists(st.integers(1, writes), min_size=1,
                                 max_size=4, unique=True)):
         assert_fault_rolls_back(scenario, k)
+
+
+def test_reserve_fault_is_a_step_seven_failure(monkeypatch):
+    # A zone refusing a reservation is answered at step 9 like a zone the
+    # VIM cannot find, and the operation fails at step 7.
+    sim = build_sim(sample("level-1", "jump", True))
+    initial = state(sim)
+
+    def reserve(zone, spec, kind):
+        raise InventoryError("injected fault")
+
+    monkeypatch.setattr(ResourceZone, "reserve", reserve)
+    result = sim.run()
+    assert result.status == STATUS_OPERATION_FAILED
+    assert result.operations[0].failed_step == 7
+    assert result.operations[0].error == "injected fault"
+    assert [r.message for r in result.trace[-3:]] == [
+        "ReserveRequest", "ReserveResponse", "OperationFailed"]
+    assert canonical_json(result.final_state) == initial
