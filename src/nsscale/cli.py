@@ -185,7 +185,7 @@ def cmd_explain(args) -> int:
               % (args.at, horizon))
         return EXIT_VALIDATION
     try:
-        result = sim.run()
+        result = sim.run(records)
     except ScenarioValidationError as exc:  # a bad indicator record
         return _report_problems(exc)
     found = [d for t, d in result.decisions if t == args.at]

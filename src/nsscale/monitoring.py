@@ -183,53 +183,76 @@ def _crossed(value: float, spec: ThresholdSpec) -> bool:
 
 def evaluate_rules(rules: tuple, store: MetricStore, now: int,
                    dimension_map: dict | None = None,
-                   cooldown_state: dict | None = None) -> list:
+                   cooldown_state: dict | None = None,
+                   verdict_cache: dict | None = None) -> list:
     """Evaluate each rule at logical tick `now`.
 
     A rule whose condition holds is reported as not satisfied (scaling is
     required). Missing streams leave the rule satisfied and are reported.
     `cooldown_state` (rule id -> tick of last violation) suppresses repeat
     violations inside the rule's cooldown and is updated in place.
+
+    `verdict_cache` (rule id -> (signature, verdict)), kept by the caller
+    across calls with the same rules, store and dimension map, reuses a
+    rule's last verdict while its inputs are unchanged: the tick, its
+    cooldown entry, and each metric's stream and sample count. Streams
+    only grow, so an unchanged count is an unchanged stream. A reused
+    verdict skips no cooldown write: a write of `now` changes the next
+    signature, unless the entry already held `now`.
     """
     dimension_map = dimension_map or {}
+    if verdict_cache is None:
+        verdict_cache = {}
+    last_violation = {} if cooldown_state is None else cooldown_state
+    streams = store.streams()
     verdicts = []
     for rule in rules:
-        # Every window ends at `now`, so when a metric's smallest window
-        # holds a sample, so do its others, and no aggregate comes back
-        # empty.
-        keys = {}
-        missing = []
-        for ref, window in zip(rule.ast.metric_refs, rule.ast.min_windows):
-            key = keys[ref] = store.resolve(ref)
-            if key is None or not store.window_values(key[0], key[1],
-                                                      window, now):
-                missing.append(ref)
-        if missing:
-            verdicts.append(RuleVerdict(rule.id, True, frozenset(), now,
-                                        missing_streams=frozenset(missing)))
-            continue
-
-        def lookup(func, metric, window):
-            subject, name = keys[metric]
-            return store.aggregate(func, subject, name, window, now)
-
-        fired = rules_mod.evaluate_expr(rule.ast.expr, lookup)
-        if not fired:
-            verdicts.append(RuleVerdict(rule.id, True, frozenset(), now))
-            continue
-        if cooldown_state is not None:
-            last = cooldown_state.get(rule.id)
-            if last is not None and now - last < rule.cooldown:
-                verdicts.append(RuleVerdict(rule.id, True, frozenset(), now,
-                                            cooldown_active=True))
-                continue
-            cooldown_state[rule.id] = now
-        dims = frozenset(
-            dimension_map[ref.split(".", 1)[-1]]
-            for ref in rule.ast.metric_refs
-            if ref.split(".", 1)[-1] in dimension_map)
-        verdicts.append(RuleVerdict(rule.id, False, dims, now))
+        # A list, not a tuple: `tuple(map(...))` shrinks a larger tuple, so
+        # the interpreter's free list for the small size fills with dead
+        # blocks that the traced heap counts.
+        keys = list(map(store.resolve, rule.ast.metric_refs))
+        signature = (now, last_violation.get(rule.id), keys,
+                     [len(streams.get(key, ())) for key in keys])
+        cached = verdict_cache.get(rule.id)
+        if cached is None or cached[0] != signature:
+            cached = verdict_cache[rule.id] = (signature, _evaluate_rule(
+                rule, keys, store, now, dimension_map, cooldown_state))
+        verdicts.append(cached[1])
     return verdicts
+
+
+def _evaluate_rule(rule, keys: list, store: MetricStore, now: int,
+                   dimension_map: dict, cooldown_state: dict | None):
+    """One rule's verdict at `now`; `keys` holds the resolved stream key
+    of each of the rule's metric refs, in order."""
+    # Every window ends at `now`, so when a metric's smallest window holds
+    # a sample, so do its others, and no aggregate comes back empty.
+    missing = [ref for ref, key, window
+               in zip(rule.ast.metric_refs, keys, rule.ast.min_windows)
+               if key is None
+               or not store.window_values(key[0], key[1], window, now)]
+    if missing:
+        return RuleVerdict(rule.id, True, frozenset(), now,
+                           missing_streams=frozenset(missing))
+    key_of = dict(zip(rule.ast.metric_refs, keys))
+
+    def lookup(func, metric, window):
+        subject, name = key_of[metric]
+        return store.aggregate(func, subject, name, window, now)
+
+    if not rules_mod.evaluate_expr(rule.ast.expr, lookup):
+        return RuleVerdict(rule.id, True, frozenset(), now)
+    if cooldown_state is not None:
+        last = cooldown_state.get(rule.id)
+        if last is not None and now - last < rule.cooldown:
+            return RuleVerdict(rule.id, True, frozenset(), now,
+                               cooldown_active=True)
+        cooldown_state[rule.id] = now
+    dims = frozenset(
+        dimension_map[ref.split(".", 1)[-1]]
+        for ref in rule.ast.metric_refs
+        if ref.split(".", 1)[-1] in dimension_map)
+    return RuleVerdict(rule.id, False, dims, now)
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,

@@ -96,6 +96,9 @@ class Simulator:
             self.vnfm_actor[vnfd_ref] = "VNFM-%d" % i
             self.em_actor[vnfd_ref] = "EM-%d" % i
         self.nfvo = "NFVO-0"
+        # sender of a metric sample whose subject has no VNFM
+        self._metric_fallback_actor = next(iter(self.vim_actor.values()),
+                                           "VIM-0")
 
         self.store = MetricStore(self.nsd.monitored_info)
         self.thresholds = scenario.thresholds()
@@ -128,6 +131,7 @@ class Simulator:
         self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
         self._cooldown_state = {}
+        self._verdict_cache = {}  # evaluate_rules' reuse of unchanged verdicts
         self._failure = ""
         # vnf instance id -> VNFC id suffixes; removals leave holes, so an
         # instance count is not a safe suffix
@@ -224,13 +228,15 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self, records: list | None = None) -> RunResult:
         """Deliver the workload and return the outcome. A malformed
         workload record raises ScenarioValidationError before any event, an
         indicator record with an unknown subject or indicator when it is
-        delivered."""
-        for tick, kind, index, subject, name, value in workload_records(
-                self.scenario.workload):
+        delivered. `records` is the workload's `workload_records`, when
+        the caller has already taken them."""
+        if records is None:
+            records = workload_records(self.scenario.workload)
+        for tick, kind, index, subject, name, value in records:
             if kind == METRIC_RECORD:
                 self._deliver_metric(tick, subject, name, value)
             else:
@@ -243,8 +249,7 @@ class Simulator:
     def _deliver_metric(self, tick, subject, metric, value):
         self._clock = max(self._clock, tick)
         sample = MetricSample(tick, subject, metric, value)
-        src = self.vnfm_actor.get(subject,
-                                  next(iter(self.vim_actor.values()), "VIM-0"))
+        src = self.vnfm_actor.get(subject, self._metric_fallback_actor)
         notifications = self.store.ingest(sample, self.thresholds, origin=src)
         for note in notifications:
             step = 1 if note.variant == PERF_INFO_AVAILABLE else 2
@@ -283,7 +288,8 @@ class Simulator:
             return
         now = note.time
         verdicts = evaluate_rules(self.nsd.auto_scaling_rules, self.store, now,
-                                  self.dimension_map, self._cooldown_state)
+                                  self.dimension_map, self._cooldown_state,
+                                  self._verdict_cache)
         if all(v.satisfied for v in verdicts):
             return
         inp = drpa_mod.DrpaInput(

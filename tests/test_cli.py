@@ -4,6 +4,9 @@ from pathlib import Path
 import broken_descriptors
 import pytest
 import sample_catalog as sc
+import nsscale.cli
+import nsscale.scenario
+import nsscale.simulator
 from conftest import SEVEN_AND_SEVEN, refuse_large_vnfcs
 from nsscale.cli import main
 from nsscale.inventory import ConservationError, ResourceZone
@@ -207,6 +210,22 @@ def test_explain_quiet_tick(tmp_path, capsys):
 def test_explain_beyond_horizon(tmp_path, capsys):
     assert main(["explain", scenario_file(tmp_path), "--at", "9999"]) == 1
     assert "horizon" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("at", ["10", "5", "9999"])
+def test_explain_takes_the_workload_records_once(tmp_path, capsys,
+                                                 monkeypatch, at):
+    calls = []
+    real = nsscale.scenario.workload_records
+
+    def counting(workload):
+        calls.append(workload)
+        return real(workload)
+
+    for module in (nsscale.cli, nsscale.simulator):
+        monkeypatch.setattr(module, "workload_records", counting)
+    main(["explain", scenario_file(tmp_path), "--at", at])
+    assert len(calls) == 1
 
 
 def test_run_internal_error_exits_four(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nsscale.descriptors import AutoScalingRule, load_catalog
 from nsscale.monitoring import (
@@ -197,3 +197,65 @@ def test_qualified_name_resolves_once_its_stream_exists():
     assert store.resolve("vnfd-c.cpu_load") is None
     store.ingest(MetricSample(2, "vnfd-c", "cpu_load", 2.0))
     assert store.resolve("vnfd-c.cpu_load") == ("vnfd-c", "cpu_load")
+
+
+def _rule(rule_id, text):
+    ast = parse_rule(text)
+    return AutoScalingRule(rule_id, text, ast, ast.cooldown, "scale-out")
+
+
+# Bare names whose first subject changes when vnfd-a's stream appears,
+# qualified names, mixed windows, and cooldowns 0 and > 0.
+CACHED_RULES = (
+    _rule("r-max", "WHEN max(cpu_load, 1) > 0.7 THEN scale_out"),
+    _rule("r-cool", "WHEN max(cpu_load, 3) > 0.7 THEN scale_out COOLDOWN 5"),
+    _rule("r-mixed", "WHEN avg(cpu_load, 1) > 0.7 OR max(cpu_load, 10) > 2 "
+                     "THEN scale_out COOLDOWN 1"),
+    _rule("r-in", "WHEN min(vnfd-b.mem_load, 4) < 0.3 AND "
+                  "max(cpu_load, 2) > 0.5 THEN scale_in COOLDOWN 3"),
+    _rule("r-a", "WHEN avg(vnfd-a.cpu_load, 2) > 0.5 THEN scale_out "
+                 "COOLDOWN 2"),
+)
+
+# ("ingest", subject, metric, step from the latest tick, value): a step of
+# 0 adds a sample to an evaluated tick, a negative one may go back in its
+# stream and raise; ("evaluate", offset from the latest tick, times): a
+# negative offset evaluates a tick that goes back.
+rule_steps = st.lists(st.one_of(
+    st.tuples(st.just("ingest"), st.sampled_from(("vnfd-b", "vnfd-a")),
+              st.sampled_from(("cpu_load", "mem_load")),
+              st.sampled_from((0, 1, 0, 2, -1)),
+              st.sampled_from((0.1, 0.9, 0.6, 3.0))),
+    st.tuples(st.just("evaluate"), st.sampled_from((0, -1, 0, -4, 1)),
+              st.integers(1, 3))),
+    max_size=40)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(rule_steps)
+def test_reused_verdicts_equal_fresh_ones(steps):
+    store = MetricStore()
+    clock = 0  # the latest tick ingested
+    last = {}  # stream key -> its latest tick
+    cached_cooldowns, cache, fresh_cooldowns = {}, {}, {}
+    for step in steps:
+        if step[0] == "ingest":
+            _, subject, name, tick_step, value = step
+            tick = clock + tick_step
+            if tick < last.get((subject, name), tick):
+                with pytest.raises(TimeRegressionError):
+                    store.ingest(MetricSample(tick, subject, name, value))
+                continue
+            store.ingest(MetricSample(tick, subject, name, value))
+            last[(subject, name)] = tick
+            clock = max(clock, tick)
+            continue
+        _, offset, times = step
+        now = clock + offset
+        for _ in range(times):
+            reused = evaluate_rules(CACHED_RULES, store, now,
+                                    sc.DIMENSION_MAP, cached_cooldowns, cache)
+            fresh = evaluate_rules(CACHED_RULES, store, now,
+                                   sc.DIMENSION_MAP, fresh_cooldowns)
+            assert reused == fresh
+            assert cached_cooldowns == fresh_cooldowns
