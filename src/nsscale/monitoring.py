@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rules as rules_mod
 from .descriptors import Vnfd
@@ -14,6 +15,7 @@ THRESHOLD_CROSSED = "ThresholdCrossed"
 VNF_INDICATOR_CHANGE = "VnfIndicatorChange"
 
 _UNRESOLVED = object()  # MetricStore.resolve memo miss; None is an answer
+_NO_DIMENSIONS = frozenset()
 
 
 class TimeRegressionError(ValueError):
@@ -24,8 +26,7 @@ class UndeclaredIndicatorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     time: int
     subject: str
     name: str
@@ -41,16 +42,14 @@ class ThresholdSpec:
     direction: str  # "above" or "below"
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(NamedTuple):
     variant: str
     payload: dict
     origin: str
     time: int
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     rule_id: str
     satisfied: bool
     violated_dimensions: frozenset
@@ -82,6 +81,10 @@ class MetricStore:
     def streams(self) -> dict:
         """Stream key -> the stream's values in arrival order."""
         return self._values
+
+    def ticks(self) -> dict:
+        """Stream key -> the stream's ticks, parallel to `streams()`."""
+        return self._times
 
     def resolve(self, metric_ref: str):
         """Map a rule metric reference to a (subject, name) stream key.
@@ -116,18 +119,6 @@ class MetricStore:
             return []
         return self._values[key][bisect_right(times, now - window):
                                  bisect_right(times, now)]
-
-    def aggregate(self, func: str, subject: str, name: str, window: int, now: int):
-        values = self.window_values(subject, name, window, now)
-        if not values:
-            return None
-        if func == "avg":
-            return sum(values) / len(values)
-        if func == "max":
-            return max(values)
-        if func == "min":
-            return min(values)
-        raise ValueError(func)
 
     def ingest(self, sample: MetricSample, thresholds: tuple = (),
                origin: str = "monitor") -> list:
@@ -192,10 +183,14 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     `cooldown_state` (rule id -> tick of last violation) suppresses repeat
     violations inside the rule's cooldown and is updated in place.
 
-    `verdict_cache` (rule id -> (signature, verdict)), kept by the caller
-    across calls with the same rules, store and dimension map, reuses a
-    rule's last verdict while its inputs are unchanged: the tick, its
-    cooldown entry, and each metric's stream and sample count. Streams
+    `verdict_cache` (rule id -> _RuleState), kept by the caller across
+    calls with the same rules, store and dimension map, holds each rule's
+    bound streams and last verdict. A rule's metric refs are resolved and
+    their streams bound once, and again only when the store's stream
+    count changes: streams are only ever added, and `resolve` answers
+    anew exactly then. A rebinding drops the last verdict. Otherwise the
+    verdict is reused while its inputs are unchanged: the tick, the
+    rule's cooldown entry and each bound stream's sample count. Streams
     only grow, so an unchanged count is an unchanged stream. A reused
     verdict skips no cooldown write: a write of `now` changes the next
     signature, unless the entry already held `now`.
@@ -204,55 +199,88 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     if verdict_cache is None:
         verdict_cache = {}
     last_violation = {} if cooldown_state is None else cooldown_state
-    streams = store.streams()
+    stream_count = len(store.streams())
     verdicts = []
     for rule in rules:
-        # A list, not a tuple: `tuple(map(...))` shrinks a larger tuple, so
-        # the interpreter's free list for the small size fills with dead
-        # blocks that the traced heap counts.
-        keys = list(map(store.resolve, rule.ast.metric_refs))
-        signature = (now, last_violation.get(rule.id), keys,
-                     [len(streams.get(key, ())) for key in keys])
-        cached = verdict_cache.get(rule.id)
-        if cached is None or cached[0] != signature:
-            cached = verdict_cache[rule.id] = (signature, _evaluate_rule(
-                rule, keys, store, now, dimension_map, cooldown_state))
-        verdicts.append(cached[1])
+        state = verdict_cache.get(rule.id)
+        if state is None or state.stream_count != stream_count:
+            state = verdict_cache[rule.id] = _RuleState(
+                rule, store, stream_count, dimension_map)
+        # A list, not a tuple: the interpreter's free lists for small
+        # tuples would fill with dead blocks that the traced heap counts.
+        signature = [now, last_violation.get(rule.id)]
+        signature += map(len, state.values)
+        if signature != state.signature:
+            state.signature = signature
+            state.verdict = _evaluate_rule(rule, state, now, cooldown_state)
+        verdicts.append(state.verdict)
     return verdicts
 
 
-def _evaluate_rule(rule, keys: list, store: MetricStore, now: int,
-                   dimension_map: dict, cooldown_state: dict | None):
-    """One rule's verdict at `now`; `keys` holds the resolved stream key
-    of each of the rule's metric refs, in order."""
+class _RuleState:
+    """One rule's streams, bound while the store holds `stream_count`
+    streams, and its last verdict with the signature it was computed at."""
+
+    __slots__ = ("stream_count", "times", "values", "cut", "dimensions",
+                 "signature", "verdict")
+
+    def __init__(self, rule, store: MetricStore, stream_count: int,
+                 dimension_map: dict):
+        refs = rule.ast.metric_refs
+        keys = [store.resolve(ref) for ref in refs]
+        ticks, streams = store.ticks(), store.streams()
+        self.stream_count = stream_count
+        # an unresolved ref binds an empty stream, which is always missing
+        self.times = [ticks[key] if key else () for key in keys]
+        self.values = [streams[key] if key else () for key in keys]
+
+        def cut(i, window, now):
+            subject, name = keys[i]
+            return store.window_values(subject, name, window, now)
+        self.cut = cut
+        names = [ref.split(".", 1)[-1] for ref in refs]
+        self.dimensions = frozenset(
+            dimension_map[name] for name in names if name in dimension_map)
+        self.signature = None
+        self.verdict = None
+
+
+def _holds_sample(times, window: int, now: int) -> bool:
+    """Whether a stream with ticks `times` has a sample in the `window`
+    ticks ending at `now`: whether its newest tick at or before `now` is
+    later than `now - window`."""
+    if not times:
+        return False
+    newest = times[-1]
+    if newest > now:
+        i = bisect_right(times, now)
+        if not i:
+            return False
+        newest = times[i - 1]
+    return newest > now - window
+
+
+def _evaluate_rule(rule, state: _RuleState, now: int,
+                   cooldown_state: dict | None) -> RuleVerdict:
+    """One rule's verdict at `now` over its bound streams."""
+    ast = rule.ast
     # Every window ends at `now`, so when a metric's smallest window holds
-    # a sample, so do its others, and no aggregate comes back empty.
-    missing = [ref for ref, key, window
-               in zip(rule.ast.metric_refs, keys, rule.ast.min_windows)
-               if key is None
-               or not store.window_values(key[0], key[1], window, now)]
+    # a sample, so do its others, and no comparison cuts an empty window.
+    missing = [ref for ref, times, window
+               in zip(ast.metric_refs, state.times, ast.min_windows)
+               if not _holds_sample(times, window, now)]
     if missing:
-        return RuleVerdict(rule.id, True, frozenset(), now,
+        return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now,
                            missing_streams=frozenset(missing))
-    key_of = dict(zip(rule.ast.metric_refs, keys))
-
-    def lookup(func, metric, window):
-        subject, name = key_of[metric]
-        return store.aggregate(func, subject, name, window, now)
-
-    if not rules_mod.evaluate_expr(rule.ast.expr, lookup):
-        return RuleVerdict(rule.id, True, frozenset(), now)
+    if not rules_mod.evaluate_expr(ast.plan, state.cut, now):
+        return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now)
     if cooldown_state is not None:
         last = cooldown_state.get(rule.id)
         if last is not None and now - last < rule.cooldown:
-            return RuleVerdict(rule.id, True, frozenset(), now,
+            return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now,
                                cooldown_active=True)
         cooldown_state[rule.id] = now
-    dims = frozenset(
-        dimension_map[ref.split(".", 1)[-1]]
-        for ref in rule.ast.metric_refs
-        if ref.split(".", 1)[-1] in dimension_map)
-    return RuleVerdict(rule.id, False, dims, now)
+    return RuleVerdict(rule.id, False, state.dimensions, now)
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,

@@ -10,10 +10,14 @@ Grammar (keywords case-insensitive, whitespace-insensitive)::
     agg   := avg | max | min
     cmp   := '<' | '<=' | '>' | '>=' | '='
     action:= scale_out | scale_in
+
+`parse_rule` compiles each rule once into a plan (`RuleAst.plan`), which
+`evaluate_expr` runs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -68,6 +72,8 @@ class RuleAst:
     metric_refs: tuple = field(default=())
     # smallest aggregate window of each metric_refs entry, in the same order
     min_windows: tuple = field(default=())
+    # `expr` compiled once at parse time; evaluated by `evaluate_expr`
+    plan: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,10 @@ class _Parser:
         windows = {}
         _collect_min_windows(expr, windows)
         refs = tuple(sorted(windows))
+        index = {ref: i for i, ref in enumerate(refs)}
         return RuleAst(expr, action, cooldown, refs,
-                       tuple(windows[ref] for ref in refs))
+                       tuple(windows[ref] for ref in refs),
+                       _compile(expr, index))
 
     def parse_expr(self):
         operands = [self.parse_term()]
@@ -251,28 +259,59 @@ def parse_rule(text: str) -> RuleAst:
     return _Parser(text).parse_rule()
 
 
-def evaluate_expr(node, lookup) -> bool:
-    """Evaluate an expression tree. `lookup(func, metric, window)` returns the
-    aggregate value; it must not be called with an unknown metric."""
+def _avg(values: list) -> float:
+    return sum(values) / len(values)
+
+
+_AGGREGATE_FUNCS = {"avg": _avg, "max": max, "min": min}
+_OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "=": operator.eq}
+
+
+def _compile(node, index: dict):
+    """Compile an expression tree into a plan: a function `plan(cut, now)`
+    returning the expression's truth. A comparison calls `cut(i, window,
+    now)` for the values, in arrival order, of its metric `metric_refs[i]`
+    in the window; AND and OR stop at the first operand that settles them."""
     if isinstance(node, Comparison):
-        value = lookup(node.left.func, node.left.metric, node.left.window)
-        return _compare(value, node.op, node.value)
+        i, window = index[node.left.metric], node.left.window
+        func = _AGGREGATE_FUNCS[node.left.func]
+        compare, bound = _OPERATORS[node.op], node.value
+
+        def comparison(cut, now):
+            return compare(func(cut(i, window, now)), bound)
+        return comparison
     if isinstance(node, And):
-        return all(evaluate_expr(op, lookup) for op in node.operands)
+        operands = [_compile(op, index) for op in node.operands]
+
+        def conjunction(cut, now):
+            for operand in operands:
+                if not operand(cut, now):
+                    return False
+            return True
+        return conjunction
     if isinstance(node, Or):
-        return any(evaluate_expr(op, lookup) for op in node.operands)
+        operands = [_compile(op, index) for op in node.operands]
+
+        def disjunction(cut, now):
+            for operand in operands:
+                if operand(cut, now):
+                    return True
+            return False
+        return disjunction
     if isinstance(node, Not):
-        return not evaluate_expr(node.operand, lookup)
+        operand = _compile(node.operand, index)
+
+        def negation(cut, now):
+            return not operand(cut, now)
+        return negation
     raise TypeError(node)
 
 
-def _compare(value: float, op: str, bound: float) -> bool:
-    if op == "<":
-        return value < bound
-    if op == "<=":
-        return value <= bound
-    if op == ">":
-        return value > bound
-    if op == ">=":
-        return value >= bound
-    return value == bound
+def evaluate_expr(plan, cut, now: int) -> bool:
+    """Evaluate a rule's compiled `plan` (`RuleAst.plan`) at tick `now`.
+    `cut(i, window, now)` returns the values, in arrival order, of the
+    samples of metric `metric_refs[i]` in the `window` ticks ending at
+    `now`; it is called only for the comparisons that decide the result,
+    and must not return an empty list."""
+    return plan(cut, now)

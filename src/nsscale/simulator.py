@@ -101,6 +101,8 @@ class Simulator:
                                            "VIM-0")
 
         self.store = MetricStore(self.nsd.monitored_info)
+        self._monitored = frozenset((item.subject, item.name)
+                                    for item in self.nsd.monitored_info)
         self.thresholds = scenario.thresholds()
         self.dimension_map = scenario.dimension_map()
         self.constraints = scenario.placement_constraints()
@@ -230,15 +232,16 @@ class Simulator:
 
     def run(self, records: list | None = None) -> RunResult:
         """Deliver the workload and return the outcome. A malformed
-        workload record raises ScenarioValidationError before any event, an
-        indicator record with an unknown subject or indicator when it is
-        delivered. `records` is the workload's `workload_records`, when
-        the caller has already taken them."""
+        workload record raises ScenarioValidationError before any event; a
+        metric record the NSD does not monitor, or an indicator record
+        with an unknown subject or indicator, when it is delivered.
+        `records` is the workload's `workload_records`, when the caller has
+        already taken them."""
         if records is None:
             records = workload_records(self.scenario.workload)
         for tick, kind, index, subject, name, value in records:
             if kind == METRIC_RECORD:
-                self._deliver_metric(tick, subject, name, value)
+                self._deliver_metric(index, tick, subject, name, value)
             else:
                 self._deliver_indicator(index, tick, subject, name, value)
         status = STATUS_OPERATION_FAILED if self._failure else STATUS_COMPLETED
@@ -246,7 +249,14 @@ class Simulator:
                          self.operations, self.decisions, self.transitions,
                          failure_reason=self._failure)
 
-    def _deliver_metric(self, tick, subject, metric, value):
+    def _deliver_metric(self, index, tick, subject, metric, value):
+        """`(subject, metric)` is an item of the NSD's monitored info;
+        `index` is the record's place in the workload's metrics."""
+        if (subject, metric) not in self._monitored:
+            raise ScenarioValidationError(
+                ["workload: metrics[%d] at tick %d: metric %r of subject %r "
+                 "is not monitored by NSD %r"
+                 % (index, tick, metric, subject, self.nsd.id)])
         self._clock = max(self._clock, tick)
         sample = MetricSample(tick, subject, metric, value)
         src = self.vnfm_actor.get(subject, self._metric_fallback_actor)

@@ -14,3 +14,26 @@ def test_benchmark_selftest_passes():
                          cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[-1] == "selftest: ok"
+
+
+def test_rule_layers_count_calls_on_the_jump_scenario():
+    """A refactor of the rule hot path must leave the benchmark's
+    per-layer metrics for it measuring something."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import layers
+    finally:
+        sys.path.pop(0)
+    import sample_catalog as sc
+    from nsscale.scenario import scenario_from_dict
+    from nsscale.simulator import Simulator
+    from nsscale.trace import canonical_json, trace_lines
+
+    tracer = layers.Tracer(trace_lines, canonical_json)
+    with tracer:
+        Simulator(scenario_from_dict(sc.sample_scenario(
+            workload=sc.jump_workload()))).run()
+    calls = tracer.take()["calls"]
+    for layer in ("monitoring.evaluate_rules", "rules.evaluate_expr",
+                  "monitoring.window_values"):
+        assert calls[layer] > 0, layer

@@ -260,6 +260,25 @@ def test_unknown_indicator_record_exits_one(tmp_path, capsys, command,
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command", [["run"], ["explain", "--at", "10"]])
+@pytest.mark.parametrize("record", [
+    [10, "vnfd-zz", "cpu_load", 0.5],  # no such subject
+    [10, "vnfd-a", "cpu_load", 0.5],  # a VNFD of the NSD, not monitored
+    [10, "vnfd-b", "cpu_lod", 0.5],  # a monitored subject, not this name
+])
+def test_unmonitored_metric_record_exits_one(tmp_path, capsys, command,
+                                             record):
+    scenario = sc.sample_scenario(workload={"metrics": [record],
+                                            "indicators": []})
+    path = scenario_file(tmp_path, scenario)
+    assert main([command[0], path] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "workload: metrics[0] at tick 10: metric %r of subject %r is not "
+        "monitored by NSD 'nsd-1'" % (record[2], record[1])]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("tick, status", [(75, 0), (65, 1)])
 def test_indicator_subject_is_a_vnf_instance_of_its_tick(tmp_path, capsys,
                                                         tick, status):

@@ -5,9 +5,10 @@ from nsscale.descriptors import AutoScalingRule, load_catalog
 from nsscale.monitoring import (
     PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, VNF_INDICATOR_CHANGE,
     MetricSample, MetricStore, ThresholdSpec, TimeRegressionError,
-    UndeclaredIndicatorError, evaluate_rules, indicator_change,
+    UndeclaredIndicatorError, _holds_sample, evaluate_rules,
+    indicator_change,
 )
-from nsscale.rules import parse_rule
+from nsscale.rules import evaluate_expr, parse_rule
 import sample_catalog as sc
 
 
@@ -70,10 +71,23 @@ def test_window_aggregates():
     for t, v in [(1, 1.0), (2, 3.0), (3, 5.0), (4, 7.0)]:
         store.ingest(MetricSample(t, "vnfd-b", "cpu_load", v))
     assert store.window_values("vnfd-b", "cpu_load", 2, 4) == [5.0, 7.0]
-    assert store.aggregate("avg", "vnfd-b", "cpu_load", 2, 4) == 6.0
-    assert store.aggregate("max", "vnfd-b", "cpu_load", 4, 4) == 7.0
-    assert store.aggregate("min", "vnfd-b", "cpu_load", 4, 4) == 1.0
-    assert store.aggregate("avg", "vnfd-b", "cpu_load", 2, 100) is None
+    assert aggregate_is(store, "avg", "vnfd-b", 2, 4, 6.0)
+    assert aggregate_is(store, "max", "vnfd-b", 4, 4, 7.0)
+    assert aggregate_is(store, "min", "vnfd-b", 4, 4, 1.0)
+    # an empty window is a missing stream, never aggregated
+    [verdict] = evaluate_rules(
+        (_rule("r", "WHEN avg(cpu_load, 2) > 0 THEN scale_out"),), store, 100)
+    assert verdict.missing_streams == frozenset({"cpu_load"})
+
+
+def aggregate_is(store, func, subject, window, now, value) -> bool:
+    """Whether the compiled comparison `func(subject.cpu_load, window) =
+    value` holds at `now` over the store's window."""
+    ast = parse_rule("WHEN %s(%s.cpu_load, %d) = %r THEN scale_out"
+                     % (func, subject, window, value))
+    return evaluate_expr(
+        ast.plan, lambda i, w, t: store.window_values(subject, "cpu_load",
+                                                       w, t), now)
 
 
 def test_resolve_prefers_exact_subject():
@@ -176,11 +190,14 @@ def test_window_cut_matches_brute_force_definition(steps, window, regress_by):
                         if now - window < t <= now]
             assert store.window_values(subject, "cpu_load", window, now) \
                 == expected
+            ticks = store.ticks().get((subject, "cpu_load"), ())
+            assert _holds_sample(ticks, window, now) == bool(expected)
+            if not expected:
+                continue
             for func, reference in (("avg", lambda v: sum(v) / len(v)),
                                     ("max", max), ("min", min)):
-                assert store.aggregate(func, subject, "cpu_load", window,
-                                       now) \
-                    == (reference(expected) if expected else None)
+                assert aggregate_is(store, func, subject, window, now,
+                                    reference(expected))
 
 
 def test_bare_name_resolves_again_when_an_earlier_subject_appears():

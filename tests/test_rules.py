@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nsscale.rules import (
-    Aggregate, And, Comparison, Not, Or, RuleSyntaxError, evaluate_expr,
-    parse_rule,
+from nsscale.descriptors import AutoScalingRule
+from nsscale.monitoring import (
+    MetricSample, MetricStore, RuleVerdict, evaluate_rules,
 )
+from nsscale.rules import (
+    ACTIONS, AGGREGATES, COMPARATORS, Aggregate, And, Comparison, Not, Or,
+    RuleSyntaxError, evaluate_expr, parse_rule,
+)
+import sample_catalog as sc
 
 
 def test_parse_minimal_rule():
@@ -54,28 +60,27 @@ def test_syntax_errors_carry_a_column(text, fragment):
     assert err.value.column >= 0
 
 
+def cut_of(values: dict, ast):
+    """A `cut` that gives each metric's one value as its window."""
+    return lambda i, window, now: [values[ast.metric_refs[i]]]
+
+
 def test_evaluate_all_comparators():
     values = {"m": 5.0}
-
-    def lookup(func, metric, window):
-        return values[metric]
-
     for op, expected in (("<", False), ("<=", True), (">", False),
                         (">=", True), ("=", True)):
         ast = parse_rule("WHEN avg(m, 1) %s 5 THEN scale_out" % op)
-        assert evaluate_expr(ast.expr, lookup) is expected
+        assert evaluate_expr(ast.plan, cut_of(values, ast), 0) is expected
 
 
 def test_evaluate_boolean_structure():
-    def lookup(func, metric, window):
-        return {"a": 10, "b": 0}[metric]
-
+    values = {"a": 10, "b": 0}
     ast = parse_rule(
         "WHEN avg(a, 1) > 5 AND NOT max(b, 1) > 1 THEN scale_out")
-    assert evaluate_expr(ast.expr, lookup)
+    assert evaluate_expr(ast.plan, cut_of(values, ast), 0)
     ast = parse_rule(
         "WHEN avg(a, 1) > 50 OR max(b, 1) >= 0 THEN scale_out")
-    assert evaluate_expr(ast.expr, lookup)
+    assert evaluate_expr(ast.plan, cut_of(values, ast), 0)
 
 
 def test_metric_refs_are_sorted_and_unique():
@@ -90,3 +95,125 @@ def test_min_windows_follow_metric_refs():
                      "OR NOT min(b, 2) < 0 THEN scale_out")
     assert ast.metric_refs == ("a", "b")
     assert ast.min_windows == (3, 2)
+
+
+# -- the compiled plan against an oracle --------------------------------------
+
+# Bare and dotted refs over two subjects; nothing ever feeds disk_load, and
+# vnfd-a's streams may appear after vnfd-b's, changing what a bare name
+# resolves to. Repeats weight the draw towards streams that exist.
+REFS = ("cpu_load", "cpu_load", "mem_load", "mem_load", "vnfd-b.cpu_load",
+        "vnfd-b.mem_load", "vnfd-a.cpu_load", "disk_load")
+# Bounds come from the sample values, so `=` holds now and then.
+VALUES = (0.1, 0.5, 0.9, 3.0)
+
+comparisons = st.builds(
+    lambda func, ref, window, op, bound: "%s(%s, %d) %s %r"
+    % (func, ref, window, op, bound),
+    st.sampled_from(AGGREGATES), st.sampled_from(REFS), st.integers(1, 6),
+    st.sampled_from(COMPARATORS), st.sampled_from(VALUES))
+expressions = st.recursive(comparisons, lambda inner: st.one_of(
+    st.lists(inner, min_size=2, max_size=3).map(
+        lambda xs: "(%s)" % " AND ".join(xs)),
+    st.lists(inner, min_size=2, max_size=3).map(
+        lambda xs: "(%s)" % " OR ".join(xs)),
+    inner.map(lambda x: "NOT " + x)), max_leaves=5)
+rule_texts = st.builds(
+    lambda expr, action, cooldown: "WHEN %s THEN %s COOLDOWN %d"
+    % (expr, action, cooldown),
+    expressions, st.sampled_from(ACTIONS), st.sampled_from((0, 0, 2, 5)))
+
+STREAMS = (("vnfd-b", "cpu_load"), ("vnfd-b", "mem_load"),
+           ("vnfd-a", "cpu_load"), ("vnfd-a", "mem_load"))
+# Per tick: how far the clock advances (0 adds samples to the tick just
+# evaluated), each stream's sample or None, and the offsets from the tick
+# to evaluate at (a negative one lies before some streams' newest sample).
+plan_ticks = st.lists(st.tuples(
+    st.sampled_from((0, 1, 1, 2, 3)),
+    st.tuples(*[st.one_of(st.none(), st.sampled_from(VALUES))] * 4),
+    st.lists(st.sampled_from((0, 0, 1, -1, -2, -5)), max_size=2)),
+    max_size=25)
+
+ORACLE_AGGREGATES = {"avg": lambda v: sum(v) / len(v), "max": max,
+                     "min": min}
+ORACLE_COMPARATORS = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+                      ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+                      "=": lambda a, b: a == b}
+
+
+def oracle_verdict(rule, streams: dict, now: int, cooldowns: dict,
+                   dimension_map: dict):
+    """A rule's verdict from its expression tree and explicit
+    `(tick, value)` streams: a metric is missing when any of its windows
+    is empty; the condition is evaluated node by node; a violation inside
+    the cooldown is suppressed."""
+    def resolve(ref):
+        if "." in ref:
+            key = tuple(ref.split(".", 1))
+            return key if key in streams else None
+        subjects = [s for s, n in streams if n == ref]
+        return (min(subjects), ref) if subjects else None
+
+    def window(ref, length):
+        key = resolve(ref)
+        return [v for t, v in streams.get(key, ()) if now - length < t <= now]
+
+    def comparisons_of(node):
+        if isinstance(node, Comparison):
+            return [node]
+        if isinstance(node, Not):
+            return comparisons_of(node.operand)
+        return [c for op in node.operands for c in comparisons_of(op)]
+
+    def holds(node):
+        if isinstance(node, Comparison):
+            values = window(node.left.metric, node.left.window)
+            return ORACLE_COMPARATORS[node.op](
+                ORACLE_AGGREGATES[node.left.func](values), node.value)
+        if isinstance(node, Not):
+            return not holds(node.operand)
+        results = [holds(op) for op in node.operands]
+        return all(results) if isinstance(node, And) else any(results)
+
+    missing = frozenset(c.left.metric for c in comparisons_of(rule.ast.expr)
+                        if not window(c.left.metric, c.left.window))
+    if missing:
+        return RuleVerdict(rule.id, True, frozenset(), now,
+                           missing_streams=missing)
+    if not holds(rule.ast.expr):
+        return RuleVerdict(rule.id, True, frozenset(), now)
+    last = cooldowns.get(rule.id)
+    if last is not None and now - last < rule.cooldown:
+        return RuleVerdict(rule.id, True, frozenset(), now,
+                           cooldown_active=True)
+    cooldowns[rule.id] = now
+    return RuleVerdict(rule.id, False, frozenset(
+        dimension_map[ref.split(".", 1)[-1]] for ref in rule.ast.metric_refs
+        if ref.split(".", 1)[-1] in dimension_map), now)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(rule_texts, min_size=1, max_size=3), plan_ticks)
+def test_compiled_rules_match_the_oracle(texts, ticks):
+    asts = [parse_rule(text) for text in texts]
+    rules = tuple(AutoScalingRule("r%d" % i, text, ast, ast.cooldown,
+                                  "scale-out")
+                  for i, (text, ast) in enumerate(zip(texts, asts)))
+    store = MetricStore()
+    streams = {}  # (subject, name) -> [(tick, value)] as ingested
+    cooldowns, cache, oracle_cooldowns = {}, {}, {}
+    clock = 0
+    for advance, samples, offsets in ticks:
+        clock += advance
+        for (subject, name), value in zip(STREAMS, samples):
+            if value is not None:
+                store.ingest(MetricSample(clock, subject, name, value))
+                streams.setdefault((subject, name), []).append((clock, value))
+        for offset in offsets:
+            now = clock + offset
+            verdicts = evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
+                                      cooldowns, cache)
+            expected = [oracle_verdict(rule, streams, now, oracle_cooldowns,
+                                       sc.DIMENSION_MAP) for rule in rules]
+            assert verdicts == expected
+            assert cooldowns == oracle_cooldowns
