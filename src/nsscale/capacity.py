@@ -69,10 +69,6 @@ class CapacityVector:
         return (self.vcpu == 0 and self.memory == 0 and self.storage == 0
                 and self.bandwidth == 0)
 
-    def is_nonnegative(self) -> bool:
-        return (self.vcpu >= 0 and self.memory >= 0 and self.storage >= 0
-                and self.bandwidth >= 0)
-
     def restricted(self, kind: str) -> "CapacityVector":
         """Zero out every dimension not belonging to the resource kind."""
         dims = KIND_DIMENSIONS[kind]

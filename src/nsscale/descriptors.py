@@ -203,12 +203,6 @@ class NsDeploymentFlavor:
                 return profile
         raise KeyError(profile_id)
 
-    def vl_profile(self, profile_id: str) -> VlProfile:
-        for profile in self.vl_profiles:
-            if profile.id == profile_id:
-                return profile
-        raise KeyError(profile_id)
-
 
 @dataclass(frozen=True)
 class Nsd:
@@ -429,10 +423,6 @@ class ValidationIssue:
 @dataclass
 class ValidationReport:
     issues: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
 
     def add(self, kind: str, path: str, message: str):
         self.issues.append(ValidationIssue(kind, path, message))
@@ -669,29 +659,23 @@ def vnf_il_capacity(vnfd: Vnfd, il: VnfInstantiationLevel) -> CapacityVector:
 class IlDelta:
     add: dict  # vdu id -> count
     remove: dict  # vdu id -> count
-    net: CapacityVector
-
-    def is_empty(self) -> bool:
-        return not self.add and not self.remove
 
 
-def vnf_il_delta(vnfd: Vnfd, flavor: VnfDeploymentFlavor,
-                 from_il: str, to_il: str) -> IlDelta:
-    """Per-VDU VNFC count difference between two levels of one VNF flavor,
-    with the signed capacity sum."""
+def vnf_il_delta(flavor: VnfDeploymentFlavor, from_il: str,
+                 to_il: str) -> IlDelta:
+    """Per-VDU VNFC count difference between two levels of one VNF
+    flavor."""
     source = flavor.il(from_il)
     target = flavor.il(to_il)
     add = {}
     remove = {}
-    net = ZERO
     for vdu_id in sorted(set(source.counts) | set(target.counts)):
         diff = target.counts.get(vdu_id, 0) - source.counts.get(vdu_id, 0)
         if diff > 0:
             add[vdu_id] = diff
         elif diff < 0:
             remove[vdu_id] = -diff
-        net = net + vdu_capacity(vnfd, vdu_id).scaled(diff)
-    return IlDelta(add, remove, net)
+    return IlDelta(add, remove)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ from .descriptors import (
     CLASS_NONE, Catalog, Nsd, NsDeploymentFlavor, NsIlDelta,
     aggregate_capacity, ns_il_delta, vdu_capacity, vnf_il_delta,
 )
-from .inventory import (
-    NoZoneFitsError, NsInfo, capacity_report, vim_placement,
-)
+from .inventory import NoZoneFitsError, capacity_report, vim_placement
 from .monitoring import MetricStore
 
 ACTION_NONE = "none"
@@ -82,8 +80,6 @@ class PlacementItem:
     kind: str  # "vnfc" or "vl"
     profile_id: str = ""
     vdu_ref: str = ""
-    vnfc_name: str = ""
-    vnf_il_ref: str = ""
     new_instance_index: int = -1  # >= 0 when part of a whole new VNF instance
     retained_instance_index: int = -1  # >= 0 when scaling an existing instance
     vl_profile_id: str = ""
@@ -116,15 +112,6 @@ class DrpaDecision:
     rationale: tuple = ()
     estimate: DemandEstimate | None = None
     verdicts: tuple = ()
-
-
-@dataclass(frozen=True)
-class DrpaInput:
-    verdicts: tuple
-    ns_info: NsInfo
-    catalog: Catalog
-    metric_store: MetricStore
-    levels: LevelGraph | None = None  # the run's graph of the NS's flavor
 
 
 def estimate_demand(verdicts: tuple, store: MetricStore,
@@ -181,19 +168,15 @@ def _observed_utilization(store: MetricStore, dimension: str,
     return max(values) if values else None
 
 
-def candidate_ns_ils(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
-                     estimate: DemandEstimate, direction: str, current: str,
-                     cost_model: CostModel | None = None,
-                     levels: LevelGraph | None = None) -> list:
+def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
+                     direction: str, current: str,
+                     cost_model: CostModel) -> list:
     """Levels able to carry the estimated demand, in declaration order.
 
     Scale-out excludes the current level; scale-in additionally requires a
-    cost strictly below the current level's. `levels` is the graph of
-    `flavor` to read capacities from; without it a throwaway one is built.
-    """
+    cost strictly below the current level's."""
+    flavor = levels.flavor
     flavor.ns_il(current)  # raises UnknownLevelError for a bad current
-    levels = levels or LevelGraph(catalog, nsd, flavor)
-    cost_model = cost_model or CostModel()
     current_cost = cost_model.cost(levels.capacity(current))
     candidates = []
     for ns_il in flavor.ns_ils:
@@ -225,7 +208,7 @@ def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
         batches = []  # (key tag, VDU counts, instance index field)
         if pd.il_changed and pd.retained > 0:
             # Each retained instance moves level in place.
-            add = vnf_il_delta(vnfd, vnf_flavor, pd.from_il, pd.to_il).add
+            add = vnf_il_delta(vnf_flavor, pd.from_il, pd.to_il).add
             batches += [("scale%d" % e, add, {"retained_instance_index": e})
                         for e in range(pd.retained)]
         if pd.count_delta > 0:
@@ -240,7 +223,6 @@ def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                         key="%s/%s/vnfc/%s/%d" % (pd.profile_id, tag, vdu_id, i),
                         spec=vdu_capacity(vnfd, vdu_id),
                         kind="vnfc", profile_id=pd.profile_id, vdu_ref=vdu_id,
-                        vnfc_name=vdu.vnfc_name, vnf_il_ref=pd.to_il,
                         anti_affinity=anti.get(vdu.vnfc_name,
                                                anti.get(pd.profile_id, "")),
                         **index))
@@ -369,22 +351,19 @@ def _total_instances(flavor: NsDeploymentFlavor, ns_il_id: str) -> int:
     return sum(count for _, count in ns_il.vnf_entries.values())
 
 
-def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
-                   candidates: list, cost_model: CostModel, pops: list,
-                   ns_info: NsInfo, constraints: dict | None = None,
+def select_optimum(levels: LevelGraph, candidates: list,
+                   cost_model: CostModel, pops: list, current: str,
                    estimate: DemandEstimate | None = None,
-                   verdicts: tuple = (),
-                   levels: LevelGraph | None = None) -> DrpaDecision:
-    """Minimum weighted-capacity cost among placeable candidates.
-    Ties break on fewest total VNF instances, then declaration order.
+                   verdicts: tuple = ()) -> DrpaDecision:
+    """Minimum weighted-capacity cost among placeable candidates for the
+    move from `current`. Ties break on fewest total VNF instances, then
+    declaration order.
 
     Every candidate is placed by `plan_placement` against one
-    `capacity_report` of `pops`. `levels` is the graph of `flavor`, bound to
-    `constraints`; without it a throwaway one is built."""
+    `capacity_report` of `pops`."""
     if not candidates:
         raise NoFeasibleLevelError("empty candidate set")
-    levels = levels or LevelGraph(catalog, nsd, flavor, constraints)
-    current = ns_info.current_ns_il
+    flavor = levels.flavor
     snapshot = capacity_report(pops)
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
@@ -417,34 +396,27 @@ def select_optimum(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
     )
 
 
-def decide(inp: DrpaInput, cost_model: CostModel,
-           target_utilization: float = DEFAULT_TARGET_UTILIZATION,
-           pops: list | None = None, constraints: dict | None = None,
-           dimension_map: dict | None = None) -> DrpaDecision:
-    """Full pipeline: rule verdicts -> demand -> candidates -> optimum.
-
-    `inp.levels`, when given, is the graph of the NS's flavor bound to
-    `constraints`; without it a throwaway one is built."""
-    nsd = inp.catalog.nsds[inp.ns_info.nsd_ref]
-    flavor = nsd.flavor(inp.ns_info.flavor_ref)
-    hints = {rule.id: rule.direction_hint for rule in nsd.auto_scaling_rules}
-    fired = [v for v in inp.verdicts if not v.satisfied]
+def decide(levels: LevelGraph, verdicts: tuple, current: str,
+           store: MetricStore, cost_model: CostModel,
+           target_utilization: float, pops: list,
+           dimension_map: dict) -> DrpaDecision:
+    """Full pipeline for an NS at level `current` of the flavor `levels`
+    describes: rule verdicts -> demand -> candidates -> optimum."""
+    hints = {rule.id: rule.direction_hint
+             for rule in levels.nsd.auto_scaling_rules}
+    fired = [v for v in verdicts if not v.satisfied]
     if not fired:
-        return DrpaDecision(action=ACTION_NONE, verdicts=tuple(inp.verdicts))
+        return DrpaDecision(action=ACTION_NONE, verdicts=tuple(verdicts))
     if any(hints.get(v.rule_id) == "scale-out" for v in fired):
         direction = "scale-out"
     else:
         direction = "scale-in"
-    levels = inp.levels or LevelGraph(inp.catalog, nsd, flavor, constraints)
-    current_capacity = levels.capacity(inp.ns_info.current_ns_il)
-    estimate = estimate_demand(tuple(fired), inp.metric_store, current_capacity,
+    estimate = estimate_demand(tuple(fired), store, levels.capacity(current),
                                target_utilization, dimension_map)
-    candidates = candidate_ns_ils(inp.catalog, nsd, flavor, estimate, direction,
-                                  inp.ns_info.current_ns_il, cost_model, levels)
-    return select_optimum(inp.catalog, nsd, flavor, candidates, cost_model,
-                          pops or [], inp.ns_info, constraints,
-                          estimate=estimate, verdicts=tuple(inp.verdicts),
-                          levels=levels)
+    candidates = candidate_ns_ils(levels, estimate, direction, current,
+                                  cost_model)
+    return select_optimum(levels, candidates, cost_model, pops, current,
+                          estimate=estimate, verdicts=tuple(verdicts))
 
 
 def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,

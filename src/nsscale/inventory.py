@@ -251,18 +251,17 @@ def capacity_report(pops: list) -> list:
 
 
 def vim_placement(zones: list, spec: CapacityVector,
-                  excluded_zone_ids=(), pending: dict | None = None):
+                  pending: dict | None = None):
     """The one rule that picks a zone. `zones` are one PoP's, live
     (`ResourceZone`) or from a capacity report (`ZoneReport`); the chosen
-    zone is the first in id order that is not excluded and whose available
-    capacity, less `pending` (zone id -> capacity placed but not yet
-    reserved or allocated), covers the spec. Otherwise raises
-    NoZoneFitsError with the shortest list of dimensions a zone lacks."""
+    zone is the first in id order whose available capacity, less `pending`
+    (zone id -> capacity placed but not yet reserved or allocated), covers
+    the spec. Otherwise raises NoZoneFitsError with the shortest list of
+    dimensions a zone lacks. Anti-affinity is the DRPA's to keep: it puts
+    items that share a label on distinct PoPs."""
     pending = pending or {}
     free = []  # available less pending, of every zone tried
     for zone in sorted(zones, key=lambda z: z.id):
-        if zone.id in excluded_zone_ids:
-            continue
         capacity = zone.available
         if zone.id in pending:
             capacity = capacity - pending[zone.id]
@@ -312,13 +311,6 @@ class VnfInfo:
             if inst.id == instance_id:
                 return inst
         raise KeyError(instance_id)
-
-    def started_counts(self) -> dict:
-        counts = {}
-        for inst in self.vnfc_instances:
-            if inst.state == STARTED:
-                counts[inst.vdu_ref] = counts.get(inst.vdu_ref, 0) + 1
-        return counts
 
 
 @dataclass

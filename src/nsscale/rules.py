@@ -18,7 +18,9 @@ Grammar (keywords case-insensitive, whitespace-insensitive)::
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class RuleSyntaxError(ValueError):
@@ -76,53 +78,39 @@ class RuleAst:
     plan: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident, number, punct
     text: str
     column: int
 
 
+# One token after optional whitespace. `ident` also matches the word
+# characters that are neither letters nor decimal digits (such as "²" or
+# "½"); `_tokenize` rejects those as a token's first character.
+_SCANNER = re.compile(r"""\s*(?:
+      (?P<punct>[(),]|[<>]=?|=)
+    | (?P<number>(?:\d|\.|-(?=\d))(?:[\d.eE]|(?<=[eE])[+-])*)
+    | (?P<ident>[^\W\d][\w.-]*)
+    | (?P<end>\Z)
+    | (?P<bad>.))""", re.VERBOSE)
+
+
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "(),":
-            tokens.append(_Token("punct", c, i))
-            i += 1
-            continue
-        if c in "<>=":
-            two = text[i : i + 2]
-            if two in ("<=", ">="):
-                tokens.append(_Token("punct", two, i))
-                i += 2
-            else:
-                tokens.append(_Token("punct", c, i))
-                i += 1
-            continue
-        if c.isdigit() or c == "." or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._-"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise RuleSyntaxError("unexpected character %r" % c, i)
-    tokens.append(_Token("punct", "<end>", n))
-    return tokens
+    pos = 0
+    while True:
+        match = _SCANNER.match(text, pos)
+        kind = match.lastgroup
+        column = match.start(kind)
+        if kind == "end":
+            tokens.append(_Token("punct", "<end>", column))
+            return tokens
+        first = text[column]
+        if kind == "bad" or (kind == "ident" and not first.isalpha()
+                             and first != "_"):
+            raise RuleSyntaxError("unexpected character %r" % first, column)
+        tokens.append(_Token(kind, match.group(kind), column))
+        pos = match.end()
 
 
 class _Parser:

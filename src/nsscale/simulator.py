@@ -62,8 +62,6 @@ class ScalingOperation:
     step_log: list = field(default_factory=list)  # [(step, tick)]
     failed_step: int | None = None
     error: str = ""
-    # anti-affinity label -> {(pop id, zone id)}; zone ids repeat across PoPs
-    label_zones: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -105,11 +103,10 @@ class Simulator:
                                     for item in self.nsd.monitored_info)
         self.thresholds = scenario.thresholds()
         self.dimension_map = scenario.dimension_map()
-        self.constraints = scenario.placement_constraints()
         self.cost_model = scenario.cost_model()
         # Filled as decisions need it; building it derives nothing.
         self.levels = drpa_mod.LevelGraph(catalog, self.nsd, self.flavor,
-                                          self.constraints)
+                                          scenario.placement_constraints())
         self.target_utilization = scenario.target_utilization
         self.reservation_enabled = scenario.reservation_enabled
 
@@ -302,14 +299,11 @@ class Simulator:
                                   self._verdict_cache)
         if all(v.satisfied for v in verdicts):
             return
-        inp = drpa_mod.DrpaInput(
-            verdicts=tuple(verdicts), ns_info=self.ns_info,
-            catalog=self.catalog, metric_store=self.store,
-            levels=self.levels)
         try:
             decision = drpa_mod.decide(
-                inp, self.cost_model, self.target_utilization, self.pops,
-                self.constraints, self.dimension_map)
+                self.levels, verdicts, self.ns_info.current_ns_il, self.store,
+                self.cost_model, self.target_utilization, self.pops,
+                self.dimension_map)
         except drpa_mod.DrpaError as exc:
             self._send(self.nfvo, self.nfvo, "DrpaDecision",
                        {"action": "error", "reason": str(exc)}, step=4)
@@ -355,7 +349,7 @@ class Simulator:
                            if info.profile_ref == profile.id]
                 for e in range(pd.retained if pd.il_changed else 0):
                     # A retained instance changes level in place.
-                    drop = vnf_il_delta(vnfd, vnf_flavor, pd.from_il,
+                    drop = vnf_il_delta(vnf_flavor, pd.from_il,
                                         pd.to_il).remove
                     self._vnf_procedure(
                         op, decision, vnf_ids[e], {"new_vnf_il": pd.to_il},
@@ -536,18 +530,6 @@ class Simulator:
                 raise OperationFailure(
                     6, "grant denied: %s not in the scaling decision" % item.key)
 
-    def _vim_zone(self, op, item, pop, pending=None):
-        """The zone the VIM picks for `item` in `pop`: `vim_placement`,
-        excluding the zones of `pop` this operation already gave to the
-        item's anti-affinity label."""
-        label = item.anti_affinity
-        excluded = {zone_id for pop_id, zone_id in op.label_zones.get(label, ())
-                    if pop_id == pop.id}
-        zone = vim_placement(pop.zones, item.spec, excluded, pending)
-        if label:
-            op.label_zones.setdefault(label, set()).add((pop.id, zone.id))
-        return zone
-
     def _reservation_subphase(self, op, decision, items) -> dict:
         """Three reservation requests (compute, storage, network) per
         selected VIM; the VIM runs zone placement for each item."""
@@ -584,8 +566,8 @@ class Simulator:
                     zone = item_zone.get(item.key)
                     try:
                         if zone is None:
-                            zone = item_zone[item.key] = self._vim_zone(
-                                op, item, self._pop(pop_id), unreserved)
+                            zone = item_zone[item.key] = vim_placement(
+                                self._pop(pop_id).zones, item.spec, unreserved)
                             unreserved[zone.id] = \
                                 unreserved.get(zone.id, ZERO) + item.spec
                         reservation = zone.reserve(spec, kind)
@@ -620,7 +602,7 @@ class Simulator:
                 # Pick the zone once per item (full spec) so every handle of
                 # this VNFC can later be released against the same zone.
                 try:
-                    zone = self._vim_zone(op, item, pop)
+                    zone = vim_placement(pop.zones, item.spec)
                 except NoZoneFitsError as exc:
                     raise OperationFailure(12, str(exc))
             for kind in kinds:
@@ -641,8 +623,6 @@ class Simulator:
                     handle = zone.allocate(spec, kind,
                                            from_reservation=reservation)
                 except InventoryError as exc:
-                    if reservation is not None:
-                        raise  # its own text is the failure reason
                     raise OperationFailure(12, str(exc))
                 self._send(vim, vim, "ResourceAllocation",
                            {"op_id": op.op_id, "kind": kind,

@@ -19,10 +19,10 @@ from nsscale.descriptors import (
     aggregate_capacity, load_catalog, validate_catalog,
 )
 from nsscale.drpa import (
-    CostModel, NoFeasibleLevelError, candidate_ns_ils, exhaustive_select,
-    select_optimum,
+    CostModel, LevelGraph, NoFeasibleLevelError, candidate_ns_ils,
+    exhaustive_select, select_optimum,
 )
-from nsscale.inventory import STARTED, NfviPop, NsInfo, ResourceZone
+from nsscale.inventory import STARTED, NfviPop, ResourceZone
 from nsscale.simulator import STATUS_COMPLETED
 from nsscale.trace import trace_lines
 
@@ -136,6 +136,7 @@ def big_pop():
 
 def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
     pops = [big_pop()]
+    graph = LevelGraph(catalog, nsd, flavor)
     levels = [il.id for il in flavor.ns_ils]
     capacities = [aggregate_capacity(catalog, nsd, flavor, l) for l in levels]
     mismatches = 0
@@ -149,15 +150,14 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
         oracle = exhaustive_select(catalog, nsd, flavor, Est, CostModel(),
                                    pops, current=current, exclude=(current,))
         try:
-            candidates = candidate_ns_ils(catalog, nsd, flavor, Est,
-                                          "scale-out", current)
+            candidates = candidate_ns_ils(graph, Est, "scale-out", current,
+                                          CostModel())
         except NoFeasibleLevelError:
             if oracle is not None:
                 mismatches += 1
             continue
-        ns_info = NsInfo("ns-1", nsd.id, flavor.id, current)
-        decision = select_optimum(catalog, nsd, flavor, candidates,
-                                  CostModel(), pops, ns_info)
+        decision = select_optimum(graph, candidates, CostModel(), pops,
+                                  current)
         if decision.target_ns_il != oracle:
             mismatches += 1
     return mismatches

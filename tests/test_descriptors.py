@@ -16,7 +16,7 @@ def test_sample_catalog_loads_and_validates(catalog):
     assert set(catalog.nsds) == {"nsd-1"}
     assert set(catalog.vnfds) == {"vnfd-a", "vnfd-b", "vnfd-c"}
     report = validate_catalog(catalog)
-    assert report.ok, report.sorted_lines()
+    assert not report.issues, report.sorted_lines()
 
 
 def test_load_rejects_unknown_kind():
@@ -76,11 +76,11 @@ def test_aggregate_capacity_matches_hand_computed_table(catalog, nsd, flavor):
 def test_vnf_il_delta_add_and_remove(catalog):
     vnfd = catalog.vnfds["vnfd-b"]
     flavor = vnfd.flavor("f1")
-    delta = vnf_il_delta(vnfd, flavor, "il-1", "il-3")
+    delta = vnf_il_delta(flavor, "il-1", "il-3")
     assert delta.add == {"vdu-2": 1}
     assert delta.remove == {"vdu-1": 1}
-    assert delta.net == CapacityVector(6, 12, 10, 0)
-    assert vnf_il_delta(vnfd, flavor, "il-1", "il-1").is_empty()
+    same = vnf_il_delta(flavor, "il-1", "il-1")
+    assert same.add == same.remove == {}
 
 
 def test_ns_il_delta_classifications(catalog, nsd, flavor):

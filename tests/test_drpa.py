@@ -6,14 +6,14 @@ import sample_catalog as sc
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import load_catalog
 from nsscale.drpa import (
-    ACTION_NONE, ACTION_SCALE, CostModel, DrpaInput, LevelGraph,
+    ACTION_NONE, ACTION_SCALE, CostModel, LevelGraph,
     NoFeasibleLevelError, NoPlaceableCandidateError, PlacementItem,
     UnplaceableError, candidate_ns_ils, decide, delta_additions,
     estimate_demand, exhaustive_select, plan_placement, select_optimum,
 )
 from nsscale.descriptors import aggregate_capacity, ns_il_delta
 from scenario_gen import random_catalog
-from nsscale.inventory import NfviPop, NsInfo, ResourceZone, capacity_report
+from nsscale.inventory import NfviPop, ResourceZone, capacity_report
 from nsscale.monitoring import MetricSample, MetricStore, RuleVerdict
 
 
@@ -82,8 +82,8 @@ def test_demand_equal_to_a_level_selects_that_level(catalog, nsd, flavor):
     est = estimate_demand((verdict({"vcpu"}),), store,
                           aggregate_capacity(catalog, nsd, flavor, "level-3"),
                           0.6, sc.DIMENSION_MAP)
-    assert candidate_ns_ils(catalog, nsd, flavor, est, "scale-out",
-                            "level-3") == ["level-4"]
+    assert candidate_ns_ils(LevelGraph(catalog, nsd, flavor), est,
+                            "scale-out", "level-3", CostModel()) == ["level-4"]
     assert exhaustive_select(catalog, nsd, flavor, est, CostModel(),
                              [make_pop()], current="level-3",
                              exclude=("level-3",)) == "level-4"
@@ -94,29 +94,34 @@ class Est:
         self.required = CapacityVector(**dims)
 
 
-def test_candidates_scale_out_excludes_current(catalog, nsd, flavor):
-    got = candidate_ns_ils(catalog, nsd, flavor, Est(vcpu=7.5), "scale-out",
-                           "level-1")
+@pytest.fixture
+def levels(catalog, nsd, flavor):
+    return LevelGraph(catalog, nsd, flavor)
+
+
+def test_candidates_scale_out_excludes_current(levels):
+    got = candidate_ns_ils(levels, Est(vcpu=7.5), "scale-out", "level-1",
+                           CostModel())
     assert got == ["level-2", "level-3", "level-4"]
 
 
-def test_candidates_when_only_top_level_fits(catalog, nsd, flavor):
-    got = candidate_ns_ils(catalog, nsd, flavor, Est(vcpu=18), "scale-out",
-                           "level-3")
+def test_candidates_when_only_top_level_fits(levels):
+    got = candidate_ns_ils(levels, Est(vcpu=18), "scale-out", "level-3",
+                           CostModel())
     assert got == ["level-4"]
 
 
-def test_candidates_empty_is_an_error(catalog, nsd, flavor):
+def test_candidates_empty_is_an_error(levels):
     with pytest.raises(NoFeasibleLevelError):
-        candidate_ns_ils(catalog, nsd, flavor, Est(vcpu=100), "scale-out",
-                         "level-1")
+        candidate_ns_ils(levels, Est(vcpu=100), "scale-out", "level-1",
+                         CostModel())
 
 
-def test_candidates_scale_in_requires_cheaper(catalog, nsd, flavor):
-    got = candidate_ns_ils(catalog, nsd, flavor,
+def test_candidates_scale_in_requires_cheaper(levels):
+    got = candidate_ns_ils(levels,
                            Est(vcpu=9.2, memory=11, storage=20,
                                bandwidth=267),
-                           "scale-in", "level-4")
+                           "scale-in", "level-4", CostModel())
     assert got == ["level-3"]
 
 
@@ -205,14 +210,9 @@ def test_unplaceable_names_item_and_shortfall():
     assert err.value.shortfall == ["vcpu"]
 
 
-def _ns_info(level="level-1"):
-    return NsInfo("ns-1", "nsd-1", "df-1", level)
-
-
-def test_select_optimum_minimizes_cost(catalog, nsd, flavor):
-    decision = select_optimum(catalog, nsd, flavor,
-                              ["level-2", "level-3", "level-4"], CostModel(),
-                              [make_pop()], _ns_info())
+def test_select_optimum_minimizes_cost(levels):
+    decision = select_optimum(levels, ["level-2", "level-3", "level-4"],
+                              CostModel(), [make_pop()], "level-1")
     assert decision.action == ACTION_SCALE
     assert decision.target_ns_il == "level-2"
     assert [e.ns_il_id for e in decision.rationale] == \
@@ -220,44 +220,42 @@ def test_select_optimum_minimizes_cost(catalog, nsd, flavor):
     assert all(e.feasible for e in decision.rationale)
 
 
-def test_select_optimum_skips_unplaceable(catalog, nsd, flavor):
+def test_select_optimum_skips_unplaceable(levels):
     # level-2's extra VNFC fits nowhere, level-3's neither, level-4 neither:
     # a tiny pop fails everything
     with pytest.raises(NoPlaceableCandidateError):
-        select_optimum(catalog, nsd, flavor, ["level-2"], CostModel(),
+        select_optimum(levels, ["level-2"], CostModel(),
                        [make_pop(vcpu=1, memory=1, storage=1, bandwidth=1)],
-                       _ns_info())
+                       "level-1")
 
 
-def test_select_optimum_tie_breaks_on_instances(catalog, nsd, flavor):
+def test_select_optimum_tie_breaks_on_instances(levels):
     # weight only storage: level-3 (30) and level-2 (30) tie on cost;
     # both carry 3 VNF instances, so declaration order decides
     cm = CostModel(w_vcpu=0, w_memory=0, w_storage=1, w_bandwidth=0)
-    decision = select_optimum(catalog, nsd, flavor, ["level-3", "level-2"],
-                              cm, [make_pop()], _ns_info())
+    decision = select_optimum(levels, ["level-3", "level-2"], cm,
+                              [make_pop()], "level-1")
     assert decision.target_ns_il == "level-2"
 
 
-def test_decide_none_when_all_satisfied(catalog):
-    inp = DrpaInput(verdicts=(verdict({"vcpu"}, satisfied=True),),
-                    ns_info=_ns_info(), catalog=catalog,
-                    metric_store=MetricStore())
-    assert decide(inp, CostModel()).action == ACTION_NONE
+def test_decide_none_when_all_satisfied(levels):
+    decision = decide(levels, (verdict({"vcpu"}, satisfied=True),),
+                      "level-1", MetricStore(), CostModel(), 0.6, [make_pop()],
+                      sc.DIMENSION_MAP)
+    assert decision.action == ACTION_NONE
 
 
-def test_decide_full_pipeline(catalog):
+def test_decide_full_pipeline(levels):
     store = make_store([(10, "vnfd-b", "cpu_load", 0.9)])
-    inp = DrpaInput(verdicts=(verdict({"vcpu"}),), ns_info=_ns_info(),
-                    catalog=catalog, metric_store=store)
-    decision = decide(inp, CostModel(), 0.6, [make_pop()],
-                      dimension_map=sc.DIMENSION_MAP)
+    decision = decide(levels, (verdict({"vcpu"}),), "level-1", store,
+                      CostModel(), 0.6, [make_pop()], sc.DIMENSION_MAP)
     # 0.9 * 6 / 0.6 = 9 vcpu: level-2 (8) is out, level-3 (12) is optimal
     assert decision.target_ns_il == "level-3"
     assert decision.classification == "vnf-scaling"
     assert decision.placement["p-b/scale0/vnfc/vdu-2/0"] == "pop-1"
 
 
-def test_exhaustive_select_agrees_on_sample(catalog, nsd, flavor):
+def test_exhaustive_select_agrees_on_sample(catalog, nsd, flavor, levels):
     rng = random.Random(7)
     pops = [make_pop()]
     for _ in range(200):
@@ -267,27 +265,26 @@ def test_exhaustive_select_agrees_on_sample(catalog, nsd, flavor):
         oracle = exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
                                    pops, current=current, exclude=(current,))
         try:
-            candidates = candidate_ns_ils(catalog, nsd, flavor, demand,
-                                          "scale-out", current)
+            candidates = candidate_ns_ils(levels, demand, "scale-out",
+                                          current, CostModel())
         except NoFeasibleLevelError:
             assert oracle is None
             continue
-        decision = select_optimum(catalog, nsd, flavor, candidates,
-                                  CostModel(), pops, _ns_info(current))
+        decision = select_optimum(levels, candidates, CostModel(), pops,
+                                  current)
         assert decision.target_ns_il == oracle
 
 
 def test_weight_increase_never_buys_more_of_that_dimension(catalog, nsd,
-                                                           flavor):
+                                                           flavor, levels):
     pops = [make_pop()]
     demand = Est(vcpu=7.5, memory=12, storage=20, bandwidth=100)
-    candidates = candidate_ns_ils(catalog, nsd, flavor, demand, "scale-out",
-                                  "level-1")
-    base = select_optimum(catalog, nsd, flavor, candidates, CostModel(),
-                          pops, _ns_info())
+    candidates = candidate_ns_ils(levels, demand, "scale-out", "level-1",
+                                  CostModel())
+    base = select_optimum(levels, candidates, CostModel(), pops, "level-1")
     for dim, kw in [("vcpu", "w_vcpu"), ("bandwidth", "w_bandwidth")]:
-        heavy = select_optimum(catalog, nsd, flavor, candidates,
-                               CostModel(**{kw: 10.0}), pops, _ns_info())
+        heavy = select_optimum(levels, candidates, CostModel(**{kw: 10.0}),
+                               pops, "level-1")
         before = aggregate_capacity(catalog, nsd, flavor, base.target_ns_il)
         after = aggregate_capacity(catalog, nsd, flavor, heavy.target_ns_il)
         assert after.get(dim) <= before.get(dim)

@@ -7,7 +7,7 @@ from nsscale.monitoring import (
 )
 from nsscale.rules import (
     ACTIONS, AGGREGATES, COMPARATORS, Aggregate, And, Comparison, Not, Or,
-    RuleSyntaxError, evaluate_expr, parse_rule,
+    RuleSyntaxError, _tokenize, evaluate_expr, parse_rule,
 )
 import sample_catalog as sc
 
@@ -58,6 +58,95 @@ def test_syntax_errors_carry_a_column(text, fragment):
         parse_rule(text)
     assert fragment.lower() in str(err.value).lower()
     assert err.value.column >= 0
+
+
+def char_walk_tokenize(text: str) -> list:
+    """Oracle for `_tokenize`: the scanner it replaced, which walked the
+    text one character at a time. Returns (kind, text, column) triples."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "(),":
+            tokens.append(("punct", c, i))
+            i += 1
+            continue
+        if c in "<>=":
+            two = text[i : i + 2]
+            if two in ("<=", ">="):
+                tokens.append(("punct", two, i))
+                i += 2
+            else:
+                tokens.append(("punct", c, i))
+                i += 1
+            continue
+        if c.isdigit() or c == "." or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] in ".eE" or
+                             (text[j] in "+-" and text[j - 1] in "eE")):
+                j += 1
+            tokens.append(("number", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "._-"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise RuleSyntaxError("unexpected character %r" % c, i)
+    tokens.append(("punct", "<end>", n))
+    return tokens
+
+
+def outcome(tokenize, text):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except RuleSyntaxError as exc:
+        return (str(exc), exc.column)
+
+
+def decimal_or_not_a_digit(c):
+    # "²" and the 127 other digits that are not decimal are left out: see
+    # test_non_decimal_digits_are_unexpected_characters.
+    return c.isdecimal() or not c.isdigit()
+
+
+rule_fragments = st.sampled_from([
+    "WHEN", "then", "avg", "max(", ")", ",", "<=", ">=", "<", ">", "=",
+    "==", "!", "1", "-2", "-", ".5", "1e-3", "2E+4", "e", "+", "q.depth",
+    "a_b-c", "_x", " ", "\t", "\n", "\x1c", "\u00a0", "\u00e9t\u00e9",
+    "\u0663", "\u00bd", "\u2167",
+])
+rule_like_texts = st.one_of(
+    # every character class the scanner tells apart, side by side
+    st.text("()<>=,.-+eE_ 09aZ!\t\u00e9\u0663\u00bd\u2167"),
+    st.lists(st.one_of(rule_fragments,
+                       st.characters().filter(decimal_or_not_a_digit)),
+             max_size=24).map("".join),
+    st.text(st.characters().filter(decimal_or_not_a_digit)))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(rule_like_texts)
+def test_scanner_matches_the_char_walk(text):
+    assert outcome(_tokenize, text) == outcome(char_walk_tokenize, text)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("avg(m, \u00b2)", 7), ("1\u00b2", 1), ("x \u2460", 2)])
+def test_non_decimal_digits_are_unexpected_characters(text, column):
+    # The char walk made number tokens of them that `float` then refused
+    # with a bare ValueError.
+    with pytest.raises(RuleSyntaxError) as err:
+        _tokenize(text)
+    assert err.value.column == column
+    assert "unexpected character" in str(err.value)
 
 
 def cut_of(values: dict, ast):

@@ -287,7 +287,7 @@ def _zone(zone_id, vcpu, memory, storage, bandwidth):
 
 def test_anti_affinity_keeps_apart_zones_of_one_name_in_two_pops():
     # The new VNF-B's two VNFCs go to distinct PoPs, whose zones are both
-    # called zone-1; the second must not be excluded by the first's name.
+    # called zone-1; each lands in its own PoP's zone-1.
     scenario = sc.sample_scenario(
         workload={"metrics": [[10, "vnfd-b", "cpu_load", 0.9]]},
         ns_il="level-3",
