@@ -656,35 +656,19 @@ def vnf_il_capacity(vnfd: Vnfd, il: VnfInstantiationLevel) -> CapacityVector:
 
 
 @dataclass(frozen=True)
-class IlDelta:
-    add: dict  # vdu id -> count
-    remove: dict  # vdu id -> count
-
-
-def vnf_il_delta(flavor: VnfDeploymentFlavor, from_il: str,
-                 to_il: str) -> IlDelta:
-    """Per-VDU VNFC count difference between two levels of one VNF
-    flavor."""
-    source = flavor.il(from_il)
-    target = flavor.il(to_il)
-    add = {}
-    remove = {}
-    for vdu_id in sorted(set(source.counts) | set(target.counts)):
-        diff = target.counts.get(vdu_id, 0) - source.counts.get(vdu_id, 0)
-        if diff > 0:
-            add[vdu_id] = diff
-        elif diff < 0:
-            remove[vdu_id] = -diff
-    return IlDelta(add, remove)
-
-
-@dataclass(frozen=True)
 class ProfileDelta:
+    """One VNF profile's change between two NS levels. A level of None is
+    the empty level, where the profile has no instances. `vnfc_add` and
+    `vnfc_remove` (vdu id -> VNFC count) are what each retained instance
+    gains and loses when it changes VNF level in place."""
+
     profile_id: str
-    from_il: str
-    to_il: str
+    from_il: str | None
+    to_il: str | None
     from_count: int
     to_count: int
+    vnfc_add: dict
+    vnfc_remove: dict
 
     @property
     def il_changed(self) -> bool:
@@ -698,13 +682,15 @@ class ProfileDelta:
     def retained(self) -> int:
         """Instances that exist on both levels; they change level in place
         when `il_changed`."""
-        return min(self.from_count, self.to_count) \
-            if self.from_il is not None else 0
+        return min(self.from_count, self.to_count)
+
+
+_EMPTY_LEVEL = NsInstantiationLevel(None, {}, {})
 
 
 @dataclass(frozen=True)
 class NsIlDelta:
-    from_il: str
+    from_il: str | None
     to_il: str
     profile_deltas: tuple  # only profiles with an actual change
     vl_changes: dict  # vl profile id -> (from bitrate, to bitrate)
@@ -712,9 +698,10 @@ class NsIlDelta:
 
 
 def ns_il_delta(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
-                from_il: str, to_il: str) -> NsIlDelta:
-    """Compare two NS levels and classify the scaling procedure they demand."""
-    source = flavor.ns_il(from_il)
+                from_il: str | None, to_il: str) -> NsIlDelta:
+    """Compare two NS levels and classify the scaling procedure they demand.
+    `from_il` None is the empty level, so the delta instantiates `to_il`."""
+    source = _EMPTY_LEVEL if from_il is None else flavor.ns_il(from_il)
     target = flavor.ns_il(to_il)
     deltas = []
     for pid in sorted(set(source.vnf_entries) | set(target.vnf_entries)):
@@ -722,7 +709,21 @@ def ns_il_delta(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
         t_il, t_count = target.vnf_entries.get(pid, (None, 0))
         if s_il == t_il and s_count == t_count:
             continue
-        deltas.append(ProfileDelta(pid, s_il, t_il, s_count, t_count))
+        add, remove = {}, {}
+        if s_il is not None and t_il is not None:
+            profile = flavor.profile(pid)
+            vnf_flavor = catalog.vnfds[profile.vnfd_ref].flavor(
+                profile.vnf_flavor_ref)
+            before = vnf_flavor.il(s_il).counts
+            after = vnf_flavor.il(t_il).counts
+            for vdu_id in sorted(set(before) | set(after)):
+                diff = after.get(vdu_id, 0) - before.get(vdu_id, 0)
+                if diff > 0:
+                    add[vdu_id] = diff
+                elif diff < 0:
+                    remove[vdu_id] = -diff
+        deltas.append(ProfileDelta(pid, s_il, t_il, s_count, t_count,
+                                   add, remove))
     vl_changes = {}
     for pid in sorted(set(source.vl_entries) | set(target.vl_entries)):
         before = source.vl_entries.get(pid, 0)

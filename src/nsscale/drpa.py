@@ -13,9 +13,9 @@ from decimal import Decimal
 from .capacity import DIMENSIONS, ZERO, CapacityVector
 from .descriptors import (
     CLASS_NONE, Catalog, Nsd, NsDeploymentFlavor, NsIlDelta,
-    aggregate_capacity, ns_il_delta, vdu_capacity, vnf_il_delta,
+    aggregate_capacity, ns_il_delta, vdu_capacity,
 )
-from .inventory import NoZoneFitsError, capacity_report, vim_placement
+from .inventory import NoZoneFitsError, vim_placement
 from .monitoring import MetricStore
 
 ACTION_NONE = "none"
@@ -90,6 +90,7 @@ class PlacementItem:
 class PlacementMap:
     assignments: dict  # item key -> pop id
     selected_vims: frozenset
+    zones: dict  # item key -> the id of the zone it was counted in
 
 
 @dataclass(frozen=True)
@@ -198,34 +199,33 @@ def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
 def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                     delta: NsIlDelta, constraints: dict | None = None) -> list:
     """Expand a level delta into concrete placement items (new VNFC
-    instances and VL bitrate increases)."""
+    instances and VL bitrate increases), profiles in id order. A delta from
+    the empty level yields the items that instantiate its target level."""
     anti = (constraints or {}).get("anti_affinity", {})
     items = []
     for pd in delta.profile_deltas:
         profile = flavor.profile(pd.profile_id)
         vnfd = catalog.vnfds[profile.vnfd_ref]
-        vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
         batches = []  # (key tag, VDU counts, instance index field)
         if pd.il_changed and pd.retained > 0:
             # Each retained instance moves level in place.
-            add = vnf_il_delta(vnf_flavor, pd.from_il, pd.to_il).add
-            batches += [("scale%d" % e, add, {"retained_instance_index": e})
+            batches += [("scale%d" % e, pd.vnfc_add,
+                         {"retained_instance_index": e})
                         for e in range(pd.retained)]
         if pd.count_delta > 0:
-            counts = vnf_flavor.il(pd.to_il).counts
+            counts = vnfd.flavor(profile.vnf_flavor_ref).il(pd.to_il).counts
             batches += [("inst%d" % j, counts, {"new_instance_index": j})
                         for j in range(pd.count_delta)]
         for tag, counts, index in batches:
             for vdu_id in sorted(counts):
-                vdu = vnfd.vdu(vdu_id)
+                spec = vdu_capacity(vnfd, vdu_id)
+                label = anti.get(vnfd.vdu(vdu_id).vnfc_name,
+                                 anti.get(pd.profile_id, ""))
                 for i in range(counts[vdu_id]):
                     items.append(PlacementItem(
                         key="%s/%s/vnfc/%s/%d" % (pd.profile_id, tag, vdu_id, i),
-                        spec=vdu_capacity(vnfd, vdu_id),
-                        kind="vnfc", profile_id=pd.profile_id, vdu_ref=vdu_id,
-                        anti_affinity=anti.get(vdu.vnfc_name,
-                                               anti.get(pd.profile_id, "")),
-                        **index))
+                        spec=spec, kind="vnfc", profile_id=pd.profile_id,
+                        vdu_ref=vdu_id, anti_affinity=label, **index))
     for vl_profile_id, (before, after) in sorted(delta.vl_changes.items()):
         if after > before:
             items.append(PlacementItem(
@@ -244,8 +244,9 @@ class LevelGraph:
     All of it depends only on the descriptors and the placement
     constraints, which do not change during a run, so each entry is derived
     on first use and kept. Nothing is derived up front: a run visits only
-    some of the ordered pairs. Returned values are shared between callers,
-    who must not mutate them (`NsIlDelta.vl_changes` is a dict)."""
+    some of the ordered pairs. A move from None, the empty level,
+    instantiates its target. Returned values are shared between callers,
+    who must not mutate them (their count maps are dicts)."""
 
     def __init__(self, catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                  constraints: dict | None = None):
@@ -269,14 +270,14 @@ class LevelGraph:
                 self.catalog, self.nsd, self.flavor, ns_il_id)
         return capacity
 
-    def delta(self, from_il: str, to_il: str) -> NsIlDelta:
+    def delta(self, from_il: str | None, to_il: str) -> NsIlDelta:
         delta = self._delta.get((from_il, to_il))
         if delta is None:
             delta = self._delta[from_il, to_il] = ns_il_delta(
                 self.catalog, self.nsd, self.flavor, from_il, to_il)
         return delta
 
-    def additions(self, from_il: str, to_il: str) -> tuple:
+    def additions(self, from_il: str | None, to_il: str) -> tuple:
         items = self._additions.get((from_il, to_il))
         if items is None:
             items = self._additions[from_il, to_il] = tuple(delta_additions(
@@ -289,8 +290,8 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
     """Assign each item to the first PoP, in id order, in which the VIM's
     own zone rule (`vim_placement`) finds it a zone in `snapshot`, a
     `capacity_report`, after the items placed before it. Items sharing an
-    anti-affinity label land on distinct PoPs. The snapshot is left
-    unchanged."""
+    anti-affinity label land on distinct PoPs. The map also names the zone
+    each item was counted in. The snapshot is left unchanged."""
     zones_of = {}  # pop id -> its zones, in the snapshot's pop id order
     vim_of = {}
     for zone in snapshot:
@@ -299,6 +300,7 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
     pending = {pop_id: {} for pop_id in zones_of}  # pop id -> zone id -> spec
     label_pops = {}  # anti-affinity label -> pop ids already used
     assignments = {}
+    zone_of = {}  # item key -> zone id
     for item in items:
         used = label_pops.get(item.anti_affinity, ())
         shortfalls = []
@@ -313,6 +315,7 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
                 continue
             placed[zone.id] = placed.get(zone.id, ZERO) + item.spec
             assignments[item.key] = pop_id
+            zone_of[item.key] = zone.id
             if item.anti_affinity:
                 label_pops.setdefault(item.anti_affinity, set()).add(pop_id)
             break
@@ -320,7 +323,8 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
             shortfall = min(shortfalls, key=len, default=())
             raise UnplaceableError(item.key, shortfall or ["anti-affinity"])
     return PlacementMap(assignments,
-                        frozenset(vim_of[p] for p in assignments.values()))
+                        frozenset(vim_of[p] for p in assignments.values()),
+                        zone_of)
 
 
 def _zone_assignment_exists(items, free: dict, label_pops: dict) -> bool:
@@ -352,19 +356,18 @@ def _total_instances(flavor: NsDeploymentFlavor, ns_il_id: str) -> int:
 
 
 def select_optimum(levels: LevelGraph, candidates: list,
-                   cost_model: CostModel, pops: list, current: str,
+                   cost_model: CostModel, snapshot: list, current: str,
                    estimate: DemandEstimate | None = None,
                    verdicts: tuple = ()) -> DrpaDecision:
     """Minimum weighted-capacity cost among placeable candidates for the
     move from `current`. Ties break on fewest total VNF instances, then
     declaration order.
 
-    Every candidate is placed by `plan_placement` against one
-    `capacity_report` of `pops`."""
+    Every candidate is placed by `plan_placement` against `snapshot`, a
+    `capacity_report` of the PoPs."""
     if not candidates:
         raise NoFeasibleLevelError("empty candidate set")
     flavor = levels.flavor
-    snapshot = capacity_report(pops)
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
     for ns_il_id in candidates:
@@ -398,10 +401,11 @@ def select_optimum(levels: LevelGraph, candidates: list,
 
 def decide(levels: LevelGraph, verdicts: tuple, current: str,
            store: MetricStore, cost_model: CostModel,
-           target_utilization: float, pops: list,
+           target_utilization: float, snapshot: list,
            dimension_map: dict) -> DrpaDecision:
     """Full pipeline for an NS at level `current` of the flavor `levels`
-    describes: rule verdicts -> demand -> candidates -> optimum."""
+    describes: rule verdicts -> demand -> candidates -> optimum, placed
+    against `snapshot`, a `capacity_report` of the PoPs."""
     hints = {rule.id: rule.direction_hint
              for rule in levels.nsd.auto_scaling_rules}
     fired = [v for v in verdicts if not v.satisfied]
@@ -415,21 +419,20 @@ def decide(levels: LevelGraph, verdicts: tuple, current: str,
                                target_utilization, dimension_map)
     candidates = candidate_ns_ils(levels, estimate, direction, current,
                                   cost_model)
-    return select_optimum(levels, candidates, cost_model, pops, current,
+    return select_optimum(levels, candidates, cost_model, snapshot, current,
                           estimate=estimate, verdicts=tuple(verdicts))
 
 
 def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                       estimate: DemandEstimate, cost_model: CostModel,
-                      pops: list, current: str, exclude: tuple = (),
+                      snapshot: list, current: str, exclude: tuple = (),
                       constraints: dict | None = None):
     """Brute-force selection oracle: enumerate every level, check feasibility
     by direct capacity comparison plus an exhaustive search over zone
-    assignments of the move's placement items in one capacity snapshot, and
-    take the argmin under the same tie-breaks as select_optimum. Returns None
-    when nothing is feasible."""
-    free = {(zone.pop_id, zone.id): zone.available
-            for zone in capacity_report(pops)}
+    assignments of the move's placement items in `snapshot`, a
+    `capacity_report`, and take the argmin under the same tie-breaks as
+    select_optimum. Returns None when nothing is feasible."""
+    free = {(zone.pop_id, zone.id): zone.available for zone in snapshot}
     best = None
     for index, ns_il in enumerate(flavor.ns_ils):
         if ns_il.id in exclude:

@@ -297,7 +297,6 @@ class VnfcInstance:
 
 @dataclass(frozen=True)
 class VnfInfo:
-    vnf_instance_id: str
     vnfd_ref: str
     vnf_flavor_ref: str
     current_vnf_il: str

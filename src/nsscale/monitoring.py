@@ -14,7 +14,6 @@ PERF_INFO_AVAILABLE = "PerfInfoAvailable"
 THRESHOLD_CROSSED = "ThresholdCrossed"
 VNF_INDICATOR_CHANGE = "VnfIndicatorChange"
 
-_UNRESOLVED = object()  # MetricStore.resolve memo miss; None is an answer
 _NO_DIMENSIONS = frozenset()
 
 
@@ -45,7 +44,6 @@ class ThresholdSpec:
 class Notification(NamedTuple):
     variant: str
     payload: dict
-    origin: str
     time: int
 
 
@@ -70,7 +68,6 @@ class MetricStore:
     def __init__(self, monitored_info: tuple = ()):
         self._times = {}  # (subject, name) -> [tick], non-decreasing
         self._values = {}  # (subject, name) -> [value], parallel to _times
-        self._resolved = {}  # metric ref -> stream key or None
         self._periods = {}
         self._last_report = {}
         self._last_threshold_value = {}
@@ -90,15 +87,9 @@ class MetricStore:
         """Map a rule metric reference to a (subject, name) stream key.
 
         "subject.name" selects exactly; a bare name matches the
-        lexicographically first subject carrying that name. Answers are
-        memoized until a new stream appears.
+        lexicographically first subject carrying that name. None when no
+        stream matches. The answer can change only when a stream is added.
         """
-        key = self._resolved.get(metric_ref, _UNRESOLVED)
-        if key is _UNRESOLVED:
-            key = self._resolved[metric_ref] = self._resolve(metric_ref)
-        return key
-
-    def _resolve(self, metric_ref: str):
         if "." in metric_ref:
             subject, name = metric_ref.split(".", 1)
             key = (subject, name)
@@ -120,8 +111,7 @@ class MetricStore:
         return self._values[key][bisect_right(times, now - window):
                                  bisect_right(times, now)]
 
-    def ingest(self, sample: MetricSample, thresholds: tuple = (),
-               origin: str = "monitor") -> list:
+    def ingest(self, sample: MetricSample, thresholds: tuple = ()) -> list:
         """Append a sample; emit PerfInfoAvailable on collection-period
         boundaries and ThresholdCrossed edge-triggered notifications."""
         key = (sample.subject, sample.name)
@@ -129,7 +119,6 @@ class MetricStore:
         if times is None:
             times = self._times[key] = []
             self._values[key] = []
-            self._resolved.clear()  # a bare name may now match this stream
         elif sample.time < times[-1]:
             raise TimeRegressionError(
                 "sample at tick %d precedes tick %d for stream %s"
@@ -147,7 +136,7 @@ class MetricStore:
                     PERF_INFO_AVAILABLE,
                     {"subject": sample.subject, "metric": sample.name,
                      "value": sample.value},
-                    origin, sample.time))
+                    sample.time))
         for spec in thresholds:
             if (spec.subject, spec.metric) != key:
                 continue
@@ -162,7 +151,7 @@ class MetricStore:
                     THRESHOLD_CROSSED,
                     {"threshold_id": spec.id, "subject": spec.subject,
                      "metric": spec.metric, "value": sample.value},
-                    origin, sample.time))
+                    sample.time))
         return notifications
 
 
@@ -187,13 +176,13 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     calls with the same rules, store and dimension map, holds each rule's
     bound streams and last verdict. A rule's metric refs are resolved and
     their streams bound once, and again only when the store's stream
-    count changes: streams are only ever added, and `resolve` answers
-    anew exactly then. A rebinding drops the last verdict. Otherwise the
-    verdict is reused while its inputs are unchanged: the tick, the
-    rule's cooldown entry and each bound stream's sample count. Streams
-    only grow, so an unchanged count is an unchanged stream. A reused
-    verdict skips no cooldown write: a write of `now` changes the next
-    signature, unless the entry already held `now`.
+    count changes: streams are only ever added, and only a new stream can
+    change what `resolve` answers. A rebinding drops the last verdict.
+    Otherwise the verdict is reused while its inputs are unchanged: the
+    tick, the rule's cooldown entry and each bound stream's sample count.
+    Streams only grow, so an unchanged count is an unchanged stream. A
+    reused verdict skips no cooldown write: a write of `now` changes the
+    next signature, unless the entry already held `now`.
     """
     dimension_map = dimension_map or {}
     if verdict_cache is None:
@@ -284,7 +273,7 @@ def _evaluate_rule(rule, state: _RuleState, now: int,
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,
-                     time: int, origin: str = "em") -> Notification:
+                     time: int) -> Notification:
     """Build a VnfIndicatorChange notification; the indicator must be
     declared in the VNFD. Unchanged values still notify."""
     if name not in vnfd.vnf_indicators:
@@ -293,4 +282,4 @@ def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,
     return Notification(
         VNF_INDICATOR_CHANGE,
         {"vnf_instance": vnf_instance_id, "indicator": name, "value": value},
-        origin, time)
+        time)

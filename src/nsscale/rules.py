@@ -139,6 +139,24 @@ class _Parser:
         if tok.kind != "punct" or tok.text != text:
             raise RuleSyntaxError("expected %r, got %r" % (text, tok.text), tok.column)
 
+    def expect_number(self, what: str, integral: bool = False):
+        """The next token's value, which must be a number: a float, or
+        truncated to an int when `integral`, and its column. A token that
+        is no number, or whose value is too large to count with, raises
+        RuleSyntaxError at the token's column."""
+        tok = self.next()
+        if tok.kind != "number":
+            raise RuleSyntaxError("expected %s, got %r" % (what, tok.text), tok.column)
+        try:
+            value = float(tok.text)
+            return (int(value) if integral else value), tok.column
+        except ValueError:
+            raise RuleSyntaxError("malformed number %r" % tok.text,
+                                  tok.column) from None
+        except OverflowError:
+            raise RuleSyntaxError("number %r is too large" % tok.text,
+                                  tok.column) from None
+
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text.lower() == word
@@ -154,12 +172,10 @@ class _Parser:
         cooldown = 0
         if self.at_keyword("cooldown"):
             self.next()
-            tok = self.next()
-            if tok.kind != "number":
-                raise RuleSyntaxError("expected cooldown tick count, got %r" % tok.text, tok.column)
-            cooldown = int(float(tok.text))
+            cooldown, column = self.expect_number("cooldown tick count",
+                                                  integral=True)
             if cooldown < 0:
-                raise RuleSyntaxError("cooldown must be >= 0", tok.column)
+                raise RuleSyntaxError("cooldown must be >= 0", column)
         end = self.next()
         if end.text != "<end>":
             raise RuleSyntaxError("trailing input %r" % end.text, end.column)
@@ -212,20 +228,16 @@ class _Parser:
         if metric.kind != "ident":
             raise RuleSyntaxError("expected metric name, got %r" % metric.text, metric.column)
         self.expect_punct(",")
-        window = self.next()
-        if window.kind != "number":
-            raise RuleSyntaxError("expected window length, got %r" % window.text, window.column)
-        window_len = int(float(window.text))
+        window_len, column = self.expect_number("window length",
+                                                integral=True)
         if window_len < 1:
-            raise RuleSyntaxError("window length must be >= 1", window.column)
+            raise RuleSyntaxError("window length must be >= 1", column)
         self.expect_punct(")")
         op = self.next()
         if op.text not in COMPARATORS:
             raise RuleSyntaxError("expected comparator, got %r" % op.text, op.column)
-        value = self.next()
-        if value.kind != "number":
-            raise RuleSyntaxError("expected number, got %r" % value.text, value.column)
-        return Comparison(Aggregate(func, metric.text, window_len), op.text, float(value.text))
+        value, _ = self.expect_number("number")
+        return Comparison(Aggregate(func, metric.text, window_len), op.text, value)
 
 
 def _collect_min_windows(node, windows: dict):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from . import drpa as drpa_mod
 from .capacity import CapacityVector, ZERO
 from .descriptors import (
-    vdu_capacity, vnf_il_delta,
     ns_il_delta,  # unused here; the benchmark's tracer wraps this name
 )
 from .inventory import (
@@ -164,55 +163,46 @@ class Simulator:
     def _instantiate_initial(self):
         """Allocate the initial NS level. Pre-run setup: consumes capacity
         and populates repositories but emits no workflow messages. The
-        level is planned as a decision plans a move, without anti-affinity,
-        and the VIM then places each VNFC and VL in its planned PoP."""
-        ns_il = self.flavor.ns_il(self.ns_info.current_ns_il)
-        vnfs = []  # (vnf instance id, profile, VNF level, VNFC items)
-        for profile in self.flavor.vnf_profiles:
-            il_ref, count = ns_il.vnf_entries.get(profile.id, ("", 0))
-            vnfd = self.catalog.vnfds[profile.vnfd_ref]
-            for _ in range(count):
-                vnf_id = "vnf-%s-%d" % (profile.id,
-                                        next(self._instance_counter))
-                counts = vnfd.flavor(profile.vnf_flavor_ref).il(il_ref).counts
-                vnfs.append((vnf_id, profile, il_ref, [
-                    drpa_mod.PlacementItem(
-                        "%s/%s/%d" % (vnf_id, vdu_id, i),
-                        vdu_capacity(vnfd, vdu_id), "vnfc", vdu_ref=vdu_id)
-                    for vdu_id in sorted(counts)
-                    for i in range(counts[vdu_id])]))
-        vls = [drpa_mod.PlacementItem(
-                   "vl/%s" % vl_profile.id,
-                   CapacityVector(bandwidth=ns_il.vl_entries[vl_profile.id]),
-                   "vl", vl_profile_id=vl_profile.id)
-               for vl_profile in self.flavor.vl_profiles
-               if ns_il.vl_entries.get(vl_profile.id, 0) > 0]
+        level is planned as the move from the empty level, like every
+        decision's move, and each VNFC is then allocated in the zone the
+        plan counted it in. New VNF instances are created, and their VNFCs
+        allocated, in the flavor's profile order; the plan lists profiles
+        by id."""
+        level = self.ns_info.current_ns_il
+        deltas = {pd.profile_id: pd
+                  for pd in self.levels.delta(None, level).profile_deltas}
+        items = self.levels.additions(None, level)
+        vnfc_items = defaultdict(list)  # (profile id, new instance) -> items
+        for item in items:
+            if item.kind == "vnfc":
+                vnfc_items[item.profile_id, item.new_instance_index].append(
+                    item)
         try:
-            placement = drpa_mod.plan_placement(
-                [item for *_, items in vnfs for item in items] + vls,
-                capacity_report(self.pops)).assignments
-            for vnf_id, profile, il_ref, items in vnfs:
-                instances = []
-                for item in items:
-                    pop = self._pop(placement[item.key])
-                    zone = vim_placement(pop.zones, item.spec)
-                    compute = zone.allocate(item.spec.restricted("compute"),
-                                            "compute")
-                    storage = item.spec.restricted("storage")
-                    instances.append(VnfcInstance(
-                        self._new_vnfc_id(vnf_id), item.vdu_ref, STARTED,
-                        compute, () if storage.is_zero()
-                        else (zone.allocate(storage, "storage"),),
-                        zone.id, pop.id))
-                self.vnf_infos[vnf_id] = VnfInfo(
-                    vnf_id, profile.vnfd_ref, profile.vnf_flavor_ref, il_ref,
-                    tuple(instances),
-                    self._pop(instances[0].pop_ref).vim_ref if instances
-                    else "", audit=(("instantiation", self._clock),),
-                    profile_ref=profile.id)
-            for item in vls:
-                self._allocate_vl(item.vl_profile_id, item.spec,
-                                  placement[item.key])
+            plan = drpa_mod.plan_placement(items, capacity_report(self.pops))
+            for profile in self.flavor.vnf_profiles:
+                pd = deltas.get(profile.id)
+                for j in range(pd.count_delta if pd else 0):
+                    vnf_id = self._new_vnf(profile, pd.to_il)
+                    instances = []
+                    for item in vnfc_items[profile.id, j]:
+                        pop = self._pop(plan.assignments[item.key])
+                        zone = pop.zone(plan.zones[item.key])
+                        compute = zone.allocate(
+                            item.spec.restricted("compute"), "compute")
+                        storage = item.spec.restricted("storage")
+                        instances.append(VnfcInstance(
+                            self._new_vnfc_id(vnf_id), item.vdu_ref, STARTED,
+                            compute, () if storage.is_zero()
+                            else (zone.allocate(storage, "storage"),),
+                            zone.id, pop.id))
+                    self.vnf_infos[vnf_id] = replace(
+                        self.vnf_infos[vnf_id],
+                        vnfc_instances=tuple(instances),
+                        vim_ref=pop.vim_ref if instances else "")
+            for item in items:
+                if item.kind == "vl":
+                    self._allocate_vl(item.vl_profile_id, item.spec,
+                                      plan.assignments[item.key])
         except (drpa_mod.UnplaceableError, InventoryError) as exc:
             raise ScenarioValidationError(
                 ["initial instantiation: %s" % exc])
@@ -257,7 +247,7 @@ class Simulator:
         self._clock = max(self._clock, tick)
         sample = MetricSample(tick, subject, metric, value)
         src = self.vnfm_actor.get(subject, self._metric_fallback_actor)
-        notifications = self.store.ingest(sample, self.thresholds, origin=src)
+        notifications = self.store.ingest(sample, self.thresholds)
         for note in notifications:
             step = 1 if note.variant == PERF_INFO_AVAILABLE else 2
             self._send(src, self.nfvo, note.variant, note.payload, step=step)
@@ -279,7 +269,7 @@ class Simulator:
         em = self.em_actor[vnfd_ref]
         try:
             note = indicator_change(self.catalog.vnfds[vnfd_ref], subject,
-                                    indicator, value, tick, origin=em)
+                                    indicator, value, tick)
         except UndeclaredIndicatorError as exc:
             raise ScenarioValidationError([where + str(exc)])
         if isinstance(value, (int, float)):
@@ -302,8 +292,8 @@ class Simulator:
         try:
             decision = drpa_mod.decide(
                 self.levels, verdicts, self.ns_info.current_ns_il, self.store,
-                self.cost_model, self.target_utilization, self.pops,
-                self.dimension_map)
+                self.cost_model, self.target_utilization,
+                capacity_report(self.pops), self.dimension_map)
         except drpa_mod.DrpaError as exc:
             self._send(self.nfvo, self.nfvo, "DrpaDecision",
                        {"action": "error", "reason": str(exc)}, step=4)
@@ -343,26 +333,17 @@ class Simulator:
 
             for pd in delta.profile_deltas:
                 profile = self.flavor.profile(pd.profile_id)
-                vnfd = self.catalog.vnfds[profile.vnfd_ref]
-                vnf_flavor = vnfd.flavor(profile.vnf_flavor_ref)
                 vnf_ids = [vnf_id for vnf_id, info in self.vnf_infos.items()
                            if info.profile_ref == profile.id]
                 for e in range(pd.retained if pd.il_changed else 0):
                     # A retained instance changes level in place.
-                    drop = vnf_il_delta(vnf_flavor, pd.from_il,
-                                        pd.to_il).remove
                     self._vnf_procedure(
                         op, decision, vnf_ids[e], {"new_vnf_il": pd.to_il},
                         [i for i in items if i.profile_id == profile.id
                          and i.retained_instance_index == e],
-                        take(vl_inc), take(vl_dec), drop)
+                        take(vl_inc), take(vl_dec), pd.vnfc_remove)
                 for j in range(pd.count_delta):
-                    vnf_id = "vnf-%s-%d" % (profile.id,
-                                            next(self._instance_counter))
-                    self.vnf_infos[vnf_id] = VnfInfo(
-                        vnf_id, vnfd.id, vnf_flavor.id, pd.to_il, (), "",
-                        audit=(("instantiation", self._clock),),
-                        profile_ref=profile.id)
+                    vnf_id = self._new_vnf(profile, pd.to_il)
                     self._vnf_procedure(
                         op, decision, vnf_id,
                         {"new_vnf_il": pd.to_il, "new_instance": True},
@@ -733,6 +714,15 @@ class Simulator:
             self.vl_handles.setdefault(pid, []).append((pop_id, zone, handle))
 
     # -- helpers -------------------------------------------------------------
+
+    def _new_vnf(self, profile, vnf_il: str) -> str:
+        """Register a new VNF instance of `profile` at VNF level `vnf_il`,
+        with no VNFCs yet, and return its id."""
+        vnf_id = "vnf-%s-%d" % (profile.id, next(self._instance_counter))
+        self.vnf_infos[vnf_id] = VnfInfo(
+            profile.vnfd_ref, profile.vnf_flavor_ref, vnf_il, (), "",
+            audit=(("instantiation", self._clock),), profile_ref=profile.id)
+        return vnf_id
 
     def _new_vnfc_id(self, vnf_id: str) -> str:
         return "%s-c%d" % (vnf_id, next(self._vnfc_counters[vnf_id]))

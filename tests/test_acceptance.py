@@ -22,7 +22,7 @@ from nsscale.drpa import (
     CostModel, LevelGraph, NoFeasibleLevelError, candidate_ns_ils,
     exhaustive_select, select_optimum,
 )
-from nsscale.inventory import STARTED, NfviPop, ResourceZone
+from nsscale.inventory import STARTED, NfviPop, ResourceZone, capacity_report
 from nsscale.simulator import STATUS_COMPLETED
 from nsscale.trace import trace_lines
 
@@ -135,7 +135,7 @@ def big_pop():
 
 
 def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
-    pops = [big_pop()]
+    snapshot = capacity_report([big_pop()])
     graph = LevelGraph(catalog, nsd, flavor)
     levels = [il.id for il in flavor.ns_ils]
     capacities = [aggregate_capacity(catalog, nsd, flavor, l) for l in levels]
@@ -148,7 +148,7 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
             required = demand
 
         oracle = exhaustive_select(catalog, nsd, flavor, Est, CostModel(),
-                                   pops, current=current, exclude=(current,))
+                                   snapshot, current=current, exclude=(current,))
         try:
             candidates = candidate_ns_ils(graph, Est, "scale-out", current,
                                           CostModel())
@@ -156,7 +156,7 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
             if oracle is not None:
                 mismatches += 1
             continue
-        decision = select_optimum(graph, candidates, CostModel(), pops,
+        decision = select_optimum(graph, candidates, CostModel(), snapshot,
                                   current)
         if decision.target_ns_il != oracle:
             mismatches += 1

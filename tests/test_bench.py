@@ -17,8 +17,8 @@ def test_benchmark_selftest_passes():
 
 
 def test_rule_layers_count_calls_on_the_jump_scenario():
-    """A refactor of the rule hot path must leave the benchmark's
-    per-layer metrics for it measuring something."""
+    """A refactor of the rule hot path or of the decision's snapshot must
+    leave the benchmark's per-layer metrics for them measuring something."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     try:
         import layers
@@ -30,10 +30,14 @@ def test_rule_layers_count_calls_on_the_jump_scenario():
     from nsscale.trace import canonical_json, trace_lines
 
     tracer = layers.Tracer(trace_lines, canonical_json)
+    # Set-up takes its own snapshot; the traced span is the run alone.
+    sim = Simulator(scenario_from_dict(sc.sample_scenario(
+        workload=sc.jump_workload())))
     with tracer:
-        Simulator(scenario_from_dict(sc.sample_scenario(
-            workload=sc.jump_workload()))).run()
+        sim.run()
     calls = tracer.take()["calls"]
     for layer in ("monitoring.evaluate_rules", "rules.evaluate_expr",
                   "monitoring.window_values"):
         assert calls[layer] > 0, layer
+    # every decision plans on one capacity snapshot the simulator takes
+    assert calls["inventory.capacity_report"] == calls["drpa.decide"] > 0

@@ -41,6 +41,16 @@ def test_validate_broken_catalog(tmp_path, capsys):
     assert kind in out[0] and path in out[0]
 
 
+def test_validate_malformed_rule_number_exits_one(tmp_path, capsys):
+    documents = sc.sample_documents()
+    [rule] = [r for r in documents[-1]["auto_scaling_rules"]
+              if r["id"] == "r-out"]
+    rule["text"] = "WHEN avg(cpu_load, 1) > 0.7.1 THEN scale_out COOLDOWN 5"
+    assert main(["validate", catalog_file(tmp_path, documents)]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert "rule 'r-out': malformed number '0.7.1' (column 24)" in line
+
+
 def test_validate_missing_path_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -102,6 +112,18 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     scenario["initial_instance"]["ns_il_ref"] = "level-99"
     assert main(["run", scenario_file(tmp_path, scenario)]) == 1
     assert "level-99" in capsys.readouterr().out
+
+
+def test_initial_level_that_breaks_anti_affinity_exits_one(tmp_path,
+                                                           capsys):
+    # level-2's two B1 VNFCs must take distinct PoPs; there is one
+    scenario = sc.sample_scenario(ns_il="level-2")
+    scenario["rules"]["placement_constraints"] = {
+        "anti_affinity": {"B1": "spread"}}
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "initial instantiation: no site fits p-b/inst0/vnfc/vdu-1/1 "
+        "(short on ['anti-affinity'])"]
 
 
 def test_run_operation_failure_exits_three(tmp_path, capsys, monkeypatch):

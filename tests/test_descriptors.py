@@ -8,7 +8,7 @@ from nsscale.descriptors import (
     CLASS_ADD_VNF, CLASS_NONE, CLASS_REMOVE_VNF, CLASS_VNF_SCALING,
     CatalogSyntaxError, DuplicateIdentifierError, UnknownLevelError,
     aggregate_capacity, load_catalog, ns_il_delta, validate_catalog,
-    vdu_capacity, vnf_il_capacity, vnf_il_delta,
+    vdu_capacity, vnf_il_capacity,
 )
 
 
@@ -73,14 +73,27 @@ def test_aggregate_capacity_matches_hand_computed_table(catalog, nsd, flavor):
         assert got.as_dict() == expected, level
 
 
-def test_vnf_il_delta_add_and_remove(catalog):
-    vnfd = catalog.vnfds["vnfd-b"]
-    flavor = vnfd.flavor("f1")
-    delta = vnf_il_delta(flavor, "il-1", "il-3")
-    assert delta.add == {"vdu-2": 1}
-    assert delta.remove == {"vdu-1": 1}
-    same = vnf_il_delta(flavor, "il-1", "il-1")
-    assert same.add == same.remove == {}
+def test_profile_delta_vnfc_add_and_remove(catalog, nsd, flavor):
+    # p-b moves from VNF level il-1 to il-3 in place
+    [delta] = ns_il_delta(catalog, nsd, flavor, "level-1",
+                          "level-3").profile_deltas
+    assert delta.vnfc_add == {"vdu-2": 1}
+    assert delta.vnfc_remove == {"vdu-1": 1}
+    # p-b stays at il-3 and gains an instance
+    [same] = ns_il_delta(catalog, nsd, flavor, "level-3",
+                         "level-4").profile_deltas
+    assert same.vnfc_add == same.vnfc_remove == {}
+
+
+def test_ns_il_delta_from_the_empty_level(catalog, nsd, flavor):
+    delta = ns_il_delta(catalog, nsd, flavor, None, "level-2")
+    assert [(d.profile_id, d.from_il, d.to_il, d.count_delta, d.retained)
+            for d in delta.profile_deltas] == [
+        ("p-a", None, "il-1", 1, 0), ("p-b", None, "il-2", 1, 0),
+        ("p-c", None, "il-1", 1, 0)]
+    assert all(d.vnfc_add == d.vnfc_remove == {}
+               for d in delta.profile_deltas)
+    assert delta.vl_changes == {"vlp-1": (0, 200)}
 
 
 def test_ns_il_delta_classifications(catalog, nsd, flavor):

@@ -85,7 +85,7 @@ def test_demand_equal_to_a_level_selects_that_level(catalog, nsd, flavor):
     assert candidate_ns_ils(LevelGraph(catalog, nsd, flavor), est,
                             "scale-out", "level-3", CostModel()) == ["level-4"]
     assert exhaustive_select(catalog, nsd, flavor, est, CostModel(),
-                             [make_pop()], current="level-3",
+                             capacity_report([make_pop()]), current="level-3",
                              exclude=("level-3",)) == "level-4"
 
 
@@ -140,6 +140,21 @@ def test_delta_additions_whole_instance(catalog, nsd, flavor):
     vnfc_keys = [i.key for i in items if i.kind == "vnfc"]
     assert vnfc_keys == ["p-b/inst0/vnfc/vdu-2/0", "p-b/inst0/vnfc/vdu-3/0"]
     assert all(i.new_instance_index == 0 for i in items if i.kind == "vnfc")
+
+
+def test_additions_from_the_empty_level_instantiate_it(catalog, nsd, flavor):
+    levels = LevelGraph(catalog, nsd, flavor,
+                        {"anti_affinity": {"B1": "spread"}})
+    items = levels.additions(None, "level-2")
+    assert [i.key for i in items] == [
+        "p-a/inst0/vnfc/vdu-1/0", "p-b/inst0/vnfc/vdu-1/0",
+        "p-b/inst0/vnfc/vdu-1/1", "p-b/inst0/vnfc/vdu-3/0",
+        "p-c/inst0/vnfc/vdu-1/0", "vl/vlp-1"]
+    assert [i.anti_affinity for i in items] == \
+        ["", "spread", "spread", "", "", ""]
+    assert items[-1].spec == CapacityVector(bandwidth=200)
+    assert sum((i.spec for i in items), CapacityVector()) == \
+        levels.capacity("level-2")
 
 
 def plan(items, pops):
@@ -212,7 +227,8 @@ def test_unplaceable_names_item_and_shortfall():
 
 def test_select_optimum_minimizes_cost(levels):
     decision = select_optimum(levels, ["level-2", "level-3", "level-4"],
-                              CostModel(), [make_pop()], "level-1")
+                              CostModel(), capacity_report([make_pop()]),
+                              "level-1")
     assert decision.action == ACTION_SCALE
     assert decision.target_ns_il == "level-2"
     assert [e.ns_il_id for e in decision.rationale] == \
@@ -225,7 +241,8 @@ def test_select_optimum_skips_unplaceable(levels):
     # a tiny pop fails everything
     with pytest.raises(NoPlaceableCandidateError):
         select_optimum(levels, ["level-2"], CostModel(),
-                       [make_pop(vcpu=1, memory=1, storage=1, bandwidth=1)],
+                       capacity_report([make_pop(vcpu=1, memory=1, storage=1,
+                                                 bandwidth=1)]),
                        "level-1")
 
 
@@ -234,21 +251,22 @@ def test_select_optimum_tie_breaks_on_instances(levels):
     # both carry 3 VNF instances, so declaration order decides
     cm = CostModel(w_vcpu=0, w_memory=0, w_storage=1, w_bandwidth=0)
     decision = select_optimum(levels, ["level-3", "level-2"], cm,
-                              [make_pop()], "level-1")
+                              capacity_report([make_pop()]), "level-1")
     assert decision.target_ns_il == "level-2"
 
 
 def test_decide_none_when_all_satisfied(levels):
     decision = decide(levels, (verdict({"vcpu"}, satisfied=True),),
-                      "level-1", MetricStore(), CostModel(), 0.6, [make_pop()],
-                      sc.DIMENSION_MAP)
+                      "level-1", MetricStore(), CostModel(), 0.6,
+                      capacity_report([make_pop()]), sc.DIMENSION_MAP)
     assert decision.action == ACTION_NONE
 
 
 def test_decide_full_pipeline(levels):
     store = make_store([(10, "vnfd-b", "cpu_load", 0.9)])
     decision = decide(levels, (verdict({"vcpu"}),), "level-1", store,
-                      CostModel(), 0.6, [make_pop()], sc.DIMENSION_MAP)
+                      CostModel(), 0.6, capacity_report([make_pop()]),
+                      sc.DIMENSION_MAP)
     # 0.9 * 6 / 0.6 = 9 vcpu: level-2 (8) is out, level-3 (12) is optimal
     assert decision.target_ns_il == "level-3"
     assert decision.classification == "vnf-scaling"
@@ -257,34 +275,34 @@ def test_decide_full_pipeline(levels):
 
 def test_exhaustive_select_agrees_on_sample(catalog, nsd, flavor, levels):
     rng = random.Random(7)
-    pops = [make_pop()]
+    snapshot = capacity_report([make_pop()])
     for _ in range(200):
         current = rng.choice(list(sc.LEVELS))
         demand = Est(vcpu=rng.uniform(0, 30), memory=rng.uniform(0, 50),
                      storage=rng.uniform(0, 70), bandwidth=rng.uniform(0, 900))
         oracle = exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
-                                   pops, current=current, exclude=(current,))
+                                   snapshot, current=current, exclude=(current,))
         try:
             candidates = candidate_ns_ils(levels, demand, "scale-out",
                                           current, CostModel())
         except NoFeasibleLevelError:
             assert oracle is None
             continue
-        decision = select_optimum(levels, candidates, CostModel(), pops,
+        decision = select_optimum(levels, candidates, CostModel(), snapshot,
                                   current)
         assert decision.target_ns_il == oracle
 
 
 def test_weight_increase_never_buys_more_of_that_dimension(catalog, nsd,
                                                            flavor, levels):
-    pops = [make_pop()]
+    snapshot = capacity_report([make_pop()])
     demand = Est(vcpu=7.5, memory=12, storage=20, bandwidth=100)
     candidates = candidate_ns_ils(levels, demand, "scale-out", "level-1",
                                   CostModel())
-    base = select_optimum(levels, candidates, CostModel(), pops, "level-1")
+    base = select_optimum(levels, candidates, CostModel(), snapshot, "level-1")
     for dim, kw in [("vcpu", "w_vcpu"), ("bandwidth", "w_bandwidth")]:
         heavy = select_optimum(levels, candidates, CostModel(**{kw: 10.0}),
-                               pops, "level-1")
+                               snapshot, "level-1")
         before = aggregate_capacity(catalog, nsd, flavor, base.target_ns_il)
         after = aggregate_capacity(catalog, nsd, flavor, heavy.target_ns_il)
         assert after.get(dim) <= before.get(dim)
@@ -321,6 +339,8 @@ def test_exhaustive_select_asks_for_a_zone_per_item(catalog, nsd, flavor):
 
     demand = Est(vcpu=18)
     assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
-                             [pop(7, 7)], current="level-3") is None
+                             capacity_report([pop(7, 7)]),
+                             current="level-3") is None
     assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
-                             [pop(2, 8)], current="level-3") == "level-4"
+                             capacity_report([pop(2, 8)]),
+                             current="level-3") == "level-4"

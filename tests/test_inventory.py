@@ -194,7 +194,7 @@ def test_vim_placement_reports_the_smallest_shortfall():
 def _info(states=("STARTED",)):
     instances = tuple(
         VnfcInstance("c%d" % i, "vdu-1", s) for i, s in enumerate(states))
-    return VnfInfo("vnf-1", "vnfd-b", "f1", "il-1", instances, "vim-1",
+    return VnfInfo("vnfd-b", "f1", "il-1", instances, "vim-1",
                    audit=(("instantiation", 0),))
 
 

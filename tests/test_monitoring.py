@@ -138,7 +138,7 @@ def test_cooldown_suppresses_repeat_violations():
 def test_indicator_change_requires_declaration():
     catalog = load_catalog(sc.sample_documents())
     vnfd = catalog.vnfds["vnfd-b"]
-    note = indicator_change(vnfd, "vnf-1", "congestion", 7, 42, origin="EM-1")
+    note = indicator_change(vnfd, "vnf-1", "congestion", 7, 42)
     assert note.variant == VNF_INDICATOR_CHANGE
     assert note.payload["value"] == 7
     with pytest.raises(UndeclaredIndicatorError):

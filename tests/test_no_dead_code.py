@@ -1,15 +1,20 @@
 """Every function, class and method in `src/nsscale` is named somewhere in
 the program or the benchmark outside its own definition.
 
-A name counts when it appears as an identifier, an attribute, a keyword
-argument or a string literal (the benchmark's tracer looks names up by
-string). Dunder methods are called by the interpreter and are exempt."""
+A function or class counts as used when its name appears as an
+identifier, an attribute, a keyword argument or a string literal (the
+benchmark's tracer looks names up by string). A method counts only as an
+attribute, a keyword argument or a string: a bare identifier of its name is
+some local variable, never a call of the method. Dunder methods are called
+by the interpreter and are exempt."""
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "nsscale"
@@ -21,30 +26,35 @@ ALLOWED = {"exhaustive_select", "outstanding_handles"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def mentions(tree) -> Counter:
-    """How often each name is mentioned in `tree`."""
-    counts = Counter()
+def mentions(tree) -> tuple:
+    """How often each name is mentioned in `tree`: as a bare identifier,
+    and as an attribute, keyword argument or string literal."""
+    bare, named = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            counts[node.id] += 1
+            bare[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            counts[node.attr] += 1
+            named[node.attr] += 1
         elif isinstance(node, ast.keyword) and node.arg:
-            counts[node.arg] += 1
+            named[node.arg] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            counts[node.value] += 1
-    return counts
+            named[node.value] += 1
+    return bare, named
 
 
 def unused_definitions(package: Path, users: list) -> list:
     """`module:name` of every definition in `package`'s modules that no
     file of `users` mentions outside the definition itself."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in users}
-    total = Counter()
+    bare, named = Counter(), Counter()
     for tree in trees.values():
-        total += mentions(tree)
+        tree_bare, tree_named = mentions(tree)
+        bare += tree_bare
+        named += tree_named
     unused = []
     for path in sorted(package.glob("*.py")):
+        methods = {id(node) for cls in ast.walk(trees[path])
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
         for node in ast.walk(trees[path]):
             if not isinstance(node, DEFINITIONS):
                 continue
@@ -53,7 +63,11 @@ def unused_definitions(package: Path, users: list) -> list:
                 continue
             if name in ALLOWED:
                 continue
-            if total[name] - mentions(node)[name] == 0:
+            own_bare, own_named = mentions(node)
+            uses = named[name] - own_named[name]
+            if id(node) not in methods:
+                uses += bare[name] - own_bare[name]
+            if uses == 0:
                 unused.append("%s:%s" % (path.stem, name))
     return unused
 
@@ -61,3 +75,29 @@ def unused_definitions(package: Path, users: list) -> list:
 def test_every_definition_is_used():
     users = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     assert unused_definitions(PACKAGE, users) == []
+
+
+PLANTED = """
+__all__ = ["use"]
+
+
+class Box:
+    def size(self):
+        return 1
+
+
+def use():
+    size = Box()
+    return %s
+"""
+
+
+@pytest.mark.parametrize("returned, unused", [
+    ("size", ["planted:size"]),  # a local of the method's name
+    ("size.size()", []),
+])
+def test_a_method_is_used_only_by_attribute_or_string(tmp_path, returned,
+                                                      unused):
+    module = tmp_path / "planted.py"
+    module.write_text(PLANTED % returned)
+    assert unused_definitions(tmp_path, [module]) == unused

@@ -132,6 +132,23 @@ rule_like_texts = st.one_of(
     st.text(st.characters().filter(decimal_or_not_a_digit)))
 
 
+@pytest.mark.parametrize("text,message,column", [
+    ("WHEN avg(a, 1) > 0.7.1 THEN scale_out", "malformed number '0.7.1'", 17),
+    ("WHEN avg(a, 1) > . THEN scale_out", "malformed number '.'", 17),
+    ("WHEN avg(a, 1) > 1e THEN scale_out", "malformed number '1e'", 17),
+    ("WHEN avg(a, 1.2.3) > 1 THEN scale_out", "malformed number '1.2.3'", 12),
+    ("WHEN avg(a, 1e400) > 1 THEN scale_out", "'1e400' is too large", 12),
+    ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN 1e400",
+     "'1e400' is too large", 43),
+    ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN 5..", "malformed number", 43),
+])
+def test_malformed_numbers_are_syntax_errors(text, message, column):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(text)
+    assert message in str(err.value)
+    assert err.value.column == column
+
+
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(rule_like_texts)
 def test_scanner_matches_the_char_walk(text):

@@ -305,6 +305,61 @@ def test_anti_affinity_keeps_apart_zones_of_one_name_in_two_pops():
     assert sorted(i["pop"] for i in new) == ["pop-1", "pop-2"]
 
 
+def _equal_pops(count):
+    return {"vims": [{"id": "vim-1"}], "pops": [
+        {"id": "pop-%d" % n, "vim_ref": "vim-1",
+         "zones": [_zone("zone-1", 64, 128, 256, 2000)]}
+        for n in range(1, count + 1)]}
+
+
+def test_anti_affinity_spreads_the_initial_level():
+    # level-2 runs two B1 VNFCs in VNF-B; the initial level is planned like
+    # any move, so they land on distinct PoPs.
+    scenario = sc.sample_scenario(ns_il="level-2", topology=_equal_pops(2))
+    scenario["rules"]["placement_constraints"] = {
+        "anti_affinity": {"B1": "spread"}}
+    state = build_sim(scenario).final_state()
+    b1 = [i["pop"] for i in state["vnf_infos"]["vnf-p-b-2"]["vnfc_instances"]
+          if i["vdu_ref"] == "vdu-1"]
+    assert sorted(b1) == ["pop-1", "pop-2"]
+
+
+def test_initial_vnf_ids_follow_the_flavor_profile_order():
+    # The plan lists profiles by id; instance numbers follow declaration.
+    documents = sc.sample_documents()
+    flavor = documents[-1]["flavors"][0]
+    flavor["vnf_profiles"].reverse()
+    sim = build_sim(sc.with_documents(sc.sample_scenario(), documents))
+    assert list(sim.vnf_infos) == ["vnf-p-c-1", "vnf-p-b-2", "vnf-p-a-3"]
+    assert [info.profile_ref for info in sim.vnf_infos.values()] == \
+        ["p-c", "p-b", "p-a"]
+
+
+def test_initial_vnfcs_land_in_the_zones_the_plan_counted():
+    # The plan lists profiles by id: p-a (6 vcpu) fills pop-1's zone-1,
+    # p-b's two 2-vcpu VNFCs fill zone-2 and p-c (4 vcpu) goes to pop-2.
+    # Set-up allocates in the flavor's order (p-c, p-b, p-a); picking each
+    # zone afresh would put p-b in zone-1 and leave no zone in pop-1 for
+    # p-a.
+    documents = sc.sample_documents()
+    documents[0]["vcds"][0]["vcpu"] = 6  # vnfd-a
+    documents[2]["vcds"][0]["vcpu"] = 4  # vnfd-c
+    documents[-1]["flavors"][0]["vnf_profiles"].reverse()
+    topology = {"vims": [{"id": "vim-1"}], "pops": [
+        {"id": "pop-1", "vim_ref": "vim-1",
+         "zones": [_zone("zone-1", 6, 128, 256, 2000),
+                   _zone("zone-2", 4, 128, 256, 2000)]},
+        {"id": "pop-2", "vim_ref": "vim-1",
+         "zones": [_zone("zone-1", 64, 128, 256, 2000)]}]}
+    state = build_sim(sc.with_documents(
+        sc.sample_scenario(topology=topology), documents)).final_state()
+    sites = {vnf_id: [(i["pop"], i["zone"]) for i in info["vnfc_instances"]]
+             for vnf_id, info in state["vnf_infos"].items()}
+    assert sites == {"vnf-p-c-1": [("pop-2", "zone-1")],
+                     "vnf-p-b-2": [("pop-1", "zone-2")] * 2,
+                     "vnf-p-a-3": [("pop-1", "zone-1")]}
+
+
 def test_pending_keeps_apart_zones_of_one_name_in_two_pops():
     # One VIM reserves in both PoPs; what it has placed but not yet reserved
     # in pop-1's zone-1 must not count against pop-2's zone-1.
