@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DIMENSIONS = ("vcpu", "memory", "storage", "bandwidth")
 
@@ -13,11 +13,15 @@ KIND_DIMENSIONS = {
     "network": ("bandwidth",),
 }
 
+# Each dimension's component index, and the indexes each kind keeps.
+_INDEX = {d: i for i, d in enumerate(DIMENSIONS)}
+_KIND_INDEXES = {k: [_INDEX[d] for d in dims] for k, dims in KIND_DIMENSIONS.items()}
 
-@dataclass(frozen=True)
-class CapacityVector:
+
+class CapacityVector(NamedTuple):
     """Componentwise capacity amounts. Negative components are allowed so the
-    vector can also represent signed deltas."""
+    vector can also represent signed deltas. A tuple, as it is cheap to
+    build: `+` and `-` work componentwise, and `*` would repeat it."""
 
     vcpu: float = 0
     memory: float = 0
@@ -25,36 +29,29 @@ class CapacityVector:
     bandwidth: float = 0
 
     def __add__(self, other: "CapacityVector") -> "CapacityVector":
-        return CapacityVector(
+        return tuple.__new__(CapacityVector, (
             self.vcpu + other.vcpu,
             self.memory + other.memory,
             self.storage + other.storage,
             self.bandwidth + other.bandwidth,
-        )
+        ))
 
     def __sub__(self, other: "CapacityVector") -> "CapacityVector":
-        return CapacityVector(
+        return tuple.__new__(CapacityVector, (
             self.vcpu - other.vcpu,
             self.memory - other.memory,
             self.storage - other.storage,
             self.bandwidth - other.bandwidth,
-        )
+        ))
 
     def __neg__(self) -> "CapacityVector":
         return CapacityVector(-self.vcpu, -self.memory, -self.storage, -self.bandwidth)
 
     def scaled(self, factor: float) -> "CapacityVector":
-        return CapacityVector(
-            self.vcpu * factor,
-            self.memory * factor,
-            self.storage * factor,
-            self.bandwidth * factor,
-        )
+        return tuple.__new__(CapacityVector, [v * factor for v in self])
 
     def get(self, dimension: str) -> float:
-        if dimension not in DIMENSIONS:
-            raise KeyError(dimension)
-        return getattr(self, dimension)
+        return self[_INDEX[dimension]]
 
     def covers(self, other: "CapacityVector") -> bool:
         """True when every component is >= the corresponding one in `other`."""
@@ -66,16 +63,17 @@ class CapacityVector:
         return [d for d in DIMENSIONS if self.get(d) < required.get(d)]
 
     def is_zero(self) -> bool:
-        return (self.vcpu == 0 and self.memory == 0 and self.storage == 0
-                and self.bandwidth == 0)
+        return not any(self)
 
     def restricted(self, kind: str) -> "CapacityVector":
         """Zero out every dimension not belonging to the resource kind."""
-        dims = KIND_DIMENSIONS[kind]
-        return CapacityVector(**{d: self.get(d) for d in dims})
+        values = [0, 0, 0, 0]
+        for i in _KIND_INDEXES[kind]:
+            values[i] = self[i]
+        return tuple.__new__(CapacityVector, values)
 
     def as_dict(self) -> dict:
-        return {d: _num(self.get(d)) for d in DIMENSIONS}
+        return dict(zip(DIMENSIONS, map(_num, self)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "CapacityVector":

@@ -649,10 +649,8 @@ def vdu_capacity(vnfd: Vnfd, vdu_id: str) -> CapacityVector:
 
 
 def vnf_il_capacity(vnfd: Vnfd, il: VnfInstantiationLevel) -> CapacityVector:
-    total = ZERO
-    for vdu_id, count in il.counts.items():
-        total = total + vdu_capacity(vnfd, vdu_id).scaled(count)
-    return total
+    return sum((vdu_capacity(vnfd, vdu_id).scaled(count)
+                for vdu_id, count in il.counts.items()), ZERO)
 
 
 @dataclass(frozen=True)

@@ -132,19 +132,14 @@ def estimate_demand(verdicts: tuple, store: MetricStore,
     for verdict in verdicts:
         violated |= set(verdict.violated_dimensions)
     basis = {}
-    required = {}
+    required = current_capacity._asdict()
     for dim in DIMENSIONS:
-        capacity = current_capacity.get(dim)
         if dim in violated:
             utilization = _observed_utilization(store, dim, dimension_map)
-            if utilization is None:
-                required[dim] = capacity
-                continue
-            basis[dim] = (utilization, capacity)
-            required[dim] = _exact_ratio(utilization, capacity,
-                                         target_utilization)
-        else:
-            required[dim] = capacity
+            if utilization is not None:
+                basis[dim] = (utilization, required[dim])
+                required[dim] = _exact_ratio(utilization, required[dim],
+                                             target_utilization)
     return DemandEstimate(CapacityVector(**required), target_utilization, basis)
 
 

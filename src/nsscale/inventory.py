@@ -76,8 +76,7 @@ class Reservation:
     state: str = RESERVATION_ACTIVE
 
 
-@dataclass(frozen=True)
-class ResourceHandle:
+class ResourceHandle(NamedTuple):
     id: str
     zone_ref: str
     spec: CapacityVector
@@ -98,11 +97,7 @@ class ResourceZone:
 
     @property
     def available(self) -> CapacityVector:
-        t, a, r = self.total, self.allocated, self.reserved
-        return CapacityVector(t.vcpu - a.vcpu - r.vcpu,
-                              t.memory - a.memory - r.memory,
-                              t.storage - a.storage - r.storage,
-                              t.bandwidth - a.bandwidth - r.bandwidth)
+        return self.total - self.allocated - self.reserved
 
     def _check_fits(self, spec: CapacityVector):
         avail = self.available

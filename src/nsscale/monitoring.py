@@ -3,12 +3,15 @@ evaluation over windowed data."""
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import rules as rules_mod
+from .capacity import _num
 from .descriptors import Vnfd
+from .trace import canonical_json
 
 PERF_INFO_AVAILABLE = "PerfInfoAvailable"
 THRESHOLD_CROSSED = "ThresholdCrossed"
@@ -135,7 +138,7 @@ class MetricStore:
                 notifications.append(Notification(
                     PERF_INFO_AVAILABLE,
                     {"subject": sample.subject, "metric": sample.name,
-                     "value": sample.value},
+                     "value": _num(sample.value)},
                     sample.time))
         for spec in thresholds:
             if (spec.subject, spec.metric) != key:
@@ -150,7 +153,7 @@ class MetricStore:
                 notifications.append(Notification(
                     THRESHOLD_CROSSED,
                     {"threshold_id": spec.id, "subject": spec.subject,
-                     "metric": spec.metric, "value": sample.value},
+                     "metric": spec.metric, "value": _num(sample.value)},
                     sample.time))
         return notifications
 
@@ -275,11 +278,13 @@ def _evaluate_rule(rule, state: _RuleState, now: int,
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,
                      time: int) -> Notification:
     """Build a VnfIndicatorChange notification; the indicator must be
-    declared in the VNFD. Unchanged values still notify."""
+    declared in the VNFD. Unchanged values still notify. The free-form
+    value goes in as canonical JSON writes it, so the payload is canonical."""
     if name not in vnfd.vnf_indicators:
         raise UndeclaredIndicatorError(
             "indicator %r not declared in VNFD %r" % (name, vnfd.id))
     return Notification(
         VNF_INDICATOR_CHANGE,
-        {"vnf_instance": vnf_instance_id, "indicator": name, "value": value},
+        {"vnf_instance": vnf_instance_id, "indicator": name,
+         "value": json.loads(canonical_json(value))},
         time)

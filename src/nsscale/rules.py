@@ -140,22 +140,25 @@ class _Parser:
             raise RuleSyntaxError("expected %r, got %r" % (text, tok.text), tok.column)
 
     def expect_number(self, what: str, integral: bool = False):
-        """The next token's value, which must be a number: a float, or
-        truncated to an int when `integral`, and its column. A token that
-        is no number, or whose value is too large to count with, raises
+        """The next token's value, which must be a number: a float, or a
+        whole number as an int when `integral`, and its column. A token that
+        is not such a number, or is too large to count with, raises
         RuleSyntaxError at the token's column."""
         tok = self.next()
         if tok.kind != "number":
             raise RuleSyntaxError("expected %s, got %r" % (what, tok.text), tok.column)
         try:
             value = float(tok.text)
-            return (int(value) if integral else value), tok.column
+            number = int(value) if integral else value
         except ValueError:
             raise RuleSyntaxError("malformed number %r" % tok.text,
                                   tok.column) from None
         except OverflowError:
             raise RuleSyntaxError("number %r is too large" % tok.text,
                                   tok.column) from None
+        if number != value:
+            raise RuleSyntaxError("%s %r is not a whole number" % (what, tok.text), tok.column)
+        return number, tok.column
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()

@@ -528,9 +528,8 @@ class Simulator:
             pending = {}  # pop id -> zone id -> placed, not yet reserved
             for kind in ("compute", "storage", "network"):
                 kind_items = [
-                    (item, item.spec.restricted(kind))
-                    for item in by_vim.get(vim_ref, ())
-                    if not item.spec.restricted(kind).is_zero()]
+                    (item, spec) for item in by_vim.get(vim_ref, ())
+                    if not (spec := item.spec.restricted(kind)).is_zero()]
                 self._send(self.nfvo, vim, "ReserveRequest",
                            {"op_id": op.op_id, "kind": kind,
                             "items": [{"key": i.key,

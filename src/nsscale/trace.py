@@ -11,8 +11,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # `JSONEncoder.encode` builds its C core afresh on every call; build it
 # once. It keeps no circular-reference markers: a value that refers to
-# itself recurses without end in `_is_canonical` or `_normalize` before it
-# reaches the encoder.
+# itself recurses until RecursionError, in `_is_canonical`, `_normalize`
+# or, for `payload_digest`, the encoder.
 if c_make_encoder is None:  # no C accelerator
     _encode = _ENCODER.encode
 else:
@@ -66,7 +66,9 @@ def _normalize(obj):
 
 
 def payload_digest(payload: dict) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+    """16 hex digits of SHA-256 over `payload`'s JSON, which is encoded as it
+    stands: the payload must be canonical as built (`_is_canonical`)."""
+    return hashlib.sha256(_encode(payload).encode()).hexdigest()[:16]
 
 
 class EventRecord(NamedTuple):

@@ -17,8 +17,9 @@ def test_benchmark_selftest_passes():
 
 
 def test_rule_layers_count_calls_on_the_jump_scenario():
-    """A refactor of the rule hot path or of the decision's snapshot must
-    leave the benchmark's per-layer metrics for them measuring something."""
+    """A refactor of the rule hot path, the decision's snapshot or the
+    payload digest must leave the benchmark's per-layer metrics for them
+    measuring something."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     try:
         import layers
@@ -34,8 +35,10 @@ def test_rule_layers_count_calls_on_the_jump_scenario():
     sim = Simulator(scenario_from_dict(sc.sample_scenario(
         workload=sc.jump_workload())))
     with tracer:
-        sim.run()
+        result = sim.run()
     calls = tracer.take()["calls"]
+    # every event of the trace is digested through the traced name
+    assert calls["trace.payload_digest"] == len(result.trace) > 0
     for layer in ("monitoring.evaluate_rules", "rules.evaluate_expr",
                   "monitoring.window_values"):
         assert calls[layer] > 0, layer

@@ -83,3 +83,33 @@ def test_direct_field_methods_match_per_dimension_definitions(a, b):
     assert a - b == CapacityVector(**{d: a.get(d) - b.get(d)
                                       for d in DIMENSIONS})
     assert a - b == a + (-b)
+
+
+def by_dimension(fn, *vectors) -> CapacityVector:
+    return CapacityVector(**{d: fn(*(v.get(d) for v in vectors))
+                             for d in DIMENSIONS})
+
+
+@given(mixed_vectors, mixed_vectors, st.lists(mixed_vectors, max_size=4),
+       finite, st.sampled_from(sorted(KIND_DIMENSIONS)))
+def test_arithmetic_is_componentwise_never_tuple_concatenation(a, b, vs,
+                                                               factor, kind):
+    kept = KIND_DIMENSIONS[kind]
+    results = [
+        (a + b, by_dimension(lambda x, y: x + y, a, b)),
+        (a - b, by_dimension(lambda x, y: x - y, a, b)),
+        (-a, by_dimension(lambda x: -x, a)),
+        (a.scaled(factor), by_dimension(lambda x: x * factor, a)),
+        (a.restricted(kind),
+         CapacityVector(**{d: a.get(d) for d in kept})),
+        (sum(vs, ZERO), by_dimension(lambda *xs: sum(xs, 0), *vs)
+         if vs else ZERO),
+    ]
+    for result, expected in results:
+        assert type(result) is CapacityVector and len(result) == 4
+        assert result == expected
+
+
+def test_repr_names_every_dimension():
+    assert repr(CapacityVector(1, 2.5, 0, -3)) == \
+        "CapacityVector(vcpu=1, memory=2.5, storage=0, bandwidth=-3)"

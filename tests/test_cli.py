@@ -51,6 +51,23 @@ def test_validate_malformed_rule_number_exits_one(tmp_path, capsys):
     assert "rule 'r-out': malformed number '0.7.1' (column 24)" in line
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("WHEN avg(cpu_load, 1.5) > 0.7 THEN scale_out COOLDOWN 5",
+     "window length '1.5' is not a whole number (column 19)"),
+    ("WHEN avg(cpu_load, 1) > 0.7 THEN scale_out COOLDOWN 2.7",
+     "cooldown tick count '2.7' is not a whole number (column 52)"),
+])
+def test_validate_fractional_rule_count_exits_one(tmp_path, capsys, text,
+                                                  problem):
+    documents = sc.sample_documents()
+    [rule] = [r for r in documents[-1]["auto_scaling_rules"]
+              if r["id"] == "r-out"]
+    rule["text"] = text
+    assert main(["validate", catalog_file(tmp_path, documents)]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert "rule 'r-out': " + problem in line
+
+
 def test_validate_missing_path_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 

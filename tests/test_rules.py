@@ -141,6 +141,14 @@ rule_like_texts = st.one_of(
     ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN 1e400",
      "'1e400' is too large", 43),
     ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN 5..", "malformed number", 43),
+    ("WHEN avg(a, 1.5) > 1 THEN scale_out",
+     "window length '1.5' is not a whole number", 12),
+    ("WHEN avg(a, 0.5) > 1 THEN scale_out",
+     "window length '0.5' is not a whole number", 12),
+    ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN 2.7",
+     "cooldown tick count '2.7' is not a whole number", 43),
+    ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN -0.5",
+     "cooldown tick count '-0.5' is not a whole number", 43),
 ])
 def test_malformed_numbers_are_syntax_errors(text, message, column):
     with pytest.raises(RuleSyntaxError) as err:

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import random
 
 from hypothesis import given, settings, strategies as st
 
+import nsscale.simulator
 import nsscale.trace
+import sample_catalog as sc
+import scenario_gen
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
 from nsscale.trace import canonical_json, payload_digest
-from test_sample_digests import sample_scenarios
+from test_sample_digests import sample_digests
 
 
 def reference_json(obj) -> str:
@@ -42,6 +46,19 @@ json_like = st.recursive(
         st.dictionaries(st.text(max_size=3), children, max_size=4),
         st.dictionaries(keys, children, max_size=4)),
     max_leaves=16)
+# What `_is_canonical` accepts: the payloads `payload_digest` is given.
+canonical_like = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+              floats.filter(lambda f: not f.is_integer()),
+              st.text(max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4)),
+    max_leaves=16)
+
+
+def sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -49,8 +66,15 @@ json_like = st.recursive(
 def test_canonical_json_equals_the_normalized_encoding(obj):
     expected = reference_json(obj)
     assert canonical_json(obj) == expected
-    assert payload_digest(obj) == \
-        hashlib.sha256(expected.encode()).hexdigest()[:16]
+    if nsscale.trace._is_canonical(obj):
+        assert payload_digest(obj) == sha16(expected)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(canonical_like)
+def test_digest_of_a_canonical_payload_is_that_of_its_canonical_json(obj):
+    assert nsscale.trace._is_canonical(obj)
+    assert payload_digest(obj) == sha16(reference_json(obj))
 
 
 def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
@@ -63,37 +87,31 @@ def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
         '{"a":null,"b":[0.5,NaN]}'
 
 
-def test_no_workflow_payload_needs_normalizing(monkeypatch):
-    """Every payload the workflow builds is already canonical, so its
-    digest skips `_normalize`. Monitoring notifications (steps 1-3) echo a
-    workload value, which may be an integral float: those alone may take
-    the slow path, and only for that reason."""
-    routed = []  # (step, payload) digested through _normalize
-    sending = []
-    normalize = nsscale.trace._normalize
+def test_every_sent_payload_is_canonical(monkeypatch):
+    """`payload_digest` encodes a payload as it stands, so every payload the
+    simulator sends must be canonical as built. Covers the sample scenarios
+    with their fault sweeps, random scenarios, and free-form indicator
+    values, integral or nested."""
+    digest = nsscale.simulator.payload_digest
+    sent = []
+    bad = []
 
-    def counting(obj):
-        if sending:
-            routed.append(sending[-1])
-            sending.clear()  # count the payload, not its recursive calls
-        return normalize(obj)
+    def checking(payload):
+        sent.append(1)
+        if not nsscale.trace._is_canonical(payload) \
+                or digest(payload) != sha16(canonical_json(payload)):
+            bad.append(payload)
+        return digest(payload)
 
-    send = Simulator._send
-
-    def send_recording(self, src, dst, message, payload, step=None, op=None):
-        sending.append((step, payload))
-        try:
-            return send(self, src, dst, message, payload, step, op)
-        finally:
-            sending.clear()
-
-    monkeypatch.setattr(nsscale.trace, "_normalize", counting)
-    monkeypatch.setattr(Simulator, "_send", send_recording)
-    for scenario in sample_scenarios().values():
-        Simulator(scenario_from_dict(scenario)).run()
-    for step, payload in routed:
-        assert step in (1, 2, 3), (step, payload)
-        assert type(payload["value"]) is float \
-            and payload["value"].is_integer()
-        assert nsscale.trace._is_canonical(dict(payload, value=0.5))
-
+    monkeypatch.setattr(nsscale.simulator, "payload_digest", checking)
+    sample_digests()
+    for seed in range(200):
+        Simulator(scenario_from_dict(
+            scenario_gen.random_scenario(random.Random(seed)))).run()
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["workload"]["indicators"] = [
+        [11, "vnfd-b", "congestion", 2.0],
+        [12, "vnfd-b", "congestion", {"level": [1.0, 0.5], "note": "x"}]]
+    Simulator(scenario_from_dict(scenario)).run()
+    assert len(sent) > 100_000
+    assert bad == []
