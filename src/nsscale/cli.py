@@ -222,8 +222,10 @@ def _print_rationale(tick, decision):
                   % (evaluation.ns_il_id, evaluation.reason))
     print("  chosen: %s (%s)" % (decision.target_ns_il,
                                  decision.classification))
-    for key in sorted(decision.placement):
-        print("  place %s at %s" % (key, decision.placement[key]))
+    plan = decision.placement
+    for key in sorted(plan.assignments):
+        print("  place %s at %s/%s"
+              % (key, plan.assignments[key], plan.zones[key]))
 
 
 class _ArgumentParser(argparse.ArgumentParser):

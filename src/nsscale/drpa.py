@@ -90,7 +90,7 @@ class PlacementItem:
 class PlacementMap:
     assignments: dict  # item key -> pop id
     selected_vims: frozenset
-    zones: dict  # item key -> the id of the zone it was counted in
+    zones: dict  # item key -> the id of the zone it is counted and put in
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ class DrpaDecision:
     action: str
     target_ns_il: str = ""
     classification: str = CLASS_NONE
-    placement: dict = field(default_factory=dict)
-    selected_vims: frozenset = frozenset()
+    placement: PlacementMap | None = None  # the move's plan, when scaling
     rationale: tuple = ()
     estimate: DemandEstimate | None = None
     verdicts: tuple = ()
@@ -286,7 +285,8 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
     own zone rule (`vim_placement`) finds it a zone in `snapshot`, a
     `capacity_report`, after the items placed before it. Items sharing an
     anti-affinity label land on distinct PoPs. The map also names the zone
-    each item was counted in. The snapshot is left unchanged."""
+    each item was counted in: the only zone choice, in which the workflow
+    then reserves and allocates the item. The snapshot is left unchanged."""
     zones_of = {}  # pop id -> its zones, in the snapshot's pop id order
     vim_of = {}
     for zone in snapshot:
@@ -386,8 +386,7 @@ def select_optimum(levels: LevelGraph, candidates: list,
         action=ACTION_SCALE,
         target_ns_il=best.ns_il_id,
         classification=levels.delta(current, best.ns_il_id).classification,
-        placement=dict(best.placement.assignments),
-        selected_vims=best.placement.selected_vims,
+        placement=best.placement,
         rationale=tuple(evaluations),
         estimate=estimate,
         verdicts=tuple(verdicts),

@@ -247,13 +247,14 @@ def capacity_report(pops: list) -> list:
 
 def vim_placement(zones: list, spec: CapacityVector,
                   pending: dict | None = None):
-    """The one rule that picks a zone. `zones` are one PoP's, live
-    (`ResourceZone`) or from a capacity report (`ZoneReport`); the chosen
-    zone is the first in id order whose available capacity, less `pending`
-    (zone id -> capacity placed but not yet reserved or allocated), covers
-    the spec. Otherwise raises NoZoneFitsError with the shortest list of
-    dimensions a zone lacks. Anti-affinity is the DRPA's to keep: it puts
-    items that share a label on distinct PoPs."""
+    """The one rule that picks a zone, run by the DRPA's `plan_placement`
+    over one PoP's zones from a capacity report (`ZoneReport`s; live
+    `ResourceZone`s read alike). The chosen zone is the first in id order
+    whose available capacity, less `pending` (zone id -> capacity the plan
+    has already counted there), covers the spec. Otherwise raises
+    NoZoneFitsError with the shortest list of dimensions a zone lacks.
+    Anti-affinity is the DRPA's to keep: it puts items that share a label
+    on distinct PoPs."""
     pending = pending or {}
     free = []  # available less pending, of every zone tried
     for zone in sorted(zones, key=lambda z: z.id):

@@ -13,15 +13,16 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from . import drpa as drpa_mod
-from .capacity import CapacityVector, ZERO
+from .capacity import CapacityVector
 from .descriptors import (
     ns_il_delta,  # unused here; the benchmark's tracer wraps this name
 )
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
-    SET_VNF_IL, STARTED, STOPPED, InventoryError, NoZoneFitsError, NsInfo,
-    NS_INSTANTIATED, NS_SCALING, VnfcInstance, VnfInfo, capacity_report,
-    record_vnf_info_update, vim_placement,
+    SET_VNF_IL, STARTED, STOPPED, InventoryError, NsInfo, NS_INSTANTIATED,
+    NS_SCALING, VnfcInstance, VnfInfo, capacity_report,
+    record_vnf_info_update,
+    vim_placement,  # unused here; the benchmark's tracer wraps this name
 )
 from .monitoring import (
     PERF_INFO_AVAILABLE, MetricSample, MetricStore, UndeclaredIndicatorError,
@@ -164,7 +165,7 @@ class Simulator:
         """Allocate the initial NS level. Pre-run setup: consumes capacity
         and populates repositories but emits no workflow messages. The
         level is planned as the move from the empty level, like every
-        decision's move, and each VNFC is then allocated in the zone the
+        decision's move, and each item is then allocated in the zone the
         plan counted it in. New VNF instances are created, and their VNFCs
         allocated, in the flavor's profile order; the plan lists profiles
         by id."""
@@ -185,8 +186,7 @@ class Simulator:
                     vnf_id = self._new_vnf(profile, pd.to_il)
                     instances = []
                     for item in vnfc_items[profile.id, j]:
-                        pop = self._pop(plan.assignments[item.key])
-                        zone = pop.zone(plan.zones[item.key])
+                        pop, zone = self._planned_zone(plan, item)
                         compute = zone.allocate(
                             item.spec.restricted("compute"), "compute")
                         storage = item.spec.restricted("storage")
@@ -201,19 +201,20 @@ class Simulator:
                         vim_ref=pop.vim_ref if instances else "")
             for item in items:
                 if item.kind == "vl":
-                    self._allocate_vl(item.vl_profile_id, item.spec,
-                                      plan.assignments[item.key])
+                    self._allocate_vl(item, plan)
         except (drpa_mod.UnplaceableError, InventoryError) as exc:
             raise ScenarioValidationError(
                 ["initial instantiation: %s" % exc])
 
-    def _allocate_vl(self, vl_profile_id: str, spec: CapacityVector,
-                     pop_id: str):
-        zone = vim_placement(self._pop(pop_id).zones, spec)
-        handle = zone.allocate(spec, "network")
-        self.vl_handles.setdefault(vl_profile_id, []).append(
-            (pop_id, zone, handle))
-        return zone, handle
+    def _planned_zone(self, plan, item) -> tuple:
+        """The PoP and the zone in which `plan` counted `item`."""
+        pop = self._pop(plan.assignments[item.key])
+        return pop, pop.zone(plan.zones[item.key])
+
+    def _allocate_vl(self, item, plan):
+        pop, zone = self._planned_zone(plan, item)
+        self.vl_handles.setdefault(item.vl_profile_id, []).append(
+            (pop.id, zone, zone.allocate(item.spec, "network")))
 
     # -- main loop ----------------------------------------------------------
 
@@ -272,7 +273,7 @@ class Simulator:
                                     indicator, value, tick)
         except UndeclaredIndicatorError as exc:
             raise ScenarioValidationError([where + str(exc)])
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             # numeric indicators feed the rule engine like any metric
             self.store.ingest(MetricSample(tick, vnfd_ref, indicator, value))
         vnfm = self.vnfm_actor[vnfd_ref]
@@ -312,8 +313,9 @@ class Simulator:
     def _execute_decision(self, decision):
         move = (self.ns_info.current_ns_il, decision.target_ns_il)
         delta = self.levels.delta(*move)
-        # The operation's whole plan: every VNFC and VL addition it places.
+        # Every VNFC and VL addition of the operation, each placed by `plan`.
         items = self.levels.additions(*move)
+        plan = decision.placement
         op = ScalingOperation("op-%d" % next(self._op_counter),
                               delta.classification)
         self.operations.append(op)
@@ -338,14 +340,14 @@ class Simulator:
                 for e in range(pd.retained if pd.il_changed else 0):
                     # A retained instance changes level in place.
                     self._vnf_procedure(
-                        op, decision, vnf_ids[e], {"new_vnf_il": pd.to_il},
+                        op, plan, vnf_ids[e], {"new_vnf_il": pd.to_il},
                         [i for i in items if i.profile_id == profile.id
                          and i.retained_instance_index == e],
                         take(vl_inc), take(vl_dec), pd.vnfc_remove)
                 for j in range(pd.count_delta):
                     vnf_id = self._new_vnf(profile, pd.to_il)
                     self._vnf_procedure(
-                        op, decision, vnf_id,
+                        op, plan, vnf_id,
                         {"new_vnf_il": pd.to_il, "new_instance": True},
                         [i for i in items if i.profile_id == profile.id
                          and i.new_instance_index == j],
@@ -353,11 +355,10 @@ class Simulator:
                 for _ in range(-pd.count_delta):
                     # A shrinking profile loses its newest instances.
                     self._vnf_procedure(
-                        op, decision, vnf_ids.pop(), {"remove_instance": True},
+                        op, plan, vnf_ids.pop(), {"remove_instance": True},
                         [], [], take(vl_dec), None)
             for item in vl_inc:
-                self._allocate_vl(item.vl_profile_id, item.spec,
-                                  decision.placement[item.key])
+                self._allocate_vl(item, plan)
             chosen, remainders = self._vl_handles_to_release(vl_dec)
             for _, zone, handle in chosen:
                 zone.release(handle)
@@ -396,7 +397,7 @@ class Simulator:
         for zone, checkpoint in zones:
             zone.restore(checkpoint)
 
-    def _vnf_procedure(self, op, decision, vnf_id, request, items,
+    def _vnf_procedure(self, op, plan, vnf_id, request, items,
                        vl_increases, vl_decreases, drop):
         """One VNF instance's part of an operation: allocation of its VNFC
         `items` and of `vl_increases` before release of the VNFCs `drop`
@@ -418,7 +419,7 @@ class Simulator:
         new_ids = []
         if items or vl_increases:
             new_ids = self._allocation_phase(
-                op, decision, vnfm, em, vnf_id, items, vl_increases,
+                op, plan, vnfm, em, vnf_id, items, vl_increases,
                 finalize_il=None if release else new_il)
         elif not release:
             # Degenerate rename: the levels carry identical counts.
@@ -435,7 +436,7 @@ class Simulator:
 
     # -- allocation phase ----------------------------------------------------
 
-    def _allocation_phase(self, op, decision, vnfm, em, vnf_id, vnfc_items,
+    def _allocation_phase(self, op, plan, vnfm, em, vnf_id, vnfc_items,
                           vl_items, finalize_il=None) -> list:
         items = list(vnfc_items) + list(vl_items)
         self._send(vnfm, self.nfvo, "GrantRequest",
@@ -443,20 +444,23 @@ class Simulator:
                     "vdu_ids": sorted(i.vdu_ref for i in vnfc_items),
                     "internal_vl_ids": sorted(i.vl_profile_id for i in vl_items)},
                    step=6, op=op)
-        self._grant_check(op, decision, items)
+        for item in items:
+            if item.key not in plan.assignments:
+                raise OperationFailure(
+                    6, "grant denied: %s not in the scaling decision" % item.key)
 
         grant = {"op_id": op.op_id, "granted": True,
-                 "vim_connectivity": sorted(decision.selected_vims)}
-        reservations = {}  # (item key, kind) -> (zone, reservation)
+                 "vim_connectivity": sorted(plan.selected_vims)}
+        reservations = {}  # (item key, kind) -> reservation
         if self.reservation_enabled:
             op.phase = PHASE_RESERVATION
-            reservations = self._reservation_subphase(op, decision, items)
+            reservations = self._reservation_subphase(op, plan, items)
             grant["reservation_ids"] = sorted(
-                r.id for _, r in reservations.values())
+                r.id for r in reservations.values())
         self._send(self.nfvo, vnfm, "GrantResponse", grant, step=10, op=op)
 
         op.phase = PHASE_CREATION
-        allocated = self._creation_subphase(op, decision, vnfm, items,
+        allocated = self._creation_subphase(op, plan, vnfm, items,
                                             reservations)
 
         new_instances = []
@@ -505,27 +509,16 @@ class Simulator:
             self._update_vnf_info(vnf_id, SET_VNF_IL, 19, vnf_il=finalize_il)
         return new_ids
 
-    def _grant_check(self, op, decision, items):
-        for item in items:
-            if item.key not in decision.placement:
-                raise OperationFailure(
-                    6, "grant denied: %s not in the scaling decision" % item.key)
-
-    def _reservation_subphase(self, op, decision, items) -> dict:
+    def _reservation_subphase(self, op, plan, items) -> dict:
         """Three reservation requests (compute, storage, network) per
-        selected VIM; the VIM runs zone placement for each item."""
+        selected VIM; each item is reserved in the zone the plan names."""
         reservations = {}
         by_vim = {}
         for item in items:
-            pop_id = decision.placement[item.key]
+            pop_id = plan.assignments[item.key]
             by_vim.setdefault(self._pop(pop_id).vim_ref, []).append(item)
-        for vim_ref in sorted(decision.selected_vims):
+        for vim_ref in sorted(plan.selected_vims):
             vim = self.vim_actor[vim_ref]
-            # Zone choice is made once per item against its full spec, so an
-            # item's compute/storage/network all land in the same zone and a
-            # later kind can never outgrow the zone the first one picked.
-            item_zone = {}
-            pending = {}  # pop id -> zone id -> placed, not yet reserved
             for kind in ("compute", "storage", "network"):
                 kind_items = [
                     (item, spec) for item in by_vim.get(vim_ref, ())
@@ -533,7 +526,7 @@ class Simulator:
                 self._send(self.nfvo, vim, "ReserveRequest",
                            {"op_id": op.op_id, "kind": kind,
                             "items": [{"key": i.key,
-                                       "pop": decision.placement[i.key],
+                                       "pop": plan.assignments[i.key],
                                        "spec": s.as_dict(),
                                        "anti_affinity": i.anti_affinity}
                                       for i, s in kind_items]},
@@ -541,23 +534,15 @@ class Simulator:
                 placed = []
                 ids = []
                 for item, spec in kind_items:
-                    pop_id = decision.placement[item.key]
-                    unreserved = pending.setdefault(pop_id, {})
-                    zone = item_zone.get(item.key)
+                    _, zone = self._planned_zone(plan, item)
                     try:
-                        if zone is None:
-                            zone = item_zone[item.key] = vim_placement(
-                                self._pop(pop_id).zones, item.spec, unreserved)
-                            unreserved[zone.id] = \
-                                unreserved.get(zone.id, ZERO) + item.spec
                         reservation = zone.reserve(spec, kind)
                     except InventoryError as exc:
                         self._send(vim, self.nfvo, "ReserveResponse",
                                    {"op_id": op.op_id, "kind": kind,
                                     "error": str(exc)}, step=9, op=op)
                         raise OperationFailure(7, str(exc))
-                    unreserved[zone.id] = unreserved[zone.id] - spec
-                    reservations[(item.key, kind)] = (zone, reservation)
+                    reservations[(item.key, kind)] = reservation
                     placed.append({"key": item.key, "zone": zone.id})
                     ids.append(reservation.id)
                 self._send(vim, vim, "VimPlacement",
@@ -568,34 +553,25 @@ class Simulator:
                             "reservation_ids": ids}, step=9, op=op)
         return reservations
 
-    def _creation_subphase(self, op, decision, vnfm, items, reservations) -> dict:
-        """Allocate every item (steps 11-13); returns per-item handles."""
+    def _creation_subphase(self, op, plan, vnfm, items, reservations) -> dict:
+        """Allocate every item in the zone the plan names (steps 11-13);
+        returns per-item handles."""
         allocated = {}
         for item in sorted(items, key=lambda i: i.key):
-            pop_id = decision.placement[item.key]
-            pop = self._pop(pop_id)
+            pop, zone = self._planned_zone(plan, item)
             vim = self.vim_actor[pop.vim_ref]
             kinds = ["network"] if item.kind == "vl" else ["compute", "storage"]
             handles = {}
-            zone = None
-            if not self.reservation_enabled:
-                # Pick the zone once per item (full spec) so every handle of
-                # this VNFC can later be released against the same zone.
-                try:
-                    zone = vim_placement(pop.zones, item.spec)
-                except NoZoneFitsError as exc:
-                    raise OperationFailure(12, str(exc))
             for kind in kinds:
                 spec = item.spec.restricted(kind)
                 if spec.is_zero():
                     continue
-                reservation = None
+                reservation = reservations.get((item.key, kind))
                 request = {"op_id": op.op_id, "kind": kind}
                 if self.reservation_enabled:
-                    zone, reservation = reservations[(item.key, kind)]
                     request["reservation_id"] = reservation.id
                 else:
-                    request.update(spec=spec.as_dict(), pop=pop_id,
+                    request.update(spec=spec.as_dict(), pop=pop.id,
                                    anti_affinity=item.anti_affinity)
                 self._send(vnfm, vim, "AllocateRequest", request,
                            step=11, op=op)
@@ -615,11 +591,11 @@ class Simulator:
             if item.kind == "vl":
                 handle = handles["network"]
                 self.vl_handles.setdefault(item.vl_profile_id, []).append(
-                    (pop_id, zone, handle))
-                allocated[item.key] = (None, (), zone, pop_id)
+                    (pop.id, zone, handle))
+                allocated[item.key] = (None, (), zone, pop.id)
             else:
                 storage = (handles["storage"],) if "storage" in handles else ()
-                allocated[item.key] = (handles["compute"], storage, zone, pop_id)
+                allocated[item.key] = (handles["compute"], storage, zone, pop.id)
         return allocated
 
     # -- release phase -------------------------------------------------------

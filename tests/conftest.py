@@ -1,9 +1,8 @@
 import pytest
 
 import sample_catalog as sc
-import nsscale.simulator
 from nsscale.descriptors import load_catalog
-from nsscale.inventory import NoZoneFitsError
+from nsscale.inventory import InsufficientCapacityError, ResourceZone
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
 
@@ -52,14 +51,15 @@ def run_dict(scenario_dict, on_event=None):
 
 
 def refuse_large_vnfcs(monkeypatch):
-    """Make the VIM find no zone for a spec of 8 vcpu or more, as if its
-    zones had filled since the decision. The sample's initial levels hold
-    only smaller VNFCs, and the DRPA's own placement is left alone."""
-    real = nsscale.simulator.vim_placement
-
-    def placement(zones, spec, *args):
-        if spec.vcpu >= 8:
-            raise NoZoneFitsError(spec)
-        return real(zones, spec, *args)
-
-    monkeypatch.setattr(nsscale.simulator, "vim_placement", placement)
+    """Make every zone refuse to reserve or allocate a spec of 8 vcpu or
+    more, as if it had filled since the decision. The sample's initial
+    levels hold only smaller VNFCs, and the DRPA's own placement, over a
+    capacity report, is left alone."""
+    for name in ("reserve", "allocate"):
+        def write(zone, spec, *args, _real=getattr(ResourceZone, name),
+                  **kwargs):
+            if spec.vcpu >= 8:
+                raise InsufficientCapacityError(zone.id, "vcpu", spec.vcpu,
+                                                zone.available.vcpu)
+            return _real(zone, spec, *args, **kwargs)
+        monkeypatch.setattr(ResourceZone, name, write)

@@ -239,6 +239,9 @@ def test_explain_at_decision_tick(tmp_path, capsys):
     assert "chosen: level-3" in out
     assert "candidate level-3" in out and "candidate level-4" in out
     assert "rule r-out: violated" in out
+    # the plan names each item's PoP and zone
+    assert "  place p-b/scale0/vnfc/vdu-2/0 at pop-1/zone-a\n" in out
+    assert "  place vl/vlp-1 at pop-1/zone-a\n" in out
 
 
 def test_explain_quiet_tick(tmp_path, capsys):

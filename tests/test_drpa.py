@@ -270,7 +270,7 @@ def test_decide_full_pipeline(levels):
     # 0.9 * 6 / 0.6 = 9 vcpu: level-2 (8) is out, level-3 (12) is optimal
     assert decision.target_ns_il == "level-3"
     assert decision.classification == "vnf-scaling"
-    assert decision.placement["p-b/scale0/vnfc/vdu-2/0"] == "pop-1"
+    assert decision.placement.assignments["p-b/scale0/vnfc/vdu-2/0"] == "pop-1"
 
 
 def test_exhaustive_select_agrees_on_sample(catalog, nsd, flavor, levels):

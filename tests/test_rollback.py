@@ -1,6 +1,6 @@
 """A failed scaling operation leaves `final_state()` byte-identical to its
-value before the operation. Failures are reached by monkeypatching the VIM's
-zone placement or the zone writes; nothing in the program injects faults."""
+value before the operation. Failures are reached by monkeypatching the zone
+writes; nothing in the program injects faults."""
 
 import random
 
@@ -10,8 +10,7 @@ from conftest import build_sim, refuse_large_vnfcs
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import nsscale.simulator
-from nsscale.inventory import InventoryError, NoZoneFitsError, ResourceZone
+from nsscale.inventory import InventoryError, ResourceZone
 from nsscale.scenario import ScenarioValidationError
 from nsscale.simulator import PHASE_FAILED, STATUS_OPERATION_FAILED, Simulator
 from nsscale.trace import canonical_json
@@ -102,23 +101,29 @@ def test_failed_add_vnf_leaves_no_phantom_vnf(monkeypatch, reservation):
 def test_failure_after_a_finished_sub_procedure_commits_nothing(
         monkeypatch, reservation):
     # level-2 -> level-4 first scales vnf-p-b-2 to il-3 and grows vlp-1,
-    # then adds vnf-p-b-4; the VIM refuses the third placement of the run,
-    # in the second sub-procedure.
+    # then adds vnf-p-b-4; its zone refuses the first write for the third
+    # item of the run, in the second sub-procedure.
     sim = build_sim(sample("level-2", "jump", reservation))
     initial = state(sim)
-    real = nsscale.simulator.vim_placement
-    calls = []
+    keys = []  # items in the order the workflow looks up their zones
+    planned_zone = Simulator._planned_zone
 
-    def placement(zones, spec, *args):
-        calls.append(spec)
-        if len(calls) == 3:
-            raise NoZoneFitsError(spec)
-        return real(zones, spec, *args)
+    def looked_up(simulator, plan, item):
+        if item.key not in keys:
+            keys.append(item.key)
+        return planned_zone(simulator, plan, item)
 
-    monkeypatch.setattr(nsscale.simulator, "vim_placement", placement)
+    monkeypatch.setattr(Simulator, "_planned_zone", looked_up)
+    for name in ("reserve", "allocate"):
+        def write(zone, *args, _real=getattr(ResourceZone, name), **kwargs):
+            if len(keys) == 3:
+                raise InventoryError("injected fault")
+            return _real(zone, *args, **kwargs)
+        monkeypatch.setattr(ResourceZone, name, write)
     result = sim.run()
     assert result.status == STATUS_OPERATION_FAILED
-    assert len(calls) == 3
+    assert result.operations[0].failed_step == (7 if reservation else 12)
+    assert keys[2].startswith("p-b/inst0/") and len(keys) == 3
     assert canonical_json(result.final_state) == initial
 
 

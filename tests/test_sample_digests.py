@@ -1,11 +1,10 @@
 """Pinned digests of the 24 sample scenarios (every level, workload and
 reservation setting), each taken over the clean run and over every run in
-which the k-th VIM zone placement or the k-th zone allocation fails.
+which the k-th zone allocation or the k-th zone reservation fails.
 
 A refactor of the workflow engine must leave every digest unchanged. The
 digests are kept in `data/sample_digests.json`; to print them afresh, run
-`PYTHONPATH=src python tests/test_sample_digests.py`. Reservation faults
-are left out: their failure traces are not pinned here."""
+`PYTHONPATH=src python tests/test_sample_digests.py`."""
 
 from __future__ import annotations
 
@@ -17,8 +16,7 @@ import sys
 from pathlib import Path
 
 import sample_catalog as sc
-import nsscale.simulator
-from nsscale.inventory import InventoryError, NoZoneFitsError, ResourceZone
+from nsscale.inventory import InventoryError, ResourceZone
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
 from nsscale.trace import canonical_json, trace_lines
@@ -31,9 +29,8 @@ WORKLOADS = {"escalation": sc.escalation_workload, "jump": sc.jump_workload,
 
 # name -> (owner of the patched attribute, the exception its k-th call raises)
 FAULTS = {
-    "vim_placement": (nsscale.simulator,
-                      lambda args: NoZoneFitsError(args[1])),
     "allocate": (ResourceZone, lambda args: InventoryError("injected fault")),
+    "reserve": (ResourceZone, lambda args: InventoryError("injected fault")),
 }
 
 

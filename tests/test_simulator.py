@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import sample_catalog as sc
@@ -12,6 +13,7 @@ from nsscale.inventory import (
 from nsscale.scenario import ScenarioValidationError
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
+    Simulator,
 )
 from nsscale.trace import canonical_json, trace_lines
 
@@ -116,6 +118,22 @@ def test_identical_runs_are_byte_identical():
     b = run_dict(scenario)
     assert trace_lines(a.trace) == trace_lines(b.trace)
     assert canonical_json(a.final_state) == canonical_json(b.final_state)
+
+
+@pytest.mark.parametrize("value, samples", [
+    (True, []), (False, []), ("high", []), (2, [2]), (0.5, [0.5])])
+def test_only_a_numeric_indicator_value_feeds_the_rule_engine(value,
+                                                              samples):
+    # A bool is not a number here: True would average as 1 in a rule.
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["workload"]["indicators"] = [[11, "vnfd-b", "congestion", value]]
+    sim = build_sim(scenario)
+    result = sim.run()
+    assert sim.store.streams().get(("vnfd-b", "congestion"), []) == samples
+    # every value is still notified, EM -> VNFM -> NFVO at step 3
+    assert [(r.src, r.dst) for r in result.trace
+            if r.message == "VnfIndicatorChange" and r.step == 3] == [
+        ("EM-1", "VNFM-1"), ("VNFM-1", "NFVO-0")]
 
 
 def test_zone_exhaustion_fails_and_rolls_back(monkeypatch):
@@ -361,8 +379,8 @@ def test_initial_vnfcs_land_in_the_zones_the_plan_counted():
 
 
 def test_pending_keeps_apart_zones_of_one_name_in_two_pops():
-    # One VIM reserves in both PoPs; what it has placed but not yet reserved
-    # in pop-1's zone-1 must not count against pop-2's zone-1.
+    # One VIM serves both PoPs; what the plan has counted in pop-1's zone-1
+    # must not count against pop-2's zone-1.
     scenario = sc.sample_scenario(
         workload=sc.escalation_workload(),
         topology={"vims": [{"id": "vim-1"}], "pops": [
@@ -415,15 +433,58 @@ def small_zone_scenario(seed):
     return scenario
 
 
-def test_plans_the_drpa_accepts_execute():
-    attempted = 0
-    for seed in range(150):
+def test_plans_the_drpa_accepts_execute(monkeypatch):
+    # Every operation runs, and puts each item in the zone of the
+    # decision's plan: step 8 reports that zone, and each new VNFC sits in
+    # the plan's PoP and zone.
+    sites = []  # (op id, item key, pop id or None, zone id), as executed
+    send = Simulator._send
+    allocation_phase = Simulator._allocation_phase
+
+    def sent(sim, src, dst, message, payload, *args, **kwargs):
+        if message == "VimPlacement":
+            sites.extend((payload["op_id"], z["key"], None, z["zone"])
+                         for z in payload["zones"])
+        return send(sim, src, dst, message, payload, *args, **kwargs)
+
+    def allocated(sim, op, plan, vnfm, em, vnf_id, vnfc_items, *args,
+                  **kwargs):
+        new_ids = allocation_phase(sim, op, plan, vnfm, em, vnf_id,
+                                   vnfc_items, *args, **kwargs)
+        info = sim.vnf_infos[vnf_id]
+        sites.extend((op.op_id, item.key, inst.pop_ref, inst.zone_ref)
+                     for item, inst in zip(vnfc_items,
+                                           map(info.instance, new_ids)))
+        return new_ids
+
+    monkeypatch.setattr(Simulator, "_send", sent)
+    monkeypatch.setattr(Simulator, "_allocation_phase", allocated)
+    attempted = {"small-zone": 0, "random": 0}
+    checked = 0
+    for family, seed, scenario in itertools.chain(
+            (("small-zone", seed, small_zone_scenario(seed))
+             for seed in range(150)),
+            (("random", seed, scenario_gen.random_scenario(
+                random.Random(seed))) for seed in range(200))):
         try:
-            sim = build_sim(small_zone_scenario(seed))
+            sim = build_sim(scenario)
         except ScenarioValidationError:  # the initial level does not fit
             continue
+        sites.clear()
         result = sim.run()
         for op in result.operations:
-            assert op.failed_step not in (6, 7, 12), (seed, op.error)
-        attempted += len(result.operations)
-    assert attempted >= 100
+            assert op.failed_step not in (6, 7, 12), (family, seed, op.error)
+        attempted[family] += len(result.operations)
+        plans = {op.op_id: decision.placement for op, decision in zip(
+            result.operations, [d for _, d in result.decisions
+                                if not isinstance(d, str)
+                                and d.action == "scale"])}
+        for op_id, key, pop_id, zone_id in sites:
+            plan = plans[op_id]
+            assert zone_id == plan.zones[key], (family, seed, op_id, key)
+            assert pop_id in (None, plan.assignments[key]), \
+                (family, seed, op_id, key)
+        checked += len(sites)
+    assert attempted["small-zone"] >= 100
+    assert attempted["random"] >= 100
+    assert checked >= 1000
