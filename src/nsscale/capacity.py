@@ -55,9 +55,9 @@ class CapacityVector(NamedTuple):
 
     def covers(self, other: "CapacityVector") -> bool:
         """True when every component is >= the corresponding one in `other`."""
-        return (self.vcpu >= other.vcpu and self.memory >= other.memory
-                and self.storage >= other.storage
-                and self.bandwidth >= other.bandwidth)
+        sv, sm, ss, sb = self
+        ov, om, os_, ob = other
+        return sv >= ov and sm >= om and ss >= os_ and sb >= ob
 
     def deficient_dimensions(self, required: "CapacityVector") -> list:
         return [d for d in DIMENSIONS if self.get(d) < required.get(d)]

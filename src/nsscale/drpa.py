@@ -2,7 +2,8 @@
 cost-optimal level selection, and infrastructure-site placement.
 
 Every function here is pure over its input snapshots; a `LevelGraph` only
-keeps what the descriptors determine.
+keeps what the descriptors determine and the plans made on the snapshots it
+was given.
 """
 
 from __future__ import annotations
@@ -233,14 +234,21 @@ def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
 class LevelGraph:
     """The instantiation levels of one NS deployment flavor and the moves
     between them: each level's aggregate capacity, each ordered pair's
-    `NsIlDelta` and the placement items that delta adds.
+    `NsIlDelta` and the placement items that delta adds, and each move's
+    placement plan per capacity snapshot.
 
-    All of it depends only on the descriptors and the placement
-    constraints, which do not change during a run, so each entry is derived
-    on first use and kept. Nothing is derived up front: a run visits only
-    some of the ordered pairs. A move from None, the empty level,
-    instantiates its target. Returned values are shared between callers,
-    who must not mutate them (their count maps are dicts)."""
+    Capacities, deltas and items depend only on the descriptors and the
+    placement constraints, which do not change during a run, so each entry
+    is derived on first use and kept. A plan depends on the move's items
+    and the snapshot alone, so `plans` keeps each move's `PlacementMap`, or
+    the text of its `UnplaceableError`, per snapshot: a decision on a
+    snapshot the run has already seen reuses the plans made on it. Each
+    entry is one plan the DRPA would otherwise have made again, so the
+    graph never holds more plans than a run computes. Nothing is derived
+    up front: a run visits only some of the ordered pairs. A move from
+    None, the empty level, instantiates its target. Returned values are
+    shared between callers, who must not mutate them (their count maps and
+    a plan's maps are dicts)."""
 
     def __init__(self, catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                  constraints: dict | None = None):
@@ -251,6 +259,8 @@ class LevelGraph:
         self._capacity = {}  # level id -> CapacityVector
         self._delta = {}  # (from, to) -> NsIlDelta
         self._additions = {}  # (from, to) -> tuple of PlacementItem
+        # snapshot tuple -> (from, to) -> PlacementMap | unplaceable reason
+        self._plans = {}
 
     @property
     def nodes(self) -> list:
@@ -278,6 +288,27 @@ class LevelGraph:
                 self.catalog, self.nsd, self.flavor,
                 self.delta(from_il, to_il), self.constraints))
         return items
+
+    def plans(self, from_il: str | None, to_ils, snapshot: tuple) -> list:
+        """For each level of `to_ils`, the plan `plan_placement` makes for
+        the move from `from_il` on `snapshot`, a `capacity_report` as a
+        tuple, or the text of the `UnplaceableError` it raises. The
+        snapshot is hashed once per call."""
+        known = self._plans.get(snapshot)
+        if known is None:
+            known = self._plans[snapshot] = {}
+        plans = []
+        for to_il in to_ils:
+            plan = known.get((from_il, to_il))
+            if plan is None:
+                try:
+                    plan = plan_placement(self.additions(from_il, to_il),
+                                          snapshot)
+                except UnplaceableError as exc:
+                    plan = str(exc)
+                known[from_il, to_il] = plan
+            plans.append(plan)
+        return plans
 
 
 def plan_placement(items, snapshot: list) -> PlacementMap:
@@ -322,29 +353,6 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
                         zone_of)
 
 
-def _zone_assignment_exists(items, free: dict, label_pops: dict) -> bool:
-    """Exhaustive search for an assignment of every item to a zone of
-    `free` ((pop id, zone id) -> available capacity) in which items sharing
-    an anti-affinity label take distinct PoPs; the independent check used by
-    the brute-force selector."""
-    if not items:
-        return True
-    item = items[0]
-    used = label_pops.get(item.anti_affinity, frozenset())
-    for key in sorted(free):
-        if key[0] in used or not free[key].covers(item.spec):
-            continue
-        reduced = dict(free)
-        reduced[key] = free[key] - item.spec
-        next_labels = label_pops
-        if item.anti_affinity:
-            next_labels = dict(label_pops)
-            next_labels[item.anti_affinity] = used | {key[0]}
-        if _zone_assignment_exists(items[1:], reduced, next_labels):
-            return True
-    return False
-
-
 def _total_instances(flavor: NsDeploymentFlavor, ns_il_id: str) -> int:
     ns_il = flavor.ns_il(ns_il_id)
     return sum(count for _, count in ns_il.vnf_entries.values())
@@ -359,23 +367,23 @@ def select_optimum(levels: LevelGraph, candidates: list,
     declaration order.
 
     Every candidate is placed by `plan_placement` against `snapshot`, a
-    `capacity_report` of the PoPs."""
+    `capacity_report` of the PoPs; `levels` keeps the plans, so a
+    snapshot seen before reuses them."""
     if not candidates:
         raise NoFeasibleLevelError("empty candidate set")
     flavor = levels.flavor
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
-    for ns_il_id in candidates:
+    for ns_il_id, plan in zip(candidates, levels.plans(current, candidates,
+                                                       tuple(snapshot))):
         cost = cost_model.cost(levels.capacity(ns_il_id))
         instances = _total_instances(flavor, ns_il_id)
-        try:
-            placement = plan_placement(levels.additions(current, ns_il_id),
-                                       snapshot)
+        if isinstance(plan, PlacementMap):
             evaluations.append(CandidateEval(ns_il_id, cost, instances, True,
-                                             placement=placement))
-        except UnplaceableError as exc:
+                                             placement=plan))
+        else:
             evaluations.append(CandidateEval(ns_il_id, cost, instances, False,
-                                             reason=str(exc)))
+                                             reason=plan))
     feasible = [e for e in evaluations if e.feasible]
     if not feasible:
         raise NoPlaceableCandidateError(
@@ -415,30 +423,3 @@ def decide(levels: LevelGraph, verdicts: tuple, current: str,
                                   cost_model)
     return select_optimum(levels, candidates, cost_model, snapshot, current,
                           estimate=estimate, verdicts=tuple(verdicts))
-
-
-def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
-                      estimate: DemandEstimate, cost_model: CostModel,
-                      snapshot: list, current: str, exclude: tuple = (),
-                      constraints: dict | None = None):
-    """Brute-force selection oracle: enumerate every level, check feasibility
-    by direct capacity comparison plus an exhaustive search over zone
-    assignments of the move's placement items in `snapshot`, a
-    `capacity_report`, and take the argmin under the same tie-breaks as
-    select_optimum. Returns None when nothing is feasible."""
-    free = {(zone.pop_id, zone.id): zone.available for zone in snapshot}
-    best = None
-    for index, ns_il in enumerate(flavor.ns_ils):
-        if ns_il.id in exclude:
-            continue
-        capacity = aggregate_capacity(catalog, nsd, flavor, ns_il.id)
-        if not capacity.covers(estimate.required):
-            continue
-        delta = ns_il_delta(catalog, nsd, flavor, current, ns_il.id)
-        items = delta_additions(catalog, nsd, flavor, delta, constraints)
-        if not _zone_assignment_exists(items, free, {}):
-            continue
-        key = (cost_model.cost(capacity), _total_instances(flavor, ns_il.id), index)
-        if best is None or key < best[0]:
-            best = (key, ns_il.id)
-    return best[1] if best else None

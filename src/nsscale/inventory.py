@@ -184,18 +184,18 @@ class ResourceZone:
         allocated - reserved, so the three parts then sum to total.
 
         reserve, cancel, allocate and release call this after every write,
-        so it is O(1): direct field comparisons, no vector temporaries, and
-        no `assert`, which `python -O` would strip. To audit every zone at
-        every event instead, attach a callback to `Simulator.on_event`."""
-        a, r, t = self.allocated, self.reserved, self.total
-        if (a.vcpu >= 0 and a.memory >= 0 and a.storage >= 0
-                and a.bandwidth >= 0
-                and r.vcpu >= 0 and r.memory >= 0 and r.storage >= 0
-                and r.bandwidth >= 0
-                and t.vcpu - a.vcpu - r.vcpu >= 0
-                and t.memory - a.memory - r.memory >= 0
-                and t.storage - a.storage - r.storage >= 0
-                and t.bandwidth - a.bandwidth - r.bandwidth >= 0):
+        so it is O(1): direct component comparisons, no vector temporaries,
+        and no `assert`, which `python -O` would strip. To audit every zone
+        at every event instead, attach a callback to `Simulator.on_event`."""
+        a, r = self.allocated, self.reserved
+        # Each vector unpacked once: a named field read costs more.
+        av, am, as_, ab = a
+        rv, rm, rs, rb = r
+        tv, tm, ts, tb = self.total
+        if (av >= 0 and am >= 0 and as_ >= 0 and ab >= 0
+                and rv >= 0 and rm >= 0 and rs >= 0 and rb >= 0
+                and tv - av - rv >= 0 and tm - am - rm >= 0
+                and ts - as_ - rs >= 0 and tb - ab - rb >= 0):
             return
         for part, vec in (("allocated", a), ("reserved", r),
                           ("available", self.available)):

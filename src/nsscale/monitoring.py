@@ -181,11 +181,18 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     their streams bound once, and again only when the store's stream
     count changes: streams are only ever added, and only a new stream can
     change what `resolve` answers. A rebinding drops the last verdict.
-    Otherwise the verdict is reused while its inputs are unchanged: the
-    tick, the rule's cooldown entry and each bound stream's sample count.
-    Streams only grow, so an unchanged count is an unchanged stream. A
-    reused verdict skips no cooldown write: a write of `now` changes the
-    next signature, unless the entry already held `now`.
+
+    Otherwise the verdict is reused while the tick, the rule's cooldown
+    entry and the sample count of each stream the last evaluation read
+    are unchanged. The streams read are those whose windows the evaluated
+    comparisons cut (AND and OR stop at the first operand that settles
+    them), or every bound stream when the verdict reported missing ones.
+    This is exact because streams only grow, so an unchanged count is an
+    unchanged stream, and at an unchanged tick a sample in a stream that
+    was not read can neither make a present stream missing nor change a
+    window the evaluated comparisons cut; those comparisons alone decide
+    the expression. A reused verdict skips no cooldown write: a write of
+    `now` changes the next key, unless the entry already held `now`.
     """
     dimension_map = dimension_map or {}
     if verdict_cache is None:
@@ -200,21 +207,30 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
                 rule, store, stream_count, dimension_map)
         # A list, not a tuple: the interpreter's free lists for small
         # tuples would fill with dead blocks that the traced heap counts.
-        signature = [now, last_violation.get(rule.id)]
-        signature += map(len, state.values)
-        if signature != state.signature:
-            state.signature = signature
+        key = [now, last_violation.get(rule.id)]
+        key += map(len, state.read)
+        if key != state.key:
+            state.read.clear()
             state.verdict = _evaluate_rule(rule, state, now, cooldown_state)
+            del key[2:]
+            key += map(len, state.read)
+            state.key = key
         verdicts.append(state.verdict)
     return verdicts
 
 
 class _RuleState:
     """One rule's streams, bound while the store holds `stream_count`
-    streams, and its last verdict with the signature it was computed at."""
+    streams, and its last verdict with the key it was computed at: the
+    tick, the cooldown entry and the sample count of each stream in
+    `read`, the streams that evaluation read.
 
-    __slots__ = ("stream_count", "times", "values", "cut", "dimensions",
-                 "signature", "verdict")
+    `cut` appends each stream whose window it cuts to `read`, a list it
+    shares with the state; it holds no reference to the state itself, so
+    a state is freed by reference counting alone."""
+
+    __slots__ = ("stream_count", "times", "values", "read", "cut",
+                 "dimensions", "key", "verdict")
 
     def __init__(self, rule, store: MetricStore, stream_count: int,
                  dimension_map: dict):
@@ -224,16 +240,18 @@ class _RuleState:
         self.stream_count = stream_count
         # an unresolved ref binds an empty stream, which is always missing
         self.times = [ticks[key] if key else () for key in keys]
-        self.values = [streams[key] if key else () for key in keys]
+        values = self.values = [streams[key] if key else () for key in keys]
+        read = self.read = []
 
         def cut(i, window, now):
+            read.append(values[i])
             subject, name = keys[i]
             return store.window_values(subject, name, window, now)
         self.cut = cut
         names = [ref.split(".", 1)[-1] for ref in refs]
         self.dimensions = frozenset(
             dimension_map[name] for name in names if name in dimension_map)
-        self.signature = None
+        self.key = None
         self.verdict = None
 
 
@@ -262,6 +280,7 @@ def _evaluate_rule(rule, state: _RuleState, now: int,
                in zip(ast.metric_refs, state.times, ast.min_windows)
                if not _holds_sample(times, window, now)]
     if missing:
+        state.read += state.values
         return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now,
                            missing_streams=frozenset(missing))
     if not rules_mod.evaluate_expr(ast.plan, state.cut, now):

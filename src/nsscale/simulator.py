@@ -444,10 +444,6 @@ class Simulator:
                     "vdu_ids": sorted(i.vdu_ref for i in vnfc_items),
                     "internal_vl_ids": sorted(i.vl_profile_id for i in vl_items)},
                    step=6, op=op)
-        for item in items:
-            if item.key not in plan.assignments:
-                raise OperationFailure(
-                    6, "grant denied: %s not in the scaling decision" % item.key)
 
         grant = {"op_id": op.op_id, "granted": True,
                  "vim_connectivity": sorted(plan.selected_vims)}
@@ -555,7 +551,8 @@ class Simulator:
 
     def _creation_subphase(self, op, plan, vnfm, items, reservations) -> dict:
         """Allocate every item in the zone the plan names (steps 11-13);
-        returns per-item handles."""
+        returns each VNFC item's handles, zone and PoP id by item key. A VL
+        item's handle joins `vl_handles`."""
         allocated = {}
         for item in sorted(items, key=lambda i: i.key):
             pop, zone = self._planned_zone(plan, item)
@@ -589,10 +586,8 @@ class Simulator:
                            {"op_id": op.op_id, "kind": kind,
                             "handles": [handle.id]}, step=13, op=op)
             if item.kind == "vl":
-                handle = handles["network"]
                 self.vl_handles.setdefault(item.vl_profile_id, []).append(
-                    (pop.id, zone, handle))
-                allocated[item.key] = (None, (), zone, pop.id)
+                    (pop.id, zone, handles["network"]))
             else:
                 storage = (handles["storage"],) if "storage" in handles else ()
                 allocated[item.key] = (handles["compute"], storage, zone, pop.id)

@@ -20,11 +20,12 @@ from nsscale.descriptors import (
 )
 from nsscale.drpa import (
     CostModel, LevelGraph, NoFeasibleLevelError, candidate_ns_ils,
-    exhaustive_select, select_optimum,
+    select_optimum,
 )
 from nsscale.inventory import STARTED, NfviPop, ResourceZone, capacity_report
 from nsscale.simulator import STATUS_COMPLETED
 from nsscale.trace import trace_lines
+from selection_oracle import exhaustive_select
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "golden_jump_trace.txt")

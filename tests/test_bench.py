@@ -2,11 +2,36 @@
 the benchmark's tracer wraps (bench/layers.py) then fails here too, not
 only under `python3 bench/run.py --trace 1`."""
 
+import hashlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# SHA-256 of each workload's trace and final state at seed 0 and its
+# default size; `bench/run.py` reports the same two digests.
+WORKLOAD_DIGESTS = {
+    "monitor-steady": (
+        "ed512176049d4ff934874450afd53dc58638e731101ef9acf82624170de39c95",
+        "6f77c6884921dd176cb5c2d88486b038230615a82dcc50e7d19d2d651c6d9537"),
+    "scale-churn": (
+        "27ac8e7d742356aeeb1236a004ca64007dd5f6cfdc2f1ca6e6aefe97d4cd1d3a",
+        "8e8021984e667bbea6781d20d5a85c37dcb832890c22053ba2b3b1c75ffe2d34"),
+    "wide-fabric": (
+        "cd796b324ef6edd58a12ca7e7ef3bf24338b2784f1ffad6512ab389d057b33c7",
+        "ab7d7e5ea4d238d6601511fafd52cb17e025a22d6ff8ce03c9c63a1ee1f96671"),
+}
+
+
+def import_bench(name: str):
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        return __import__(name)
+    finally:
+        sys.path.pop(0)
 
 
 def test_benchmark_selftest_passes():
@@ -20,11 +45,7 @@ def test_rule_layers_count_calls_on_the_jump_scenario():
     """A refactor of the rule hot path, the decision's snapshot or the
     payload digest must leave the benchmark's per-layer metrics for them
     measuring something."""
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    try:
-        import layers
-    finally:
-        sys.path.pop(0)
+    layers = import_bench("layers")
     import sample_catalog as sc
     from nsscale.scenario import scenario_from_dict
     from nsscale.simulator import Simulator
@@ -44,3 +65,20 @@ def test_rule_layers_count_calls_on_the_jump_scenario():
         assert calls[layer] > 0, layer
     # every decision plans on one capacity snapshot the simulator takes
     assert calls["inventory.capacity_report"] == calls["drpa.decide"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_digests_are_pinned(name):
+    """A change to the program's hot path must leave every benchmark
+    workload's trace and final state byte-identical."""
+    workloads = import_bench("workloads")
+    from nsscale.scenario import scenario_from_dict
+    from nsscale.simulator import Simulator
+    from nsscale.trace import canonical_json, trace_lines
+
+    data = workloads.GENERATORS[name](0, workloads.DEFAULT_SIZE[name])
+    result = Simulator(scenario_from_dict(data)).run()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                    (trace_lines(result.trace),
+                     canonical_json(result.final_state)))
+    assert digests == WORKLOAD_DIGESTS[name]

@@ -3,16 +3,19 @@ import random
 import pytest
 
 import sample_catalog as sc
+import scenario_gen
+from conftest import build_sim, run_dict
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import load_catalog
 from nsscale.drpa import (
-    ACTION_NONE, ACTION_SCALE, CostModel, LevelGraph,
+    ACTION_NONE, ACTION_SCALE, CostModel, DrpaError, LevelGraph,
     NoFeasibleLevelError, NoPlaceableCandidateError, PlacementItem,
     UnplaceableError, candidate_ns_ils, decide, delta_additions,
-    estimate_demand, exhaustive_select, plan_placement, select_optimum,
+    estimate_demand, plan_placement, select_optimum,
 )
 from nsscale.descriptors import aggregate_capacity, ns_il_delta
 from scenario_gen import random_catalog
+from selection_oracle import exhaustive_select
 from nsscale.inventory import NfviPop, ResourceZone, capacity_report
 from nsscale.monitoring import MetricSample, MetricStore, RuleVerdict
 
@@ -344,3 +347,98 @@ def test_exhaustive_select_asks_for_a_zone_per_item(catalog, nsd, flavor):
     assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
                              capacity_report([pop(2, 8)]),
                              current="level-3") == "level-4"
+
+
+def _record_selections(monkeypatch) -> list:
+    """Wrap the simulator's snapshot and the DRPA's selection: each
+    selection is recorded with its arguments, the snapshot the simulator
+    took for it, and its decision or the error it raised."""
+    import nsscale.drpa
+    import nsscale.simulator
+
+    snapshots = []
+    selections = []
+    real_report = nsscale.simulator.capacity_report
+    real_select = nsscale.drpa.select_optimum
+
+    def report(pops):
+        snapshots.append(real_report(pops))
+        return snapshots[-1]
+
+    def select(levels, candidates, cost_model, snapshot, current, **kwargs):
+        entry = {"levels": levels, "candidates": list(candidates),
+                 "cost_model": cost_model, "snapshot": snapshot,
+                 "taken": snapshots[-1], "current": current,
+                 "kwargs": kwargs}
+        selections.append(entry)
+        try:
+            entry["decision"] = real_select(levels, candidates, cost_model,
+                                            snapshot, current, **kwargs)
+        except DrpaError as exc:
+            entry["error"] = exc
+            raise
+        return entry["decision"]
+    monkeypatch.setattr(nsscale.simulator, "capacity_report", report)
+    monkeypatch.setattr(nsscale.drpa, "select_optimum", select)
+    return selections
+
+
+def test_reused_plans_equal_fresh_ones(monkeypatch):
+    """Every decision of 200 random runs reads as one made on a fresh
+    LevelGraph with the same snapshot and candidates."""
+    selections = _record_selections(monkeypatch)
+    for seed in range(200):
+        run_dict(scenario_gen.random_scenario(random.Random(seed)))
+    seen = set()
+    reused = 0
+    for entry in selections:
+        snapshot = entry["snapshot"]
+        assert snapshot is entry["taken"]
+        keys = {(entry["current"], c, tuple(snapshot))
+                for c in entry["candidates"]}
+        reused += keys <= seen
+        seen |= keys
+        levels = entry["levels"]
+        fresh = LevelGraph(levels.catalog, levels.nsd, levels.flavor,
+                           levels.constraints)
+        try:
+            decision = select_optimum(fresh, entry["candidates"],
+                                      entry["cost_model"], snapshot,
+                                      entry["current"], **entry["kwargs"])
+        except NoPlaceableCandidateError as exc:
+            assert exc.reasons == entry["error"].reasons
+            continue
+        assert decision.rationale == entry["decision"].rationale
+        assert decision.placement == entry["decision"].placement
+    assert len(selections) > 200
+    assert reused > 0
+
+
+def test_a_move_is_planned_once_per_snapshot(monkeypatch):
+    """A run that cycles level-1 -> 3 -> 1 three times makes each plan
+    once: the second and third cycles meet the first cycle's snapshots."""
+    import nsscale.drpa
+
+    streams = (("vnfd-b", "cpu_load"), ("vnfd-b", "mem_load"),
+               ("vnfd-b", "disk_load"), ("ns", "net_load"))
+    metrics = []
+    for base in (0, 100, 200):
+        metrics.append([base + 10, "vnfd-b", "cpu_load", 1.0])
+        metrics += [[base + 40, subject, name, 0.05]
+                    for subject, name in streams]
+    sim = build_sim(sc.sample_scenario(workload={"metrics": metrics}))
+    selections = _record_selections(monkeypatch)
+    planned = []
+    real_plan = nsscale.drpa.plan_placement
+
+    def plan(items, snapshot):
+        planned.append((items, tuple(snapshot)))
+        return real_plan(items, snapshot)
+    monkeypatch.setattr(nsscale.drpa, "plan_placement", plan)
+    result = sim.run()
+    assert [d.target_ns_il for _, d in result.decisions] == [
+        "level-3", "level-1"] * 3
+    keys = [(s["current"], c, tuple(s["snapshot"]))
+            for s in selections for c in s["candidates"]]
+    assert len(planned) == len(set(planned)) == len(set(keys)) < len(keys)
+    assert len(set(keys)) == len(keys) // 3

@@ -276,3 +276,62 @@ def test_reused_verdicts_equal_fresh_ones(steps):
                                    sc.DIMENSION_MAP, fresh_cooldowns)
             assert reused == fresh
             assert cached_cooldowns == fresh_cooldowns
+
+
+def test_a_verdict_is_reused_until_a_stream_it_read_changes(monkeypatch):
+    """The AND stops at its cpu comparison, so only the cpu stream is
+    read; a missing verdict reads every bound stream."""
+    calls = []
+
+    def counted(plan, cut, now):
+        calls.append(now)
+        return evaluate_expr(plan, cut, now)
+    monkeypatch.setattr("nsscale.rules.evaluate_expr", counted)
+    rules = (_rule("r", "WHEN max(vnfd-b.cpu_load, 2) > 0.5 AND "
+                        "min(vnfd-b.mem_load, 4) < 0.3 THEN scale_in "
+                        "COOLDOWN 3"),)
+    store = MetricStore()
+    cooldowns, cache = {}, {}
+
+    def evaluations(now):
+        before, fresh_cooldowns = len(calls), dict(cooldowns)
+        reused = evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
+                                cooldowns, cache)
+        fresh = evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
+                               fresh_cooldowns)
+        assert (reused, cooldowns) == (fresh, fresh_cooldowns)
+        return len(calls) - before - 1  # less the fresh evaluation
+
+    store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 0.1))
+    store.ingest(MetricSample(1, "vnfd-b", "mem_load", 0.1))
+    assert evaluations(1) == 1
+    assert evaluations(1) == 0
+    # a sample in the stream the AND did not reach
+    store.ingest(MetricSample(1, "vnfd-b", "mem_load", 0.2))
+    assert evaluations(1) == 0
+    # a sample in the stream it read: the rule fires and writes its
+    # cooldown entry, which the next evaluation reads
+    store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 0.9))
+    assert evaluations(1) == 1
+    assert cooldowns == {"r": 1}
+    assert evaluations(1) == 1
+    assert evaluations(1) == 0
+    # a new tick
+    assert evaluations(2) == 1
+    # a cooldown write from outside
+    cooldowns["r"] = -10
+    assert evaluations(2) == 1
+    assert cooldowns == {"r": 2}
+    # a stream that appears rebinds the rule
+    store.ingest(MetricSample(2, "vnfd-a", "cpu_load", 0.1))
+    assert evaluations(2) == 1
+
+    # mem_load's last sample is out of its window at tick 9: the verdict
+    # reports it missing, reads both streams and evaluates no comparison
+    store.ingest(MetricSample(9, "vnfd-b", "cpu_load", 0.9))
+    before = len(calls)
+    assert evaluate_rules(rules, store, 9, sc.DIMENSION_MAP, cooldowns,
+                          cache)[0].missing_streams == {"vnfd-b.mem_load"}
+    assert len(calls) == before
+    store.ingest(MetricSample(9, "vnfd-b", "mem_load", 0.1))
+    assert evaluations(9) == 1

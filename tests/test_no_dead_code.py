@@ -19,9 +19,8 @@ import pytest
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "nsscale"
 
-# Read only by the tests: the brute-force selection oracle and the audit of
-# live zone handles.
-ALLOWED = {"exhaustive_select", "outstanding_handles"}
+# Read only by the tests: the audit of live zone handles.
+ALLOWED = {"outstanding_handles"}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
