@@ -28,33 +28,36 @@ EXIT_OPERATION_FAILED = 3
 EXIT_INTERNAL = 4
 
 
-def _read_documents(paths: list) -> list:
+def _load_valid_catalog(paths: list):
+    """Shared validate/graph front half: prints each problem and returns
+    (catalog, exit_code), the catalog None unless the code is EXIT_OK."""
     documents = []
-    for path in paths:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, list):
-            documents.extend(doc)
-        else:
-            documents.append(doc)
-    return documents
-
-
-def cmd_validate(args) -> int:
     try:
-        documents = _read_documents(args.paths)
+        for path in paths:
+            with open(path) as fh:
+                doc = json.load(fh)
+            if isinstance(doc, list):
+                documents.extend(doc)
+            else:
+                documents.append(doc)
     except (OSError, json.JSONDecodeError) as exc:
         print("io error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+        return None, EXIT_IO
     try:
         catalog = load_catalog(documents)
     except CatalogError as exc:
         print(str(exc))
-        return EXIT_VALIDATION
+        return None, EXIT_VALIDATION
     report = validate_catalog(catalog)
     for line in report.sorted_lines():
         print(line)
-    return EXIT_OK if not report.issues else EXIT_VALIDATION
+    if report.issues:
+        return None, EXIT_VALIDATION
+    return catalog, EXIT_OK
+
+
+def cmd_validate(args) -> int:
+    return _load_valid_catalog(args.paths)[1]
 
 
 def _load_and_build(args):
@@ -64,7 +67,7 @@ def _load_and_build(args):
     except (OSError, json.JSONDecodeError) as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return None, EXIT_IO
-    if getattr(args, "no_reservation", False):
+    if args.no_reservation:
         scenario.options["reservation_enabled"] = False
     try:
         sim = Simulator(scenario)
@@ -107,21 +110,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        documents = _read_documents(args.paths)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("io error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        catalog = load_catalog(documents)
-    except CatalogError as exc:
-        print(str(exc))
-        return EXIT_VALIDATION
-    report = validate_catalog(catalog)
-    if report.issues:
-        for line in report.sorted_lines():
-            print(line)
-        return EXIT_VALIDATION
+    catalog, status = _load_valid_catalog(args.paths)
+    if catalog is None:
+        return status
     nsd_id = args.nsd
     if nsd_id is None:
         if len(catalog.nsds) != 1:

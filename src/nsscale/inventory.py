@@ -17,7 +17,6 @@ STOPPED = "STOPPED"
 STARTED = "STARTED"
 
 NS_INSTANTIATED = "instantiated"
-NS_SCALING = "scaling"
 
 
 class InventoryError(RuntimeError):
@@ -314,7 +313,6 @@ class NsInfo:
     nsd_ref: str
     flavor_ref: str
     current_ns_il: str
-    state: str = NS_INSTANTIATED
 
 
 def record_vnf_info_update(info: VnfInfo, change: str, step, tick: int,

@@ -34,7 +34,6 @@ class RuleSyntaxError(ValueError):
 AGGREGATES = ("avg", "max", "min")
 COMPARATORS = ("<=", ">=", "<", ">", "=")
 ACTIONS = ("scale_out", "scale_in")
-_KEYWORDS = ("when", "then", "cooldown", "and", "or", "not")
 
 
 @dataclass(frozen=True)

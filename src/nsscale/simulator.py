@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import drpa as drpa_mod
 from .capacity import CapacityVector
@@ -20,13 +21,13 @@ from .descriptors import (
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
     SET_VNF_IL, STARTED, STOPPED, InventoryError, NsInfo, NS_INSTANTIATED,
-    NS_SCALING, VnfcInstance, VnfInfo, capacity_report,
-    record_vnf_info_update,
+    VnfcInstance, VnfInfo, capacity_report, record_vnf_info_update,
     vim_placement,  # unused here; the benchmark's tracer wraps this name
 )
 from .monitoring import (
-    PERF_INFO_AVAILABLE, MetricSample, MetricStore, UndeclaredIndicatorError,
-    evaluate_rules, indicator_change,
+    PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, VNF_INDICATOR_CHANGE,
+    MetricSample, MetricStore, UndeclaredIndicatorError, evaluate_rules,
+    indicator_change,
 )
 from .scenario import (
     METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
@@ -37,14 +38,56 @@ from .trace import EventRecord, payload_digest
 STATUS_COMPLETED = "completed"
 STATUS_OPERATION_FAILED = "operation-failed"
 
-PHASE_TRIGGERED = "triggered"
-PHASE_RESERVATION = "allocating:reservation"
-PHASE_CREATION = "allocating:creation"
-PHASE_STARTING = "allocating:starting"
-PHASE_STOPPING = "releasing:stopping"
-PHASE_DELETION = "releasing:deletion"
 PHASE_COMPLETED = "completed"
 PHASE_FAILED = "failed"
+
+
+class Arrow(NamedTuple):
+    """One message of the workflow: the paper's step number, None for a
+    message outside the numbered steps, and the name the trace gives it."""
+    step: int | None
+    message: str
+
+
+# The paper's scaling workflow, in step order: the one home of its step
+# numbers. Steps 15, 19, 24 and 28 are repository updates, VNF_INFO_CHANGES.
+PERF_INFO = Arrow(1, PERF_INFO_AVAILABLE)
+THRESHOLD = Arrow(2, THRESHOLD_CROSSED)
+INDICATOR = Arrow(3, VNF_INDICATOR_CHANGE)
+DRPA_DECISION = Arrow(4, "DrpaDecision")
+SCALE_REQUEST = Arrow(5, "ScaleVnfToLevelRequest")
+SCALE_RESPONSE = Arrow(5, "ScaleVnfToLevelResponse")
+GRANT_REQUEST = Arrow(6, "GrantRequest")
+RESERVE_REQUEST = Arrow(7, "ReserveRequest")
+VIM_PLACEMENT = Arrow(8, "VimPlacement")
+RESERVE_RESPONSE = Arrow(9, "ReserveResponse")
+GRANT_RESPONSE = Arrow(10, "GrantResponse")
+ALLOCATE_REQUEST = Arrow(11, "AllocateRequest")
+RESOURCE_ALLOCATION = Arrow(12, "ResourceAllocation")
+ALLOCATE_RESPONSE = Arrow(13, "AllocateResponse")
+CONFIGURE_VNFC = Arrow(14, "ConfigureVnfc")
+START_REQUEST = Arrow(16, "OperateVnfRequest")
+START_GRANT = Arrow(17, "OperateVnfGrant")
+START_CONFIGURE = Arrow(18, "AppConfigure")
+RELEASE_GRANT_REQUEST = Arrow(20, "GrantRequest")
+RELEASE_GRANT_RESPONSE = Arrow(20, "GrantResponse")
+STOP_REQUEST = Arrow(21, "OperateVnfRequest")
+STOP_GRANT = Arrow(22, "OperateVnfGrant")
+STOP_CONFIGURE = Arrow(23, "AppConfigure")
+RELEASE_REQUEST = Arrow(25, "ReleaseRequest")
+RESOURCE_DELETION = Arrow(26, "ResourceDeletion")
+RELEASE_RESPONSE = Arrow(27, "ReleaseResponse")
+OPERATION_FAILED = Arrow(None, "OperationFailed")
+
+# VnfInfo change -> (step, VNFC state before, VNFC state after) of the
+# VNFCs it names; a change with no state after logs no transition.
+VNF_INFO_CHANGES = {
+    ADD_INSTANCES_STOPPED: (15, None, STOPPED),
+    MARK_STARTED: (19, STOPPED, STARTED),
+    SET_VNF_IL: (19, None, None),
+    MARK_STOPPED: (24, STARTED, STOPPED),
+    DELETE_INSTANCES: (28, None, None),
+}
 
 
 class OperationFailure(RuntimeError):
@@ -56,9 +99,13 @@ class OperationFailure(RuntimeError):
 
 @dataclass
 class ScalingOperation:
+    """One scaling operation. `phase` is PHASE_FAILED once it has failed,
+    at `failed_step`, and PHASE_COMPLETED otherwise. `step_log` holds the
+    (step, tick) of every numbered event it sent, taken from the trace
+    when it ends."""
     op_id: str
     kind: str
-    phase: str = PHASE_TRIGGERED
+    phase: str = PHASE_COMPLETED
     step_log: list = field(default_factory=list)  # [(step, tick)]
     failed_step: int | None = None
     error: str = ""
@@ -140,18 +187,14 @@ class Simulator:
 
     # -- low-level event machinery -----------------------------------------
 
-    def _send(self, src: str, dst: str, message: str, payload: dict,
-              step: int | None = None, op: ScalingOperation | None = None):
+    def _send(self, src: str, dst: str, arrow: Arrow, payload: dict):
         self._clock += 1
         self._seq += 1
-        record = EventRecord(self._seq, self._clock, step, src, dst, message,
-                             payload_digest(payload))
+        record = EventRecord(self._seq, self._clock, arrow.step, src, dst,
+                             arrow.message, payload_digest(payload))
         self.trace.append(record)
-        if op is not None and step is not None:
-            op.step_log.append((step, self._clock))
         if self.on_event is not None:
             self.on_event(record, self.pops)
-        return record
 
     def _pop(self, pop_id: str):
         for pop in self.pops:
@@ -250,8 +293,9 @@ class Simulator:
         src = self.vnfm_actor.get(subject, self._metric_fallback_actor)
         notifications = self.store.ingest(sample, self.thresholds)
         for note in notifications:
-            step = 1 if note.variant == PERF_INFO_AVAILABLE else 2
-            self._send(src, self.nfvo, note.variant, note.payload, step=step)
+            arrow = PERF_INFO if note.variant == PERF_INFO_AVAILABLE \
+                else THRESHOLD
+            self._send(src, self.nfvo, arrow, note.payload)
             self._on_notification(note)
 
     def _deliver_indicator(self, index, tick, subject, indicator, value):
@@ -277,13 +321,11 @@ class Simulator:
             # numeric indicators feed the rule engine like any metric
             self.store.ingest(MetricSample(tick, vnfd_ref, indicator, value))
         vnfm = self.vnfm_actor[vnfd_ref]
-        self._send(em, vnfm, note.variant, note.payload, step=3)
-        self._send(vnfm, self.nfvo, note.variant, note.payload, step=3)
+        self._send(em, vnfm, INDICATOR, note.payload)
+        self._send(vnfm, self.nfvo, INDICATOR, note.payload)
         self._on_notification(note)
 
     def _on_notification(self, note):
-        if self.ns_info.state != NS_INSTANTIATED:
-            return
         now = note.time
         verdicts = evaluate_rules(self.nsd.auto_scaling_rules, self.store, now,
                                   self.dimension_map, self._cooldown_state,
@@ -296,14 +338,14 @@ class Simulator:
                 self.cost_model, self.target_utilization,
                 capacity_report(self.pops), self.dimension_map)
         except drpa_mod.DrpaError as exc:
-            self._send(self.nfvo, self.nfvo, "DrpaDecision",
-                       {"action": "error", "reason": str(exc)}, step=4)
+            self._send(self.nfvo, self.nfvo, DRPA_DECISION,
+                       {"action": "error", "reason": str(exc)})
             self.decisions.append((now, str(exc)))
             return
-        self._send(self.nfvo, self.nfvo, "DrpaDecision",
+        self._send(self.nfvo, self.nfvo, DRPA_DECISION,
                    {"action": decision.action,
                     "target_ns_il": decision.target_ns_il,
-                    "classification": decision.classification}, step=4)
+                    "classification": decision.classification})
         self.decisions.append((now, decision))
         if decision.action == drpa_mod.ACTION_SCALE:
             self._execute_decision(decision)
@@ -320,7 +362,7 @@ class Simulator:
                               delta.classification)
         self.operations.append(op)
         saved = self._checkpoint()
-        self.ns_info.state = NS_SCALING
+        begun = len(self.trace)
         try:
             # VL increases ride the first sub-procedure that can allocate,
             # decreases the first that can release; a leftover is applied
@@ -364,18 +406,20 @@ class Simulator:
                 zone.release(handle)
             self._finish_vl_shrink(remainders)
             self.ns_info.current_ns_il = decision.target_ns_il
-            op.phase = PHASE_COMPLETED
         except (OperationFailure, InventoryError) as exc:
             self._restore(saved)
             op.phase = PHASE_FAILED
-            op.failed_step = getattr(exc, "step", 12)
+            op.failed_step = getattr(exc, "step", RESOURCE_ALLOCATION.step)
             op.error = getattr(exc, "reason", str(exc))
             self._failure = str(exc)
-            self._send(self.nfvo, self.nfvo, "OperationFailed",
+            self._send(self.nfvo, self.nfvo, OPERATION_FAILED,
                        {"op_id": op.op_id, "step": op.failed_step,
                         "reason": op.error})
         finally:
-            self.ns_info.state = NS_INSTANTIATED
+            # Of the operation's events only OperationFailed has no step.
+            op.step_log = [(event.step, event.tick)
+                           for event in self.trace[begun:]
+                           if event.step is not None]
 
     def _checkpoint(self) -> tuple:
         """What an operation may change, apart from id counters and the
@@ -408,11 +452,9 @@ class Simulator:
         vnfd_ref = self.vnf_infos[vnf_id].vnfd_ref
         vnfm = self.vnfm_actor[vnfd_ref]
         em = self.em_actor[vnfd_ref]
-        self._send(self.nfvo, vnfm, "ScaleVnfToLevelRequest",
-                   {"op_id": op.op_id, "vnf_instance": vnf_id, **request},
-                   step=5, op=op)
-        self._send(vnfm, self.nfvo, "ScaleVnfToLevelResponse",
-                   {"op_id": op.op_id}, step=5, op=op)
+        self._send(self.nfvo, vnfm, SCALE_REQUEST,
+                   {"op_id": op.op_id, "vnf_instance": vnf_id, **request})
+        self._send(vnfm, self.nfvo, SCALE_RESPONSE, {"op_id": op.op_id})
 
         new_il = request.get("new_vnf_il")
         release = drop is None or bool(drop) or bool(vl_decreases)
@@ -421,9 +463,9 @@ class Simulator:
             new_ids = self._allocation_phase(
                 op, plan, vnfm, em, vnf_id, items, vl_increases,
                 finalize_il=None if release else new_il)
-        elif not release:
-            # Degenerate rename: the levels carry identical counts.
-            self._update_vnf_info(vnf_id, SET_VNF_IL, 19, vnf_il=new_il)
+        if not (release or new_ids):
+            # No VNFC starts or stops: the level changes by itself.
+            self._update_vnf_info(vnf_id, SET_VNF_IL, vnf_il=new_il)
         if release:
             if drop is None:
                 remove_ids = [inst.id for inst in
@@ -439,23 +481,20 @@ class Simulator:
     def _allocation_phase(self, op, plan, vnfm, em, vnf_id, vnfc_items,
                           vl_items, finalize_il=None) -> list:
         items = list(vnfc_items) + list(vl_items)
-        self._send(vnfm, self.nfvo, "GrantRequest",
+        self._send(vnfm, self.nfvo, GRANT_REQUEST,
                    {"op_id": op.op_id, "intent": "allocate",
                     "vdu_ids": sorted(i.vdu_ref for i in vnfc_items),
-                    "internal_vl_ids": sorted(i.vl_profile_id for i in vl_items)},
-                   step=6, op=op)
+                    "internal_vl_ids": sorted(i.vl_profile_id for i in vl_items)})
 
         grant = {"op_id": op.op_id, "granted": True,
                  "vim_connectivity": sorted(plan.selected_vims)}
         reservations = {}  # (item key, kind) -> reservation
         if self.reservation_enabled:
-            op.phase = PHASE_RESERVATION
             reservations = self._reservation_subphase(op, plan, items)
             grant["reservation_ids"] = sorted(
                 r.id for r in reservations.values())
-        self._send(self.nfvo, vnfm, "GrantResponse", grant, step=10, op=op)
+        self._send(self.nfvo, vnfm, GRANT_RESPONSE, grant)
 
-        op.phase = PHASE_CREATION
         allocated = self._creation_subphase(op, plan, vnfm, items,
                                             reservations)
 
@@ -470,39 +509,26 @@ class Simulator:
         new_ids = [inst.id for inst in new_instances]
 
         if new_instances:
-            self._send(vnfm, em, "ConfigureVnfc", {"instance_ids": new_ids},
-                       step=14, op=op)
-            self._update_vnf_info(vnf_id, ADD_INSTANCES_STOPPED, 15,
+            self._send(vnfm, em, CONFIGURE_VNFC, {"instance_ids": new_ids})
+            self._update_vnf_info(vnf_id, ADD_INSTANCES_STOPPED,
                                   instances=tuple(new_instances))
-            for inst in new_instances:
-                self._log_transition(vnf_id, inst, None, STOPPED, 15)
             if not self.vnf_infos[vnf_id].vim_ref:
                 self.vnf_infos[vnf_id] = replace(
                     self.vnf_infos[vnf_id],
                     vim_ref=self._pop(new_instances[0].pop_ref).vim_ref)
 
-            op.phase = PHASE_STARTING
-            self._send(vnfm, self.nfvo, "OperateVnfRequest",
+            self._send(vnfm, self.nfvo, START_REQUEST,
                        {"op_id": op.op_id, "target_state": STARTED,
-                        "instance_ids": new_ids}, step=16, op=op)
-            self._send(self.nfvo, vnfm, "OperateVnfGrant",
-                       {"op_id": op.op_id}, step=17, op=op)
-            self._send(vnfm, em, "AppConfigure", {"instance_ids": new_ids},
-                       step=18, op=op)
+                        "instance_ids": new_ids})
+            self._send(self.nfvo, vnfm, START_GRANT, {"op_id": op.op_id})
+            self._send(vnfm, em, START_CONFIGURE, {"instance_ids": new_ids})
             peers = self._affected_peers(vnf_id, new_ids)
             if peers:
-                self._send(vnfm, em, "AppConfigure",
-                           {"instance_ids": peers, "reconfigure": True},
-                           step=18, op=op)
-            self._update_vnf_info(vnf_id, MARK_STARTED, 19,
+                self._send(vnfm, em, START_CONFIGURE,
+                           {"instance_ids": peers, "reconfigure": True})
+            self._update_vnf_info(vnf_id, MARK_STARTED,
                                   instance_ids=tuple(new_ids),
                                   vnf_il=finalize_il)
-            for inst_id in new_ids:
-                inst = self.vnf_infos[vnf_id].instance(inst_id)
-                self._log_transition(vnf_id, inst, STOPPED, STARTED, 19)
-        elif finalize_il is not None and vl_items:
-            # pure VL growth attached to this VNF's operation
-            self._update_vnf_info(vnf_id, SET_VNF_IL, 19, vnf_il=finalize_il)
         return new_ids
 
     def _reservation_subphase(self, op, plan, items) -> dict:
@@ -519,14 +545,13 @@ class Simulator:
                 kind_items = [
                     (item, spec) for item in by_vim.get(vim_ref, ())
                     if not (spec := item.spec.restricted(kind)).is_zero()]
-                self._send(self.nfvo, vim, "ReserveRequest",
+                self._send(self.nfvo, vim, RESERVE_REQUEST,
                            {"op_id": op.op_id, "kind": kind,
                             "items": [{"key": i.key,
                                        "pop": plan.assignments[i.key],
                                        "spec": s.as_dict(),
                                        "anti_affinity": i.anti_affinity}
-                                      for i, s in kind_items]},
-                           step=7, op=op)
+                                      for i, s in kind_items]})
                 placed = []
                 ids = []
                 for item, spec in kind_items:
@@ -534,19 +559,18 @@ class Simulator:
                     try:
                         reservation = zone.reserve(spec, kind)
                     except InventoryError as exc:
-                        self._send(vim, self.nfvo, "ReserveResponse",
+                        self._send(vim, self.nfvo, RESERVE_RESPONSE,
                                    {"op_id": op.op_id, "kind": kind,
-                                    "error": str(exc)}, step=9, op=op)
-                        raise OperationFailure(7, str(exc))
+                                    "error": str(exc)})
+                        raise OperationFailure(RESERVE_REQUEST.step, str(exc))
                     reservations[(item.key, kind)] = reservation
                     placed.append({"key": item.key, "zone": zone.id})
                     ids.append(reservation.id)
-                self._send(vim, vim, "VimPlacement",
-                           {"op_id": op.op_id, "kind": kind, "zones": placed},
-                           step=8, op=op)
-                self._send(vim, self.nfvo, "ReserveResponse",
+                self._send(vim, vim, VIM_PLACEMENT,
+                           {"op_id": op.op_id, "kind": kind, "zones": placed})
+                self._send(vim, self.nfvo, RESERVE_RESPONSE,
                            {"op_id": op.op_id, "kind": kind,
-                            "reservation_ids": ids}, step=9, op=op)
+                            "reservation_ids": ids})
         return reservations
 
     def _creation_subphase(self, op, plan, vnfm, items, reservations) -> dict:
@@ -570,21 +594,19 @@ class Simulator:
                 else:
                     request.update(spec=spec.as_dict(), pop=pop.id,
                                    anti_affinity=item.anti_affinity)
-                self._send(vnfm, vim, "AllocateRequest", request,
-                           step=11, op=op)
+                self._send(vnfm, vim, ALLOCATE_REQUEST, request)
                 try:
                     handle = zone.allocate(spec, kind,
                                            from_reservation=reservation)
                 except InventoryError as exc:
-                    raise OperationFailure(12, str(exc))
-                self._send(vim, vim, "ResourceAllocation",
+                    raise OperationFailure(RESOURCE_ALLOCATION.step, str(exc))
+                self._send(vim, vim, RESOURCE_ALLOCATION,
                            {"op_id": op.op_id, "kind": kind,
-                            "handle": handle.id, "zone": zone.id},
-                           step=12, op=op)
+                            "handle": handle.id, "zone": zone.id})
                 handles[kind] = handle
-                self._send(vim, vnfm, "AllocateResponse",
+                self._send(vim, vnfm, ALLOCATE_RESPONSE,
                            {"op_id": op.op_id, "kind": kind,
-                            "handles": [handle.id]}, step=13, op=op)
+                            "handles": [handle.id]})
             if item.kind == "vl":
                 self.vl_handles.setdefault(item.vl_profile_id, []).append(
                     (pop.id, zone, handles["network"]))
@@ -597,28 +619,21 @@ class Simulator:
 
     def _release_phase(self, op, vnfm, em, vnf_id, remove_ids, vl_decreases,
                        finalize_il=None, delete_vnf=False):
-        op.phase = PHASE_STOPPING
-        self._send(vnfm, self.nfvo, "GrantRequest",
+        self._send(vnfm, self.nfvo, RELEASE_GRANT_REQUEST,
                    {"op_id": op.op_id, "intent": "release",
-                    "instance_ids": sorted(remove_ids)}, step=20, op=op)
-        self._send(self.nfvo, vnfm, "GrantResponse",
-                   {"op_id": op.op_id, "granted": True}, step=20, op=op)
-        self._send(vnfm, self.nfvo, "OperateVnfRequest",
+                    "instance_ids": sorted(remove_ids)})
+        self._send(self.nfvo, vnfm, RELEASE_GRANT_RESPONSE,
+                   {"op_id": op.op_id, "granted": True})
+        self._send(vnfm, self.nfvo, STOP_REQUEST,
                    {"op_id": op.op_id, "target_state": STOPPED,
-                    "instance_ids": sorted(remove_ids)}, step=21, op=op)
-        self._send(self.nfvo, vnfm, "OperateVnfGrant",
-                   {"op_id": op.op_id}, step=22, op=op)
+                    "instance_ids": sorted(remove_ids)})
+        self._send(self.nfvo, vnfm, STOP_GRANT, {"op_id": op.op_id})
         peers = self._affected_peers(vnf_id, remove_ids)
-        self._send(vnfm, em, "AppConfigure",
-                   {"instance_ids": peers, "shutdown": sorted(remove_ids)},
-                   step=23, op=op)
-        self._update_vnf_info(vnf_id, MARK_STOPPED, 24,
+        self._send(vnfm, em, STOP_CONFIGURE,
+                   {"instance_ids": peers, "shutdown": sorted(remove_ids)})
+        self._update_vnf_info(vnf_id, MARK_STOPPED,
                               instance_ids=tuple(sorted(remove_ids)))
-        for inst_id in sorted(remove_ids):
-            inst = self.vnf_infos[vnf_id].instance(inst_id)
-            self._log_transition(vnf_id, inst, STARTED, STOPPED, 24)
 
-        op.phase = PHASE_DELETION
         info = self.vnf_infos[vnf_id]
         by_vim = {}
         for inst_id in sorted(remove_ids):
@@ -639,19 +654,16 @@ class Simulator:
         for vim_ref in sorted(by_vim):
             vim = self.vim_actor[vim_ref]
             handle_ids = sorted(h.id for h, _ in by_vim[vim_ref])
-            self._send(vnfm, vim, "ReleaseRequest",
-                       {"op_id": op.op_id, "handles": handle_ids},
-                       step=25, op=op)
+            self._send(vnfm, vim, RELEASE_REQUEST,
+                       {"op_id": op.op_id, "handles": handle_ids})
             for handle, zone in by_vim[vim_ref]:
                 zone.release(handle)
-            self._send(vim, vim, "ResourceDeletion",
-                       {"op_id": op.op_id, "handles": handle_ids},
-                       step=26, op=op)
-            self._send(vim, vnfm, "ReleaseResponse",
-                       {"op_id": op.op_id, "handles": handle_ids},
-                       step=27, op=op)
+            self._send(vim, vim, RESOURCE_DELETION,
+                       {"op_id": op.op_id, "handles": handle_ids})
+            self._send(vim, vnfm, RELEASE_RESPONSE,
+                       {"op_id": op.op_id, "handles": handle_ids})
         self._finish_vl_shrink(remainders)
-        self._update_vnf_info(vnf_id, DELETE_INSTANCES, 28,
+        self._update_vnf_info(vnf_id, DELETE_INSTANCES,
                               instance_ids=tuple(sorted(remove_ids)),
                               vnf_il=finalize_il)
         if delete_vnf:
@@ -718,20 +730,26 @@ class Simulator:
             chosen.extend(inst.id for inst in candidates[:remove_counts[vdu_id]])
         return chosen
 
-    def _update_vnf_info(self, vnf_id: str, change: str, step: int, **kwargs):
+    def _update_vnf_info(self, vnf_id: str, change: str, **kwargs):
+        """Write `change` to the VNF's record at the change's step in
+        VNF_INFO_CHANGES, report it to the NFVO, and log the lifecycle
+        transition of each VNFC it names, `instances` or `instance_ids`."""
+        step, state_from, state_to = VNF_INFO_CHANGES[change]
         info = record_vnf_info_update(self.vnf_infos[vnf_id], change, step,
                                       self._clock, **kwargs)
         self.vnf_infos[vnf_id] = info
-        vnfm = self.vnfm_actor[info.vnfd_ref]
-        self._send(vnfm, self.nfvo, "VnfInfoUpdate",
-                   {"vnf_instance": vnf_id, "change": change, "step": step},
-                   step=step, op=self.operations[-1] if self.operations else None)
-
-    def _log_transition(self, vnf_id, inst, state_from, state_to, step):
-        self.transitions.append({
-            "vnf_instance": vnf_id, "instance": inst.id,
-            "vdu_ref": inst.vdu_ref, "from": state_from, "to": state_to,
-            "step": step, "tick": self._clock})
+        self._send(self.vnfm_actor[info.vnfd_ref], self.nfvo,
+                   Arrow(step, "VnfInfoUpdate"),
+                   {"vnf_instance": vnf_id, "change": change, "step": step})
+        if state_to is None:
+            return
+        ids = kwargs.get("instance_ids",
+                         [inst.id for inst in kwargs.get("instances", ())])
+        for inst in map(info.instance, ids):
+            self.transitions.append({
+                "vnf_instance": vnf_id, "instance": inst.id,
+                "vdu_ref": inst.vdu_ref, "from": state_from, "to": state_to,
+                "step": step, "tick": self._clock})
 
     def final_state(self) -> dict:
         zones = {}
@@ -761,7 +779,7 @@ class Simulator:
                 "nsd_ref": self.ns_info.nsd_ref,
                 "flavor_ref": self.ns_info.flavor_ref,
                 "current_ns_il": self.ns_info.current_ns_il,
-                "state": self.ns_info.state,
+                "state": NS_INSTANTIATED,
                 "vnf_instance_refs": sorted(self.vnf_infos),
             },
             "vnf_infos": vnf_infos,

@@ -28,14 +28,21 @@ def scenario_file(tmp_path, scenario=None):
                           workload=sc.jump_workload()))
 
 
+# validate and graph share one catalog front half
+CATALOG_COMMANDS = pytest.mark.parametrize(
+    "command, options", [("validate", []), ("graph", ["--flavor", "df-1"])],
+    ids=["validate", "graph"])
+
+
 def test_validate_clean_catalog(tmp_path, capsys):
     assert main(["validate", catalog_file(tmp_path)]) == 0
     assert capsys.readouterr().out == ""
 
 
-def test_validate_broken_catalog(tmp_path, capsys):
+@CATALOG_COMMANDS
+def test_validate_broken_catalog(tmp_path, capsys, command, options):
     _, documents, kind, path, message = broken_descriptors.broken_corpus()[0]
-    assert main(["validate", catalog_file(tmp_path, documents)]) == 1
+    assert main([command, catalog_file(tmp_path, documents)] + options) == 1
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1
     assert kind in out[0] and path in out[0]
@@ -68,8 +75,11 @@ def test_validate_fractional_rule_count_exits_one(tmp_path, capsys, text,
     assert "rule 'r-out': " + problem in line
 
 
-def test_validate_missing_path_is_io_error(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "nope.json")]) == 2
+@CATALOG_COMMANDS
+def test_validate_missing_path_is_io_error(tmp_path, capsys, command,
+                                           options):
+    assert main([command, str(tmp_path / "nope.json")] + options) == 2
+    assert "io error" in capsys.readouterr().err
 
 
 def test_validate_malformed_json_is_io_error(tmp_path):

@@ -1,12 +1,13 @@
-"""Every function, class and method in `src/nsscale` is named somewhere in
-the program or the benchmark outside its own definition.
+"""Every function, class, method and module-level assignment in
+`src/nsscale` is named somewhere in the program or the benchmark outside
+its own definition.
 
-A function or class counts as used when its name appears as an
-identifier, an attribute, a keyword argument or a string literal (the
-benchmark's tracer looks names up by string). A method counts only as an
-attribute, a keyword argument or a string: a bare identifier of its name is
-some local variable, never a call of the method. Dunder methods are called
-by the interpreter and are exempt."""
+A function, class or module-level name counts as used when its name
+appears as an identifier, an attribute, a keyword argument or a string
+literal (the benchmark's tracer looks names up by string). A method counts
+only as an attribute, a keyword argument or a string: a bare identifier of
+its name is some local variable, never a call of the method. Dunder names
+are read by the interpreter and are exempt."""
 
 from __future__ import annotations
 
@@ -23,6 +24,21 @@ PACKAGE = ROOT / "src" / "nsscale"
 ALLOWED = {"outstanding_handles"}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree) -> list:
+    """(name, node) of every function, class and method in `tree`, and of
+    every name its module body assigns."""
+    found = [(node.name, node) for node in ast.walk(tree)
+             if isinstance(node, DEFINITIONS)]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            found.extend((name.id, node) for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return found
 
 
 def mentions(tree) -> tuple:
@@ -54,10 +70,7 @@ def unused_definitions(package: Path, users: list) -> list:
     for path in sorted(package.glob("*.py")):
         methods = {id(node) for cls in ast.walk(trees[path])
                    if isinstance(cls, ast.ClassDef) for node in cls.body}
-        for node in ast.walk(trees[path]):
-            if not isinstance(node, DEFINITIONS):
-                continue
-            name = node.name
+        for name, node in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name in ALLOWED:
@@ -100,3 +113,11 @@ def test_a_method_is_used_only_by_attribute_or_string(tmp_path, returned,
     module = tmp_path / "planted.py"
     module.write_text(PLANTED % returned)
     assert unused_definitions(tmp_path, [module]) == unused
+
+
+def test_a_module_name_is_used_once_read(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text('__all__ = ["READ"]\nREAD, UNREAD = 1, 2\n'
+                      'LIMIT: int = READ\n')
+    assert unused_definitions(tmp_path, [module]) == [
+        "planted:UNREAD", "planted:LIMIT"]

@@ -170,3 +170,43 @@ def test_reserve_fault_is_a_step_seven_failure(monkeypatch):
     assert [r.message for r in result.trace[-3:]] == [
         "ReserveRequest", "ReserveResponse", "OperationFailed"]
     assert canonical_json(result.final_state) == initial
+
+
+def check_step_logs(monkeypatch) -> list:
+    """Check every operation from now on as it ends: its step log is the
+    (step, tick) of the events sent during it, less OperationFailed, and it
+    reads failed exactly when it has a failed step. Returns the operations
+    checked."""
+    checked = []
+    execute = Simulator._execute_decision
+
+    def logged(sim, decision):
+        begun = len(sim.trace)
+        execute(sim, decision)
+        op = sim.operations[-1]
+        assert op.step_log == [(event.step, event.tick)
+                               for event in sim.trace[begun:]
+                               if event.message != "OperationFailed"]
+        assert (op.phase == PHASE_FAILED) == (op.failed_step is not None)
+        checked.append(op)
+
+    monkeypatch.setattr(Simulator, "_execute_decision", logged)
+    return checked
+
+
+def test_step_log_is_the_trace_of_its_operation(monkeypatch):
+    checked = check_step_logs(monkeypatch)
+    for level in sc.LEVELS:
+        for workload in sorted(WORKLOADS):
+            for reservation in (True, False):
+                build_sim(sample(level, workload, reservation)).run()
+    scenario = sample("level-2", "jump", True)
+    writes = zone_writes(scenario)
+    for k in range(1, writes + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            sim = build_sim(scenario)
+            fail_kth_zone_write(mp, k)
+            sim.run()
+    phases = [op.phase for op in checked]
+    assert phases.count(PHASE_FAILED) == writes  # one failure per fault
+    assert len(phases) - writes >= 24

@@ -441,11 +441,11 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
     send = Simulator._send
     allocation_phase = Simulator._allocation_phase
 
-    def sent(sim, src, dst, message, payload, *args, **kwargs):
-        if message == "VimPlacement":
+    def sent(sim, src, dst, arrow, payload):
+        if arrow.message == "VimPlacement":
             sites.extend((payload["op_id"], z["key"], None, z["zone"])
                          for z in payload["zones"])
-        return send(sim, src, dst, message, payload, *args, **kwargs)
+        send(sim, src, dst, arrow, payload)
 
     def allocated(sim, op, plan, vnfm, em, vnf_id, vnfc_items, *args,
                   **kwargs):
@@ -460,7 +460,7 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
     monkeypatch.setattr(Simulator, "_send", sent)
     monkeypatch.setattr(Simulator, "_allocation_phase", allocated)
     attempted = {"small-zone": 0, "random": 0}
-    checked = 0
+    checked = reported = 0  # sites checked, of which step 8 reported
     for family, seed, scenario in itertools.chain(
             (("small-zone", seed, small_zone_scenario(seed))
              for seed in range(150)),
@@ -485,6 +485,8 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
             assert pop_id in (None, plan.assignments[key]), \
                 (family, seed, op_id, key)
         checked += len(sites)
+        reported += sum(pop_id is None for _, _, pop_id, _ in sites)
     assert attempted["small-zone"] >= 100
     assert attempted["random"] >= 100
     assert checked >= 1000
+    assert reported >= 1000
