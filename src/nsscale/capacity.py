@@ -44,9 +44,6 @@ class CapacityVector(NamedTuple):
             self.bandwidth - other.bandwidth,
         ))
 
-    def __neg__(self) -> "CapacityVector":
-        return CapacityVector(-self.vcpu, -self.memory, -self.storage, -self.bandwidth)
-
     def scaled(self, factor: float) -> "CapacityVector":
         return tuple.__new__(CapacityVector, [v * factor for v in self])
 

@@ -3,15 +3,14 @@ evaluation over windowed data."""
 
 from __future__ import annotations
 
-import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import rules as rules_mod
-from .capacity import _num
 from .descriptors import Vnfd
-from .trace import canonical_json
+from .trace import canonical_json, number_text, object_prefix
 
 PERF_INFO_AVAILABLE = "PerfInfoAvailable"
 THRESHOLD_CROSSED = "ThresholdCrossed"
@@ -46,7 +45,7 @@ class ThresholdSpec:
 
 class Notification(NamedTuple):
     variant: str
-    payload: dict
+    payload: str  # canonical JSON, as `canonical_json` writes it
     time: int
 
 
@@ -59,32 +58,55 @@ class RuleVerdict(NamedTuple):
     missing_streams: frozenset = frozenset()
 
 
+class _Stream(list):
+    """One metric stream, created on its first sample: the list of its
+    values in arrival order, with their ticks (non-decreasing, so a window
+    is cut by bisection); its collection period and `next_report`, the
+    first tick of the next period, from which a sample is reported again
+    (infinite without a period); the thresholds on it as [spec, last
+    value] pairs; and its PerfInfoAvailable payload up to the value."""
+
+    __slots__ = ("times", "period", "next_report", "thresholds", "prefix")
+
+    def __init__(self, subject: str, name: str, period: int, thresholds):
+        super().__init__()
+        self.times = []
+        self.period = period
+        self.next_report = 0 if period else math.inf
+        self.thresholds = [[spec, None] for spec in thresholds]
+        self.prefix = object_prefix({"metric": name, "subject": subject},
+                                    "value")
+
+
 class MetricStore:
     """Append-only store of metric streams keyed by (subject, name).
 
-    Each stream is two parallel lists, its ticks and its values; ingest
-    keeps the ticks non-decreasing, so a window is cut by bisection.
+    `monitored_info` gives the collection periods and `thresholds` the
+    ThresholdSpecs, which a stream takes when its first sample arrives.
     Single-writer by contract; readers see a consistent snapshot between
     ingests.
     """
 
-    def __init__(self, monitored_info: tuple = ()):
-        self._times = {}  # (subject, name) -> [tick], non-decreasing
-        self._values = {}  # (subject, name) -> [value], parallel to _times
-        self._periods = {}
-        self._last_report = {}
-        self._last_threshold_value = {}
+    def __init__(self, monitored_info: tuple = (), thresholds: tuple = ()):
+        self._streams = {}  # (subject, name) -> _Stream
+        # (subject, name) -> (period, thresholds) of a stream to be created
+        self._settings = {}
         for item in monitored_info:
             if item.source != "vnf-indicator" and item.collection_period > 0:
-                self._periods[(item.subject, item.name)] = item.collection_period
+                self._settings[(item.subject, item.name)] = (
+                    item.collection_period, ())
+        for spec in thresholds:
+            key = (spec.subject, spec.metric)
+            period, specs = self._settings.get(key, (0, ()))
+            self._settings[key] = (period, specs + (spec,))
 
     def streams(self) -> dict:
         """Stream key -> the stream's values in arrival order."""
-        return self._values
+        return self._streams
 
     def ticks(self) -> dict:
         """Stream key -> the stream's ticks, parallel to `streams()`."""
-        return self._times
+        return {key: stream.times for key, stream in self._streams.items()}
 
     def resolve(self, metric_ref: str):
         """Map a rule metric reference to a (subject, name) stream key.
@@ -96,65 +118,60 @@ class MetricStore:
         if "." in metric_ref:
             subject, name = metric_ref.split(".", 1)
             key = (subject, name)
-            return key if key in self._values else None
-        matches = sorted(k for k in self._values if k[1] == metric_ref)
+            return key if key in self._streams else None
+        matches = sorted(k for k in self._streams if k[1] == metric_ref)
         return matches[0] if matches else None
 
     def latest(self, subject: str, name: str):
-        values = self._values.get((subject, name))
+        values = self._streams.get((subject, name))
         return values[-1] if values else None
 
     def window_values(self, subject: str, name: str, window: int, now: int) -> list:
         """Values of samples in the last `window` ticks ending at `now`,
         that is with `now - window < tick <= now`."""
-        key = (subject, name)
-        times = self._times.get(key)
-        if not times:
+        stream = self._streams.get((subject, name))
+        if not stream:
             return []
-        return self._values[key][bisect_right(times, now - window):
-                                 bisect_right(times, now)]
+        times = stream.times
+        return stream[bisect_right(times, now - window):
+                      bisect_right(times, now)]
 
-    def ingest(self, sample: MetricSample, thresholds: tuple = ()) -> list:
+    def ingest(self, sample: MetricSample) -> list:
         """Append a sample; emit PerfInfoAvailable on collection-period
         boundaries and ThresholdCrossed edge-triggered notifications."""
-        key = (sample.subject, sample.name)
-        times = self._times.get(key)
-        if times is None:
-            times = self._times[key] = []
-            self._values[key] = []
-        elif sample.time < times[-1]:
+        time, subject, name, value = sample
+        key = (subject, name)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = _Stream(
+                subject, name, *self._settings.get(key, (0, ())))
+        elif time < stream.times[-1]:
             raise TimeRegressionError(
                 "sample at tick %d precedes tick %d for stream %s"
-                % (sample.time, times[-1], key))
-        times.append(sample.time)
-        self._values[key].append(sample.value)
+                % (time, stream.times[-1], key))
+        stream.times.append(time)
+        stream.append(value)
 
         notifications = []
-        period = self._periods.get(key)
-        if period:
-            last = self._last_report.get(key, -1)
-            if sample.time // period > last // period:
-                self._last_report[key] = sample.time
-                notifications.append(Notification(
-                    PERF_INFO_AVAILABLE,
-                    {"subject": sample.subject, "metric": sample.name,
-                     "value": _num(sample.value)},
-                    sample.time))
-        for spec in thresholds:
-            if (spec.subject, spec.metric) != key:
-                continue
-            previous = self._last_threshold_value.get(spec.id)
-            self._last_threshold_value[spec.id] = sample.value
+        if time >= stream.next_report:
+            period = stream.period
+            stream.next_report = (time // period + 1) * period
+            # built as a plain tuple, skipping the Python-level __new__
+            notifications.append(tuple.__new__(Notification, (
+                PERF_INFO_AVAILABLE,
+                stream.prefix + number_text(value) + "}", time)))
+        for state in stream.thresholds:
+            spec, previous = state
+            state[1] = value
             if previous is None:
                 continue  # a first sample is never an edge
-            was = _crossed(previous, spec)
-            now = _crossed(sample.value, spec)
-            if now and not was:
+            if _crossed(value, spec) and not _crossed(previous, spec):
                 notifications.append(Notification(
                     THRESHOLD_CROSSED,
-                    {"threshold_id": spec.id, "subject": spec.subject,
-                     "metric": spec.metric, "value": _num(sample.value)},
-                    sample.time))
+                    canonical_json({"threshold_id": spec.id,
+                                    "subject": subject, "metric": name,
+                                    "value": value}),
+                    time))
         return notifications
 
 
@@ -297,13 +314,12 @@ def _evaluate_rule(rule, state: _RuleState, now: int,
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,
                      time: int) -> Notification:
     """Build a VnfIndicatorChange notification; the indicator must be
-    declared in the VNFD. Unchanged values still notify. The free-form
-    value goes in as canonical JSON writes it, so the payload is canonical."""
+    declared in the VNFD. Unchanged values still notify."""
     if name not in vnfd.vnf_indicators:
         raise UndeclaredIndicatorError(
             "indicator %r not declared in VNFD %r" % (name, vnfd.id))
     return Notification(
         VNF_INDICATOR_CHANGE,
-        {"vnf_instance": vnf_instance_id, "indicator": name,
-         "value": json.loads(canonical_json(value))},
+        canonical_json({"vnf_instance": vnf_instance_id, "indicator": name,
+                        "value": value}),
         time)

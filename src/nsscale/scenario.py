@@ -125,6 +125,7 @@ def validate_scenario(scenario: Scenario) -> tuple:
             zone_ids.add(zone["id"])
     if not pop_ids:
         problems.append("topology: at least one PoP required")
+    problems.extend(_threshold_problems(scenario.rules.get("thresholds", ())))
 
     init = scenario.initial_instance
     nsd = catalog.nsds.get(init.get("nsd_ref"))
@@ -141,6 +142,46 @@ def validate_scenario(scenario: Scenario) -> tuple:
                 problems.append("initial_instance: unknown NS-IL %r"
                                 % init.get("ns_il_ref"))
     return catalog, problems
+
+
+def _threshold_problems(thresholds) -> list:
+    """One `rules: thresholds[i] ...` line per bad entry. An entry has a
+    unique str id, str subject and metric, a finite number bound and an
+    "above" or "below" direction."""
+    if type(thresholds) not in (list, tuple):
+        return ["rules: thresholds is not a list"]
+    problems = []
+    first = {}  # id -> index of the entry that first carries it
+    for i, entry in enumerate(thresholds):
+        if type(entry) is not dict:
+            problems.append("rules: thresholds[%d] is not an object: %r"
+                            % (i, entry))
+            continue
+        faults = []
+        for name, kind, ok in (
+                ("id", "a string", type(entry.get("id")) is str),
+                ("subject", "a string", type(entry.get("subject")) is str),
+                ("metric", "a string", type(entry.get("metric")) is str),
+                ("bound", "a finite number",
+                 type(entry.get("bound")) in (int, float)
+                 and math.isfinite(entry["bound"])),
+                ("direction", "'above' or 'below'",
+                 entry.get("direction") in ("above", "below"))):
+            if name not in entry:
+                faults.append("%s is missing" % name)
+            elif not ok:
+                faults.append("%s %r is not %s" % (name, entry[name], kind))
+        tid = entry.get("id")
+        if type(tid) is str:
+            if tid in first:
+                faults.append("id %r repeats thresholds[%d]"
+                              % (tid, first[tid]))
+            else:
+                first[tid] = i
+        if faults:
+            problems.append("rules: thresholds[%d] %s"
+                            % (i, ", ".join(faults)))
+    return problems
 
 
 METRIC_RECORD = 0

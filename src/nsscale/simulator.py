@@ -33,7 +33,7 @@ from .scenario import (
     METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
     validate_scenario, workload_records,
 )
-from .trace import EventRecord, payload_digest
+from .trace import EventRecord, payload_digest, payload_text
 
 STATUS_COMPLETED = "completed"
 STATUS_OPERATION_FAILED = "operation-failed"
@@ -141,14 +141,15 @@ class Simulator:
             self.vnfm_actor[vnfd_ref] = "VNFM-%d" % i
             self.em_actor[vnfd_ref] = "EM-%d" % i
         self.nfvo = "NFVO-0"
-        # sender of a metric sample whose subject has no VNFM
-        self._metric_fallback_actor = next(iter(self.vim_actor.values()),
-                                           "VIM-0")
+        # monitored (subject, name) -> the actor that sends its samples: the
+        # subject's VNFM, else the first VIM
+        vim = next(iter(self.vim_actor.values()), "VIM-0")
+        self._metric_senders = {
+            (item.subject, item.name): self.vnfm_actor.get(item.subject, vim)
+            for item in self.nsd.monitored_info}
 
-        self.store = MetricStore(self.nsd.monitored_info)
-        self._monitored = frozenset((item.subject, item.name)
-                                    for item in self.nsd.monitored_info)
-        self.thresholds = scenario.thresholds()
+        self.store = MetricStore(self.nsd.monitored_info,
+                                 scenario.thresholds())
         self.dimension_map = scenario.dimension_map()
         self.cost_model = scenario.cost_model()
         # Filled as decisions need it; building it derives nothing.
@@ -188,10 +189,16 @@ class Simulator:
     # -- low-level event machinery -----------------------------------------
 
     def _send(self, src: str, dst: str, arrow: Arrow, payload: dict):
+        """Send a workflow message; `payload` is canonical as built."""
+        self._emit(src, dst, arrow, payload_text(payload))
+
+    def _emit(self, src: str, dst: str, arrow: Arrow, text: str):
+        """Record the event of a message whose payload is the canonical
+        JSON `text`."""
         self._clock += 1
         self._seq += 1
         record = EventRecord(self._seq, self._clock, arrow.step, src, dst,
-                             arrow.message, payload_digest(payload))
+                             arrow.message, payload_digest(text))
         self.trace.append(record)
         if self.on_event is not None:
             self.on_event(record, self.pops)
@@ -283,19 +290,18 @@ class Simulator:
     def _deliver_metric(self, index, tick, subject, metric, value):
         """`(subject, metric)` is an item of the NSD's monitored info;
         `index` is the record's place in the workload's metrics."""
-        if (subject, metric) not in self._monitored:
+        src = self._metric_senders.get((subject, metric))
+        if src is None:
             raise ScenarioValidationError(
                 ["workload: metrics[%d] at tick %d: metric %r of subject %r "
                  "is not monitored by NSD %r"
                  % (index, tick, metric, subject, self.nsd.id)])
         self._clock = max(self._clock, tick)
-        sample = MetricSample(tick, subject, metric, value)
-        src = self.vnfm_actor.get(subject, self._metric_fallback_actor)
-        notifications = self.store.ingest(sample, self.thresholds)
-        for note in notifications:
+        for note in self.store.ingest(
+                MetricSample(tick, subject, metric, value)):
             arrow = PERF_INFO if note.variant == PERF_INFO_AVAILABLE \
                 else THRESHOLD
-            self._send(src, self.nfvo, arrow, note.payload)
+            self._emit(src, self.nfvo, arrow, note.payload)
             self._on_notification(note)
 
     def _deliver_indicator(self, index, tick, subject, indicator, value):
@@ -321,8 +327,8 @@ class Simulator:
             # numeric indicators feed the rule engine like any metric
             self.store.ingest(MetricSample(tick, vnfd_ref, indicator, value))
         vnfm = self.vnfm_actor[vnfd_ref]
-        self._send(em, vnfm, INDICATOR, note.payload)
-        self._send(vnfm, self.nfvo, INDICATOR, note.payload)
+        self._emit(em, vnfm, INDICATOR, note.payload)
+        self._emit(vnfm, self.nfvo, INDICATOR, note.payload)
         self._on_notification(note)
 
     def _on_notification(self, note):

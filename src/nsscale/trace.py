@@ -12,7 +12,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # `JSONEncoder.encode` builds its C core afresh on every call; build it
 # once. It keeps no circular-reference markers: a value that refers to
 # itself recurses until RecursionError, in `_is_canonical`, `_normalize`
-# or, for `payload_digest`, the encoder.
+# or, for `payload_text`, the encoder.
 if c_make_encoder is None:  # no C accelerator
     _encode = _ENCODER.encode
 else:
@@ -65,10 +65,38 @@ def _normalize(obj):
     return obj
 
 
-def payload_digest(payload: dict) -> str:
-    """16 hex digits of SHA-256 over `payload`'s JSON, which is encoded as it
-    stands: the payload must be canonical as built (`_is_canonical`)."""
-    return hashlib.sha256(_encode(payload).encode()).hexdigest()[:16]
+def payload_text(payload: dict) -> str:
+    """The canonical JSON of a payload that is canonical as built
+    (`_is_canonical`), encoded as it stands, without `_normalize`."""
+    return _encode(payload)
+
+
+def object_prefix(fields: dict, last: str) -> str:
+    """The canonical JSON of the non-empty object `fields` with one more
+    key, `last`, cut after that key's colon: a value's canonical JSON and
+    "}" complete it. `last` sorts after every key of `fields`, which are
+    str."""
+    return "%s,%s:" % (_encode(fields)[:-1], _encode(last))
+
+
+# How the encoder writes the floats whose repr is not JSON.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def number_text(value) -> str:
+    """`canonical_json` of an int or a float: an integral float is written
+    as an int, NaN and the infinities as the encoder writes them."""
+    if type(value) is float:
+        if value.is_integer():
+            return repr(int(value))
+        text = repr(value)
+        return _NON_FINITE.get(text, text)
+    return repr(value)
+
+
+def payload_digest(text: str) -> str:
+    """16 hex digits of SHA-256 over a payload's canonical JSON `text`."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class EventRecord(NamedTuple):

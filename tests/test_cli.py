@@ -141,6 +141,44 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     assert "level-99" in capsys.readouterr().out
 
 
+MEM_THRESHOLD = {"id": "t-mem", "subject": "vnfd-b", "metric": "mem_load",
+                 "bound": 0.3, "direction": "below"}
+
+
+@pytest.mark.parametrize("edit, extra, lines", [
+    ({"bound": None}, [], ["rules: thresholds[0] bound is missing"]),
+    ({"direction": "abvoe"}, [],
+     ["rules: thresholds[0] direction 'abvoe' is not 'above' or 'below'"]),
+    ({"id": "t"}, [dict(MEM_THRESHOLD, id="t")],
+     ["rules: thresholds[1] id 't' repeats thresholds[0]"]),
+    ({"id": 7, "subject": None, "metric": None}, [],
+     ["rules: thresholds[0] id 7 is not a string, subject is missing, "
+      "metric is missing"]),
+    ({"bound": "0.7"}, [MEM_THRESHOLD, dict(MEM_THRESHOLD, bound=True)],
+     ["rules: thresholds[0] bound '0.7' is not a finite number",
+      "rules: thresholds[2] bound True is not a finite number, "
+      "id 't-mem' repeats thresholds[1]"]),
+    ({"bound": float("inf")}, [["t-mem"]],
+     ["rules: thresholds[0] bound inf is not a finite number",
+      "rules: thresholds[1] is not an object: ['t-mem']"]),
+], ids=["missing-bound", "misspelt-direction", "repeated-id", "not-strings",
+        "not-numbers", "not-an-object"])
+def test_bad_threshold_exits_one(tmp_path, capsys, edit, extra, lines):
+    """One line per bad entry; `None` in `edit` deletes the field."""
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    thresholds = scenario["rules"]["thresholds"]
+    for field, value in edit.items():
+        if value is None:
+            del thresholds[0][field]
+        else:
+            thresholds[0][field] = value
+    thresholds.extend(extra)
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
 def test_initial_level_that_breaks_anti_affinity_exits_one(tmp_path,
                                                            capsys):
     # level-2's two B1 VNFCs must take distinct PoPs; there is one

@@ -129,10 +129,11 @@ def test_delta_net_is_antisymmetric(a, b):
     back = ns_il_delta(catalog, nsd, flavor, b, a)
     fwd_cap = aggregate_capacity(catalog, nsd, flavor, b) - \
         aggregate_capacity(catalog, nsd, flavor, a)
-    back_cap = -fwd_cap
+    back_cap = aggregate_capacity(catalog, nsd, flavor, a) - \
+        aggregate_capacity(catalog, nsd, flavor, b)
     assert aggregate_capacity(catalog, nsd, flavor, a) + fwd_cap == \
         aggregate_capacity(catalog, nsd, flavor, b)
-    assert back_cap == -(fwd_cap)
+    assert (back_cap + fwd_cap).is_zero()
     if a == b:
         assert fwd.classification == CLASS_NONE and not fwd.profile_deltas
     else:

@@ -1,25 +1,29 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
-from nsscale.descriptors import AutoScalingRule, load_catalog
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nsscale.capacity import _num
+from nsscale.descriptors import AutoScalingRule, MonitoredInfoItem, load_catalog
 from nsscale.monitoring import (
     PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, VNF_INDICATOR_CHANGE,
-    MetricSample, MetricStore, ThresholdSpec, TimeRegressionError,
-    UndeclaredIndicatorError, _holds_sample, evaluate_rules,
-    indicator_change,
+    MetricSample, MetricStore, Notification, ThresholdSpec,
+    TimeRegressionError, UndeclaredIndicatorError, _holds_sample,
+    evaluate_rules, indicator_change,
 )
 from nsscale.rules import evaluate_expr, parse_rule
+from nsscale.trace import canonical_json
 import sample_catalog as sc
 
 
-def make_store(period=5):
+def make_store(period=5, thresholds=()):
     catalog = load_catalog(sc.sample_documents())
     items = catalog.nsds["nsd-1"].monitored_info
     # override the cpu item's collection period for periodic-report tests
     from dataclasses import replace
     items = tuple(replace(i, collection_period=period)
                   if i.name == "cpu_load" else i for i in items)
-    return MetricStore(items)
+    return MetricStore(items, thresholds)
 
 
 def test_periodic_report_on_period_boundary():
@@ -42,28 +46,81 @@ def test_time_regression_rejected():
 
 
 def test_threshold_crossing_is_edge_triggered():
-    store = make_store(period=0)
     spec = ThresholdSpec("t1", "vnfd-b", "cpu_load", 0.7, "above")
+    store = make_store(period=0, thresholds=(spec,))
     # first sample above the bound: no previous value, so no edge
-    assert store.ingest(MetricSample(0, "vnfd-b", "cpu_load", 0.9),
-                        (spec,)) == []
+    assert store.ingest(MetricSample(0, "vnfd-b", "cpu_load", 0.9)) == []
     # stays above: no new edge
-    assert store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 0.95),
-                        (spec,)) == []
+    assert store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 0.95)) == []
     # drops below, then crosses again: exactly one notification
-    assert store.ingest(MetricSample(2, "vnfd-b", "cpu_load", 0.5),
-                        (spec,)) == []
-    notes = store.ingest(MetricSample(3, "vnfd-b", "cpu_load", 0.8), (spec,))
+    assert store.ingest(MetricSample(2, "vnfd-b", "cpu_load", 0.5)) == []
+    notes = store.ingest(MetricSample(3, "vnfd-b", "cpu_load", 0.8))
     assert [n.variant for n in notes] == [THRESHOLD_CROSSED]
-    assert notes[0].payload["threshold_id"] == "t1"
+    assert json.loads(notes[0].payload)["threshold_id"] == "t1"
 
 
 def test_below_direction_threshold():
-    store = make_store(period=0)
     spec = ThresholdSpec("t2", "vnfd-b", "cpu_load", 0.2, "below")
-    store.ingest(MetricSample(0, "vnfd-b", "cpu_load", 0.5), (spec,))
-    notes = store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 0.1), (spec,))
+    store = make_store(period=0, thresholds=(spec,))
+    store.ingest(MetricSample(0, "vnfd-b", "cpu_load", 0.5))
+    notes = store.ingest(MetricSample(1, "vnfd-b", "cpu_load", 0.1))
     assert [n.variant for n in notes] == [THRESHOLD_CROSSED]
+
+
+def test_thresholds_sharing_an_id_keep_their_own_last_values():
+    """Each stream keeps its thresholds' last values: a mem sample below
+    the bound is no edge of the cpu threshold. (`validate_scenario`
+    rejects a scenario whose threshold ids repeat.)"""
+    store = make_store(period=0, thresholds=(
+        ThresholdSpec("t", "vnfd-b", "cpu_load", 0.7, "above"),
+        ThresholdSpec("t", "vnfd-b", "mem_load", 0.7, "above")))
+
+    def crossings(tick, name, value):
+        return [json.loads(n.payload)["metric"] for n in store.ingest(
+            MetricSample(tick, "vnfd-b", name, value))
+            if n.variant == THRESHOLD_CROSSED]
+    assert crossings(0, "cpu_load", 0.9) == []
+    assert crossings(1, "mem_load", 0.1) == []
+    assert crossings(2, "cpu_load", 0.95) == []
+    assert crossings(3, "mem_load", 0.8) == ["mem_load"]
+
+
+# Names the encoder escapes, and numbers whose canonical JSON is not their
+# repr: integral floats, NaN and the infinities (a numeric indicator can
+# carry them).
+names = st.one_of(st.text(max_size=6), st.sampled_from(
+    ('"', "\\", "\x00\n\x1f\x7f", "é€😀", 'a"b\\c', "\ud800")))
+numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(
+    (0.0, -0.0, 2.0, -3.0, 1e16, 5e-324, 1e300, -1e300, 0.1,
+     float("nan"), float("inf"), float("-inf"))))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(names, names, numbers)
+@example('"q\\', "é\n", 2.0)
+@example("s", "m", -0.0)
+@example("s", "m", 5e-324)
+@example("s", "m", 1e300)
+@example("s", "m", float("nan"))
+@example("s", "m", float("inf"))
+@example("s", "m", float("-inf"))
+@example("s", "m", -(10 ** 30))
+def test_notification_text_is_the_canonical_json_of_its_payload(
+        subject, name, value):
+    """PerfInfoAvailable's text, the stream's prefix and the formatted
+    value, is the canonical JSON of the payload as a dict; so is
+    ThresholdCrossed's."""
+    store = MetricStore(
+        (MonitoredInfoItem("m", "vnf-metric", subject, name, 1),),
+        (ThresholdSpec("t", subject, name, -1, "below"),))
+    store.ingest(MetricSample(0, subject, name, 0))
+    notes = store.ingest(MetricSample(1, subject, name, value))
+    payload = {"subject": subject, "metric": name, "value": _num(value)}
+    assert notes[0] == Notification(
+        PERF_INFO_AVAILABLE, canonical_json(payload), 1)
+    assert notes[1:] == ([Notification(
+        THRESHOLD_CROSSED, canonical_json(dict(payload, threshold_id="t")),
+        1)] if value < -1 else [])
 
 
 def test_window_aggregates():
@@ -140,7 +197,7 @@ def test_indicator_change_requires_declaration():
     vnfd = catalog.vnfds["vnfd-b"]
     note = indicator_change(vnfd, "vnf-1", "congestion", 7, 42)
     assert note.variant == VNF_INDICATOR_CHANGE
-    assert note.payload["value"] == 7
+    assert json.loads(note.payload)["value"] == 7
     with pytest.raises(UndeclaredIndicatorError):
         indicator_change(vnfd, "vnf-1", "drops", 1, 42)
 

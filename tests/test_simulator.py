@@ -136,6 +136,23 @@ def test_only_a_numeric_indicator_value_feeds_the_rule_engine(value,
         ("EM-1", "VNFM-1"), ("VNFM-1", "NFVO-0")]
 
 
+@pytest.mark.parametrize("indicator, crossings", [(0.9, 0), (0.6, 1)])
+def test_a_numeric_indicator_is_the_previous_sample_of_a_threshold(
+        indicator, crossings):
+    """A threshold watches every sample of its stream; only a metric
+    sample's crossing is sent."""
+    scenario = sc.sample_scenario(workload={
+        "metrics": [[10, "vnfd-b", "congestion", 0.5],
+                    [12, "vnfd-b", "congestion", 0.95]],
+        "indicators": [[11, "vnfd-b", "congestion", indicator]]})
+    scenario["rules"]["thresholds"] = [
+        {"id": "t-cong", "subject": "vnfd-b", "metric": "congestion",
+         "bound": 0.7, "direction": "above"}]
+    result = run_dict(scenario)
+    assert [r.message for r in result.trace].count("ThresholdCrossed") == \
+        crossings
+
+
 def test_zone_exhaustion_fails_and_rolls_back(monkeypatch):
     refuse_large_vnfcs(monkeypatch)
     result = run_dict(sc.sample_scenario(workload=sc.jump_workload()))

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,7 @@ import sample_catalog as sc
 import scenario_gen
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
-from nsscale.trace import canonical_json, payload_digest
+from nsscale.trace import canonical_json, payload_digest, payload_text
 from test_sample_digests import sample_digests
 
 
@@ -46,7 +48,7 @@ json_like = st.recursive(
         st.dictionaries(st.text(max_size=3), children, max_size=4),
         st.dictionaries(keys, children, max_size=4)),
     max_leaves=16)
-# What `_is_canonical` accepts: the payloads `payload_digest` is given.
+# What `_is_canonical` accepts: the payloads `payload_text` is given.
 canonical_like = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
               floats.filter(lambda f: not f.is_integer()),
@@ -67,14 +69,14 @@ def test_canonical_json_equals_the_normalized_encoding(obj):
     expected = reference_json(obj)
     assert canonical_json(obj) == expected
     if nsscale.trace._is_canonical(obj):
-        assert payload_digest(obj) == sha16(expected)
+        assert payload_text(obj) == expected
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(canonical_like)
 def test_digest_of_a_canonical_payload_is_that_of_its_canonical_json(obj):
     assert nsscale.trace._is_canonical(obj)
-    assert payload_digest(obj) == sha16(reference_json(obj))
+    assert payload_digest(payload_text(obj)) == sha16(reference_json(obj))
 
 
 def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
@@ -88,20 +90,21 @@ def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
 
 
 def test_every_sent_payload_is_canonical(monkeypatch):
-    """`payload_digest` encodes a payload as it stands, so every payload the
-    simulator sends must be canonical as built. Covers the sample scenarios
-    with their fault sweeps, random scenarios, and free-form indicator
-    values, integral or nested."""
+    """Every payload reaches `payload_digest` as text: the canonical JSON
+    of what it parses to, since a workflow payload is encoded as it
+    stands and a notification is built as text. Its digest is that of the
+    text. Covers the sample scenarios with their fault sweeps, random
+    scenarios, and free-form indicator values, integral or nested."""
     digest = nsscale.simulator.payload_digest
     sent = []
     bad = []
 
-    def checking(payload):
+    def checking(text):
         sent.append(1)
-        if not nsscale.trace._is_canonical(payload) \
-                or digest(payload) != sha16(canonical_json(payload)):
-            bad.append(payload)
-        return digest(payload)
+        if canonical_json(json.loads(text)) != text \
+                or digest(text) != sha16(text):
+            bad.append(text)
+        return digest(text)
 
     monkeypatch.setattr(nsscale.simulator, "payload_digest", checking)
     sample_digests()
@@ -115,3 +118,17 @@ def test_every_sent_payload_is_canonical(monkeypatch):
     Simulator(scenario_from_dict(scenario)).run()
     assert len(sent) > 100_000
     assert bad == []
+
+
+def test_only_the_trace_module_writes_json():
+    """The canonical encoding lives in `trace.py`: the modules that build
+    payloads ask it for their text and import no JSON encoder."""
+    package = Path(nsscale.trace.__file__).parent
+    for module in ("monitoring.py", "simulator.py"):
+        tree = ast.parse((package / module).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [name for name in imported
+                    if name == "json" or name.startswith("json.")], module
