@@ -186,6 +186,10 @@ def _threshold_problems(thresholds) -> list:
 
 METRIC_RECORD = 0
 INDICATOR_RECORD = 1
+# The largest |tick| a workload record may carry: the trace holds ticks as
+# signed 64-bit integers, and the clock counts one tick per event past the
+# last record's.
+TICK_LIMIT = 2 ** 62
 
 
 def workload_records(workload: dict) -> list:
@@ -194,10 +198,11 @@ def workload_records(workload: dict) -> list:
     by tick, metrics before indicators, then file order. `kind` is
     METRIC_RECORD or INDICATOR_RECORD.
 
-    Each record is `[tick, subject, name, value]` with an int tick and str
-    subject and name. A metric value is a finite int or float, never a
-    bool; an indicator value is free-form. Raises ScenarioValidationError
-    with one `workload:` problem per bad record.
+    Each record is `[tick, subject, name, value]` with an int tick of at
+    most TICK_LIMIT in absolute value and str subject and name. A metric
+    value is a finite int or float, never a bool; an indicator value is
+    free-form. Raises ScenarioValidationError with one `workload:` problem
+    per bad record.
 
     The check runs here, in the one pass the run makes over the records,
     rather than in `validate_scenario`: a workload holds thousands of
@@ -221,7 +226,12 @@ def workload_records(workload: dict) -> list:
                     and (kind == INDICATOR_RECORD
                          or type(rec[3]) is int
                          or type(rec[3]) is float and math.isfinite(rec[3]))):
-                records.append((rec[0], kind, i, rec[1], rec[2], rec[3]))
+                if abs(rec[0]) > TICK_LIMIT:
+                    problems.append("workload: %s[%d] tick %d is beyond "
+                                    "the limit of +/-2**62"
+                                    % (field_name, i, rec[0]))
+                else:
+                    records.append((rec[0], kind, i, rec[1], rec[2], rec[3]))
             else:
                 problems.append("workload: %s[%d] is not %s: %r"
                                 % (field_name, i, shape, rec))

@@ -33,7 +33,7 @@ from .scenario import (
     METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
     validate_scenario, workload_records,
 )
-from .trace import EventRecord, payload_digest, payload_text
+from .trace import Trace, payload_digest, payload_text
 
 STATUS_COMPLETED = "completed"
 STATUS_OPERATION_FAILED = "operation-failed"
@@ -99,22 +99,29 @@ class OperationFailure(RuntimeError):
 
 @dataclass
 class ScalingOperation:
-    """One scaling operation. `phase` is PHASE_FAILED once it has failed,
-    at `failed_step`, and PHASE_COMPLETED otherwise. `step_log` holds the
-    (step, tick) of every numbered event it sent, taken from the trace
-    when it ends."""
+    """One scaling operation: the events of `trace` from position `begun`
+    up to `end`, which is None while it runs. `phase` is PHASE_FAILED once
+    it has failed, at `failed_step`, and PHASE_COMPLETED otherwise."""
     op_id: str
     kind: str
+    trace: Trace = field(repr=False)
+    begun: int
+    end: int | None = None
     phase: str = PHASE_COMPLETED
-    step_log: list = field(default_factory=list)  # [(step, tick)]
     failed_step: int | None = None
     error: str = ""
+
+    @property
+    def step_log(self) -> list:
+        """The (step, tick) of every numbered event the operation sent,
+        read from the trace."""
+        return self.trace.step_log(self.begun, self.end)
 
 
 @dataclass
 class RunResult:
     status: str
-    trace: list
+    trace: Trace
     final_state: dict
     operations: list
     decisions: list  # [(tick, DrpaDecision | str)]
@@ -166,7 +173,7 @@ class Simulator:
         self.vnf_infos = {}
         self.vl_handles = {}  # vl profile id -> [(pop_id, zone, handle)]
 
-        self.trace = []
+        self.trace = Trace()
         self.operations = []
         self.decisions = []
         self.transitions = []
@@ -174,7 +181,6 @@ class Simulator:
         # zone at every event; the zones check themselves only on writes.
         self.on_event = None
         self._clock = 0
-        self._seq = 0
         self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
         self._cooldown_state = {}
@@ -196,12 +202,9 @@ class Simulator:
         """Record the event of a message whose payload is the canonical
         JSON `text`."""
         self._clock += 1
-        self._seq += 1
-        record = EventRecord(self._seq, self._clock, arrow.step, src, dst,
-                             arrow.message, payload_digest(text))
-        self.trace.append(record)
+        self.trace.append(self._clock, arrow, src, dst, payload_digest(text))
         if self.on_event is not None:
-            self.on_event(record, self.pops)
+            self.on_event(self.trace[-1], self.pops)
 
     def _pop(self, pop_id: str):
         for pop in self.pops:
@@ -297,8 +300,8 @@ class Simulator:
                  "is not monitored by NSD %r"
                  % (index, tick, metric, subject, self.nsd.id)])
         self._clock = max(self._clock, tick)
-        for note in self.store.ingest(
-                MetricSample(tick, subject, metric, value)):
+        for note in self.store.ingest(tuple.__new__(
+                MetricSample, (tick, subject, metric, value))):
             arrow = PERF_INFO if note.variant == PERF_INFO_AVAILABLE \
                 else THRESHOLD
             self._emit(src, self.nfvo, arrow, note.payload)
@@ -325,7 +328,8 @@ class Simulator:
             raise ScenarioValidationError([where + str(exc)])
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             # numeric indicators feed the rule engine like any metric
-            self.store.ingest(MetricSample(tick, vnfd_ref, indicator, value))
+            self.store.ingest(tuple.__new__(
+                MetricSample, (tick, vnfd_ref, indicator, value)))
         vnfm = self.vnfm_actor[vnfd_ref]
         self._emit(em, vnfm, INDICATOR, note.payload)
         self._emit(vnfm, self.nfvo, INDICATOR, note.payload)
@@ -365,10 +369,10 @@ class Simulator:
         items = self.levels.additions(*move)
         plan = decision.placement
         op = ScalingOperation("op-%d" % next(self._op_counter),
-                              delta.classification)
+                              delta.classification, self.trace,
+                              len(self.trace))
         self.operations.append(op)
         saved = self._checkpoint()
-        begun = len(self.trace)
         try:
             # VL increases ride the first sub-procedure that can allocate,
             # decreases the first that can release; a leftover is applied
@@ -422,10 +426,7 @@ class Simulator:
                        {"op_id": op.op_id, "step": op.failed_step,
                         "reason": op.error})
         finally:
-            # Of the operation's events only OperationFailed has no step.
-            op.step_log = [(event.step, event.tick)
-                           for event in self.trace[begun:]
-                           if event.step is not None]
+            op.end = len(self.trace)
 
     def _checkpoint(self) -> tuple:
         """What an operation may change, apart from id counters and the

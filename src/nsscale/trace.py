@@ -1,9 +1,12 @@
-"""Canonical event-trace records and serialization helpers."""
+"""The event trace, its text, and canonical JSON serialization helpers."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
+from array import array
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
@@ -94,12 +97,16 @@ def number_text(value) -> str:
     return repr(value)
 
 
+DIGEST_DIGITS = 16
+
+
 def payload_digest(text: str) -> str:
     """16 hex digits of SHA-256 over a payload's canonical JSON `text`."""
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(text.encode()).hexdigest()[:DIGEST_DIGITS]
 
 
 class EventRecord(NamedTuple):
+    """One event of a `Trace`, as reading it builds it."""
     seq: int
     tick: int
     step: int | None
@@ -108,12 +115,87 @@ class EventRecord(NamedTuple):
     message: str
     digest: str
 
-    def line(self) -> str:
-        step = "-" if self.step is None else str(self.step)
-        return "%d %d %s %s %s %s %s" % (
-            self.seq, self.tick, step, self.src, self.dst, self.message,
-            self.digest)
+
+class Trace:
+    """A run's events, held as three columns rather than one record each:
+    the tick, in an `array("q")`; a route id, in an `array("I")`, indexing
+    the table of the distinct `(arrow, src, dst)` seen, `arrow` being a
+    `(step, message)` pair; and the payload digest's 16 hex digits,
+    appended to one `bytearray`. That is 28 bytes per event. An event's
+    seq is its position, counted from 1. Reading an event (by an int or
+    negative index, a slice or iteration) builds its `EventRecord`; a
+    slice reads as a list."""
+
+    __slots__ = ("_ticks", "_routes", "_digests", "_route_ids", "_route_table")
+
+    def __init__(self):
+        self._ticks = array("q")
+        self._routes = array("I")
+        self._digests = bytearray()
+        self._route_ids = {}  # (arrow, src, dst) -> index in _route_table
+        self._route_table = []  # [(step, src, dst, message)]
+
+    def append(self, tick: int, arrow, src: str, dst: str, digest: str):
+        """Add the event of `arrow` from `src` to `dst` at `tick`, whose
+        payload digest is `digest`."""
+        key = (arrow, src, dst)
+        route = self._route_ids.get(key)
+        if route is None:
+            route = self._route_ids[key] = len(self._route_table)
+            self._route_table.append((arrow[0], src, dst, arrow[1]))
+        self._ticks.append(tick)
+        self._routes.append(route)
+        self._digests += digest.encode()
+
+    def __len__(self) -> int:
+        return len(self._ticks)
+
+    def _record(self, i: int) -> EventRecord:
+        step, src, dst, message = self._route_table[self._routes[i]]
+        at = DIGEST_DIGITS * i
+        return tuple.__new__(EventRecord, (
+            i + 1, self._ticks[i], step, src, dst, message,
+            self._digests[at:at + DIGEST_DIGITS].decode()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._record, range(*index.indices(len(self)))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("trace index out of range")
+        return self._record(i)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def step_log(self, begun: int, end: int | None) -> list:
+        """The `(step, tick)` of the events at positions `begun` up to
+        `end` (the trace's end when None) that carry a step."""
+        steps = [route[0] for route in self._route_table]
+        return [(steps[route], tick) for route, tick in
+                zip(self._routes[begun:end], self._ticks[begun:end])
+                if steps[route] is not None]
 
 
-def trace_lines(trace: list) -> str:
-    return "".join(record.line() + "\n" for record in trace)
+# Lines formatted per `"".join`: the per-line strings of one batch are
+# what the trace's text costs beyond itself.
+LINES_PER_JOIN = 512
+
+
+def trace_lines(trace: Trace) -> str:
+    """The trace as text, one `seq tick step src dst message digest` line
+    per event; a step-less event's step reads `-`."""
+    heads = ["%s %s %s %s" % ("-" if step is None else step, src, dst,
+                              message)
+             for step, src, dst, message in trace._route_table]
+    digests = trace._digests.decode()
+    cuts = map(slice, range(0, len(digests), DIGEST_DIGITS),
+               itertools.count(DIGEST_DIGITS, DIGEST_DIGITS))
+    lines = map("%d %d %s %s\n".__mod__, zip(
+        itertools.count(1), trace._ticks,
+        map(heads.__getitem__, trace._routes),
+        map(digests.__getitem__, cuts)))
+    return "".join(["".join(itertools.islice(lines, LINES_PER_JOIN))
+                    for _ in range(0, len(trace), LINES_PER_JOIN)])

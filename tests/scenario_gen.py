@@ -144,6 +144,5 @@ def random_scenario(rng: random.Random) -> dict:
         workload={"metrics": metrics},
         ns_il=rng.choice(list(sc.LEVELS)),
         topology={"vims": vims, "pops": pops},
-        options={"reservation_enabled": rng.random() < 0.7,
-                 "seed": rng.randrange(10**6)})
+        options={"reservation_enabled": rng.random() < 0.7})
     return scenario

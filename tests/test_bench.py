@@ -2,10 +2,12 @@
 the benchmark's tracer wraps (bench/layers.py) then fails here too, not
 only under `python3 bench/run.py --trace 1`."""
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -82,3 +84,40 @@ def test_workload_digests_are_pinned(name):
                     (trace_lines(result.trace),
                      canonical_json(result.final_state)))
     assert digests == WORKLOAD_DIGESTS[name]
+
+
+def retained_after_run(data: dict) -> tuple:
+    """(bytes a finished run of scenario `data` keeps allocated, with its
+    simulator and result alive; the run's trace events)."""
+    from nsscale.scenario import scenario_from_dict
+    from nsscale.simulator import Simulator
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = Simulator(scenario_from_dict(data)).run()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained, len(result.trace)
+
+
+RETAINED_PER_EVENT = 200  # bytes
+
+
+def test_a_run_retains_little_per_trace_event():
+    """The memory a finished run keeps grows by less than
+    `RETAINED_PER_EVENT` (200) bytes per trace event. The growth is
+    measured with `tracemalloc` between scale-churn sizes 10 and 40 (2,010
+    and 8,040 events), so set-up's fixed cost drops out. Measured on
+    CPython 3.11.7: 360 B/event while the trace kept one record per event
+    and each operation its own (step, tick) list, and 104 B/event with the
+    trace held as columns. Monitor-steady, between sizes 250 and 1,000,
+    measured 249 and 33 B/event."""
+    workloads = import_bench("workloads")
+    (small, small_events), (large, large_events) = (
+        retained_after_run(workloads.GENERATORS["scale-churn"](0, size))
+        for size in (10, 40))
+    per_event = (large - small) / (large_events - small_events)
+    assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event

@@ -280,6 +280,33 @@ def test_workload_field_that_is_not_a_list_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out == "workload: metrics is not a list\n"
 
 
+@pytest.mark.parametrize("field, record", [
+    ("metrics", [10**20, "vnfd-b", "cpu_load", 0.9]),
+    ("metrics", [-2**62 - 1, "vnfd-b", "cpu_load", 0.9]),
+    ("indicators", [2**62 + 1, "vnfd-b", "congestion", 2]),
+])
+def test_tick_beyond_the_limit_exits_one(tmp_path, capsys, field, record):
+    """The trace holds ticks as signed 64-bit integers: a record's tick is
+    refused beyond +/-2**62, leaving the clock room to count events."""
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    records = scenario["workload"].setdefault(field, [])
+    records.append(record)
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    assert capsys.readouterr().out == (
+        "workload: %s[%d] tick %d is beyond the limit of +/-2**62\n"
+        % (field, len(records) - 1, record[0]))
+
+
+def test_a_tick_at_the_limit_runs(tmp_path, capsys):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["workload"]["metrics"].append([2**62, "vnfd-b", "cpu_load", 0.9])
+    trace = tmp_path / "trace.txt"
+    assert main(["run", scenario_file(tmp_path, scenario),
+                 "--trace", str(trace)]) == 0
+    last = trace.read_text().splitlines()[-1].split()
+    assert int(last[1]) >= 2**62
+
+
 def test_explain_at_decision_tick(tmp_path, capsys):
     assert main(["explain", scenario_file(tmp_path), "--at", "10"]) == 0
     out = capsys.readouterr().out

@@ -4,16 +4,20 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import nsscale.simulator
 import nsscale.trace
 import sample_catalog as sc
 import scenario_gen
-from nsscale.scenario import scenario_from_dict
+from nsscale.scenario import ScenarioValidationError, scenario_from_dict
 from nsscale.simulator import Simulator
-from nsscale.trace import canonical_json, payload_digest, payload_text
-from test_sample_digests import sample_digests
+from nsscale.trace import (
+    EventRecord, canonical_json, payload_digest, payload_text, trace_lines)
+from test_bench import import_bench
+from test_rollback import fail_kth_zone_write, zone_writes
+from test_sample_digests import sample_digests, sample_scenarios
 
 
 def reference_json(obj) -> str:
@@ -132,3 +136,100 @@ def test_only_the_trace_module_writes_json():
                      if isinstance(node, ast.ImportFrom) and node.module]
         assert not [name for name in imported
                     if name == "json" or name.startswith("json.")], module
+
+
+def reference_line(record) -> str:
+    """A trace line as written when the trace was a list of records."""
+    return "%d %d %s %s %s %s %s\n" % (
+        record.seq, record.tick, "-" if record.step is None else record.step,
+        record.src, record.dst, record.message, record.digest)
+
+
+# Slices a trace must read as a list does, on traces long and short.
+SLICES = (slice(None), slice(3, 17), slice(-10, None), slice(None, None, -1),
+          slice(1, None, 7), slice(-5, -50, -3), slice(100, 5), slice(0, 0))
+
+
+def assert_reads_as(trace, reference: list):
+    n = len(reference)
+    assert len(trace) == n
+    assert list(trace) == reference
+    assert [trace[i] for i in range(n)] == reference
+    assert [trace[-k] for k in range(1, n + 1)] == reference[::-1]
+    for cut in SLICES:
+        assert trace[cut] == reference[cut], cut
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    assert trace_lines(trace) == "".join(map(reference_line, reference))
+
+
+def check_traces(monkeypatch) -> list:
+    """From now on, keep beside each simulator's trace a plain list of the
+    `EventRecord(len + 1, clock, ...)` its events make, and the bounds of
+    each operation's events in it. As a run ends, its trace must read as
+    that list, and each operation's step log as the `(step, tick)` of its
+    events that carry a step. Returns the event count of each run
+    checked."""
+    checked = []
+    emit, execute, run = (Simulator._emit, Simulator._execute_decision,
+                          Simulator.run)
+
+    def emitting(sim, src, dst, arrow, text):
+        emit(sim, src, dst, arrow, text)
+        reference = sim.__dict__.setdefault("reference", [])
+        reference.append(EventRecord(len(reference) + 1, sim._clock,
+                                     arrow.step, src, dst, arrow.message,
+                                     sha16(text)))
+
+    def executing(sim, decision):
+        begun = len(sim.__dict__.setdefault("reference", []))
+        execute(sim, decision)
+        sim.__dict__.setdefault("spans", []).append(
+            (begun, len(sim.reference)))
+
+    def running(sim, *args):
+        result = run(sim, *args)
+        reference = sim.__dict__.get("reference", [])
+        assert_reads_as(result.trace, reference)
+        assert [op.step_log for op in result.operations] == [
+            [(event.step, event.tick) for event in reference[begun:end]
+             if event.step is not None]
+            for begun, end in sim.__dict__.get("spans", [])]
+        checked.append(len(reference))
+        return result
+
+    monkeypatch.setattr(Simulator, "_emit", emitting)
+    monkeypatch.setattr(Simulator, "_execute_decision", executing)
+    monkeypatch.setattr(Simulator, "run", running)
+    return checked
+
+
+def test_the_trace_reads_as_the_list_of_its_records(monkeypatch):
+    """The trace's columns read back, by index, slice, iteration and as
+    text, as the list of records the simulator once kept, and each step
+    log as the comprehension over it. Covers the 24 sample scenarios, one
+    sweep of zone-write faults, random scenarios and a trace longer than
+    one batch of `trace_lines`."""
+    checked = check_traces(monkeypatch)
+    for scenario in sample_scenarios().values():
+        Simulator(scenario_from_dict(scenario)).run()
+    scenario = sample_scenarios()["level-2/jump/reserve"]
+    for k in range(1, zone_writes(scenario) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            sim = Simulator(scenario_from_dict(scenario))
+            fail_kth_zone_write(mp, k)
+            assert sim.run().operations[0].failed_step is not None
+    for seed in range(60):
+        try:
+            sim = Simulator(scenario_from_dict(
+                scenario_gen.random_scenario(random.Random(seed))))
+        except ScenarioValidationError:  # the initial level does not fit
+            continue
+        sim.run()
+    workloads = import_bench("workloads")
+    Simulator(scenario_from_dict(workloads.GENERATORS["scale-churn"](0, 3))
+              ).run()
+    assert len(checked) > 24 + 60 // 2
+    assert checked[-1] > nsscale.trace.LINES_PER_JOIN
+    assert min(checked) > 0
