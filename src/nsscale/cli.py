@@ -67,7 +67,8 @@ def _load_and_build(args):
     except (OSError, json.JSONDecodeError) as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return None, EXIT_IO
-    if args.no_reservation:
+    if args.no_reservation and type(scenario.options) is dict:
+        # options of another type are reported by the validation
         scenario.options["reservation_enabled"] = False
     try:
         sim = Simulator(scenario)

@@ -688,14 +688,12 @@ _EMPTY_LEVEL = NsInstantiationLevel(None, {}, {})
 
 @dataclass(frozen=True)
 class NsIlDelta:
-    from_il: str | None
-    to_il: str
     profile_deltas: tuple  # only profiles with an actual change
     vl_changes: dict  # vl profile id -> (from bitrate, to bitrate)
     classification: str
 
 
-def ns_il_delta(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
+def ns_il_delta(catalog: Catalog, flavor: NsDeploymentFlavor,
                 from_il: str | None, to_il: str) -> NsIlDelta:
     """Compare two NS levels and classify the scaling procedure they demand.
     `from_il` None is the empty level, so the delta instantiates `to_il`."""
@@ -728,8 +726,7 @@ def ns_il_delta(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
         after = target.vl_entries.get(pid, 0)
         if before != after:
             vl_changes[pid] = (before, after)
-    return NsIlDelta(from_il, to_il, tuple(deltas), vl_changes,
-                     _classify(deltas))
+    return NsIlDelta(tuple(deltas), vl_changes, _classify(deltas))
 
 
 def _classify(deltas: list) -> str:
@@ -750,7 +747,7 @@ def _classify(deltas: list) -> str:
     return CLASS_MIXED
 
 
-def aggregate_capacity(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
+def aggregate_capacity(catalog: Catalog, flavor: NsDeploymentFlavor,
                        ns_il_id: str) -> CapacityVector:
     """Componentwise capacity sum over every VNFC instance implied by the
     NS level, plus VL bitrates."""

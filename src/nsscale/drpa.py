@@ -8,7 +8,7 @@ was given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 from .capacity import DIMENSIONS, ZERO, CapacityVector
@@ -68,7 +68,6 @@ class CostModel:
 class DemandEstimate:
     required: CapacityVector
     headroom: float  # the target utilization fraction
-    basis: dict = field(default_factory=dict)  # dim -> (utilization, capacity)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class DrpaDecision:
 def estimate_demand(verdicts: tuple, store: MetricStore,
                     current_capacity: CapacityVector,
                     target_utilization: float,
-                    dimension_map: dict | None = None) -> DemandEstimate:
+                    dimension_map: dict) -> DemandEstimate:
     """Linear utilization scaling: a violated dimension must end up at the
     target utilization given its observed load; other dimensions keep their
     current capacity.
@@ -127,20 +126,17 @@ def estimate_demand(verdicts: tuple, store: MetricStore,
     computed exactly over the decimal values the three numbers print as and
     rounded to float once, so 1.1 * 12 / 0.6 is exactly 22 and a level of
     22 covers it. Non-finite operands keep float arithmetic."""
-    dimension_map = dimension_map or {}
     violated = set()
     for verdict in verdicts:
         violated |= set(verdict.violated_dimensions)
-    basis = {}
     required = current_capacity._asdict()
     for dim in DIMENSIONS:
         if dim in violated:
             utilization = _observed_utilization(store, dim, dimension_map)
             if utilization is not None:
-                basis[dim] = (utilization, required[dim])
                 required[dim] = _exact_ratio(utilization, required[dim],
                                              target_utilization)
-    return DemandEstimate(CapacityVector(**required), target_utilization, basis)
+    return DemandEstimate(CapacityVector(**required), target_utilization)
 
 
 def _exact_ratio(utilization, capacity, target) -> float:
@@ -191,7 +187,7 @@ def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
     return candidates
 
 
-def delta_additions(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
+def delta_additions(catalog: Catalog, flavor: NsDeploymentFlavor,
                     delta: NsIlDelta, constraints: dict | None = None) -> list:
     """Expand a level delta into concrete placement items (new VNFC
     instances and VL bitrate increases), profiles in id order. A delta from
@@ -271,22 +267,22 @@ class LevelGraph:
         capacity = self._capacity.get(ns_il_id)
         if capacity is None:
             capacity = self._capacity[ns_il_id] = aggregate_capacity(
-                self.catalog, self.nsd, self.flavor, ns_il_id)
+                self.catalog, self.flavor, ns_il_id)
         return capacity
 
     def delta(self, from_il: str | None, to_il: str) -> NsIlDelta:
         delta = self._delta.get((from_il, to_il))
         if delta is None:
             delta = self._delta[from_il, to_il] = ns_il_delta(
-                self.catalog, self.nsd, self.flavor, from_il, to_il)
+                self.catalog, self.flavor, from_il, to_il)
         return delta
 
     def additions(self, from_il: str | None, to_il: str) -> tuple:
         items = self._additions.get((from_il, to_il))
         if items is None:
             items = self._additions[from_il, to_il] = tuple(delta_additions(
-                self.catalog, self.nsd, self.flavor,
-                self.delta(from_il, to_il), self.constraints))
+                self.catalog, self.flavor, self.delta(from_il, to_il),
+                self.constraints))
         return items
 
     def plans(self, from_il: str | None, to_ils, snapshot: tuple) -> list:

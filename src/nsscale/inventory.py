@@ -1,5 +1,5 @@
 """Runtime repositories: zone capacity accounting (allocated/reserved/
-available), reservations, resource handles, and NS/VNF instance records."""
+available), reservations, resource handles, and VNF instance records."""
 
 from __future__ import annotations
 
@@ -77,9 +77,7 @@ class Reservation:
 
 class ResourceHandle(NamedTuple):
     id: str
-    zone_ref: str
     spec: CapacityVector
-    kind: str
 
 
 class ResourceZone:
@@ -152,7 +150,7 @@ class ResourceZone:
         else:
             self._check_fits(spec)
         handle = ResourceHandle("h-%s-%d" % (self.id, next(self._counter)),
-                                self.id, spec, kind)
+                                spec)
         self.allocated = self.allocated + spec
         self._outstanding[handle.id] = handle
         self.check_conservation()
@@ -164,9 +162,6 @@ class ResourceZone:
         del self._outstanding[handle.id]
         self.allocated = self.allocated - handle.spec
         self.check_conservation()
-
-    def outstanding_handles(self) -> list:
-        return list(self._outstanding.values())
 
     def checkpoint(self) -> tuple:
         """What `restore` needs to put the zone's accounting back as it is
@@ -184,8 +179,7 @@ class ResourceZone:
 
         reserve, cancel, allocate and release call this after every write,
         so it is O(1): direct component comparisons, no vector temporaries,
-        and no `assert`, which `python -O` would strip. To audit every zone
-        at every event instead, attach a callback to `Simulator.on_event`."""
+        and no `assert`, which `python -O` would strip."""
         a, r = self.allocated, self.reserved
         # Each vector unpacked once: a named field read costs more.
         av, am, as_, ab = a
@@ -244,8 +238,7 @@ def capacity_report(pops: list) -> list:
     return report
 
 
-def vim_placement(zones: list, spec: CapacityVector,
-                  pending: dict | None = None):
+def vim_placement(zones: list, spec: CapacityVector, pending: dict):
     """The one rule that picks a zone, run by the DRPA's `plan_placement`
     over one PoP's zones from a capacity report (`ZoneReport`s; live
     `ResourceZone`s read alike). The chosen zone is the first in id order
@@ -254,7 +247,6 @@ def vim_placement(zones: list, spec: CapacityVector,
     NoZoneFitsError with the shortest list of dimensions a zone lacks.
     Anti-affinity is the DRPA's to keep: it puts items that share a label
     on distinct PoPs."""
-    pending = pending or {}
     free = []  # available less pending, of every zone tried
     for zone in sorted(zones, key=lambda z: z.id):
         capacity = zone.available
@@ -278,6 +270,17 @@ MARK_STOPPED = "mark-stopped"
 DELETE_INSTANCES = "delete-instances"
 SET_VNF_IL = "set-vnf-il"
 
+# The VNFC lifecycle: VnfInfo change -> (state before, state after) of the
+# VNFCs it names. Before is None for the new VNFCs a change creates, after
+# None for those it deletes; SET_VNF_IL names no VNFC.
+VNFC_TRANSITIONS = {
+    ADD_INSTANCES_STOPPED: (None, STOPPED),
+    MARK_STARTED: (STOPPED, STARTED),
+    MARK_STOPPED: (STARTED, STOPPED),
+    DELETE_INSTANCES: (STOPPED, None),
+    SET_VNF_IL: (None, None),
+}
+
 
 @dataclass(frozen=True)
 class VnfcInstance:
@@ -294,7 +297,6 @@ class VnfcInstance:
 class VnfInfo:
     vnfd_ref: str
     vnf_flavor_ref: str
-    current_vnf_il: str
     vnfc_instances: tuple
     vim_ref: str
     audit: tuple = ()  # ((step-or-"instantiation", tick), ...)
@@ -307,60 +309,40 @@ class VnfInfo:
         raise KeyError(instance_id)
 
 
-@dataclass
-class NsInfo:
-    ns_instance_id: str
-    nsd_ref: str
-    flavor_ref: str
-    current_ns_il: str
-
-
 def record_vnf_info_update(info: VnfInfo, change: str, step, tick: int,
-                           instances: tuple = (), instance_ids: tuple = (),
-                           vnf_il: str | None = None) -> VnfInfo:
+                           instances: tuple = (),
+                           instance_ids: tuple = ()) -> VnfInfo:
     """Apply one repository write and return the new VnfInfo revision with an
-    audit entry. Raises IllegalTransitionError on state-machine violations."""
+    audit entry. A change creates the VNFCs `instances` or moves those that
+    `instance_ids` names, as VNFC_TRANSITIONS says. Raises
+    IllegalTransitionError when a VNFC is not in the state it moves from."""
+    if change not in VNFC_TRANSITIONS:
+        raise ValueError("unknown change %r" % change)
+    before, after = VNFC_TRANSITIONS[change]
     current = list(info.vnfc_instances)
-    if change == ADD_INSTANCES_STOPPED:
+    ids = set(instance_ids)
+    if before is None:  # the change creates `instances`
         existing = {inst.id for inst in current}
         for inst in instances:
             if inst.id in existing:
                 raise IllegalTransitionError("instance id %s reused" % inst.id)
-            if inst.state != STOPPED:
+            if inst.state != after:
                 raise IllegalTransitionError(
-                    "new instances must be created STOPPED (got %s)" % inst.state)
-            current.append(inst)
-    elif change in (MARK_STARTED, MARK_STOPPED):
-        want_from = STOPPED if change == MARK_STARTED else STARTED
-        want_to = STARTED if change == MARK_STARTED else STOPPED
-        ids = set(instance_ids)
-        for i, inst in enumerate(current):
-            if inst.id not in ids:
-                continue
-            if inst.state != want_from:
-                raise IllegalTransitionError(
-                    "instance %s is %s, expected %s" % (inst.id, inst.state, want_from))
-            current[i] = replace(inst, state=want_to)
+                    "new instances must be created %s (got %s)"
+                    % (after, inst.state))
+        current += instances
+    moved = []
+    for inst in current:
+        if inst.id in ids:
+            if inst.state != before:
+                raise IllegalTransitionError("instance %s is %s, expected %s"
+                                             % (inst.id, inst.state, before))
             ids.discard(inst.id)
-        if ids:
-            raise IllegalTransitionError("unknown instances %s" % sorted(ids))
-    elif change == DELETE_INSTANCES:
-        ids = set(instance_ids)
-        for inst in current:
-            if inst.id in ids and inst.state != STOPPED:
-                raise IllegalTransitionError(
-                    "cannot delete %s instance %s" % (inst.state, inst.id))
-        remaining = [inst for inst in current if inst.id not in ids]
-        if len(current) - len(remaining) != len(ids):
-            raise IllegalTransitionError("unknown instances %s" % sorted(ids))
-        current = remaining
-    elif change == SET_VNF_IL:
-        pass
-    else:
-        raise ValueError("unknown change %r" % change)
-    return replace(
-        info,
-        vnfc_instances=tuple(current),
-        current_vnf_il=vnf_il if vnf_il is not None else info.current_vnf_il,
-        audit=info.audit + ((step, tick),),
-    )
+            if after is None:
+                continue
+            inst = replace(inst, state=after)
+        moved.append(inst)
+    if ids:
+        raise IllegalTransitionError("unknown instances %s" % sorted(ids))
+    return replace(info, vnfc_instances=tuple(moved),
+                   audit=info.audit + ((step, tick),))

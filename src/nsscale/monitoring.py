@@ -53,7 +53,6 @@ class RuleVerdict(NamedTuple):
     rule_id: str
     satisfied: bool
     violated_dimensions: frozenset
-    time: int
     cooldown_active: bool = False
     missing_streams: frozenset = frozenset()
 
@@ -182,15 +181,16 @@ def _crossed(value: float, spec: ThresholdSpec) -> bool:
 
 
 def evaluate_rules(rules: tuple, store: MetricStore, now: int,
-                   dimension_map: dict | None = None,
-                   cooldown_state: dict | None = None,
-                   verdict_cache: dict | None = None) -> list:
+                   dimension_map: dict, cooldown_state: dict,
+                   verdict_cache: dict) -> list:
     """Evaluate each rule at logical tick `now`.
 
     A rule whose condition holds is reported as not satisfied (scaling is
-    required). Missing streams leave the rule satisfied and are reported.
-    `cooldown_state` (rule id -> tick of last violation) suppresses repeat
-    violations inside the rule's cooldown and is updated in place.
+    required), with the dimensions `dimension_map` (metric name ->
+    dimension) gives its metrics. Missing streams leave the rule satisfied
+    and are reported. `cooldown_state` (rule id -> tick of last violation)
+    suppresses repeat violations inside the rule's cooldown and is updated
+    in place.
 
     `verdict_cache` (rule id -> _RuleState), kept by the caller across
     calls with the same rules, store and dimension map, holds each rule's
@@ -211,10 +211,6 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     the expression. A reused verdict skips no cooldown write: a write of
     `now` changes the next key, unless the entry already held `now`.
     """
-    dimension_map = dimension_map or {}
-    if verdict_cache is None:
-        verdict_cache = {}
-    last_violation = {} if cooldown_state is None else cooldown_state
     stream_count = len(store.streams())
     verdicts = []
     for rule in rules:
@@ -224,7 +220,7 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
                 rule, store, stream_count, dimension_map)
         # A list, not a tuple: the interpreter's free lists for small
         # tuples would fill with dead blocks that the traced heap counts.
-        key = [now, last_violation.get(rule.id)]
+        key = [now, cooldown_state.get(rule.id)]
         key += map(len, state.read)
         if key != state.key:
             state.read.clear()
@@ -288,7 +284,7 @@ def _holds_sample(times, window: int, now: int) -> bool:
 
 
 def _evaluate_rule(rule, state: _RuleState, now: int,
-                   cooldown_state: dict | None) -> RuleVerdict:
+                   cooldown_state: dict) -> RuleVerdict:
     """One rule's verdict at `now` over its bound streams."""
     ast = rule.ast
     # Every window ends at `now`, so when a metric's smallest window holds
@@ -298,17 +294,15 @@ def _evaluate_rule(rule, state: _RuleState, now: int,
                if not _holds_sample(times, window, now)]
     if missing:
         state.read += state.values
-        return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now,
+        return RuleVerdict(rule.id, True, _NO_DIMENSIONS,
                            missing_streams=frozenset(missing))
     if not rules_mod.evaluate_expr(ast.plan, state.cut, now):
-        return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now)
-    if cooldown_state is not None:
-        last = cooldown_state.get(rule.id)
-        if last is not None and now - last < rule.cooldown:
-            return RuleVerdict(rule.id, True, _NO_DIMENSIONS, now,
-                               cooldown_active=True)
-        cooldown_state[rule.id] = now
-    return RuleVerdict(rule.id, False, state.dimensions, now)
+        return RuleVerdict(rule.id, True, _NO_DIMENSIONS)
+    last = cooldown_state.get(rule.id)
+    if last is not None and now - last < rule.cooldown:
+        return RuleVerdict(rule.id, True, _NO_DIMENSIONS, cooldown_active=True)
+    cooldown_state[rule.id] = now
+    return RuleVerdict(rule.id, False, state.dimensions)
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,

@@ -8,7 +8,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .capacity import CapacityVector
+from .capacity import DIMENSIONS, CapacityVector
 from .descriptors import (Catalog, CatalogError, load_catalog, validate_catalog)
 from .drpa import DEFAULT_TARGET_UTILIZATION, CostModel
 from .inventory import NfviPop, ResourceZone
@@ -126,6 +126,7 @@ def validate_scenario(scenario: Scenario) -> tuple:
     if not pop_ids:
         problems.append("topology: at least one PoP required")
     problems.extend(_threshold_problems(scenario.rules.get("thresholds", ())))
+    problems.extend(_option_problems(scenario.options))
 
     init = scenario.initial_instance
     nsd = catalog.nsds.get(init.get("nsd_ref"))
@@ -142,6 +143,11 @@ def validate_scenario(scenario: Scenario) -> tuple:
                 problems.append("initial_instance: unknown NS-IL %r"
                                 % init.get("ns_il_ref"))
     return catalog, problems
+
+
+def _finite_number(value) -> bool:
+    """Whether `value` is an int or a finite float, never a bool."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
 
 
 def _threshold_problems(thresholds) -> list:
@@ -163,8 +169,7 @@ def _threshold_problems(thresholds) -> list:
                 ("subject", "a string", type(entry.get("subject")) is str),
                 ("metric", "a string", type(entry.get("metric")) is str),
                 ("bound", "a finite number",
-                 type(entry.get("bound")) in (int, float)
-                 and math.isfinite(entry["bound"])),
+                 _finite_number(entry.get("bound"))),
                 ("direction", "'above' or 'below'",
                  entry.get("direction") in ("above", "below"))):
             if name not in entry:
@@ -181,6 +186,35 @@ def _threshold_problems(thresholds) -> list:
         if faults:
             problems.append("rules: thresholds[%d] %s"
                             % (i, ", ".join(faults)))
+    return problems
+
+
+def _option_problems(options) -> list:
+    """One `options: ...` line per bad option. `target_utilization` is a
+    finite number in (0, 1], `reservation_enabled` a bool, and
+    `cost_weights` an object mapping dimensions, named with or without
+    `w_`, to finite numbers >= 0."""
+    if type(options) is not dict:
+        return ["options: %r is not an object" % (options,)]
+    problems = []
+    target = options.get("target_utilization", DEFAULT_TARGET_UTILIZATION)
+    if not (_finite_number(target) and 0 < target <= 1):
+        problems.append("options: target_utilization %r is not a number in "
+                        "(0, 1]" % (target,))
+    if type(options.get("reservation_enabled", True)) is not bool:
+        problems.append("options: reservation_enabled %r is not a bool"
+                        % (options["reservation_enabled"],))
+    weights = options.get("cost_weights", {})
+    if type(weights) is not dict:
+        return problems + ["options: cost_weights %r is not an object"
+                           % (weights,)]
+    for key, weight in weights.items():
+        if key.removeprefix("w_") not in DIMENSIONS:
+            problems.append("options: cost_weights key %r is not a dimension"
+                            % key)
+        elif not (_finite_number(weight) and weight >= 0):
+            problems.append("options: cost_weights %r weight %r is not a "
+                            "finite number >= 0" % (key, weight))
     return problems
 
 

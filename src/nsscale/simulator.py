@@ -20,8 +20,9 @@ from .descriptors import (
 )
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
-    SET_VNF_IL, STARTED, STOPPED, InventoryError, NsInfo, NS_INSTANTIATED,
-    VnfcInstance, VnfInfo, capacity_report, record_vnf_info_update,
+    SET_VNF_IL, STARTED, STOPPED, VNFC_TRANSITIONS, InventoryError,
+    NS_INSTANTIATED, VnfcInstance, VnfInfo, capacity_report,
+    record_vnf_info_update,
     vim_placement,  # unused here; the benchmark's tracer wraps this name
 )
 from .monitoring import (
@@ -79,14 +80,13 @@ RESOURCE_DELETION = Arrow(26, "ResourceDeletion")
 RELEASE_RESPONSE = Arrow(27, "ReleaseResponse")
 OPERATION_FAILED = Arrow(None, "OperationFailed")
 
-# VnfInfo change -> (step, VNFC state before, VNFC state after) of the
-# VNFCs it names; a change with no state after logs no transition.
+# VnfInfo change -> the step of its repository update.
 VNF_INFO_CHANGES = {
-    ADD_INSTANCES_STOPPED: (15, None, STOPPED),
-    MARK_STARTED: (19, STOPPED, STARTED),
-    SET_VNF_IL: (19, None, None),
-    MARK_STOPPED: (24, STARTED, STOPPED),
-    DELETE_INSTANCES: (28, None, None),
+    ADD_INSTANCES_STOPPED: 15,
+    MARK_STARTED: 19,
+    SET_VNF_IL: 19,
+    MARK_STOPPED: 24,
+    DELETE_INSTANCES: 28,
 }
 
 
@@ -100,16 +100,18 @@ class OperationFailure(RuntimeError):
 @dataclass
 class ScalingOperation:
     """One scaling operation: the events of `trace` from position `begun`
-    up to `end`, which is None while it runs. `phase` is PHASE_FAILED once
-    it has failed, at `failed_step`, and PHASE_COMPLETED otherwise."""
+    up to `end`, which is None while it runs."""
     op_id: str
     kind: str
     trace: Trace = field(repr=False)
     begun: int
     end: int | None = None
-    phase: str = PHASE_COMPLETED
     failed_step: int | None = None
     error: str = ""
+
+    @property
+    def phase(self) -> str:
+        return PHASE_COMPLETED if self.failed_step is None else PHASE_FAILED
 
     @property
     def step_log(self) -> list:
@@ -120,13 +122,17 @@ class ScalingOperation:
 
 @dataclass
 class RunResult:
-    status: str
     trace: Trace
     final_state: dict
     operations: list
     decisions: list  # [(tick, DrpaDecision | str)]
     transitions: list  # VNFC lifecycle transitions
-    failure_reason: str = ""
+    failure_reason: str = ""  # the last failed operation's failure
+
+    @property
+    def status(self) -> str:
+        return STATUS_OPERATION_FAILED if self.failure_reason \
+            else STATUS_COMPLETED
 
 
 class Simulator:
@@ -165,9 +171,7 @@ class Simulator:
         self.target_utilization = scenario.target_utilization
         self.reservation_enabled = scenario.reservation_enabled
 
-        self.ns_info = NsInfo(
-            ns_instance_id="ns-1", nsd_ref=self.nsd.id,
-            flavor_ref=self.flavor.id, current_ns_il=init["ns_il_ref"])
+        self.current_ns_il = init["ns_il_ref"]
         # vnf instance id -> VnfInfo, the one registry of VNF instances; in
         # creation order, so a profile's newest instance is its last entry
         self.vnf_infos = {}
@@ -177,9 +181,6 @@ class Simulator:
         self.operations = []
         self.decisions = []
         self.transitions = []
-        # callback(record, pops) after every event, e.g. to audit every
-        # zone at every event; the zones check themselves only on writes.
-        self.on_event = None
         self._clock = 0
         self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
@@ -203,8 +204,6 @@ class Simulator:
         JSON `text`."""
         self._clock += 1
         self.trace.append(self._clock, arrow, src, dst, payload_digest(text))
-        if self.on_event is not None:
-            self.on_event(self.trace[-1], self.pops)
 
     def _pop(self, pop_id: str):
         for pop in self.pops:
@@ -222,7 +221,7 @@ class Simulator:
         plan counted it in. New VNF instances are created, and their VNFCs
         allocated, in the flavor's profile order; the plan lists profiles
         by id."""
-        level = self.ns_info.current_ns_il
+        level = self.current_ns_il
         deltas = {pd.profile_id: pd
                   for pd in self.levels.delta(None, level).profile_deltas}
         items = self.levels.additions(None, level)
@@ -236,7 +235,7 @@ class Simulator:
             for profile in self.flavor.vnf_profiles:
                 pd = deltas.get(profile.id)
                 for j in range(pd.count_delta if pd else 0):
-                    vnf_id = self._new_vnf(profile, pd.to_il)
+                    vnf_id = self._new_vnf(profile)
                     instances = []
                     for item in vnfc_items[profile.id, j]:
                         pop, zone = self._planned_zone(plan, item)
@@ -285,8 +284,7 @@ class Simulator:
                 self._deliver_metric(index, tick, subject, name, value)
             else:
                 self._deliver_indicator(index, tick, subject, name, value)
-        status = STATUS_OPERATION_FAILED if self._failure else STATUS_COMPLETED
-        return RunResult(status, self.trace, self.final_state(),
+        return RunResult(self.trace, self.final_state(),
                          self.operations, self.decisions, self.transitions,
                          failure_reason=self._failure)
 
@@ -344,7 +342,7 @@ class Simulator:
             return
         try:
             decision = drpa_mod.decide(
-                self.levels, verdicts, self.ns_info.current_ns_il, self.store,
+                self.levels, verdicts, self.current_ns_il, self.store,
                 self.cost_model, self.target_utilization,
                 capacity_report(self.pops), self.dimension_map)
         except drpa_mod.DrpaError as exc:
@@ -363,7 +361,7 @@ class Simulator:
     # -- procedure execution -------------------------------------------------
 
     def _execute_decision(self, decision):
-        move = (self.ns_info.current_ns_il, decision.target_ns_il)
+        move = (self.current_ns_il, decision.target_ns_il)
         delta = self.levels.delta(*move)
         # Every VNFC and VL addition of the operation, each placed by `plan`.
         items = self.levels.additions(*move)
@@ -397,7 +395,7 @@ class Simulator:
                          and i.retained_instance_index == e],
                         take(vl_inc), take(vl_dec), pd.vnfc_remove)
                 for j in range(pd.count_delta):
-                    vnf_id = self._new_vnf(profile, pd.to_il)
+                    vnf_id = self._new_vnf(profile)
                     self._vnf_procedure(
                         op, plan, vnf_id,
                         {"new_vnf_il": pd.to_il, "new_instance": True},
@@ -415,10 +413,9 @@ class Simulator:
             for _, zone, handle in chosen:
                 zone.release(handle)
             self._finish_vl_shrink(remainders)
-            self.ns_info.current_ns_il = decision.target_ns_il
+            self.current_ns_il = decision.target_ns_il
         except (OperationFailure, InventoryError) as exc:
             self._restore(saved)
-            op.phase = PHASE_FAILED
             op.failed_step = getattr(exc, "step", RESOURCE_ALLOCATION.step)
             op.error = getattr(exc, "reason", str(exc))
             self._failure = str(exc)
@@ -463,16 +460,14 @@ class Simulator:
                    {"op_id": op.op_id, "vnf_instance": vnf_id, **request})
         self._send(vnfm, self.nfvo, SCALE_RESPONSE, {"op_id": op.op_id})
 
-        new_il = request.get("new_vnf_il")
         release = drop is None or bool(drop) or bool(vl_decreases)
         new_ids = []
         if items or vl_increases:
-            new_ids = self._allocation_phase(
-                op, plan, vnfm, em, vnf_id, items, vl_increases,
-                finalize_il=None if release else new_il)
+            new_ids = self._allocation_phase(op, plan, vnfm, em, vnf_id,
+                                             items, vl_increases)
         if not (release or new_ids):
             # No VNFC starts or stops: the level changes by itself.
-            self._update_vnf_info(vnf_id, SET_VNF_IL, vnf_il=new_il)
+            self._update_vnf_info(vnf_id, SET_VNF_IL)
         if release:
             if drop is None:
                 remove_ids = [inst.id for inst in
@@ -480,13 +475,12 @@ class Simulator:
             else:
                 remove_ids = self._select_removals(vnf_id, drop, new_ids)
             self._release_phase(op, vnfm, em, vnf_id, remove_ids,
-                                vl_decreases, finalize_il=new_il,
-                                delete_vnf=drop is None)
+                                vl_decreases, delete_vnf=drop is None)
 
     # -- allocation phase ----------------------------------------------------
 
     def _allocation_phase(self, op, plan, vnfm, em, vnf_id, vnfc_items,
-                          vl_items, finalize_il=None) -> list:
+                          vl_items) -> list:
         items = list(vnfc_items) + list(vl_items)
         self._send(vnfm, self.nfvo, GRANT_REQUEST,
                    {"op_id": op.op_id, "intent": "allocate",
@@ -534,8 +528,7 @@ class Simulator:
                 self._send(vnfm, em, START_CONFIGURE,
                            {"instance_ids": peers, "reconfigure": True})
             self._update_vnf_info(vnf_id, MARK_STARTED,
-                                  instance_ids=tuple(new_ids),
-                                  vnf_il=finalize_il)
+                                  instance_ids=tuple(new_ids))
         return new_ids
 
     def _reservation_subphase(self, op, plan, items) -> dict:
@@ -625,7 +618,7 @@ class Simulator:
     # -- release phase -------------------------------------------------------
 
     def _release_phase(self, op, vnfm, em, vnf_id, remove_ids, vl_decreases,
-                       finalize_il=None, delete_vnf=False):
+                       delete_vnf=False):
         self._send(vnfm, self.nfvo, RELEASE_GRANT_REQUEST,
                    {"op_id": op.op_id, "intent": "release",
                     "instance_ids": sorted(remove_ids)})
@@ -671,8 +664,7 @@ class Simulator:
                        {"op_id": op.op_id, "handles": handle_ids})
         self._finish_vl_shrink(remainders)
         self._update_vnf_info(vnf_id, DELETE_INSTANCES,
-                              instance_ids=tuple(sorted(remove_ids)),
-                              vnf_il=finalize_il)
+                              instance_ids=tuple(sorted(remove_ids)))
         if delete_vnf:
             del self.vnf_infos[vnf_id]
 
@@ -704,12 +696,12 @@ class Simulator:
 
     # -- helpers -------------------------------------------------------------
 
-    def _new_vnf(self, profile, vnf_il: str) -> str:
-        """Register a new VNF instance of `profile` at VNF level `vnf_il`,
-        with no VNFCs yet, and return its id."""
+    def _new_vnf(self, profile) -> str:
+        """Register a new VNF instance of `profile`, with no VNFCs yet, and
+        return its id."""
         vnf_id = "vnf-%s-%d" % (profile.id, next(self._instance_counter))
         self.vnf_infos[vnf_id] = VnfInfo(
-            profile.vnfd_ref, profile.vnf_flavor_ref, vnf_il, (), "",
+            profile.vnfd_ref, profile.vnf_flavor_ref, (), "",
             audit=(("instantiation", self._clock),), profile_ref=profile.id)
         return vnf_id
 
@@ -739,9 +731,10 @@ class Simulator:
 
     def _update_vnf_info(self, vnf_id: str, change: str, **kwargs):
         """Write `change` to the VNF's record at the change's step in
-        VNF_INFO_CHANGES, report it to the NFVO, and log the lifecycle
-        transition of each VNFC it names, `instances` or `instance_ids`."""
-        step, state_from, state_to = VNF_INFO_CHANGES[change]
+        VNF_INFO_CHANGES, report it to the NFVO, and log the transition
+        VNFC_TRANSITIONS gives each VNFC it creates or moves."""
+        step = VNF_INFO_CHANGES[change]
+        state_from, state_to = VNFC_TRANSITIONS[change]
         info = record_vnf_info_update(self.vnf_infos[vnf_id], change, step,
                                       self._clock, **kwargs)
         self.vnf_infos[vnf_id] = info
@@ -759,6 +752,8 @@ class Simulator:
                 "step": step, "tick": self._clock})
 
     def final_state(self) -> dict:
+        # A VNF instance is at the level the NS level gives its profile.
+        vnf_levels = self.flavor.ns_il(self.current_ns_il).vnf_entries
         zones = {}
         for pop in self.pops:
             for zone in pop.zones:
@@ -768,7 +763,7 @@ class Simulator:
             vnf_infos[vnf_id] = {
                 "vnfd_ref": info.vnfd_ref,
                 "vnf_flavor_ref": info.vnf_flavor_ref,
-                "current_vnf_il": info.current_vnf_il,
+                "current_vnf_il": vnf_levels[info.profile_ref][0],
                 "vim_ref": info.vim_ref,
                 "vnfc_instances": [
                     {"id": inst.id, "vdu_ref": inst.vdu_ref,
@@ -782,10 +777,10 @@ class Simulator:
             for pid, entries in sorted(self.vl_handles.items())}
         return {
             "ns_info": {
-                "ns_instance_id": self.ns_info.ns_instance_id,
-                "nsd_ref": self.ns_info.nsd_ref,
-                "flavor_ref": self.ns_info.flavor_ref,
-                "current_ns_il": self.ns_info.current_ns_il,
+                "ns_instance_id": "ns-1",
+                "nsd_ref": self.nsd.id,
+                "flavor_ref": self.flavor.id,
+                "current_ns_il": self.current_ns_il,
                 "state": NS_INSTANTIATED,
                 "vnf_instance_refs": sorted(self.vnf_infos),
             },

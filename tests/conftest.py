@@ -43,11 +43,21 @@ def build_sim(scenario_dict) -> Simulator:
     return Simulator(scenario_from_dict(scenario_dict))
 
 
-def run_dict(scenario_dict, on_event=None):
-    sim = build_sim(scenario_dict)
-    if on_event is not None:
-        sim.on_event = on_event
-    return sim.run()
+def run_dict(scenario_dict):
+    return build_sim(scenario_dict).run()
+
+
+def audit_every_event(monkeypatch, audit):
+    """Call `audit(record, pops)` after every event a Simulator records,
+    with the event's record and the simulator's PoPs; the zones check
+    themselves only on writes."""
+    emit = Simulator._emit
+
+    def audited(sim, *args):
+        emit(sim, *args)
+        audit(sim.trace[-1], sim.pops)
+
+    monkeypatch.setattr(Simulator, "_emit", audited)
 
 
 def refuse_large_vnfcs(monkeypatch):

@@ -8,7 +8,7 @@ placement code with the DRPA."""
 from __future__ import annotations
 
 from nsscale.descriptors import (
-    Catalog, Nsd, NsDeploymentFlavor, aggregate_capacity, ns_il_delta,
+    Catalog, NsDeploymentFlavor, aggregate_capacity, ns_il_delta,
 )
 from nsscale.drpa import (
     CostModel, DemandEstimate, _total_instances, delta_additions,
@@ -38,7 +38,7 @@ def _zone_assignment_exists(items, free: dict, label_pops: dict) -> bool:
     return False
 
 
-def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
+def exhaustive_select(catalog: Catalog, flavor: NsDeploymentFlavor,
                       estimate: DemandEstimate, cost_model: CostModel,
                       snapshot: list, current: str, exclude: tuple = (),
                       constraints: dict | None = None):
@@ -52,11 +52,11 @@ def exhaustive_select(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
     for index, ns_il in enumerate(flavor.ns_ils):
         if ns_il.id in exclude:
             continue
-        capacity = aggregate_capacity(catalog, nsd, flavor, ns_il.id)
+        capacity = aggregate_capacity(catalog, flavor, ns_il.id)
         if not capacity.covers(estimate.required):
             continue
-        delta = ns_il_delta(catalog, nsd, flavor, current, ns_il.id)
-        items = delta_additions(catalog, nsd, flavor, delta, constraints)
+        delta = ns_il_delta(catalog, flavor, current, ns_il.id)
+        items = delta_additions(catalog, flavor, delta, constraints)
         if not _zone_assignment_exists(items, free, {}):
             continue
         key = (cost_model.cost(capacity), _total_instances(flavor, ns_il.id), index)

@@ -13,7 +13,7 @@ import pytest
 import broken_descriptors
 import sample_catalog as sc
 import scenario_gen
-from conftest import run_dict
+from conftest import audit_every_event, run_dict
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import (
     aggregate_capacity, load_catalog, validate_catalog,
@@ -106,7 +106,7 @@ def test_acceptance_4_reservation_toggle(capsys):
             assert len(set(digests)) == 3  # compute, storage, network
 
 
-def test_acceptance_5_conservation(capsys):
+def test_acceptance_5_conservation(capsys, monkeypatch):
     with acceptance(capsys, 5, "allocated + reserved + available = total in "
                     "every zone at every one of >= 10,000 audited events"):
         audited = [0]
@@ -121,9 +121,9 @@ def test_acceptance_5_conservation(capsys):
                         assert all(v >= 0 for v in vec.as_dict().values())
             audited[0] += 1
 
-        rng = random.Random(50_001)
-        for _ in range(200):
-            run_dict(scenario_gen.random_scenario(rng), on_event=audit)
+        audit_every_event(monkeypatch, audit)
+        for i in range(200):
+            run_dict(scenario_gen.random_scenario(random.Random(50_001 + i)))
             if audited[0] >= 10_000:
                 break
         assert audited[0] >= 10_000
@@ -139,7 +139,7 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
     snapshot = capacity_report([big_pop()])
     graph = LevelGraph(catalog, nsd, flavor)
     levels = [il.id for il in flavor.ns_ils]
-    capacities = [aggregate_capacity(catalog, nsd, flavor, l) for l in levels]
+    capacities = [aggregate_capacity(catalog, flavor, l) for l in levels]
     mismatches = 0
     for _ in range(demands):
         current = rng.choice(levels)
@@ -148,7 +148,7 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
         class Est:
             required = demand
 
-        oracle = exhaustive_select(catalog, nsd, flavor, Est, CostModel(),
+        oracle = exhaustive_select(catalog, flavor, Est, CostModel(),
                                    snapshot, current=current, exclude=(current,))
         try:
             candidates = candidate_ns_ils(graph, Est, "scale-out", current,
@@ -181,9 +181,9 @@ def test_acceptance_7_state_machine_soundness(capsys, catalog, nsd, flavor):
     with acceptance(capsys, 7, "STARTED only via step 19, STOPPED only via "
                     "step 24, no workflow messages outside operations, and "
                     "quiescent instance multisets match the current levels"):
-        rng = random.Random(70_001)
-        for _ in range(25):
-            result = run_dict(scenario_gen.random_scenario(rng))
+        for i in range(25):
+            result = run_dict(scenario_gen.random_scenario(
+                random.Random(70_001 + i)))
             for t in result.transitions:
                 if t["to"] == STARTED:
                     assert t["step"] == 19
@@ -227,9 +227,8 @@ def test_acceptance_7_state_machine_soundness(capsys, catalog, nsd, flavor):
 def test_acceptance_8_determinism(capsys):
     with acceptance(capsys, 8, "20 randomized scenarios rerun byte-identical "
                     "traces and final states"):
-        rng = random.Random(80_001)
-        for _ in range(20):
-            scenario = scenario_gen.random_scenario(rng)
+        for i in range(20):
+            scenario = scenario_gen.random_scenario(random.Random(80_001 + i))
             a = run_dict(scenario)
             b = run_dict(scenario)
             assert trace_lines(a.trace) == trace_lines(b.trace)

@@ -179,6 +179,76 @@ def test_bad_threshold_exits_one(tmp_path, capsys, edit, extra, lines):
     assert captured.err == ""
 
 
+def test_an_integer_bound_of_any_size_is_finite(tmp_path, capsys):
+    # math.isfinite cannot convert 10**400 to a float
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["rules"]["thresholds"][0]["bound"] = 10**400
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 0
+    assert "status: completed" in capsys.readouterr().out
+
+
+def _utilization_line(value):
+    return "options: target_utilization %r is not a number in (0, 1]" % value
+
+
+@pytest.mark.parametrize("options, lines", [
+    ({"target_utilization": 0}, [_utilization_line(0)]),
+    ({"target_utilization": "x"}, [_utilization_line("x")]),
+    ({"target_utilization": None}, [_utilization_line(None)]),
+    ({"target_utilization": -0.5}, [_utilization_line(-0.5)]),
+    ({"target_utilization": 1.5}, [_utilization_line(1.5)]),
+    ({"target_utilization": float("nan")}, [_utilization_line(float("nan"))]),
+    ({"target_utilization": True}, [_utilization_line(True)]),
+    ({"reservation_enabled": "no"},
+     ["options: reservation_enabled 'no' is not a bool"]),
+    ({"reservation_enabled": 1},
+     ["options: reservation_enabled 1 is not a bool"]),
+    ({"cost_weights": {"w_cpu": 1, "memory": -1, "w_storage": True,
+                       "bandwidth": float("inf"), "w_vcpu": 2}},
+     ["options: cost_weights key 'w_cpu' is not a dimension",
+      "options: cost_weights 'memory' weight -1 is not a finite number >= 0",
+      "options: cost_weights 'w_storage' weight True is not a finite "
+      "number >= 0",
+      "options: cost_weights 'bandwidth' weight inf is not a finite "
+      "number >= 0"]),
+    ({"cost_weights": [1, 2], "target_utilization": 2},
+     [_utilization_line(2), "options: cost_weights [1, 2] is not an object"]),
+    ([0.6], ["options: [0.6] is not an object"]),
+], ids=["zero-target", "text-target", "null-target", "negative-target",
+        "target-above-one", "nan-target", "bool-target", "text-reservation",
+        "int-reservation", "bad-weights", "weights-not-an-object",
+        "not-an-object"])
+def test_bad_options_exit_one(tmp_path, capsys, options, lines):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["options"] = options
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
+def test_options_that_are_not_an_object_exit_one_with_no_reservation(
+        tmp_path, capsys):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["options"] = [0.6]
+    assert main(["run", scenario_file(tmp_path, scenario),
+                 "--no-reservation"]) == 1
+    assert capsys.readouterr().out == "options: [0.6] is not an object\n"
+
+
+def test_valid_options_run(tmp_path, capsys):
+    scenario = sc.sample_scenario(workload=sc.jump_workload(), options={
+        "target_utilization": 1, "reservation_enabled": False,
+        "cost_weights": {"vcpu": 2, "w_memory": 0.5, "storage": 0}})
+    trace = tmp_path / "trace.txt"
+    assert main(["run", scenario_file(tmp_path, scenario),
+                 "--trace", str(trace)]) == 0
+    events = len(trace.read_text().splitlines())
+    assert capsys.readouterr().out.splitlines() == [
+        "status: completed", "events: %d" % events, "final ns-il: level-2"]
+    assert "Reserve" not in trace.read_text()
+
+
 def test_initial_level_that_breaks_anti_affinity_exits_one(tmp_path,
                                                            capsys):
     # level-2's two B1 VNFCs must take distinct PoPs; there is one

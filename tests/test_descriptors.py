@@ -67,26 +67,26 @@ def test_unknown_level_raises(catalog):
         flavor.il("il-99")
 
 
-def test_aggregate_capacity_matches_hand_computed_table(catalog, nsd, flavor):
+def test_aggregate_capacity_matches_hand_computed_table(catalog, flavor):
     for level, expected in sc.LEVEL_AGGREGATES.items():
-        got = aggregate_capacity(catalog, nsd, flavor, level)
+        got = aggregate_capacity(catalog, flavor, level)
         assert got.as_dict() == expected, level
 
 
-def test_profile_delta_vnfc_add_and_remove(catalog, nsd, flavor):
+def test_profile_delta_vnfc_add_and_remove(catalog, flavor):
     # p-b moves from VNF level il-1 to il-3 in place
-    [delta] = ns_il_delta(catalog, nsd, flavor, "level-1",
+    [delta] = ns_il_delta(catalog, flavor, "level-1",
                           "level-3").profile_deltas
     assert delta.vnfc_add == {"vdu-2": 1}
     assert delta.vnfc_remove == {"vdu-1": 1}
     # p-b stays at il-3 and gains an instance
-    [same] = ns_il_delta(catalog, nsd, flavor, "level-3",
+    [same] = ns_il_delta(catalog, flavor, "level-3",
                          "level-4").profile_deltas
     assert same.vnfc_add == same.vnfc_remove == {}
 
 
-def test_ns_il_delta_from_the_empty_level(catalog, nsd, flavor):
-    delta = ns_il_delta(catalog, nsd, flavor, None, "level-2")
+def test_ns_il_delta_from_the_empty_level(catalog, flavor):
+    delta = ns_il_delta(catalog, flavor, None, "level-2")
     assert [(d.profile_id, d.from_il, d.to_il, d.count_delta, d.retained)
             for d in delta.profile_deltas] == [
         ("p-a", None, "il-1", 1, 0), ("p-b", None, "il-2", 1, 0),
@@ -96,7 +96,7 @@ def test_ns_il_delta_from_the_empty_level(catalog, nsd, flavor):
     assert delta.vl_changes == {"vlp-1": (0, 200)}
 
 
-def test_ns_il_delta_classifications(catalog, nsd, flavor):
+def test_ns_il_delta_classifications(catalog, flavor):
     expect = {
         ("level-1", "level-2"): CLASS_VNF_SCALING,
         ("level-1", "level-3"): CLASS_VNF_SCALING,
@@ -106,14 +106,14 @@ def test_ns_il_delta_classifications(catalog, nsd, flavor):
         ("level-2", "level-1"): CLASS_VNF_SCALING,
     }
     for (src, dst), cls in expect.items():
-        delta = ns_il_delta(catalog, nsd, flavor, src, dst)
+        delta = ns_il_delta(catalog, flavor, src, dst)
         assert delta.classification == cls, (src, dst)
-    assert ns_il_delta(catalog, nsd, flavor, "level-2", "level-2"
+    assert ns_il_delta(catalog, flavor, "level-2", "level-2"
                        ).classification == CLASS_NONE
 
 
-def test_ns_il_delta_vl_changes(catalog, nsd, flavor):
-    delta = ns_il_delta(catalog, nsd, flavor, "level-1", "level-3")
+def test_ns_il_delta_vl_changes(catalog, flavor):
+    delta = ns_il_delta(catalog, flavor, "level-1", "level-3")
     assert delta.vl_changes == {"vlp-1": (100, 400)}
 
 
@@ -123,16 +123,15 @@ levels = st.sampled_from(sc.LEVELS)
 @given(levels, levels)
 def test_delta_net_is_antisymmetric(a, b):
     catalog = load_catalog(sc.sample_documents())
-    nsd = catalog.nsds["nsd-1"]
-    flavor = nsd.flavor("df-1")
-    fwd = ns_il_delta(catalog, nsd, flavor, a, b)
-    back = ns_il_delta(catalog, nsd, flavor, b, a)
-    fwd_cap = aggregate_capacity(catalog, nsd, flavor, b) - \
-        aggregate_capacity(catalog, nsd, flavor, a)
-    back_cap = aggregate_capacity(catalog, nsd, flavor, a) - \
-        aggregate_capacity(catalog, nsd, flavor, b)
-    assert aggregate_capacity(catalog, nsd, flavor, a) + fwd_cap == \
-        aggregate_capacity(catalog, nsd, flavor, b)
+    flavor = catalog.nsds["nsd-1"].flavor("df-1")
+    fwd = ns_il_delta(catalog, flavor, a, b)
+    back = ns_il_delta(catalog, flavor, b, a)
+    fwd_cap = aggregate_capacity(catalog, flavor, b) - \
+        aggregate_capacity(catalog, flavor, a)
+    back_cap = aggregate_capacity(catalog, flavor, a) - \
+        aggregate_capacity(catalog, flavor, b)
+    assert aggregate_capacity(catalog, flavor, a) + fwd_cap == \
+        aggregate_capacity(catalog, flavor, b)
     assert (back_cap + fwd_cap).is_zero()
     if a == b:
         assert fwd.classification == CLASS_NONE and not fwd.profile_deltas

@@ -28,7 +28,7 @@ def make_store(samples):
 
 
 def verdict(dims, rule_id="r-out", satisfied=False):
-    return RuleVerdict(rule_id, satisfied, frozenset(dims), 10)
+    return RuleVerdict(rule_id, satisfied, frozenset(dims))
 
 
 def make_pop(pop_id="pop-1", vim="vim-1", **totals):
@@ -46,7 +46,6 @@ def test_demand_linear_scaling():
     assert est.required.vcpu == pytest.approx(12.0)
     # non-violated dimensions keep the current capacity
     assert est.required.memory == 16
-    assert est.basis["vcpu"] == (0.9, 8)
 
 
 def test_demand_fixed_point_at_target():
@@ -83,11 +82,11 @@ def test_demand_equal_to_a_level_selects_that_level(catalog, nsd, flavor):
     # 1.1 at level-3 (12 vcpu) needs exactly level-4's 22 vcpu.
     store = make_store([(10, "vnfd-b", "cpu_load", 1.1)])
     est = estimate_demand((verdict({"vcpu"}),), store,
-                          aggregate_capacity(catalog, nsd, flavor, "level-3"),
+                          aggregate_capacity(catalog, flavor, "level-3"),
                           0.6, sc.DIMENSION_MAP)
     assert candidate_ns_ils(LevelGraph(catalog, nsd, flavor), est,
                             "scale-out", "level-3", CostModel()) == ["level-4"]
-    assert exhaustive_select(catalog, nsd, flavor, est, CostModel(),
+    assert exhaustive_select(catalog, flavor, est, CostModel(),
                              capacity_report([make_pop()]), current="level-3",
                              exclude=("level-3",)) == "level-4"
 
@@ -128,18 +127,18 @@ def test_candidates_scale_in_requires_cheaper(levels):
     assert got == ["level-3"]
 
 
-def test_delta_additions_scale_and_vl(catalog, nsd, flavor):
-    delta = ns_il_delta(catalog, nsd, flavor, "level-1", "level-3")
-    items = delta_additions(catalog, nsd, flavor, delta)
+def test_delta_additions_scale_and_vl(catalog, flavor):
+    delta = ns_il_delta(catalog, flavor, "level-1", "level-3")
+    items = delta_additions(catalog, flavor, delta)
     keys = [i.key for i in items]
     assert keys == ["p-b/scale0/vnfc/vdu-2/0", "vl/vlp-1"]
     assert items[0].spec == CapacityVector(8, 16, 20, 0)
     assert items[1].spec == CapacityVector(bandwidth=300)
 
 
-def test_delta_additions_whole_instance(catalog, nsd, flavor):
-    delta = ns_il_delta(catalog, nsd, flavor, "level-3", "level-4")
-    items = delta_additions(catalog, nsd, flavor, delta)
+def test_delta_additions_whole_instance(catalog, flavor):
+    delta = ns_il_delta(catalog, flavor, "level-3", "level-4")
+    items = delta_additions(catalog, flavor, delta)
     vnfc_keys = [i.key for i in items if i.kind == "vnfc"]
     assert vnfc_keys == ["p-b/inst0/vnfc/vdu-2/0", "p-b/inst0/vnfc/vdu-3/0"]
     assert all(i.new_instance_index == 0 for i in items if i.kind == "vnfc")
@@ -276,14 +275,14 @@ def test_decide_full_pipeline(levels):
     assert decision.placement.assignments["p-b/scale0/vnfc/vdu-2/0"] == "pop-1"
 
 
-def test_exhaustive_select_agrees_on_sample(catalog, nsd, flavor, levels):
+def test_exhaustive_select_agrees_on_sample(catalog, flavor, levels):
     rng = random.Random(7)
     snapshot = capacity_report([make_pop()])
     for _ in range(200):
         current = rng.choice(list(sc.LEVELS))
         demand = Est(vcpu=rng.uniform(0, 30), memory=rng.uniform(0, 50),
                      storage=rng.uniform(0, 70), bandwidth=rng.uniform(0, 900))
-        oracle = exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
+        oracle = exhaustive_select(catalog, flavor, demand, CostModel(),
                                    snapshot, current=current, exclude=(current,))
         try:
             candidates = candidate_ns_ils(levels, demand, "scale-out",
@@ -306,8 +305,8 @@ def test_weight_increase_never_buys_more_of_that_dimension(catalog, nsd,
     for dim, kw in [("vcpu", "w_vcpu"), ("bandwidth", "w_bandwidth")]:
         heavy = select_optimum(levels, candidates, CostModel(**{kw: 10.0}),
                                snapshot, "level-1")
-        before = aggregate_capacity(catalog, nsd, flavor, base.target_ns_il)
-        after = aggregate_capacity(catalog, nsd, flavor, heavy.target_ns_il)
+        before = aggregate_capacity(catalog, flavor, base.target_ns_il)
+        after = aggregate_capacity(catalog, flavor, heavy.target_ns_il)
         assert after.get(dim) <= before.get(dim)
 
 
@@ -321,16 +320,16 @@ def test_level_graph_equals_direct_derivation():
         assert levels.nodes == ids
         for a in ids:
             assert levels.capacity(a) == \
-                aggregate_capacity(catalog, nsd, flavor, a)
+                aggregate_capacity(catalog, flavor, a)
             for b in ids:
-                delta = ns_il_delta(catalog, nsd, flavor, a, b)
+                delta = ns_il_delta(catalog, flavor, a, b)
                 assert levels.delta(a, b) == delta
                 assert levels.additions(a, b) == tuple(delta_additions(
-                    catalog, nsd, flavor, delta, constraints))
+                    catalog, flavor, delta, constraints))
                 assert levels.additions(a, b) is levels.additions(a, b)
 
 
-def test_exhaustive_select_asks_for_a_zone_per_item(catalog, nsd, flavor):
+def test_exhaustive_select_asks_for_a_zone_per_item(catalog, flavor):
     # level-3 -> level-4 adds an 8-vcpu VNFC: 7 + 7 vcpu in two zones is
     # enough in aggregate, but no zone holds it
     def pop(*vcpus):
@@ -341,10 +340,10 @@ def test_exhaustive_select_asks_for_a_zone_per_item(catalog, nsd, flavor):
             for i, v in enumerate(vcpus)])
 
     demand = Est(vcpu=18)
-    assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
+    assert exhaustive_select(catalog, flavor, demand, CostModel(),
                              capacity_report([pop(7, 7)]),
                              current="level-3") is None
-    assert exhaustive_select(catalog, nsd, flavor, demand, CostModel(),
+    assert exhaustive_select(catalog, flavor, demand, CostModel(),
                              capacity_report([pop(2, 8)]),
                              current="level-3") == "level-4"
 

@@ -8,7 +8,7 @@ from nsscale.capacity import CapacityVector, ZERO
 from nsscale.inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
     STARTED, STOPPED, ConservationError, DoubleReleaseError,
-    IllegalTransitionError, InventoryError,
+    SET_VNF_IL, VNFC_TRANSITIONS, IllegalTransitionError, InventoryError,
     InsufficientCapacityError, NfviPop, ReservationStateError, ResourceZone,
     NoZoneFitsError, VnfcInstance, VnfInfo, capacity_report,
     record_vnf_info_update, vim_placement,
@@ -91,7 +91,7 @@ def test_restore_undoes_writes_but_reuses_no_id():
     later = zone.allocate(CapacityVector(storage=5), "storage")
     zone.restore(saved)
     assert zone.snapshot() == before
-    assert zone.outstanding_handles() == [kept, gone]
+    assert zone.checkpoint()[2] == {kept.id: kept, gone.id: gone}
     zone.release(gone)  # outstanding again, so releasable once more
     with pytest.raises(DoubleReleaseError):
         zone.release(later)
@@ -168,22 +168,22 @@ def _zones(*vcpus):
 
 def test_vim_placement_takes_first_fitting_zone_by_id():
     zones = _zones(2, 6, 6)
-    assert vim_placement(zones, CapacityVector(vcpu=4)).id == "z2"
+    assert vim_placement(zones, CapacityVector(vcpu=4), {}).id == "z2"
     pending = {"z2": CapacityVector(vcpu=3)}
     assert vim_placement(zones, CapacityVector(vcpu=4),
-                         pending=pending).id == "z3"
+                         pending).id == "z3"
 
 
 def test_vim_placement_reads_a_capacity_report_alike():
     pops = [NfviPop("pop-1", "vim-1", _zones(2, 6))]
     report = capacity_report(pops)
     assert [z.id for z in report] == ["z1", "z2"]
-    assert vim_placement(report, CapacityVector(vcpu=4)) is report[1]
+    assert vim_placement(report, CapacityVector(vcpu=4), {}) is report[1]
 
 
 def test_vim_placement_reports_the_smallest_shortfall():
     with pytest.raises(NoZoneFitsError) as err:
-        vim_placement(_zones(2, 6), CapacityVector(vcpu=4, memory=10))
+        vim_placement(_zones(2, 6), CapacityVector(vcpu=4, memory=10), {})
     assert err.value.shortfall == ["memory"]
     assert "no zone fits" in str(err.value)
     with pytest.raises(NoZoneFitsError):
@@ -194,7 +194,7 @@ def test_vim_placement_reports_the_smallest_shortfall():
 def _info(states=("STARTED",)):
     instances = tuple(
         VnfcInstance("c%d" % i, "vdu-1", s) for i, s in enumerate(states))
-    return VnfInfo("vnfd-b", "f1", "il-1", instances, "vim-1",
+    return VnfInfo("vnfd-b", "f1", instances, "vim-1",
                    audit=(("instantiation", 0),))
 
 
@@ -247,8 +247,36 @@ def test_delete_requires_stopped():
 def test_revisions_are_immutable_and_audited():
     info = _info(states=(STOPPED,))
     out = record_vnf_info_update(info, MARK_STARTED, 19, 101,
-                                 instance_ids=("c0",), vnf_il="il-3")
+                                 instance_ids=("c0",))
     assert info.vnfc_instances[0].state == STOPPED  # original untouched
-    assert out.current_vnf_il == "il-3"
-    assert info.current_vnf_il == "il-1"
+    assert out.vnfc_instances[0].state == STARTED
     assert [step for step, _ in out.audit] == ["instantiation", 19]
+
+
+@pytest.mark.parametrize("change", sorted(VNFC_TRANSITIONS))
+def test_each_change_moves_vnfcs_as_the_lifecycle_table_says(change):
+    before, after = VNFC_TRANSITIONS[change]
+    info = _info(states=(STARTED, STOPPED))
+    if before is None:  # creates the VNFCs it is given, if any
+        new = (VnfcInstance("c9", "vdu-2", after),) if after else ()
+        out = record_vnf_info_update(info, change, 15, 100, instances=new)
+        assert out.vnfc_instances == info.vnfc_instances + new
+        return
+    moved, other = ("c0", "c1") if before == STARTED else ("c1", "c0")
+    out = record_vnf_info_update(info, change, 24, 100, instance_ids=(moved,))
+    states = {other: info.instance(other).state}
+    if after is not None:
+        states[moved] = after
+    assert {i.id: i.state for i in out.vnfc_instances} == states
+    with pytest.raises(IllegalTransitionError):
+        record_vnf_info_update(info, change, 24, 100, instance_ids=(other,))
+
+
+def test_a_level_change_writes_only_the_audit():
+    info = _info(states=(STARTED, STOPPED))
+    out = record_vnf_info_update(info, SET_VNF_IL, 19, 105)
+    assert out == VnfInfo(info.vnfd_ref, info.vnf_flavor_ref,
+                          info.vnfc_instances, info.vim_ref,
+                          audit=info.audit + ((19, 105),))
+    with pytest.raises(ValueError):
+        record_vnf_info_update(info, "set-ns-il", 19, 105)

@@ -133,7 +133,8 @@ def test_window_aggregates():
     assert aggregate_is(store, "min", "vnfd-b", 4, 4, 1.0)
     # an empty window is a missing stream, never aggregated
     [verdict] = evaluate_rules(
-        (_rule("r", "WHEN avg(cpu_load, 2) > 0 THEN scale_out"),), store, 100)
+        (_rule("r", "WHEN avg(cpu_load, 2) > 0 THEN scale_out"),), store, 100,
+        {}, {}, {})
     assert verdict.missing_streams == frozenset({"cpu_load"})
 
 
@@ -166,7 +167,7 @@ def test_rule_violation_and_dimensions():
     store = make_store()
     store.ingest(MetricSample(10, "vnfd-b", "cpu_load", 0.9))
     verdicts = {v.rule_id: v for v in evaluate_rules(
-        rules_of(catalog), store, 10, sc.DIMENSION_MAP, {})}
+        rules_of(catalog), store, 10, sc.DIMENSION_MAP, {}, {})}
     assert not verdicts["r-out"].satisfied
     assert verdicts["r-out"].violated_dimensions == frozenset({"vcpu"})
     # the scale-in rule is missing three of its streams: satisfied
@@ -180,15 +181,15 @@ def test_cooldown_suppresses_repeat_violations():
     cooldowns = {}
     store.ingest(MetricSample(10, "vnfd-b", "cpu_load", 0.9))
     v1 = {v.rule_id: v for v in evaluate_rules(
-        rules_of(catalog), store, 10, sc.DIMENSION_MAP, cooldowns)}
+        rules_of(catalog), store, 10, sc.DIMENSION_MAP, cooldowns, {})}
     assert not v1["r-out"].satisfied
     store.ingest(MetricSample(12, "vnfd-b", "cpu_load", 0.95))
     v2 = {v.rule_id: v for v in evaluate_rules(
-        rules_of(catalog), store, 12, sc.DIMENSION_MAP, cooldowns)}
+        rules_of(catalog), store, 12, sc.DIMENSION_MAP, cooldowns, {})}
     assert v2["r-out"].satisfied and v2["r-out"].cooldown_active
     store.ingest(MetricSample(16, "vnfd-b", "cpu_load", 0.95))
     v3 = {v.rule_id: v for v in evaluate_rules(
-        rules_of(catalog), store, 16, sc.DIMENSION_MAP, cooldowns)}
+        rules_of(catalog), store, 16, sc.DIMENSION_MAP, cooldowns, {})}
     assert not v3["r-out"].satisfied
 
 
@@ -208,11 +209,11 @@ def test_mixed_windows_report_missing_stream_instead_of_crashing():
     store = make_store()
     store.ingest(MetricSample(5, "vnfd-b", "cpu_load", 3.0))
     # the 1-tick window ending at 8 is empty, the 10-tick one is not
-    [verdict] = evaluate_rules((rule,), store, 8, {}, {})
+    [verdict] = evaluate_rules((rule,), store, 8, {}, {}, {})
     assert verdict.satisfied
     assert verdict.missing_streams == frozenset({"cpu_load"})
     # both windows hold the sample: the rule evaluates and fires
-    [verdict] = evaluate_rules((rule,), store, 5, {}, {})
+    [verdict] = evaluate_rules((rule,), store, 5, {}, {}, {})
     assert not verdict.satisfied
     assert not verdict.missing_streams
 
@@ -330,7 +331,7 @@ def test_reused_verdicts_equal_fresh_ones(steps):
             reused = evaluate_rules(CACHED_RULES, store, now,
                                     sc.DIMENSION_MAP, cached_cooldowns, cache)
             fresh = evaluate_rules(CACHED_RULES, store, now,
-                                   sc.DIMENSION_MAP, fresh_cooldowns)
+                                   sc.DIMENSION_MAP, fresh_cooldowns, {})
             assert reused == fresh
             assert cached_cooldowns == fresh_cooldowns
 
@@ -355,7 +356,7 @@ def test_a_verdict_is_reused_until_a_stream_it_read_changes(monkeypatch):
         reused = evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
                                 cooldowns, cache)
         fresh = evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
-                               fresh_cooldowns)
+                               fresh_cooldowns, {})
         assert (reused, cooldowns) == (fresh, fresh_cooldowns)
         return len(calls) - before - 1  # less the fresh evaluation
 

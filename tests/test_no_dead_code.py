@@ -1,6 +1,6 @@
 """Every function, class, method and module-level assignment in
 `src/nsscale` is named somewhere in the program or the benchmark outside
-its own definition.
+its own definition, and every function reads each of its parameters.
 
 A function, class or module-level name counts as used when its name
 appears as an identifier, an attribute, a keyword argument or a string
@@ -19,9 +19,6 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "nsscale"
-
-# Read only by the tests: the audit of live zone handles.
-ALLOWED = {"outstanding_handles"}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -73,8 +70,6 @@ def unused_definitions(package: Path, users: list) -> list:
         for name, node in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in ALLOWED:
-                continue
             own_bare, own_named = mentions(node)
             uses = named[name] - own_named[name]
             if id(node) not in methods:
@@ -82,6 +77,32 @@ def unused_definitions(package: Path, users: list) -> list:
             if uses == 0:
                 unused.append("%s:%s" % (path.stem, name))
     return unused
+
+
+def unread_parameters(package: Path) -> list:
+    """`module:function:parameter` of every parameter, bar `self` and
+    `cls`, that its function's body never reads, in `package`'s modules.
+    A read in a function nested in the body counts."""
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                arg for arg in (args.vararg, args.kwarg) if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for statement in body
+                    for name in ast.walk(statement)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            unread.extend(
+                "%s:%s:%s" % (path.stem, getattr(node, "name", "<lambda>"),
+                              param.arg)
+                for param in params
+                if param.arg not in ("self", "cls", *read))
+    return unread
 
 
 def test_every_definition_is_used():
@@ -121,3 +142,24 @@ def test_a_module_name_is_used_once_read(tmp_path):
                       'LIMIT: int = READ\n')
     assert unused_definitions(tmp_path, [module]) == [
         "planted:UNREAD", "planted:LIMIT"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(PACKAGE) == []
+
+
+def test_a_parameter_is_read_only_by_its_function(tmp_path):
+    (tmp_path / "planted.py").write_text(
+        "def outer(read, written, *args, **kwargs):\n"
+        "    written = 1\n"
+        "    def inner(local, default=args):\n"
+        "        return read\n"
+        "    return inner, lambda x, y: y\n"
+        "\n"
+        "\n"
+        "class Box:\n"
+        "    def size(self, scale):\n"
+        "        return 1\n")
+    assert sorted(unread_parameters(tmp_path)) == [
+        "planted:<lambda>:x", "planted:inner:default", "planted:inner:local",
+        "planted:outer:kwargs", "planted:outer:written", "planted:size:scale"]

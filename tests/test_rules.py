@@ -292,18 +292,17 @@ def oracle_verdict(rule, streams: dict, now: int, cooldowns: dict,
     missing = frozenset(c.left.metric for c in comparisons_of(rule.ast.expr)
                         if not window(c.left.metric, c.left.window))
     if missing:
-        return RuleVerdict(rule.id, True, frozenset(), now,
+        return RuleVerdict(rule.id, True, frozenset(),
                            missing_streams=missing)
     if not holds(rule.ast.expr):
-        return RuleVerdict(rule.id, True, frozenset(), now)
+        return RuleVerdict(rule.id, True, frozenset())
     last = cooldowns.get(rule.id)
     if last is not None and now - last < rule.cooldown:
-        return RuleVerdict(rule.id, True, frozenset(), now,
-                           cooldown_active=True)
+        return RuleVerdict(rule.id, True, frozenset(), cooldown_active=True)
     cooldowns[rule.id] = now
     return RuleVerdict(rule.id, False, frozenset(
         dimension_map[ref.split(".", 1)[-1]] for ref in rule.ast.metric_refs
-        if ref.split(".", 1)[-1] in dimension_map), now)
+        if ref.split(".", 1)[-1] in dimension_map))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -3,7 +3,10 @@ import random
 
 import sample_catalog as sc
 import scenario_gen
-from conftest import SEVEN_AND_SEVEN, build_sim, refuse_large_vnfcs, run_dict
+from conftest import (
+    SEVEN_AND_SEVEN, audit_every_event, build_sim, refuse_large_vnfcs,
+    run_dict,
+)
 import pytest
 
 from nsscale.capacity import ZERO
@@ -186,7 +189,7 @@ def test_fragmented_zones_are_refused_by_the_drpa():
     assert canonical_json(result.final_state) == initial
 
 
-def test_conservation_holds_at_every_event():
+def test_conservation_holds_at_every_event(monkeypatch):
     checked = []
 
     def audit(record, pops):
@@ -198,9 +201,9 @@ def test_conservation_holds_at_every_event():
                 assert summed == total
         checked.append(record.seq)
 
-    result = run_dict(sc.sample_scenario(workload=sc.escalation_workload()),
-                      on_event=audit)
-    assert len(checked) == len(result.trace)
+    audit_every_event(monkeypatch, audit)
+    result = run_dict(sc.sample_scenario(workload=sc.escalation_workload()))
+    assert checked == list(range(1, len(result.trace) + 1))
 
 
 ZONE_WRITES = ("reserve", "cancel", "allocate", "release")
@@ -279,7 +282,8 @@ def test_release_hits_the_zone_of_the_instances_pop(vcpu, reservation):
     assert result.final_state["ns_info"]["current_ns_il"] == "level-3"
     for pop in sim.pops:
         for zone in pop.zones:
-            held = sum((h.spec for h in zone.outstanding_handles()), ZERO)
+            _, _, outstanding = zone.checkpoint()
+            held = sum((h.spec for h in outstanding.values()), ZERO)
             assert zone.allocated == held, pop.id
 
 
@@ -288,13 +292,13 @@ def test_run_derives_each_level_and_move_once(monkeypatch):
     real_capacity, real_delta = drpa.aggregate_capacity, drpa.ns_il_delta
     capacities, deltas = [], []
 
-    def counted_capacity(catalog, nsd, flavor, level):
+    def counted_capacity(catalog, flavor, level):
         capacities.append(level)
-        return real_capacity(catalog, nsd, flavor, level)
+        return real_capacity(catalog, flavor, level)
 
-    def counted_delta(catalog, nsd, flavor, a, b):
+    def counted_delta(catalog, flavor, a, b):
         deltas.append((a, b))
-        return real_delta(catalog, nsd, flavor, a, b)
+        return real_delta(catalog, flavor, a, b)
 
     monkeypatch.setattr(drpa, "aggregate_capacity", counted_capacity)
     monkeypatch.setattr(drpa, "ns_il_delta", counted_delta)
@@ -306,7 +310,7 @@ def test_run_derives_each_level_and_move_once(monkeypatch):
     assert deltas and len(deltas) == len(set(deltas))
     for a, b in deltas:  # the run changed no shared delta
         assert sim.levels.delta(a, b) == \
-            real_delta(sim.catalog, sim.nsd, sim.flavor, a, b)
+            real_delta(sim.catalog, sim.flavor, a, b)
     second = run_dict(scenario)
     assert trace_lines(first.trace) == trace_lines(second.trace)
     assert canonical_json(first.final_state) == \
@@ -439,13 +443,15 @@ def test_zone_infeasible_level_is_refused_before_any_change(
 
 
 def small_zone_scenario(seed):
-    """random_scenario with every zone cut to 4-20 vcpu, so that PoP
-    aggregates often cover what no single zone holds."""
-    rng = random.Random(seed)
-    scenario = scenario_gen.random_scenario(rng)
+    """random_scenario of `seed` with every zone cut to 4-20 vcpu, so that
+    PoP aggregates often cover what no single zone holds. The sizes come
+    from a generator of their own, so the scenario stays that of `seed`
+    however many numbers random_scenario draws."""
+    scenario = scenario_gen.random_scenario(random.Random(seed))
+    sizes = random.Random(1_000_000 + seed)
     for pop in scenario["topology"]["pops"]:
         for zone in pop["zones"]:
-            zone["total"]["vcpu"] = rng.randint(4, 20)
+            zone["total"]["vcpu"] = sizes.randint(4, 20)
     return scenario
 
 
@@ -506,3 +512,112 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
     assert attempted["random"] >= 100
     assert checked >= 1000
     assert reported >= 1000
+
+
+def _run_to_new_level(monkeypatch, reservation, level_id, new_vnf_ils=()):
+    """Run the sample from level-1 with one rule, fired by one net_load
+    sample of 0.9. Its bandwidth demand of 150 is met most cheaply by
+    `level_id`, which the catalog gains: level-1 with vlp-1 at 200, where
+    each (profile id, VNF-IL id, VDU counts) of `new_vnf_ils` adds that
+    VNF level to the profile's VNFD and puts the profile at it. Returns
+    the result and the (arrow, payload) of every workflow message sent."""
+    documents = sc.sample_documents()
+    nsd = documents[-1]
+    nsd["auto_scaling_rules"] = [{
+        "id": "r-net",
+        "text": "WHEN avg(net_load, 1) > 0.7 THEN scale_out COOLDOWN 5"}]
+    flavor = nsd["flavors"][0]
+    level = {"id": level_id,
+             "vnf_entries": dict(flavor["ns_ils"][0]["vnf_entries"]),
+             "vl_entries": {"vlp-1": 200}}
+    for profile_id, il_id, counts in new_vnf_ils:
+        [profile] = [p for p in flavor["vnf_profiles"]
+                     if p["id"] == profile_id]
+        [vnfd] = [d for d in documents if d["id"] == profile["vnfd_ref"]]
+        vnfd["flavors"][0]["ils"].append({"id": il_id, "counts": counts})
+        profile["allowed_il_refs"].append(il_id)
+        level["vnf_entries"][profile_id] = {"vnf_il_ref": il_id,
+                                            "instance_count": 1}
+    flavor["ns_ils"].append(level)
+    sent = []
+    send = Simulator._send
+
+    def recorded(sim, src, dst, arrow, payload):
+        sent.append((arrow, payload))
+        send(sim, src, dst, arrow, payload)
+
+    monkeypatch.setattr(Simulator, "_send", recorded)
+    result = run_dict(sc.with_documents(sc.sample_scenario(
+        workload={"metrics": [[10, "ns", "net_load", 0.9]]},
+        options={"reservation_enabled": reservation}), documents))
+    assert result.status == STATUS_COMPLETED, result.failure_reason
+    assert result.final_state["ns_info"]["current_ns_il"] == level_id
+    assert result.final_state["vl_bitrates"] == {"vlp-1": 200}
+    return result, sent
+
+
+@pytest.mark.parametrize("reservation", [True, False])
+def test_a_vl_change_no_vnf_carries_is_applied_without_a_message(
+        monkeypatch, reservation):
+    result, sent = _run_to_new_level(monkeypatch, reservation, "level-1v")
+    [op] = result.operations
+    assert op.kind == "none"
+    assert op.step_log == []
+    assert result.trace[-1].message == "DrpaDecision"
+    assert [arrow.message for arrow, _ in sent] == ["DrpaDecision"]
+    # the bandwidth moved all the same
+    assert result.final_state["zones"]["pop-1/zone-a"]["allocated"][
+        "bandwidth"] == 200
+
+
+@pytest.mark.parametrize("reservation", [True, False])
+def test_a_vnf_level_change_without_vnfc_changes_is_one_update(
+        monkeypatch, reservation):
+    result, sent = _run_to_new_level(
+        monkeypatch, reservation, "level-1b",
+        new_vnf_ils=[("p-b", "il-1b", {"vdu-1": 1, "vdu-3": 1})])
+    [op] = result.operations
+    assert op.kind == "vnf-scaling"
+    [request] = [p for a, p in sent if a.message == "ScaleVnfToLevelRequest"]
+    assert request["vnf_instance"] == "vnf-p-b-2"
+    assert request["new_vnf_il"] == "il-1b"
+    [grant] = [p for a, p in sent if a.message == "GrantRequest"]
+    assert (grant["vdu_ids"], grant["internal_vl_ids"]) == ([], ["vlp-1"])
+    allocated = [p["kind"] for a, p in sent if a.message == "AllocateRequest"]
+    assert allocated == ["network"]
+    updates = [p for a, p in sent if a.message == "VnfInfoUpdate"]
+    assert updates == [{"vnf_instance": "vnf-p-b-2", "change": "set-vnf-il",
+                        "step": 19}]
+    assert sent[-1][0].message == "VnfInfoUpdate"
+    assert [step for step, _ in op.step_log].count(19) == 1
+    assert result.transitions == []
+    info = result.final_state["vnf_infos"]["vnf-p-b-2"]
+    assert info["current_vnf_il"] == "il-1b"
+    assert [step for step, _ in info["audit"]] == ["instantiation", "19"]
+    assert [i["vdu_ref"] for i in info["vnfc_instances"]] == \
+        ["vdu-1", "vdu-3"]
+
+
+@pytest.mark.parametrize("reservation", [True, False])
+def test_a_vnfc_without_storage_is_allocated_compute_only(monkeypatch,
+                                                          reservation):
+    result, sent = _run_to_new_level(
+        monkeypatch, reservation, "level-1a",
+        new_vnf_ils=[("p-a", "il-2", {"vdu-1": 2})])
+    [op] = result.operations
+    assert op.kind == "vnf-scaling"
+    for message in ("AllocateRequest", "ResourceAllocation",
+                    "AllocateResponse"):
+        assert [p["kind"] for a, p in sent if a.message == message] == \
+            ["compute", "network"], message
+    if reservation:
+        reserved = {p["kind"]: [i["key"] for i in p["items"]]
+                    for a, p in sent if a.message == "ReserveRequest"}
+        assert reserved == {"compute": ["p-a/scale0/vnfc/vdu-1/0"],
+                            "storage": [], "network": ["vl/vlp-1"]}
+    info = result.final_state["vnf_infos"]["vnf-p-a-1"]
+    assert info["current_vnf_il"] == "il-2"
+    assert [(i["vdu_ref"], i["state"]) for i in info["vnfc_instances"]] == \
+        [("vdu-1", STARTED)] * 2
+    assert result.final_state["zones"]["pop-1/zone-a"]["allocated"] == {
+        "vcpu": 7, "memory": 14, "storage": 20, "bandwidth": 200}
