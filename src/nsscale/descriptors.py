@@ -13,6 +13,8 @@ NS_SELF = "ns"
 MONITORED_SOURCES = ("ns-metric", "vnf-metric", "vnf-indicator")
 DIRECTION_HINTS = ("scale-out", "scale-in")
 
+COUNT_LIMIT = 1000  # most VNFCs per VDU of a VNF-IL, or instances per profile
+
 # ns_il_delta classifications
 CLASS_NONE = "none"
 CLASS_VNF_SCALING = "vnf-scaling"
@@ -515,6 +517,8 @@ def _validate_vnfd(vnfd: Vnfd, report: ValidationReport):
                                "count references VDU %r outside the flavor" % vdu_ref)
             if any(c < 0 for c in il.counts.values()):
                 report.add("range", ipath, "VNFC counts must be >= 0")
+            if any(c > COUNT_LIMIT for c in il.counts.values()):
+                report.add("range", ipath, "VNFC counts must be <= %d" % COUNT_LIMIT)
             if not any(c > 0 for c in il.counts.values()):
                 report.add("range", ipath, "at least one VNFC count must be > 0")
 
@@ -596,6 +600,8 @@ def _validate_ns_flavor(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                 report.add("dangling-ref", ppath, "unknown VNF-IL %r" % ref)
         if not (0 <= profile.min_instances <= profile.max_instances):
             report.add("range", ppath, "0 <= min_instances <= max_instances required")
+        if profile.max_instances > COUNT_LIMIT:
+            report.add("range", ppath, "max_instances must be <= %d" % COUNT_LIMIT)
 
     vl_profile_ids = set()
     for profile in flavor.vl_profiles:

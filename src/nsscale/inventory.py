@@ -163,6 +163,17 @@ class ResourceZone:
         self.allocated = self.allocated - handle.spec
         self.check_conservation()
 
+    def shrink(self, handle: ResourceHandle,
+               spec: CapacityVector) -> ResourceHandle:
+        """Shrink an outstanding allocation to `spec` under the same id."""
+        if handle.id not in self._outstanding:
+            raise DoubleReleaseError("handle %s is not outstanding" % handle.id)
+        smaller = ResourceHandle(handle.id, spec)
+        self._outstanding[handle.id] = smaller
+        self.allocated = self.allocated - (handle.spec - spec)
+        self.check_conservation()
+        return smaller
+
     def checkpoint(self) -> tuple:
         """What `restore` needs to put the zone's accounting back as it is
         now. The id counter is not part of it: ids are never reused."""
@@ -177,9 +188,9 @@ class ResourceZone:
         are >= 0 in every dimension. `available` is derived as total -
         allocated - reserved, so the three parts then sum to total.
 
-        reserve, cancel, allocate and release call this after every write,
-        so it is O(1): direct component comparisons, no vector temporaries,
-        and no `assert`, which `python -O` would strip."""
+        Every write (reserve, cancel, allocate, release, shrink) calls
+        this, so it is O(1): direct component comparisons, no vector
+        temporaries, and no `assert`, which `python -O` would strip."""
         a, r = self.allocated, self.reserved
         # Each vector unpacked once: a named field read costs more.
         av, am, as_, ab = a

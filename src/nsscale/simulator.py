@@ -77,6 +77,7 @@ STOP_GRANT = Arrow(22, "OperateVnfGrant")
 STOP_CONFIGURE = Arrow(23, "AppConfigure")
 RELEASE_REQUEST = Arrow(25, "ReleaseRequest")
 RESOURCE_DELETION = Arrow(26, "ResourceDeletion")
+RESOURCE_UPDATE = Arrow(26, "ResourceUpdate")  # a VL handle shrunk in place
 RELEASE_RESPONSE = Arrow(27, "ReleaseResponse")
 OPERATION_FAILED = Arrow(None, "OperationFailed")
 
@@ -95,6 +96,15 @@ class OperationFailure(RuntimeError):
         super().__init__("step %d: %s" % (step, reason))
         self.step = step
         self.reason = reason
+
+
+def _write(arrow: Arrow, write, *args):
+    """Make one zone write of an operation, the write that `arrow`'s event
+    announces; a zone's refusal fails the operation at that step."""
+    try:
+        return write(*args)
+    except InventoryError as exc:
+        raise OperationFailure(arrow.step, str(exc))
 
 
 @dataclass
@@ -253,7 +263,9 @@ class Simulator:
                         vim_ref=pop.vim_ref if instances else "")
             for item in items:
                 if item.kind == "vl":
-                    self._allocate_vl(item, plan)
+                    pop, zone = self._planned_zone(plan, item)
+                    self.vl_handles.setdefault(item.vl_profile_id, []).append(
+                        (pop.id, zone, zone.allocate(item.spec, "network")))
         except (drpa_mod.UnplaceableError, InventoryError) as exc:
             raise ScenarioValidationError(
                 ["initial instantiation: %s" % exc])
@@ -262,11 +274,6 @@ class Simulator:
         """The PoP and the zone in which `plan` counted `item`."""
         pop = self._pop(plan.assignments[item.key])
         return pop, pop.zone(plan.zones[item.key])
-
-    def _allocate_vl(self, item, plan):
-        pop, zone = self._planned_zone(plan, item)
-        self.vl_handles.setdefault(item.vl_profile_id, []).append(
-            (pop.id, zone, zone.allocate(item.spec, "network")))
 
     # -- main loop ----------------------------------------------------------
 
@@ -373,8 +380,8 @@ class Simulator:
         saved = self._checkpoint()
         try:
             # VL increases ride the first sub-procedure that can allocate,
-            # decreases the first that can release; a leftover is applied
-            # without VNF involvement.
+            # decreases the first that can release; NS-level VLs are the
+            # NFVO's, so it exchanges a leftover with the VIMs itself.
             vl_inc = [i for i in items if i.kind == "vl"]
             vl_dec = {k: v for k, v in delta.vl_changes.items() if v[1] < v[0]}
 
@@ -407,17 +414,16 @@ class Simulator:
                     self._vnf_procedure(
                         op, plan, vnf_ids.pop(), {"remove_instance": True},
                         [], [], take(vl_dec), None)
-            for item in vl_inc:
-                self._allocate_vl(item, plan)
-            chosen, remainders = self._vl_handles_to_release(vl_dec)
-            for _, zone, handle in chosen:
-                zone.release(handle)
-            self._finish_vl_shrink(remainders)
+            reservations = {}
+            if vl_inc and self.reservation_enabled:
+                reservations = self._reservation_subphase(op, plan, vl_inc)
+            self._creation_subphase(op, plan, self.nfvo, vl_inc, reservations)
+            self._release(op, self.nfvo, [], vl_dec)
             self.current_ns_il = decision.target_ns_il
-        except (OperationFailure, InventoryError) as exc:
+        except OperationFailure as exc:
             self._restore(saved)
-            op.failed_step = getattr(exc, "step", RESOURCE_ALLOCATION.step)
-            op.error = getattr(exc, "reason", str(exc))
+            op.failed_step = exc.step
+            op.error = exc.reason
             self._failure = str(exc)
             self._send(self.nfvo, self.nfvo, OPERATION_FAILED,
                        {"op_id": op.op_id, "step": op.failed_step,
@@ -535,10 +541,9 @@ class Simulator:
         """Three reservation requests (compute, storage, network) per
         selected VIM; each item is reserved in the zone the plan names."""
         reservations = {}
-        by_vim = {}
+        by_vim = defaultdict(list)
         for item in items:
-            pop_id = plan.assignments[item.key]
-            by_vim.setdefault(self._pop(pop_id).vim_ref, []).append(item)
+            by_vim[self._pop(plan.assignments[item.key]).vim_ref].append(item)
         for vim_ref in sorted(plan.selected_vims):
             vim = self.vim_actor[vim_ref]
             for kind in ("compute", "storage", "network"):
@@ -573,10 +578,11 @@ class Simulator:
                             "reservation_ids": ids})
         return reservations
 
-    def _creation_subphase(self, op, plan, vnfm, items, reservations) -> dict:
-        """Allocate every item in the zone the plan names (steps 11-13);
-        returns each VNFC item's handles, zone and PoP id by item key. A VL
-        item's handle joins `vl_handles`."""
+    def _creation_subphase(self, op, plan, requester, items,
+                           reservations) -> dict:
+        """Allocate every item, at `requester`'s request, in the zone the
+        plan names (steps 11-13); returns each VNFC item's handles, zone
+        and PoP id by item key. A VL item's handle joins `vl_handles`."""
         allocated = {}
         for item in sorted(items, key=lambda i: i.key):
             pop, zone = self._planned_zone(plan, item)
@@ -594,17 +600,14 @@ class Simulator:
                 else:
                     request.update(spec=spec.as_dict(), pop=pop.id,
                                    anti_affinity=item.anti_affinity)
-                self._send(vnfm, vim, ALLOCATE_REQUEST, request)
-                try:
-                    handle = zone.allocate(spec, kind,
-                                           from_reservation=reservation)
-                except InventoryError as exc:
-                    raise OperationFailure(RESOURCE_ALLOCATION.step, str(exc))
+                self._send(requester, vim, ALLOCATE_REQUEST, request)
+                handle = _write(RESOURCE_ALLOCATION, zone.allocate, spec,
+                                kind, reservation)
                 self._send(vim, vim, RESOURCE_ALLOCATION,
                            {"op_id": op.op_id, "kind": kind,
                             "handle": handle.id, "zone": zone.id})
                 handles[kind] = handle
-                self._send(vim, vnfm, ALLOCATE_RESPONSE,
+                self._send(vim, requester, ALLOCATE_RESPONSE,
                            {"op_id": op.op_id, "kind": kind,
                             "handles": [handle.id]})
             if item.kind == "vl":
@@ -634,65 +637,57 @@ class Simulator:
         self._update_vnf_info(vnf_id, MARK_STOPPED,
                               instance_ids=tuple(sorted(remove_ids)))
 
-        info = self.vnf_infos[vnf_id]
-        by_vim = {}
-        for inst_id in sorted(remove_ids):
-            inst = info.instance(inst_id)
-            pop = self._pop(inst.pop_ref)
+        entries = []
+        for inst in map(self.vnf_infos[vnf_id].instance, sorted(remove_ids)):
             # Zone ids are unique only within a PoP, so look the zone up
             # in the instance's own PoP.
-            zone = pop.zone(inst.zone_ref)
-            entry = by_vim.setdefault(pop.vim_ref, [])
-            entry.append((inst.compute_handle, zone))
-            for handle in inst.storage_handles:
-                entry.append((handle, zone))
-        vl_released, remainders = self._vl_handles_to_release(vl_decreases)
-        for pop_id, zone, handle in vl_released:
-            by_vim.setdefault(self._pop(pop_id).vim_ref, []).append(
-                (handle, zone))
-
-        for vim_ref in sorted(by_vim):
-            vim = self.vim_actor[vim_ref]
-            handle_ids = sorted(h.id for h, _ in by_vim[vim_ref])
-            self._send(vnfm, vim, RELEASE_REQUEST,
-                       {"op_id": op.op_id, "handles": handle_ids})
-            for handle, zone in by_vim[vim_ref]:
-                zone.release(handle)
-            self._send(vim, vim, RESOURCE_DELETION,
-                       {"op_id": op.op_id, "handles": handle_ids})
-            self._send(vim, vnfm, RELEASE_RESPONSE,
-                       {"op_id": op.op_id, "handles": handle_ids})
-        self._finish_vl_shrink(remainders)
+            zone = self._pop(inst.pop_ref).zone(inst.zone_ref)
+            for handle in (inst.compute_handle, *inst.storage_handles):
+                entries.append((inst.pop_ref, zone, handle))
+        self._release(op, vnfm, entries, vl_decreases)
         self._update_vnf_info(vnf_id, DELETE_INSTANCES,
                               instance_ids=tuple(sorted(remove_ids)))
         if delete_vnf:
             del self.vnf_infos[vnf_id]
 
-    def _vl_handles_to_release(self, vl_decreases) -> tuple:
-        """Per VL profile in id order, the newest-first handles summing to
-        at least its bitrate decrease. Also returns the remainders for
-        _finish_vl_shrink to re-allocate: [(vl profile id, pop id, zone,
-        bandwidth)]."""
-        chosen = []
-        remainders = []
+    def _release(self, op, requester, entries, vl_decreases):
+        """Release `entries`, [(pop id, zone, handle)], and the VL decreases
+        `vl_decreases` for `requester`: a VL's newest handles that fit in
+        its decrease join `entries`, and the next is shrunk in place. One
+        25/26/27 exchange per VIM in id order, then one ResourceUpdate per
+        shrink."""
+        shrinks = []  # (a VL's handles, the bandwidth its newest keeps)
         for pid, (before, after) in sorted(vl_decreases.items()):
-            delta = before - after
-            handles = self.vl_handles.get(pid, [])
-            total = 0
-            while handles and total < delta:
-                entry = handles.pop()
-                chosen.append(entry)
-                total += entry[2].spec.bandwidth
-            if total > delta:
-                pop_id, zone, _ = chosen[-1]
-                remainders.append((pid, pop_id, zone, total - delta))
-        return chosen, remainders
-
-    def _finish_vl_shrink(self, remainders):
-        for pid, pop_id, zone, bandwidth in remainders:
-            handle = zone.allocate(CapacityVector(bandwidth=bandwidth),
-                                   "network")
-            self.vl_handles.setdefault(pid, []).append((pop_id, zone, handle))
+            handles = self.vl_handles[pid]
+            left = before - after
+            while handles and handles[-1][2].spec.bandwidth <= left:
+                left -= handles[-1][2].spec.bandwidth
+                entries.append(handles.pop())
+            if handles and left > 0:
+                shrinks.append((handles, handles[-1][2].spec.bandwidth - left))
+        by_vim = defaultdict(list)
+        for pop_id, zone, handle in entries:
+            by_vim[self._pop(pop_id).vim_ref].append((zone, handle))
+        for vim_ref in sorted(by_vim):
+            vim = self.vim_actor[vim_ref]
+            handle_ids = sorted(h.id for _, h in by_vim[vim_ref])
+            self._send(requester, vim, RELEASE_REQUEST,
+                       {"op_id": op.op_id, "handles": handle_ids})
+            for zone, handle in by_vim[vim_ref]:
+                _write(RESOURCE_DELETION, zone.release, handle)
+            self._send(vim, vim, RESOURCE_DELETION,
+                       {"op_id": op.op_id, "handles": handle_ids})
+            self._send(vim, requester, RELEASE_RESPONSE,
+                       {"op_id": op.op_id, "handles": handle_ids})
+        for handles, bandwidth in shrinks:
+            pop_id, zone, handle = handles[-1]
+            spec = CapacityVector(bandwidth=bandwidth)
+            handles[-1] = (pop_id, zone,
+                           _write(RESOURCE_UPDATE, zone.shrink, handle, spec))
+            vim = self.vim_actor[self._pop(pop_id).vim_ref]
+            self._send(vim, vim, RESOURCE_UPDATE,
+                       {"op_id": op.op_id, "handle": handle.id,
+                        "spec": spec.as_dict()})
 
     # -- helpers -------------------------------------------------------------
 

@@ -218,6 +218,44 @@ def sample_scenario(workload=None, ns_il="level-1", topology=None,
     }
 
 
+def level_walk_scenario(levels, reservation=True, new_vnf_ils=()) -> dict:
+    """The sample scenario from level-1 through `levels`, [(level id, vlp-1
+    bitrate)], each of which the catalog gains as level-1 with vlp-1 at
+    that bitrate, where each (profile id, VNF-IL id, VDU counts) of
+    `new_vnf_ils` adds that VNF level to the profile's VNFD and puts the
+    profile at it. One net_load sample per level, ten ticks apart, fires
+    one of two rules: a load of 0.9 scales out, and a level of twice the
+    current bitrate meets its bandwidth demand of 1.5 times that most
+    cheaply; a load of 0.1 scales in, to the cheapest level."""
+    documents = sample_documents()
+    nsd = documents[-1]
+    nsd["auto_scaling_rules"] = [
+        {"id": "r-out",
+         "text": "WHEN avg(net_load, 1) > 0.7 THEN scale_out COOLDOWN 5"},
+        {"id": "r-in",
+         "text": "WHEN avg(net_load, 1) < 0.3 THEN scale_in COOLDOWN 5"}]
+    flavor = nsd["flavors"][0]
+    vnf_entries = dict(flavor["ns_ils"][0]["vnf_entries"])
+    for profile_id, il_id, counts in new_vnf_ils:
+        [profile] = [p for p in flavor["vnf_profiles"]
+                     if p["id"] == profile_id]
+        [vnfd] = [d for d in documents if d["id"] == profile["vnfd_ref"]]
+        vnfd["flavors"][0]["ils"].append({"id": il_id, "counts": counts})
+        profile["allowed_il_refs"].append(il_id)
+        vnf_entries[profile_id] = {"vnf_il_ref": il_id, "instance_count": 1}
+    metrics = []
+    current = flavor["ns_ils"][0]["vl_entries"]["vlp-1"]
+    for level_id, bitrate in levels:
+        flavor["ns_ils"].append({"id": level_id, "vnf_entries": vnf_entries,
+                                 "vl_entries": {"vlp-1": bitrate}})
+        metrics.append([10 * (len(metrics) + 1), "ns", "net_load",
+                        0.9 if bitrate > current else 0.1])
+        current = bitrate
+    return with_documents(sample_scenario(
+        workload={"metrics": metrics},
+        options={"reservation_enabled": reservation}), documents)
+
+
 def escalation_workload() -> dict:
     """Load that walks level-1 -> 2 -> 3 -> 4.
 

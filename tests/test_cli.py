@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import broken_descriptors
@@ -7,9 +8,12 @@ import sample_catalog as sc
 import nsscale.cli
 import nsscale.scenario
 import nsscale.simulator
-from conftest import SEVEN_AND_SEVEN, refuse_large_vnfcs
+from conftest import SEVEN_AND_SEVEN, refuse_large_vnfcs, run_dict
 from nsscale.cli import main
-from nsscale.inventory import ConservationError, ResourceZone
+from nsscale.descriptors import load_catalog, validate_catalog
+from nsscale.inventory import (
+    ConservationError, IllegalTransitionError, ResourceZone,
+)
 
 
 def write_json(path, data):
@@ -139,6 +143,41 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     scenario["initial_instance"]["ns_il_ref"] = "level-99"
     assert main(["run", scenario_file(tmp_path, scenario)]) == 1
     assert "level-99" in capsys.readouterr().out
+
+
+def _vnfc_count(documents, count):
+    documents[0]["flavors"][0]["ils"][0]["counts"]["vdu-1"] = count
+
+
+def _max_instances(documents, count):
+    documents[-1]["flavors"][0]["vnf_profiles"][1]["max_instances"] = count
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_vnfc_count, "catalog: range vnfd:vnfd-a/flavors/f1/ils/il-1: "
+                  "VNFC counts must be <= 1000"),
+    (_max_instances, "catalog: range nsd:nsd-1/flavors/df-1/vnf_profiles/"
+                     "p-b: max_instances must be <= 1000"),
+], ids=["vnfc-count", "max-instances"])
+def test_a_count_beyond_the_limit_exits_one_at_once(tmp_path, capsys, edit,
+                                                     line):
+    # The simulator creates every instance one by one: a count of 10**20
+    # would run without end.
+    documents = sc.sample_documents()
+    edit(documents, 10**20)
+    scenario = sc.with_documents(
+        sc.sample_scenario(workload=sc.jump_workload()), documents)
+    begun = time.perf_counter()
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    assert time.perf_counter() - begun < 1
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_a_count_at_the_limit_is_valid():
+    documents = sc.sample_documents()
+    _vnfc_count(documents, 1000)
+    _max_instances(documents, 1000)
+    assert validate_catalog(load_catalog(documents)).issues == []
 
 
 MEM_THRESHOLD = {"id": "t-mem", "subject": "vnfd-b", "metric": "mem_load",
@@ -425,6 +464,22 @@ def test_run_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines() == [
         "internal error: ConservationError: zone zone-a: available vcpu is -1"]
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_an_unlabelled_inventory_error_exits_four(tmp_path, capsys,
+                                                  monkeypatch):
+    # An operation fails only at the step of a zone write; any other
+    # InventoryError, here a VNF record write, is a fault of the program.
+    def broken(*args, **kwargs):
+        raise IllegalTransitionError("injected fault")
+
+    monkeypatch.setattr(nsscale.simulator, "record_vnf_info_update", broken)
+    with pytest.raises(IllegalTransitionError):
+        run_dict(sc.sample_scenario(workload=sc.jump_workload()))
+    assert main(["run", scenario_file(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "internal error: IllegalTransitionError: injected fault"]
 
 
 @pytest.mark.parametrize("command", [["run"], ["explain", "--at", "10"]])

@@ -3,6 +3,7 @@ value before the operation. Failures are reached by monkeypatching the zone
 writes; nothing in the program injects faults."""
 
 import random
+from collections import Counter
 
 import sample_catalog as sc
 import scenario_gen
@@ -10,13 +11,22 @@ from conftest import build_sim, refuse_large_vnfcs
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from nsscale.capacity import CapacityVector
 from nsscale.inventory import InventoryError, ResourceZone
 from nsscale.scenario import ScenarioValidationError
-from nsscale.simulator import PHASE_FAILED, STATUS_OPERATION_FAILED, Simulator
+from nsscale.simulator import (
+    PHASE_FAILED, RESOURCE_ALLOCATION, RESOURCE_DELETION, RESOURCE_UPDATE,
+    STATUS_OPERATION_FAILED, VIM_PLACEMENT, Simulator,
+)
 from nsscale.trace import canonical_json
 
 WORKLOADS = {"escalation": sc.escalation_workload, "jump": sc.jump_workload,
              "scale-in": sc.scale_in_workload}
+
+
+# vlp-1 alone moves 100 -> 200 -> 50, so the NFVO exchanges each change
+# with the VIM itself: an allocation, then a release and a shrink.
+VL_WALK = [("level-1v", 200), ("level-1d", 50)]
 
 
 def sample(level, workload, reservation):
@@ -45,11 +55,15 @@ def check_failed_operations(monkeypatch) -> list:
     return failed
 
 
+ZONE_WRITES = ("allocate", "reserve", "release", "shrink")
+
+
 def fail_kth_zone_write(monkeypatch, k) -> dict:
-    """Make the k-th `allocate` or `reserve` after this call raise
-    InventoryError; k = 0 injects nothing. Returns the call count."""
+    """Make the k-th zone write (`allocate`, `reserve`, `release` or
+    `shrink`) after this call raise InventoryError; k = 0 injects nothing.
+    Returns the call count."""
     calls = {"n": 0}
-    for name in ("allocate", "reserve"):
+    for name in ZONE_WRITES:
         def write(zone, *args, _real=getattr(ResourceZone, name), **kwargs):
             calls["n"] += 1
             if calls["n"] == k:
@@ -60,7 +74,7 @@ def fail_kth_zone_write(monkeypatch, k) -> dict:
 
 
 def zone_writes(scenario) -> int:
-    """The number of `allocate` and `reserve` calls in a clean run."""
+    """The number of zone writes in a clean run."""
     with pytest.MonkeyPatch.context() as mp:
         sim = build_sim(scenario)
         calls = fail_kth_zone_write(mp, 0)
@@ -136,6 +150,14 @@ def test_every_zone_write_fault_rolls_back(level, workload, reservation):
         assert_fault_rolls_back(scenario, k)
 
 
+@pytest.mark.parametrize("reservation", [True, False])
+def test_every_zone_write_fault_of_the_nfvos_vl_exchange_rolls_back(
+        reservation):
+    scenario = sc.level_walk_scenario(VL_WALK, reservation)
+    for k in range(1, zone_writes(scenario) + 1):
+        assert_fault_rolls_back(scenario, k)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 10**6), st.data())
@@ -169,6 +191,27 @@ def test_reserve_fault_is_a_step_seven_failure(monkeypatch):
     assert result.operations[0].error == "injected fault"
     assert [r.message for r in result.trace[-3:]] == [
         "ReserveRequest", "ReserveResponse", "OperationFailed"]
+    assert canonical_json(result.final_state) == initial
+
+
+@pytest.mark.parametrize("write, last", [
+    ("release", "ReleaseRequest"), ("shrink", "ReleaseResponse")])
+def test_release_fault_is_a_step_26_failure(monkeypatch, write, last):
+    # level-4 -> level-3 removes vnf-p-b-4, releasing its handles at step
+    # 26, then shrinks vlp-1's one handle from 800 to 400, also step 26.
+    # A zone refusing either fails the operation at step 26.
+    sim = build_sim(sample("level-4", "scale-in", True))
+    initial = state(sim)
+
+    def refused(zone, *args):
+        raise InventoryError("injected fault")
+
+    monkeypatch.setattr(ResourceZone, write, refused)
+    result = sim.run()
+    assert result.status == STATUS_OPERATION_FAILED
+    assert result.operations[0].failed_step == 26
+    assert result.operations[0].error == "injected fault"
+    assert [r.message for r in result.trace[-2:]] == [last, "OperationFailed"]
     assert canonical_json(result.final_state) == initial
 
 
@@ -210,3 +253,112 @@ def test_step_log_is_the_trace_of_its_operation(monkeypatch):
     phases = [op.phase for op in checked]
     assert phases.count(PHASE_FAILED) == writes  # one failure per fault
     assert len(phases) - writes >= 24
+
+
+# The event that announces each zone write -> the writes it announces, as
+# (write, key) pairs: a reserve is keyed by its zone, the other writes by
+# their handle and a shrink also by the handle's new spec.
+ANNOUNCEMENTS = {
+    VIM_PLACEMENT: lambda p: [("reserve", e["zone"]) for e in p["zones"]],
+    RESOURCE_ALLOCATION: lambda p: [("allocate", p["handle"])],
+    RESOURCE_DELETION: lambda p: [("release", h) for h in p["handles"]],
+    RESOURCE_UPDATE: lambda p: [
+        ("shrink", (p["handle"], CapacityVector.from_dict(p["spec"])))],
+}
+
+
+def write_key(name, zone, args, result):
+    if name == "reserve":
+        return zone.id
+    if name == "allocate":
+        return result.id
+    if name == "release":
+        return args[0].id
+    return result.id, result.spec
+
+
+def check_zone_writes_are_announced(monkeypatch) -> list:
+    """Check every operation from now on as it ends: the zone writes it
+    made equal the writes its events announce, each event sent by the
+    written zone's VIM. A failed operation's writes are rolled back, and
+    the write of a batch whose event it never sent goes unannounced, so of
+    it only that every announced write was made is checked. A run makes
+    no zone write outside its operations; set-up's writes precede it.
+    Returns the (operation, writes made) checked."""
+    made, announced, checked = [], [], []
+    for name in ZONE_WRITES:
+        def write(zone, *args, _name=name, _real=getattr(ResourceZone, name),
+                  **kwargs):
+            result = _real(zone, *args, **kwargs)
+            made.append((_name, zone, write_key(_name, zone, args, result)))
+            return result
+        monkeypatch.setattr(ResourceZone, name, write)
+    send = Simulator._send
+
+    def sent(sim, src, dst, arrow, payload):
+        send(sim, src, dst, arrow, payload)
+        if arrow in ANNOUNCEMENTS:
+            announced.extend((name, src, key)
+                             for name, key in ANNOUNCEMENTS[arrow](payload))
+
+    execute = Simulator._execute_decision
+
+    def audited(sim, decision):
+        assert not made  # a write outside an operation
+        execute(sim, decision)
+        op = sim.operations[-1]
+        vim = {id(zone): sim.vim_actor[pop.vim_ref]
+               for pop in sim.pops for zone in pop.zones}
+        writes = Counter((name, vim[id(zone)], key)
+                         for name, zone, key in made)
+        if op.phase == PHASE_FAILED:
+            assert not Counter(announced) - writes, op
+        else:
+            assert writes == Counter(announced), op
+        checked.append((op, len(made)))
+        made.clear()
+        announced.clear()
+
+    run = Simulator.run
+
+    def ran(sim, *args):
+        made.clear()
+        result = run(sim, *args)
+        assert not made  # a write outside an operation
+        return result
+
+    monkeypatch.setattr(Simulator, "_send", sent)
+    monkeypatch.setattr(Simulator, "_execute_decision", audited)
+    monkeypatch.setattr(Simulator, "run", ran)
+    return checked
+
+
+def test_every_zone_write_is_announced(monkeypatch):
+    checked = check_zone_writes_are_announced(monkeypatch)
+    for level in sc.LEVELS:
+        for workload in sorted(WORKLOADS):
+            for reservation in (True, False):
+                build_sim(sample(level, workload, reservation)).run()
+    samples = len(checked)
+    for seed in range(50):
+        try:
+            sim = build_sim(scenario_gen.random_scenario(random.Random(seed)))
+        except ScenarioValidationError:  # the initial level does not fit
+            continue
+        sim.run()
+    randoms = len(checked) - samples
+    writes = 0
+    for scenario in (sample("level-2", "jump", True),
+                     sc.level_walk_scenario(VL_WALK, True),
+                     sc.level_walk_scenario(VL_WALK, False)):
+        faults = zone_writes(scenario)
+        for k in range(1, faults + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                sim = build_sim(scenario)
+                fail_kth_zone_write(mp, k)
+                sim.run()
+        writes += faults
+    failed = [op for op, _ in checked if op.phase == PHASE_FAILED]
+    assert samples >= 24 and randoms >= 500
+    assert len(failed) == writes
+    assert sum(n for _, n in checked) >= 5000

@@ -514,31 +514,10 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
     assert reported >= 1000
 
 
-def _run_to_new_level(monkeypatch, reservation, level_id, new_vnf_ils=()):
-    """Run the sample from level-1 with one rule, fired by one net_load
-    sample of 0.9. Its bandwidth demand of 150 is met most cheaply by
-    `level_id`, which the catalog gains: level-1 with vlp-1 at 200, where
-    each (profile id, VNF-IL id, VDU counts) of `new_vnf_ils` adds that
-    VNF level to the profile's VNFD and puts the profile at it. Returns
-    the result and the (arrow, payload) of every workflow message sent."""
-    documents = sc.sample_documents()
-    nsd = documents[-1]
-    nsd["auto_scaling_rules"] = [{
-        "id": "r-net",
-        "text": "WHEN avg(net_load, 1) > 0.7 THEN scale_out COOLDOWN 5"}]
-    flavor = nsd["flavors"][0]
-    level = {"id": level_id,
-             "vnf_entries": dict(flavor["ns_ils"][0]["vnf_entries"]),
-             "vl_entries": {"vlp-1": 200}}
-    for profile_id, il_id, counts in new_vnf_ils:
-        [profile] = [p for p in flavor["vnf_profiles"]
-                     if p["id"] == profile_id]
-        [vnfd] = [d for d in documents if d["id"] == profile["vnfd_ref"]]
-        vnfd["flavors"][0]["ils"].append({"id": il_id, "counts": counts})
-        profile["allowed_il_refs"].append(il_id)
-        level["vnf_entries"][profile_id] = {"vnf_il_ref": il_id,
-                                            "instance_count": 1}
-    flavor["ns_ils"].append(level)
+def _run_to_new_levels(monkeypatch, reservation, levels, new_vnf_ils=()):
+    """Run `sc.level_walk_scenario(levels, reservation, new_vnf_ils)`, which
+    must reach each level in turn. Returns the result and the (arrow,
+    payload) of every workflow message sent."""
     sent = []
     send = Simulator._send
 
@@ -547,34 +526,73 @@ def _run_to_new_level(monkeypatch, reservation, level_id, new_vnf_ils=()):
         send(sim, src, dst, arrow, payload)
 
     monkeypatch.setattr(Simulator, "_send", recorded)
-    result = run_dict(sc.with_documents(sc.sample_scenario(
-        workload={"metrics": [[10, "ns", "net_load", 0.9]]},
-        options={"reservation_enabled": reservation}), documents))
+    result = run_dict(sc.level_walk_scenario(levels, reservation,
+                                             new_vnf_ils))
     assert result.status == STATUS_COMPLETED, result.failure_reason
-    assert result.final_state["ns_info"]["current_ns_il"] == level_id
-    assert result.final_state["vl_bitrates"] == {"vlp-1": 200}
+    assert result.final_state["ns_info"]["current_ns_il"] == levels[-1][0]
+    bitrate = levels[-1][1]
+    assert result.final_state["vl_bitrates"] == {"vlp-1": bitrate}
+    assert result.final_state["zones"]["pop-1/zone-a"]["allocated"][
+        "bandwidth"] == bitrate
     return result, sent
 
 
+def _events(result, op) -> list:
+    return [(e.step, e.src, e.dst, e.message)
+            for e in result.trace[op.begun:op.end]]
+
+
 @pytest.mark.parametrize("reservation", [True, False])
-def test_a_vl_change_no_vnf_carries_is_applied_without_a_message(
+def test_a_vl_increase_no_vnf_carries_is_the_nfvos_exchange(
         monkeypatch, reservation):
-    result, sent = _run_to_new_level(monkeypatch, reservation, "level-1v")
+    # NS-level VLs are the NFVO's: it reserves and allocates the bitrate
+    # itself when no VNF procedure carries the change.
+    result, sent = _run_to_new_levels(monkeypatch, reservation,
+                                      [("level-1v", 200)])
     [op] = result.operations
     assert op.kind == "none"
-    assert op.step_log == []
-    assert result.trace[-1].message == "DrpaDecision"
-    assert [arrow.message for arrow, _ in sent] == ["DrpaDecision"]
-    # the bandwidth moved all the same
-    assert result.final_state["zones"]["pop-1/zone-a"]["allocated"][
-        "bandwidth"] == 200
+    reserve = [(7, "NFVO-0", "VIM-0", "ReserveRequest"),
+               (8, "VIM-0", "VIM-0", "VimPlacement"),
+               (9, "VIM-0", "NFVO-0", "ReserveResponse")]
+    allocate = [(11, "NFVO-0", "VIM-0", "AllocateRequest"),
+                (12, "VIM-0", "VIM-0", "ResourceAllocation"),
+                (13, "VIM-0", "NFVO-0", "AllocateResponse")]
+    assert _events(result, op) == \
+        (reserve * 3 if reservation else []) + allocate
+    [request] = [p for a, p in sent if a.message == "AllocateRequest"]
+    assert request["kind"] == "network"
+
+
+@pytest.mark.parametrize("reservation", [True, False])
+def test_a_vl_decrease_no_vnf_carries_is_the_nfvos_exchange(
+        monkeypatch, reservation):
+    # 100 -> 200 adds a second vlp-1 handle of 100; 200 -> 50 releases it
+    # and shrinks set-up's handle, larger than the 50 left to release, in
+    # place.
+    result, sent = _run_to_new_levels(
+        monkeypatch, reservation, [("level-1v", 200), ("level-1d", 50)])
+    [_, op] = result.operations
+    assert op.kind == "none"
+    assert _events(result, op) == [
+        (25, "NFVO-0", "VIM-0", "ReleaseRequest"),
+        (26, "VIM-0", "VIM-0", "ResourceDeletion"),
+        (27, "VIM-0", "NFVO-0", "ReleaseResponse"),
+        (26, "VIM-0", "VIM-0", "ResourceUpdate")]
+    [allocation] = [p for a, p in sent if a.message == "ResourceAllocation"]
+    [release] = [p for a, p in sent if a.message == "ResourceDeletion"]
+    assert release == {"op_id": "op-2", "handles": [allocation["handle"]]}
+    [update] = [p for a, p in sent if a.message == "ResourceUpdate"]
+    # set-up's seventh zone write: level-1's six VNFC handles come first
+    assert update == {"op_id": "op-2", "handle": "h-zone-a-7",
+                      "spec": {"vcpu": 0, "memory": 0, "storage": 0,
+                               "bandwidth": 50}}
 
 
 @pytest.mark.parametrize("reservation", [True, False])
 def test_a_vnf_level_change_without_vnfc_changes_is_one_update(
         monkeypatch, reservation):
-    result, sent = _run_to_new_level(
-        monkeypatch, reservation, "level-1b",
+    result, sent = _run_to_new_levels(
+        monkeypatch, reservation, [("level-1b", 200)],
         new_vnf_ils=[("p-b", "il-1b", {"vdu-1": 1, "vdu-3": 1})])
     [op] = result.operations
     assert op.kind == "vnf-scaling"
@@ -601,8 +619,8 @@ def test_a_vnf_level_change_without_vnfc_changes_is_one_update(
 @pytest.mark.parametrize("reservation", [True, False])
 def test_a_vnfc_without_storage_is_allocated_compute_only(monkeypatch,
                                                           reservation):
-    result, sent = _run_to_new_level(
-        monkeypatch, reservation, "level-1a",
+    result, sent = _run_to_new_levels(
+        monkeypatch, reservation, [("level-1a", 200)],
         new_vnf_ils=[("p-a", "il-2", {"vdu-1": 2})])
     [op] = result.operations
     assert op.kind == "vnf-scaling"
