@@ -241,6 +241,17 @@ def _req(doc: dict, key: str, location: str):
     return doc[key]
 
 
+def _req_str(doc: dict, key: str, location: str, owner: str) -> str:
+    """`doc[key]`, which must be a str: a workflow payload writes it as a
+    JSON string, or the rule parser reads it. `owner` names `doc` in the
+    error."""
+    value = _req(doc, key, location)
+    if type(value) is not str:
+        raise CatalogSyntaxError("%s %s %r is not a string"
+                                 % (owner, key, value), location)
+    return value
+
+
 def _load_vcd(doc: dict, location: str) -> Vcd:
     return Vcd(_req(doc, "id", location), _req(doc, "vcpu", location),
                _req(doc, "memory", location))
@@ -312,7 +323,7 @@ def _load_monitored_item(doc: dict, location: str) -> MonitoredInfoItem:
 
 
 def _load_rule(doc: dict, location: str) -> AutoScalingRule:
-    text = _req(doc, "text", location)
+    text = _req_str(doc, "text", location, "rule %r" % (doc.get("id"),))
     try:
         ast = rules_mod.parse_rule(text)
     except rules_mod.RuleSyntaxError as exc:
@@ -344,12 +355,15 @@ def _load_ns_flavor(doc: dict, location: str) -> NsDeploymentFlavor:
     ]
     ns_ils = []
     for il in doc.get("ns_ils", ()):
+        il_id = _req_str(il, "id", location, "NS-IL")
         entries = {}
         for pid, entry in _req(il, "vnf_entries", location).items():
-            entries[pid] = (_req(entry, "vnf_il_ref", location),
-                            _req(entry, "instance_count", location))
+            entries[pid] = (
+                _req_str(entry, "vnf_il_ref", location,
+                         "NS-IL %r entry %r" % (il_id, pid)),
+                _req(entry, "instance_count", location))
         ns_ils.append(NsInstantiationLevel(
-            _req(il, "id", location), entries, dict(il.get("vl_entries", {}))))
+            il_id, entries, dict(il.get("vl_entries", {}))))
     return NsDeploymentFlavor(
         _req(doc, "id", location), tuple(profiles), tuple(vl_profiles), tuple(ns_ils))
 

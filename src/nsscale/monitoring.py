@@ -10,13 +10,15 @@ from typing import NamedTuple
 
 from . import rules as rules_mod
 from .descriptors import Vnfd
-from .trace import canonical_json, number_text, object_prefix
+from .trace import canonical_json, number_text, object_form, string_text
 
 PERF_INFO_AVAILABLE = "PerfInfoAvailable"
 THRESHOLD_CROSSED = "ThresholdCrossed"
 VNF_INDICATOR_CHANGE = "VnfIndicatorChange"
 
 _NO_DIMENSIONS = frozenset()
+
+_PERF_INFO_FORM = object_form("metric", "subject", "value")
 
 
 class TimeRegressionError(ValueError):
@@ -73,8 +75,9 @@ class _Stream(list):
         self.period = period
         self.next_report = 0 if period else math.inf
         self.thresholds = [[spec, None] for spec in thresholds]
-        self.prefix = object_prefix({"metric": name, "subject": subject},
-                                    "value")
+        # the form with an empty value, cut before its closing brace
+        self.prefix = (_PERF_INFO_FORM % (string_text(name),
+                                          string_text(subject), ""))[:-1]
 
 
 class MetricStore:

@@ -104,32 +104,54 @@ def validate_scenario(scenario: Scenario) -> tuple:
     report = validate_catalog(catalog)
     problems.extend("catalog: " + line for line in report.sorted_lines())
 
+    # VIM, PoP and zone ids are str: workflow payloads write them as JSON
+    # strings.
     vim_ids = set()
-    for vim in scenario.topology.get("vims", ()):
-        if vim["id"] in vim_ids:
+    for i, vim in enumerate(scenario.topology.get("vims", ())):
+        if type(vim["id"]) is not str:
+            problems.append("topology: vims[%d] id %r is not a string"
+                            % (i, vim["id"]))
+        elif vim["id"] in vim_ids:
             problems.append("topology: duplicate VIM id %r" % vim["id"])
-        vim_ids.add(vim["id"])
+        else:
+            vim_ids.add(vim["id"])
     pop_ids = set()
-    for pop in scenario.topology.get("pops", ()):
-        if pop["id"] in pop_ids:
+    pops = scenario.topology.get("pops", ())
+    for i, pop in enumerate(pops):
+        if type(pop["id"]) is not str:
+            problems.append("topology: pops[%d] id %r is not a string"
+                            % (i, pop["id"]))
+        elif pop["id"] in pop_ids:
             problems.append("topology: duplicate PoP id %r" % pop["id"])
-        pop_ids.add(pop["id"])
+        else:
+            pop_ids.add(pop["id"])
         if pop.get("vim_ref") not in vim_ids:
             problems.append("topology: PoP %r references unknown VIM %r"
                             % (pop["id"], pop.get("vim_ref")))
         zone_ids = set()
-        for zone in pop.get("zones", ()):
-            if zone["id"] in zone_ids:
+        for j, zone in enumerate(pop.get("zones", ())):
+            if type(zone["id"]) is not str:
+                problems.append("topology: PoP %r zones[%d] id %r is not a "
+                                "string" % (pop["id"], j, zone["id"]))
+            elif zone["id"] in zone_ids:
                 problems.append("topology: duplicate zone id %r in PoP %r"
                                 % (zone["id"], pop["id"]))
-            zone_ids.add(zone["id"])
-    if not pop_ids:
+            else:
+                zone_ids.add(zone["id"])
+    if not pops:
         problems.append("topology: at least one PoP required")
-    problems.extend(_threshold_problems(scenario.rules.get("thresholds", ())))
+    rules = scenario.rules
+    if type(rules) is not dict:
+        problems.append("rules: %r is not an object" % (rules,))
+        rules = {}
+    problems.extend(_threshold_problems(rules.get("thresholds", ())))
+    problems.extend(_dimension_problems(rules.get("metric_dimensions", {})))
     problems.extend(_option_problems(scenario.options))
 
     init = scenario.initial_instance
     nsd = catalog.nsds.get(init.get("nsd_ref"))
+    problems.extend(_constraint_problems(
+        rules.get("placement_constraints", {}), catalog, nsd))
     if nsd is None:
         problems.append("initial_instance: unknown NSD %r" % init.get("nsd_ref"))
     else:
@@ -186,6 +208,51 @@ def _threshold_problems(thresholds) -> list:
         if faults:
             problems.append("rules: thresholds[%d] %s"
                             % (i, ", ".join(faults)))
+    return problems
+
+
+def _dimension_problems(dimensions) -> list:
+    """One `rules: metric_dimensions ...` line per bad entry:
+    `metric_dimensions` is an object from metric names to dimensions."""
+    if type(dimensions) is not dict:
+        return ["rules: metric_dimensions %r is not an object"
+                % (dimensions,)]
+    return ["rules: metric_dimensions %r maps to %r, not a dimension (%s)"
+            % (name, dimension, ", ".join(DIMENSIONS))
+            for name, dimension in dimensions.items()
+            if dimension not in DIMENSIONS]
+
+
+def _constraint_problems(constraints, catalog: Catalog, nsd) -> list:
+    """One `rules: placement_constraints ...` line per bad entry. The one
+    constraint, `anti_affinity`, is an object from a VNFC name or VNF
+    profile id of `nsd` (any name when the NSD is unknown) to a str
+    label."""
+    if type(constraints) is not dict:
+        return ["rules: placement_constraints %r is not an object"
+                % (constraints,)]
+    problems = ["rules: placement_constraints key %r is not a constraint"
+                % (key,) for key in constraints if key != "anti_affinity"]
+    anti = constraints.get("anti_affinity", {})
+    if type(anti) is not dict:
+        return problems + ["rules: placement_constraints anti_affinity %r "
+                           "is not an object" % (anti,)]
+    names = None
+    if nsd is not None:
+        names = {vdu.vnfc_name for ref in nsd.vnfd_refs
+                 if ref in catalog.vnfds for vdu in catalog.vnfds[ref].vdus
+                 if type(vdu.vnfc_name) is str}
+        names.update(profile.id for flavor in nsd.flavors
+                     for profile in flavor.vnf_profiles
+                     if type(profile.id) is str)
+    for name, label in anti.items():
+        if names is not None and name not in names:
+            problems.append("rules: placement_constraints anti_affinity %r "
+                            "is neither a VNFC name nor a VNF profile id of "
+                            "NSD %r" % (name, nsd.id))
+        elif type(label) is not str:
+            problems.append("rules: placement_constraints anti_affinity %r "
+                            "label %r is not a string" % (name, label))
     return problems
 
 

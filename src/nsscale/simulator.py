@@ -34,7 +34,10 @@ from .scenario import (
     METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
     validate_scenario, workload_records,
 )
-from .trace import Trace, payload_digest, payload_text
+from .trace import (
+    Trace, capacity_text, object_form, payload_digest, string_text,
+    strings_text,
+)
 
 STATUS_COMPLETED = "completed"
 STATUS_OPERATION_FAILED = "operation-failed"
@@ -51,44 +54,79 @@ class Arrow(NamedTuple):
 
 
 # The paper's scaling workflow, in step order: the one home of its step
-# numbers. Steps 15, 19, 24 and 28 are repository updates, VNF_INFO_CHANGES.
+# numbers and of its payloads' keys. After each message come the forms
+# (`object_form`) of the payload shapes it is the first to send; a comment
+# names an earlier form it reuses. Steps 15, 19, 24 and 28 are repository
+# updates, VNF_INFO_CHANGES.
 PERF_INFO = Arrow(1, PERF_INFO_AVAILABLE)
 THRESHOLD = Arrow(2, THRESHOLD_CROSSED)
 INDICATOR = Arrow(3, VNF_INDICATOR_CHANGE)
 DRPA_DECISION = Arrow(4, "DrpaDecision")
+DECISION_FORM = object_form("action", "classification", "target_ns_il")
+DECISION_ERROR_FORM = object_form("action", "reason")
 SCALE_REQUEST = Arrow(5, "ScaleVnfToLevelRequest")
+SCALE_LEVEL_FORM = object_form("new_vnf_il", "op_id", "vnf_instance")
+SCALE_NEW_FORM = object_form("new_instance", "new_vnf_il", "op_id",
+                             "vnf_instance")
+SCALE_REMOVE_FORM = object_form("op_id", "remove_instance", "vnf_instance")
 SCALE_RESPONSE = Arrow(5, "ScaleVnfToLevelResponse")
+OP_FORM = object_form("op_id")
 GRANT_REQUEST = Arrow(6, "GrantRequest")
+GRANT_FORM = object_form("intent", "internal_vl_ids", "op_id", "vdu_ids")
 RESERVE_REQUEST = Arrow(7, "ReserveRequest")
+RESERVE_FORM = object_form("items", "kind", "op_id")
+RESERVE_ITEM_FORM = object_form("anti_affinity", "key", "pop", "spec")
 VIM_PLACEMENT = Arrow(8, "VimPlacement")
+PLACEMENT_FORM = object_form("kind", "op_id", "zones")
+PLACEMENT_ZONE_FORM = object_form("key", "zone")
 RESERVE_RESPONSE = Arrow(9, "ReserveResponse")
+RESERVED_FORM = object_form("kind", "op_id", "reservation_ids")
+RESERVE_ERROR_FORM = object_form("error", "kind", "op_id")
 GRANT_RESPONSE = Arrow(10, "GrantResponse")
+GRANTED_FORM = object_form("granted", "op_id", "vim_connectivity")
+GRANTED_RESERVED_FORM = object_form("granted", "op_id", "reservation_ids",
+                                    "vim_connectivity")
 ALLOCATE_REQUEST = Arrow(11, "AllocateRequest")
+ALLOCATE_RESERVED_FORM = object_form("kind", "op_id", "reservation_id")
+ALLOCATE_SPEC_FORM = object_form("anti_affinity", "kind", "op_id", "pop",
+                                 "spec")
 RESOURCE_ALLOCATION = Arrow(12, "ResourceAllocation")
+ALLOCATION_FORM = object_form("handle", "kind", "op_id", "zone")
 ALLOCATE_RESPONSE = Arrow(13, "AllocateResponse")
+ALLOCATED_FORM = object_form("handles", "kind", "op_id")
 CONFIGURE_VNFC = Arrow(14, "ConfigureVnfc")
+INSTANCES_FORM = object_form("instance_ids")
 START_REQUEST = Arrow(16, "OperateVnfRequest")
-START_GRANT = Arrow(17, "OperateVnfGrant")
-START_CONFIGURE = Arrow(18, "AppConfigure")
+OPERATE_FORM = object_form("instance_ids", "op_id", "target_state")
+START_GRANT = Arrow(17, "OperateVnfGrant")  # OP_FORM
+START_CONFIGURE = Arrow(18, "AppConfigure")  # INSTANCES_FORM, and
+RECONFIGURE_FORM = object_form("instance_ids", "reconfigure")
 RELEASE_GRANT_REQUEST = Arrow(20, "GrantRequest")
+RELEASE_GRANT_FORM = object_form("instance_ids", "intent", "op_id")
 RELEASE_GRANT_RESPONSE = Arrow(20, "GrantResponse")
-STOP_REQUEST = Arrow(21, "OperateVnfRequest")
-STOP_GRANT = Arrow(22, "OperateVnfGrant")
+RELEASE_GRANTED_FORM = object_form("granted", "op_id")
+STOP_REQUEST = Arrow(21, "OperateVnfRequest")  # OPERATE_FORM
+STOP_GRANT = Arrow(22, "OperateVnfGrant")  # OP_FORM
 STOP_CONFIGURE = Arrow(23, "AppConfigure")
+SHUTDOWN_FORM = object_form("instance_ids", "shutdown")
 RELEASE_REQUEST = Arrow(25, "ReleaseRequest")
-RESOURCE_DELETION = Arrow(26, "ResourceDeletion")
+HANDLES_FORM = object_form("handles", "op_id")
+RESOURCE_DELETION = Arrow(26, "ResourceDeletion")  # HANDLES_FORM
 RESOURCE_UPDATE = Arrow(26, "ResourceUpdate")  # a VL handle shrunk in place
-RELEASE_RESPONSE = Arrow(27, "ReleaseResponse")
+UPDATE_FORM = object_form("handle", "op_id", "spec")
+RELEASE_RESPONSE = Arrow(27, "ReleaseResponse")  # HANDLES_FORM
 OPERATION_FAILED = Arrow(None, "OperationFailed")
+FAILED_FORM = object_form("op_id", "reason", "step")
 
-# VnfInfo change -> the step of its repository update.
+# VnfInfo change -> the event of its repository update.
 VNF_INFO_CHANGES = {
-    ADD_INSTANCES_STOPPED: 15,
-    MARK_STARTED: 19,
-    SET_VNF_IL: 19,
-    MARK_STOPPED: 24,
-    DELETE_INSTANCES: 28,
+    ADD_INSTANCES_STOPPED: Arrow(15, "VnfInfoUpdate"),
+    MARK_STARTED: Arrow(19, "VnfInfoUpdate"),
+    SET_VNF_IL: Arrow(19, "VnfInfoUpdate"),
+    MARK_STOPPED: Arrow(24, "VnfInfoUpdate"),
+    DELETE_INSTANCES: Arrow(28, "VnfInfoUpdate"),
 }
+VNF_INFO_FORM = object_form("change", "step", "vnf_instance")
 
 
 class OperationFailure(RuntimeError):
@@ -205,13 +243,10 @@ class Simulator:
 
     # -- low-level event machinery -----------------------------------------
 
-    def _send(self, src: str, dst: str, arrow: Arrow, payload: dict):
-        """Send a workflow message; `payload` is canonical as built."""
-        self._emit(src, dst, arrow, payload_text(payload))
-
     def _emit(self, src: str, dst: str, arrow: Arrow, text: str):
-        """Record the event of a message whose payload is the canonical
-        JSON `text`."""
+        """Record the event of a message, a notification or a workflow
+        message alike, whose payload is the canonical JSON `text`. Every
+        event is recorded here."""
         self._clock += 1
         self.trace.append(self._clock, arrow, src, dst, payload_digest(text))
 
@@ -353,14 +388,14 @@ class Simulator:
                 self.cost_model, self.target_utilization,
                 capacity_report(self.pops), self.dimension_map)
         except drpa_mod.DrpaError as exc:
-            self._send(self.nfvo, self.nfvo, DRPA_DECISION,
-                       {"action": "error", "reason": str(exc)})
+            self._emit(self.nfvo, self.nfvo, DRPA_DECISION,
+                       DECISION_ERROR_FORM % ('"error"',
+                                              string_text(str(exc))))
             self.decisions.append((now, str(exc)))
             return
-        self._send(self.nfvo, self.nfvo, DRPA_DECISION,
-                   {"action": decision.action,
-                    "target_ns_il": decision.target_ns_il,
-                    "classification": decision.classification})
+        self._emit(self.nfvo, self.nfvo, DRPA_DECISION, DECISION_FORM % (
+            string_text(decision.action), string_text(decision.classification),
+            string_text(decision.target_ns_il)))
         self.decisions.append((now, decision))
         if decision.action == drpa_mod.ACTION_SCALE:
             self._execute_decision(decision)
@@ -390,29 +425,37 @@ class Simulator:
                 pool.clear()
                 return taken
 
+            op_id = string_text(op.op_id)
             for pd in delta.profile_deltas:
                 profile = self.flavor.profile(pd.profile_id)
                 vnf_ids = [vnf_id for vnf_id, info in self.vnf_infos.items()
                            if info.profile_ref == profile.id]
+                # A profile the target level leaves out has no `to_il`; it
+                # only loses instances.
                 for e in range(pd.retained if pd.il_changed else 0):
                     # A retained instance changes level in place.
                     self._vnf_procedure(
-                        op, plan, vnf_ids[e], {"new_vnf_il": pd.to_il},
+                        op, plan, vnf_ids[e], SCALE_LEVEL_FORM % (
+                            string_text(pd.to_il), op_id,
+                            string_text(vnf_ids[e])),
                         [i for i in items if i.profile_id == profile.id
                          and i.retained_instance_index == e],
                         take(vl_inc), take(vl_dec), pd.vnfc_remove)
                 for j in range(pd.count_delta):
                     vnf_id = self._new_vnf(profile)
                     self._vnf_procedure(
-                        op, plan, vnf_id,
-                        {"new_vnf_il": pd.to_il, "new_instance": True},
+                        op, plan, vnf_id, SCALE_NEW_FORM % (
+                            "true", string_text(pd.to_il), op_id,
+                            string_text(vnf_id)),
                         [i for i in items if i.profile_id == profile.id
                          and i.new_instance_index == j],
                         take(vl_inc), {}, {})
                 for _ in range(-pd.count_delta):
                     # A shrinking profile loses its newest instances.
+                    vnf_id = vnf_ids.pop()
                     self._vnf_procedure(
-                        op, plan, vnf_ids.pop(), {"remove_instance": True},
+                        op, plan, vnf_id, SCALE_REMOVE_FORM % (
+                            op_id, "true", string_text(vnf_id)),
                         [], [], take(vl_dec), None)
             reservations = {}
             if vl_inc and self.reservation_enabled:
@@ -425,9 +468,8 @@ class Simulator:
             op.failed_step = exc.step
             op.error = exc.reason
             self._failure = str(exc)
-            self._send(self.nfvo, self.nfvo, OPERATION_FAILED,
-                       {"op_id": op.op_id, "step": op.failed_step,
-                        "reason": op.error})
+            self._emit(self.nfvo, self.nfvo, OPERATION_FAILED, FAILED_FORM % (
+                string_text(op.op_id), string_text(op.error), op.failed_step))
         finally:
             op.end = len(self.trace)
 
@@ -457,14 +499,14 @@ class Simulator:
         `items` and of `vl_increases` before release of the VNFCs `drop`
         counts per VDU and of `vl_decreases`, so that new VNFCs run before
         old ones stop. `drop` None deletes the instance with all its VNFCs.
-        `request` holds the ScaleVnfToLevelRequest fields that name the
+        `request` is the text of the ScaleVnfToLevelRequest that names the
         change."""
         vnfd_ref = self.vnf_infos[vnf_id].vnfd_ref
         vnfm = self.vnfm_actor[vnfd_ref]
         em = self.em_actor[vnfd_ref]
-        self._send(self.nfvo, vnfm, SCALE_REQUEST,
-                   {"op_id": op.op_id, "vnf_instance": vnf_id, **request})
-        self._send(vnfm, self.nfvo, SCALE_RESPONSE, {"op_id": op.op_id})
+        self._emit(self.nfvo, vnfm, SCALE_REQUEST, request)
+        self._emit(vnfm, self.nfvo, SCALE_RESPONSE,
+                   OP_FORM % string_text(op.op_id))
 
         release = drop is None or bool(drop) or bool(vl_decreases)
         new_ids = []
@@ -488,19 +530,22 @@ class Simulator:
     def _allocation_phase(self, op, plan, vnfm, em, vnf_id, vnfc_items,
                           vl_items) -> list:
         items = list(vnfc_items) + list(vl_items)
-        self._send(vnfm, self.nfvo, GRANT_REQUEST,
-                   {"op_id": op.op_id, "intent": "allocate",
-                    "vdu_ids": sorted(i.vdu_ref for i in vnfc_items),
-                    "internal_vl_ids": sorted(i.vl_profile_id for i in vl_items)})
+        op_id = string_text(op.op_id)
+        self._emit(vnfm, self.nfvo, GRANT_REQUEST, GRANT_FORM % (
+            '"allocate"',
+            strings_text(sorted(i.vl_profile_id for i in vl_items)), op_id,
+            strings_text(sorted(i.vdu_ref for i in vnfc_items))))
 
-        grant = {"op_id": op.op_id, "granted": True,
-                 "vim_connectivity": sorted(plan.selected_vims)}
-        reservations = {}  # (item key, kind) -> reservation
+        vims = strings_text(sorted(plan.selected_vims))
         if self.reservation_enabled:
+            # (item key, kind) -> reservation
             reservations = self._reservation_subphase(op, plan, items)
-            grant["reservation_ids"] = sorted(
-                r.id for r in reservations.values())
-        self._send(self.nfvo, vnfm, GRANT_RESPONSE, grant)
+            grant = GRANTED_RESERVED_FORM % ("true", op_id, strings_text(
+                sorted(r.id for r in reservations.values())), vims)
+        else:
+            reservations = {}
+            grant = GRANTED_FORM % ("true", op_id, vims)
+        self._emit(self.nfvo, vnfm, GRANT_RESPONSE, grant)
 
         allocated = self._creation_subphase(op, plan, vnfm, items,
                                             reservations)
@@ -516,7 +561,8 @@ class Simulator:
         new_ids = [inst.id for inst in new_instances]
 
         if new_instances:
-            self._send(vnfm, em, CONFIGURE_VNFC, {"instance_ids": new_ids})
+            new_text = strings_text(new_ids)
+            self._emit(vnfm, em, CONFIGURE_VNFC, INSTANCES_FORM % new_text)
             self._update_vnf_info(vnf_id, ADD_INSTANCES_STOPPED,
                                   instances=tuple(new_instances))
             if not self.vnf_infos[vnf_id].vim_ref:
@@ -524,15 +570,14 @@ class Simulator:
                     self.vnf_infos[vnf_id],
                     vim_ref=self._pop(new_instances[0].pop_ref).vim_ref)
 
-            self._send(vnfm, self.nfvo, START_REQUEST,
-                       {"op_id": op.op_id, "target_state": STARTED,
-                        "instance_ids": new_ids})
-            self._send(self.nfvo, vnfm, START_GRANT, {"op_id": op.op_id})
-            self._send(vnfm, em, START_CONFIGURE, {"instance_ids": new_ids})
+            self._emit(vnfm, self.nfvo, START_REQUEST, OPERATE_FORM % (
+                new_text, op_id, string_text(STARTED)))
+            self._emit(self.nfvo, vnfm, START_GRANT, OP_FORM % op_id)
+            self._emit(vnfm, em, START_CONFIGURE, INSTANCES_FORM % new_text)
             peers = self._affected_peers(vnf_id, new_ids)
             if peers:
-                self._send(vnfm, em, START_CONFIGURE,
-                           {"instance_ids": peers, "reconfigure": True})
+                self._emit(vnfm, em, START_CONFIGURE, RECONFIGURE_FORM % (
+                    strings_text(peers), "true"))
             self._update_vnf_info(vnf_id, MARK_STARTED,
                                   instance_ids=tuple(new_ids))
         return new_ids
@@ -541,22 +586,23 @@ class Simulator:
         """Three reservation requests (compute, storage, network) per
         selected VIM; each item is reserved in the zone the plan names."""
         reservations = {}
+        op_id = string_text(op.op_id)
         by_vim = defaultdict(list)
         for item in items:
             by_vim[self._pop(plan.assignments[item.key]).vim_ref].append(item)
         for vim_ref in sorted(plan.selected_vims):
             vim = self.vim_actor[vim_ref]
             for kind in ("compute", "storage", "network"):
+                kind_text = string_text(kind)
                 kind_items = [
                     (item, spec) for item in by_vim.get(vim_ref, ())
                     if not (spec := item.spec.restricted(kind)).is_zero()]
-                self._send(self.nfvo, vim, RESERVE_REQUEST,
-                           {"op_id": op.op_id, "kind": kind,
-                            "items": [{"key": i.key,
-                                       "pop": plan.assignments[i.key],
-                                       "spec": s.as_dict(),
-                                       "anti_affinity": i.anti_affinity}
-                                      for i, s in kind_items]})
+                self._emit(self.nfvo, vim, RESERVE_REQUEST, RESERVE_FORM % (
+                    "[%s]" % ",".join([RESERVE_ITEM_FORM % (
+                        string_text(i.anti_affinity), string_text(i.key),
+                        string_text(plan.assignments[i.key]),
+                        capacity_text(s)) for i, s in kind_items]),
+                    kind_text, op_id))
                 placed = []
                 ids = []
                 for item, spec in kind_items:
@@ -564,18 +610,19 @@ class Simulator:
                     try:
                         reservation = zone.reserve(spec, kind)
                     except InventoryError as exc:
-                        self._send(vim, self.nfvo, RESERVE_RESPONSE,
-                                   {"op_id": op.op_id, "kind": kind,
-                                    "error": str(exc)})
+                        self._emit(vim, self.nfvo, RESERVE_RESPONSE,
+                                   RESERVE_ERROR_FORM % (
+                                       string_text(str(exc)), kind_text,
+                                       op_id))
                         raise OperationFailure(RESERVE_REQUEST.step, str(exc))
                     reservations[(item.key, kind)] = reservation
-                    placed.append({"key": item.key, "zone": zone.id})
+                    placed.append(PLACEMENT_ZONE_FORM % (
+                        string_text(item.key), string_text(zone.id)))
                     ids.append(reservation.id)
-                self._send(vim, vim, VIM_PLACEMENT,
-                           {"op_id": op.op_id, "kind": kind, "zones": placed})
-                self._send(vim, self.nfvo, RESERVE_RESPONSE,
-                           {"op_id": op.op_id, "kind": kind,
-                            "reservation_ids": ids})
+                self._emit(vim, vim, VIM_PLACEMENT, PLACEMENT_FORM % (
+                    kind_text, op_id, "[%s]" % ",".join(placed)))
+                self._emit(vim, self.nfvo, RESERVE_RESPONSE, RESERVED_FORM % (
+                    kind_text, op_id, strings_text(ids)))
         return reservations
 
     def _creation_subphase(self, op, plan, requester, items,
@@ -584,6 +631,7 @@ class Simulator:
         plan names (steps 11-13); returns each VNFC item's handles, zone
         and PoP id by item key. A VL item's handle joins `vl_handles`."""
         allocated = {}
+        op_id = string_text(op.op_id)
         for item in sorted(items, key=lambda i: i.key):
             pop, zone = self._planned_zone(plan, item)
             vim = self.vim_actor[pop.vim_ref]
@@ -593,23 +641,25 @@ class Simulator:
                 spec = item.spec.restricted(kind)
                 if spec.is_zero():
                     continue
+                kind_text = string_text(kind)
                 reservation = reservations.get((item.key, kind))
-                request = {"op_id": op.op_id, "kind": kind}
                 if self.reservation_enabled:
-                    request["reservation_id"] = reservation.id
+                    request = ALLOCATE_RESERVED_FORM % (
+                        kind_text, op_id, string_text(reservation.id))
                 else:
-                    request.update(spec=spec.as_dict(), pop=pop.id,
-                                   anti_affinity=item.anti_affinity)
-                self._send(requester, vim, ALLOCATE_REQUEST, request)
+                    request = ALLOCATE_SPEC_FORM % (
+                        string_text(item.anti_affinity), kind_text, op_id,
+                        string_text(pop.id), capacity_text(spec))
+                self._emit(requester, vim, ALLOCATE_REQUEST, request)
                 handle = _write(RESOURCE_ALLOCATION, zone.allocate, spec,
                                 kind, reservation)
-                self._send(vim, vim, RESOURCE_ALLOCATION,
-                           {"op_id": op.op_id, "kind": kind,
-                            "handle": handle.id, "zone": zone.id})
+                handle_text = string_text(handle.id)
+                self._emit(vim, vim, RESOURCE_ALLOCATION, ALLOCATION_FORM % (
+                    handle_text, kind_text, op_id, string_text(zone.id)))
                 handles[kind] = handle
-                self._send(vim, requester, ALLOCATE_RESPONSE,
-                           {"op_id": op.op_id, "kind": kind,
-                            "handles": [handle.id]})
+                self._emit(vim, requester, ALLOCATE_RESPONSE,
+                           ALLOCATED_FORM % ("[%s]" % handle_text, kind_text,
+                                             op_id))
             if item.kind == "vl":
                 self.vl_handles.setdefault(item.vl_profile_id, []).append(
                     (pop.id, zone, handles["network"]))
@@ -622,18 +672,18 @@ class Simulator:
 
     def _release_phase(self, op, vnfm, em, vnf_id, remove_ids, vl_decreases,
                        delete_vnf=False):
-        self._send(vnfm, self.nfvo, RELEASE_GRANT_REQUEST,
-                   {"op_id": op.op_id, "intent": "release",
-                    "instance_ids": sorted(remove_ids)})
-        self._send(self.nfvo, vnfm, RELEASE_GRANT_RESPONSE,
-                   {"op_id": op.op_id, "granted": True})
-        self._send(vnfm, self.nfvo, STOP_REQUEST,
-                   {"op_id": op.op_id, "target_state": STOPPED,
-                    "instance_ids": sorted(remove_ids)})
-        self._send(self.nfvo, vnfm, STOP_GRANT, {"op_id": op.op_id})
+        op_id = string_text(op.op_id)
+        removed = strings_text(sorted(remove_ids))
+        self._emit(vnfm, self.nfvo, RELEASE_GRANT_REQUEST,
+                   RELEASE_GRANT_FORM % (removed, '"release"', op_id))
+        self._emit(self.nfvo, vnfm, RELEASE_GRANT_RESPONSE,
+                   RELEASE_GRANTED_FORM % ("true", op_id))
+        self._emit(vnfm, self.nfvo, STOP_REQUEST, OPERATE_FORM % (
+            removed, op_id, string_text(STOPPED)))
+        self._emit(self.nfvo, vnfm, STOP_GRANT, OP_FORM % op_id)
         peers = self._affected_peers(vnf_id, remove_ids)
-        self._send(vnfm, em, STOP_CONFIGURE,
-                   {"instance_ids": peers, "shutdown": sorted(remove_ids)})
+        self._emit(vnfm, em, STOP_CONFIGURE, SHUTDOWN_FORM % (
+            strings_text(peers), removed))
         self._update_vnf_info(vnf_id, MARK_STOPPED,
                               instance_ids=tuple(sorted(remove_ids)))
 
@@ -665,29 +715,27 @@ class Simulator:
                 entries.append(handles.pop())
             if handles and left > 0:
                 shrinks.append((handles, handles[-1][2].spec.bandwidth - left))
+        op_id = string_text(op.op_id)
         by_vim = defaultdict(list)
         for pop_id, zone, handle in entries:
             by_vim[self._pop(pop_id).vim_ref].append((zone, handle))
         for vim_ref in sorted(by_vim):
             vim = self.vim_actor[vim_ref]
-            handle_ids = sorted(h.id for _, h in by_vim[vim_ref])
-            self._send(requester, vim, RELEASE_REQUEST,
-                       {"op_id": op.op_id, "handles": handle_ids})
+            released = HANDLES_FORM % (
+                strings_text(sorted(h.id for _, h in by_vim[vim_ref])), op_id)
+            self._emit(requester, vim, RELEASE_REQUEST, released)
             for zone, handle in by_vim[vim_ref]:
                 _write(RESOURCE_DELETION, zone.release, handle)
-            self._send(vim, vim, RESOURCE_DELETION,
-                       {"op_id": op.op_id, "handles": handle_ids})
-            self._send(vim, requester, RELEASE_RESPONSE,
-                       {"op_id": op.op_id, "handles": handle_ids})
+            self._emit(vim, vim, RESOURCE_DELETION, released)
+            self._emit(vim, requester, RELEASE_RESPONSE, released)
         for handles, bandwidth in shrinks:
             pop_id, zone, handle = handles[-1]
             spec = CapacityVector(bandwidth=bandwidth)
             handles[-1] = (pop_id, zone,
                            _write(RESOURCE_UPDATE, zone.shrink, handle, spec))
             vim = self.vim_actor[self._pop(pop_id).vim_ref]
-            self._send(vim, vim, RESOURCE_UPDATE,
-                       {"op_id": op.op_id, "handle": handle.id,
-                        "spec": spec.as_dict()})
+            self._emit(vim, vim, RESOURCE_UPDATE, UPDATE_FORM % (
+                string_text(handle.id), op_id, capacity_text(spec)))
 
     # -- helpers -------------------------------------------------------------
 
@@ -725,17 +773,18 @@ class Simulator:
         return chosen
 
     def _update_vnf_info(self, vnf_id: str, change: str, **kwargs):
-        """Write `change` to the VNF's record at the change's step in
-        VNF_INFO_CHANGES, report it to the NFVO, and log the transition
-        VNFC_TRANSITIONS gives each VNFC it creates or moves."""
-        step = VNF_INFO_CHANGES[change]
+        """Write `change` to the VNF's record at the step of the change's
+        event in VNF_INFO_CHANGES, report it to the NFVO, and log the
+        transition VNFC_TRANSITIONS gives each VNFC it creates or moves."""
+        arrow = VNF_INFO_CHANGES[change]
+        step = arrow.step
         state_from, state_to = VNFC_TRANSITIONS[change]
         info = record_vnf_info_update(self.vnf_infos[vnf_id], change, step,
                                       self._clock, **kwargs)
         self.vnf_infos[vnf_id] = info
-        self._send(self.vnfm_actor[info.vnfd_ref], self.nfvo,
-                   Arrow(step, "VnfInfoUpdate"),
-                   {"vnf_instance": vnf_id, "change": change, "step": step})
+        self._emit(self.vnfm_actor[info.vnfd_ref], self.nfvo, arrow,
+                   VNF_INFO_FORM % (string_text(change), step,
+                                    string_text(vnf_id)))
         if state_to is None:
             return
         ids = kwargs.get("instance_ids",

@@ -10,12 +10,13 @@ from array import array
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
+from .capacity import DIMENSIONS
+
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # `JSONEncoder.encode` builds its C core afresh on every call; build it
 # once. It keeps no circular-reference markers: a value that refers to
-# itself recurses until RecursionError, in `_is_canonical`, `_normalize`
-# or, for `payload_text`, the encoder.
+# itself recurses until RecursionError, in `_is_canonical` or `_normalize`.
 if c_make_encoder is None:  # no C accelerator
     _encode = _ENCODER.encode
 else:
@@ -68,18 +69,27 @@ def _normalize(obj):
     return obj
 
 
-def payload_text(payload: dict) -> str:
-    """The canonical JSON of a payload that is canonical as built
-    (`_is_canonical`), encoded as it stands, without `_normalize`."""
-    return _encode(payload)
+# The canonical text of a str: JSON with every non-ASCII character escaped.
+string_text = encode_basestring_ascii
 
 
-def object_prefix(fields: dict, last: str) -> str:
-    """The canonical JSON of the non-empty object `fields` with one more
-    key, `last`, cut after that key's colon: a value's canonical JSON and
-    "}" complete it. `last` sorts after every key of `fields`, which are
-    str."""
-    return "%s,%s:" % (_encode(fields)[:-1], _encode(last))
+def strings_text(items) -> str:
+    """`canonical_json` of a list of str."""
+    return "[%s]" % ",".join(map(encode_basestring_ascii, items))
+
+
+def object_form(*keys) -> str:
+    """The `%` template of the canonical JSON of an object with `keys`:
+    `'{"k1":%s,"k2":%s}'`, to be formatted with each value's canonical
+    text in key order. `keys` are str, given as `canonical_json` sorts
+    them, and none repeats; the check lets a caller's value tuple read in
+    the template's order."""
+    if not all(type(key) is str for key in keys) \
+            or any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError("object keys must be distinct str in sorted "
+                         "order: %r" % (keys,))
+    return "{%s}" % ",".join(encode_basestring_ascii(key).replace("%", "%%")
+                             + ":%s" for key in keys)
 
 
 # How the encoder writes the floats whose repr is not JSON.
@@ -95,6 +105,16 @@ def number_text(value) -> str:
         text = repr(value)
         return _NON_FINITE.get(text, text)
     return repr(value)
+
+
+# A CapacityVector's fields in the order `canonical_json` writes its dict.
+_CAPACITY_FORM = object_form(*sorted(DIMENSIONS))
+_capacity_values = operator.attrgetter(*sorted(DIMENSIONS))
+
+
+def capacity_text(vector) -> str:
+    """`canonical_json` of a CapacityVector's `as_dict()`."""
+    return _CAPACITY_FORM % (*map(number_text, _capacity_values(vector)),)
 
 
 DIGEST_DIGITS = 16

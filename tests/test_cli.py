@@ -266,6 +266,113 @@ def test_bad_options_exit_one(tmp_path, capsys, options, lines):
     assert captured.err == ""
 
 
+def _nsd(scenario) -> dict:
+    return scenario["catalog"][-1]
+
+
+def _set_vim_ids(scenario, value):
+    scenario["topology"]["vims"][0]["id"] = value
+    scenario["topology"]["pops"][0]["vim_ref"] = value
+
+
+def _anti_affinity(scenario, anti):
+    scenario["rules"]["placement_constraints"] = {"anti_affinity": anti}
+
+
+# Ids a workflow payload writes as JSON strings, a rule's text and the
+# shapes of `rules`: each fault is one located line, exit 1.
+@pytest.mark.parametrize("mutate, lines", [
+    (lambda s: _nsd(s)["flavors"][0]["ns_ils"][2].update(id=7),
+     ["catalog: nsd[5]: NS-IL id 7 is not a string"]),
+    (lambda s: _nsd(s)["flavors"][0]["ns_ils"][1]["vnf_entries"]["p-b"]
+     .update(vnf_il_ref=None),
+     ["catalog: nsd[5]: NS-IL 'level-2' entry 'p-b' vnf_il_ref None is not "
+      "a string"]),
+    (lambda s: _nsd(s)["auto_scaling_rules"][0].update(text=7),
+     ["catalog: nsd[5]: rule 'r-out' text 7 is not a string"]),
+    (lambda s: s["topology"]["pops"][0].update(id=None),
+     ["topology: pops[0] id None is not a string"]),
+    (lambda s: s["topology"]["pops"][0]["zones"][0].update(id=7),
+     ["topology: PoP 'pop-1' zones[0] id 7 is not a string"]),
+    (lambda s: _set_vim_ids(s, 7),
+     ["topology: vims[0] id 7 is not a string",
+      "topology: PoP 'pop-1' references unknown VIM 7"]),
+    (lambda s: _anti_affinity(s, {"B1": 7}),
+     ["rules: placement_constraints anti_affinity 'B1' label 7 is not a "
+      "string"]),
+    (lambda s: _anti_affinity(s, {"ZZ": "spread"}),
+     ["rules: placement_constraints anti_affinity 'ZZ' is neither a VNFC "
+      "name nor a VNF profile id of NSD 'nsd-1'"]),
+    (lambda s: _anti_affinity(s, 3),
+     ["rules: placement_constraints anti_affinity 3 is not an object"]),
+    (lambda s: s["rules"].update(placement_constraints=[1]),
+     ["rules: placement_constraints [1] is not an object"]),
+    (lambda s: s["rules"].update(placement_constraints={"affinity": {}}),
+     ["rules: placement_constraints key 'affinity' is not a constraint"]),
+    (lambda s: s["rules"].update(metric_dimensions=[1]),
+     ["rules: metric_dimensions [1] is not an object"]),
+    (lambda s: s["rules"].update(metric_dimensions="x"),
+     ["rules: metric_dimensions 'x' is not an object"]),
+    (lambda s: s["rules"]["metric_dimensions"].update(cpu_load="gpu"),
+     ["rules: metric_dimensions 'cpu_load' maps to 'gpu', not a dimension "
+      "(vcpu, memory, storage, bandwidth)"]),
+    (lambda s: s["rules"]["metric_dimensions"].update(cpu_load=5),
+     ["rules: metric_dimensions 'cpu_load' maps to 5, not a dimension "
+      "(vcpu, memory, storage, bandwidth)"]),
+    (lambda s: s.update(rules=[]), ["rules: [] is not an object"]),
+], ids=["ns-il-id", "vnf-il-ref", "rule-text", "pop-id", "zone-id", "vim-id",
+        "anti-affinity-label", "anti-affinity-name", "anti-affinity-shape",
+        "constraints-shape", "constraint-key", "dimensions-list",
+        "dimensions-text", "unknown-dimension", "number-dimension",
+        "rules-shape"])
+def test_bad_ids_and_rules_exit_one(tmp_path, capsys, mutate, lines):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    mutate(scenario)
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
+def _string_fields(value, path=()):
+    """The path of every str in the JSON `value`."""
+    if type(value) is dict:
+        for key, item in value.items():
+            yield from _string_fields(item, path + (key,))
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from _string_fields(item, path + (i,))
+    elif type(value) is str:
+        yield path
+
+
+def test_no_string_field_set_to_a_number_or_null_is_an_internal_error(
+        tmp_path, capsys):
+    # Every str of the jump sample with anti-affinity, set to 7 or null in
+    # turn under both reservation settings, is refused or runs; none is
+    # written into a payload or parsed as a rule and breaks the run.
+    internal = []
+    runs = 0
+    for reservation in (True, False):
+        base = sc.sample_scenario(
+            workload=sc.jump_workload(),
+            options={"reservation_enabled": reservation})
+        _anti_affinity(base, {"B1": "spread"})
+        for path in list(_string_fields(base)):
+            for value in (7, None):
+                scenario = json.loads(json.dumps(base))
+                owner = scenario
+                for key in path[:-1]:
+                    owner = owner[key]
+                owner[path[-1]] = value
+                if main(["run", scenario_file(tmp_path, scenario)]) == 4:
+                    internal.append((reservation, path, value))
+                runs += 1
+    capsys.readouterr()
+    assert runs >= 500
+    assert internal == []
+
+
 def test_options_that_are_not_an_object_exit_one_with_no_reservation(
         tmp_path, capsys):
     scenario = sc.sample_scenario(workload=sc.jump_workload())

@@ -2,6 +2,7 @@
 value before the operation. Failures are reached by monkeypatching the zone
 writes; nothing in the program injects faults."""
 
+import json
 import random
 from collections import Counter
 
@@ -293,13 +294,14 @@ def check_zone_writes_are_announced(monkeypatch) -> list:
             made.append((_name, zone, write_key(_name, zone, args, result)))
             return result
         monkeypatch.setattr(ResourceZone, name, write)
-    send = Simulator._send
+    emit = Simulator._emit
 
-    def sent(sim, src, dst, arrow, payload):
-        send(sim, src, dst, arrow, payload)
+    def emitted(sim, src, dst, arrow, text):
+        emit(sim, src, dst, arrow, text)
         if arrow in ANNOUNCEMENTS:
-            announced.extend((name, src, key)
-                             for name, key in ANNOUNCEMENTS[arrow](payload))
+            announced.extend(
+                (name, src, key)
+                for name, key in ANNOUNCEMENTS[arrow](json.loads(text)))
 
     execute = Simulator._execute_decision
 
@@ -327,7 +329,7 @@ def check_zone_writes_are_announced(monkeypatch) -> list:
         assert not made  # a write outside an operation
         return result
 
-    monkeypatch.setattr(Simulator, "_send", sent)
+    monkeypatch.setattr(Simulator, "_emit", emitted)
     monkeypatch.setattr(Simulator, "_execute_decision", audited)
     monkeypatch.setattr(Simulator, "run", ran)
     return checked

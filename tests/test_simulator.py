@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import sample_catalog as sc
@@ -460,14 +461,15 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
     # decision's plan: step 8 reports that zone, and each new VNFC sits in
     # the plan's PoP and zone.
     sites = []  # (op id, item key, pop id or None, zone id), as executed
-    send = Simulator._send
+    emit = Simulator._emit
     allocation_phase = Simulator._allocation_phase
 
-    def sent(sim, src, dst, arrow, payload):
+    def emitted(sim, src, dst, arrow, text):
         if arrow.message == "VimPlacement":
+            payload = json.loads(text)
             sites.extend((payload["op_id"], z["key"], None, z["zone"])
                          for z in payload["zones"])
-        send(sim, src, dst, arrow, payload)
+        emit(sim, src, dst, arrow, text)
 
     def allocated(sim, op, plan, vnfm, em, vnf_id, vnfc_items, *args,
                   **kwargs):
@@ -479,7 +481,7 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
                                            map(info.instance, new_ids)))
         return new_ids
 
-    monkeypatch.setattr(Simulator, "_send", sent)
+    monkeypatch.setattr(Simulator, "_emit", emitted)
     monkeypatch.setattr(Simulator, "_allocation_phase", allocated)
     attempted = {"small-zone": 0, "random": 0}
     checked = reported = 0  # sites checked, of which step 8 reported
@@ -514,20 +516,24 @@ def test_plans_the_drpa_accepts_execute(monkeypatch):
     assert reported >= 1000
 
 
-def _run_to_new_levels(monkeypatch, reservation, levels, new_vnf_ils=()):
+def _run_to_new_levels(monkeypatch, reservation, levels, new_vnf_ils=(),
+                       edit_flavor=None):
     """Run `sc.level_walk_scenario(levels, reservation, new_vnf_ils)`, which
-    must reach each level in turn. Returns the result and the (arrow,
-    payload) of every workflow message sent."""
+    must reach each level in turn, after `edit_flavor`, if given, has
+    changed its NSD's flavor in place. Returns the result and the (arrow,
+    parsed payload) of every event recorded."""
+    scenario = sc.level_walk_scenario(levels, reservation, new_vnf_ils)
+    if edit_flavor is not None:
+        edit_flavor(scenario["catalog"][-1]["flavors"][0])
     sent = []
-    send = Simulator._send
+    emit = Simulator._emit
 
-    def recorded(sim, src, dst, arrow, payload):
-        sent.append((arrow, payload))
-        send(sim, src, dst, arrow, payload)
+    def recorded(sim, src, dst, arrow, text):
+        sent.append((arrow, json.loads(text)))
+        emit(sim, src, dst, arrow, text)
 
-    monkeypatch.setattr(Simulator, "_send", recorded)
-    result = run_dict(sc.level_walk_scenario(levels, reservation,
-                                             new_vnf_ils))
+    monkeypatch.setattr(Simulator, "_emit", recorded)
+    result = run_dict(scenario)
     assert result.status == STATUS_COMPLETED, result.failure_reason
     assert result.final_state["ns_info"]["current_ns_il"] == levels[-1][0]
     bitrate = levels[-1][1]
@@ -586,6 +592,33 @@ def test_a_vl_decrease_no_vnf_carries_is_the_nfvos_exchange(
     assert update == {"op_id": "op-2", "handle": "h-zone-a-7",
                       "spec": {"vcpu": 0, "memory": 0, "storage": 0,
                                "bandwidth": 50}}
+
+
+@pytest.mark.parametrize("reservation", [True, False])
+def test_a_profile_the_target_level_leaves_out_loses_its_instances(
+        monkeypatch, reservation):
+    # level-1o lists no p-a, whose minimum is 0, and puts p-b at il-2,
+    # which makes it cheaper than level-2. p-a has no VNF level there, so
+    # its one instance is removed by a request that names none.
+    def leave_out_p_a(flavor):
+        [p_a] = [p for p in flavor["vnf_profiles"] if p["id"] == "p-a"]
+        p_a["min_instances"] = 0
+        level = flavor["ns_ils"][-1]
+        level["vnf_entries"] = {
+            "p-b": {"vnf_il_ref": "il-2", "instance_count": 1},
+            "p-c": level["vnf_entries"]["p-c"]}
+
+    result, sent = _run_to_new_levels(monkeypatch, reservation,
+                                      [("level-1o", 200)],
+                                      edit_flavor=leave_out_p_a)
+    [op] = result.operations
+    requests = [p for a, p in sent if a.message == "ScaleVnfToLevelRequest"]
+    assert requests == [
+        {"op_id": "op-1", "remove_instance": True,
+         "vnf_instance": "vnf-p-a-1"},
+        {"new_vnf_il": "il-2", "op_id": "op-1", "vnf_instance": "vnf-p-b-2"}]
+    assert sorted(result.final_state["vnf_infos"]) == \
+        ["vnf-p-b-2", "vnf-p-c-3"]
 
 
 @pytest.mark.parametrize("reservation", [True, False])

@@ -13,10 +13,12 @@ import sample_catalog as sc
 import scenario_gen
 from nsscale.scenario import ScenarioValidationError, scenario_from_dict
 from nsscale.simulator import Simulator
+from nsscale.capacity import CapacityVector
 from nsscale.trace import (
-    EventRecord, canonical_json, payload_digest, payload_text, trace_lines)
+    EventRecord, canonical_json, capacity_text, object_form, payload_digest,
+    string_text, strings_text, trace_lines)
 from test_bench import import_bench
-from test_rollback import fail_kth_zone_write, zone_writes
+from test_rollback import VL_WALK, fail_kth_zone_write, zone_writes
 from test_sample_digests import sample_digests, sample_scenarios
 
 
@@ -52,7 +54,7 @@ json_like = st.recursive(
         st.dictionaries(st.text(max_size=3), children, max_size=4),
         st.dictionaries(keys, children, max_size=4)),
     max_leaves=16)
-# What `_is_canonical` accepts: the payloads `payload_text` is given.
+# What `_is_canonical` accepts: what `canonical_json` encodes as it stands.
 canonical_like = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
               floats.filter(lambda f: not f.is_integer()),
@@ -70,17 +72,104 @@ def sha16(text: str) -> str:
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(json_like)
 def test_canonical_json_equals_the_normalized_encoding(obj):
-    expected = reference_json(obj)
-    assert canonical_json(obj) == expected
-    if nsscale.trace._is_canonical(obj):
-        assert payload_text(obj) == expected
+    assert canonical_json(obj) == reference_json(obj)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(canonical_like)
 def test_digest_of_a_canonical_payload_is_that_of_its_canonical_json(obj):
     assert nsscale.trace._is_canonical(obj)
-    assert payload_digest(payload_text(obj)) == sha16(reference_json(obj))
+    assert payload_digest(canonical_json(obj)) == sha16(reference_json(obj))
+
+
+# Any text: non-ASCII, quotes, backslashes and control characters.
+texts = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028'
+                                     '\U0001f600/%'))
+components = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(texts, st.lists(texts, max_size=4),
+       st.tuples(components, components, components, components))
+def test_value_texts_are_the_canonical_json_of_their_values(text, items,
+                                                           components):
+    assert string_text(text) == canonical_json(text)
+    assert strings_text(items) == canonical_json(items)
+    vector = CapacityVector(*components)
+    assert capacity_text(vector) == canonical_json(vector.as_dict())
+
+
+def test_an_object_form_is_the_canonical_json_of_its_object():
+    form = object_form("a", "b%", "\u00e9")
+    assert form % ("1", '"x"', "[]") == canonical_json(
+        {"\u00e9": [], "b%": "x", "a": 1})
+    assert object_form() == "{}"
+
+
+@pytest.mark.parametrize("keys", [
+    ("b", "a"), ("a", "a"), ("op_id", "kind"), ("a", 1), (None,),
+    (Tag("a"),)])
+def test_an_object_form_refuses_keys_out_of_order_repeated_or_not_str(keys):
+    with pytest.raises(ValueError):
+        object_form(*keys)
+
+
+def form_keys(form: str) -> tuple:
+    """The keys of an `object_form`, in its order."""
+    return tuple(json.loads(form % (("null",) * form.count(":%s"))))
+
+
+def object_keys(value, found: set):
+    """Add the key tuple of every object in the JSON `value` to `found`."""
+    if type(value) is dict:
+        found.add(tuple(value))
+        for item in value.values():
+            object_keys(item, found)
+    elif type(value) is list:
+        for item in value:
+            object_keys(item, found)
+
+
+def test_every_form_of_the_step_table_is_reached(monkeypatch):
+    """Every payload form of the step table, nested ones too, is the shape
+    of some recorded payload, over the 24 samples, a sweep of zone-write
+    faults, the walk of a VL alone and random scenarios; among them the
+    ReserveResponse error, the DrpaDecision error and OperationFailed."""
+    forms = {name: form_keys(value)
+             for name, value in vars(nsscale.simulator).items()
+             if name.endswith("_FORM")}
+    emit = Simulator._emit
+    reached = set()
+
+    def recorded(sim, src, dst, arrow, text):
+        object_keys(json.loads(text), reached)
+        emit(sim, src, dst, arrow, text)
+
+    monkeypatch.setattr(Simulator, "_emit", recorded)
+    for scenario in sample_scenarios().values():
+        Simulator(scenario_from_dict(scenario)).run()
+    for scenario in (sample_scenarios()["level-2/jump/reserve"],
+                     sc.level_walk_scenario(VL_WALK, True),
+                     sc.level_walk_scenario(VL_WALK, False)):
+        for k in range(1, zone_writes(scenario) + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                sim = Simulator(scenario_from_dict(scenario))
+                fail_kth_zone_write(mp, k)
+                sim.run()
+    for seed in range(60):
+        try:
+            sim = Simulator(scenario_from_dict(
+                scenario_gen.random_scenario(random.Random(seed))))
+        except ScenarioValidationError:  # the initial level does not fit
+            continue
+        sim.run()
+    assert {"RESERVE_ERROR_FORM", "DECISION_ERROR_FORM", "FAILED_FORM",
+            "RESERVE_ITEM_FORM", "PLACEMENT_ZONE_FORM"} < set(forms)
+    assert {name for name, keys in forms.items() if keys not in reached} \
+        == set()
 
 
 def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
@@ -95,9 +184,9 @@ def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
 
 def test_every_sent_payload_is_canonical(monkeypatch):
     """Every payload reaches `payload_digest` as text: the canonical JSON
-    of what it parses to, since a workflow payload is encoded as it
-    stands and a notification is built as text. Its digest is that of the
-    text. Covers the sample scenarios with their fault sweeps, random
+    of what it parses to, since a workflow payload is formatted from its
+    shape's form and a notification is built as text. Its digest is that
+    of the text. Covers the sample scenarios with their fault sweeps, random
     scenarios, and free-form indicator values, integral or nested."""
     digest = nsscale.simulator.payload_digest
     sent = []
