@@ -4,6 +4,7 @@ instantiation levels, plus validation and level-delta computation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .capacity import CapacityVector, ZERO
 from . import rules as rules_mod
@@ -673,8 +674,7 @@ def vnf_il_capacity(vnfd: Vnfd, il: VnfInstantiationLevel) -> CapacityVector:
                 for vdu_id, count in il.counts.items()), ZERO)
 
 
-@dataclass(frozen=True)
-class ProfileDelta:
+class ProfileDelta(NamedTuple):
     """One VNF profile's change between two NS levels. A level of None is
     the empty level, where the profile has no instances. `vnfc_add` and
     `vnfc_remove` (vdu id -> VNFC count) are what each retained instance
@@ -706,8 +706,7 @@ class ProfileDelta:
 _EMPTY_LEVEL = NsInstantiationLevel(None, {}, {})
 
 
-@dataclass(frozen=True)
-class NsIlDelta:
+class NsIlDelta(NamedTuple):
     profile_deltas: tuple  # only profiles with an actual change
     vl_changes: dict  # vl profile id -> (from bitrate, to bitrate)
     classification: str

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .capacity import DIMENSIONS, ZERO, CapacityVector
 from .descriptors import (
@@ -64,14 +65,12 @@ class CostModel:
                       for k, v in data.items()})
 
 
-@dataclass(frozen=True)
-class DemandEstimate:
+class DemandEstimate(NamedTuple):
     required: CapacityVector
     headroom: float  # the target utilization fraction
 
 
-@dataclass(frozen=True)
-class PlacementItem:
+class PlacementItem(NamedTuple):
     """One resource addition to place: a new VNFC instance or a VL bitrate
     increase."""
 
@@ -86,15 +85,13 @@ class PlacementItem:
     anti_affinity: str = ""
 
 
-@dataclass(frozen=True)
-class PlacementMap:
+class PlacementMap(NamedTuple):
     assignments: dict  # item key -> pop id
     selected_vims: frozenset
     zones: dict  # item key -> the id of the zone it is counted and put in
 
 
-@dataclass(frozen=True)
-class CandidateEval:
+class CandidateEval(NamedTuple):
     ns_il_id: str
     cost: float
     total_instances: int
@@ -103,8 +100,7 @@ class CandidateEval:
     placement: PlacementMap | None = None
 
 
-@dataclass(frozen=True)
-class DrpaDecision:
+class DrpaDecision(NamedTuple):
     action: str
     target_ns_il: str = ""
     classification: str = CLASS_NONE
@@ -188,11 +184,14 @@ def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
 
 
 def delta_additions(catalog: Catalog, flavor: NsDeploymentFlavor,
-                    delta: NsIlDelta, constraints: dict | None = None) -> list:
+                    delta: NsIlDelta, constraints: dict | None = None,
+                    vdus: dict | None = None) -> list:
     """Expand a level delta into concrete placement items (new VNFC
     instances and VL bitrate increases), profiles in id order. A delta from
-    the empty level yields the items that instantiate its target level."""
+    the empty level yields the items that instantiate its target level.
+    `vdus` keeps each (profile id, VDU id)'s spec and label across calls."""
     anti = (constraints or {}).get("anti_affinity", {})
+    vdus = {} if vdus is None else vdus
     items = []
     for pd in delta.profile_deltas:
         profile = flavor.profile(pd.profile_id)
@@ -209,9 +208,11 @@ def delta_additions(catalog: Catalog, flavor: NsDeploymentFlavor,
                         for j in range(pd.count_delta)]
         for tag, counts, index in batches:
             for vdu_id in sorted(counts):
-                spec = vdu_capacity(vnfd, vdu_id)
-                label = anti.get(vnfd.vdu(vdu_id).vnfc_name,
-                                 anti.get(pd.profile_id, ""))
+                vdu_key = (pd.profile_id, vdu_id)
+                if vdu_key not in vdus:
+                    vdus[vdu_key] = (vdu_capacity(vnfd, vdu_id), anti.get(
+                        vnfd.vdu(vdu_id).vnfc_name, anti.get(pd.profile_id, "")))
+                spec, label = vdus[vdu_key]
                 for i in range(counts[vdu_id]):
                     items.append(PlacementItem(
                         key="%s/%s/vnfc/%s/%d" % (pd.profile_id, tag, vdu_id, i),
@@ -255,6 +256,7 @@ class LevelGraph:
         self._capacity = {}  # level id -> CapacityVector
         self._delta = {}  # (from, to) -> NsIlDelta
         self._additions = {}  # (from, to) -> tuple of PlacementItem
+        self._vdus = {}  # (profile id, VDU id) -> (spec, anti-affinity label)
         # snapshot tuple -> (from, to) -> PlacementMap | unplaceable reason
         self._plans = {}
 
@@ -282,7 +284,7 @@ class LevelGraph:
         if items is None:
             items = self._additions[from_il, to_il] = tuple(delta_additions(
                 self.catalog, self.flavor, self.delta(from_il, to_il),
-                self.constraints))
+                self.constraints, self._vdus))
         return items
 
     def plans(self, from_il: str | None, to_ils, snapshot: tuple) -> list:

@@ -4,7 +4,8 @@ available), reservations, resource handles, and VNF instance records."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .capacity import DIMENSIONS, KIND_DIMENSIONS, CapacityVector, ZERO
@@ -17,6 +18,8 @@ STOPPED = "STOPPED"
 STARTED = "STARTED"
 
 NS_INSTANTIATED = "instantiated"
+
+_BY_ID = attrgetter("id")  # the sort key of PoPs and zones
 
 
 class InventoryError(RuntimeError):
@@ -82,7 +85,9 @@ class ResourceHandle(NamedTuple):
 
 class ResourceZone:
     """One capacity partition of an NFVI-PoP. `available` is always derived,
-    never stored."""
+    never stored. Every write assigns new `allocated` and `reserved`
+    vectors, and `restore` the checkpoint's own: `capacity_report` reuses
+    `report` while it holds the zone's very vectors."""
 
     def __init__(self, zone_id: str, total: CapacityVector):
         self.id = zone_id
@@ -91,6 +96,7 @@ class ResourceZone:
         self.reserved = ZERO
         self._counter = itertools.count(1)
         self._outstanding = {}  # handle id -> ResourceHandle
+        self.report = None  # the last ZoneReport capacity_report built
 
     @property
     def available(self) -> CapacityVector:
@@ -240,12 +246,19 @@ class ZoneReport(NamedTuple):
 
 
 def capacity_report(pops: list) -> list:
-    """Pure snapshot of every zone's capacity state, in (pop, zone) order."""
+    """Pure snapshot of every zone's capacity state, in (pop, zone) order.
+    A zone's report is rebuilt only when a write or a `restore` has since
+    replaced its `allocated` or `reserved` vector."""
     report = []
-    for pop in sorted(pops, key=lambda p: p.id):
-        for zone in sorted(pop.zones, key=lambda z: z.id):
-            report.append(ZoneReport(pop.id, pop.vim_ref, zone.id, zone.total,
-                                     zone.allocated, zone.reserved, zone.available))
+    for pop in sorted(pops, key=_BY_ID):
+        for zone in sorted(pop.zones, key=_BY_ID):
+            last = zone.report
+            if (last is None or last.allocated is not zone.allocated
+                    or last.reserved is not zone.reserved):
+                last = zone.report = ZoneReport(
+                    pop.id, pop.vim_ref, zone.id, zone.total, zone.allocated,
+                    zone.reserved, zone.available)
+            report.append(last)
     return report
 
 
@@ -259,7 +272,7 @@ def vim_placement(zones: list, spec: CapacityVector, pending: dict):
     Anti-affinity is the DRPA's to keep: it puts items that share a label
     on distinct PoPs."""
     free = []  # available less pending, of every zone tried
-    for zone in sorted(zones, key=lambda z: z.id):
+    for zone in sorted(zones, key=_BY_ID):
         capacity = zone.available
         if zone.id in pending:
             capacity = capacity - pending[zone.id]
@@ -351,9 +364,12 @@ def record_vnf_info_update(info: VnfInfo, change: str, step, tick: int,
             ids.discard(inst.id)
             if after is None:
                 continue
-            inst = replace(inst, state=after)
+            inst = VnfcInstance(inst.id, inst.vdu_ref, after,
+                                inst.compute_handle, inst.storage_handles,
+                                inst.zone_ref, inst.pop_ref)
         moved.append(inst)
     if ids:
         raise IllegalTransitionError("unknown instances %s" % sorted(ids))
-    return replace(info, vnfc_instances=tuple(moved),
-                   audit=info.audit + ((step, tick),))
+    return VnfInfo(info.vnfd_ref, info.vnf_flavor_ref, tuple(moved),
+                   info.vim_ref, info.audit + ((step, tick),),
+                   info.profile_ref)

@@ -302,8 +302,9 @@ def workload_records(workload: dict) -> list:
     Each record is `[tick, subject, name, value]` with an int tick of at
     most TICK_LIMIT in absolute value and str subject and name. A metric
     value is a finite int or float, never a bool; an indicator value is
-    free-form. Raises ScenarioValidationError with one `workload:` problem
-    per bad record.
+    free-form, but a float must be finite: JSON has no NaN or Infinity,
+    and a numeric indicator feeds the rule engine. Raises
+    ScenarioValidationError with one `workload:` problem per bad record.
 
     The check runs here, in the one pass the run makes over the records,
     rather than in `validate_scenario`: a workload holds thousands of
@@ -315,7 +316,7 @@ def workload_records(workload: dict) -> list:
             (METRIC_RECORD, "metrics",
              "[int tick, str subject, str metric, finite number]"),
             (INDICATOR_RECORD, "indicators",
-             "[int tick, str vnf, str indicator, value]")):
+             "[int tick, str vnf, str indicator, value (finite if a float)]")):
         entries = workload.get(field_name, ())
         if type(entries) not in (list, tuple):
             problems.append("workload: %s is not a list" % field_name)
@@ -324,9 +325,9 @@ def workload_records(workload: dict) -> list:
             if (type(rec) in (list, tuple) and len(rec) == 4
                     and type(rec[0]) is int and type(rec[1]) is str
                     and type(rec[2]) is str
-                    and (kind == INDICATOR_RECORD
-                         or type(rec[3]) is int
-                         or type(rec[3]) is float and math.isfinite(rec[3]))):
+                    and (math.isfinite(rec[3]) if type(rec[3]) is float
+                         else type(rec[3]) is int
+                         or kind == INDICATOR_RECORD)):
                 if abs(rec[0]) > TICK_LIMIT:
                     problems.append("workload: %s[%d] tick %d is beyond "
                                     "the limit of +/-2**62"

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import drpa as drpa_mod
 from .capacity import CapacityVector
-from .descriptors import (
-    ns_il_delta,  # unused here; the benchmark's tracer wraps this name
-)
+from .descriptors import ns_il_delta  # unused here; the tracer wraps it
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
     SET_VNF_IL, STARTED, STOPPED, VNFC_TRANSITIONS, InventoryError,
@@ -292,10 +290,11 @@ class Simulator:
                             compute, () if storage.is_zero()
                             else (zone.allocate(storage, "storage"),),
                             zone.id, pop.id))
-                    self.vnf_infos[vnf_id] = replace(
-                        self.vnf_infos[vnf_id],
-                        vnfc_instances=tuple(instances),
-                        vim_ref=pop.vim_ref if instances else "")
+                    info = self.vnf_infos[vnf_id]
+                    self.vnf_infos[vnf_id] = VnfInfo(
+                        info.vnfd_ref, info.vnf_flavor_ref, tuple(instances),
+                        pop.vim_ref if instances else "", info.audit,
+                        info.profile_ref)
             for item in items:
                 if item.kind == "vl":
                     pop, zone = self._planned_zone(plan, item)
@@ -565,10 +564,12 @@ class Simulator:
             self._emit(vnfm, em, CONFIGURE_VNFC, INSTANCES_FORM % new_text)
             self._update_vnf_info(vnf_id, ADD_INSTANCES_STOPPED,
                                   instances=tuple(new_instances))
-            if not self.vnf_infos[vnf_id].vim_ref:
-                self.vnf_infos[vnf_id] = replace(
-                    self.vnf_infos[vnf_id],
-                    vim_ref=self._pop(new_instances[0].pop_ref).vim_ref)
+            info = self.vnf_infos[vnf_id]
+            if not info.vim_ref:
+                self.vnf_infos[vnf_id] = VnfInfo(
+                    info.vnfd_ref, info.vnf_flavor_ref, info.vnfc_instances,
+                    self._pop(new_instances[0].pop_ref).vim_ref, info.audit,
+                    info.profile_ref)
 
             self._emit(vnfm, self.nfvo, START_REQUEST, OPERATE_FORM % (
                 new_text, op_id, string_text(STARTED)))

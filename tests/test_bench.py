@@ -121,3 +121,56 @@ def test_a_run_retains_little_per_trace_event():
         for size in (10, 40))
     per_event = (large - small) / (large_events - small_events)
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
+
+
+def test_decisions_reuse_zone_reports_and_replace_no_record(monkeypatch):
+    """On wide-fabric, `capacity_report` builds a zone's report again only
+    after a write to the zone: across all decision snapshots there are at
+    most as many distinct `ZoneReport`s as zones plus zone writes, where
+    a report per zone per decision would be many more. And `Simulator.run`
+    builds its records with constructors, never `dataclasses.replace`."""
+    import dataclasses
+    import nsscale.simulator
+    from nsscale.inventory import ResourceZone, capacity_report
+    from nsscale.scenario import scenario_from_dict
+    from nsscale.simulator import Simulator
+
+    workloads = import_bench("workloads")
+    sim = Simulator(scenario_from_dict(workloads.GENERATORS["wide-fabric"](
+        0, workloads.TINY_SIZE["wide-fabric"])))
+    snapshots = []
+
+    def report(pops):
+        snapshots.append(capacity_report(pops))
+        return snapshots[-1]
+
+    writes = []
+
+    def counted(write):
+        def call(zone, *args, **kwargs):
+            writes.append(write.__name__)
+            return write(zone, *args, **kwargs)
+        return call
+
+    replaced = []
+    replace = dataclasses.replace
+
+    def counted_replace(*args, **kwargs):
+        replaced.append(args)
+        return replace(*args, **kwargs)
+
+    monkeypatch.setattr(nsscale.simulator, "capacity_report", report)
+    for name in ("reserve", "cancel", "allocate", "release", "shrink"):
+        monkeypatch.setattr(ResourceZone, name,
+                            counted(getattr(ResourceZone, name)))
+    monkeypatch.setattr(dataclasses, "replace", counted_replace)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("nsscale")
+                and getattr(module, "replace", None) is replace):
+            monkeypatch.setattr(module, "replace", counted_replace)
+    result = sim.run()
+    zones = sum(len(pop.zones) for pop in sim.pops)
+    distinct = {id(zone) for snapshot in snapshots for zone in snapshot}
+    assert len(snapshots) == len(result.decisions) > 0
+    assert len(distinct) <= zones + len(writes) < len(snapshots) * zones
+    assert replaced == []

@@ -476,6 +476,9 @@ def test_graph_document_is_unchanged(tmp_path):
     ("metrics", [12, "vnfd-b", "cpu_load", float("nan")]),
     ("metrics", [12, "vnfd-b", "cpu_load", float("inf")]),
     ("indicators", [12, "vnfd-b", "congestion"]),
+    ("indicators", [12, "vnfd-b", "congestion", float("nan")]),
+    ("indicators", [12, "vnfd-b", "congestion", float("inf")]),
+    ("indicators", [12, "vnfd-b", "congestion", float("-inf")]),
 ])
 def test_malformed_workload_record_exits_one(tmp_path, capsys, command,
                                              field, record):
@@ -488,6 +491,18 @@ def test_malformed_workload_record_exits_one(tmp_path, capsys, command,
     assert len(out) == 1
     assert out[0].startswith("workload: %s[%d] is not "
                              % (field, len(records) - 1))
+
+
+@pytest.mark.parametrize("value", [2, -0.5, 1e300, "high", True, None])
+def test_a_finite_or_non_numeric_indicator_value_runs(tmp_path, value):
+    """An indicator value is free-form; only a non-finite float, which
+    strict JSON cannot carry, is refused."""
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["workload"]["indicators"] = [[12, "vnfd-b", "congestion", value]]
+    trace = tmp_path / "trace.txt"
+    assert main(["run", scenario_file(tmp_path, scenario),
+                 "--trace", str(trace)]) == 0
+    assert trace.read_text().count(" VnfIndicatorChange ") == 2
 
 
 def test_workload_field_that_is_not_a_list_exits_one(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsscale.capacity import CapacityVector, ZERO
 from nsscale.inventory import (
@@ -10,7 +12,7 @@ from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, DoubleReleaseError,
     SET_VNF_IL, VNFC_TRANSITIONS, IllegalTransitionError, InventoryError,
     InsufficientCapacityError, NfviPop, ReservationStateError, ResourceZone,
-    NoZoneFitsError, VnfcInstance, VnfInfo, capacity_report,
+    NoZoneFitsError, VnfcInstance, VnfInfo, ZoneReport, capacity_report,
     record_vnf_info_update, vim_placement,
 )
 
@@ -161,6 +163,87 @@ def test_capacity_report_is_ordered_and_pure():
     assert report[1].available == pops[0].zones[0].total  # a copy
 
 
+ZONE_STEPS = st.lists(st.tuples(
+    st.sampled_from(("reserve", "cancel", "allocate", "allocate-reserved",
+                     "release", "shrink", "checkpoint", "restore")),
+    st.integers(0, 5), st.integers(0, 4)), max_size=30)
+
+
+def _apply(step, zones, reservations, handles, saved):
+    """Make one zone write, checkpoint or restore of `step` on `zones`;
+    the lists hold (zone, reservation) and (zone, handle) made so far.
+    Returns the checkpoint, which "checkpoint" replaces. A write the zone
+    refuses changes nothing."""
+    op, pick, amount = step
+    spec = CapacityVector(vcpu=amount, memory=amount)
+    zone = zones[pick % len(zones)]
+    if op == "reserve":
+        reservations.append((zone, zone.reserve(spec, "compute")))
+    elif op == "allocate":
+        handles.append((zone, zone.allocate(spec, "compute")))
+    elif op == "checkpoint":
+        return ([(z, z.checkpoint()) for z in zones], list(reservations),
+                [r.state for _, r in reservations], list(handles))
+    elif op == "restore" and saved:
+        checkpoints, reservations[:], states, handles[:] = saved
+        for z, checkpoint in checkpoints:
+            z.restore(checkpoint)
+        for (_, reservation), state in zip(reservations, states):
+            reservation.state = state
+    elif op in ("cancel", "allocate-reserved") and reservations:
+        zone, reservation = reservations[pick % len(reservations)]
+        if op == "cancel":
+            zone.cancel(reservation)
+        else:
+            part = CapacityVector(vcpu=min(amount, reservation.spec.vcpu),
+                                  memory=min(amount, reservation.spec.memory))
+            handles.append((zone, zone.allocate(part, "compute",
+                                                from_reservation=reservation)))
+    elif op in ("release", "shrink") and handles:
+        i = pick % len(handles)
+        zone, handle = handles[i]
+        if op == "release":
+            zone.release(handle)
+        else:
+            handles[i] = (zone, zone.shrink(handle, CapacityVector(
+                vcpu=min(amount, handle.spec.vcpu),
+                memory=min(amount, handle.spec.memory))))
+    return saved
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ZONE_STEPS)
+def test_a_reused_zone_report_equals_one_built_from_scratch(steps):
+    """`capacity_report` reuses a zone's last report while the zone's
+    `allocated` and `reserved` are the vectors it holds; after any write,
+    checkpoint or restore, each report must equal one built afresh, and
+    every report taken earlier must still read as it did."""
+    pops = [NfviPop("pop-2", "vim-2", [
+                ResourceZone("z2", CapacityVector(vcpu=8, memory=8)),
+                ResourceZone("z1", CapacityVector(vcpu=6, memory=9))]),
+            NfviPop("pop-1", "vim-1", [
+                ResourceZone("z1", CapacityVector(vcpu=7, memory=7))])]
+    in_order = [(pops[1], pops[1].zones[0]), (pops[0], pops[0].zones[1]),
+                (pops[0], pops[0].zones[0])]
+    zones = [zone for _, zone in in_order]
+    reservations, handles, saved = [], [], None
+    taken = []  # (report, what it read when taken)
+    for step in [("checkpoint", 0, 0)] + steps:
+        try:
+            saved = _apply(step, zones, reservations, handles, saved)
+        except InventoryError:
+            pass
+        fresh = [ZoneReport(pop.id, pop.vim_ref, zone.id, zone.total,
+                            zone.allocated, zone.reserved,
+                            zone.total - zone.allocated - zone.reserved)
+                 for pop, zone in in_order]
+        report = capacity_report(pops)
+        assert report == fresh, step
+        taken.append((report, fresh))
+        for earlier, read in taken:
+            assert earlier == read
+
+
 def _zones(*vcpus):
     return [ResourceZone("z%d" % i, CapacityVector(vcpu=v, memory=8))
             for i, v in reversed(list(enumerate(vcpus, 1)))]
@@ -280,3 +363,47 @@ def test_a_level_change_writes_only_the_audit():
                           audit=info.audit + ((19, 105),))
     with pytest.raises(ValueError):
         record_vnf_info_update(info, "set-ns-il", 19, 105)
+
+
+def _distinct(cls, **given_values):
+    """A `cls` record with `given_values`, whose every other field holds a
+    value of its own, so a field an update drops or swaps shows."""
+    return cls(**{f.name: given_values.get(f.name, "<%s>" % f.name)
+                  for f in dataclasses.fields(cls)})
+
+
+def assert_same_fields(record, expected):
+    assert type(record) is type(expected)
+    for f in dataclasses.fields(expected):
+        assert getattr(record, f.name) == getattr(expected, f.name), f.name
+
+
+@pytest.mark.parametrize("change", sorted(VNFC_TRANSITIONS))
+def test_an_update_keeps_every_field_it_does_not_change(change):
+    """The new VnfInfo and each moved VnfcInstance equal
+    `dataclasses.replace` of the old record with only the changed fields,
+    compared over `dataclasses.fields`: a field added later cannot be lost
+    by positional construction."""
+    before, after = VNFC_TRANSITIONS[change]
+    instances = tuple(_distinct(VnfcInstance, id="c%d" % i, state=state)
+                      for i, state in enumerate((STARTED, STOPPED)))
+    info = _distinct(VnfInfo, vnfc_instances=instances,
+                     audit=(("instantiation", 0),))
+    new, ids, expected = (), (), list(instances)
+    if before is None and after is not None:
+        new = (_distinct(VnfcInstance, id="c9", state=after),)
+        expected += new
+    elif before is not None:
+        ids = tuple(inst.id for inst in instances if inst.state == before)
+        expected = [inst if inst.id not in ids
+                    else dataclasses.replace(inst, state=after)
+                    for inst in instances
+                    if inst.id not in ids or after is not None]
+    out = record_vnf_info_update(info, change, 24, 100, instances=new,
+                                 instance_ids=ids)
+    assert_same_fields(out, dataclasses.replace(
+        info, vnfc_instances=out.vnfc_instances,
+        audit=info.audit + ((24, 100),)))
+    assert len(out.vnfc_instances) == len(expected)
+    for record, want in zip(out.vnfc_instances, expected):
+        assert_same_fields(record, want)

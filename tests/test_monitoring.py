@@ -86,8 +86,8 @@ def test_thresholds_sharing_an_id_keep_their_own_last_values():
 
 
 # Names the encoder escapes, and numbers whose canonical JSON is not their
-# repr: integral floats, NaN and the infinities (a numeric indicator can
-# carry them).
+# repr: integral floats, NaN and the infinities (a workload cannot carry
+# the last three, but `indicator_change` formats any number it is given).
 names = st.one_of(st.text(max_size=6), st.sampled_from(
     ('"', "\\", "\x00\n\x1f\x7f", "é€😀", 'a"b\\c', "\ud800")))
 numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(

@@ -1,6 +1,9 @@
 """Every function, class, method and module-level assignment in
 `src/nsscale` is named somewhere in the program or the benchmark outside
-its own definition, and every function reads each of its parameters.
+its own definition, every function reads each of its parameters, and
+every imported name is read in its own module or named by string under
+`bench/` (the benchmark's tracer wraps a module's name for a function it
+imports).
 
 A function, class or module-level name counts as used when its name
 appears as an identifier, an attribute, a keyword argument or a string
@@ -103,6 +106,55 @@ def unread_parameters(package: Path) -> list:
                 for param in params
                 if param.arg not in ("self", "cls", *read))
     return unread
+
+
+def unread_imports(package: Path, bench: list) -> list:
+    """`module:name` of every name an import binds in `package`'s modules,
+    bar `from __future__` features, that its module never reads and no
+    string literal in a file of `bench` names."""
+    strings = {node.value for path in bench
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and name not in strings:
+                    unread.append("%s:%s" % (path.stem, name))
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports(PACKAGE, sorted((ROOT / "bench").glob("*.py"))) \
+        == []
+
+
+def test_an_import_is_read_in_its_module_or_named_by_the_benchmark(
+        tmp_path):
+    (tmp_path / "planted.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, replace as swap, field\n"
+        "from .trace import wrapped\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    path: os.PathLike = None\n")
+    bench = tmp_path / "layers.py"
+    bench.write_text('TARGETS = (("planted", "wrapped"),)\n')
+    assert unread_imports(tmp_path, [bench]) == [
+        "planted:swap", "planted:field"]
 
 
 def test_every_definition_is_used():

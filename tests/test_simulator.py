@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from nsscale.capacity import ZERO
 from nsscale.inventory import (
-    STARTED, STOPPED, ConservationError, ResourceZone,
+    STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
 from nsscale.scenario import ScenarioValidationError
 from nsscale.simulator import (
@@ -672,3 +673,42 @@ def test_a_vnfc_without_storage_is_allocated_compute_only(monkeypatch,
         [("vdu-1", STARTED)] * 2
     assert result.final_state["zones"]["pop-1/zone-a"]["allocated"] == {
         "vcpu": 7, "memory": 14, "storage": 20, "bandwidth": 200}
+
+
+def test_a_vim_ref_write_keeps_every_other_field(monkeypatch):
+    """The simulator's own VnfInfo writes, which give a new instance its
+    VIM (with its first VNFCs at set-up), equal `dataclasses.replace` of
+    the old record with only those fields, compared over
+    `dataclasses.fields`: a field added later cannot be lost by
+    positional construction."""
+    writes = []  # (at set-up, old record, new record)
+    running = []
+
+    class Recorded(dict):
+        def __setitem__(self, key, value):
+            if key in self:
+                writes.append((not running, self[key], value))
+            super().__setitem__(key, value)
+
+    instantiate = Simulator._instantiate_initial
+
+    def recorded(sim):
+        sim.vnf_infos = Recorded()
+        instantiate(sim)
+
+    monkeypatch.setattr(Simulator, "_instantiate_initial", recorded)
+    sim = build_sim(sc.sample_scenario(workload=sc.escalation_workload()))
+    running.append(True)
+    sim.run()
+    seen = set()
+    for at_setup, old, new in writes:
+        if new.audit != old.audit:  # record_vnf_info_update's own write
+            continue
+        changed = ("vnfc_instances", "vim_ref") if at_setup else ("vim_ref",)
+        assert old.vim_ref == "" != new.vim_ref
+        expected = dataclasses.replace(
+            old, **{name: getattr(new, name) for name in changed})
+        for f in dataclasses.fields(VnfInfo):
+            assert getattr(new, f.name) == getattr(expected, f.name), f.name
+        seen.add(at_setup)
+    assert seen == {True, False}
