@@ -550,10 +550,10 @@ def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
         if ref not in catalog.vnffgds:
             report.add("dangling-ref", path + "/vnffgd_refs", "unknown VNFFGD %r" % ref)
 
-    monitored_names = set()
+    monitored = set()  # (subject, name) of every monitored item
     for item in nsd.monitored_info:
         mpath = "%s/monitored_info/%s" % (path, item.id)
-        monitored_names.add(item.name)
+        monitored.add((item.subject, item.name))
         if item.source == "vnf-indicator":
             vnfd = catalog.vnfds.get(item.subject)
             if vnfd is None:
@@ -567,13 +567,17 @@ def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
         if item.source != "vnf-indicator" and item.collection_period < 0:
             report.add("range", mpath, "collection_period must be >= 0")
 
+    monitored_names = {name for _, name in monitored}
     for rule in nsd.auto_scaling_rules:
         rpath = "%s/auto_scaling_rules/%s" % (path, rule.id)
         if rule.cooldown < 0:
             report.add("range", rpath, "cooldown must be >= 0")
         for ref in rule.ast.metric_refs:
-            name = ref.split(".", 1)[-1]
-            if name not in monitored_names:
+            # as MetricStore.resolve reads it: "subject.name" names one
+            # monitored item, a bare name any item of that name
+            known = (tuple(ref.split(".", 1)) in monitored if "." in ref
+                     else ref in monitored_names)
+            if not known:
                 report.add("dangling-ref", rpath,
                            "rule references undeclared metric %r" % ref)
 

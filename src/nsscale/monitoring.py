@@ -197,22 +197,23 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
 
     `verdict_cache` (rule id -> _RuleState), kept by the caller across
     calls with the same rules, store and dimension map, holds each rule's
-    bound streams and last verdict. A rule's metric refs are resolved and
-    their streams bound once, and again only when the store's stream
-    count changes: streams are only ever added, and only a new stream can
-    change what `resolve` answers. A rebinding drops the last verdict.
+    bound streams and verdicts. They are made once, and again only when
+    the store's stream count changes: streams are only ever added, and
+    only a new stream can change what `resolve` answers. Only a verdict
+    that reports missing streams is built per evaluation.
 
-    Otherwise the verdict is reused while the tick, the rule's cooldown
-    entry and the sample count of each stream the last evaluation read
-    are unchanged. The streams read are those whose windows the evaluated
-    comparisons cut (AND and OR stop at the first operand that settles
-    them), or every bound stream when the verdict reported missing ones.
-    This is exact because streams only grow, so an unchanged count is an
-    unchanged stream, and at an unchanged tick a sample in a stream that
-    was not read can neither make a present stream missing nor change a
-    window the evaluated comparisons cut; those comparisons alone decide
-    the expression. A reused verdict skips no cooldown write: a write of
-    `now` changes the next key, unless the entry already held `now`.
+    The last verdict is reused while the tick, the rule's cooldown entry
+    before that evaluation and the total sample count of the streams it
+    read are unchanged. The streams read are those whose windows the
+    evaluated comparisons cut (AND and OR stop at the first operand that
+    settles them), or every bound stream when the verdict reported missing
+    ones. This is exact because streams only grow, so an unchanged total
+    is an unchanged count in each stream read, and at an unchanged tick a
+    sample in a stream that was not read can neither make a present
+    stream missing nor change a window the evaluated comparisons cut;
+    those comparisons alone decide the expression. A reused verdict skips
+    no cooldown write: a write of `now` changes the next key, unless the
+    entry already held `now`.
     """
     stream_count = len(store.streams())
     verdicts = []
@@ -221,41 +222,43 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
         if state is None or state.stream_count != stream_count:
             state = verdict_cache[rule.id] = _RuleState(
                 rule, store, stream_count, dimension_map)
-        # A list, not a tuple: the interpreter's free lists for small
-        # tuples would fill with dead blocks that the traced heap counts.
-        key = [now, cooldown_state.get(rule.id)]
-        key += map(len, state.read)
-        if key != state.key:
-            state.read.clear()
+        cooldown = cooldown_state.get(rule.id)
+        read = state.read
+        if (now != state.key_tick or cooldown != state.key_cooldown
+                or sum(map(len, read)) != state.key_samples):
+            read.clear()
             state.verdict = _evaluate_rule(rule, state, now, cooldown_state)
-            del key[2:]
-            key += map(len, state.read)
-            state.key = key
+            state.key_tick, state.key_cooldown, state.key_samples = (
+                now, cooldown, sum(map(len, read)))
         verdicts.append(state.verdict)
     return verdicts
 
 
 class _RuleState:
     """One rule's streams, bound while the store holds `stream_count`
-    streams, and its last verdict with the key it was computed at: the
-    tick, the cooldown entry and the sample count of each stream in
-    `read`, the streams that evaluation read.
+    streams, as (ref, ticks, smallest window) triples; its verdicts that
+    report no missing stream; and its last verdict with the key it was
+    computed at. `read` holds the streams that evaluation read.
 
     `cut` appends each stream whose window it cuts to `read`, a list it
     shares with the state; it holds no reference to the state itself, so
     a state is freed by reference counting alone."""
 
-    __slots__ = ("stream_count", "times", "values", "read", "cut",
-                 "dimensions", "key", "verdict")
+    __slots__ = ("stream_count", "bound_streams", "values", "read", "cut",
+                 "verdict_satisfied", "verdict_cooling", "verdict_violated",
+                 "key_tick", "key_cooldown", "key_samples", "verdict")
 
     def __init__(self, rule, store: MetricStore, stream_count: int,
                  dimension_map: dict):
-        refs = rule.ast.metric_refs
+        ast = rule.ast
+        refs = ast.metric_refs
         keys = [store.resolve(ref) for ref in refs]
         ticks, streams = store.ticks(), store.streams()
         self.stream_count = stream_count
         # an unresolved ref binds an empty stream, which is always missing
-        self.times = [ticks[key] if key else () for key in keys]
+        self.bound_streams = [
+            (ref, ticks[key] if key else (), window)
+            for ref, key, window in zip(refs, keys, ast.min_windows)]
         values = self.values = [streams[key] if key else () for key in keys]
         read = self.read = []
 
@@ -265,9 +268,12 @@ class _RuleState:
             return store.window_values(subject, name, window, now)
         self.cut = cut
         names = [ref.split(".", 1)[-1] for ref in refs]
-        self.dimensions = frozenset(
-            dimension_map[name] for name in names if name in dimension_map)
-        self.key = None
+        self.verdict_satisfied = RuleVerdict(rule.id, True, _NO_DIMENSIONS)
+        self.verdict_cooling = RuleVerdict(rule.id, True, _NO_DIMENSIONS,
+                                           cooldown_active=True)
+        self.verdict_violated = RuleVerdict(rule.id, False, frozenset(
+            dimension_map[name] for name in names if name in dimension_map))
+        self.key_tick = self.key_cooldown = self.key_samples = None
         self.verdict = None
 
 
@@ -289,23 +295,25 @@ def _holds_sample(times, window: int, now: int) -> bool:
 def _evaluate_rule(rule, state: _RuleState, now: int,
                    cooldown_state: dict) -> RuleVerdict:
     """One rule's verdict at `now` over its bound streams."""
-    ast = rule.ast
     # Every window ends at `now`, so when a metric's smallest window holds
     # a sample, so do its others, and no comparison cuts an empty window.
-    missing = [ref for ref, times, window
-               in zip(ast.metric_refs, state.times, ast.min_windows)
-               if not _holds_sample(times, window, now)]
-    if missing:
-        state.read += state.values
-        return RuleVerdict(rule.id, True, _NO_DIMENSIONS,
-                           missing_streams=frozenset(missing))
-    if not rules_mod.evaluate_expr(ast.plan, state.cut, now):
-        return RuleVerdict(rule.id, True, _NO_DIMENSIONS)
+    # A newest tick in (now - window, now] is checked inline.
+    for _, times, window in state.bound_streams:
+        if not times or not now - window < times[-1] <= now:
+            missing = [ref for ref, times, window in state.bound_streams
+                       if not _holds_sample(times, window, now)]
+            if missing:
+                state.read += state.values
+                return RuleVerdict(rule.id, True, _NO_DIMENSIONS,
+                                   missing_streams=frozenset(missing))
+            break
+    if not rules_mod.evaluate_expr(rule.ast.plan, state.cut, now):
+        return state.verdict_satisfied
     last = cooldown_state.get(rule.id)
     if last is not None and now - last < rule.cooldown:
-        return RuleVerdict(rule.id, True, _NO_DIMENSIONS, cooldown_active=True)
+        return state.verdict_cooling
     cooldown_state[rule.id] = now
-    return RuleVerdict(rule.id, False, state.dimensions)
+    return state.verdict_violated
 
 
 def indicator_change(vnfd: Vnfd, vnf_instance_id: str, name: str, value,

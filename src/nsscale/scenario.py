@@ -144,12 +144,11 @@ def validate_scenario(scenario: Scenario) -> tuple:
     if type(rules) is not dict:
         problems.append("rules: %r is not an object" % (rules,))
         rules = {}
-    problems.extend(_threshold_problems(rules.get("thresholds", ())))
-    problems.extend(_dimension_problems(rules.get("metric_dimensions", {})))
-    problems.extend(_option_problems(scenario.options))
-
     init = scenario.initial_instance
     nsd = catalog.nsds.get(init.get("nsd_ref"))
+    problems.extend(_threshold_problems(rules.get("thresholds", ()), nsd))
+    problems.extend(_dimension_problems(rules.get("metric_dimensions", {})))
+    problems.extend(_option_problems(scenario.options))
     problems.extend(_constraint_problems(
         rules.get("placement_constraints", {}), catalog, nsd))
     if nsd is None:
@@ -172,14 +171,18 @@ def _finite_number(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
 
-def _threshold_problems(thresholds) -> list:
+def _threshold_problems(thresholds, nsd) -> list:
     """One `rules: thresholds[i] ...` line per bad entry. An entry has a
     unique str id, str subject and metric, a finite number bound and an
-    "above" or "below" direction."""
+    "above" or "below" direction, and its (subject, metric) is an item of
+    `nsd`'s monitored info, of any source (any pair when the NSD is
+    unknown): no other stream is ever fed."""
     if type(thresholds) not in (list, tuple):
         return ["rules: thresholds is not a list"]
     problems = []
     first = {}  # id -> index of the entry that first carries it
+    monitored = None if nsd is None else {
+        (item.subject, item.name) for item in nsd.monitored_info}
     for i, entry in enumerate(thresholds):
         if type(entry) is not dict:
             problems.append("rules: thresholds[%d] is not an object: %r"
@@ -198,6 +201,12 @@ def _threshold_problems(thresholds) -> list:
                 faults.append("%s is missing" % name)
             elif not ok:
                 faults.append("%s %r is not %s" % (name, entry[name], kind))
+        subject, metric = entry.get("subject"), entry.get("metric")
+        if (monitored is not None and type(subject) is str
+                and type(metric) is str
+                and (subject, metric) not in monitored):
+            faults.append("metric %r of subject %r is not monitored by NSD "
+                          "%r" % (metric, subject, nsd.id))
         tid = entry.get("id")
         if type(tid) is str:
             if tid in first:

@@ -174,3 +174,37 @@ def test_decisions_reuse_zone_reports_and_replace_no_record(monkeypatch):
     assert len(snapshots) == len(result.decisions) > 0
     assert len(distinct) <= zones + len(writes) < len(snapshots) * zones
     assert replaced == []
+
+
+@pytest.mark.parametrize("name, evaluations", [
+    ("monitor-steady", 312), ("scale-churn", 68), ("wide-fabric", 112)])
+def test_rule_verdicts_are_reused_exactly_and_built_once(monkeypatch, name,
+                                                         evaluations):
+    """At `TINY_SIZE` and seed 0, each workload evaluates a rule exactly
+    as often as a key of the tick, the cooldown entry and the sample count
+    of every stream read does (a looser key evaluates less, a stale one
+    more), and every verdict that reports no missing stream is, by
+    identity, one of the three its rule state built when it was bound."""
+    import nsscale.monitoring as monitoring
+    from nsscale.scenario import scenario_from_dict
+    from nsscale.simulator import Simulator
+
+    workloads = import_bench("workloads")
+    evaluate = monitoring._evaluate_rule
+    seen = []
+
+    def recorded(rule, state, now, cooldown_state):
+        verdict = evaluate(rule, state, now, cooldown_state)
+        seen.append((rule, state, verdict))
+        return verdict
+
+    monkeypatch.setattr(monitoring, "_evaluate_rule", recorded)
+    Simulator(scenario_from_dict(workloads.GENERATORS[name](
+        0, workloads.TINY_SIZE[name]))).run()
+    assert len(seen) == evaluations
+    for rule, state, verdict in seen:
+        assert verdict.rule_id == rule.id
+        if not verdict.missing_streams:
+            assert any(verdict is built for built in (
+                state.verdict_satisfied, state.verdict_cooling,
+                state.verdict_violated))

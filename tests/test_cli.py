@@ -180,6 +180,28 @@ def test_a_count_at_the_limit_is_valid():
     assert validate_catalog(load_catalog(documents)).issues == []
 
 
+@pytest.mark.parametrize("ref, line", [
+    ("vnfd-z.cpu_load", "catalog: dangling-ref nsd:nsd-1/auto_scaling_rules/"
+     "r-out: rule references undeclared metric 'vnfd-z.cpu_load'"),
+    ("vnfd-b.cpu_load", None),
+    ("ns.net_load", None),
+], ids=["unknown-subject", "monitored-item", "ns-item"])
+def test_a_dotted_rule_ref_names_a_monitored_item(tmp_path, capsys, ref,
+                                                  line):
+    """"subject.name" must be the (subject, name) of a monitored item, as
+    `MetricStore.resolve` reads it; the name alone is not enough."""
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    [rule] = [r for r in _nsd(scenario)["auto_scaling_rules"]
+              if r["id"] == "r-out"]
+    rule["text"] = "WHEN avg(%s, 1) > 0.7 THEN scale_out COOLDOWN 5" % ref
+    code = main(["run", scenario_file(tmp_path, scenario)])
+    out = capsys.readouterr().out.splitlines()
+    if line is None:
+        assert code == 0 and "status: completed" in out
+    else:
+        assert (code, out) == (1, [line])
+
+
 MEM_THRESHOLD = {"id": "t-mem", "subject": "vnfd-b", "metric": "mem_load",
                  "bound": 0.3, "direction": "below"}
 
@@ -200,8 +222,14 @@ MEM_THRESHOLD = {"id": "t-mem", "subject": "vnfd-b", "metric": "mem_load",
     ({"bound": float("inf")}, [["t-mem"]],
      ["rules: thresholds[0] bound inf is not a finite number",
       "rules: thresholds[1] is not an object: ['t-mem']"]),
+    ({}, [{"id": "t-x", "subject": "nope", "metric": "nothing", "bound": 0.5,
+           "direction": "above"}, dict(MEM_THRESHOLD, subject="ns")],
+     ["rules: thresholds[1] metric 'nothing' of subject 'nope' is not "
+      "monitored by NSD 'nsd-1'",
+      "rules: thresholds[2] metric 'mem_load' of subject 'ns' is not "
+      "monitored by NSD 'nsd-1'"]),
 ], ids=["missing-bound", "misspelt-direction", "repeated-id", "not-strings",
-        "not-numbers", "not-an-object"])
+        "not-numbers", "not-an-object", "unmonitored-stream"])
 def test_bad_threshold_exits_one(tmp_path, capsys, edit, extra, lines):
     """One line per bad entry; `None` in `edit` deletes the field."""
     scenario = sc.sample_scenario(workload=sc.jump_workload())

@@ -1,6 +1,7 @@
 """Every function, class, method and module-level assignment in
 `src/nsscale` is named somewhere in the program or the benchmark outside
-its own definition, every function reads each of its parameters, and
+its own definition, every function reads each of its parameters, every
+`__slots__` name is read as an attribute where its class is seen, and
 every imported name is read in its own module or named by string under
 `bench/` (the benchmark's tracer wraps a module's name for a function it
 imports).
@@ -132,6 +133,85 @@ def unread_imports(package: Path, bench: list) -> list:
                 if name not in read and name not in strings:
                     unread.append("%s:%s" % (path.stem, name))
     return unread
+
+
+def unread_slots(package: Path) -> list:
+    """`module:Class:slot` of every `__slots__` name in `package`'s
+    modules that neither the class's own module nor a module importing
+    the class reads as an attribute. A read of that name elsewhere is of
+    another object (`item.key` in a module that never sees the class),
+    and an augmented assignment or a `del` writes its target."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    reads = {stem: {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)}
+             for stem, tree in trees.items()}
+    importers = {}  # (module, name) -> modules that import the name
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    importers.setdefault(
+                        (node.module.rsplit(".", 1)[-1], alias.name),
+                        set()).add(stem)
+    unread = []
+    for stem, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            readers = {stem} | importers.get((stem, cls.name), set())
+            read = set().union(*(reads[reader] for reader in readers))
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(target, ast.Name)
+                        and target.id == "__slots__"
+                        for target in node.targets):
+                    unread.extend(
+                        "%s:%s:%s" % (stem, cls.name, slot.value)
+                        for slot in ast.walk(node.value)
+                        if isinstance(slot, ast.Constant)
+                        and slot.value not in read)
+    return unread
+
+
+def test_every_slot_is_read():
+    assert unread_slots(PACKAGE) == []
+
+
+PLANTED_SLOTS = """
+class Box:
+    __slots__ = ("size", "count", "label")
+
+    def __init__(self):
+        self.size = self.count = 0
+        self.label = "box"
+
+    def grow(self):
+        self.count += 1
+        return self.size
+
+
+class Tag:
+    __slots__ = "alone"
+
+
+def name(tag):
+    return getattr(tag, "alone")
+"""
+
+
+def test_a_slot_is_read_as_an_attribute_where_its_class_is_seen(tmp_path):
+    (tmp_path / "planted.py").write_text(PLANTED_SLOTS)
+    (tmp_path / "user.py").write_text("from .planted import Box\n"
+                                      "\n"
+                                      "\n"
+                                      "def label(box: Box):\n"
+                                      "    del box.count\n"
+                                      "    return box.label\n")
+    (tmp_path / "stranger.py").write_text("def alone(item):\n"
+                                          "    return item.alone\n")
+    assert unread_slots(tmp_path) == ["planted:Box:count", "planted:Tag:alone"]
 
 
 def test_every_import_is_read():
