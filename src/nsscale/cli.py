@@ -19,7 +19,7 @@ from . import drpa as drpa_mod
 from .descriptors import CatalogError, load_catalog, validate_catalog
 from .scenario import ScenarioValidationError, load_scenario, workload_records
 from .simulator import STATUS_COMPLETED, Simulator
-from .trace import canonical_json, trace_lines
+from .trace import canonical_json, trace_chunks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
     try:
         if args.trace:
             with open(args.trace, "w") as fh:
-                fh.write(trace_lines(result.trace))
+                fh.writelines(trace_chunks(result.trace))
         if args.state:
             with open(args.state, "w") as fh:
                 fh.write(canonical_json(result.final_state) + "\n")
@@ -168,16 +168,17 @@ def cmd_explain(args) -> int:
     if sim is None:
         return status
     try:
-        records = workload_records(sim.scenario.workload)
+        workload = workload_records(sim.scenario.workload)
     except ScenarioValidationError as exc:
         return _report_problems(exc)
-    horizon = records[-1][0] if records else 0
+    records, _, order = workload
+    horizon = records[order[-1]][0] if order else 0
     if args.at > horizon:
         print("tick %d is beyond the workload horizon (%d)"
               % (args.at, horizon))
         return EXIT_VALIDATION
     try:
-        result = sim.run(records)
+        result = sim.run(workload)
     except ScenarioValidationError as exc:  # a bad indicator record
         return _report_problems(exc)
     found = [d for t, d in result.decisions if t == args.at]

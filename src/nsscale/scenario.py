@@ -294,19 +294,21 @@ def _option_problems(options) -> list:
     return problems
 
 
-METRIC_RECORD = 0
-INDICATOR_RECORD = 1
 # The largest |tick| a workload record may carry: the trace holds ticks as
 # signed 64-bit integers, and the clock counts one tick per event past the
 # last record's.
 TICK_LIMIT = 2 ** 62
 
 
-def workload_records(workload: dict) -> list:
-    """The workload's metric and indicator records as one list of
-    `(tick, kind, index, subject, name, value)` tuples in delivery order:
-    by tick, metrics before indicators, then file order. `kind` is
-    METRIC_RECORD or INDICATOR_RECORD.
+def workload_records(workload: dict) -> tuple:
+    """The workload's metric and indicator records with their delivery
+    order, as `(records, metric_count, order)`. `records` lists the given
+    records themselves, the metrics first and then the indicators: index
+    i is `metrics[i]` below `metric_count` and `indicators[i -
+    metric_count]` from there on. `order` lists those indexes in delivery
+    order: by tick, metrics before indicators, then file order. No record
+    is copied or wrapped: a run holds each record once, as the workload
+    gave it, and an index per record.
 
     Each record is `[tick, subject, name, value]` with an int tick of at
     most TICK_LIMIT in absolute value and str subject and name. A metric
@@ -320,33 +322,35 @@ def workload_records(workload: dict) -> list:
     records, and checking them costs more than the rest of a simulator's
     set-up."""
     records = []
+    metric_count = 0
     problems = []
-    for kind, field_name, shape in (
-            (METRIC_RECORD, "metrics",
+    for indicator, field_name, shape in (
+            (False, "metrics",
              "[int tick, str subject, str metric, finite number]"),
-            (INDICATOR_RECORD, "indicators",
+            (True, "indicators",
              "[int tick, str vnf, str indicator, value (finite if a float)]")):
         entries = workload.get(field_name, ())
         if type(entries) not in (list, tuple):
             problems.append("workload: %s is not a list" % field_name)
             continue
         for i, rec in enumerate(entries):
-            if (type(rec) in (list, tuple) and len(rec) == 4
+            if not (type(rec) in (list, tuple) and len(rec) == 4
                     and type(rec[0]) is int and type(rec[1]) is str
                     and type(rec[2]) is str
                     and (math.isfinite(rec[3]) if type(rec[3]) is float
-                         else type(rec[3]) is int
-                         or kind == INDICATOR_RECORD)):
-                if abs(rec[0]) > TICK_LIMIT:
-                    problems.append("workload: %s[%d] tick %d is beyond "
-                                    "the limit of +/-2**62"
-                                    % (field_name, i, rec[0]))
-                else:
-                    records.append((rec[0], kind, i, rec[1], rec[2], rec[3]))
-            else:
+                         else type(rec[3]) is int or indicator)):
                 problems.append("workload: %s[%d] is not %s: %r"
                                 % (field_name, i, shape, rec))
+            elif abs(rec[0]) > TICK_LIMIT:
+                problems.append("workload: %s[%d] tick %d is beyond the "
+                                "limit of +/-2**62" % (field_name, i, rec[0]))
+        records += entries
+        if not indicator:
+            metric_count = len(records)
     if problems:
         raise ScenarioValidationError(problems)
-    records.sort()  # (tick, kind, index) is unique: nothing past it compares
-    return records
+    ticks = [rec[0] for rec in records]
+    # A stable sort by tick keeps the metrics, listed first, before the
+    # indicators of their tick, and each kind in file order.
+    order = sorted(range(len(records)), key=ticks.__getitem__)
+    return records, metric_count, order

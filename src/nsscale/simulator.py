@@ -30,7 +30,7 @@ from .monitoring import (
     evaluate_rules, indicator_change,
 )
 from .scenario import (
-    METRIC_RECORD, Scenario, ScenarioValidationError, build_topology,
+    Scenario, ScenarioValidationError, build_topology,
     validate_scenario, workload_records,
 )
 from .trace import (
@@ -315,20 +315,25 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, records: list | None = None) -> RunResult:
+    def run(self, workload: tuple | None = None) -> RunResult:
         """Deliver the workload and return the outcome. A malformed
         workload record raises ScenarioValidationError before any event; a
         metric record the NSD does not monitor, or an indicator record
         with an unknown subject or indicator, when it is delivered.
-        `records` is the workload's `workload_records`, when the caller has
-        already taken them."""
-        if records is None:
-            records = workload_records(self.scenario.workload)
-        for tick, kind, index, subject, name, value in records:
-            if kind == METRIC_RECORD:
+        `workload` is the scenario's `workload_records`, when the caller
+        has already taken them. Each record is read by its index in
+        delivery order, which also names it in an error: no tuple is built
+        per record."""
+        if workload is None:
+            workload = workload_records(self.scenario.workload)
+        records, metric_count, order = workload
+        for index in order:
+            tick, subject, name, value = records[index]
+            if index < metric_count:
                 self._deliver_metric(index, tick, subject, name, value)
             else:
-                self._deliver_indicator(index, tick, subject, name, value)
+                self._deliver_indicator(index - metric_count, tick, subject,
+                                        name, value)
         return RunResult(self.trace, self.final_state(),
                          self.operations, self.decisions, self.transitions,
                          failure_reason=self._failure)

@@ -86,9 +86,11 @@ def test_workload_digests_are_pinned(name):
     assert digests == WORKLOAD_DIGESTS[name]
 
 
-def retained_after_run(data: dict) -> tuple:
+def retained_after_run(data: dict, collect: bool = True) -> tuple:
     """(bytes a finished run of scenario `data` keeps allocated, with its
-    simulator and result alive; the run's trace events)."""
+    result alive; the run's trace events). With `collect` false no
+    `gc.collect()` runs after the run, so the blocks of dead objects parked
+    on the interpreter's free lists count as kept."""
     from nsscale.scenario import scenario_from_dict
     from nsscale.simulator import Simulator
 
@@ -96,7 +98,8 @@ def retained_after_run(data: dict) -> tuple:
     tracemalloc.start()
     try:
         result = Simulator(scenario_from_dict(data)).run()
-        gc.collect()
+        if collect:
+            gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -121,6 +124,28 @@ def test_a_run_retains_little_per_trace_event():
         for size in (10, 40))
     per_event = (large - small) / (large_events - small_events)
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
+
+
+RETAINED_UNCOLLECTED_PER_EVENT = 45  # bytes
+
+
+def test_a_finished_run_parks_no_per_record_objects():
+    """Without a `gc.collect()`, the memory a finished run keeps grows by
+    less than `RETAINED_UNCOLLECTED_PER_EVENT` (45) bytes per trace event
+    between monitor-steady sizes 250 and 1,000 (1,062 and 4,248 events;
+    1,009 and 4,036 workload records). Measured with `tracemalloc` on
+    CPython 3.11.7: 61 B/event while `workload_records` built a 6-tuple per
+    record, whose dead blocks the tuple free list kept (up to 2,000 of
+    them), and 34 B/event with the records read in place by index;
+    `gc.collect()`, which empties the free lists, gives 32 on both."""
+    workloads = import_bench("workloads")
+    (small, small_events), (large, large_events) = (
+        retained_after_run(workloads.GENERATORS["monitor-steady"](0, size),
+                           collect=False)
+        for size in (250, 1000))
+    per_event = (large - small) / (large_events - small_events)
+    assert per_event < RETAINED_UNCOLLECTED_PER_EVENT, \
+        "%.0f B/event" % per_event
 
 
 def test_decisions_reuse_zone_reports_and_replace_no_record(monkeypatch):

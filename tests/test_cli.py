@@ -671,6 +671,45 @@ def test_unmonitored_metric_record_exits_one(tmp_path, capsys, command,
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command", [["run"], ["explain", "--at", "10"]])
+@pytest.mark.parametrize("kind, record, problem", [
+    ("metrics", [5, "vnfd-zz", "cpu_load", 0.5],
+     "metric 'cpu_load' of subject 'vnfd-zz' is not monitored by NSD "
+     "'nsd-1'"),
+    ("indicators", [5, "vnf-nope", "congestion", "high"],
+     "subject 'vnf-nope' is neither a VNFD of the NSD nor a VNF instance"),
+])
+def test_a_record_delivered_out_of_file_order_is_named_by_its_place(
+        tmp_path, capsys, command, kind, record, problem):
+    """The bad record is the second of its kind in the file and the first
+    record delivered, and metrics precede indicators in the file: its
+    error names its own place in its own list."""
+    workload = {"metrics": [[12, "vnfd-b", "cpu_load", 0.5]],
+                "indicators": [[11, "vnfd-b", "congestion", "low"]]}
+    workload[kind].append(record)
+    path = scenario_file(tmp_path, sc.sample_scenario(workload=workload))
+    assert main([command[0], path] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "workload: %s[1] at tick 5: %s" % (kind, problem)]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("at, status, out", [
+    ("30", 0, "tick 30: action: none"),
+    ("31", 1, "tick 31 is beyond the workload horizon (30)"),
+])
+def test_explain_takes_the_horizon_from_the_latest_tick(tmp_path, capsys,
+                                                       at, status, out):
+    """The last record in file order, an indicator, is not the latest."""
+    workload = sc.jump_workload()
+    workload["indicators"] = [[30, "vnfd-b", "congestion", "low"],
+                              [12, "vnfd-b", "congestion", "high"]]
+    path = scenario_file(tmp_path, sc.sample_scenario(workload=workload))
+    assert main(["explain", path, "--at", at]) == status
+    assert capsys.readouterr().out.splitlines() == [out]
+
+
 @pytest.mark.parametrize("tick, status", [(75, 0), (65, 1)])
 def test_indicator_subject_is_a_vnf_instance_of_its_tick(tmp_path, capsys,
                                                         tick, status):

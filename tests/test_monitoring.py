@@ -308,6 +308,10 @@ rule_steps = st.lists(st.one_of(
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(rule_steps)
+# A sample at the evaluated tick, in the stream `r-max` read, flips its
+# verdict: the reuse key must tell the two evaluations apart.
+@example([("ingest", "vnfd-b", "cpu_load", 0, 0.1), ("evaluate", 0, 1),
+          ("ingest", "vnfd-b", "cpu_load", 0, 0.9), ("evaluate", 0, 1)])
 def test_reused_verdicts_equal_fresh_ones(steps):
     store = MetricStore()
     clock = 0  # the latest tick ingested

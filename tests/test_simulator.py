@@ -10,12 +10,15 @@ from conftest import (
     run_dict,
 )
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nsscale.capacity import ZERO
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
-from nsscale.scenario import ScenarioValidationError
+from nsscale.scenario import (
+    ScenarioValidationError, scenario_from_dict, workload_records,
+)
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
     Simulator,
@@ -712,3 +715,50 @@ def test_a_vim_ref_write_keeps_every_other_field(monkeypatch):
             assert getattr(new, f.name) == getattr(expected, f.name), f.name
         seen.add(at_setup)
     assert seen == {True, False}
+
+
+class _DeliveryLog(Simulator):
+    """Logs each record `run` delivers, as `(tick, kind, index, record)`
+    with kind 0 for a metric and 1 for an indicator, and delivers none."""
+
+    def _deliver_metric(self, index, tick, subject, metric, value):
+        self.delivered.append((tick, 0, index, [tick, subject, metric,
+                                                value]))
+
+    def _deliver_indicator(self, index, tick, subject, indicator, value):
+        self.delivered.append((tick, 1, index, [tick, subject, indicator,
+                                                value]))
+
+
+# The ticks of a workload's metric or indicator records, in file order;
+# few distinct ticks, so that metrics and indicators share them.
+record_ticks = st.lists(st.integers(0, 4), max_size=12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(record_ticks, record_ticks)
+@example([3, 1, 3, 2, 1], [3, 1, 2, 3])
+def test_records_are_delivered_by_tick_then_kind_then_file_order(
+        metric_ticks, indicator_ticks):
+    """`run` delivers each record as the workload gave it, in the order of
+    the key `(tick, kind, index)`: by tick, metrics before indicators,
+    then file order. The values tell records of one tick apart."""
+    metrics = [[tick, "vnfd-b", "cpu_load", i / 100]
+               for i, tick in enumerate(metric_ticks)]
+    indicators = [[tick, "vnfd-b", "congestion", "v%d" % i]
+                  for i, tick in enumerate(indicator_ticks)]
+    workload = {"metrics": metrics, "indicators": indicators}
+    sim = _DeliveryLog(scenario_from_dict(sc.sample_scenario(
+        workload=workload)))
+    sim.delivered = []
+    sim.run()
+    oracle = sorted([(rec[0], 0, i, rec) for i, rec in enumerate(metrics)]
+                    + [(rec[0], 1, i, rec) for i, rec in
+                       enumerate(indicators)],
+                    key=lambda entry: entry[:3])
+    assert sim.delivered == oracle
+    # the records themselves, each once, not copies
+    records, metric_count, _ = workload_records(workload)
+    assert metric_count == len(metrics)
+    assert all(a is b for a, b in zip(records, metrics + indicators))
+    assert len(records) == len(metrics) + len(indicators)
