@@ -199,8 +199,8 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     calls with the same rules, store and dimension map, holds each rule's
     bound streams and verdicts. They are made once, and again only when
     the store's stream count changes: streams are only ever added, and
-    only a new stream can change what `resolve` answers. Only a verdict
-    that reports missing streams is built per evaluation.
+    only a new stream can change what `resolve` answers. A verdict that
+    reports missing streams is built once per distinct missing set.
 
     The last verdict is reused while the tick, the rule's cooldown entry
     before that evaluation and the total sample count of the streams it
@@ -236,9 +236,9 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
 
 class _RuleState:
     """One rule's streams, bound while the store holds `stream_count`
-    streams, as (ref, ticks, smallest window) triples; its verdicts that
-    report no missing stream; and its last verdict with the key it was
-    computed at. `read` holds the streams that evaluation read.
+    streams, as (ref, ticks, smallest window) triples; its verdicts, those
+    reporting missing streams by the tuple of their refs; and its last
+    verdict with its key. `read` holds the streams that evaluation read.
 
     `cut` appends each stream whose window it cuts to `read`, a list it
     shares with the state; it holds no reference to the state itself, so
@@ -246,7 +246,8 @@ class _RuleState:
 
     __slots__ = ("stream_count", "bound_streams", "values", "read", "cut",
                  "verdict_satisfied", "verdict_cooling", "verdict_violated",
-                 "key_tick", "key_cooldown", "key_samples", "verdict")
+                 "verdicts_missing", "key_tick", "key_cooldown", "key_samples",
+                 "verdict")
 
     def __init__(self, rule, store: MetricStore, stream_count: int,
                  dimension_map: dict):
@@ -273,6 +274,7 @@ class _RuleState:
                                            cooldown_active=True)
         self.verdict_violated = RuleVerdict(rule.id, False, frozenset(
             dimension_map[name] for name in names if name in dimension_map))
+        self.verdicts_missing = {}
         self.key_tick = self.key_cooldown = self.key_samples = None
         self.verdict = None
 
@@ -300,12 +302,16 @@ def _evaluate_rule(rule, state: _RuleState, now: int,
     # A newest tick in (now - window, now] is checked inline.
     for _, times, window in state.bound_streams:
         if not times or not now - window < times[-1] <= now:
-            missing = [ref for ref, times, window in state.bound_streams
-                       if not _holds_sample(times, window, now)]
+            missing = tuple([ref for ref, times, window in state.bound_streams
+                             if not _holds_sample(times, window, now)])
             if missing:
                 state.read += state.values
-                return RuleVerdict(rule.id, True, _NO_DIMENSIONS,
-                                   missing_streams=frozenset(missing))
+                verdict = state.verdicts_missing.get(missing)
+                if verdict is None:
+                    verdict = state.verdicts_missing[missing] = RuleVerdict(
+                        rule.id, True, _NO_DIMENSIONS,
+                        missing_streams=frozenset(missing))
+                return verdict
             break
     if not rules_mod.evaluate_expr(rule.ast.plan, state.cut, now):
         return state.verdict_satisfied

@@ -130,6 +130,10 @@ VNF_INFO_CHANGES = {
 }
 VNF_INFO_FORM = object_form("change", "step", "vnf_instance")
 
+# The text `final_state` writes for an audit step, shared by its entries.
+_AUDIT_STEP_TEXTS = {step: str(step) for step in (
+    "instantiation", *(arrow.step for arrow in VNF_INFO_CHANGES.values()))}
+
 
 class OperationFailure(RuntimeError):
     def __init__(self, step: int, reason: str):
@@ -147,7 +151,7 @@ def _write(arrow: Arrow, write, *args):
         raise OperationFailure(arrow.step, str(exc))
 
 
-@dataclass
+@dataclass(slots=True)
 class ScalingOperation:
     """One scaling operation: the events of `trace` from position `begun`
     up to `end`, which is None while it runs."""
@@ -172,11 +176,15 @@ class ScalingOperation:
 
 @dataclass
 class RunResult:
+    """A finished run. `transition_rows` holds each VNFC lifecycle
+    transition as a tuple `(vnf_instance, instance, vdu_ref, from, to,
+    step, tick)`: VNFC `instance` moved from state `from` (None when new)
+    to `to` at the event of `step` at `tick`."""
     trace: Trace
     final_state: dict
     operations: list
     decisions: list  # [(tick, DrpaDecision | str)]
-    transitions: list  # VNFC lifecycle transitions
+    transition_rows: list
     failure_reason: str = ""  # the last failed operation's failure
 
     @property
@@ -230,7 +238,7 @@ class Simulator:
         self.trace = Trace()
         self.operations = []
         self.decisions = []
-        self.transitions = []
+        self.transition_rows = []
         self._clock = 0
         self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
@@ -335,7 +343,7 @@ class Simulator:
                 self._deliver_indicator(index - metric_count, tick, subject,
                                         name, value)
         return RunResult(self.trace, self.final_state(),
-                         self.operations, self.decisions, self.transitions,
+                         self.operations, self.decisions, self.transition_rows,
                          failure_reason=self._failure)
 
     def _deliver_metric(self, index, tick, subject, metric, value):
@@ -801,10 +809,9 @@ class Simulator:
         ids = kwargs.get("instance_ids",
                          [inst.id for inst in kwargs.get("instances", ())])
         for inst in map(info.instance, ids):
-            self.transitions.append({
-                "vnf_instance": vnf_id, "instance": inst.id,
-                "vdu_ref": inst.vdu_ref, "from": state_from, "to": state_to,
-                "step": step, "tick": self._clock})
+            self.transition_rows.append((vnf_id, inst.id, inst.vdu_ref,
+                                         state_from, state_to, step,
+                                         self._clock))
 
     def final_state(self) -> dict:
         # A VNF instance is at the level the NS level gives its profile.
@@ -825,7 +832,8 @@ class Simulator:
                      "state": inst.state, "zone": inst.zone_ref,
                      "pop": inst.pop_ref}
                     for inst in info.vnfc_instances],
-                "audit": [[str(step), tick] for step, tick in info.audit],
+                "audit": [[_AUDIT_STEP_TEXTS[step], tick]
+                          for step, tick in info.audit],
             }
         vl_bitrates = {
             pid: sum(h.spec.bandwidth for _, _, h in entries)

@@ -6,6 +6,8 @@ import hashlib
 import json
 import operator
 from array import array
+from bisect import bisect_right
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
@@ -136,21 +138,26 @@ class EventRecord(NamedTuple):
 
 
 class Trace:
-    """A run's events, held as three columns rather than one record each:
-    the tick, in an `array("q")`; a route id, in an `array("I")`, indexing
-    the table of the distinct `(arrow, src, dst)` seen, `arrow` being a
-    `(step, message)` pair; and the payload digest's 16 hex digits,
-    appended to one `bytearray`. That is 28 bytes per event. An event's
-    seq is its position, counted from 1. Reading an event (by an int or
-    negative index, a slice or iteration) builds its `EventRecord`; a
-    slice reads as a list."""
+    """A run's events, held as columns rather than one record each: a
+    route id, in an `array("I")`, indexing the table of the distinct
+    `(arrow, src, dst)` seen, `arrow` being a `(step, message)` pair; the
+    payload digest's 16 hex digits, appended to one `bytearray`; and, in
+    two `array("q")`, the position and tick of each jump, an event whose
+    tick is not the previous event's tick + 1 (as the first is not). That
+    is 20 bytes per event and 16 per jump. An event's seq is its position,
+    counted from 1. Reading an event (by an int or negative index, a
+    slice or iteration) builds its `EventRecord`; a slice reads as a
+    list."""
 
-    __slots__ = ("_ticks", "_routes", "_digests", "_route_ids", "_route_table")
+    __slots__ = ("_routes", "_digests", "_jump_at", "_jump_tick",
+                 "_next_tick", "_route_ids", "_route_table")
 
     def __init__(self):
-        self._ticks = array("q")
         self._routes = array("I")
         self._digests = bytearray()
+        self._jump_at = array("q")
+        self._jump_tick = array("q")
+        self._next_tick = None  # the tick that would not be a jump
         self._route_ids = {}  # (arrow, src, dst) -> index in _route_table
         self._route_table = []  # [(step, src, dst, message)]
 
@@ -162,19 +169,37 @@ class Trace:
         if route is None:
             route = self._route_ids[key] = len(self._route_table)
             self._route_table.append((arrow[0], src, dst, arrow[1]))
-        self._ticks.append(tick)
+        if tick != self._next_tick:
+            self._jump_at.append(len(self._routes))
+            self._jump_tick.append(tick)
+        self._next_tick = tick + 1
         self._routes.append(route)
         self._digests += digest.encode()
 
     def __len__(self) -> int:
-        return len(self._ticks)
+        return len(self._routes)
+
+    def _ticks(self, start: int, stop: int):
+        """An iterator over the ticks of the events at positions `start` up
+        to `stop`, within the trace: one `range` per jump they span."""
+        at, ticks = self._jump_at, self._jump_tick
+        j = bisect_right(at, start)  # the first jump after `start`
+        runs = []
+        while start < stop:
+            end = min(at[j], stop) if j < len(at) else stop
+            shift = ticks[j - 1] - at[j - 1]
+            runs.append(range(start + shift, end + shift))
+            start = end
+            j += 1
+        return chain.from_iterable(runs)
 
     def _record(self, i: int) -> EventRecord:
         step, src, dst, message = self._route_table[self._routes[i]]
+        j = bisect_right(self._jump_at, i) - 1
         at = DIGEST_DIGITS * i
         return tuple.__new__(EventRecord, (
-            i + 1, self._ticks[i], step, src, dst, message,
-            self._digests[at:at + DIGEST_DIGITS].decode()))
+            i + 1, self._jump_tick[j] + i - self._jump_at[j], step, src, dst,
+            message, self._digests[at:at + DIGEST_DIGITS].decode()))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -193,8 +218,9 @@ class Trace:
         """The `(step, tick)` of the events at positions `begun` up to
         `end` (the trace's end when None) that carry a step."""
         steps = [route[0] for route in self._route_table]
+        end = len(self) if end is None else end
         return [(steps[route], tick) for route, tick in
-                zip(self._routes[begun:end], self._ticks[begun:end])
+                zip(self._routes[begun:end], self._ticks(begun, end))
                 if steps[route] is not None]
 
 
@@ -216,11 +242,11 @@ def trace_chunks(trace: Trace):
     ends = range(DIGEST_DIGITS, DIGEST_DIGITS * (LINES_PER_JOIN + 1),
                  DIGEST_DIGITS)
     for start in range(0, len(trace), LINES_PER_JOIN):
-        stop = start + LINES_PER_JOIN
+        stop = min(start + LINES_PER_JOIN, len(trace))
         digests = trace._digests[DIGEST_DIGITS * start:
                                  DIGEST_DIGITS * stop].decode()
         yield "".join(map(line, zip(
-            range(start + 1, stop + 1), trace._ticks[start:stop],
+            range(start + 1, stop + 1), trace._ticks(start, stop),
             map(heads.__getitem__, trace._routes[start:stop]),
             map(digests.__getitem__, map(slice, starts, ends)))))
 

@@ -39,6 +39,17 @@ def flavor(nsd):
     return nsd.flavor("df-1")
 
 
+# The fields of a VNFC transition, in the order of its row in
+# `RunResult.transition_rows`.
+TRANSITION_KEYS = ("vnf_instance", "instance", "vdu_ref", "from", "to",
+                   "step", "tick")
+
+
+def transitions(result) -> list:
+    """A run's VNFC transitions, each a dict of `TRANSITION_KEYS`."""
+    return [dict(zip(TRANSITION_KEYS, row)) for row in result.transition_rows]
+
+
 def build_sim(scenario_dict) -> Simulator:
     return Simulator(scenario_from_dict(scenario_dict))
 

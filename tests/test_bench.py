@@ -106,18 +106,20 @@ def retained_after_run(data: dict, collect: bool = True) -> tuple:
     return retained, len(result.trace)
 
 
-RETAINED_PER_EVENT = 200  # bytes
+RETAINED_PER_EVENT = 75  # bytes
 
 
 def test_a_run_retains_little_per_trace_event():
     """The memory a finished run keeps grows by less than
-    `RETAINED_PER_EVENT` (200) bytes per trace event. The growth is
+    `RETAINED_PER_EVENT` (75) bytes per trace event. The growth is
     measured with `tracemalloc` between scale-churn sizes 10 and 40 (2,010
     and 8,040 events), so set-up's fixed cost drops out. Measured on
     CPython 3.11.7: 360 B/event while the trace kept one record per event
-    and each operation its own (step, tick) list, and 104 B/event with the
-    trace held as columns. Monitor-steady, between sizes 250 and 1,000,
-    measured 249 and 33 B/event."""
+    and each operation its own (step, tick) list, 104 B/event with the
+    trace held as columns, 90 with the workload read in place, and 61
+    with the ticks held as jumps, each VNFC transition as a tuple, one
+    verdict per missing set and one str per audit step. Monitor-steady,
+    between sizes 250 and 1,000, measured 249 and 33 B/event."""
     workloads = import_bench("workloads")
     (small, small_events), (large, large_events) = (
         retained_after_run(workloads.GENERATORS["scale-churn"](0, size))
@@ -126,18 +128,19 @@ def test_a_run_retains_little_per_trace_event():
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
 
 
-RETAINED_UNCOLLECTED_PER_EVENT = 45  # bytes
+RETAINED_UNCOLLECTED_PER_EVENT = 30  # bytes
 
 
 def test_a_finished_run_parks_no_per_record_objects():
     """Without a `gc.collect()`, the memory a finished run keeps grows by
-    less than `RETAINED_UNCOLLECTED_PER_EVENT` (45) bytes per trace event
+    less than `RETAINED_UNCOLLECTED_PER_EVENT` (30) bytes per trace event
     between monitor-steady sizes 250 and 1,000 (1,062 and 4,248 events;
     1,009 and 4,036 workload records). Measured with `tracemalloc` on
     CPython 3.11.7: 61 B/event while `workload_records` built a 6-tuple per
     record, whose dead blocks the tuple free list kept (up to 2,000 of
-    them), and 34 B/event with the records read in place by index;
-    `gc.collect()`, which empties the free lists, gives 32 on both."""
+    them), 34 B/event with the records read in place by index (32 after a
+    `gc.collect()`, which empties the free lists), and 25 B/event with the
+    trace's ticks held as jumps."""
     workloads = import_bench("workloads")
     (small, small_events), (large, large_events) = (
         retained_after_run(workloads.GENERATORS["monitor-steady"](0, size),
@@ -208,8 +211,9 @@ def test_rule_verdicts_are_reused_exactly_and_built_once(monkeypatch, name,
     """At `TINY_SIZE` and seed 0, each workload evaluates a rule exactly
     as often as a key of the tick, the cooldown entry and the sample count
     of every stream read does (a looser key evaluates less, a stale one
-    more), and every verdict that reports no missing stream is, by
-    identity, one of the three its rule state built when it was bound."""
+    more). Every verdict that reports no missing stream is, by identity,
+    one of the three its rule state built when it was bound, and every
+    one that does is the one its rule state built for that missing set."""
     import nsscale.monitoring as monitoring
     from nsscale.scenario import scenario_from_dict
     from nsscale.simulator import Simulator
@@ -227,9 +231,14 @@ def test_rule_verdicts_are_reused_exactly_and_built_once(monkeypatch, name,
     Simulator(scenario_from_dict(workloads.GENERATORS[name](
         0, workloads.TINY_SIZE[name]))).run()
     assert len(seen) == evaluations
+    assert any(verdict.missing_streams for _, _, verdict in seen)
     for rule, state, verdict in seen:
         assert verdict.rule_id == rule.id
-        if not verdict.missing_streams:
+        if verdict.missing_streams:
+            [built] = [built for built in state.verdicts_missing.values()
+                       if built.missing_streams == verdict.missing_streams]
+            assert built is verdict
+        else:
             assert any(verdict is built for built in (
                 state.verdict_satisfied, state.verdict_cooling,
                 state.verdict_violated))

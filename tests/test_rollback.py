@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nsscale.capacity import CapacityVector
 from nsscale.inventory import InventoryError, ResourceZone
-from nsscale.scenario import ScenarioValidationError
+from nsscale.scenario import ScenarioValidationError, scenario_from_dict
 from nsscale.simulator import (
-    PHASE_FAILED, RESOURCE_ALLOCATION, RESOURCE_DELETION, RESOURCE_UPDATE,
-    STATUS_OPERATION_FAILED, VIM_PLACEMENT, Simulator,
+    OPERATION_FAILED, PHASE_FAILED, RESOURCE_ALLOCATION, RESOURCE_DELETION,
+    RESOURCE_UPDATE, STATUS_OPERATION_FAILED, VIM_PLACEMENT,
+    OperationFailure, Simulator,
 )
 from nsscale.trace import canonical_json
 
@@ -254,6 +255,71 @@ def test_step_log_is_the_trace_of_its_operation(monkeypatch):
     phases = [op.phase for op in checked]
     assert phases.count(PHASE_FAILED) == writes  # one failure per fault
     assert len(phases) - writes >= 24
+
+
+class FailingAtEvent(Simulator):
+    """A simulator whose `_emit` fails the n-th operation at its k-th event,
+    raising `OperationFailure` at the event's step before recording it,
+    unless that event is an OperationFailed; n = 0 fails nothing. It keeps
+    the arrow it failed at, and each failed operation with (final state,
+    NS level) before and after it."""
+
+    def __init__(self, scenario: dict, n: int = 0, k: int = 0):
+        self.fault = (n, k)
+        self.failed_at = None
+        self.failures = []
+        super().__init__(scenario_from_dict(scenario))
+
+    def _emit(self, src, dst, arrow, text):
+        n, k = self.fault
+        ops = self.operations
+        if (len(ops) == n > 0 and ops[-1].end is None
+                and len(self.trace) - ops[-1].begun == k - 1
+                and arrow is not OPERATION_FAILED):
+            self.failed_at = arrow
+            raise OperationFailure(arrow.step, "injected fault")
+        super()._emit(src, dst, arrow, text)
+
+    def _execute_decision(self, decision):
+        before = (state(self), self.current_ns_il)
+        super()._execute_decision(decision)
+        op = self.operations[-1]
+        if op.phase == PHASE_FAILED:
+            self.failures.append((op, before,
+                                  (state(self), self.current_ns_il)))
+
+
+def test_a_failure_at_any_message_rolls_back():
+    """Over the 24 sample scenarios, fail each operation at each of its
+    events in turn, bar an OperationFailed: the run goes on, the injected
+    operation fails at the step of the message it failed at, and every
+    failed operation ends at its OperationFailed and leaves the final
+    state and the NS level as they were before it."""
+    runs = 0
+    for level in sc.LEVELS:
+        for workload in sorted(WORKLOADS):
+            for reservation in (True, False):
+                scenario = sample(level, workload, reservation)
+                clean = FailingAtEvent(scenario).run()
+                for n, op in enumerate(clean.operations, 1):
+                    for k, event in enumerate(clean.trace[op.begun:op.end],
+                                              1):
+                        if event.message == OPERATION_FAILED.message:
+                            continue
+                        sim = FailingAtEvent(scenario, n, k)
+                        result = sim.run()
+                        runs += 1
+                        failed = result.operations[n - 1]
+                        assert failed.failed_step == sim.failed_at.step, \
+                            (level, workload, reservation, n, k)
+                        for any_op, before, after in sim.failures:
+                            messages = [e.message for e in result.trace[
+                                any_op.begun:any_op.end]]
+                            assert messages.index(OPERATION_FAILED.message) \
+                                == len(messages) - 1, (n, k, any_op.op_id)
+                            assert after == before, (n, k, any_op.op_id)
+                        assert failed in [op for op, _, _ in sim.failures]
+    assert runs > 700
 
 
 # The event that announces each zone write -> the writes it announces, as

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import sample_catalog as sc
+from conftest import transitions
 from nsscale.inventory import InventoryError, ResourceZone
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
@@ -70,7 +71,7 @@ def run_outputs(scenario: dict, fault: str = "", k: int = 0) -> tuple:
         "final_state": result.final_state,
         "operations": [[op.op_id, op.kind, op.phase, op.failed_step, op.error,
                         op.step_log] for op in result.operations],
-        "transitions": result.transitions,
+        "transitions": transitions(result),
         "failure_reason": result.failure_reason,
     })
     return outputs, calls
@@ -94,15 +95,28 @@ def test_sample_digests_are_pinned():
     assert sample_digests() == json.loads(DIGESTS.read_text())
 
 
-def test_sample_digests_hold_without_asserts():
-    # Under -O every `assert` is stripped; no rollback or conservation
-    # behaviour may depend on one.
-    env = dict(os.environ)
+def digests_without_asserts(**env) -> dict:
+    """The digests this module prints when run under `python -O`, with
+    `env` added to its environment."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-O", __file__], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert json.loads(out) == json.loads(DIGESTS.read_text())
+    return json.loads(out)
+
+
+def test_sample_digests_hold_without_asserts():
+    # Under -O every `assert` is stripped; no rollback or conservation
+    # behaviour may depend on one.
+    assert digests_without_asserts() == json.loads(DIGESTS.read_text())
+
+
+def test_sample_digests_hold_under_another_hash_seed():
+    # No output may depend on the order of a set or on a hash, such as
+    # that of a memo's key.
+    assert digests_without_asserts(PYTHONHASHSEED="12345") == \
+        json.loads(DIGESTS.read_text())
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import sample_catalog as sc
 import scenario_gen
 from conftest import (
     SEVEN_AND_SEVEN, audit_every_event, build_sim, refuse_large_vnfcs,
-    run_dict,
+    run_dict, transitions,
 )
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -63,9 +63,9 @@ def test_jump_scenario_covers_every_workflow_step():
 
 def test_service_continuity_new_starts_before_old_stops():
     result = run_dict(sc.sample_scenario(workload=sc.jump_workload()))
-    started = [t for t in result.transitions
+    started = [t for t in transitions(result)
                if t["to"] == STARTED and t["vdu_ref"] == "vdu-2"]
-    stopped = [t for t in result.transitions
+    stopped = [t for t in transitions(result)
                if t["to"] == STOPPED and t["vdu_ref"] == "vdu-1"]
     assert started and stopped
     assert started[0]["tick"] <= stopped[0]["tick"]
@@ -73,7 +73,7 @@ def test_service_continuity_new_starts_before_old_stops():
 
 def test_transition_steps_are_exclusive():
     result = run_dict(sc.sample_scenario(workload=sc.escalation_workload()))
-    for t in result.transitions:
+    for t in transitions(result):
         if t["to"] == STARTED:
             assert t["step"] == 19
         elif t["from"] is None:  # creation lands in the repository STOPPED
@@ -117,6 +117,34 @@ def test_reservation_sends_three_kinds_per_vim():
     reserves = [r for r in result.trace if r.message == "ReserveRequest"]
     assert len(reserves) == 3  # one VIM, one allocation phase
     assert all(r.dst == "VIM-0" for r in reserves)
+
+
+def test_reservation_changes_only_the_messages():
+    """Over a fixed sample of random scenarios, a run with reservation and
+    one without have operations of the same kinds that fail at the same
+    steps, and the same final state once each audit entry's tick, which
+    the reservation messages move, is dropped."""
+    runs, operations = 0, 0
+    for seed in range(0, 200, 4):
+        scenario = scenario_gen.random_scenario(random.Random(seed))
+        outcomes = []
+        for reservation in (True, False):
+            scenario["options"]["reservation_enabled"] = reservation
+            try:
+                sim = build_sim(scenario)
+            except ScenarioValidationError:  # the initial level does not fit
+                break
+            result = sim.run()
+            state = result.final_state
+            for info in state["vnf_infos"].values():
+                info["audit"] = [step for step, _ in info["audit"]]
+            outcomes.append(([(op.kind, op.failed_step)
+                              for op in result.operations], state))
+        if outcomes:
+            assert outcomes[0] == outcomes[1], seed
+            runs += 1
+            operations += len(outcomes[0][0])
+    assert runs > 25 and operations > runs
 
 
 def test_identical_runs_are_byte_identical():
@@ -645,7 +673,7 @@ def test_a_vnf_level_change_without_vnfc_changes_is_one_update(
                         "step": 19}]
     assert sent[-1][0].message == "VnfInfoUpdate"
     assert [step for step, _ in op.step_log].count(19) == 1
-    assert result.transitions == []
+    assert result.transition_rows == []
     info = result.final_state["vnf_infos"]["vnf-p-b-2"]
     assert info["current_vnf_il"] == "il-1b"
     assert [step for step, _ in info["audit"]] == ["instantiation", "19"]

@@ -14,11 +14,11 @@ import nsscale.trace
 import sample_catalog as sc
 import scenario_gen
 from nsscale.scenario import ScenarioValidationError, scenario_from_dict
-from nsscale.simulator import Simulator
+from nsscale.simulator import Arrow, Simulator
 from nsscale.capacity import CapacityVector
 from nsscale.trace import (
-    EventRecord, canonical_json, capacity_text, object_form, payload_digest,
-    string_text, strings_text, trace_chunks, trace_lines)
+    EventRecord, Trace, canonical_json, capacity_text, object_form,
+    payload_digest, string_text, strings_text, trace_chunks, trace_lines)
 from test_bench import import_bench
 from test_rollback import VL_WALK, fail_kth_zone_write, zone_writes
 from test_sample_digests import sample_digests, sample_scenarios
@@ -324,6 +324,56 @@ def test_the_trace_reads_as_the_list_of_its_records(monkeypatch):
     assert len(checked) > 24 + 60 // 2
     assert checked[-1] > nsscale.trace.LINES_PER_JOIN
     assert min(checked) > 0
+
+
+# Each event's tick as a step from the previous event's: mostly one, as in
+# a run, but also none, back, a little or far ahead and far back.
+tick_steps = st.one_of(st.just(1), st.sampled_from((0, -1, 2)),
+                       st.integers(-10**12, 10**12))
+# Routes with and without a step, the same arrow from another sender.
+ROUTES = ((Arrow(5, "Request"), "NFVO-0", "VNFM-0"),
+          (Arrow(None, "OperationFailed"), "NFVO-0", "NFVO-0"),
+          (Arrow(5, "Request"), "VNFM-0", "NFVO-0"))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(-10**12, 10**12),
+       st.lists(st.tuples(tick_steps, st.sampled_from(ROUTES)), max_size=40),
+       st.sampled_from((1, 3, 256)))
+def test_any_ticks_read_back_as_from_a_list(first, events, per_join):
+    """Whatever ticks the events carry, equal, decreasing or sparse, the
+    trace reads back by index, slice, iteration, step log and text, in
+    chunks of any size, as the plain list of its records."""
+    trace, reference = Trace(), []
+    tick = first
+    for i, (step, (arrow, src, dst)) in enumerate(events):
+        if i:
+            tick += step
+        digest = "%016x" % (7919 * i)
+        trace.append(tick, arrow, src, dst, digest)
+        reference.append(EventRecord(i + 1, tick, arrow.step, src, dst,
+                                     arrow.message, digest))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nsscale.trace, "LINES_PER_JOIN", per_join)
+        assert_reads_as(trace, reference)
+    for begun in range(len(reference) + 1):
+        for end in (*range(begun, len(reference) + 1), None):
+            assert trace.step_log(begun, end) == [
+                (event.step, event.tick) for event in reference[begun:end]
+                if event.step is not None], (begun, end)
+
+
+@pytest.mark.parametrize("name", ["monitor-steady", "scale-churn",
+                                  "wide-fabric"])
+def test_a_workload_records_one_tick_jump(name):
+    """Every workload's ticks go up by one per event after the first, so
+    its trace records the first event's tick alone."""
+    workloads = import_bench("workloads")
+    trace = Simulator(scenario_from_dict(workloads.GENERATORS[name](
+        0, workloads.TINY_SIZE[name]))).run().trace
+    assert len(trace) > 0
+    assert list(trace._jump_at) == [0]
+    assert list(trace._jump_tick) == [trace[0].tick]
 
 
 # The most `trace_lines` may allocate at its peak, as a multiple of the
