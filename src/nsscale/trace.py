@@ -118,12 +118,15 @@ def capacity_text(vector) -> str:
     return _CAPACITY_FORM % (*map(number_text, _capacity_values(vector)),)
 
 
-DIGEST_DIGITS = 16
+# A payload digest's raw bytes, and the hex digits a trace line shows.
+DIGEST_BYTES = 8
+DIGEST_DIGITS = 2 * DIGEST_BYTES
 
 
-def payload_digest(text: str) -> str:
-    """16 hex digits of SHA-256 over a payload's canonical JSON `text`."""
-    return hashlib.sha256(text.encode()).hexdigest()[:DIGEST_DIGITS]
+def payload_digest(text: str) -> bytes:
+    """The first 8 raw bytes of SHA-256 over a payload's canonical JSON
+    `text`; their hex is the digest a trace line shows."""
+    return hashlib.sha256(text.encode()).digest()[:DIGEST_BYTES]
 
 
 class EventRecord(NamedTuple):
@@ -137,23 +140,28 @@ class EventRecord(NamedTuple):
     digest: str
 
 
+# The route id that no longer fits the `_routes` typecode -> the next one.
+_WIDER = {256: "H", 65536: "I"}
+
+
 class Trace:
     """A run's events, held as columns rather than one record each: a
-    route id, in an `array("I")`, indexing the table of the distinct
-    `(arrow, src, dst)` seen, `arrow` being a `(step, message)` pair; the
-    payload digest's 16 hex digits, appended to one `bytearray`; and, in
-    two `array("q")`, the position and tick of each jump, an event whose
-    tick is not the previous event's tick + 1 (as the first is not). That
-    is 20 bytes per event and 16 per jump. An event's seq is its position,
-    counted from 1. Reading an event (by an int or negative index, a
-    slice or iteration) builds its `EventRecord`; a slice reads as a
-    list."""
+    route id indexing the table of the distinct `(arrow, src, dst)` seen,
+    `arrow` being a `(step, message)` pair, in an `array("B")` widened to
+    "H" as route 256 is made and to "I" at route 65,536; the payload
+    digest's 8 raw bytes, appended to one `bytearray`; and, in two
+    `array("q")`, the position and tick of each jump, an event whose tick
+    is not the previous event's tick + 1 (as the first is not). That is 9
+    bytes per event under 256 routes, and 16 per jump. An event's seq is
+    its position, counted from 1. Reading an event (by an int or negative
+    index, a slice or iteration) builds its `EventRecord`, whose digest is
+    hex; a slice reads as a list."""
 
     __slots__ = ("_routes", "_digests", "_jump_at", "_jump_tick",
                  "_next_tick", "_route_ids", "_route_table")
 
     def __init__(self):
-        self._routes = array("I")
+        self._routes = array("B")
         self._digests = bytearray()
         self._jump_at = array("q")
         self._jump_tick = array("q")
@@ -161,20 +169,22 @@ class Trace:
         self._route_ids = {}  # (arrow, src, dst) -> index in _route_table
         self._route_table = []  # [(step, src, dst, message)]
 
-    def append(self, tick: int, arrow, src: str, dst: str, digest: str):
+    def append(self, tick: int, arrow, src: str, dst: str, digest: bytes):
         """Add the event of `arrow` from `src` to `dst` at `tick`, whose
-        payload digest is `digest`."""
+        payload digest is the `DIGEST_BYTES` bytes `digest`."""
         key = (arrow, src, dst)
         route = self._route_ids.get(key)
         if route is None:
             route = self._route_ids[key] = len(self._route_table)
             self._route_table.append((arrow[0], src, dst, arrow[1]))
+            if route in _WIDER:
+                self._routes = array(_WIDER[route], self._routes)
         if tick != self._next_tick:
             self._jump_at.append(len(self._routes))
             self._jump_tick.append(tick)
         self._next_tick = tick + 1
         self._routes.append(route)
-        self._digests += digest.encode()
+        self._digests += digest
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -196,10 +206,10 @@ class Trace:
     def _record(self, i: int) -> EventRecord:
         step, src, dst, message = self._route_table[self._routes[i]]
         j = bisect_right(self._jump_at, i) - 1
-        at = DIGEST_DIGITS * i
+        at = DIGEST_BYTES * i
         return tuple.__new__(EventRecord, (
             i + 1, self._jump_tick[j] + i - self._jump_at[j], step, src, dst,
-            message, self._digests[at:at + DIGEST_DIGITS].decode()))
+            message, self._digests[at:at + DIGEST_BYTES].hex()))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -232,7 +242,7 @@ LINES_PER_JOIN = 256
 
 def trace_chunks(trace: Trace):
     """The text of `trace_lines`, yielded `LINES_PER_JOIN` lines at a
-    time; each chunk decodes only its own events' digests."""
+    time; each chunk writes only its own events' digests as hex."""
     heads = ["%s %s %s %s" % ("-" if step is None else step, src, dst,
                               message)
              for step, src, dst, message in trace._route_table]
@@ -243,8 +253,8 @@ def trace_chunks(trace: Trace):
                  DIGEST_DIGITS)
     for start in range(0, len(trace), LINES_PER_JOIN):
         stop = min(start + LINES_PER_JOIN, len(trace))
-        digests = trace._digests[DIGEST_DIGITS * start:
-                                 DIGEST_DIGITS * stop].decode()
+        digests = trace._digests[DIGEST_BYTES * start:
+                                 DIGEST_BYTES * stop].hex()
         yield "".join(map(line, zip(
             range(start + 1, stop + 1), trace._ticks(start, stop),
             map(heads.__getitem__, trace._routes[start:stop]),

@@ -106,20 +106,22 @@ def retained_after_run(data: dict, collect: bool = True) -> tuple:
     return retained, len(result.trace)
 
 
-RETAINED_PER_EVENT = 75  # bytes
+RETAINED_PER_EVENT = 55  # bytes
 
 
 def test_a_run_retains_little_per_trace_event():
     """The memory a finished run keeps grows by less than
-    `RETAINED_PER_EVENT` (75) bytes per trace event. The growth is
+    `RETAINED_PER_EVENT` (55) bytes per trace event. The growth is
     measured with `tracemalloc` between scale-churn sizes 10 and 40 (2,010
     and 8,040 events), so set-up's fixed cost drops out. Measured on
     CPython 3.11.7: 360 B/event while the trace kept one record per event
     and each operation its own (step, tick) list, 104 B/event with the
-    trace held as columns, 90 with the workload read in place, and 61
-    with the ticks held as jumps, each VNFC transition as a tuple, one
-    verdict per missing set and one str per audit step. Monitor-steady,
-    between sizes 250 and 1,000, measured 249 and 33 B/event."""
+    trace held as columns, 90 with the workload read in place, 61 with
+    the ticks held as jumps, each VNFC transition as a tuple, one verdict
+    per missing set and one str per audit step, and 49 with each digest
+    held as 8 raw bytes and each route id in an `array("B")`.
+    Monitor-steady, between sizes 250 and 1,000, measured 249 and 33
+    B/event."""
     workloads = import_bench("workloads")
     (small, small_events), (large, large_events) = (
         retained_after_run(workloads.GENERATORS["scale-churn"](0, size))
@@ -128,19 +130,20 @@ def test_a_run_retains_little_per_trace_event():
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
 
 
-RETAINED_UNCOLLECTED_PER_EVENT = 30  # bytes
+RETAINED_UNCOLLECTED_PER_EVENT = 18  # bytes
 
 
 def test_a_finished_run_parks_no_per_record_objects():
     """Without a `gc.collect()`, the memory a finished run keeps grows by
-    less than `RETAINED_UNCOLLECTED_PER_EVENT` (30) bytes per trace event
+    less than `RETAINED_UNCOLLECTED_PER_EVENT` (18) bytes per trace event
     between monitor-steady sizes 250 and 1,000 (1,062 and 4,248 events;
     1,009 and 4,036 workload records). Measured with `tracemalloc` on
     CPython 3.11.7: 61 B/event while `workload_records` built a 6-tuple per
     record, whose dead blocks the tuple free list kept (up to 2,000 of
     them), 34 B/event with the records read in place by index (32 after a
-    `gc.collect()`, which empties the free lists), and 25 B/event with the
-    trace's ticks held as jumps."""
+    `gc.collect()`, which empties the free lists), 25 B/event with the
+    trace's ticks held as jumps, and 14 B/event (12 collected) with each
+    digest held as 8 raw bytes and each route id in an `array("B")`."""
     workloads = import_bench("workloads")
     (small, small_events), (large, large_events) = (
         retained_after_run(workloads.GENERATORS["monitor-steady"](0, size),
