@@ -1,6 +1,7 @@
 import pytest
 
 import sample_catalog as sc
+from corpus import corpus  # noqa: F401 -- the session's recorded corpus
 from nsscale.descriptors import load_catalog
 from nsscale.inventory import InsufficientCapacityError, ResourceZone
 from nsscale.scenario import scenario_from_dict

@@ -11,6 +11,8 @@ import tracemalloc
 
 import pytest
 
+from corpus import import_bench
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # SHA-256 of each workload's trace and final state at seed 0 and its
@@ -26,14 +28,6 @@ WORKLOAD_DIGESTS = {
         "cd796b324ef6edd58a12ca7e7ef3bf24338b2784f1ffad6512ab389d057b33c7",
         "ab7d7e5ea4d238d6601511fafd52cb17e025a22d6ff8ce03c9c63a1ee1f96671"),
 }
-
-
-def import_bench(name: str):
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    try:
-        return __import__(name)
-    finally:
-        sys.path.pop(0)
 
 
 def test_benchmark_selftest_passes():

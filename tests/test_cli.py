@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -36,6 +39,22 @@ def scenario_file(tmp_path, scenario=None):
 CATALOG_COMMANDS = pytest.mark.parametrize(
     "command, options", [("validate", []), ("graph", ["--flavor", "df-1"])],
     ids=["validate", "graph"])
+
+
+@pytest.mark.parametrize("command, status", [("validate", 0), ("run", 1)])
+def test_python_m_nsscale_runs_the_cli_from_a_checkout(tmp_path, command,
+                                                      status):
+    """With only `src` on the path, `python -m nsscale` validates the
+    sample catalog (exit 0) and refuses a scenario whose options are
+    `[0.6]`, not an object (exit 1)."""
+    path = catalog_file(tmp_path) if command == "validate" else \
+        scenario_file(tmp_path, dict(sc.sample_scenario(), options=[0.6]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nsscale", command, path], capture_output=True,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(
+            Path(__file__).parent.parent / "src")))
+    assert done.returncode == status, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_validate_clean_catalog(tmp_path, capsys):

@@ -23,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "nsscale"
+TESTS = ROOT / "tests"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -58,9 +59,10 @@ def mentions(tree) -> tuple:
     return bare, named
 
 
-def unused_definitions(package: Path, users: list) -> list:
-    """`module:name` of every definition in `package`'s modules that no
-    file of `users` mentions outside the definition itself."""
+def unused_definitions(package: Path, users: list, pick=definitions) -> list:
+    """`module:name` of every definition that `pick` finds in `package`'s
+    modules and no file of `users` mentions outside the definition
+    itself."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in users}
     bare, named = Counter(), Counter()
     for tree in trees.values():
@@ -71,7 +73,7 @@ def unused_definitions(package: Path, users: list) -> list:
     for path in sorted(package.glob("*.py")):
         methods = {id(node) for cls in ast.walk(trees[path])
                    if isinstance(cls, ast.ClassDef) for node in cls.body}
-        for name, node in definitions(trees[path]):
+        for name, node in pick(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
             own_bare, own_named = mentions(node)
@@ -295,3 +297,32 @@ def test_a_parameter_is_read_only_by_its_function(tmp_path):
     assert sorted(unread_parameters(tmp_path)) == [
         "planted:<lambda>:x", "planted:inner:default", "planted:inner:local",
         "planted:outer:kwargs", "planted:outer:written", "planted:size:scale"]
+
+
+def helpers(tree) -> list:
+    """(name, node) of every module-level function and class in `tree`,
+    bar tests and fixtures."""
+    return [(node.name, node) for node in tree.body
+            if isinstance(node, DEFINITIONS)
+            and not node.name.startswith("test_")
+            and not any("fixture" in (getattr(called, "id", None),
+                                      getattr(called, "attr", None))
+                        for decorator in node.decorator_list
+                        for called in [getattr(decorator, "func", decorator)])]
+
+
+def test_every_test_helper_is_used():
+    tests = sorted(TESTS.glob("*.py"))
+    assert unused_definitions(TESTS, tests, helpers) == []
+
+
+def test_a_test_helper_is_used_once_named(tmp_path):
+    (tmp_path / "helpers.py").write_text(
+        "import pytest\n\n\ndef named():\n    return named\n\n\n"
+        "class Called:\n    pass\n\n\n@pytest.fixture(scope='session')\n"
+        "def built():\n    return 1\n")
+    (tmp_path / "test_user.py").write_text(
+        "from helpers import Called\n\n\ndef test_it(built):\n"
+        "    assert Called()\n")
+    users = sorted(tmp_path.glob("*.py"))
+    assert unused_definitions(tmp_path, users, helpers) == ["helpers:named"]

@@ -1,6 +1,8 @@
 """A failed scaling operation leaves `final_state()` byte-identical to its
 value before the operation. Failures are reached by monkeypatching the zone
-writes; nothing in the program injects faults."""
+writes; nothing in the program injects faults. States are compared as
+dicts, which are equal exactly when their canonical JSON is: they hold
+lists, never tuples, and no NaN capacity."""
 
 import json
 import random
@@ -9,6 +11,8 @@ from collections import Counter
 import sample_catalog as sc
 import scenario_gen
 from conftest import build_sim, refuse_large_vnfcs
+from corpus import (
+    VL_WALK, WORKLOADS, fail_kth_zone_write, sample, samples, zone_writes)
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -20,89 +24,58 @@ from nsscale.simulator import (
     RESOURCE_UPDATE, STATUS_OPERATION_FAILED, VIM_PLACEMENT,
     OperationFailure, Simulator,
 )
-from nsscale.trace import canonical_json
-
-WORKLOADS = {"escalation": sc.escalation_workload, "jump": sc.jump_workload,
-             "scale-in": sc.scale_in_workload}
 
 
-# vlp-1 alone moves 100 -> 200 -> 50, so the NFVO exchanges each change
-# with the VIM itself: an allocation, then a release and a shrink.
-VL_WALK = [("level-1v", 200), ("level-1d", 50)]
+class FailingAtEvent(Simulator):
+    """A simulator whose `_emit` fails the n-th operation at its k-th event,
+    raising `OperationFailure` at the event's step before recording it,
+    unless that event is an OperationFailed; n = 0 fails nothing. It keeps
+    the arrow it failed at, and each failed operation with (final state,
+    NS level) before and after it."""
 
+    def __init__(self, scenario: dict, n: int = 0, k: int = 0):
+        self.fault = (n, k)
+        self.failed_at = None
+        self.failures = []
+        super().__init__(scenario_from_dict(scenario))
 
-def sample(level, workload, reservation):
-    return sc.sample_scenario(workload=WORKLOADS[workload](), ns_il=level,
-                              options={"reservation_enabled": reservation})
+    def _emit(self, src, dst, arrow, text):
+        n, k = self.fault
+        ops = self.operations
+        if (len(ops) == n > 0 and ops[-1].end is None
+                and len(self.trace) - ops[-1].begun == k - 1
+                and arrow is not OPERATION_FAILED):
+            self.failed_at = arrow
+            raise OperationFailure(arrow.step, "injected fault")
+        super()._emit(src, dst, arrow, text)
 
-
-def state(sim) -> str:
-    return canonical_json(sim.final_state())
-
-
-def check_failed_operations(monkeypatch) -> list:
-    """Record (op id, state before, state after) of every operation that
-    fails from now on, in the returned list."""
-    failed = []
-    execute = Simulator._execute_decision
-
-    def checked(sim, decision):
-        before = state(sim)
-        execute(sim, decision)
-        op = sim.operations[-1]
+    def _execute_decision(self, decision):
+        before = (self.final_state(), self.current_ns_il)
+        super()._execute_decision(decision)
+        op = self.operations[-1]
         if op.phase == PHASE_FAILED:
-            failed.append((op.op_id, before, state(sim)))
-
-    monkeypatch.setattr(Simulator, "_execute_decision", checked)
-    return failed
-
-
-ZONE_WRITES = ("allocate", "reserve", "release", "shrink")
-
-
-def fail_kth_zone_write(monkeypatch, k) -> dict:
-    """Make the k-th zone write (`allocate`, `reserve`, `release` or
-    `shrink`) after this call raise InventoryError; k = 0 injects nothing.
-    Returns the call count."""
-    calls = {"n": 0}
-    for name in ZONE_WRITES:
-        def write(zone, *args, _real=getattr(ResourceZone, name), **kwargs):
-            calls["n"] += 1
-            if calls["n"] == k:
-                raise InventoryError("injected fault")
-            return _real(zone, *args, **kwargs)
-        monkeypatch.setattr(ResourceZone, name, write)
-    return calls
-
-
-def zone_writes(scenario) -> int:
-    """The number of zone writes in a clean run."""
-    with pytest.MonkeyPatch.context() as mp:
-        sim = build_sim(scenario)
-        calls = fail_kth_zone_write(mp, 0)
-        sim.run()
-    return calls["n"]
+            self.failures.append((op, before,
+                                  (self.final_state(), self.current_ns_il)))
 
 
 def assert_fault_rolls_back(scenario, k):
     """Fail the k-th zone write of a run of `scenario`: exactly one
     operation fails, and it leaves the state as it found it."""
     with pytest.MonkeyPatch.context() as mp:
-        sim = build_sim(scenario)
-        failed = check_failed_operations(mp)
+        sim = FailingAtEvent(scenario)
         fail_kth_zone_write(mp, k)
         sim.run()
     # a leftover of the failed operation could fail a later one as well
-    assert len(failed) == 1, (k, [op_id for op_id, *_ in failed])
-    [(op_id, before, after)] = failed
-    assert after == before, (k, op_id)
+    assert len(sim.failures) == 1, (k, [op.op_id for op, *_ in sim.failures])
+    [(op, before, after)] = sim.failures
+    assert after == before, (k, op.op_id)
 
 
 @pytest.mark.parametrize("reservation", [True, False])
 def test_failed_add_vnf_leaves_no_phantom_vnf(monkeypatch, reservation):
     # level-3 -> level-4 adds vnf-p-b-4, whose 8-vcpu VNFCs the VIM refuses
     sim = build_sim(sample("level-3", "jump", reservation))
-    initial = state(sim)
+    initial = sim.final_state()
     refuse_large_vnfcs(monkeypatch)  # level-3 itself holds one such VNFC
     result = sim.run()
     assert result.status == STATUS_OPERATION_FAILED
@@ -110,7 +83,7 @@ def test_failed_add_vnf_leaves_no_phantom_vnf(monkeypatch, reservation):
     assert "vnf-p-b-4" not in result.final_state["vnf_infos"]
     assert "vnf-p-b-4" not in \
         result.final_state["ns_info"]["vnf_instance_refs"]
-    assert canonical_json(result.final_state) == initial
+    assert result.final_state == initial
 
 
 @pytest.mark.parametrize("reservation", [True, False])
@@ -120,7 +93,7 @@ def test_failure_after_a_finished_sub_procedure_commits_nothing(
     # then adds vnf-p-b-4; its zone refuses the first write for the third
     # item of the run, in the second sub-procedure.
     sim = build_sim(sample("level-2", "jump", reservation))
-    initial = state(sim)
+    initial = sim.final_state()
     keys = []  # items in the order the workflow looks up their zones
     planned_zone = Simulator._planned_zone
 
@@ -140,7 +113,7 @@ def test_failure_after_a_finished_sub_procedure_commits_nothing(
     assert result.status == STATUS_OPERATION_FAILED
     assert result.operations[0].failed_step == (7 if reservation else 12)
     assert keys[2].startswith("p-b/inst0/") and len(keys) == 3
-    assert canonical_json(result.final_state) == initial
+    assert result.final_state == initial
 
 
 @pytest.mark.parametrize("reservation", [True, False])
@@ -181,7 +154,7 @@ def test_reserve_fault_is_a_step_seven_failure(monkeypatch):
     # A zone refusing a reservation is answered at step 9 like a zone the
     # VIM cannot find, and the operation fails at step 7.
     sim = build_sim(sample("level-1", "jump", True))
-    initial = state(sim)
+    initial = sim.final_state()
 
     def reserve(zone, spec, kind):
         raise InventoryError("injected fault")
@@ -193,7 +166,7 @@ def test_reserve_fault_is_a_step_seven_failure(monkeypatch):
     assert result.operations[0].error == "injected fault"
     assert [r.message for r in result.trace[-3:]] == [
         "ReserveRequest", "ReserveResponse", "OperationFailed"]
-    assert canonical_json(result.final_state) == initial
+    assert result.final_state == initial
 
 
 @pytest.mark.parametrize("write, last", [
@@ -203,7 +176,7 @@ def test_release_fault_is_a_step_26_failure(monkeypatch, write, last):
     # 26, then shrinks vlp-1's one handle from 800 to 400, also step 26.
     # A zone refusing either fails the operation at step 26.
     sim = build_sim(sample("level-4", "scale-in", True))
-    initial = state(sim)
+    initial = sim.final_state()
 
     def refused(zone, *args):
         raise InventoryError("injected fault")
@@ -214,79 +187,29 @@ def test_release_fault_is_a_step_26_failure(monkeypatch, write, last):
     assert result.operations[0].failed_step == 26
     assert result.operations[0].error == "injected fault"
     assert [r.message for r in result.trace[-2:]] == [last, "OperationFailed"]
-    assert canonical_json(result.final_state) == initial
+    assert result.final_state == initial
 
 
-def check_step_logs(monkeypatch) -> list:
-    """Check every operation from now on as it ends: its step log is the
-    (step, tick) of the events sent during it, less OperationFailed, and it
-    reads failed exactly when it has a failed step. Returns the operations
-    checked."""
-    checked = []
-    execute = Simulator._execute_decision
-
-    def logged(sim, decision):
-        begun = len(sim.trace)
-        execute(sim, decision)
-        op = sim.operations[-1]
-        assert op.step_log == [(event.step, event.tick)
-                               for event in sim.trace[begun:]
-                               if event.message != "OperationFailed"]
-        assert (op.phase == PHASE_FAILED) == (op.failed_step is not None)
-        checked.append(op)
-
-    monkeypatch.setattr(Simulator, "_execute_decision", logged)
-    return checked
-
-
-def test_step_log_is_the_trace_of_its_operation(monkeypatch):
-    checked = check_step_logs(monkeypatch)
-    for level in sc.LEVELS:
-        for workload in sorted(WORKLOADS):
-            for reservation in (True, False):
-                build_sim(sample(level, workload, reservation)).run()
-    scenario = sample("level-2", "jump", True)
-    writes = zone_writes(scenario)
-    for k in range(1, writes + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            sim = build_sim(scenario)
-            fail_kth_zone_write(mp, k)
-            sim.run()
-    phases = [op.phase for op in checked]
+def test_step_log_is_the_trace_of_its_operation(corpus):
+    """Each operation's step log is the (step, tick) of the events sent
+    during it, less OperationFailed, and it reads failed exactly when it
+    has a failed step: over the 24 samples and a sweep of zone-write
+    faults, each of which fails one operation."""
+    sweep = [record for (name, k), record in corpus["sweep"].items()
+             if name == "level-2/jump/reserve"]
+    writes = len(sweep) - 1  # less the clean run
+    phases = []
+    for record in (*corpus["sample"].values(), *sweep):
+        trace = record.result.trace
+        for op, (begun, end) in zip(record.result.operations, record.spans,
+                                    strict=True):
+            assert op.step_log == [(event.step, event.tick)
+                                   for event in trace[begun:end]
+                                   if event.message != "OperationFailed"]
+            assert (op.phase == PHASE_FAILED) == (op.failed_step is not None)
+            phases.append(op.phase)
     assert phases.count(PHASE_FAILED) == writes  # one failure per fault
     assert len(phases) - writes >= 24
-
-
-class FailingAtEvent(Simulator):
-    """A simulator whose `_emit` fails the n-th operation at its k-th event,
-    raising `OperationFailure` at the event's step before recording it,
-    unless that event is an OperationFailed; n = 0 fails nothing. It keeps
-    the arrow it failed at, and each failed operation with (final state,
-    NS level) before and after it."""
-
-    def __init__(self, scenario: dict, n: int = 0, k: int = 0):
-        self.fault = (n, k)
-        self.failed_at = None
-        self.failures = []
-        super().__init__(scenario_from_dict(scenario))
-
-    def _emit(self, src, dst, arrow, text):
-        n, k = self.fault
-        ops = self.operations
-        if (len(ops) == n > 0 and ops[-1].end is None
-                and len(self.trace) - ops[-1].begun == k - 1
-                and arrow is not OPERATION_FAILED):
-            self.failed_at = arrow
-            raise OperationFailure(arrow.step, "injected fault")
-        super()._emit(src, dst, arrow, text)
-
-    def _execute_decision(self, decision):
-        before = (state(self), self.current_ns_il)
-        super()._execute_decision(decision)
-        op = self.operations[-1]
-        if op.phase == PHASE_FAILED:
-            self.failures.append((op, before,
-                                  (state(self), self.current_ns_il)))
 
 
 def fail_at_every_message(scenario: dict, label) -> int:
@@ -319,13 +242,8 @@ def fail_at_every_message(scenario: dict, label) -> int:
 
 def test_a_failure_at_any_message_rolls_back():
     """`fail_at_every_message` over the 24 sample scenarios."""
-    runs = 0
-    for level in sc.LEVELS:
-        for workload in sorted(WORKLOADS):
-            for reservation in (True, False):
-                runs += fail_at_every_message(
-                    sample(level, workload, reservation),
-                    (level, workload, reservation))
+    runs = sum(fail_at_every_message(scenario, name)
+               for name, scenario in samples().items())
     assert runs > 700
 
 
@@ -357,99 +275,43 @@ ANNOUNCEMENTS = {
 }
 
 
-def write_key(name, zone, args, result):
-    if name == "reserve":
-        return zone.id
-    if name == "allocate":
-        return result.id
-    if name == "release":
-        return args[0].id
-    return result.id, result.spec
-
-
-def check_zone_writes_are_announced(monkeypatch) -> list:
-    """Check every operation from now on as it ends: the zone writes it
+def announced_writes(record) -> list:
+    """Check each operation of `record` as it ends: the zone writes it
     made equal the writes its events announce, each event sent by the
     written zone's VIM. A failed operation's writes are rolled back, and
     the write of a batch whose event it never sent goes unannounced, so of
-    it only that every announced write was made is checked. A run makes
+    it only that every announced write was made is checked. The run makes
     no zone write outside its operations; set-up's writes precede it.
     Returns the (operation, writes made) checked."""
-    made, announced, checked = [], [], []
-    for name in ZONE_WRITES:
-        def write(zone, *args, _name=name, _real=getattr(ResourceZone, name),
-                  **kwargs):
-            result = _real(zone, *args, **kwargs)
-            made.append((_name, zone, write_key(_name, zone, args, result)))
-            return result
-        monkeypatch.setattr(ResourceZone, name, write)
-    emit = Simulator._emit
-
-    def emitted(sim, src, dst, arrow, text):
-        emit(sim, src, dst, arrow, text)
-        if arrow in ANNOUNCEMENTS:
-            announced.extend(
-                (name, src, key)
-                for name, key in ANNOUNCEMENTS[arrow](json.loads(text)))
-
-    execute = Simulator._execute_decision
-
-    def audited(sim, decision):
-        assert not made  # a write outside an operation
-        execute(sim, decision)
-        op = sim.operations[-1]
-        vim = {id(zone): sim.vim_actor[pop.vim_ref]
-               for pop in sim.pops for zone in pop.zones}
-        writes = Counter((name, vim[id(zone)], key)
-                         for name, zone, key in made)
+    assert all(at is not None for *_, at in record.writes)
+    checked = []
+    for index, (op, (begun, end)) in enumerate(zip(
+            record.result.operations, record.spans, strict=True)):
+        made = Counter((name, vim, key)
+                       for name, vim, key, at in record.writes if at == index)
+        announced = Counter(
+            (name, src, key)
+            for src, _, step, message, text, _ in record.events[begun:end]
+            if (step, message) in ANNOUNCEMENTS
+            for name, key in ANNOUNCEMENTS[step, message](json.loads(text)))
         if op.phase == PHASE_FAILED:
-            assert not Counter(announced) - writes, op
+            assert not announced - made, op
         else:
-            assert writes == Counter(announced), op
-        checked.append((op, len(made)))
-        made.clear()
-        announced.clear()
-
-    run = Simulator.run
-
-    def ran(sim, *args):
-        made.clear()
-        result = run(sim, *args)
-        assert not made  # a write outside an operation
-        return result
-
-    monkeypatch.setattr(Simulator, "_emit", emitted)
-    monkeypatch.setattr(Simulator, "_execute_decision", audited)
-    monkeypatch.setattr(Simulator, "run", ran)
+            assert made == announced, op
+        checked.append((op, sum(made.values())))
     return checked
 
 
-def test_every_zone_write_is_announced(monkeypatch):
-    checked = check_zone_writes_are_announced(monkeypatch)
-    for level in sc.LEVELS:
-        for workload in sorted(WORKLOADS):
-            for reservation in (True, False):
-                build_sim(sample(level, workload, reservation)).run()
-    samples = len(checked)
-    for seed in range(50):
-        try:
-            sim = build_sim(scenario_gen.random_scenario(random.Random(seed)))
-        except ScenarioValidationError:  # the initial level does not fit
-            continue
-        sim.run()
-    randoms = len(checked) - samples
-    writes = 0
-    for scenario in (sample("level-2", "jump", True),
-                     sc.level_walk_scenario(VL_WALK, True),
-                     sc.level_walk_scenario(VL_WALK, False)):
-        faults = zone_writes(scenario)
-        for k in range(1, faults + 1):
-            with pytest.MonkeyPatch.context() as mp:
-                sim = build_sim(scenario)
-                fail_kth_zone_write(mp, k)
-                sim.run()
-        writes += faults
+def test_every_zone_write_is_announced(corpus):
+    """`announced_writes` over the 24 samples, random scenarios and the
+    sweeps of zone-write faults, each of which fails one operation."""
+    samples, randoms, swept = (
+        [checked for record in records for checked in announced_writes(record)]
+        for records in (corpus["sample"].values(), [
+            record for seed, record in corpus["random"].items() if seed < 50],
+            corpus["sweep"].values()))
+    checked = samples + randoms + swept
     failed = [op for op, _ in checked if op.phase == PHASE_FAILED]
-    assert samples >= 24 and randoms >= 500
-    assert len(failed) == writes
+    assert len(samples) >= 24 and len(randoms) >= 500
+    assert len(failed) == sum(k > 0 for _, k in corpus["sweep"])
     assert sum(n for _, n in checked) >= 5000

@@ -1,14 +1,12 @@
 import dataclasses
-import itertools
 import json
-import random
 
 import sample_catalog as sc
-import scenario_gen
 from conftest import (
     SEVEN_AND_SEVEN, audit_every_event, build_sim, refuse_large_vnfcs,
     run_dict, transitions,
 )
+from corpus import record
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,12 +14,10 @@ from nsscale.capacity import ZERO
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
-from nsscale.scenario import (
-    ScenarioValidationError, scenario_from_dict, workload_records,
-)
+from nsscale.scenario import scenario_from_dict, workload_records
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
-    Simulator,
+    Arrow, Simulator,
 )
 from nsscale.trace import canonical_json, trace_lines
 
@@ -119,25 +115,22 @@ def test_reservation_sends_three_kinds_per_vim():
     assert all(r.dst == "VIM-0" for r in reserves)
 
 
-def test_reservation_changes_only_the_messages():
+def test_reservation_changes_only_the_messages(corpus):
     """Over a fixed sample of random scenarios, a run with reservation and
     one without have operations of the same kinds that fail at the same
     steps, and the same final state once each audit entry's tick, which
     the reservation messages move, is dropped."""
     runs, operations = 0, 0
     for seed in range(0, 200, 4):
-        scenario = scenario_gen.random_scenario(random.Random(seed))
         outcomes = []
         for reservation in (True, False):
-            scenario["options"]["reservation_enabled"] = reservation
-            try:
-                sim = build_sim(scenario)
-            except ScenarioValidationError:  # the initial level does not fit
+            record = corpus["reservation"].get((seed, reservation))
+            if record is None:  # the initial level does not fit
                 break
-            result = sim.run()
-            state = result.final_state
-            for info in state["vnf_infos"].values():
-                info["audit"] = [step for step, _ in info["audit"]]
+            result = record.result
+            state = dict(result.final_state, vnf_infos={
+                vnf_id: dict(info, audit=[step for step, _ in info["audit"]])
+                for vnf_id, info in result.final_state["vnf_infos"].items()})
             outcomes.append(([(op.kind, op.failed_step)
                               for op in result.operations], state))
         if outcomes:
@@ -475,80 +468,44 @@ def test_zone_infeasible_level_is_refused_before_any_change(
     assert canonical_json(state) == initial
 
 
-def small_zone_scenario(seed):
-    """random_scenario of `seed` with every zone cut to 4-20 vcpu, so that
-    PoP aggregates often cover what no single zone holds. The sizes come
-    from a generator of their own, so the scenario stays that of `seed`
-    however many numbers random_scenario draws."""
-    scenario = scenario_gen.random_scenario(random.Random(seed))
-    sizes = random.Random(1_000_000 + seed)
-    for pop in scenario["topology"]["pops"]:
-        for zone in pop["zones"]:
-            zone["total"]["vcpu"] = sizes.randint(4, 20)
-    return scenario
-
-
-def test_plans_the_drpa_accepts_execute(monkeypatch):
+def test_plans_the_drpa_accepts_execute(corpus):
     # Every operation runs, and puts each item in the zone of the
     # decision's plan: step 8 reports that zone, and each new VNFC sits in
     # the plan's PoP and zone.
-    sites = []  # (op id, item key, pop id or None, zone id), as executed
-    emit = Simulator._emit
-    allocation_phase = Simulator._allocation_phase
-
-    def emitted(sim, src, dst, arrow, text):
-        if arrow.message == "VimPlacement":
-            payload = json.loads(text)
-            sites.extend((payload["op_id"], z["key"], None, z["zone"])
-                         for z in payload["zones"])
-        emit(sim, src, dst, arrow, text)
-
-    def allocated(sim, op, plan, vnfm, em, vnf_id, vnfc_items, *args,
-                  **kwargs):
-        new_ids = allocation_phase(sim, op, plan, vnfm, em, vnf_id,
-                                   vnfc_items, *args, **kwargs)
-        info = sim.vnf_infos[vnf_id]
-        sites.extend((op.op_id, item.key, inst.pop_ref, inst.zone_ref)
-                     for item, inst in zip(vnfc_items,
-                                           map(info.instance, new_ids)))
-        return new_ids
-
-    monkeypatch.setattr(Simulator, "_emit", emitted)
-    monkeypatch.setattr(Simulator, "_allocation_phase", allocated)
     attempted = {"small-zone": 0, "random": 0}
     checked = reported = 0  # sites checked, of which step 8 reported
-    for family, seed, scenario in itertools.chain(
-            (("small-zone", seed, small_zone_scenario(seed))
-             for seed in range(150)),
-            (("random", seed, scenario_gen.random_scenario(
-                random.Random(seed))) for seed in range(200))):
-        try:
-            sim = build_sim(scenario)
-        except ScenarioValidationError:  # the initial level does not fit
-            continue
-        sites.clear()
-        result = sim.run()
-        for op in result.operations:
-            assert op.failed_step not in (6, 7, 12), (family, seed, op.error)
-        attempted[family] += len(result.operations)
-        plans = {op.op_id: decision.placement for op, decision in zip(
-            result.operations, [d for _, d in result.decisions
-                                if not isinstance(d, str)
-                                and d.action == "scale"])}
-        for op_id, key, pop_id, zone_id in sites:
-            plan = plans[op_id]
-            assert zone_id == plan.zones[key], (family, seed, op_id, key)
-            assert pop_id in (None, plan.assignments[key]), \
-                (family, seed, op_id, key)
-        checked += len(sites)
-        reported += sum(pop_id is None for _, _, pop_id, _ in sites)
+    for family in attempted:
+        for seed, record in corpus[family].items():
+            result = record.result
+            # (op id, item key, pop id or None, zone id), as executed
+            sites = [(payload["op_id"], z["key"], None, z["zone"])
+                     for _, _, _, message, text, _ in record.events
+                     if message == "VimPlacement"
+                     for payload in [json.loads(text)]
+                     for z in payload["zones"]]
+            sites += record.vnfcs
+            for op in result.operations:
+                assert op.failed_step not in (6, 7, 12), \
+                    (family, seed, op.error)
+            attempted[family] += len(result.operations)
+            plans = {op.op_id: decision.placement for op, decision in zip(
+                result.operations, [d for _, d in result.decisions
+                                    if not isinstance(d, str)
+                                    and d.action == "scale"])}
+            for op_id, key, pop_id, zone_id in sites:
+                plan = plans[op_id]
+                assert zone_id == plan.zones[key], (family, seed, op_id, key)
+                assert pop_id in (None, plan.assignments[key]), \
+                    (family, seed, op_id, key)
+            checked += len(sites)
+            reported += sum(pop_id is None for _, _, pop_id, _ in sites)
     assert attempted["small-zone"] >= 100
     assert attempted["random"] >= 100
     assert checked >= 1000
     assert reported >= 1000
 
 
-def _run_to_new_levels(monkeypatch, reservation, levels, new_vnf_ils=(),
+def _run_to_new_levels(reservation, levels, new_vnf_ils=(),
                        edit_flavor=None):
     """Run `sc.level_walk_scenario(levels, reservation, new_vnf_ils)`, which
     must reach each level in turn, after `edit_flavor`, if given, has
@@ -557,15 +514,9 @@ def _run_to_new_levels(monkeypatch, reservation, levels, new_vnf_ils=(),
     scenario = sc.level_walk_scenario(levels, reservation, new_vnf_ils)
     if edit_flavor is not None:
         edit_flavor(scenario["catalog"][-1]["flavors"][0])
-    sent = []
-    emit = Simulator._emit
-
-    def recorded(sim, src, dst, arrow, text):
-        sent.append((arrow, json.loads(text)))
-        emit(sim, src, dst, arrow, text)
-
-    monkeypatch.setattr(Simulator, "_emit", recorded)
-    result = run_dict(scenario)
+    result, events, *_ = record(scenario)
+    sent = [(Arrow(step, message), json.loads(text))
+            for _, _, step, message, text, _ in events]
     assert result.status == STATUS_COMPLETED, result.failure_reason
     assert result.final_state["ns_info"]["current_ns_il"] == levels[-1][0]
     bitrate = levels[-1][1]
@@ -581,12 +532,10 @@ def _events(result, op) -> list:
 
 
 @pytest.mark.parametrize("reservation", [True, False])
-def test_a_vl_increase_no_vnf_carries_is_the_nfvos_exchange(
-        monkeypatch, reservation):
+def test_a_vl_increase_no_vnf_carries_is_the_nfvos_exchange(reservation):
     # NS-level VLs are the NFVO's: it reserves and allocates the bitrate
     # itself when no VNF procedure carries the change.
-    result, sent = _run_to_new_levels(monkeypatch, reservation,
-                                      [("level-1v", 200)])
+    result, sent = _run_to_new_levels(reservation, [("level-1v", 200)])
     [op] = result.operations
     assert op.kind == "none"
     reserve = [(7, "NFVO-0", "VIM-0", "ReserveRequest"),
@@ -602,13 +551,12 @@ def test_a_vl_increase_no_vnf_carries_is_the_nfvos_exchange(
 
 
 @pytest.mark.parametrize("reservation", [True, False])
-def test_a_vl_decrease_no_vnf_carries_is_the_nfvos_exchange(
-        monkeypatch, reservation):
+def test_a_vl_decrease_no_vnf_carries_is_the_nfvos_exchange(reservation):
     # 100 -> 200 adds a second vlp-1 handle of 100; 200 -> 50 releases it
     # and shrinks set-up's handle, larger than the 50 left to release, in
     # place.
     result, sent = _run_to_new_levels(
-        monkeypatch, reservation, [("level-1v", 200), ("level-1d", 50)])
+        reservation, [("level-1v", 200), ("level-1d", 50)])
     [_, op] = result.operations
     assert op.kind == "none"
     assert _events(result, op) == [
@@ -628,7 +576,7 @@ def test_a_vl_decrease_no_vnf_carries_is_the_nfvos_exchange(
 
 @pytest.mark.parametrize("reservation", [True, False])
 def test_a_profile_the_target_level_leaves_out_loses_its_instances(
-        monkeypatch, reservation):
+        reservation):
     # level-1o lists no p-a, whose minimum is 0, and puts p-b at il-2,
     # which makes it cheaper than level-2. p-a has no VNF level there, so
     # its one instance is removed by a request that names none.
@@ -640,8 +588,7 @@ def test_a_profile_the_target_level_leaves_out_loses_its_instances(
             "p-b": {"vnf_il_ref": "il-2", "instance_count": 1},
             "p-c": level["vnf_entries"]["p-c"]}
 
-    result, sent = _run_to_new_levels(monkeypatch, reservation,
-                                      [("level-1o", 200)],
+    result, sent = _run_to_new_levels(reservation, [("level-1o", 200)],
                                       edit_flavor=leave_out_p_a)
     [op] = result.operations
     requests = [p for a, p in sent if a.message == "ScaleVnfToLevelRequest"]
@@ -654,10 +601,9 @@ def test_a_profile_the_target_level_leaves_out_loses_its_instances(
 
 
 @pytest.mark.parametrize("reservation", [True, False])
-def test_a_vnf_level_change_without_vnfc_changes_is_one_update(
-        monkeypatch, reservation):
+def test_a_vnf_level_change_without_vnfc_changes_is_one_update(reservation):
     result, sent = _run_to_new_levels(
-        monkeypatch, reservation, [("level-1b", 200)],
+        reservation, [("level-1b", 200)],
         new_vnf_ils=[("p-b", "il-1b", {"vdu-1": 1, "vdu-3": 1})])
     [op] = result.operations
     assert op.kind == "vnf-scaling"
@@ -682,10 +628,9 @@ def test_a_vnf_level_change_without_vnfc_changes_is_one_update(
 
 
 @pytest.mark.parametrize("reservation", [True, False])
-def test_a_vnfc_without_storage_is_allocated_compute_only(monkeypatch,
-                                                          reservation):
+def test_a_vnfc_without_storage_is_allocated_compute_only(reservation):
     result, sent = _run_to_new_levels(
-        monkeypatch, reservation, [("level-1a", 200)],
+        reservation, [("level-1a", 200)],
         new_vnf_ils=[("p-a", "il-2", {"vdu-1": 2})])
     [op] = result.operations
     assert op.kind == "vnf-scaling"

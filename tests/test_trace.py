@@ -2,7 +2,6 @@ import ast
 import gc
 import hashlib
 import json
-import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,17 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import nsscale.simulator
 import nsscale.trace
-import sample_catalog as sc
-import scenario_gen
-from nsscale.scenario import ScenarioValidationError, scenario_from_dict
+from corpus import import_bench
+from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Arrow, Simulator
 from nsscale.capacity import CapacityVector
 from nsscale.trace import (
     EventRecord, Trace, canonical_json, capacity_text, object_form,
     payload_digest, string_text, strings_text, trace_chunks, trace_lines)
-from test_bench import import_bench
-from test_rollback import VL_WALK, fail_kth_zone_write, zone_writes
-from test_sample_digests import sample_digests, sample_scenarios
 
 
 def reference_json(obj) -> str:
@@ -137,7 +132,7 @@ def object_keys(value, found: set):
             object_keys(item, found)
 
 
-def test_every_form_of_the_step_table_is_reached(monkeypatch):
+def test_every_form_of_the_step_table_is_reached(corpus):
     """Every payload form of the step table, nested ones too, is the shape
     of some recorded payload, over the 24 samples, a sweep of zone-write
     faults, the walk of a VL alone and random scenarios; among them the
@@ -145,31 +140,13 @@ def test_every_form_of_the_step_table_is_reached(monkeypatch):
     forms = {name: form_keys(value)
              for name, value in vars(nsscale.simulator).items()
              if name.endswith("_FORM")}
-    emit = Simulator._emit
+    records = [*corpus["sample"].values(), *corpus["sweep"].values(),
+               *(record for seed, record in corpus["random"].items()
+                 if seed < 60)]
     reached = set()
-
-    def recorded(sim, src, dst, arrow, text):
+    for text in {text for record in records
+                 for *_, text, _ in record.events}:
         object_keys(json.loads(text), reached)
-        emit(sim, src, dst, arrow, text)
-
-    monkeypatch.setattr(Simulator, "_emit", recorded)
-    for scenario in sample_scenarios().values():
-        Simulator(scenario_from_dict(scenario)).run()
-    for scenario in (sample_scenarios()["level-2/jump/reserve"],
-                     sc.level_walk_scenario(VL_WALK, True),
-                     sc.level_walk_scenario(VL_WALK, False)):
-        for k in range(1, zone_writes(scenario) + 1):
-            with pytest.MonkeyPatch.context() as mp:
-                sim = Simulator(scenario_from_dict(scenario))
-                fail_kth_zone_write(mp, k)
-                sim.run()
-    for seed in range(60):
-        try:
-            sim = Simulator(scenario_from_dict(
-                scenario_gen.random_scenario(random.Random(seed))))
-        except ScenarioValidationError:  # the initial level does not fit
-            continue
-        sim.run()
     assert {"RESERVE_ERROR_FORM", "DECISION_ERROR_FORM", "FAILED_FORM",
             "RESERVE_ITEM_FORM", "PLACEMENT_ZONE_FORM"} < set(forms)
     assert {name for name, keys in forms.items() if keys not in reached} \
@@ -186,35 +163,20 @@ def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
         '{"a":null,"b":[0.5,NaN]}'
 
 
-def test_every_sent_payload_is_canonical(monkeypatch):
-    """Every payload reaches `payload_digest` as text: the canonical JSON
-    of what it parses to, since a workflow payload is formatted from its
-    shape's form and a notification is built as text. Its digest is that
-    of the text. Covers the sample scenarios with their fault sweeps, random
-    scenarios, and free-form indicator values, integral or nested. The
-    digest is computed once per payload, as the simulator computes it."""
-    digest = nsscale.simulator.payload_digest
-    sent = []
-    bad = []
-
-    def checking(text):
-        sent.append(1)
-        value = digest(text)
-        if canonical_json(json.loads(text)) != text \
-                or value.hex() != sha16(text):
-            bad.append(text)
-        return value
-
-    monkeypatch.setattr(nsscale.simulator, "payload_digest", checking)
-    sample_digests()
-    for seed in range(200):
-        Simulator(scenario_from_dict(
-            scenario_gen.random_scenario(random.Random(seed)))).run()
-    scenario = sc.sample_scenario(workload=sc.jump_workload())
-    scenario["workload"]["indicators"] = [
-        [11, "vnfd-b", "congestion", 2.0],
-        [12, "vnfd-b", "congestion", {"level": [1.0, 0.5], "note": "x"}]]
-    Simulator(scenario_from_dict(scenario)).run()
+def test_every_sent_payload_is_canonical(corpus):
+    """Every payload reaches `_emit` as text: the canonical JSON of what it
+    parses to, since a workflow payload is formatted from its shape's form
+    and a notification is built as text. Its digest is that of the text.
+    Covers the sample scenarios with their fault sweeps, random scenarios,
+    and free-form indicator values, integral or nested. A text sent twice
+    is checked once."""
+    records = [record for family in ("sample", "sample-fault", "random",
+                                     "indicator")
+               for record in corpus[family].values()]
+    sent = [text for record in records for *_, text, _ in record.events]
+    bad = [text for text in set(sent)
+           if canonical_json(json.loads(text)) != text
+           or payload_digest(text).hex() != sha16(text)]
     assert len(sent) > 100_000
     assert bad == []
 
@@ -259,72 +221,32 @@ def assert_reads_as(trace, reference: list):
     assert trace_lines(trace) == "".join(map(reference_line, reference))
 
 
-def check_traces(monkeypatch) -> list:
-    """From now on, keep beside each simulator's trace a plain list of the
-    `EventRecord(len + 1, clock, ...)` its events make, and the bounds of
-    each operation's events in it. As a run ends, its trace must read as
-    that list, and each operation's step log as the `(step, tick)` of its
-    events that carry a step. Returns the event count of each run
-    checked."""
-    checked = []
-    emit, execute, run = (Simulator._emit, Simulator._execute_decision,
-                          Simulator.run)
-
-    def emitting(sim, src, dst, arrow, text):
-        emit(sim, src, dst, arrow, text)
-        reference = sim.__dict__.setdefault("reference", [])
-        reference.append(EventRecord(len(reference) + 1, sim._clock,
-                                     arrow.step, src, dst, arrow.message,
-                                     sha16(text)))
-
-    def executing(sim, decision):
-        begun = len(sim.__dict__.setdefault("reference", []))
-        execute(sim, decision)
-        sim.__dict__.setdefault("spans", []).append(
-            (begun, len(sim.reference)))
-
-    def running(sim, *args):
-        result = run(sim, *args)
-        reference = sim.__dict__.get("reference", [])
-        assert_reads_as(result.trace, reference)
-        assert [op.step_log for op in result.operations] == [
-            [(event.step, event.tick) for event in reference[begun:end]
-             if event.step is not None]
-            for begun, end in sim.__dict__.get("spans", [])]
-        checked.append(len(reference))
-        return result
-
-    monkeypatch.setattr(Simulator, "_emit", emitting)
-    monkeypatch.setattr(Simulator, "_execute_decision", executing)
-    monkeypatch.setattr(Simulator, "run", running)
-    return checked
-
-
-def test_the_trace_reads_as_the_list_of_its_records(monkeypatch):
+def test_the_trace_reads_as_the_list_of_its_records(corpus):
     """The trace's columns read back, by index, slice, iteration and as
     text, as the list of records the simulator once kept, and each step
     log as the comprehension over it. Covers the 24 sample scenarios, one
     sweep of zone-write faults, random scenarios and a trace longer than
     one batch of `trace_lines`."""
-    checked = check_traces(monkeypatch)
-    for scenario in sample_scenarios().values():
-        Simulator(scenario_from_dict(scenario)).run()
-    scenario = sample_scenarios()["level-2/jump/reserve"]
-    for k in range(1, zone_writes(scenario) + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            sim = Simulator(scenario_from_dict(scenario))
-            fail_kth_zone_write(mp, k)
-            assert sim.run().operations[0].failed_step is not None
-    for seed in range(60):
-        try:
-            sim = Simulator(scenario_from_dict(
-                scenario_gen.random_scenario(random.Random(seed))))
-        except ScenarioValidationError:  # the initial level does not fit
-            continue
-        sim.run()
-    workloads = import_bench("workloads")
-    Simulator(scenario_from_dict(workloads.GENERATORS["scale-churn"](0, 3))
-              ).run()
+    sweep = {k: record for (name, k), record in corpus["sweep"].items()
+             if name == "level-2/jump/reserve"}
+    assert all(record.result.operations[0].failed_step is not None
+               for k, record in sweep.items() if k)
+    checked = []
+    for record in (*corpus["sample"].values(), *sweep.values(),
+                   *(record for seed, record in corpus["random"].items()
+                     if seed < 60),
+                   corpus["churn"]["scale-churn"]):
+        reference = [EventRecord(i, clock, step, src, dst, message,
+                                 sha16(text))
+                     for i, (src, dst, step, message, text, clock)
+                     in enumerate(record.events, 1)]
+        result = record.result
+        assert_reads_as(result.trace, reference)
+        assert [op.step_log for op in result.operations] == [
+            [(event.step, event.tick) for event in reference[begun:end]
+             if event.step is not None]
+            for begun, end in record.spans]
+        checked.append(len(reference))
     assert len(checked) > 24 + 60 // 2
     assert checked[-1] > nsscale.trace.LINES_PER_JOIN
     assert min(checked) > 0
