@@ -72,13 +72,6 @@ class CapacityVector(NamedTuple):
     def as_dict(self) -> dict:
         return dict(zip(DIMENSIONS, map(_num, self)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CapacityVector":
-        unknown = set(data) - set(DIMENSIONS)
-        if unknown:
-            raise ValueError("unknown capacity dimensions: %s" % sorted(unknown))
-        return cls(**{d: data.get(d, 0) for d in DIMENSIONS})
-
 
 def _num(value: float):
     """Collapse integral floats to int so serialized output is stable."""

@@ -2,11 +2,13 @@
 
 Exit status contract (stable, for CI use):
   0  success
-  1  validation errors (catalog/scenario/arguments)
+  1  validation errors (catalog/scenario/arguments): any malformed
+     catalog or scenario, one line per fault
   2  IO errors (unreadable or unwritable paths, malformed JSON)
   3  run finished but a scaling operation failed
-  4  internal error (for example a broken capacity invariant); one
-     "internal error: ..." line on stderr instead of a traceback
+  4  a fault of the program, never of its input (for example a broken
+     capacity invariant); one "internal error: ..." line on stderr
+     instead of a traceback
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import sys
 
 from . import drpa as drpa_mod
-from .descriptors import CatalogError, load_catalog, validate_catalog
+from .descriptors import check_catalog, read_documents
 from .scenario import ScenarioValidationError, load_scenario, workload_records
 from .simulator import STATUS_COMPLETED, Simulator
 from .trace import canonical_json, trace_chunks
@@ -31,29 +33,15 @@ EXIT_INTERNAL = 4
 def _load_valid_catalog(paths: list):
     """Shared validate/graph front half: prints each problem and returns
     (catalog, exit_code), the catalog None unless the code is EXIT_OK."""
-    documents = []
     try:
-        for path in paths:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if isinstance(doc, list):
-                documents.extend(doc)
-            else:
-                documents.append(doc)
+        documents = read_documents(paths)
     except (OSError, json.JSONDecodeError) as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return None, EXIT_IO
-    try:
-        catalog = load_catalog(documents)
-    except CatalogError as exc:
-        print(str(exc))
-        return None, EXIT_VALIDATION
-    report = validate_catalog(catalog)
-    for line in report.sorted_lines():
+    catalog, problems = check_catalog(documents)
+    for line in problems:
         print(line)
-    if report.issues:
-        return None, EXIT_VALIDATION
-    return catalog, EXIT_OK
+    return (None, EXIT_VALIDATION) if problems else (catalog, EXIT_OK)
 
 
 def cmd_validate(args) -> int:
@@ -67,8 +55,8 @@ def _load_and_build(args):
     except (OSError, json.JSONDecodeError) as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return None, EXIT_IO
-    if args.no_reservation and type(scenario.options) is dict:
-        # options of another type are reported by the validation
+    if args.no_reservation and scenario.options is not None:
+        # options of another shape are reported by the validation
         scenario.options["reservation_enabled"] = False
     try:
         sim = Simulator(scenario)

@@ -1,13 +1,19 @@
 """Design-time information model: NSDs, VNFDs, VLDs, flavors and
-instantiation levels, plus validation and level-delta computation."""
+instantiation levels, plus validation and level-delta computation. Each
+record's class annotates its fields with their JSON shapes (`shapes`),
+from which a document is checked and built."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .capacity import CapacityVector, ZERO
 from . import rules as rules_mod
+from .shapes import (
+    INT, NUMBER, STR, List, Map, Obj, Refused, at_least, load, one_of, shaped,
+)
 
 NS_SELF = "ns"
 
@@ -25,40 +31,41 @@ CLASS_MIXED = "mixed"
 
 
 class CatalogError(ValueError):
-    pass
+    """A catalog that cannot be loaded; `problems` holds a line each."""
+
+    def __init__(self, problems: list):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 class CatalogSyntaxError(CatalogError):
-    """Malformed descriptor document. `location` identifies the offending
-    document/field."""
-
-    def __init__(self, message: str, location: str):
-        super().__init__("%s: %s" % (location, message))
-        self.location = location
+    """Documents of the wrong shape."""
 
 
 class DuplicateIdentifierError(CatalogError):
     def __init__(self, kind: str, identifier: str):
-        super().__init__("duplicate %s identifier %r" % (kind, identifier))
-        self.kind = kind
-        self.identifier = identifier
+        super().__init__(["duplicate %s identifier %r" % (kind, identifier)])
 
 
 class UnknownLevelError(KeyError):
     pass
 
 
+_REFS = List(STR)
+
+
+@shaped(noun="monitored item")
 @dataclass(frozen=True)
 class MonitoredInfoItem:
-    id: str
-    source: str
-    subject: str  # VNFD id, or NS_SELF
-    name: str
-    collection_period: int = 0  # logical ticks; 0 = no periodic report
+    id: STR
+    source: one_of(MONITORED_SOURCES, "a monitored-info source (%s)"
+                   % ", ".join(MONITORED_SOURCES))
+    subject: STR  # VNFD id, or NS_SELF
+    name: STR
+    collection_period: INT = 0  # logical ticks; 0 = no periodic report
 
 
-@dataclass(frozen=True)
-class AutoScalingRule:
+class AutoScalingRule(NamedTuple):
     id: str
     text: str
     ast: rules_mod.RuleAst
@@ -66,60 +73,79 @@ class AutoScalingRule:
     direction_hint: str
 
 
-@dataclass(frozen=True)
-class Vcd:
-    id: str
-    vcpu: int
-    memory: float
+def _rule(rule_id: str, text: str, hint, cooldown) -> AutoScalingRule:
+    """A rule's text is parsed; its hint defaults from its action, and its
+    cooldown from its text."""
+    try:
+        ast = rules_mod.parse_rule(text)
+    except rules_mod.RuleSyntaxError as exc:
+        raise Refused(str(exc))
+    return AutoScalingRule(rule_id, text, ast,
+                           ast.cooldown if cooldown is None else cooldown,
+                           hint or ast.action.replace("_", "-"))
 
 
-@dataclass(frozen=True)
-class Vsd:
-    id: str
-    storage: float
+_RULE = Obj(("id", STR), ("text", STR),
+            ("direction_hint", one_of(DIRECTION_HINTS, "a direction hint (%s)"
+                                      % ", ".join(DIRECTION_HINTS)), None),
+            ("cooldown", at_least(0, "an int >= 0", INT.test), None),
+            build=_rule, noun="rule", bare=True)
 
 
-@dataclass(frozen=True)
-class Vdu:
-    id: str
-    vnfc_name: str
-    vcd_ref: str
-    vsd_refs: tuple = ()
+@shaped(noun="VCD")
+class Vcd(NamedTuple):
+    id: STR
+    vcpu: NUMBER
+    memory: NUMBER
 
 
-@dataclass(frozen=True)
-class VlFlavor:
-    id: str
-    latency: float
-    jitter: float
-    reliability_class: int
+@shaped(noun="VSD")
+class Vsd(NamedTuple):
+    id: STR
+    storage: NUMBER
 
 
-@dataclass(frozen=True)
-class Vld:
-    id: str
-    flavors: tuple
+@shaped(noun="VDU")
+class Vdu(NamedTuple):
+    id: STR
+    vnfc_name: STR
+    vcd_ref: STR
+    vsd_refs: _REFS = ()
 
 
-@dataclass(frozen=True)
-class VnffgDescriptor:
-    id: str
-    vnfd_refs: tuple
-    vld_refs: tuple
-    plane_label: str = ""
+@shaped(noun="VL flavor")
+class VlFlavor(NamedTuple):
+    id: STR
+    latency: NUMBER
+    jitter: NUMBER
+    reliability_class: INT
 
 
-@dataclass(frozen=True)
-class VnfInstantiationLevel:
-    id: str
-    counts: dict  # vdu id -> VNFC instance count
+@shaped(noun="VLD")
+class Vld(NamedTuple):
+    id: STR
+    flavors: List(VlFlavor.shape) = ()
 
 
-@dataclass(frozen=True)
-class VnfDeploymentFlavor:
-    id: str
-    vdu_refs: tuple
-    ils: tuple
+@shaped()
+class VnffgDescriptor(NamedTuple):
+    id: STR
+    vnfd_refs: _REFS = ()
+    vld_refs: _REFS = ()
+    plane_label: STR = ""
+
+
+@shaped(noun="VNF-IL", bare=True)
+class VnfInstantiationLevel(NamedTuple):
+    id: STR
+    counts: Map(INT)  # vdu id -> VNFC instance count
+
+
+@shaped(label="")
+class VnfDeploymentFlavor(NamedTuple):
+    id: STR
+    vdu_refs: _REFS = ()
+    ils: List(VnfInstantiationLevel.shape) = ()
 
     def il(self, il_id: str) -> VnfInstantiationLevel:
         for il in self.ils:
@@ -128,15 +154,15 @@ class VnfDeploymentFlavor:
         raise UnknownLevelError(il_id)
 
 
-@dataclass(frozen=True)
-class Vnfd:
-    id: str
-    vdus: tuple
-    vcds: tuple
-    vsds: tuple
-    internal_vlds: tuple = ()
-    vnf_indicators: tuple = ()
-    flavors: tuple = ()
+@shaped()
+class Vnfd(NamedTuple):
+    id: STR
+    vdus: List(Vdu.shape) = ()
+    vcds: List(Vcd.shape) = ()
+    vsds: List(Vsd.shape) = ()
+    internal_vlds: List(Vld.shape) = ()
+    vnf_indicators: _REFS = ()
+    flavors: List(VnfDeploymentFlavor.shape) = ()
 
     def vdu(self, vdu_id: str) -> Vdu:
         for vdu in self.vdus:
@@ -163,36 +189,39 @@ class Vnfd:
         raise KeyError(flavor_id)
 
 
-@dataclass(frozen=True)
-class VnfProfile:
-    id: str
-    vnfd_ref: str
-    vnf_flavor_ref: str
-    allowed_il_refs: tuple
-    min_instances: int
-    max_instances: int
+@shaped(noun="VNF profile")
+class VnfProfile(NamedTuple):
+    id: STR
+    vnfd_ref: STR
+    vnf_flavor_ref: STR
+    allowed_il_refs: _REFS = ()
+    min_instances: INT = 0
+    max_instances: INT = 1
 
 
-@dataclass(frozen=True)
-class VlProfile:
-    id: str
-    vld_ref: str
-    vl_flavor_ref: str
+@shaped(noun="VL profile")
+class VlProfile(NamedTuple):
+    id: STR
+    vld_ref: STR
+    vl_flavor_ref: STR
 
 
-@dataclass(frozen=True)
-class NsInstantiationLevel:
-    id: str
-    vnf_entries: dict  # profile id -> (vnf_il_ref, instance_count)
-    vl_entries: dict  # vl profile id -> bitrate Mbit/s
+@shaped(noun="NS-IL", bare=True)
+class NsInstantiationLevel(NamedTuple):
+    id: STR
+    # profile id -> (vnf_il_ref, instance_count)
+    vnf_entries: Map(Obj(("vnf_il_ref", STR), ("instance_count", INT),
+                         build=lambda il_ref, count: (il_ref, count)),
+                     entry="entry")
+    vl_entries: Map(NUMBER) = {}  # vl profile id -> bitrate Mbit/s
 
 
-@dataclass(frozen=True)
-class NsDeploymentFlavor:
-    id: str
-    vnf_profiles: tuple
-    vl_profiles: tuple
-    ns_ils: tuple
+@shaped(label="")
+class NsDeploymentFlavor(NamedTuple):
+    id: STR
+    vnf_profiles: List(VnfProfile.shape) = ()
+    vl_profiles: List(VlProfile.shape) = ()
+    ns_ils: List(NsInstantiationLevel.shape) = ()
 
     def ns_il(self, ns_il_id: str) -> NsInstantiationLevel:
         for il in self.ns_ils:
@@ -207,16 +236,16 @@ class NsDeploymentFlavor:
         raise KeyError(profile_id)
 
 
-@dataclass(frozen=True)
-class Nsd:
-    id: str
-    version: str
-    vnfd_refs: tuple
-    vld_refs: tuple
-    vnffgd_refs: tuple
-    monitored_info: tuple
-    auto_scaling_rules: tuple
-    flavors: tuple
+@shaped()
+class Nsd(NamedTuple):
+    id: STR
+    version: STR = "1.0"
+    vnfd_refs: _REFS = ()
+    vld_refs: _REFS = ()
+    vnffgd_refs: _REFS = ()
+    monitored_info: List(MonitoredInfoItem.shape) = ()
+    auto_scaling_rules: List(_RULE) = ()
+    flavors: List(NsDeploymentFlavor.shape) = ()
 
     def flavor(self, flavor_id: str) -> NsDeploymentFlavor:
         for flavor in self.flavors:
@@ -234,193 +263,52 @@ class Catalog:
 
 
 # ---------------------------------------------------------------------------
-# Loading
+# Loading: each document's shape is its class's
 
-def _req(doc: dict, key: str, location: str):
-    if key not in doc:
-        raise CatalogSyntaxError("missing field %r" % key, location)
-    return doc[key]
-
-
-def _req_str(doc: dict, key: str, location: str, owner: str) -> str:
-    """`doc[key]`, which must be a str: a workflow payload writes it as a
-    JSON string, or the rule parser reads it. `owner` names `doc` in the
-    error."""
-    value = _req(doc, key, location)
-    if type(value) is not str:
-        raise CatalogSyntaxError("%s %s %r is not a string"
-                                 % (owner, key, value), location)
-    return value
-
-
-def _load_vcd(doc: dict, location: str) -> Vcd:
-    return Vcd(_req(doc, "id", location), _req(doc, "vcpu", location),
-               _req(doc, "memory", location))
-
-
-def _load_vsd(doc: dict, location: str) -> Vsd:
-    return Vsd(_req(doc, "id", location), _req(doc, "storage", location))
-
-
-def _load_vdu(doc: dict, location: str) -> Vdu:
-    return Vdu(
-        _req(doc, "id", location),
-        _req(doc, "vnfc_name", location),
-        _req(doc, "vcd_ref", location),
-        tuple(doc.get("vsd_refs", ())),
-    )
-
-
-def _load_vl_flavor(doc: dict, location: str) -> VlFlavor:
-    return VlFlavor(
-        _req(doc, "id", location),
-        _req(doc, "latency", location),
-        _req(doc, "jitter", location),
-        _req(doc, "reliability_class", location),
-    )
-
-
-def _load_vld(doc: dict, location: str) -> Vld:
-    return Vld(
-        _req(doc, "id", location),
-        tuple(_load_vl_flavor(f, location) for f in doc.get("flavors", ())),
-    )
-
-
-def _load_vnf_flavor(doc: dict, location: str) -> VnfDeploymentFlavor:
-    ils = []
-    for il in doc.get("ils", ()):
-        counts = _req(il, "counts", location)
-        if not isinstance(counts, dict):
-            raise CatalogSyntaxError("il counts must be an object", location)
-        ils.append(VnfInstantiationLevel(_req(il, "id", location), dict(counts)))
-    return VnfDeploymentFlavor(
-        _req(doc, "id", location), tuple(doc.get("vdu_refs", ())), tuple(ils))
-
-
-def _load_vnfd(doc: dict, location: str) -> Vnfd:
-    return Vnfd(
-        id=_req(doc, "id", location),
-        vdus=tuple(_load_vdu(v, location) for v in doc.get("vdus", ())),
-        vcds=tuple(_load_vcd(v, location) for v in doc.get("vcds", ())),
-        vsds=tuple(_load_vsd(v, location) for v in doc.get("vsds", ())),
-        internal_vlds=tuple(_load_vld(v, location) for v in doc.get("internal_vlds", ())),
-        vnf_indicators=tuple(doc.get("vnf_indicators", ())),
-        flavors=tuple(_load_vnf_flavor(f, location) for f in doc.get("flavors", ())),
-    )
-
-
-def _load_monitored_item(doc: dict, location: str) -> MonitoredInfoItem:
-    source = _req(doc, "source", location)
-    if source not in MONITORED_SOURCES:
-        raise CatalogSyntaxError("unknown monitored-info source %r" % source, location)
-    return MonitoredInfoItem(
-        id=_req(doc, "id", location),
-        source=source,
-        subject=_req(doc, "subject", location),
-        name=_req(doc, "name", location),
-        collection_period=doc.get("collection_period", 0),
-    )
-
-
-def _load_rule(doc: dict, location: str) -> AutoScalingRule:
-    text = _req_str(doc, "text", location, "rule %r" % (doc.get("id"),))
-    try:
-        ast = rules_mod.parse_rule(text)
-    except rules_mod.RuleSyntaxError as exc:
-        raise CatalogSyntaxError("rule %r: %s" % (doc.get("id"), exc), location)
-    hint = doc.get("direction_hint") or ast.action.replace("_", "-")
-    if hint not in DIRECTION_HINTS:
-        raise CatalogSyntaxError("unknown direction hint %r" % hint, location)
-    cooldown = doc.get("cooldown", ast.cooldown)
-    if cooldown < 0:
-        raise CatalogSyntaxError("cooldown must be >= 0", location)
-    return AutoScalingRule(_req(doc, "id", location), text, ast, cooldown, hint)
-
-
-def _load_ns_flavor(doc: dict, location: str) -> NsDeploymentFlavor:
-    profiles = []
-    for p in doc.get("vnf_profiles", ()):
-        profiles.append(VnfProfile(
-            id=_req(p, "id", location),
-            vnfd_ref=_req(p, "vnfd_ref", location),
-            vnf_flavor_ref=_req(p, "vnf_flavor_ref", location),
-            allowed_il_refs=tuple(p.get("allowed_il_refs", ())),
-            min_instances=p.get("min_instances", 0),
-            max_instances=p.get("max_instances", 1),
-        ))
-    vl_profiles = [
-        VlProfile(_req(p, "id", location), _req(p, "vld_ref", location),
-                  _req(p, "vl_flavor_ref", location))
-        for p in doc.get("vl_profiles", ())
-    ]
-    ns_ils = []
-    for il in doc.get("ns_ils", ()):
-        il_id = _req_str(il, "id", location, "NS-IL")
-        entries = {}
-        for pid, entry in _req(il, "vnf_entries", location).items():
-            entries[pid] = (
-                _req_str(entry, "vnf_il_ref", location,
-                         "NS-IL %r entry %r" % (il_id, pid)),
-                _req(entry, "instance_count", location))
-        ns_ils.append(NsInstantiationLevel(
-            il_id, entries, dict(il.get("vl_entries", {}))))
-    return NsDeploymentFlavor(
-        _req(doc, "id", location), tuple(profiles), tuple(vl_profiles), tuple(ns_ils))
-
-
-def _load_nsd(doc: dict, location: str) -> Nsd:
-    return Nsd(
-        id=_req(doc, "id", location),
-        version=doc.get("version", "1.0"),
-        vnfd_refs=tuple(doc.get("vnfd_refs", ())),
-        vld_refs=tuple(doc.get("vld_refs", ())),
-        vnffgd_refs=tuple(doc.get("vnffgd_refs", ())),
-        monitored_info=tuple(_load_monitored_item(m, location)
-                             for m in doc.get("monitored_info", ())),
-        auto_scaling_rules=tuple(_load_rule(r, location)
-                                 for r in doc.get("auto_scaling_rules", ())),
-        flavors=tuple(_load_ns_flavor(f, location) for f in doc.get("flavors", ())),
-    )
+# Each kind of document, and its shape.
+_DOCUMENTS = {"nsd": Nsd.shape, "vnfd": Vnfd.shape, "vld": Vld.shape,
+              "vnffgd": VnffgDescriptor.shape}
+_KIND = one_of(tuple(_DOCUMENTS), "a descriptor kind (%s)"
+               % ", ".join(_DOCUMENTS))
 
 
 def load_catalog(documents: list) -> Catalog:
     """Build a Catalog from descriptor documents (parsed JSON objects).
 
-    Raises CatalogSyntaxError on malformed documents and
-    DuplicateIdentifierError when two documents of the same kind share an id.
-    Cross-reference and structural checks are left to validate_catalog so
-    partial catalogs can still be linted.
+    Raises CatalogSyntaxError with a line per fault when a document does
+    not have its kind's shape, and else DuplicateIdentifierError when two
+    documents of the same kind share an id. Cross-reference and
+    structural checks are left to validate_catalog so partial catalogs can
+    still be linted.
     """
     catalog = Catalog()
+    stores = {"nsd": catalog.nsds, "vnfd": catalog.vnfds,
+              "vld": catalog.vlds, "vnffgd": catalog.vnffgds}
+    problems = []
+    duplicate = None
     for index, doc in enumerate(documents):
-        location = "document[%d]" % index
-        if not isinstance(doc, dict):
-            raise CatalogSyntaxError("descriptor document must be an object", location)
+        if type(doc) is not dict:
+            problems.append("document[%d] is not an object: %r"
+                            % (index, doc))
+            continue
         kind = doc.get("kind")
-        if kind not in ("nsd", "vnfd", "vld", "vnffgd"):
-            raise CatalogSyntaxError("unknown descriptor kind %r" % kind, location)
-        location = "%s[%d]" % (kind, index)
-        if kind == "nsd":
-            item = _load_nsd(doc, location)
-            store = catalog.nsds
-        elif kind == "vnfd":
-            item = _load_vnfd(doc, location)
-            store = catalog.vnfds
-        elif kind == "vld":
-            item = _load_vld(doc, location)
-            store = catalog.vlds
-        else:
-            item = VnffgDescriptor(
-                id=_req(doc, "id", location),
-                vnfd_refs=tuple(doc.get("vnfd_refs", ())),
-                vld_refs=tuple(doc.get("vld_refs", ())),
-                plane_label=doc.get("plane_label", ""),
-            )
-            store = catalog.vnffgds
-        if item.id in store:
-            raise DuplicateIdentifierError(kind, item.id)
+        if not _KIND.test(kind):
+            problems.append("document[%d] kind %r is not %s"
+                            % (index, kind, _KIND.kind))
+            continue
+        item, faults = load(_DOCUMENTS[kind], doc,
+                            "%s[%d]:" % (kind, index))
+        problems += faults
+        if faults:
+            continue
+        store = stores[kind]
+        if item.id in store and duplicate is None:
+            duplicate = DuplicateIdentifierError(kind, item.id)
         store[item.id] = item
+    if problems:
+        raise CatalogSyntaxError(problems)
+    if duplicate is not None:
+        raise duplicate
     return catalog
 
 
@@ -446,6 +334,26 @@ class ValidationReport:
 
     def sorted_lines(self) -> list:
         return sorted(issue.line() for issue in self.issues)
+
+
+def check_catalog(documents: list) -> tuple:
+    """`(catalog, problems)`: the catalog of `documents`, None when it
+    cannot be loaded, and a line per load fault or validation issue."""
+    try:
+        catalog = load_catalog(documents)
+    except CatalogError as exc:
+        return None, exc.problems
+    return catalog, validate_catalog(catalog).sorted_lines()
+
+
+def read_documents(paths: list) -> list:
+    """The documents of JSON files that hold one or a list of them."""
+    documents = []
+    for path in paths:
+        with open(path) as fh:
+            doc = json.load(fh)
+        documents += doc if isinstance(doc, list) else [doc]
+    return documents
 
 
 def validate_catalog(catalog: Catalog) -> ValidationReport:
@@ -570,8 +478,6 @@ def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
     monitored_names = {name for _, name in monitored}
     for rule in nsd.auto_scaling_rules:
         rpath = "%s/auto_scaling_rules/%s" % (path, rule.id)
-        if rule.cooldown < 0:
-            report.add("range", rpath, "cooldown must be >= 0")
         for ref in rule.ast.metric_refs:
             # as MetricStore.resolve reads it: "subject.name" names one
             # monitored item, a bare name any item of that name

@@ -9,10 +9,14 @@ import os
 from dataclasses import dataclass, field
 
 from .capacity import DIMENSIONS, CapacityVector
-from .descriptors import (Catalog, CatalogError, load_catalog, validate_catalog)
+from .descriptors import Catalog, check_catalog, read_documents
 from .drpa import DEFAULT_TARGET_UTILIZATION, CostModel
 from .inventory import NfviPop, ResourceZone
 from .monitoring import ThresholdSpec
+from .shapes import (
+    ANY, BOOL, LIST, NUMBER, STR, List, Map, Obj, Scalar, at_least, finite,
+    load, one_of,
+)
 
 
 class ScenarioValidationError(ValueError):
@@ -21,59 +25,104 @@ class ScenarioValidationError(ValueError):
         self.problems = problems
 
 
+# Every scenario section's shape. Each section is labelled by its name;
+# the catalog's documents have the shapes of `descriptors`, and the
+# workload's records are checked by `workload_records`.
+_ZONE = Obj(("id", STR),
+            ("total", Obj(*((name, NUMBER, 0) for name in DIMENSIONS),
+                          build=CapacityVector, closed="a dimension")))
+SCENARIO = Obj(
+    ("catalog", LIST, ()),
+    ("catalog_refs", List(STR), []),
+    ("topology", Obj(
+        ("vims", List(Obj(("id", STR)), unique="id"), []),
+        # a VIM id, or the PoP's reference is reported as unknown
+        ("pops", List(Obj(("id", STR), ("vim_ref", ANY),
+                          ("zones", List(_ZONE, unique="id"), []),
+                          noun="PoP"), unique="id"), []),
+        label="topology:")),
+    ("initial_instance", Obj(("nsd_ref", STR), ("flavor_ref", STR),
+                             ("ns_il_ref", STR), label="initial_instance:")),
+    ("workload", Obj(("metrics", LIST, ()), ("indicators", LIST, ()),
+                     label="workload:"), {}),
+    ("rules", Obj(
+        ("thresholds", List(Obj(
+            ("id", STR), ("subject", STR), ("metric", STR),
+            ("bound", NUMBER),
+            ("direction", one_of(("above", "below"), "'above' or 'below'")),
+            build=ThresholdSpec), unique="id"), []),
+        ("metric_dimensions", Map(one_of(DIMENSIONS, "a dimension (%s)"
+                                         % ", ".join(DIMENSIONS)),
+                                  says="maps to %(value)r, not %(kind)s"), {}),
+        # items sharing an anti-affinity label take distinct PoPs
+        ("placement_constraints", Obj(
+            ("anti_affinity", Map(STR, says="label %(value)r is not "
+                                  "%(kind)s"), {}),
+            closed="a constraint"), {}),
+        label="rules:"), {}),
+    ("options", Obj(
+        ("target_utilization", Scalar(
+            "a number in (0, 1]", lambda v: finite(v) and 0 < v <= 1),
+         DEFAULT_TARGET_UTILIZATION),
+        ("reservation_enabled", BOOL, True),
+        # a weight per dimension, named with or without `w_`
+        ("cost_weights", Map(at_least(0, "a finite number >= 0"),
+                             DIMENSIONS + tuple("w_" + d for d in DIMENSIONS),
+                             "a dimension",
+                             says="weight %(value)r is not %(kind)s"), {}),
+        label="options:"), {}),
+)
+
+
 @dataclass
 class Scenario:
-    documents: list
-    topology: dict
-    initial_instance: dict
-    workload: dict = field(default_factory=dict)
-    rules: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+    """A scenario's sections as their shapes build them. `faults` lists
+    the shapes' faults, one line each, and a section with a fault of its
+    own is None, as are the documents when their list or a ref is."""
+
+    documents: list | None
+    topology: dict | None
+    initial_instance: dict | None
+    workload: dict | None
+    rules: dict | None
+    options: dict | None
+    faults: list = field(default_factory=list)
 
     @property
     def reservation_enabled(self) -> bool:
-        return bool(self.options.get("reservation_enabled", True))
+        return self.options["reservation_enabled"]
 
     @property
     def target_utilization(self) -> float:
-        return float(self.options.get("target_utilization",
-                                      DEFAULT_TARGET_UTILIZATION))
+        return float(self.options["target_utilization"])
 
     def cost_model(self) -> CostModel:
-        return CostModel.from_dict(self.options.get("cost_weights", {}))
+        return CostModel.from_dict(self.options["cost_weights"])
 
     def thresholds(self) -> tuple:
-        specs = []
-        for t in self.rules.get("thresholds", ()):
-            specs.append(ThresholdSpec(t["id"], t["subject"], t["metric"],
-                                       t["bound"], t["direction"]))
-        return tuple(specs)
+        return self.rules["thresholds"]
 
     def dimension_map(self) -> dict:
-        return dict(self.rules.get("metric_dimensions", {}))
+        return self.rules["metric_dimensions"]
 
     def placement_constraints(self) -> dict:
-        return dict(self.rules.get("placement_constraints", {}))
+        return self.rules["placement_constraints"]
 
 
 def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
-    documents = list(data.get("catalog", ()))
-    for ref in data.get("catalog_refs", ()):
-        path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, list):
-            documents.extend(doc)
-        else:
-            documents.append(doc)
-    return Scenario(
-        documents=documents,
-        topology=data.get("topology", {}),
-        initial_instance=data.get("initial_instance", {}),
-        workload=data.get("workload", {}),
-        rules=data.get("rules", {}),
-        options=data.get("options", {}),
-    )
+    """The scenario of `data`; its catalog references, files holding a
+    document or a list of them, are read when they are a list of str."""
+    built, faults = load(SCENARIO, data, "scenario:")
+    if built is None:  # `data` is not an object
+        return Scenario(None, None, None, None, None, None, faults)
+    refs = built["catalog_refs"]
+    documents = None  # when the catalog or a ref is faulty, no file is read
+    if built["catalog"] is not None and refs is not None and None not in refs:
+        documents = list(built["catalog"]) + read_documents(
+            [os.path.join(base_dir, ref) for ref in refs])
+    return Scenario(documents, built["topology"], built["initial_instance"],
+                    built["workload"], built["rules"], built["options"],
+                    faults)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -84,214 +133,78 @@ def load_scenario(path: str) -> Scenario:
 
 def build_topology(topology: dict) -> tuple:
     """Returns (vim ids, list of NfviPop with fresh zones)."""
-    vims = [v["id"] for v in topology.get("vims", ())]
+    vims = [v["id"] for v in topology["vims"]]
     pops = []
-    for pop in topology.get("pops", ()):
-        zones = [ResourceZone(z["id"], CapacityVector.from_dict(z["total"]))
-                 for z in pop.get("zones", ())]
+    for pop in topology["pops"]:
+        zones = [ResourceZone(z["id"], z["total"]) for z in pop["zones"]]
         pops.append(NfviPop(pop["id"], pop["vim_ref"], zones))
     return vims, pops
 
 
 def validate_scenario(scenario: Scenario) -> tuple:
-    """Returns (catalog, problems). The catalog is None when it cannot even
-    be loaded."""
-    problems = []
-    try:
-        catalog = load_catalog(scenario.documents)
-    except CatalogError as exc:
-        return None, ["catalog: %s" % exc]
-    report = validate_catalog(catalog)
-    problems.extend("catalog: " + line for line in report.sorted_lines())
+    """Returns (catalog, problems): the catalog's and the sections' faults,
+    then what refers to what, where the parts are sound. The catalog is
+    None when it cannot even be loaded."""
+    catalog, problems = check_catalog(scenario.documents) \
+        if scenario.documents is not None else (None, [])
+    problems = ["catalog: " + line for line in problems] + scenario.faults
 
-    # VIM, PoP and zone ids are str: workflow payloads write them as JSON
-    # strings.
-    vim_ids = set()
-    for i, vim in enumerate(scenario.topology.get("vims", ())):
-        if type(vim["id"]) is not str:
-            problems.append("topology: vims[%d] id %r is not a string"
-                            % (i, vim["id"]))
-        elif vim["id"] in vim_ids:
-            problems.append("topology: duplicate VIM id %r" % vim["id"])
-        else:
-            vim_ids.add(vim["id"])
-    pop_ids = set()
-    pops = scenario.topology.get("pops", ())
-    for i, pop in enumerate(pops):
-        if type(pop["id"]) is not str:
-            problems.append("topology: pops[%d] id %r is not a string"
-                            % (i, pop["id"]))
-        elif pop["id"] in pop_ids:
-            problems.append("topology: duplicate PoP id %r" % pop["id"])
-        else:
-            pop_ids.add(pop["id"])
-        if pop.get("vim_ref") not in vim_ids:
-            problems.append("topology: PoP %r references unknown VIM %r"
-                            % (pop["id"], pop.get("vim_ref")))
-        zone_ids = set()
-        for j, zone in enumerate(pop.get("zones", ())):
-            if type(zone["id"]) is not str:
-                problems.append("topology: PoP %r zones[%d] id %r is not a "
-                                "string" % (pop["id"], j, zone["id"]))
-            elif zone["id"] in zone_ids:
-                problems.append("topology: duplicate zone id %r in PoP %r"
-                                % (zone["id"], pop["id"]))
-            else:
-                zone_ids.add(zone["id"])
-    if not pops:
-        problems.append("topology: at least one PoP required")
-    rules = scenario.rules
-    if type(rules) is not dict:
-        problems.append("rules: %r is not an object" % (rules,))
-        rules = {}
+    topology = scenario.topology
+    if topology is not None:
+        # a list, as a PoP's vim_ref may be any JSON value
+        vim_ids = [vim["id"] for vim in topology["vims"] if vim is not None]
+        for pop in topology["pops"]:
+            if pop is not None and pop["vim_ref"] not in vim_ids:
+                problems.append("topology: PoP %r references unknown VIM %r"
+                                % (pop["id"], pop["vim_ref"]))
+        if not topology["pops"]:
+            problems.append("topology: at least one PoP required")
     init = scenario.initial_instance
-    nsd = catalog.nsds.get(init.get("nsd_ref"))
-    problems.extend(_threshold_problems(rules.get("thresholds", ()), nsd))
-    problems.extend(_dimension_problems(rules.get("metric_dimensions", {})))
-    problems.extend(_option_problems(scenario.options))
-    problems.extend(_constraint_problems(
-        rules.get("placement_constraints", {}), catalog, nsd))
+    if catalog is None or init is None:
+        return catalog, problems
+    nsd = catalog.nsds.get(init["nsd_ref"])
+    if scenario.rules is not None and nsd is not None:
+        problems += _stream_problems(scenario.rules["thresholds"], nsd)
+        problems += _constraint_problems(
+            scenario.rules["placement_constraints"], catalog, nsd)
     if nsd is None:
-        problems.append("initial_instance: unknown NSD %r" % init.get("nsd_ref"))
+        problems.append("initial_instance: unknown NSD %r" % init["nsd_ref"])
     else:
         try:
-            flavor = nsd.flavor(init.get("flavor_ref"))
+            flavor = nsd.flavor(init["flavor_ref"])
         except KeyError:
             problems.append("initial_instance: unknown flavor %r"
-                            % init.get("flavor_ref"))
+                            % init["flavor_ref"])
         else:
-            if init.get("ns_il_ref") not in {il.id for il in flavor.ns_ils}:
+            if init["ns_il_ref"] not in {il.id for il in flavor.ns_ils}:
                 problems.append("initial_instance: unknown NS-IL %r"
-                                % init.get("ns_il_ref"))
+                                % init["ns_il_ref"])
     return catalog, problems
 
 
-def _finite_number(value) -> bool:
-    """Whether `value` is an int or a finite float, never a bool."""
-    return type(value) is int or type(value) is float and math.isfinite(value)
+def _stream_problems(thresholds: tuple, nsd) -> list:
+    """A line per threshold whose (subject, metric) is no item of `nsd`'s
+    monitored info, of any source: no other stream is ever fed."""
+    monitored = {(item.subject, item.name) for item in nsd.monitored_info}
+    return ["rules: thresholds[%d] metric %r of subject %r is not monitored "
+            "by NSD %r" % (i, t.metric, t.subject, nsd.id)
+            for i, t in enumerate(thresholds)
+            if t is not None and (t.subject, t.metric) not in monitored]
 
 
-def _threshold_problems(thresholds, nsd) -> list:
-    """One `rules: thresholds[i] ...` line per bad entry. An entry has a
-    unique str id, str subject and metric, a finite number bound and an
-    "above" or "below" direction, and its (subject, metric) is an item of
-    `nsd`'s monitored info, of any source (any pair when the NSD is
-    unknown): no other stream is ever fed."""
-    if type(thresholds) not in (list, tuple):
-        return ["rules: thresholds is not a list"]
-    problems = []
-    first = {}  # id -> index of the entry that first carries it
-    monitored = None if nsd is None else {
-        (item.subject, item.name) for item in nsd.monitored_info}
-    for i, entry in enumerate(thresholds):
-        if type(entry) is not dict:
-            problems.append("rules: thresholds[%d] is not an object: %r"
-                            % (i, entry))
-            continue
-        faults = []
-        for name, kind, ok in (
-                ("id", "a string", type(entry.get("id")) is str),
-                ("subject", "a string", type(entry.get("subject")) is str),
-                ("metric", "a string", type(entry.get("metric")) is str),
-                ("bound", "a finite number",
-                 _finite_number(entry.get("bound"))),
-                ("direction", "'above' or 'below'",
-                 entry.get("direction") in ("above", "below"))):
-            if name not in entry:
-                faults.append("%s is missing" % name)
-            elif not ok:
-                faults.append("%s %r is not %s" % (name, entry[name], kind))
-        subject, metric = entry.get("subject"), entry.get("metric")
-        if (monitored is not None and type(subject) is str
-                and type(metric) is str
-                and (subject, metric) not in monitored):
-            faults.append("metric %r of subject %r is not monitored by NSD "
-                          "%r" % (metric, subject, nsd.id))
-        tid = entry.get("id")
-        if type(tid) is str:
-            if tid in first:
-                faults.append("id %r repeats thresholds[%d]"
-                              % (tid, first[tid]))
-            else:
-                first[tid] = i
-        if faults:
-            problems.append("rules: thresholds[%d] %s"
-                            % (i, ", ".join(faults)))
-    return problems
-
-
-def _dimension_problems(dimensions) -> list:
-    """One `rules: metric_dimensions ...` line per bad entry:
-    `metric_dimensions` is an object from metric names to dimensions."""
-    if type(dimensions) is not dict:
-        return ["rules: metric_dimensions %r is not an object"
-                % (dimensions,)]
-    return ["rules: metric_dimensions %r maps to %r, not a dimension (%s)"
-            % (name, dimension, ", ".join(DIMENSIONS))
-            for name, dimension in dimensions.items()
-            if dimension not in DIMENSIONS]
-
-
-def _constraint_problems(constraints, catalog: Catalog, nsd) -> list:
-    """One `rules: placement_constraints ...` line per bad entry. The one
-    constraint, `anti_affinity`, is an object from a VNFC name or VNF
-    profile id of `nsd` (any name when the NSD is unknown) to a str
-    label."""
-    if type(constraints) is not dict:
-        return ["rules: placement_constraints %r is not an object"
-                % (constraints,)]
-    problems = ["rules: placement_constraints key %r is not a constraint"
-                % (key,) for key in constraints if key != "anti_affinity"]
-    anti = constraints.get("anti_affinity", {})
-    if type(anti) is not dict:
-        return problems + ["rules: placement_constraints anti_affinity %r "
-                           "is not an object" % (anti,)]
-    names = None
-    if nsd is not None:
-        names = {vdu.vnfc_name for ref in nsd.vnfd_refs
-                 if ref in catalog.vnfds for vdu in catalog.vnfds[ref].vdus
-                 if type(vdu.vnfc_name) is str}
-        names.update(profile.id for flavor in nsd.flavors
-                     for profile in flavor.vnf_profiles
-                     if type(profile.id) is str)
-    for name, label in anti.items():
-        if names is not None and name not in names:
-            problems.append("rules: placement_constraints anti_affinity %r "
-                            "is neither a VNFC name nor a VNF profile id of "
-                            "NSD %r" % (name, nsd.id))
-        elif type(label) is not str:
-            problems.append("rules: placement_constraints anti_affinity %r "
-                            "label %r is not a string" % (name, label))
-    return problems
-
-
-def _option_problems(options) -> list:
-    """One `options: ...` line per bad option. `target_utilization` is a
-    finite number in (0, 1], `reservation_enabled` a bool, and
-    `cost_weights` an object mapping dimensions, named with or without
-    `w_`, to finite numbers >= 0."""
-    if type(options) is not dict:
-        return ["options: %r is not an object" % (options,)]
-    problems = []
-    target = options.get("target_utilization", DEFAULT_TARGET_UTILIZATION)
-    if not (_finite_number(target) and 0 < target <= 1):
-        problems.append("options: target_utilization %r is not a number in "
-                        "(0, 1]" % (target,))
-    if type(options.get("reservation_enabled", True)) is not bool:
-        problems.append("options: reservation_enabled %r is not a bool"
-                        % (options["reservation_enabled"],))
-    weights = options.get("cost_weights", {})
-    if type(weights) is not dict:
-        return problems + ["options: cost_weights %r is not an object"
-                           % (weights,)]
-    for key, weight in weights.items():
-        if key.removeprefix("w_") not in DIMENSIONS:
-            problems.append("options: cost_weights key %r is not a dimension"
-                            % key)
-        elif not (_finite_number(weight) and weight >= 0):
-            problems.append("options: cost_weights %r weight %r is not a "
-                            "finite number >= 0" % (key, weight))
-    return problems
+def _constraint_problems(constraints: dict, catalog: Catalog, nsd) -> list:
+    """A line per anti-affinity name that is neither a VNFC name nor a VNF
+    profile id of `nsd`."""
+    anti = constraints["anti_affinity"]
+    if not anti:
+        return []
+    names = {vdu.vnfc_name for ref in nsd.vnfd_refs
+             if ref in catalog.vnfds for vdu in catalog.vnfds[ref].vdus}
+    names.update(profile.id for flavor in nsd.flavors
+                 for profile in flavor.vnf_profiles)
+    return ["rules: placement_constraints anti_affinity %r is neither a VNFC "
+            "name nor a VNF profile id of NSD %r" % (name, nsd.id)
+            for name in anti if name not in names]
 
 
 # The largest |tick| a workload record may carry: the trace holds ticks as
@@ -315,7 +228,8 @@ def workload_records(workload: dict) -> tuple:
     value is a finite int or float, never a bool; an indicator value is
     free-form, but a float must be finite: JSON has no NaN or Infinity,
     and a numeric indicator feeds the rule engine. Raises
-    ScenarioValidationError with one `workload:` problem per bad record.
+    ScenarioValidationError with one `workload:` problem per bad record;
+    that `metrics` and `indicators` are lists is the scenario's shape.
 
     The check runs here, in the one pass the run makes over the records,
     rather than in `validate_scenario`: a workload holds thousands of
@@ -329,10 +243,7 @@ def workload_records(workload: dict) -> tuple:
              "[int tick, str subject, str metric, finite number]"),
             (True, "indicators",
              "[int tick, str vnf, str indicator, value (finite if a float)]")):
-        entries = workload.get(field_name, ())
-        if type(entries) not in (list, tuple):
-            problems.append("workload: %s is not a list" % field_name)
-            continue
+        entries = workload[field_name]
         for i, rec in enumerate(entries):
             if not (type(rec) in (list, tuple) and len(rec) == 4
                     and type(rec[0]) is int and type(rec[1]) is str

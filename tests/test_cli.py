@@ -12,6 +12,7 @@ import nsscale.cli
 import nsscale.scenario
 import nsscale.simulator
 from conftest import SEVEN_AND_SEVEN, refuse_large_vnfcs, run_dict
+from nsscale.capacity import CapacityVector
 from nsscale.cli import main
 from nsscale.descriptors import load_catalog, validate_catalog
 from nsscale.inventory import (
@@ -379,6 +380,129 @@ def test_bad_ids_and_rules_exit_one(tmp_path, capsys, mutate, lines):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == lines
     assert captured.err == ""
+
+
+def _zone(scenario) -> dict:
+    return scenario["topology"]["pops"][0]["zones"][0]
+
+
+# A field of the wrong JSON type anywhere in the catalog or the scenario
+# is one located line, exit 1, before any cross-reference check.
+@pytest.mark.parametrize("mutate, lines", [
+    (lambda s: s["catalog"][1].update(vdus=5),
+     ["catalog: vnfd[1]: vdus is not a list"]),
+    (lambda s: s["catalog"][1]["vcds"][0].update(vcpu="x"),
+     ["catalog: vnfd[1]: VCD 'vcd-b1-small' vcpu 'x' is not a finite "
+      "number"]),
+    (lambda s: _nsd(s)["flavors"][0]["ns_ils"][0].update(vnf_entries=[]),
+     ["catalog: nsd[5]: NS-IL 'level-1' vnf_entries [] is not an object"]),
+    (lambda s: s.update(topology=[]), ["topology: [] is not an object"]),
+    (lambda s: s.update(workload=[]), ["workload: [] is not an object"]),
+    (lambda s: _zone(s).update(total=[]),
+     ["topology: PoP 'pop-1' zones[0] total [] is not an object"]),
+    (lambda s: s["initial_instance"].update(nsd_ref=[]),
+     ["initial_instance: nsd_ref [] is not a string"]),
+    (lambda s: s.update(catalog_refs=[5]),
+     ["scenario: catalog_refs[0] is not a string: 5"]),
+    (lambda s: s.update(catalog_refs="x"),
+     ["scenario: catalog_refs is not a list"]),
+    (lambda s: (s["catalog"][1].update(vdus=5),
+                s["catalog"][0]["vcds"][0].update(vcpu=True),
+                s["topology"]["vims"].append({"id": "vim-1"})),
+     ["catalog: vnfd[0]: VCD 'vcd-1' vcpu True is not a finite number",
+      "catalog: vnfd[1]: vdus is not a list",
+      "topology: vims[1] id 'vim-1' repeats vims[0]"]),
+], ids=["vdus", "vcpu", "vnf-entries", "topology", "workload", "zone-total",
+        "nsd-ref", "catalog-ref", "catalog-refs-text", "every-fault"])
+def test_a_field_of_the_wrong_type_exits_one(tmp_path, capsys, mutate,
+                                             lines):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    mutate(scenario)
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
+def test_a_scenario_that_is_no_object_exits_one(tmp_path, capsys):
+    assert main(["run", write_json(tmp_path / "s.json", [1])]) == 1
+    assert capsys.readouterr().out == "scenario: [1] is not an object\n"
+
+
+@pytest.mark.parametrize("mutate, line", [
+    (lambda s: s["topology"].update(pops=[]),
+     "topology: at least one PoP required"),
+    (lambda s: s["initial_instance"].update(nsd_ref="nsd-9"),
+     "initial_instance: unknown NSD 'nsd-9'"),
+    (lambda s: s["initial_instance"].update(flavor_ref="df-9"),
+     "initial_instance: unknown flavor 'df-9'"),
+], ids=["no-pop", "unknown-nsd", "unknown-flavor"])
+def test_an_unknown_or_missing_part_exits_one(tmp_path, capsys, mutate,
+                                              line):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    mutate(scenario)
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_validate_reports_every_malformed_document(tmp_path, capsys):
+    documents = sc.sample_documents()
+    documents[0]["vdus"][0]["vcd_ref"] = 7
+    del documents[-1]["flavors"][0]["ns_ils"][1]["vnf_entries"]
+    documents.append(5)
+    assert main(["validate", catalog_file(tmp_path, documents)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "vnfd[0]: VDU 'vdu-1' vcd_ref 7 is not a string",
+        "nsd[5]: NS-IL 'level-2' vnf_entries is missing",
+        "document[6] is not an object: 5"]
+
+
+def test_a_zone_total_names_only_dimensions(tmp_path, capsys):
+    """A total names each dimension at most once, by name; one it leaves
+    out is 0."""
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    _zone(scenario)["total"]["gpus"] = 2
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "topology: PoP 'pop-1' zones[0] total key 'gpus' is not a dimension"]
+    _zone(scenario)["total"] = {"vcpu": 64, "memory": 128, "storage": 256}
+    [zone] = nsscale.scenario.scenario_from_dict(
+        scenario).topology["pops"][0]["zones"]
+    assert zone["total"] == CapacityVector(64, 128, 256, 0)
+
+
+def _catalog_in_files(directory: Path) -> list:
+    """The sample catalog as three files under `directory`: two lists of
+    documents and one document on its own. Returns their names."""
+    documents = sc.sample_documents()
+    directory.mkdir()
+    write_json(directory / "vnfds.json", documents[:3])
+    write_json(directory / "vld.json", documents[3])
+    write_json(directory / "rest.json", documents[4:])
+    return ["parts/vnfds.json", "parts/vld.json", "parts/rest.json"]
+
+
+def test_catalog_refs_are_read_from_the_scenario_directory(
+        tmp_path, capsys, monkeypatch):
+    embedded = tmp_path / "embedded.txt"
+    assert main(["run", scenario_file(tmp_path), "--trace",
+                 str(embedded)]) == 0
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    del scenario["catalog"]
+    scenario["catalog_refs"] = _catalog_in_files(tmp_path / "parts")
+    path = scenario_file(tmp_path, scenario)
+    monkeypatch.chdir(tmp_path / "parts")  # a relative ref is not the cwd's
+    referred = tmp_path / "referred.txt"
+    assert main(["run", path, "--trace", str(referred)]) == 0
+    assert referred.read_bytes() == embedded.read_bytes()
+    capsys.readouterr()
+
+
+def test_a_missing_catalog_ref_is_an_io_error(tmp_path, capsys):
+    scenario = sc.sample_scenario(workload=sc.jump_workload())
+    scenario["catalog_refs"] = ["nope.json"]
+    assert main(["run", scenario_file(tmp_path, scenario)]) == 2
+    assert "io error" in capsys.readouterr().err
 
 
 def _string_fields(value, path=()):

@@ -152,3 +152,81 @@ def test_broken_descriptor_yields_exactly_one_entry(name, documents, kind,
     assert issue.kind == kind
     assert issue.path == path
     assert message in issue.message
+
+
+def _nsd(documents) -> dict:
+    return documents[-1]
+
+
+def _ns_flavor(documents) -> dict:
+    return _nsd(documents)["flavors"][0]
+
+
+def _twin(items: list):
+    items.append(dict(items[0]))
+
+
+def _internal_vld(documents):
+    flavor = {"id": "f", "latency": 1, "jitter": -1, "reliability_class": 1}
+    documents[1]["internal_vlds"] = [
+        {"id": "ivl", "flavors": [flavor, dict(flavor, jitter=0)]}]
+
+
+@pytest.mark.parametrize("edit, lines", [
+    (lambda d: _nsd(d)["vnffgd_refs"].append("fg-x"),
+     ["dangling-ref nsd:nsd-1/vnffgd_refs: unknown VNFFGD 'fg-x'"]),
+    (lambda d: d[4]["vld_refs"].append("vld-x"),
+     ["dangling-ref vnffgd:fg-1/vld_refs: unknown VLD 'vld-x'"]),
+    (lambda d: _nsd(d)["monitored_info"][0].update(subject="vnfd-x"),
+     ["dangling-ref nsd:nsd-1/monitored_info/m-cpu: unknown subject VNFD "
+      "'vnfd-x'"]),
+    (lambda d: _nsd(d)["monitored_info"][4].update(subject="vnfd-x"),
+     ["dangling-ref nsd:nsd-1/monitored_info/m-cong: unknown subject VNFD "
+      "'vnfd-x'"]),
+    (lambda d: _nsd(d)["monitored_info"][0].update(collection_period=-1),
+     ["range nsd:nsd-1/monitored_info/m-cpu: collection_period must be "
+      ">= 0"]),
+    (lambda d: _ns_flavor(d)["vnf_profiles"][0].update(vnfd_ref="vnfd-x"),
+     ["dangling-ref nsd:nsd-1/flavors/df-1/vnf_profiles/p-a: unknown VNFD "
+      "'vnfd-x'"]),
+    (lambda d: _ns_flavor(d)["vnf_profiles"][0].update(vnf_flavor_ref="f9"),
+     ["dangling-ref nsd:nsd-1/flavors/df-1/vnf_profiles/p-a: unknown VNF "
+      "flavor 'f9'"]),
+    (lambda d: _ns_flavor(d)["vl_profiles"][0].update(vld_ref="vld-x"),
+     ["dangling-ref nsd:nsd-1/flavors/df-1/vl_profiles/vlp-1: unknown VLD "
+      "'vld-x'"]),
+    (lambda d: _ns_flavor(d)["vl_profiles"][0].update(vl_flavor_ref="vlf-x"),
+     ["dangling-ref nsd:nsd-1/flavors/df-1/vl_profiles/vlp-1: unknown VL "
+      "flavor 'vlf-x'"]),
+    (_internal_vld,
+     ["duplicate-id vnfd:vnfd-b/internal_vlds/ivl/flavors/f: duplicate VL "
+      "flavor id",
+      "range vnfd:vnfd-b/internal_vlds/ivl/flavors/f: jitter must be >= 0"]),
+    (lambda d: _twin(d[0]["flavors"]),
+     ["duplicate-id vnfd:vnfd-a/flavors/f1: duplicate VNF flavor id"]),
+    (lambda d: _twin(d[0]["flavors"][0]["ils"]),
+     ["duplicate-id vnfd:vnfd-a/flavors/f1/ils/il-1: duplicate VNF-IL id"]),
+    (lambda d: _twin(_nsd(d)["flavors"]),
+     ["duplicate-id nsd:nsd-1/flavors/df-1: duplicate NS flavor id"]),
+    (lambda d: _twin(_ns_flavor(d)["vnf_profiles"]),
+     ["duplicate-id nsd:nsd-1/flavors/df-1/vnf_profiles/p-a: duplicate VNF "
+      "profile id"]),
+    (lambda d: _twin(_ns_flavor(d)["vl_profiles"]),
+     ["duplicate-id nsd:nsd-1/flavors/df-1/vl_profiles/vlp-1: duplicate VL "
+      "profile id"]),
+    (lambda d: _twin(_ns_flavor(d)["ns_ils"]),
+     ["duplicate-id nsd:nsd-1/flavors/df-1/ns_ils/level-1: duplicate NS-IL "
+      "id"]),
+    (lambda d: _nsd(d).update(flavors=[]),
+     ["cardinality nsd:nsd-1: NSD must declare at least one flavor"]),
+], ids=["vnffgd-ref", "vnffgd-vld-ref", "metric-subject", "indicator-subject",
+        "collection-period", "profile-vnfd", "profile-vnf-flavor",
+        "vl-profile-vld", "vl-profile-flavor", "internal-vld",
+        "twin-vnf-flavor", "twin-vnf-il", "twin-ns-flavor", "twin-profile",
+        "twin-vl-profile", "twin-ns-il", "no-ns-flavor"])
+def test_a_well_shaped_catalog_is_checked_against_itself(edit, lines):
+    """References, ranges and ids that the shapes cannot see: each fault
+    is one report line."""
+    documents = sc.sample_documents()
+    edit(documents)
+    assert validate_catalog(load_catalog(documents)).sorted_lines() == lines

@@ -271,7 +271,7 @@ ANNOUNCEMENTS = {
     RESOURCE_ALLOCATION: lambda p: [("allocate", p["handle"])],
     RESOURCE_DELETION: lambda p: [("release", h) for h in p["handles"]],
     RESOURCE_UPDATE: lambda p: [
-        ("shrink", (p["handle"], CapacityVector.from_dict(p["spec"])))],
+        ("shrink", (p["handle"], CapacityVector(**p["spec"])))],
 }
 
 

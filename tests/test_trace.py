@@ -312,21 +312,28 @@ def test_route_ids_widen_only_as_a_route_outgrows_them():
                                      src, dst, arrow.message, digest.hex()))
 
     widths = {}
-    for route in range(65_538):
-        add(route)
-        if route % 97 == 0:
-            add(route // 2)  # an old route, whose id may be narrower
-        widths[trace._routes.typecode] = max(
-            widths.get(trace._routes.typecode, 0), route)
-        if route in (255, 256, 1000):
-            assert_reads_as(trace, reference)
-    assert widths == {"B": 255, "H": 65_535, "I": 65_537}
-    assert_reads_as(trace, reference)
-    n = len(reference)
-    for begun, end in ((0, None), (250, 300), (n - 400, n - 100), (n, None)):
-        assert trace.step_log(begun, end) == [
-            (event.step, event.tick) for event in reference[begun:end]
-            if event.step is not None], (begun, end)
+    # The test holds some 66,000 reference records to its end: the cyclic
+    # collector, which would walk them over and over, waits till then.
+    gc.disable()
+    try:
+        for route in range(65_538):
+            add(route)
+            if route % 97 == 0:
+                add(route // 2)  # an old route, whose id may be narrower
+            widths[trace._routes.typecode] = max(
+                widths.get(trace._routes.typecode, 0), route)
+            if route in (255, 256, 1000):
+                assert_reads_as(trace, reference)
+        assert widths == {"B": 255, "H": 65_535, "I": 65_537}
+        assert_reads_as(trace, reference)
+        n = len(reference)
+        for begun, end in ((0, None), (250, 300), (n - 400, n - 100),
+                           (n, None)):
+            assert trace.step_log(begun, end) == [
+                (event.step, event.tick) for event in reference[begun:end]
+                if event.step is not None], (begun, end)
+    finally:
+        gc.enable()
 
 
 # The most the trace's columns may hold per event, in bytes, on a trace of
