@@ -159,8 +159,8 @@ def cmd_explain(args) -> int:
         workload = workload_records(sim.scenario.workload)
     except ScenarioValidationError as exc:
         return _report_problems(exc)
-    records, _, order = workload
-    horizon = records[order[-1]][0] if order else 0
+    horizon = max((records[-1][0] for records in workload if records),
+                  default=0)
     if args.at > horizon:
         print("tick %d is beyond the workload horizon (%d)"
               % (args.at, horizon))

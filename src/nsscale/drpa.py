@@ -59,11 +59,6 @@ class CostModel:
                 + self.w_storage * capacity.storage
                 + self.w_bandwidth * capacity.bandwidth)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostModel":
-        return cls(**{("w_" + k if not k.startswith("w_") else k): v
-                      for k, v in data.items()})
-
 
 class DemandEstimate(NamedTuple):
     required: CapacityVector

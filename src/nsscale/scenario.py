@@ -7,6 +7,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .capacity import DIMENSIONS, CapacityVector
 from .descriptors import Catalog, check_catalog, read_documents
@@ -14,8 +15,8 @@ from .drpa import DEFAULT_TARGET_UTILIZATION, CostModel
 from .inventory import NfviPop, ResourceZone
 from .monitoring import ThresholdSpec
 from .shapes import (
-    ANY, BOOL, LIST, NUMBER, STR, List, Map, Obj, Scalar, at_least, finite,
-    load, one_of,
+    ANY, BOOL, LIST, NUMBER, STR, List, Map, Obj, Refused, Scalar, at_least,
+    finite, load, one_of,
 )
 
 
@@ -31,6 +32,25 @@ class ScenarioValidationError(ValueError):
 _ZONE = Obj(("id", STR),
             ("total", Obj(*((name, NUMBER, 0) for name in DIMENSIONS),
                           build=CapacityVector, closed="a dimension")))
+# A cost weight's key, a dimension named with or without `w_`, -> the
+# CostModel field it sets.
+_WEIGHT_FIELDS = {key: "w_" + dimension for dimension in DIMENSIONS
+                  for key in (dimension, "w_" + dimension)}
+
+
+def _cost_model(weights: dict) -> CostModel:
+    """The CostModel of `cost_weights`, whose keys are of `_WEIGHT_FIELDS`;
+    a dimension given a weight under both its names is refused."""
+    fields = {}
+    for key, weight in weights.items():
+        field = _WEIGHT_FIELDS[key]
+        if field in fields:
+            raise Refused("%s is weighted both as %r and as %r"
+                          % (field[2:], field[2:], field))
+        fields[field] = weight
+    return CostModel(**fields)
+
+
 SCENARIO = Obj(
     ("catalog", LIST, ()),
     ("catalog_refs", List(STR), []),
@@ -65,11 +85,10 @@ SCENARIO = Obj(
             "a number in (0, 1]", lambda v: finite(v) and 0 < v <= 1),
          DEFAULT_TARGET_UTILIZATION),
         ("reservation_enabled", BOOL, True),
-        # a weight per dimension, named with or without `w_`
         ("cost_weights", Map(at_least(0, "a finite number >= 0"),
-                             DIMENSIONS + tuple("w_" + d for d in DIMENSIONS),
-                             "a dimension",
-                             says="weight %(value)r is not %(kind)s"), {}),
+                             _WEIGHT_FIELDS, "a dimension",
+                             says="weight %(value)r is not %(kind)s",
+                             build=_cost_model), {}),
         label="options:"), {}),
 )
 
@@ -97,7 +116,7 @@ class Scenario:
         return float(self.options["target_utilization"])
 
     def cost_model(self) -> CostModel:
-        return CostModel.from_dict(self.options["cost_weights"])
+        return self.options["cost_weights"]
 
     def thresholds(self) -> tuple:
         return self.rules["thresholds"]
@@ -214,14 +233,12 @@ TICK_LIMIT = 2 ** 62
 
 
 def workload_records(workload: dict) -> tuple:
-    """The workload's metric and indicator records with their delivery
-    order, as `(records, metric_count, order)`. `records` lists the given
-    records themselves, the metrics first and then the indicators: index
-    i is `metrics[i]` below `metric_count` and `indicators[i -
-    metric_count]` from there on. `order` lists those indexes in delivery
-    order: by tick, metrics before indicators, then file order. No record
+    """The workload's records in delivery order, as `(metrics,
+    indicators)`: each list holds the given records themselves, sorted by
+    tick, and a stable sort keeps the records of a tick in file order. A
+    run delivers the metrics of a tick before its indicators. No record
     is copied or wrapped: a run holds each record once, as the workload
-    gave it, and an index per record.
+    gave it, and a reference to it in one of the two lists.
 
     Each record is `[tick, subject, name, value]` with an int tick of at
     most TICK_LIMIT in absolute value and str subject and name. A metric
@@ -235,16 +252,13 @@ def workload_records(workload: dict) -> tuple:
     rather than in `validate_scenario`: a workload holds thousands of
     records, and checking them costs more than the rest of a simulator's
     set-up."""
-    records = []
-    metric_count = 0
     problems = []
     for indicator, field_name, shape in (
             (False, "metrics",
              "[int tick, str subject, str metric, finite number]"),
             (True, "indicators",
              "[int tick, str vnf, str indicator, value (finite if a float)]")):
-        entries = workload[field_name]
-        for i, rec in enumerate(entries):
+        for i, rec in enumerate(workload[field_name]):
             if not (type(rec) in (list, tuple) and len(rec) == 4
                     and type(rec[0]) is int and type(rec[1]) is str
                     and type(rec[2]) is str
@@ -255,13 +269,8 @@ def workload_records(workload: dict) -> tuple:
             elif abs(rec[0]) > TICK_LIMIT:
                 problems.append("workload: %s[%d] tick %d is beyond the "
                                 "limit of +/-2**62" % (field_name, i, rec[0]))
-        records += entries
-        if not indicator:
-            metric_count = len(records)
     if problems:
         raise ScenarioValidationError(problems)
-    ticks = [rec[0] for rec in records]
-    # A stable sort by tick keeps the metrics, listed first, before the
-    # indicators of their tick, and each kind in file order.
-    order = sorted(range(len(records)), key=ticks.__getitem__)
-    return records, metric_count, order
+    tick = itemgetter(0)
+    return (sorted(workload["metrics"], key=tick),
+            sorted(workload["indicators"], key=tick))

@@ -146,16 +146,18 @@ class List:
 
 class Map:
     """A JSON object from keys, any of `keys` when given (`key_kind` names
-    them), to `value`s, scalars or objects, built as a dict. An entry is
-    labelled `<map> <key!r>`, `entry` replacing the map's name, and the
-    fault of a scalar entry is that label and `says`."""
+    them), to `value`s, scalars or objects, built as a dict, or as
+    `build(dict)` when given, which may refuse it. An entry is labelled
+    `<map> <key!r>`, `entry` replacing the map's name, and the fault of a
+    scalar entry is that label and `says`."""
 
     kind, exact, fixed = "an object", None, None
 
-    def __init__(self, value, keys: tuple = None, key_kind: str = "",
-                 entry: str = "", says: str = "%(value)r is not %(kind)s"):
-        self.value, self.key_kind, self.entry, self.says = \
-            value, key_kind, entry, says
+    def __init__(self, value, keys=None, key_kind: str = "",
+                 entry: str = "", says: str = "%(value)r is not %(kind)s",
+                 build=None):
+        self.value, self.key_kind, self.entry, self.says, self.make = \
+            value, key_kind, entry, says, build
         self.keys = None if keys is None else set(keys)
 
     def build(self, value):
@@ -167,13 +169,20 @@ class Map:
             for entry in value.values():
                 if type(entry) is not shape.exact and not shape.test(entry):
                     raise Fault
-            return dict(value)
-        return {key: shape.build(entry) for key, entry in value.items()}
+            built = dict(value)
+        else:
+            built = {key: shape.build(entry) for key, entry in value.items()}
+        if self.make is None:
+            return built
+        try:
+            return self.make(built)
+        except Refused:
+            raise Fault
 
     def report(self, value, up, place, lines):
         if type(value) is not dict:
             return self
-        built = {}
+        built, start = {}, len(lines)
         for key, entry in value.items():
             if self.keys is not None and key not in self.keys:
                 lines.append("%s key %r is not %s"
@@ -181,7 +190,14 @@ class Map:
             else:
                 built[key] = _entry(self.value, entry, up, "%s %r" % (
                     self.entry or place, key), lines, "%(at)s " + self.says)
-        return built
+        if self.make is None:
+            return built
+        if len(lines) == start:  # each entry is sound
+            try:
+                return self.make(built)
+            except Refused as exc:
+                lines.append("%s: %s" % (_at(up, place), exc))
+        return None
 
 
 class Obj:
@@ -279,7 +295,7 @@ class Obj:
                 else:
                     mine.append("%s %r is not %s" % (name, value, shape.kind))
                 built, faulty = None, True
-            elif built is None and type(shape) is Obj:  # a faulty object
+            elif built is None and type(shape) in (Obj, Map):  # faulty
                 faulty = True
             values.append(built)
         for key in doc if self.closed else ():

@@ -329,32 +329,43 @@ class Simulator:
         metric record the NSD does not monitor, or an indicator record
         with an unknown subject or indicator, when it is delivered.
         `workload` is the scenario's `workload_records`, when the caller
-        has already taken them. Each record is read by its index in
-        delivery order, which also names it in an error: no tuple is built
-        per record."""
+        has already taken them. The two lists are merged as they are
+        delivered, the metrics of a tick before its indicators: a run
+        holds no list or tuple per record beyond them."""
         if workload is None:
             workload = workload_records(self.scenario.workload)
-        records, metric_count, order = workload
-        for index in order:
-            tick, subject, name, value = records[index]
-            if index < metric_count:
-                self._deliver_metric(index, tick, subject, name, value)
-            else:
-                self._deliver_indicator(index - metric_count, tick, subject,
-                                        name, value)
+        metrics, indicators = workload
+        pending = iter(indicators)
+        waiting = next(pending, None)  # the next indicator to deliver
+        for record in metrics:
+            while waiting is not None and waiting[0] < record[0]:
+                self._deliver_indicator(waiting)
+                waiting = next(pending, None)
+            self._deliver_metric(record)
+        while waiting is not None:
+            self._deliver_indicator(waiting)
+            waiting = next(pending, None)
         return RunResult(self.trace, self.final_state(),
                          self.operations, self.decisions, self.transition_rows,
                          failure_reason=self._failure)
 
-    def _deliver_metric(self, index, tick, subject, metric, value):
-        """`(subject, metric)` is an item of the NSD's monitored info;
-        `index` is the record's place in the workload's metrics."""
+    def _where(self, kind: str, record) -> str:
+        """The head of an error in `record`, one of the workload's `kind`
+        records: its place in the file, found by identity, and its tick."""
+        index = next(i for i, given in enumerate(self.scenario.workload[kind])
+                     if given is record)
+        return "workload: %s[%d] at tick %d: " % (kind, index, record[0])
+
+    def _deliver_metric(self, record):
+        """`record`'s `(subject, metric)` is an item of the NSD's
+        monitored info."""
+        tick, subject, metric, value = record
         src = self._metric_senders.get((subject, metric))
         if src is None:
             raise ScenarioValidationError(
-                ["workload: metrics[%d] at tick %d: metric %r of subject %r "
-                 "is not monitored by NSD %r"
-                 % (index, tick, metric, subject, self.nsd.id)])
+                [self._where("metrics", record) + "metric %r of subject %r "
+                 "is not monitored by NSD %r" % (metric, subject,
+                                                 self.nsd.id)])
         if tick > self._clock:
             self._clock = tick
         for note in self.store.ingest(tuple.__new__(
@@ -364,25 +375,25 @@ class Simulator:
             self._emit(src, self.nfvo, arrow, note.payload)
             self._on_notification(note)
 
-    def _deliver_indicator(self, index, tick, subject, indicator, value):
-        """`subject` is a VNFD of the NSD or a VNF instance that exists at
-        `tick`; `index` is the record's place in the workload's
-        indicators."""
+    def _deliver_indicator(self, record):
+        """`record`'s subject is a VNFD of the NSD or a VNF instance that
+        exists at its tick."""
+        tick, subject, indicator, value = record
         self._clock = max(self._clock, tick)
         info = self.vnf_infos.get(subject)
         vnfd_ref = subject if subject in self.em_actor else \
             info.vnfd_ref if info is not None else None
-        where = "workload: indicators[%d] at tick %d: " % (index, tick)
         if vnfd_ref is None:
             raise ScenarioValidationError(
-                [where + "subject %r is neither a VNFD of the NSD nor a VNF "
-                 "instance" % subject])
+                [self._where("indicators", record) + "subject %r is neither "
+                 "a VNFD of the NSD nor a VNF instance" % subject])
         em = self.em_actor[vnfd_ref]
         try:
             note = indicator_change(self.catalog.vnfds[vnfd_ref], subject,
                                     indicator, value, tick)
         except UndeclaredIndicatorError as exc:
-            raise ScenarioValidationError([where + str(exc)])
+            raise ScenarioValidationError(
+                [self._where("indicators", record) + str(exc)])
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             # numeric indicators feed the rule engine like any metric
             self.store.ingest(tuple.__new__(

@@ -300,10 +300,18 @@ def _utilization_line(value):
       "number >= 0"]),
     ({"cost_weights": [1, 2], "target_utilization": 2},
      [_utilization_line(2), "options: cost_weights [1, 2] is not an object"]),
+    # one line, whichever name comes first
+    ({"cost_weights": {"vcpu": 1, "memory": 2, "w_vcpu": 5}},
+     ["options: cost_weights: vcpu is weighted both as 'vcpu' and as "
+      "'w_vcpu'"]),
+    ({"cost_weights": {"w_bandwidth": 5, "bandwidth": 1}},
+     ["options: cost_weights: bandwidth is weighted both as 'bandwidth' and "
+      "as 'w_bandwidth'"]),
     ([0.6], ["options: [0.6] is not an object"]),
 ], ids=["zero-target", "text-target", "null-target", "negative-target",
         "target-above-one", "nan-target", "bool-target", "text-reservation",
         "int-reservation", "bad-weights", "weights-not-an-object",
+        "weight-named-both-ways", "weight-named-both-ways-reversed",
         "not-an-object"])
 def test_bad_options_exit_one(tmp_path, capsys, options, lines):
     scenario = sc.sample_scenario(workload=sc.jump_workload())
@@ -719,6 +727,32 @@ def test_explain_at_decision_tick(tmp_path, capsys):
     # the plan names each item's PoP and zone
     assert "  place p-b/scale0/vnfc/vdu-2/0 at pop-1/zone-a\n" in out
     assert "  place vl/vlp-1 at pop-1/zone-a\n" in out
+
+
+def test_explain_prints_a_drpa_error(tmp_path, capsys):
+    """A load of 5.0 at level-1 asks for 50 vcpu, which no level has: the
+    decision at tick 10 is the DRPA's error."""
+    scenario = sc.sample_scenario(
+        workload={"metrics": [[10, "vnfd-b", "cpu_load", 5.0]]})
+    assert main(["explain", scenario_file(tmp_path, scenario),
+                 "--at", "10"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "tick 10: action: error (no scale-out level in flavor df-1 "
+        "satisfies demand {'vcpu': 50, 'memory': 12, 'storage': 20, "
+        "'bandwidth': 100})"]
+
+
+def test_explain_prints_an_infeasible_candidate(tmp_path, capsys):
+    """With 16 vcpu in the one zone, level-4 (22 vcpu) is a candidate that
+    no site fits, and level-3 is chosen."""
+    scenario = sc.sample_scenario(workload=sc.jump_workload(),
+                                  topology=sc.sample_topology(vcpu=16))
+    assert main(["explain", scenario_file(tmp_path, scenario),
+                 "--at", "10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "  candidate level-4: infeasible (no site fits "\
+        "p-b/inst0/vnfc/vdu-2/0 (short on ['vcpu']))" in out
+    assert "  chosen: level-3 (vnf-scaling)" in out
 
 
 def test_explain_quiet_tick(tmp_path, capsys):

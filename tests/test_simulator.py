@@ -691,16 +691,14 @@ def test_a_vim_ref_write_keeps_every_other_field(monkeypatch):
 
 
 class _DeliveryLog(Simulator):
-    """Logs each record `run` delivers, as `(tick, kind, index, record)`
-    with kind 0 for a metric and 1 for an indicator, and delivers none."""
+    """Logs each record `run` delivers, as `(tick, kind, record)` with
+    kind 0 for a metric and 1 for an indicator, and delivers none."""
 
-    def _deliver_metric(self, index, tick, subject, metric, value):
-        self.delivered.append((tick, 0, index, [tick, subject, metric,
-                                                value]))
+    def _deliver_metric(self, record):
+        self.delivered.append((record[0], 0, record))
 
-    def _deliver_indicator(self, index, tick, subject, indicator, value):
-        self.delivered.append((tick, 1, index, [tick, subject, indicator,
-                                                value]))
+    def _deliver_indicator(self, record):
+        self.delivered.append((record[0], 1, record))
 
 
 # The ticks of a workload's metric or indicator records, in file order;
@@ -729,9 +727,37 @@ def test_records_are_delivered_by_tick_then_kind_then_file_order(
                     + [(rec[0], 1, i, rec) for i, rec in
                        enumerate(indicators)],
                     key=lambda entry: entry[:3])
-    assert sim.delivered == oracle
+    assert sim.delivered == [(tick, kind, rec)
+                             for tick, kind, _, rec in oracle]
     # the records themselves, each once, not copies
-    records, metric_count, _ = workload_records(workload)
-    assert metric_count == len(metrics)
-    assert all(a is b for a, b in zip(records, metrics + indicators))
-    assert len(records) == len(metrics) + len(indicators)
+    assert all(got[2] is want[3] for got, want in zip(sim.delivered, oracle))
+    # each list holds exactly the given records, in tick order
+    for got, given in zip(workload_records(workload), (metrics, indicators)):
+        assert [rec[0] for rec in got] == sorted(rec[0] for rec in given)
+        assert sorted(map(id, got)) == sorted(map(id, given))
+
+
+@pytest.mark.parametrize("kind, record, problem", [
+    ("metrics", [4, "vnfd-b", "cpu_lod", 0.5],
+     "metric 'cpu_lod' of subject 'vnfd-b' is not monitored by NSD "
+     "'nsd-1'"),
+    ("indicators", [4, "vnf-nope", "congestion", "high"],
+     "subject 'vnf-nope' is neither a VNFD of the NSD nor a VNF instance"),
+])
+def test_a_bad_record_is_named_by_its_file_index(kind, record, problem):
+    """Third in its list in the file and first delivered, a bad record is
+    named by its place in the file, 2, not by its place in delivery
+    order, 0."""
+    from nsscale.scenario import ScenarioValidationError
+
+    workload = {"metrics": [[9, "vnfd-b", "cpu_load", 0.5],
+                            [8, "vnfd-b", "cpu_load", 0.6]],
+                "indicators": [[9, "vnfd-b", "congestion", "low"],
+                               [8, "vnfd-b", "congestion", "high"]]}
+    workload[kind].append(record)
+    sim = Simulator(scenario_from_dict(sc.sample_scenario(
+        workload=workload)))
+    with pytest.raises(ScenarioValidationError) as raised:
+        sim.run()
+    assert raised.value.problems == [
+        "workload: %s[2] at tick 4: %s" % (kind, problem)]

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nsscale.simulator
 import nsscale.trace
@@ -71,6 +71,20 @@ def sha16(text: str) -> str:
 @given(json_like)
 def test_canonical_json_equals_the_normalized_encoding(obj):
     assert canonical_json(obj) == reference_json(obj)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(canonical_like)
+@example({"\u00e9": [[], {}], "": [[1.5, []], [{"\u03b2": {}}]],
+          "a": {"b": [None, True, "\u00fc", -0.25]}})
+@example([[[]], [{}], [], {"k": [[2.5]]}])
+def test_a_canonical_value_is_written_as_the_encoder_writes_it(obj):
+    """Whether it is walked member by member, as a value that holds a dict
+    or a list is, or encoded in one call, a canonical value's text is the
+    encoder's: empty containers, lists of lists, non-ASCII keys and
+    non-integral floats included."""
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True,
+                                             separators=(",", ":"))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -383,9 +397,9 @@ def test_the_trace_text_costs_little_beyond_itself():
     chunk at a time, and each chunk writes only its own digests as hex.
     Measured under `tracemalloc` on CPython 3.11.7: 2.28 while the text
     was joined from a list of every chunk with the whole digest column
-    decoded, 1.11 built in place 256 lines at a time. The chunks `trace_chunks` yields hold
-    `LINES_PER_JOIN` lines each, the last one the rest, and join to the
-    same text."""
+    decoded, 1.11 built in place 256 lines at a time, 1.03 at 64 lines a
+    time. The chunks `trace_chunks` yields hold `LINES_PER_JOIN` lines
+    each, the last one the rest, and join to the same text."""
     workloads = import_bench("workloads")
     trace = Simulator(scenario_from_dict(workloads.GENERATORS["scale-churn"](
         0, workloads.DEFAULT_SIZE["scale-churn"]))).run().trace
@@ -404,3 +418,33 @@ def test_the_trace_text_costs_little_beyond_itself():
     per_join = nsscale.trace.LINES_PER_JOIN
     assert [chunk.count("\n") for chunk in chunks] == \
         [per_join] * (len(trace) // per_join) + [len(trace) % per_join]
+
+
+# The most `canonical_json` may allocate at its peak, as a multiple of the
+# text's length.
+STATE_COST = 2
+
+
+@pytest.mark.parametrize("name", ["monitor-steady", "scale-churn",
+                                  "wide-fabric"])
+def test_a_final_state_is_written_in_little_beyond_its_text(name):
+    """Writing a workload's final state at its default size peaks at most
+    `STATE_COST` (2) times its text's length above what was allocated
+    before. Measured under `tracemalloc` on CPython 3.11.7, for
+    monitor-steady, scale-churn and wide-fabric (texts of 1,499, 6,056 and
+    8,373 bytes): 10.7, 13.3 and 11.4 times while the encoder wrote it in
+    one call, keeping each token as its own str until it joined them;
+    1.95, 1.23 and 1.19 walked member by member."""
+    workloads = import_bench("workloads")
+    state = Simulator(scenario_from_dict(workloads.GENERATORS[name](
+        0, workloads.DEFAULT_SIZE[name]))).run().final_state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = canonical_json(state)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(state, sort_keys=True, separators=(",", ":"))
+    assert peak <= STATE_COST * len(text), "%.2f x" % (peak / len(text))
