@@ -179,6 +179,8 @@ def cmd_explain(args) -> int:
 
 
 def _print_rationale(tick, decision):
+    """A run records the DRPA's error text, or a scaling decision: it asks
+    the DRPA only once some rule has fired."""
     if isinstance(decision, str):
         print("tick %d: action: error (%s)" % (tick, decision))
         return
@@ -187,12 +189,9 @@ def _print_rationale(tick, decision):
         state = "violated" if not verdict.satisfied else (
             "cooldown" if verdict.cooldown_active else "satisfied")
         print("  rule %s: %s" % (verdict.rule_id, state))
-    if decision.action == drpa_mod.ACTION_NONE:
-        return
-    if decision.estimate is not None:
-        print("  demand: %s (target utilization %s)"
-              % (canonical_json(decision.estimate.required.as_dict()),
-                 decision.estimate.headroom))
+    print("  demand: %s (target utilization %s)"
+          % (canonical_json(decision.estimate.required.as_dict()),
+             decision.estimate.headroom))
     for evaluation in decision.rationale:
         if evaluation.feasible:
             print("  candidate %s: cost %s, %d instances"
@@ -261,7 +260,3 @@ def main(argv=None) -> int:
         print("internal error: %s: %s" % (type(exc).__name__, message),
               file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,8 @@ from typing import NamedTuple
 from .capacity import CapacityVector, ZERO
 from . import rules as rules_mod
 from .shapes import (
-    INT, NUMBER, STR, List, Map, Obj, Refused, at_least, load, one_of, shaped,
+    INT, NUMBER, STR, List, Map, Obj, Refused, at_least, by_id, load, one_of,
+    shaped,
 )
 
 NS_SELF = "ns"
@@ -147,11 +148,7 @@ class VnfDeploymentFlavor(NamedTuple):
     vdu_refs: _REFS = ()
     ils: List(VnfInstantiationLevel.shape) = ()
 
-    def il(self, il_id: str) -> VnfInstantiationLevel:
-        for il in self.ils:
-            if il.id == il_id:
-                return il
-        raise UnknownLevelError(il_id)
+    il = by_id("ils", UnknownLevelError)
 
 
 @shaped()
@@ -164,29 +161,8 @@ class Vnfd(NamedTuple):
     vnf_indicators: _REFS = ()
     flavors: List(VnfDeploymentFlavor.shape) = ()
 
-    def vdu(self, vdu_id: str) -> Vdu:
-        for vdu in self.vdus:
-            if vdu.id == vdu_id:
-                return vdu
-        raise KeyError(vdu_id)
-
-    def vcd(self, vcd_id: str) -> Vcd:
-        for vcd in self.vcds:
-            if vcd.id == vcd_id:
-                return vcd
-        raise KeyError(vcd_id)
-
-    def vsd(self, vsd_id: str) -> Vsd:
-        for vsd in self.vsds:
-            if vsd.id == vsd_id:
-                return vsd
-        raise KeyError(vsd_id)
-
-    def flavor(self, flavor_id: str) -> VnfDeploymentFlavor:
-        for flavor in self.flavors:
-            if flavor.id == flavor_id:
-                return flavor
-        raise KeyError(flavor_id)
+    vdu, vcd, vsd = by_id("vdus"), by_id("vcds"), by_id("vsds")
+    flavor = by_id("flavors")
 
 
 @shaped(noun="VNF profile")
@@ -223,17 +199,8 @@ class NsDeploymentFlavor(NamedTuple):
     vl_profiles: List(VlProfile.shape) = ()
     ns_ils: List(NsInstantiationLevel.shape) = ()
 
-    def ns_il(self, ns_il_id: str) -> NsInstantiationLevel:
-        for il in self.ns_ils:
-            if il.id == ns_il_id:
-                return il
-        raise UnknownLevelError(ns_il_id)
-
-    def profile(self, profile_id: str) -> VnfProfile:
-        for profile in self.vnf_profiles:
-            if profile.id == profile_id:
-                return profile
-        raise KeyError(profile_id)
+    ns_il = by_id("ns_ils", UnknownLevelError)
+    profile = by_id("vnf_profiles")
 
 
 @shaped()
@@ -247,11 +214,7 @@ class Nsd(NamedTuple):
     auto_scaling_rules: List(_RULE) = ()
     flavors: List(NsDeploymentFlavor.shape) = ()
 
-    def flavor(self, flavor_id: str) -> NsDeploymentFlavor:
-        for flavor in self.flavors:
-            if flavor.id == flavor_id:
-                return flavor
-        raise KeyError(flavor_id)
+    flavor = by_id("flavors")
 
 
 @dataclass
@@ -332,6 +295,24 @@ class ValidationReport:
     def add(self, kind: str, path: str, message: str):
         self.issues.append(ValidationIssue(kind, path, message))
 
+    def ids(self, members, path: str, noun: str) -> set:
+        """The ids of `members`; each id met again is a duplicate `noun`
+        id at `<path>/<id>`."""
+        seen = set()
+        for member in members:
+            if member.id in seen:
+                self.add("duplicate-id", "%s/%s" % (path, member.id),
+                         "duplicate %s id" % noun)
+            seen.add(member.id)
+        return seen
+
+    def refs(self, refs, known, path: str, noun: str):
+        """Each of `refs` that `known` lacks is an unknown `noun` at
+        `path`."""
+        for ref in refs:
+            if ref not in known:
+                self.add("dangling-ref", path, "unknown %s %r" % (noun, ref))
+
     def sorted_lines(self) -> list:
         return sorted(issue.line() for issue in self.issues)
 
@@ -366,12 +347,8 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
         _validate_vld(vld, "vld:%s" % vld.id, report)
     for fg in catalog.vnffgds.values():
         path = "vnffgd:%s" % fg.id
-        for ref in fg.vnfd_refs:
-            if ref not in catalog.vnfds:
-                report.add("dangling-ref", path + "/vnfd_refs", "unknown VNFD %r" % ref)
-        for ref in fg.vld_refs:
-            if ref not in catalog.vlds:
-                report.add("dangling-ref", path + "/vld_refs", "unknown VLD %r" % ref)
+        report.refs(fg.vnfd_refs, catalog.vnfds, path + "/vnfd_refs", "VNFD")
+        report.refs(fg.vld_refs, catalog.vlds, path + "/vld_refs", "VLD")
     for nsd in catalog.nsds.values():
         _validate_nsd(catalog, nsd, report)
     return report
@@ -380,12 +357,9 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
 def _validate_vld(vld: Vld, path: str, report: ValidationReport):
     if not vld.flavors:
         report.add("cardinality", path, "VLD must declare at least one flavor")
-    seen = set()
+    report.ids(vld.flavors, path + "/flavors", "VL flavor")
     for flavor in vld.flavors:
         fpath = "%s/flavors/%s" % (path, flavor.id)
-        if flavor.id in seen:
-            report.add("duplicate-id", fpath, "duplicate VL flavor id")
-        seen.add(flavor.id)
         if flavor.latency < 0:
             report.add("range", fpath, "latency must be >= 0")
         if flavor.jitter < 0:
@@ -398,7 +372,6 @@ def _validate_vnfd(vnfd: Vnfd, report: ValidationReport):
     path = "vnfd:%s" % vnfd.id
     vcd_ids = {v.id for v in vnfd.vcds}
     vsd_ids = {v.id for v in vnfd.vsds}
-    vdu_ids = set()
     for vcd in vnfd.vcds:
         if vcd.vcpu < 1:
             report.add("range", "%s/vcds/%s" % (path, vcd.id), "vcpu must be >= 1")
@@ -407,33 +380,20 @@ def _validate_vnfd(vnfd: Vnfd, report: ValidationReport):
     for vsd in vnfd.vsds:
         if vsd.storage <= 0:
             report.add("range", "%s/vsds/%s" % (path, vsd.id), "storage must be > 0")
+    vdu_ids = report.ids(vnfd.vdus, path + "/vdus", "VDU")
     for vdu in vnfd.vdus:
         vpath = "%s/vdus/%s" % (path, vdu.id)
-        if vdu.id in vdu_ids:
-            report.add("duplicate-id", vpath, "duplicate VDU id")
-        vdu_ids.add(vdu.id)
-        if vdu.vcd_ref not in vcd_ids:
-            report.add("dangling-ref", vpath, "unknown VCD %r" % vdu.vcd_ref)
-        for ref in vdu.vsd_refs:
-            if ref not in vsd_ids:
-                report.add("dangling-ref", vpath, "unknown VSD %r" % ref)
+        report.refs((vdu.vcd_ref,), vcd_ids, vpath, "VCD")
+        report.refs(vdu.vsd_refs, vsd_ids, vpath, "VSD")
     for vld in vnfd.internal_vlds:
         _validate_vld(vld, "%s/internal_vlds/%s" % (path, vld.id), report)
-    flavor_ids = set()
+    report.ids(vnfd.flavors, path + "/flavors", "VNF flavor")
     for flavor in vnfd.flavors:
         fpath = "%s/flavors/%s" % (path, flavor.id)
-        if flavor.id in flavor_ids:
-            report.add("duplicate-id", fpath, "duplicate VNF flavor id")
-        flavor_ids.add(flavor.id)
-        for ref in flavor.vdu_refs:
-            if ref not in vdu_ids:
-                report.add("dangling-ref", fpath + "/vdu_refs", "unknown VDU %r" % ref)
-        il_ids = set()
+        report.refs(flavor.vdu_refs, vdu_ids, fpath + "/vdu_refs", "VDU")
+        report.ids(flavor.ils, fpath + "/ils", "VNF-IL")
         for il in flavor.ils:
             ipath = "%s/ils/%s" % (fpath, il.id)
-            if il.id in il_ids:
-                report.add("duplicate-id", ipath, "duplicate VNF-IL id")
-            il_ids.add(il.id)
             for vdu_ref in il.counts:
                 if vdu_ref not in flavor.vdu_refs:
                     report.add("dangling-ref", ipath,
@@ -448,15 +408,10 @@ def _validate_vnfd(vnfd: Vnfd, report: ValidationReport):
 
 def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
     path = "nsd:%s" % nsd.id
-    for ref in nsd.vnfd_refs:
-        if ref not in catalog.vnfds:
-            report.add("dangling-ref", path + "/vnfd_refs", "unknown VNFD %r" % ref)
-    for ref in nsd.vld_refs:
-        if ref not in catalog.vlds:
-            report.add("dangling-ref", path + "/vld_refs", "unknown VLD %r" % ref)
-    for ref in nsd.vnffgd_refs:
-        if ref not in catalog.vnffgds:
-            report.add("dangling-ref", path + "/vnffgd_refs", "unknown VNFFGD %r" % ref)
+    report.refs(nsd.vnfd_refs, catalog.vnfds, path + "/vnfd_refs", "VNFD")
+    report.refs(nsd.vld_refs, catalog.vlds, path + "/vld_refs", "VLD")
+    report.refs(nsd.vnffgd_refs, catalog.vnffgds, path + "/vnffgd_refs",
+                "VNFFGD")
 
     monitored = set()  # (subject, name) of every monitored item
     for item in nsd.monitored_info:
@@ -489,23 +444,18 @@ def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
 
     if not nsd.flavors:
         report.add("cardinality", path, "NSD must declare at least one flavor")
-    flavor_ids = set()
+    report.ids(nsd.flavors, path + "/flavors", "NS flavor")
     for flavor in nsd.flavors:
         fpath = "%s/flavors/%s" % (path, flavor.id)
-        if flavor.id in flavor_ids:
-            report.add("duplicate-id", fpath, "duplicate NS flavor id")
-        flavor_ids.add(flavor.id)
         _validate_ns_flavor(catalog, nsd, flavor, fpath, report)
 
 
 def _validate_ns_flavor(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                         fpath: str, report: ValidationReport):
-    profile_ids = set()
+    profile_ids = report.ids(flavor.vnf_profiles, fpath + "/vnf_profiles",
+                             "VNF profile")
     for profile in flavor.vnf_profiles:
         ppath = "%s/vnf_profiles/%s" % (fpath, profile.id)
-        if profile.id in profile_ids:
-            report.add("duplicate-id", ppath, "duplicate VNF profile id")
-        profile_ids.add(profile.id)
         vnfd = catalog.vnfds.get(profile.vnfd_ref)
         if vnfd is None:
             report.add("dangling-ref", ppath, "unknown VNFD %r" % profile.vnfd_ref)
@@ -519,21 +469,17 @@ def _validate_ns_flavor(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
             report.add("dangling-ref", ppath,
                        "unknown VNF flavor %r" % profile.vnf_flavor_ref)
             continue
-        il_ids = {il.id for il in vnf_flavor.ils}
-        for ref in profile.allowed_il_refs:
-            if ref not in il_ids:
-                report.add("dangling-ref", ppath, "unknown VNF-IL %r" % ref)
+        report.refs(profile.allowed_il_refs, {il.id for il in vnf_flavor.ils},
+                    ppath, "VNF-IL")
         if not (0 <= profile.min_instances <= profile.max_instances):
             report.add("range", ppath, "0 <= min_instances <= max_instances required")
         if profile.max_instances > COUNT_LIMIT:
             report.add("range", ppath, "max_instances must be <= %d" % COUNT_LIMIT)
 
-    vl_profile_ids = set()
+    vl_profile_ids = report.ids(flavor.vl_profiles, fpath + "/vl_profiles",
+                                "VL profile")
     for profile in flavor.vl_profiles:
         ppath = "%s/vl_profiles/%s" % (fpath, profile.id)
-        if profile.id in vl_profile_ids:
-            report.add("duplicate-id", ppath, "duplicate VL profile id")
-        vl_profile_ids.add(profile.id)
         vld = catalog.vlds.get(profile.vld_ref)
         if vld is None:
             report.add("dangling-ref", ppath, "unknown VLD %r" % profile.vld_ref)
@@ -541,12 +487,9 @@ def _validate_ns_flavor(catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
             report.add("dangling-ref", ppath,
                        "unknown VL flavor %r" % profile.vl_flavor_ref)
 
-    ns_il_ids = set()
+    report.ids(flavor.ns_ils, fpath + "/ns_ils", "NS-IL")
     for ns_il in flavor.ns_ils:
         ipath = "%s/ns_ils/%s" % (fpath, ns_il.id)
-        if ns_il.id in ns_il_ids:
-            report.add("duplicate-id", ipath, "duplicate NS-IL id")
-        ns_il_ids.add(ns_il.id)
         for pid, (il_ref, count) in ns_il.vnf_entries.items():
             epath = "%s/vnf_entries/%s" % (ipath, pid)
             if pid not in profile_ids:

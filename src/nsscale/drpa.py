@@ -362,8 +362,6 @@ def select_optimum(levels: LevelGraph, candidates: list,
     Every candidate is placed by `plan_placement` against `snapshot`, a
     `capacity_report` of the PoPs; `levels` keeps the plans, so a
     snapshot seen before reuses them."""
-    if not candidates:
-        raise NoFeasibleLevelError("empty candidate set")
     flavor = levels.flavor
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []

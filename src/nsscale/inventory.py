@@ -9,6 +9,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .capacity import DIMENSIONS, KIND_DIMENSIONS, CapacityVector, ZERO
+from .shapes import by_id
 
 RESERVATION_ACTIVE = "active"
 RESERVATION_CONSUMED = "consumed"
@@ -228,11 +229,7 @@ class NfviPop:
     vim_ref: str
     zones: list
 
-    def zone(self, zone_id: str) -> ResourceZone:
-        for zone in self.zones:
-            if zone.id == zone_id:
-                return zone
-        raise KeyError(zone_id)
+    zone = by_id("zones")
 
 
 class ZoneReport(NamedTuple):
@@ -326,11 +323,7 @@ class VnfInfo:
     audit: tuple = ()  # ((step-or-"instantiation", tick), ...)
     profile_ref: str = ""  # the NS flavor's VNF profile it instantiates
 
-    def instance(self, instance_id: str) -> VnfcInstance:
-        for inst in self.vnfc_instances:
-            if inst.id == instance_id:
-                return inst
-        raise KeyError(instance_id)
+    instance = by_id("vnfc_instances")
 
 
 def record_vnf_info_update(info: VnfInfo, change: str, step, tick: int,

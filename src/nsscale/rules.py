@@ -125,9 +125,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
-        raise RuleSyntaxError(message, self.peek().column)
-
     def expect_keyword(self, word: str):
         tok = self.next()
         if tok.kind != "ident" or tok.text.lower() != word:
@@ -251,10 +248,8 @@ def _collect_min_windows(node, windows: dict):
     elif isinstance(node, (And, Or)):
         for op in node.operands:
             _collect_min_windows(op, windows)
-    elif isinstance(node, Not):
+    else:  # a Not, the only other node the parser builds
         _collect_min_windows(node.operand, windows)
-    else:
-        raise TypeError(node)
 
 
 def parse_rule(text: str) -> RuleAst:
@@ -301,13 +296,11 @@ def _compile(node, index: dict):
                     return True
             return False
         return disjunction
-    if isinstance(node, Not):
-        operand = _compile(node.operand, index)
+    operand = _compile(node.operand, index)  # a Not
 
-        def negation(cut, now):
-            return not operand(cut, now)
-        return negation
-    raise TypeError(node)
+    def negation(cut, now):
+        return not operand(cut, now)
+    return negation
 
 
 def evaluate_expr(plan, cut, now: int) -> bool:

@@ -107,26 +107,6 @@ class Scenario:
     options: dict | None
     faults: list = field(default_factory=list)
 
-    @property
-    def reservation_enabled(self) -> bool:
-        return self.options["reservation_enabled"]
-
-    @property
-    def target_utilization(self) -> float:
-        return float(self.options["target_utilization"])
-
-    def cost_model(self) -> CostModel:
-        return self.options["cost_weights"]
-
-    def thresholds(self) -> tuple:
-        return self.rules["thresholds"]
-
-    def dimension_map(self) -> dict:
-        return self.rules["metric_dimensions"]
-
-    def placement_constraints(self) -> dict:
-        return self.rules["placement_constraints"]
-
 
 def scenario_from_dict(data: dict, base_dir: str = ".") -> Scenario:
     """The scenario of `data`; its catalog references, files holding a

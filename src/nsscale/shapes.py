@@ -330,6 +330,18 @@ def shaped(noun: str = "", bare: bool = False, label: str = None):
     return decorate
 
 
+def by_id(members: str, error=KeyError):
+    """A method that returns the first record of its object's `members`
+    whose `id` is the one given, and raises `error(id)` when none is: the
+    one by-id lookup of catalog and runtime records."""
+    def find(self, ident):
+        for member in getattr(self, members):
+            if member.id == ident:
+                return member
+        raise error(ident)
+    return find
+
+
 def load(shape, value, label: str) -> tuple:
     """`(built, faults)` of `value`, labelled `label`. A faulty object
     builds as None, except a dict at the top, whose faulty fields are."""

@@ -33,6 +33,7 @@ from .scenario import (
     Scenario, ScenarioValidationError, build_topology,
     validate_scenario, workload_records,
 )
+from .shapes import by_id
 from .trace import (
     Trace, capacity_text, object_form, payload_digest, string_text,
     strings_text,
@@ -219,15 +220,15 @@ class Simulator:
             (item.subject, item.name): self.vnfm_actor.get(item.subject, vim)
             for item in self.nsd.monitored_info}
 
-        self.store = MetricStore(self.nsd.monitored_info,
-                                 scenario.thresholds())
-        self.dimension_map = scenario.dimension_map()
-        self.cost_model = scenario.cost_model()
+        rules, options = scenario.rules, scenario.options
+        self.store = MetricStore(self.nsd.monitored_info, rules["thresholds"])
+        self.dimension_map = rules["metric_dimensions"]
+        self.cost_model = options["cost_weights"]
         # Filled as decisions need it; building it derives nothing.
         self.levels = drpa_mod.LevelGraph(catalog, self.nsd, self.flavor,
-                                          scenario.placement_constraints())
-        self.target_utilization = scenario.target_utilization
-        self.reservation_enabled = scenario.reservation_enabled
+                                          rules["placement_constraints"])
+        self.target_utilization = float(options["target_utilization"])
+        self.reservation_enabled = options["reservation_enabled"]
 
         self.current_ns_il = init["ns_il_ref"]
         # vnf instance id -> VnfInfo, the one registry of VNF instances; in
@@ -260,11 +261,7 @@ class Simulator:
         self._clock += 1
         self.trace.append(self._clock, arrow, src, dst, payload_digest(text))
 
-    def _pop(self, pop_id: str):
-        for pop in self.pops:
-            if pop.id == pop_id:
-                return pop
-        raise KeyError(pop_id)
+    _pop = by_id("pops")
 
     # -- initial instantiation ---------------------------------------------
 
@@ -290,7 +287,8 @@ class Simulator:
             for profile in self.flavor.vnf_profiles:
                 pd = deltas.get(profile.id)
                 for j in range(pd.count_delta if pd else 0):
-                    vnf_id = self._new_vnf(profile)
+                    vnf_id = self._new_vnf(profile, plan,
+                                           vnfc_items[profile.id, j])
                     instances = []
                     for item in vnfc_items[profile.id, j]:
                         pop, zone = self._planned_zone(plan, item)
@@ -305,8 +303,7 @@ class Simulator:
                     info = self.vnf_infos[vnf_id]
                     self.vnf_infos[vnf_id] = VnfInfo(
                         info.vnfd_ref, info.vnf_flavor_ref, tuple(instances),
-                        pop.vim_ref if instances else "", info.audit,
-                        info.profile_ref)
+                        info.vim_ref, info.audit, info.profile_ref)
             for item in items:
                 if item.kind == "vl":
                     pop, zone = self._planned_zone(plan, item)
@@ -470,14 +467,15 @@ class Simulator:
                          and i.retained_instance_index == e],
                         take(vl_inc), take(vl_dec), pd.vnfc_remove)
                 for j in range(pd.count_delta):
-                    vnf_id = self._new_vnf(profile)
+                    vnfc_items = [i for i in items
+                                  if i.profile_id == profile.id
+                                  and i.new_instance_index == j]
+                    vnf_id = self._new_vnf(profile, plan, vnfc_items)
                     self._vnf_procedure(
                         op, plan, vnf_id, SCALE_NEW_FORM % (
                             "true", string_text(pd.to_il), op_id,
                             string_text(vnf_id)),
-                        [i for i in items if i.profile_id == profile.id
-                         and i.new_instance_index == j],
-                        take(vl_inc), {}, {})
+                        vnfc_items, take(vl_inc), {}, {})
                 for _ in range(-pd.count_delta):
                     # A shrinking profile loses its newest instances.
                     vnf_id = vnf_ids.pop()
@@ -593,12 +591,6 @@ class Simulator:
             self._emit(vnfm, em, CONFIGURE_VNFC, INSTANCES_FORM % new_text)
             self._update_vnf_info(vnf_id, ADD_INSTANCES_STOPPED,
                                   instances=tuple(new_instances))
-            info = self.vnf_infos[vnf_id]
-            if not info.vim_ref:
-                self.vnf_infos[vnf_id] = VnfInfo(
-                    info.vnfd_ref, info.vnf_flavor_ref, info.vnfc_instances,
-                    self._pop(new_instances[0].pop_ref).vim_ref, info.audit,
-                    info.profile_ref)
 
             self._emit(vnfm, self.nfvo, START_REQUEST, OPERATE_FORM % (
                 new_text, op_id, string_text(STARTED)))
@@ -769,12 +761,14 @@ class Simulator:
 
     # -- helpers -------------------------------------------------------------
 
-    def _new_vnf(self, profile) -> str:
-        """Register a new VNF instance of `profile`, with no VNFCs yet, and
-        return its id."""
+    def _new_vnf(self, profile, plan, vnfc_items) -> str:
+        """Register a new VNF instance of `profile`, with none of its VNFC
+        `vnfc_items` yet, and return its id. Its VIM is that of the PoP
+        `plan` gives its first VNFC."""
         vnf_id = "vnf-%s-%d" % (profile.id, next(self._instance_counter))
         self.vnf_infos[vnf_id] = VnfInfo(
-            profile.vnfd_ref, profile.vnf_flavor_ref, (), "",
+            profile.vnfd_ref, profile.vnf_flavor_ref, (),
+            self._pop(plan.assignments[vnfc_items[0].key]).vim_ref,
             audit=(("instantiation", self._clock),), profile_ref=profile.id)
         return vnf_id
 

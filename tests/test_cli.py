@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -42,20 +43,39 @@ CATALOG_COMMANDS = pytest.mark.parametrize(
     ids=["validate", "graph"])
 
 
-@pytest.mark.parametrize("command, status", [("validate", 0), ("run", 1)])
+# `python -m nsscale` validates the sample catalog (exit 0) and refuses a
+# scenario whose options are `[0.6]`, not an object (exit 1).
+MODULE_RUNS = pytest.mark.parametrize("command, status",
+                                      [("validate", 0), ("run", 1)])
+
+
+def module_run_path(tmp_path, command) -> str:
+    return catalog_file(tmp_path) if command == "validate" else \
+        scenario_file(tmp_path, dict(sc.sample_scenario(), options=[0.6]))
+
+
+@MODULE_RUNS
 def test_python_m_nsscale_runs_the_cli_from_a_checkout(tmp_path, command,
                                                       status):
-    """With only `src` on the path, `python -m nsscale` validates the
-    sample catalog (exit 0) and refuses a scenario whose options are
-    `[0.6]`, not an object (exit 1)."""
-    path = catalog_file(tmp_path) if command == "validate" else \
-        scenario_file(tmp_path, dict(sc.sample_scenario(), options=[0.6]))
+    """With only `src` on the path, in a process of its own."""
+    path = module_run_path(tmp_path, command)
     done = subprocess.run(
         [sys.executable, "-m", "nsscale", command, path], capture_output=True,
         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(
             Path(__file__).parent.parent / "src")))
     assert done.returncode == status, done.stderr
     assert "Traceback" not in done.stderr
+
+
+@MODULE_RUNS
+def test_python_m_nsscale_runs_in_process(tmp_path, monkeypatch, command,
+                                          status):
+    """`nsscale.__main__` run in this process, as `python -m` runs it."""
+    monkeypatch.setattr(sys, "argv", ["nsscale", command,
+                                      module_run_path(tmp_path, command)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("nsscale", run_name="__main__")
+    assert exc.value.code == status
 
 
 def test_validate_clean_catalog(tmp_path, capsys):
@@ -110,6 +130,23 @@ def test_validate_malformed_json_is_io_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["validate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", [["run"], ["explain", "--at", "10"]])
+def test_a_missing_scenario_is_an_io_error(tmp_path, capsys, command):
+    assert main([command[0], str(tmp_path / "nope.json")] + command[1:]) == 2
+    assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("run", "--trace"), ("run", "--state"), ("graph", "--out")])
+def test_an_output_that_is_a_directory_is_an_io_error(tmp_path, capsys,
+                                                      command, option):
+    given = scenario_file(tmp_path) if command == "run" else \
+        catalog_file(tmp_path)
+    extra = ["--flavor", "df-1"] if command == "graph" else []
+    assert main([command, given, option, str(tmp_path)] + extra) == 2
+    assert "io error" in capsys.readouterr().err
 
 
 def test_run_writes_trace_and_state(tmp_path, capsys):
@@ -629,6 +666,20 @@ def test_graph_unknown_flavor(tmp_path, capsys):
     assert main(["graph", catalog_file(tmp_path), "--flavor", "df-9"]) == 1
 
 
+@pytest.mark.parametrize("options, status, line", [
+    ([], 1, "multiple NSDs in catalog; pick one with --nsd"),
+    (["--nsd", "nsd-9"], 1, "unknown NSD 'nsd-9'"),
+    (["--nsd", "nsd-2"], 0, "level-1 -> level-2: vnf-scaling"),
+])
+def test_graph_of_two_nsds_needs_a_known_one(tmp_path, capsys, options,
+                                             status, line):
+    documents = sc.sample_documents()
+    documents.append(dict(documents[-1], id="nsd-2"))
+    assert main(["graph", catalog_file(tmp_path, documents),
+                 "--flavor", "df-1"] + options) == status
+    assert capsys.readouterr().out.splitlines()[0].startswith(line)
+
+
 def test_graph_output_is_byte_stable(tmp_path):
     catalog = catalog_file(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -739,6 +790,19 @@ def test_explain_prints_a_drpa_error(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "tick 10: action: error (no scale-out level in flavor df-1 "
         "satisfies demand {'vcpu': 50, 'memory': 12, 'storage': 20, "
+        "'bandwidth': 100})"]
+
+
+def test_explain_prints_an_overflowing_demand(tmp_path, capsys):
+    """A finite load of 1e308 asks for more vcpu than a float holds: the
+    exact ratio overflows, the float one is inf, and no level covers it."""
+    scenario = sc.sample_scenario(
+        workload={"metrics": [[10, "vnfd-b", "cpu_load", 1e308]]})
+    assert main(["explain", scenario_file(tmp_path, scenario),
+                 "--at", "10"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "tick 10: action: error (no scale-out level in flavor df-1 "
+        "satisfies demand {'vcpu': inf, 'memory': 12, 'storage': 20, "
         "'bandwidth': 100})"]
 
 

@@ -56,6 +56,30 @@ def test_reservation_kind_masks():
         zone.allocate(CapacityVector(bandwidth=10), "storage")
 
 
+def test_an_unknown_resource_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown resource kind 'gpu'"):
+        make_zone().reserve(CapacityVector(vcpu=1), "gpu")
+
+
+@pytest.mark.parametrize("zone_id, kind, spec, message", [
+    ("z2", "compute", CapacityVector(vcpu=2), "does not match zone z2"),
+    ("z1", "storage", CapacityVector(), "does not match zone z1 kind storage"),
+    ("z1", "compute", CapacityVector(vcpu=3), "allocation exceeds"),
+])
+def test_an_allocation_must_fit_its_reservation(zone_id, kind, spec,
+                                                message):
+    """A reservation is consumed only by an allocation of its own zone and
+    kind that it covers; a refused one leaves the zone as it was."""
+    zone = make_zone()
+    reservation = zone.reserve(CapacityVector(vcpu=2), "compute")
+    other = ResourceZone(zone_id, zone.total)
+    before = other.snapshot()
+    with pytest.raises(ReservationStateError, match=message):
+        other.allocate(spec, kind, from_reservation=reservation)
+    assert other.snapshot() == before
+    assert reservation.state == "active"
+
+
 def test_insufficient_capacity_names_dimension():
     zone = make_zone(vcpu=2)
     with pytest.raises(InsufficientCapacityError) as err:
@@ -291,6 +315,13 @@ def test_add_instances_must_be_stopped():
     with pytest.raises(IllegalTransitionError):
         record_vnf_info_update(info, ADD_INSTANCES_STOPPED, 15, 100,
                                instances=(VnfcInstance("c8", "vdu-2", STARTED),))
+
+
+def test_an_unknown_instance_is_refused():
+    with pytest.raises(IllegalTransitionError,
+                       match=r"unknown instances \['c7'\]"):
+        record_vnf_info_update(_info(), MARK_STOPPED, 24, 100,
+                               instance_ids=("c0", "c7"))
 
 
 def test_instance_id_reuse_rejected():

@@ -52,6 +52,11 @@ def test_parentheses_and_not():
     ("WHEN avg(a, 1) ! 1 THEN scale_out", "character"),
     ("WHEN avg(a, 1) > 1 THEN scale_out COOLDOWN -2", "cooldown"),
     ("WHEN avg(a, 1) > 1 THEN scale_out extra", "trailing"),
+    ("WHEN avg(a 1) > 1 THEN scale_out", "expected ','"),
+    ("WHEN avg(a, b) > 1 THEN scale_out", "expected window length"),
+    ("WHEN 5 > 1 THEN scale_out", "expected aggregate"),
+    ("WHEN avg(5, 1) > 1 THEN scale_out", "expected metric name"),
+    ("WHEN avg(a, 1) 5 THEN scale_out", "expected comparator"),
 ])
 def test_syntax_errors_carry_a_column(text, fragment):
     with pytest.raises(RuleSyntaxError) as err:

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import random
 
 import sample_catalog as sc
 from conftest import (
     SEVEN_AND_SEVEN, audit_every_event, build_sim, refuse_large_vnfcs,
     run_dict, transitions,
 )
-from corpus import record
+from corpus import record, small_zone_scenario
+from scenario_gen import random_scenario
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,7 +16,9 @@ from nsscale.capacity import ZERO
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
-from nsscale.scenario import scenario_from_dict, workload_records
+from nsscale.scenario import (
+    ScenarioValidationError, scenario_from_dict, workload_records,
+)
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
     Arrow, Simulator,
@@ -26,6 +30,26 @@ def scale_actions(result):
     return [(t, d.target_ns_il, d.classification)
             for t, d in result.decisions
             if not isinstance(d, str) and d.action == "scale"]
+
+
+def test_a_new_vnf_takes_the_vim_of_its_first_vnfcs_pop():
+    """After set-up, each VNF of the random and small-zone scenarios is
+    under the VIM of its first VNFC's PoP, as one that scaling adds is,
+    also where its VNFCs span two VIMs (three small-zone seeds)."""
+    scenarios = [random_scenario(random.Random(seed)) for seed in range(200)]
+    scenarios += map(small_zone_scenario, range(150))
+    spanning = 0
+    for scenario in scenarios:
+        try:
+            sim = Simulator(scenario_from_dict(scenario))
+        except ScenarioValidationError:  # the initial level does not fit
+            continue
+        vims = {pop.id: pop.vim_ref for pop in sim.pops}
+        for info in sim.vnf_infos.values():
+            assert info.vim_ref == vims[info.vnfc_instances[0].pop_ref]
+            spanning += len({vims[inst.pop_ref]
+                             for inst in info.vnfc_instances}) > 1
+    assert spanning == 3
 
 
 def test_escalation_walks_the_level_ladder():
@@ -651,12 +675,12 @@ def test_a_vnfc_without_storage_is_allocated_compute_only(reservation):
         "vcpu": 7, "memory": 14, "storage": 20, "bandwidth": 200}
 
 
-def test_a_vim_ref_write_keeps_every_other_field(monkeypatch):
-    """The simulator's own VnfInfo writes, which give a new instance its
-    VIM (with its first VNFCs at set-up), equal `dataclasses.replace` of
-    the old record with only those fields, compared over
-    `dataclasses.fields`: a field added later cannot be lost by
-    positional construction."""
+def test_the_set_up_vnfc_write_keeps_every_other_field(monkeypatch):
+    """The simulator's one VnfInfo write of its own, which gives a new
+    instance its VNFCs at set-up, equals `dataclasses.replace` of the old
+    record with only that field, compared over `dataclasses.fields`: a
+    field added later cannot be lost by positional construction. A run
+    writes VnfInfo only through `record_vnf_info_update`."""
     writes = []  # (at set-up, old record, new record)
     running = []
 
@@ -680,14 +704,12 @@ def test_a_vim_ref_write_keeps_every_other_field(monkeypatch):
     for at_setup, old, new in writes:
         if new.audit != old.audit:  # record_vnf_info_update's own write
             continue
-        changed = ("vnfc_instances", "vim_ref") if at_setup else ("vim_ref",)
-        assert old.vim_ref == "" != new.vim_ref
-        expected = dataclasses.replace(
-            old, **{name: getattr(new, name) for name in changed})
+        assert at_setup and old.vnfc_instances == () != new.vnfc_instances
+        expected = dataclasses.replace(old, vnfc_instances=new.vnfc_instances)
         for f in dataclasses.fields(VnfInfo):
             assert getattr(new, f.name) == getattr(expected, f.name), f.name
         seen.add(at_setup)
-    assert seen == {True, False}
+    assert seen == {True}
 
 
 class _DeliveryLog(Simulator):

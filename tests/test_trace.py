@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import importlib.util
 import json
 import sys
 import tracemalloc
@@ -73,18 +74,35 @@ def test_canonical_json_equals_the_normalized_encoding(obj):
     assert canonical_json(obj) == reference_json(obj)
 
 
+@pytest.fixture(scope="module")
+def pure_trace():
+    """A copy of `nsscale.trace` loaded as where json has no C accelerator:
+    its `_encode` is the encoder's own `encode`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        spec = importlib.util.spec_from_file_location(
+            "nsscale.pure_trace", nsscale.trace.__file__)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    assert module._encode == module._ENCODER.encode
+    return module
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(canonical_like)
-@example({"\u00e9": [[], {}], "": [[1.5, []], [{"\u03b2": {}}]],
-          "a": {"b": [None, True, "\u00fc", -0.25]}})
-@example([[[]], [{}], [], {"k": [[2.5]]}])
-def test_a_canonical_value_is_written_as_the_encoder_writes_it(obj):
+@given(obj=canonical_like)
+@example(obj={"\u00e9": [[], {}], "": [[1.5, []], [{"\u03b2": {}}]],
+              "a": {"b": [None, True, "\u00fc", -0.25]}})
+@example(obj=[[[]], [{}], [], {"k": [[2.5]]}])
+def test_a_canonical_value_is_written_as_the_encoder_writes_it(pure_trace,
+                                                               obj):
     """Whether it is walked member by member, as a value that holds a dict
     or a list is, or encoded in one call, a canonical value's text is the
     encoder's: empty containers, lists of lists, non-ASCII keys and
-    non-integral floats included."""
+    non-integral floats included. Without json's C accelerator, it is the
+    same text."""
     assert canonical_json(obj) == json.dumps(obj, sort_keys=True,
                                              separators=(",", ":"))
+    assert pure_trace.canonical_json(obj) == canonical_json(obj)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -4,10 +4,12 @@ runs, with `sys.settrace`; it needs only the standard library.
     python tools/linecov.py pytest -q -p no:cacheprovider
 
 runs the tier-1 tests under the collector, in about three times their
-usual time, and prints each module's executable lines that never ran.
-The collector pauses while `tracemalloc` traces, so that a test that
-measures its own memory measures none of the collector's: a line that
-runs only then is listed as never run.
+usual time, and prints each module's executable lines that never ran. It
+exits with the module's status when that is not 0, else 1 when it lists
+any line and 0 when it lists none. The collector pauses while
+`tracemalloc` traces, so that a test that measures its own memory
+measures none of the collector's: a line that runs only then is listed
+as never run.
 """
 
 import os
@@ -33,8 +35,8 @@ def executable_lines(path: str) -> set:
 
 
 def main(argv: list) -> int:
-    """Runs module `argv[0]` as `__main__` with arguments `argv[1:]`, and
-    prints the lines it never ran."""
+    """Runs module `argv[0]` as `__main__` with arguments `argv[1:]`,
+    prints the lines it never ran, and returns the exit status."""
     hits = set()
 
     def in_package(frame, event, arg):
@@ -83,7 +85,7 @@ def main(argv: list) -> int:
         if never:
             print("%s: %s" % (name, ", ".join(map(str, never))))
     print("linecov: %d lines of src/nsscale never ran" % missed)
-    return status
+    return status or int(missed > 0)
 
 
 if __name__ == "__main__":
