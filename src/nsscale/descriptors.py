@@ -370,8 +370,8 @@ def _validate_vld(vld: Vld, path: str, report: ValidationReport):
 
 def _validate_vnfd(vnfd: Vnfd, report: ValidationReport):
     path = "vnfd:%s" % vnfd.id
-    vcd_ids = {v.id for v in vnfd.vcds}
-    vsd_ids = {v.id for v in vnfd.vsds}
+    vcd_ids = report.ids(vnfd.vcds, path + "/vcds", "VCD")
+    vsd_ids = report.ids(vnfd.vsds, path + "/vsds", "VSD")
     for vcd in vnfd.vcds:
         if vcd.vcpu < 1:
             report.add("range", "%s/vcds/%s" % (path, vcd.id), "vcpu must be >= 1")
@@ -385,6 +385,7 @@ def _validate_vnfd(vnfd: Vnfd, report: ValidationReport):
         vpath = "%s/vdus/%s" % (path, vdu.id)
         report.refs((vdu.vcd_ref,), vcd_ids, vpath, "VCD")
         report.refs(vdu.vsd_refs, vsd_ids, vpath, "VSD")
+    report.ids(vnfd.internal_vlds, path + "/internal_vlds", "internal VLD")
     for vld in vnfd.internal_vlds:
         _validate_vld(vld, "%s/internal_vlds/%s" % (path, vld.id), report)
     report.ids(vnfd.flavors, path + "/flavors", "VNF flavor")
@@ -413,6 +414,7 @@ def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
     report.refs(nsd.vnffgd_refs, catalog.vnffgds, path + "/vnffgd_refs",
                 "VNFFGD")
 
+    report.ids(nsd.monitored_info, path + "/monitored_info", "monitored item")
     monitored = set()  # (subject, name) of every monitored item
     for item in nsd.monitored_info:
         mpath = "%s/monitored_info/%s" % (path, item.id)
@@ -431,6 +433,7 @@ def _validate_nsd(catalog: Catalog, nsd: Nsd, report: ValidationReport):
             report.add("range", mpath, "collection_period must be >= 0")
 
     monitored_names = {name for _, name in monitored}
+    report.ids(nsd.auto_scaling_rules, path + "/auto_scaling_rules", "rule")
     for rule in nsd.auto_scaling_rules:
         rpath = "%s/auto_scaling_rules/%s" % (path, rule.id)
         for ref in rule.ast.metric_refs:

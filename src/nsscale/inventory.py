@@ -11,10 +11,6 @@ from typing import NamedTuple
 from .capacity import DIMENSIONS, KIND_DIMENSIONS, CapacityVector, ZERO
 from .shapes import by_id
 
-RESERVATION_ACTIVE = "active"
-RESERVATION_CONSUMED = "consumed"
-RESERVATION_CANCELLED = "cancelled"
-
 STOPPED = "STOPPED"
 STARTED = "STARTED"
 
@@ -70,15 +66,6 @@ class IllegalTransitionError(InventoryError):
     pass
 
 
-@dataclass
-class Reservation:
-    id: str
-    zone_ref: str
-    spec: CapacityVector
-    kind: str
-    state: str = RESERVATION_ACTIVE
-
-
 class ResourceHandle(NamedTuple):
     id: str
     spec: CapacityVector
@@ -88,7 +75,9 @@ class ResourceZone:
     """One capacity partition of an NFVI-PoP. `available` is always derived,
     never stored. Every write assigns new `allocated` and `reserved`
     vectors, and `restore` the checkpoint's own: `capacity_report` reuses
-    `report` while it holds the zone's very vectors."""
+    `report` while it holds the zone's very vectors. The zone holds each
+    reservation it made until it is consumed or cancelled, by id, as a VIM
+    holds its reservations by reservationId."""
 
     def __init__(self, zone_id: str, total: CapacityVector):
         self.id = zone_id
@@ -97,6 +86,7 @@ class ResourceZone:
         self.reserved = ZERO
         self._counter = itertools.count(1)
         self._outstanding = {}  # handle id -> ResourceHandle
+        self._reservations = {}  # reservation id -> (spec, kind)
         self.report = None  # the last ZoneReport capacity_report built
 
     @property
@@ -118,42 +108,47 @@ class ResourceZone:
             if d not in KIND_DIMENSIONS[kind] and spec.get(d) != 0:
                 raise ValueError("%s reservation cannot carry %s" % (kind, d))
 
-    def reserve(self, spec: CapacityVector, kind: str) -> Reservation:
+    def reserve(self, spec: CapacityVector, kind: str) -> str:
+        """Reserve `spec` of `kind` and return the reservation's id."""
         self._check_kind(spec, kind)
         self._check_fits(spec)
-        reservation = Reservation("res-%s-%d" % (self.id, next(self._counter)),
-                                  self.id, spec, kind)
+        reservation_id = "res-%s-%d" % (self.id, next(self._counter))
+        self._reservations[reservation_id] = (spec, kind)
         self.reserved = self.reserved + spec
         self.check_conservation()
-        return reservation
+        return reservation_id
 
-    def cancel(self, reservation: Reservation):
-        if reservation.state != RESERVATION_ACTIVE:
+    def _reservation(self, reservation_id: str) -> tuple:
+        """The (spec, kind) of a reservation the zone holds."""
+        try:
+            return self._reservations[reservation_id]
+        except KeyError:
             raise ReservationStateError(
-                "reservation %s is %s" % (reservation.id, reservation.state))
-        reservation.state = RESERVATION_CANCELLED
-        self.reserved = self.reserved - reservation.spec
+                "reservation %s does not match zone %s: not held there"
+                % (reservation_id, self.id)) from None
+
+    def cancel(self, reservation_id: str):
+        spec, _ = self._reservation(reservation_id)
+        del self._reservations[reservation_id]
+        self.reserved = self.reserved - spec
         self.check_conservation()
 
     def allocate(self, spec: CapacityVector, kind: str,
-                 from_reservation: Reservation | None = None) -> ResourceHandle:
+                 from_reservation: str | None = None) -> ResourceHandle:
         self._check_kind(spec, kind)
         if from_reservation is not None:
-            if from_reservation.state != RESERVATION_ACTIVE:
-                raise ReservationStateError(
-                    "reservation %s is %s"
-                    % (from_reservation.id, from_reservation.state))
-            if from_reservation.zone_ref != self.id or from_reservation.kind != kind:
+            reserved, reserved_kind = self._reservation(from_reservation)
+            if reserved_kind != kind:
                 raise ReservationStateError(
                     "reservation %s does not match zone %s kind %s"
-                    % (from_reservation.id, self.id, kind))
-            if not from_reservation.spec.covers(spec):
+                    % (from_reservation, self.id, kind))
+            if not reserved.covers(spec):
                 raise ReservationStateError(
-                    "allocation exceeds reservation %s" % from_reservation.id)
+                    "allocation exceeds reservation %s" % from_reservation)
             # Consume the whole reservation; unused remainder returns to
             # available implicitly.
-            from_reservation.state = RESERVATION_CONSUMED
-            self.reserved = self.reserved - from_reservation.spec
+            del self._reservations[from_reservation]
+            self.reserved = self.reserved - reserved
         else:
             self._check_fits(spec)
         handle = ResourceHandle("h-%s-%d" % (self.id, next(self._counter)),
@@ -183,12 +178,16 @@ class ResourceZone:
 
     def checkpoint(self) -> tuple:
         """What `restore` needs to put the zone's accounting back as it is
-        now. The id counter is not part of it: ids are never reused."""
-        return self.allocated, self.reserved, dict(self._outstanding)
+        now: allocated, reserved, the outstanding handles and the
+        reservations held. The id counter is not part of it: ids are never
+        reused."""
+        return (self.allocated, self.reserved, dict(self._outstanding),
+                dict(self._reservations))
 
     def restore(self, checkpoint: tuple):
-        self.allocated, self.reserved, outstanding = checkpoint
+        self.allocated, self.reserved, outstanding, reservations = checkpoint
         self._outstanding = dict(outstanding)
+        self._reservations = dict(reservations)
 
     def check_conservation(self):
         """Raise ConservationError unless allocated, reserved and available

@@ -19,7 +19,7 @@ from .capacity import CapacityVector
 from .descriptors import ns_il_delta  # unused here; the tracer wraps it
 from .inventory import (
     ADD_INSTANCES_STOPPED, DELETE_INSTANCES, MARK_STARTED, MARK_STOPPED,
-    SET_VNF_IL, STARTED, STOPPED, VNFC_TRANSITIONS, InventoryError,
+    SET_VNF_IL, STARTED, STOPPED, InventoryError,
     NS_INSTANTIATED, VnfcInstance, VnfInfo, capacity_report,
     record_vnf_info_update,
     vim_placement,  # unused here; the benchmark's tracer wraps this name
@@ -177,15 +177,13 @@ class ScalingOperation:
 
 @dataclass
 class RunResult:
-    """A finished run. `transition_rows` holds each VNFC lifecycle
-    transition as a tuple `(vnf_instance, instance, vdu_ref, from, to,
-    step, tick)`: VNFC `instance` moved from state `from` (None when new)
-    to `to` at the event of `step` at `tick`."""
+    """A finished run. Each VNFC lifecycle transition is the VnfInfo
+    update that made it: its trace event and its entry in the VNF's
+    audit."""
     trace: Trace
     final_state: dict
     operations: list
     decisions: list  # [(tick, DrpaDecision | str)]
-    transition_rows: list
     failure_reason: str = ""  # the last failed operation's failure
 
     @property
@@ -239,7 +237,6 @@ class Simulator:
         self.trace = Trace()
         self.operations = []
         self.decisions = []
-        self.transition_rows = []
         self._clock = 0
         self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
@@ -342,9 +339,8 @@ class Simulator:
         while waiting is not None:
             self._deliver_indicator(waiting)
             waiting = next(pending, None)
-        return RunResult(self.trace, self.final_state(),
-                         self.operations, self.decisions, self.transition_rows,
-                         failure_reason=self._failure)
+        return RunResult(self.trace, self.final_state(), self.operations,
+                         self.decisions, failure_reason=self._failure)
 
     def _where(self, kind: str, record) -> str:
         """The head of an error in `record`, one of the workload's `kind`
@@ -513,8 +509,8 @@ class Simulator:
 
     def _restore(self, saved: tuple):
         """Undo a failed operation: `final_state` reads as before it. Id
-        counters are not rewound, and the trace and transitions keep the
-        failed operation's history."""
+        counters are not rewound, and the trace keeps the failed
+        operation's history."""
         zones, self.vnf_infos, self.vl_handles = saved
         for zone, checkpoint in zones:
             zone.restore(checkpoint)
@@ -564,10 +560,10 @@ class Simulator:
 
         vims = strings_text(sorted(plan.selected_vims))
         if self.reservation_enabled:
-            # (item key, kind) -> reservation
+            # (item key, kind) -> reservation id
             reservations = self._reservation_subphase(op, plan, items)
             grant = GRANTED_RESERVED_FORM % ("true", op_id, strings_text(
-                sorted(r.id for r in reservations.values())), vims)
+                sorted(reservations.values())), vims)
         else:
             reservations = {}
             grant = GRANTED_FORM % ("true", op_id, vims)
@@ -630,17 +626,17 @@ class Simulator:
                 for item, spec in kind_items:
                     _, zone = self._planned_zone(plan, item)
                     try:
-                        reservation = zone.reserve(spec, kind)
+                        reservation_id = zone.reserve(spec, kind)
                     except InventoryError as exc:
                         self._emit(vim, self.nfvo, RESERVE_RESPONSE,
                                    RESERVE_ERROR_FORM % (
                                        string_text(str(exc)), kind_text,
                                        op_id))
                         raise OperationFailure(RESERVE_REQUEST.step, str(exc))
-                    reservations[(item.key, kind)] = reservation
+                    reservations[(item.key, kind)] = reservation_id
                     placed.append(PLACEMENT_ZONE_FORM % (
                         string_text(item.key), string_text(zone.id)))
-                    ids.append(reservation.id)
+                    ids.append(reservation_id)
                 self._emit(vim, vim, VIM_PLACEMENT, PLACEMENT_FORM % (
                     kind_text, op_id, "[%s]" % ",".join(placed)))
                 self._emit(vim, self.nfvo, RESERVE_RESPONSE, RESERVED_FORM % (
@@ -664,17 +660,17 @@ class Simulator:
                 if spec.is_zero():
                     continue
                 kind_text = string_text(kind)
-                reservation = reservations.get((item.key, kind))
+                reservation_id = reservations.get((item.key, kind))
                 if self.reservation_enabled:
                     request = ALLOCATE_RESERVED_FORM % (
-                        kind_text, op_id, string_text(reservation.id))
+                        kind_text, op_id, string_text(reservation_id))
                 else:
                     request = ALLOCATE_SPEC_FORM % (
                         string_text(item.anti_affinity), kind_text, op_id,
                         string_text(pop.id), capacity_text(spec))
                 self._emit(requester, vim, ALLOCATE_REQUEST, request)
                 handle = _write(RESOURCE_ALLOCATION, zone.allocate, spec,
-                                kind, reservation)
+                                kind, reservation_id)
                 handle_text = string_text(handle.id)
                 self._emit(vim, vim, RESOURCE_ALLOCATION, ALLOCATION_FORM % (
                     handle_text, kind_text, op_id, string_text(zone.id)))
@@ -798,25 +794,14 @@ class Simulator:
 
     def _update_vnf_info(self, vnf_id: str, change: str, **kwargs):
         """Write `change` to the VNF's record at the step of the change's
-        event in VNF_INFO_CHANGES, report it to the NFVO, and log the
-        transition VNFC_TRANSITIONS gives each VNFC it creates or moves."""
+        event in VNF_INFO_CHANGES, and report it to the NFVO."""
         arrow = VNF_INFO_CHANGES[change]
-        step = arrow.step
-        state_from, state_to = VNFC_TRANSITIONS[change]
-        info = record_vnf_info_update(self.vnf_infos[vnf_id], change, step,
-                                      self._clock, **kwargs)
+        info = record_vnf_info_update(self.vnf_infos[vnf_id], change,
+                                      arrow.step, self._clock, **kwargs)
         self.vnf_infos[vnf_id] = info
         self._emit(self.vnfm_actor[info.vnfd_ref], self.nfvo, arrow,
-                   VNF_INFO_FORM % (string_text(change), step,
+                   VNF_INFO_FORM % (string_text(change), arrow.step,
                                     string_text(vnf_id)))
-        if state_to is None:
-            return
-        ids = kwargs.get("instance_ids",
-                         [inst.id for inst in kwargs.get("instances", ())])
-        for inst in map(info.instance, ids):
-            self.transition_rows.append((vnf_id, inst.id, inst.vdu_ref,
-                                         state_from, state_to, step,
-                                         self._clock))
 
     def final_state(self) -> dict:
         # A VNF instance is at the level the NS level gives its profile.

@@ -1,6 +1,7 @@
 import pytest
 
 import sample_catalog as sc
+from corpus import Logging
 from corpus import corpus  # noqa: F401 -- the session's recorded corpus
 from nsscale.descriptors import load_catalog
 from nsscale.inventory import InsufficientCapacityError, ResourceZone
@@ -41,14 +42,22 @@ def flavor(nsd):
 
 
 # The fields of a VNFC transition, in the order of its row in
-# `RunResult.transition_rows`.
+# `Logging.transitions`.
 TRANSITION_KEYS = ("vnf_instance", "instance", "vdu_ref", "from", "to",
                    "step", "tick")
 
 
-def transitions(result) -> list:
-    """A run's VNFC transitions, each a dict of `TRANSITION_KEYS`."""
-    return [dict(zip(TRANSITION_KEYS, row)) for row in result.transition_rows]
+def transitions(source) -> list:
+    """The VNFC transitions of `source`, a `Logging` simulator or a corpus
+    `Record`, each a dict of `TRANSITION_KEYS`."""
+    return [dict(zip(TRANSITION_KEYS, row)) for row in source.transitions]
+
+
+def run_logged(scenario_dict) -> tuple:
+    """A run of `scenario_dict` and its VNFC transitions, as `transitions`
+    gives them."""
+    sim = Logging(scenario_from_dict(scenario_dict))
+    return sim.run(), transitions(sim)
 
 
 def build_sim(scenario_dict) -> Simulator:

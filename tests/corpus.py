@@ -32,9 +32,9 @@ import pytest
 
 import sample_catalog as sc
 import scenario_gen
-from nsscale.inventory import InventoryError, ResourceZone
+from nsscale.inventory import VNFC_TRANSITIONS, InventoryError, ResourceZone
 from nsscale.scenario import ScenarioValidationError, scenario_from_dict
-from nsscale.simulator import RunResult, Simulator
+from nsscale.simulator import VNF_INFO_CHANGES, RunResult, Simulator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -113,12 +113,14 @@ class Record(NamedTuple):
     `_execute_decision` ran it. `writes`: each zone write of the run,
     (method, its zone's VIM, `write_key`, the index of the operation open
     or None). `vnfcs`: each new VNFC as `_allocation_phase` made it, (op
-    id, item key, PoP, zone)."""
+    id, item key, PoP, zone). `transitions`: each VNFC transition, as
+    `Logging` logs it."""
     result: RunResult
     events: tuple
     spans: tuple
     writes: tuple
     vnfcs: tuple
+    transitions: tuple
 
 
 def write_key(name, zone, args, result):
@@ -131,7 +133,32 @@ def write_key(name, zone, args, result):
     return result.id if name == "allocate" else (result.id, result.spec)
 
 
-class Recording(Simulator):
+class Logging(Simulator):
+    """A simulator that logs, in `transitions`, each VNFC lifecycle
+    transition its VnfInfo updates make, as a row `(vnf_instance,
+    instance, vdu_ref, from, to, step, tick)`: VNFC `instance` moved from
+    state `from` (None when new) to `to` at the event of `step` at
+    `tick`."""
+
+    def __init__(self, scenario):
+        self.transitions = []
+        super().__init__(scenario)
+
+    def _update_vnf_info(self, vnf_id, change, **kwargs):
+        super()._update_vnf_info(vnf_id, change, **kwargs)
+        state_from, state_to = VNFC_TRANSITIONS[change]
+        if state_to is None:
+            return
+        ids = kwargs.get("instance_ids",
+                         [inst.id for inst in kwargs.get("instances", ())])
+        step = VNF_INFO_CHANGES[change].step
+        self.transitions.extend(
+            (vnf_id, inst.id, inst.vdu_ref, state_from, state_to, step,
+             self._clock)
+            for inst in map(self.vnf_infos[vnf_id].instance, ids))
+
+
+class Recording(Logging):
     """A simulator that records its run in the fields of a `Record`,
     keeping each payload text once in `texts`; `record` adds its zone
     writes."""
@@ -184,7 +211,7 @@ def record(scenario: dict, names=(), k=0, texts=None) -> Record | None:
         fail_kth_zone_write(mp, k, names)
         result = sim.run()
     return Record(result, tuple(sim.events), tuple(sim.spans),
-                  tuple(sim.writes), tuple(sim.vnfcs))
+                  tuple(sim.writes), tuple(sim.vnfcs), tuple(sim.transitions))
 
 
 class Corpus(dict):
@@ -251,13 +278,15 @@ def build_corpus() -> Corpus:
 
 def corpus_digest(corpus: Corpus) -> str:
     """A digest of what a test could change in a record: its result's
-    trace length, final state, decisions, transitions and operations."""
+    trace length, final state, decisions and operations, and its
+    transitions."""
     digest = hashlib.sha256()
     for records in corpus.values():
-        for result in (record.result for record in records.values()):
+        for record in records.values():
+            result = record.result
             digest.update(pickle.dumps((
                 len(result.trace), result.final_state, result.decisions,
-                result.transition_rows, result.failure_reason,
+                record.transitions, result.failure_reason,
                 [(op.op_id, op.kind, op.begun, op.end, op.failed_step,
                   op.error) for op in result.operations])))
     return digest.hexdigest()

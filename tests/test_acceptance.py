@@ -13,7 +13,7 @@ import pytest
 import broken_descriptors
 import sample_catalog as sc
 import scenario_gen
-from conftest import audit_every_event, run_dict, transitions
+from conftest import audit_every_event, run_dict, run_logged
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import (
     aggregate_capacity, load_catalog, validate_catalog,
@@ -75,10 +75,11 @@ def test_acceptance_2_golden_trace(capsys):
 def test_acceptance_3_service_continuity(capsys):
     with acceptance(capsys, 3, "the replacement VNFC starts (step 19) before "
                     "the replaced one stops (step 24)"):
-        result = run_dict(sc.sample_scenario(workload=sc.jump_workload()))
-        started = [t["tick"] for t in transitions(result)
+        _, moves = run_logged(sc.sample_scenario(
+            workload=sc.jump_workload()))
+        started = [t["tick"] for t in moves
                    if t["step"] == 19 and t["vdu_ref"] == "vdu-2"]
-        stopped = [t["tick"] for t in transitions(result)
+        stopped = [t["tick"] for t in moves
                    if t["step"] == 24 and t["vdu_ref"] == "vdu-1"]
         assert started and stopped
         assert started[0] <= stopped[0]
@@ -182,9 +183,9 @@ def test_acceptance_7_state_machine_soundness(capsys, catalog, nsd, flavor):
                     "step 24, no workflow messages outside operations, and "
                     "quiescent instance multisets match the current levels"):
         for i in range(25):
-            result = run_dict(scenario_gen.random_scenario(
+            result, moves = run_logged(scenario_gen.random_scenario(
                 random.Random(70_001 + i)))
-            for t in transitions(result):
+            for t in moves:
                 if t["to"] == STARTED:
                     assert t["step"] == 19
                 elif t["from"] is None:

@@ -100,27 +100,41 @@ def retained_after_run(data: dict, collect: bool = True) -> tuple:
     return retained, len(result.trace)
 
 
-RETAINED_PER_EVENT = 55  # bytes
+RETAINED_PER_EVENT = 45  # bytes
+
+
+def retained_per_event(name: str, sizes: tuple) -> float:
+    """The growth, per trace event, of the memory a finished run of
+    workload `name` keeps, between its sizes `sizes`."""
+    workloads = import_bench("workloads")
+    (small, small_events), (large, large_events) = (
+        retained_after_run(workloads.GENERATORS[name](0, size))
+        for size in sizes)
+    return (large - small) / (large_events - small_events)
 
 
 def test_a_run_retains_little_per_trace_event():
     """The memory a finished run keeps grows by less than
-    `RETAINED_PER_EVENT` (55) bytes per trace event. The growth is
+    `RETAINED_PER_EVENT` (45) bytes per trace event. The growth is
     measured with `tracemalloc` between scale-churn sizes 10 and 40 (2,010
     and 8,040 events), so set-up's fixed cost drops out. Measured on
     CPython 3.11.7: 360 B/event while the trace kept one record per event
     and each operation its own (step, tick) list, 104 B/event with the
     trace held as columns, 90 with the workload read in place, 61 with
     the ticks held as jumps, each VNFC transition as a tuple, one verdict
-    per missing set and one str per audit step, and 49 with each digest
-    held as 8 raw bytes and each route id in an `array("B")`.
-    Monitor-steady, between sizes 250 and 1,000, measured 249 and 33
-    B/event."""
-    workloads = import_bench("workloads")
-    (small, small_events), (large, large_events) = (
-        retained_after_run(workloads.GENERATORS["scale-churn"](0, size))
-        for size in (10, 40))
-    per_event = (large - small) / (large_events - small_events)
+    per missing set and one str per audit step, 49 with each digest held
+    as 8 raw bytes and each route id in an `array("B")`, and 38 with no
+    record kept per VNFC transition. Monitor-steady, between sizes 250
+    and 1,000, measured 249 and 33 B/event, and 11 with no such record."""
+    per_event = retained_per_event("scale-churn", (10, 40))
+    assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
+
+
+def test_a_wide_run_retains_little_per_trace_event():
+    """As above, between wide-fabric sizes 5 and 20 (2,750 and 11,000
+    events): 53 B/event while each VNFC transition was kept as a tuple, 32
+    with none kept."""
+    per_event = retained_per_event("wide-fabric", (5, 20))
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
 
 

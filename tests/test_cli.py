@@ -259,6 +259,27 @@ def test_a_dotted_rule_ref_names_a_monitored_item(tmp_path, capsys, ref,
         assert (code, out) == (1, [line])
 
 
+@pytest.mark.parametrize("second, code, out", [
+    ("r-cpu", 1, ["catalog: duplicate-id nsd:nsd-1/auto_scaling_rules/r-cpu: "
+                  "duplicate rule id"]),
+    ("r-mem", 0, ["status: completed", "events: 42",
+                  "final ns-il: level-3"]),
+], ids=["twin", "distinct"])
+def test_rules_that_share_an_id_exit_one(tmp_path, capsys, second, code, out):
+    """Rule verdicts and cooldowns are kept by rule id, so two rules of one
+    id would mix theirs up: with distinct ids, the second rule's load
+    scales the NS out."""
+    scenario = sc.sample_scenario(workload={"metrics": [
+        [10, "vnfd-b", "cpu_load", 0.2], [10, "vnfd-b", "mem_load", 0.9]]})
+    _nsd(scenario)["auto_scaling_rules"] = [
+        {"id": "r-cpu",
+         "text": "WHEN avg(cpu_load, 1) > 0.7 THEN scale_out COOLDOWN 5"},
+        {"id": second,
+         "text": "WHEN avg(mem_load, 1) > 0.7 THEN scale_out COOLDOWN 5"}]
+    assert main(["run", scenario_file(tmp_path, scenario)]) == code
+    assert capsys.readouterr().out.splitlines() == out
+
+
 MEM_THRESHOLD = {"id": "t-mem", "subject": "vnfd-b", "metric": "mem_load",
                  "bound": 0.3, "direction": "below"}
 

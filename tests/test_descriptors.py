@@ -172,6 +172,12 @@ def _internal_vld(documents):
         {"id": "ivl", "flavors": [flavor, dict(flavor, jitter=0)]}]
 
 
+def _twin_internal_vld(documents):
+    vld = {"id": "ivl", "flavors": [
+        {"id": "f", "latency": 1, "jitter": 0, "reliability_class": 1}]}
+    documents[1]["internal_vlds"] = [vld, dict(vld)]
+
+
 @pytest.mark.parametrize("edit, lines", [
     (lambda d: _nsd(d)["vnffgd_refs"].append("fg-x"),
      ["dangling-ref nsd:nsd-1/vnffgd_refs: unknown VNFFGD 'fg-x'"]),
@@ -217,13 +223,26 @@ def _internal_vld(documents):
     (lambda d: _twin(_ns_flavor(d)["ns_ils"]),
      ["duplicate-id nsd:nsd-1/flavors/df-1/ns_ils/level-1: duplicate NS-IL "
       "id"]),
+    (lambda d: _twin(_nsd(d)["auto_scaling_rules"]),
+     ["duplicate-id nsd:nsd-1/auto_scaling_rules/r-out: duplicate rule id"]),
+    (lambda d: _twin(_nsd(d)["monitored_info"]),
+     ["duplicate-id nsd:nsd-1/monitored_info/m-cpu: duplicate monitored "
+      "item id"]),
+    (lambda d: _twin(d[0]["vcds"]),
+     ["duplicate-id vnfd:vnfd-a/vcds/vcd-1: duplicate VCD id"]),
+    (lambda d: _twin(d[1]["vsds"]),
+     ["duplicate-id vnfd:vnfd-b/vsds/vsd-small: duplicate VSD id"]),
+    (_twin_internal_vld,
+     ["duplicate-id vnfd:vnfd-b/internal_vlds/ivl: duplicate internal VLD "
+      "id"]),
     (lambda d: _nsd(d).update(flavors=[]),
      ["cardinality nsd:nsd-1: NSD must declare at least one flavor"]),
 ], ids=["vnffgd-ref", "vnffgd-vld-ref", "metric-subject", "indicator-subject",
         "collection-period", "profile-vnfd", "profile-vnf-flavor",
         "vl-profile-vld", "vl-profile-flavor", "internal-vld",
         "twin-vnf-flavor", "twin-vnf-il", "twin-ns-flavor", "twin-profile",
-        "twin-vl-profile", "twin-ns-il", "no-ns-flavor"])
+        "twin-vl-profile", "twin-ns-il", "twin-rule", "twin-monitored-item",
+        "twin-vcd", "twin-vsd", "twin-internal-vld", "no-ns-flavor"])
 def test_a_well_shaped_catalog_is_checked_against_itself(edit, lines):
     """References, ranges and ids that the shapes cannot see: each fault
     is one report line."""

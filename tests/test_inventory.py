@@ -69,15 +69,17 @@ def test_an_unknown_resource_kind_is_refused():
 def test_an_allocation_must_fit_its_reservation(zone_id, kind, spec,
                                                 message):
     """A reservation is consumed only by an allocation of its own zone and
-    kind that it covers; a refused one leaves the zone as it was."""
+    kind that it covers; a refused one leaves the zone as it was, the
+    reservation held."""
     zone = make_zone()
     reservation = zone.reserve(CapacityVector(vcpu=2), "compute")
-    other = ResourceZone(zone_id, zone.total)
-    before = other.snapshot()
+    target = zone if zone_id == zone.id else ResourceZone(zone_id, zone.total)
+    before = target.checkpoint()
     with pytest.raises(ReservationStateError, match=message):
-        other.allocate(spec, kind, from_reservation=reservation)
-    assert other.snapshot() == before
-    assert reservation.state == "active"
+        target.allocate(spec, kind, from_reservation=reservation)
+    assert target.checkpoint() == before
+    zone.cancel(reservation)
+    assert zone.reserved == ZERO
 
 
 def test_insufficient_capacity_names_dimension():
@@ -117,12 +119,28 @@ def test_restore_undoes_writes_but_reuses_no_id():
     later = zone.allocate(CapacityVector(storage=5), "storage")
     zone.restore(saved)
     assert zone.snapshot() == before
-    assert zone.checkpoint()[2] == {kept.id: kept, gone.id: gone}
+    assert zone.checkpoint()[2:] == ({kept.id: kept, gone.id: gone}, {})
     zone.release(gone)  # outstanding again, so releasable once more
     with pytest.raises(DoubleReleaseError):
         zone.release(later)
     fresh = zone.allocate(CapacityVector(vcpu=1), "compute")
     assert fresh.id not in {kept.id, gone.id, later.id}
+
+
+def test_restore_gives_back_a_reservation_consumed_since():
+    """The checkpoint holds the zone's reservations: one consumed after it
+    is held again after `restore`, and can be consumed or cancelled."""
+    zone = make_zone()
+    spec = CapacityVector(vcpu=2)
+    reservation = zone.reserve(spec, "compute")
+    saved = zone.checkpoint()
+    zone.allocate(spec, "compute", from_reservation=reservation)
+    zone.restore(saved)
+    assert (zone.allocated, zone.reserved) == (ZERO, spec)
+    zone.allocate(spec, "compute", from_reservation=reservation)
+    zone.restore(saved)
+    zone.cancel(reservation)
+    assert (zone.allocated, zone.reserved) == (ZERO, ZERO)
 
 
 def test_double_release_rejected():
@@ -195,32 +213,30 @@ ZONE_STEPS = st.lists(st.tuples(
 
 def _apply(step, zones, reservations, handles, saved):
     """Make one zone write, checkpoint or restore of `step` on `zones`;
-    the lists hold (zone, reservation) and (zone, handle) made so far.
-    Returns the checkpoint, which "checkpoint" replaces. A write the zone
-    refuses changes nothing."""
+    the lists hold (zone, reservation id, spec) and (zone, handle) made so
+    far. Returns the checkpoint, which "checkpoint" replaces. A write the
+    zone refuses changes nothing."""
     op, pick, amount = step
     spec = CapacityVector(vcpu=amount, memory=amount)
     zone = zones[pick % len(zones)]
     if op == "reserve":
-        reservations.append((zone, zone.reserve(spec, "compute")))
+        reservations.append((zone, zone.reserve(spec, "compute"), spec))
     elif op == "allocate":
         handles.append((zone, zone.allocate(spec, "compute")))
     elif op == "checkpoint":
         return ([(z, z.checkpoint()) for z in zones], list(reservations),
-                [r.state for _, r in reservations], list(handles))
+                list(handles))
     elif op == "restore" and saved:
-        checkpoints, reservations[:], states, handles[:] = saved
+        checkpoints, reservations[:], handles[:] = saved
         for z, checkpoint in checkpoints:
             z.restore(checkpoint)
-        for (_, reservation), state in zip(reservations, states):
-            reservation.state = state
     elif op in ("cancel", "allocate-reserved") and reservations:
-        zone, reservation = reservations[pick % len(reservations)]
+        zone, reservation, reserved = reservations[pick % len(reservations)]
         if op == "cancel":
             zone.cancel(reservation)
         else:
-            part = CapacityVector(vcpu=min(amount, reservation.spec.vcpu),
-                                  memory=min(amount, reservation.spec.memory))
+            part = CapacityVector(vcpu=min(amount, reserved.vcpu),
+                                  memory=min(amount, reserved.memory))
             handles.append((zone, zone.allocate(part, "compute",
                                                 from_reservation=reservation)))
     elif op in ("release", "shrink") and handles:

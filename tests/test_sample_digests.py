@@ -17,9 +17,9 @@ from pathlib import Path
 
 import sample_catalog as sc
 from conftest import transitions
+from corpus import Logging
 from nsscale.inventory import InventoryError, ResourceZone
 from nsscale.scenario import scenario_from_dict
-from nsscale.simulator import Simulator
 from nsscale.trace import canonical_json, trace_lines
 
 DIGESTS = Path(__file__).parent / "data" / "sample_digests.json"
@@ -49,7 +49,7 @@ def run_outputs(scenario: dict, fault: str = "", k: int = 0) -> tuple:
     faults are installed after construction, so set-up is never hit.
     Returns the run's canonical outputs and the calls made to each fault
     target."""
-    sim = Simulator(scenario_from_dict(scenario))
+    sim = Logging(scenario_from_dict(scenario))
     calls = dict.fromkeys(FAULTS, 0)
     saved = []
     for name, (owner, error) in FAULTS.items():
@@ -71,7 +71,7 @@ def run_outputs(scenario: dict, fault: str = "", k: int = 0) -> tuple:
         "final_state": result.final_state,
         "operations": [[op.op_id, op.kind, op.phase, op.failed_step, op.error,
                         op.step_log] for op in result.operations],
-        "transitions": transitions(result),
+        "transitions": transitions(sim),
         "failure_reason": result.failure_reason,
     })
     return outputs, calls

@@ -5,7 +5,7 @@ import random
 import sample_catalog as sc
 from conftest import (
     SEVEN_AND_SEVEN, audit_every_event, build_sim, refuse_large_vnfcs,
-    run_dict, transitions,
+    run_dict, run_logged, transitions,
 )
 from corpus import record, small_zone_scenario
 from scenario_gen import random_scenario
@@ -82,18 +82,19 @@ def test_jump_scenario_covers_every_workflow_step():
 
 
 def test_service_continuity_new_starts_before_old_stops():
-    result = run_dict(sc.sample_scenario(workload=sc.jump_workload()))
-    started = [t for t in transitions(result)
+    _, moves = run_logged(sc.sample_scenario(workload=sc.jump_workload()))
+    started = [t for t in moves
                if t["to"] == STARTED and t["vdu_ref"] == "vdu-2"]
-    stopped = [t for t in transitions(result)
+    stopped = [t for t in moves
                if t["to"] == STOPPED and t["vdu_ref"] == "vdu-1"]
     assert started and stopped
     assert started[0]["tick"] <= stopped[0]["tick"]
 
 
 def test_transition_steps_are_exclusive():
-    result = run_dict(sc.sample_scenario(workload=sc.escalation_workload()))
-    for t in transitions(result):
+    _, moves = run_logged(sc.sample_scenario(
+        workload=sc.escalation_workload()))
+    for t in moves:
         if t["to"] == STARTED:
             assert t["step"] == 19
         elif t["from"] is None:  # creation lands in the repository STOPPED
@@ -332,7 +333,7 @@ def test_release_hits_the_zone_of_the_instances_pop(vcpu, reservation):
     assert result.final_state["ns_info"]["current_ns_il"] == "level-3"
     for pop in sim.pops:
         for zone in pop.zones:
-            _, _, outstanding = zone.checkpoint()
+            _, _, outstanding, _ = zone.checkpoint()
             held = sum((h.spec for h in outstanding.values()), ZERO)
             assert zone.allocated == held, pop.id
 
@@ -533,21 +534,22 @@ def _run_to_new_levels(reservation, levels, new_vnf_ils=(),
                        edit_flavor=None):
     """Run `sc.level_walk_scenario(levels, reservation, new_vnf_ils)`, which
     must reach each level in turn, after `edit_flavor`, if given, has
-    changed its NSD's flavor in place. Returns the result and the (arrow,
-    parsed payload) of every event recorded."""
+    changed its NSD's flavor in place. Returns the result, the (arrow,
+    parsed payload) of every event recorded and the VNFC transitions."""
     scenario = sc.level_walk_scenario(levels, reservation, new_vnf_ils)
     if edit_flavor is not None:
         edit_flavor(scenario["catalog"][-1]["flavors"][0])
-    result, events, *_ = record(scenario)
+    run = record(scenario)
+    result = run.result
     sent = [(Arrow(step, message), json.loads(text))
-            for _, _, step, message, text, _ in events]
+            for _, _, step, message, text, _ in run.events]
     assert result.status == STATUS_COMPLETED, result.failure_reason
     assert result.final_state["ns_info"]["current_ns_il"] == levels[-1][0]
     bitrate = levels[-1][1]
     assert result.final_state["vl_bitrates"] == {"vlp-1": bitrate}
     assert result.final_state["zones"]["pop-1/zone-a"]["allocated"][
         "bandwidth"] == bitrate
-    return result, sent
+    return result, sent, transitions(run)
 
 
 def _events(result, op) -> list:
@@ -559,7 +561,7 @@ def _events(result, op) -> list:
 def test_a_vl_increase_no_vnf_carries_is_the_nfvos_exchange(reservation):
     # NS-level VLs are the NFVO's: it reserves and allocates the bitrate
     # itself when no VNF procedure carries the change.
-    result, sent = _run_to_new_levels(reservation, [("level-1v", 200)])
+    result, sent, _ = _run_to_new_levels(reservation, [("level-1v", 200)])
     [op] = result.operations
     assert op.kind == "none"
     reserve = [(7, "NFVO-0", "VIM-0", "ReserveRequest"),
@@ -579,7 +581,7 @@ def test_a_vl_decrease_no_vnf_carries_is_the_nfvos_exchange(reservation):
     # 100 -> 200 adds a second vlp-1 handle of 100; 200 -> 50 releases it
     # and shrinks set-up's handle, larger than the 50 left to release, in
     # place.
-    result, sent = _run_to_new_levels(
+    result, sent, _ = _run_to_new_levels(
         reservation, [("level-1v", 200), ("level-1d", 50)])
     [_, op] = result.operations
     assert op.kind == "none"
@@ -612,8 +614,8 @@ def test_a_profile_the_target_level_leaves_out_loses_its_instances(
             "p-b": {"vnf_il_ref": "il-2", "instance_count": 1},
             "p-c": level["vnf_entries"]["p-c"]}
 
-    result, sent = _run_to_new_levels(reservation, [("level-1o", 200)],
-                                      edit_flavor=leave_out_p_a)
+    result, sent, _ = _run_to_new_levels(reservation, [("level-1o", 200)],
+                                         edit_flavor=leave_out_p_a)
     [op] = result.operations
     requests = [p for a, p in sent if a.message == "ScaleVnfToLevelRequest"]
     assert requests == [
@@ -626,7 +628,7 @@ def test_a_profile_the_target_level_leaves_out_loses_its_instances(
 
 @pytest.mark.parametrize("reservation", [True, False])
 def test_a_vnf_level_change_without_vnfc_changes_is_one_update(reservation):
-    result, sent = _run_to_new_levels(
+    result, sent, moves = _run_to_new_levels(
         reservation, [("level-1b", 200)],
         new_vnf_ils=[("p-b", "il-1b", {"vdu-1": 1, "vdu-3": 1})])
     [op] = result.operations
@@ -643,7 +645,7 @@ def test_a_vnf_level_change_without_vnfc_changes_is_one_update(reservation):
                         "step": 19}]
     assert sent[-1][0].message == "VnfInfoUpdate"
     assert [step for step, _ in op.step_log].count(19) == 1
-    assert result.transition_rows == []
+    assert moves == []
     info = result.final_state["vnf_infos"]["vnf-p-b-2"]
     assert info["current_vnf_il"] == "il-1b"
     assert [step for step, _ in info["audit"]] == ["instantiation", "19"]
@@ -653,7 +655,7 @@ def test_a_vnf_level_change_without_vnfc_changes_is_one_update(reservation):
 
 @pytest.mark.parametrize("reservation", [True, False])
 def test_a_vnfc_without_storage_is_allocated_compute_only(reservation):
-    result, sent = _run_to_new_levels(
+    result, sent, _ = _run_to_new_levels(
         reservation, [("level-1a", 200)],
         new_vnf_ils=[("p-a", "il-2", {"vdu-1": 2})])
     [op] = result.operations
