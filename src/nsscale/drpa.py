@@ -227,7 +227,7 @@ class LevelGraph:
     """The instantiation levels of one NS deployment flavor and the moves
     between them: each level's aggregate capacity, each ordered pair's
     `NsIlDelta` and the placement items that delta adds, and each move's
-    placement plan per capacity snapshot.
+    placement plan and each selection per capacity snapshot.
 
     Capacities, deltas and items depend only on the descriptors and the
     placement constraints, which do not change during a run, so each entry
@@ -236,11 +236,17 @@ class LevelGraph:
     the text of its `UnplaceableError`, per snapshot: a decision on a
     snapshot the run has already seen reuses the plans made on it. Each
     entry is one plan the DRPA would otherwise have made again, so the
-    graph never holds more plans than a run computes. Nothing is derived
-    up front: a run visits only some of the ordered pairs. A move from
-    None, the empty level, instantiates its target. Returned values are
-    shared between callers, who must not mutate them (their count maps and
-    a plan's maps are dicts)."""
+    graph never holds more plans than a run computes. In the same way,
+    `selections` keeps what `select_optimum` derives from a snapshot, the
+    current level, the candidates and the cost model alone: the chosen
+    level, the move's classification and plan and the tuple of
+    `CandidateEval`s, or the reasons no candidate is placeable. A repeated
+    decision builds no evaluation, and the decisions made from one
+    selection share its rationale. Nothing is derived up front: a run
+    visits only some of the ordered pairs. A move from None, the empty
+    level, instantiates its target. Returned values are shared between
+    callers, who must not mutate them (their count maps and a plan's maps
+    are dicts)."""
 
     def __init__(self, catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                  constraints: dict | None = None):
@@ -254,6 +260,9 @@ class LevelGraph:
         self._vdus = {}  # (profile id, VDU id) -> (spec, anti-affinity label)
         # snapshot tuple -> (from, to) -> PlacementMap | unplaceable reason
         self._plans = {}
+        # snapshot tuple -> (current, candidates, cost model) ->
+        # DrpaDecision with no estimate or verdicts | {level: reason}
+        self._selections = {}
 
     @property
     def nodes(self) -> list:
@@ -302,6 +311,14 @@ class LevelGraph:
                 known[from_il, to_il] = plan
             plans.append(plan)
         return plans
+
+    def selections(self, snapshot: tuple) -> dict:
+        """The selections made on `snapshot`, keyed by (current level,
+        candidates tuple, cost model); the caller fills it."""
+        known = self._selections.get(snapshot)
+        if known is None:
+            known = self._selections[snapshot] = {}
+        return known
 
 
 def plan_placement(items, snapshot: list) -> PlacementMap:
@@ -360,13 +377,39 @@ def select_optimum(levels: LevelGraph, candidates: list,
     declaration order.
 
     Every candidate is placed by `plan_placement` against `snapshot`, a
-    `capacity_report` of the PoPs; `levels` keeps the plans, so a
-    snapshot seen before reuses them."""
+    `capacity_report` of the PoPs; `levels` keeps the plans and the
+    selection, so a snapshot seen before reuses them."""
+    snapshot = tuple(snapshot)
+    known = levels.selections(snapshot)
+    key = (current, tuple(candidates), cost_model)
+    selection = known.get(key)
+    if selection is None:
+        selection = known[key] = _select(levels, candidates, cost_model,
+                                         snapshot, current)
+    if isinstance(selection, dict):
+        raise NoPlaceableCandidateError(selection)
+    return with_estimate(selection, estimate, tuple(verdicts))
+
+
+def with_estimate(decision: DrpaDecision, estimate: DemandEstimate | None,
+                  verdicts: tuple) -> DrpaDecision:
+    """`decision` with `estimate` and `verdicts`. Built by the constructor:
+    `_replace` builds a plain tuple first, and each call leaves it on the
+    interpreter's tuple free list."""
+    return DrpaDecision(decision.action, decision.target_ns_il,
+                        decision.classification, decision.placement,
+                        decision.rationale, estimate, verdicts)
+
+
+def _select(levels: LevelGraph, candidates: list, cost_model: CostModel,
+            snapshot: tuple, current: str):
+    """`select_optimum`'s choice with no estimate or verdicts, or the
+    reasons no candidate is placeable."""
     flavor = levels.flavor
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
     for ns_il_id, plan in zip(candidates, levels.plans(current, candidates,
-                                                       tuple(snapshot))):
+                                                       snapshot)):
         cost = cost_model.cost(levels.capacity(ns_il_id))
         instances = _total_instances(flavor, ns_il_id)
         if isinstance(plan, PlacementMap):
@@ -377,8 +420,7 @@ def select_optimum(levels: LevelGraph, candidates: list,
                                              reason=plan))
     feasible = [e for e in evaluations if e.feasible]
     if not feasible:
-        raise NoPlaceableCandidateError(
-            {e.ns_il_id: e.reason for e in evaluations})
+        return {e.ns_il_id: e.reason for e in evaluations}
     best = min(feasible,
                key=lambda e: (e.cost, e.total_instances, order[e.ns_il_id]))
     return DrpaDecision(
@@ -387,8 +429,6 @@ def select_optimum(levels: LevelGraph, candidates: list,
         classification=levels.delta(current, best.ns_il_id).classification,
         placement=best.placement,
         rationale=tuple(evaluations),
-        estimate=estimate,
-        verdicts=tuple(verdicts),
     )
 
 

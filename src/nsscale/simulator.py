@@ -9,6 +9,7 @@ scenarios produce byte-identical traces.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -35,7 +36,7 @@ from .scenario import (
 )
 from .shapes import by_id
 from .trace import (
-    Trace, capacity_text, object_form, payload_digest, string_text,
+    Columns, Trace, capacity_text, object_form, payload_digest, string_text,
     strings_text,
 )
 
@@ -175,15 +176,113 @@ class ScalingOperation:
         return self.trace.step_log(self.begun, self.end)
 
 
+# A demand estimate's parts, as a `DecisionLog` holds them: the required
+# capacity's components, then the headroom.
+_ESTIMATE_PARTS = len(CapacityVector._fields) + 1
+_KEPT = 255  # the kind of an estimate a `DecisionLog` keeps as its object
+
+
+def _parts_kind(parts: tuple) -> int:
+    """Which of a demand estimate's `parts` are ints, bit j for part j,
+    when each reads back from a float as itself: a float other than NaN,
+    or an int of at most 53 bits. Else, and for no parts (an error has no
+    estimate), `_KEPT`."""
+    kind = 0 if parts else _KEPT
+    for j, part in enumerate(parts):
+        if type(part) is int and -2 ** 53 <= part <= 2 ** 53:
+            kind |= 1 << j
+        elif type(part) is not float or part != part:
+            return _KEPT
+    return kind
+
+
+class DecisionLog(Columns):
+    """A run's DRPA decisions, held as columns as `Trace` holds events:
+    the tick of each, in an `array("q")`; its row, in an `array("I")`, in
+    the table of the distinct decisions less their estimate (a scaling
+    decision with its verdicts, whose selection the `LevelGraph` shares
+    between decisions, or a DRPA error's text); and its `DemandEstimate`,
+    as its four required components and its headroom in an `array("d")`
+    with, in an `array("B")`, a bit for each that is an int. An estimate
+    that a float would not give back, and an error's None, is kept as its
+    object. That is 53 bytes per decision. `append` takes a `(tick,
+    DrpaDecision | str)` pair, as a list's does; each pair read back
+    equals the one appended, each estimate part of its type. It pickles
+    as its pairs."""
+
+    __slots__ = ("_ticks", "_rows", "_parts", "_kinds", "_kept", "_row_ids",
+                 "_row_table")
+
+    def __init__(self):
+        self._ticks = array("q")
+        self._rows = array("I")
+        self._parts = array("d")  # _ESTIMATE_PARTS per decision
+        self._kinds = array("B")
+        self._kept = {}  # position -> estimate, where its kind is _KEPT
+        # a decision's fields but its estimate, its placement and rationale
+        # by identity (the table keeps them alive) -> its row
+        self._row_ids = {}
+        self._row_table = []  # [DrpaDecision with no estimate | error text]
+
+    def append(self, entry: tuple):
+        tick, decision = entry
+        if isinstance(decision, str):
+            key, estimate = decision, None
+        else:
+            key = (*decision[:3], id(decision.placement),
+                   id(decision.rationale), decision.verdicts)
+            estimate = decision.estimate
+        row = self._row_ids.get(key)
+        if row is None:
+            row = self._row_ids[key] = len(self._row_table)
+            self._row_table.append(decision if estimate is None else
+                                   drpa_mod.with_estimate(
+                                       decision, None, decision.verdicts))
+        parts = () if estimate is None else (*estimate.required,
+                                             estimate.headroom)
+        kind = _parts_kind(parts)
+        if kind == _KEPT:
+            self._kept[len(self)] = estimate
+            parts = (0.0,) * _ESTIMATE_PARTS
+        self._parts.extend(parts)
+        self._ticks.append(tick)
+        self._rows.append(row)
+        self._kinds.append(kind)
+
+    def __len__(self) -> int:
+        return len(self._ticks)
+
+    def _estimate(self, i: int):
+        kind = self._kinds[i]
+        if kind == _KEPT:
+            return self._kept[i]
+        at = _ESTIMATE_PARTS * i
+        parts = [int(part) if kind >> j & 1 else part for j, part in
+                 enumerate(self._parts[at:at + _ESTIMATE_PARTS])]
+        return drpa_mod.DemandEstimate(CapacityVector(*parts[:-1]),
+                                       parts[-1])
+
+    def _record(self, i: int) -> tuple:
+        decision = self._row_table[self._rows[i]]
+        if not isinstance(decision, str):
+            decision = drpa_mod.with_estimate(decision, self._estimate(i),
+                                              decision.verdicts)
+        return self._ticks[i], decision
+
+    def __reduce__(self):
+        return DecisionLog, (), None, iter(self)
+
+
 @dataclass
 class RunResult:
     """A finished run. Each VNFC lifecycle transition is the VnfInfo
     update that made it: its trace event and its entry in the VNF's
-    audit."""
+    audit. Each decision the DRPA returned, or the text of the error it
+    raised, is a `(tick, DrpaDecision | str)` pair of `decisions`."""
     trace: Trace
     final_state: dict
     operations: list
-    decisions: list  # [(tick, DrpaDecision | str)]
+    decisions: DecisionLog
     failure_reason: str = ""  # the last failed operation's failure
 
     @property
@@ -236,7 +335,7 @@ class Simulator:
 
         self.trace = Trace()
         self.operations = []
-        self.decisions = []
+        self.decisions = DecisionLog()
         self._clock = 0
         self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
@@ -325,7 +424,13 @@ class Simulator:
         `workload` is the scenario's `workload_records`, when the caller
         has already taken them. The two lists are merged as they are
         delivered, the metrics of a tick before its indicators: a run
-        holds no list or tuple per record beyond them."""
+        holds no list or tuple per record beyond them.
+
+        The delivery order may be given in pieces: `run((metrics[:m],
+        indicators[:i]))` and then `run((metrics[m:], indicators[i:]))`,
+        where `m` and `i` count the metrics and the indicators delivered
+        before the cut, end with the trace, final state, operations and
+        decisions of one whole run. Each call returns the run so far."""
         if workload is None:
             workload = workload_records(self.scenario.workload)
         metrics, indicators = workload

@@ -197,7 +197,28 @@ class EventRecord(NamedTuple):
 _WIDER = {256: "H", 65536: "I"}
 
 
-class Trace:
+class Columns:
+    """A sequence held as columns, whose `_record(i)` builds its item i.
+    Reading (an int or negative index, a slice or iteration) builds each
+    item read; a slice reads as a list."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._record, range(*index.indices(len(self)))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("%s index out of range" % type(self).__name__)
+        return self._record(i)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+
+class Trace(Columns):
     """A run's events, held as columns rather than one record each: a
     route id indexing the table of the distinct `(arrow, src, dst)` seen,
     `arrow` being a `(step, message)` pair, in an `array("B")` widened to
@@ -263,19 +284,6 @@ class Trace:
         return tuple.__new__(EventRecord, (
             i + 1, self._jump_tick[j] + i - self._jump_at[j], step, src, dst,
             message, self._digests[at:at + DIGEST_BYTES].hex()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self._record, range(*index.indices(len(self)))))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("trace index out of range")
-        return self._record(i)
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
 
     def step_log(self, begun: int, end: int | None) -> list:
         """The `(step, tick)` of the events at positions `begun` up to

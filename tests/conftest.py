@@ -68,6 +68,34 @@ def run_dict(scenario_dict):
     return build_sim(scenario_dict).run()
 
 
+def record_decisions(monkeypatch) -> list:
+    """Wrap the DRPA's `decide`: each call a Simulator makes appends the
+    pair its run's `decisions` must read back, `(tick, decision)` or
+    `(tick, error text)`, to the list returned."""
+    import nsscale.drpa
+
+    decide = nsscale.drpa.decide
+    notify = Simulator._on_notification
+    ticks = []
+    recorded = []
+
+    def on_notification(sim, note):
+        ticks.append(note.time)
+        notify(sim, note)
+
+    def recorded_decide(*args):
+        try:
+            decision = decide(*args)
+        except nsscale.drpa.DrpaError as exc:
+            recorded.append((ticks[-1], str(exc)))
+            raise
+        recorded.append((ticks[-1], decision))
+        return decision
+    monkeypatch.setattr(Simulator, "_on_notification", on_notification)
+    monkeypatch.setattr(nsscale.drpa, "decide", recorded_decide)
+    return recorded
+
+
 def audit_every_event(monkeypatch, audit):
     """Call `audit(record, pops)` after every event a Simulator records,
     with the event's record and the simulator's PoPs; the zones check

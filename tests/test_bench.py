@@ -100,7 +100,7 @@ def retained_after_run(data: dict, collect: bool = True) -> tuple:
     return retained, len(result.trace)
 
 
-RETAINED_PER_EVENT = 45  # bytes
+RETAINED_PER_EVENT = 25  # bytes
 
 
 def retained_per_event(name: str, sizes: tuple) -> float:
@@ -115,7 +115,7 @@ def retained_per_event(name: str, sizes: tuple) -> float:
 
 def test_a_run_retains_little_per_trace_event():
     """The memory a finished run keeps grows by less than
-    `RETAINED_PER_EVENT` (45) bytes per trace event. The growth is
+    `RETAINED_PER_EVENT` (25) bytes per trace event. The growth is
     measured with `tracemalloc` between scale-churn sizes 10 and 40 (2,010
     and 8,040 events), so set-up's fixed cost drops out. Measured on
     CPython 3.11.7: 360 B/event while the trace kept one record per event
@@ -123,8 +123,9 @@ def test_a_run_retains_little_per_trace_event():
     trace held as columns, 90 with the workload read in place, 61 with
     the ticks held as jumps, each VNFC transition as a tuple, one verdict
     per missing set and one str per audit step, 49 with each digest held
-    as 8 raw bytes and each route id in an `array("B")`, and 38 with no
-    record kept per VNFC transition. Monitor-steady, between sizes 250
+    as 8 raw bytes and each route id in an `array("B")`, 38 with no
+    record kept per VNFC transition, and 22 with the decisions held as
+    columns over selections made once. Monitor-steady, between sizes 250
     and 1,000, measured 249 and 33 B/event, and 11 with no such record."""
     per_event = retained_per_event("scale-churn", (10, 40))
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
@@ -133,9 +134,53 @@ def test_a_run_retains_little_per_trace_event():
 def test_a_wide_run_retains_little_per_trace_event():
     """As above, between wide-fabric sizes 5 and 20 (2,750 and 11,000
     events): 53 B/event while each VNFC transition was kept as a tuple, 32
-    with none kept."""
+    with none kept, and 18 with the decisions held as columns."""
     per_event = retained_per_event("wide-fabric", (5, 20))
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
+
+
+RETAINED_PER_DECISION = 100  # bytes
+
+
+def kept_by_decisions(data: dict) -> tuple:
+    """(bytes that only the decisions of a finished run of scenario `data`
+    keep, their count): what the run keeps with its result alive, less
+    what it keeps once `decisions` is dropped."""
+    from nsscale.scenario import scenario_from_dict
+    from nsscale.simulator import Simulator
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = Simulator(scenario_from_dict(data)).run()
+        gc.collect()
+        with_them = tracemalloc.get_traced_memory()[0]
+        count = len(result.decisions)
+        result.decisions = None
+        gc.collect()
+        kept = with_them - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return kept, count
+
+
+def test_a_finished_run_keeps_little_per_decision():
+    """What only a finished run's decisions keep grows by less than
+    `RETAINED_PER_DECISION` (100) bytes per decision between scale-churn
+    sizes 10 and 40 (50 and 200 decisions), measured with `tracemalloc`
+    on CPython 3.11.7: 691 B/decision while each was a `(tick,
+    DrpaDecision)` pair with its own candidate evaluations; 217 with the
+    decisions held as columns (the tick, a row of the table of distinct
+    selections and verdicts, the `DemandEstimate` object) over selections
+    the `LevelGraph` makes once per snapshot; 54 with each estimate's
+    parts held as floats."""
+    workloads = import_bench("workloads")
+    (small, small_count), (large, large_count) = (
+        kept_by_decisions(workloads.GENERATORS["scale-churn"](0, size))
+        for size in (10, 40))
+    per_decision = (large - small) / (large_count - small_count)
+    assert per_decision < RETAINED_PER_DECISION, \
+        "%.0f B/decision" % per_decision
 
 
 RETAINED_UNCOLLECTED_PER_EVENT = 18  # bytes

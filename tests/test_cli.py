@@ -12,7 +12,10 @@ import sample_catalog as sc
 import nsscale.cli
 import nsscale.scenario
 import nsscale.simulator
-from conftest import SEVEN_AND_SEVEN, refuse_large_vnfcs, run_dict
+from conftest import (
+    SEVEN_AND_SEVEN, record_decisions, refuse_large_vnfcs, run_dict,
+)
+from corpus import samples
 from nsscale.capacity import CapacityVector
 from nsscale.cli import main
 from nsscale.descriptors import load_catalog, validate_catalog
@@ -799,6 +802,32 @@ def test_explain_at_decision_tick(tmp_path, capsys):
     # the plan names each item's PoP and zone
     assert "  place p-b/scale0/vnfc/vdu-2/0 at pop-1/zone-a\n" in out
     assert "  place vl/vlp-1 at pop-1/zone-a\n" in out
+
+
+@pytest.mark.parametrize("workload", ["jump", "escalation"])
+def test_explain_prints_each_recorded_decision(tmp_path, capsys, monkeypatch,
+                                               workload):
+    """At every decision tick of the 8 samples of `workload`, `explain`
+    prints what `_print_rationale` prints for each decision the DRPA
+    returned at that tick, or each error it raised."""
+    recorded = record_decisions(monkeypatch)
+    ticks = 0
+    for name, scenario in samples().items():
+        if name.split("/")[1] != workload:
+            continue
+        path = scenario_file(tmp_path, scenario)
+        recorded.clear()
+        run_dict(scenario)
+        made = list(recorded)
+        for tick in sorted({tick for tick, _ in made}):
+            assert main(["explain", path, "--at", str(tick)]) == 0
+            out = capsys.readouterr().out
+            for at, decision in made:
+                if at == tick:
+                    nsscale.cli._print_rationale(at, decision)
+            assert out == capsys.readouterr().out, (name, tick)
+            ticks += 1
+    assert ticks >= 8
 
 
 def test_explain_prints_a_drpa_error(tmp_path, capsys):

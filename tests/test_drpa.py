@@ -382,14 +382,25 @@ def _record_selections(monkeypatch) -> list:
     return selections
 
 
+def _fresh(levels: LevelGraph) -> LevelGraph:
+    return LevelGraph(levels.catalog, levels.nsd, levels.flavor,
+                      levels.constraints)
+
+
 def test_reused_plans_equal_fresh_ones(monkeypatch):
-    """Every decision of 200 random runs reads as one made on a fresh
-    LevelGraph with the same snapshot and candidates."""
+    """Every decision of 200 random runs equals, in every field, one made
+    on a fresh LevelGraph with the same snapshot and candidates. A
+    selection repeated on a run's graph (same snapshot, level and
+    candidates) shares the first one's rationale. On the fresh graph, a
+    second selection under another cost model, which reuses the plans,
+    costs the candidates by that model."""
     selections = _record_selections(monkeypatch)
     for seed in range(200):
         run_dict(scenario_gen.random_scenario(random.Random(seed)))
     seen = set()
     reused = 0
+    first = {}  # (graph, snapshot, current, candidates) -> rationale
+    repeated = 0
     for entry in selections:
         snapshot = entry["snapshot"]
         assert snapshot is entry["taken"]
@@ -398,8 +409,7 @@ def test_reused_plans_equal_fresh_ones(monkeypatch):
         reused += keys <= seen
         seen |= keys
         levels = entry["levels"]
-        fresh = LevelGraph(levels.catalog, levels.nsd, levels.flavor,
-                           levels.constraints)
+        fresh = _fresh(levels)
         try:
             decision = select_optimum(fresh, entry["candidates"],
                                       entry["cost_model"], snapshot,
@@ -407,10 +417,20 @@ def test_reused_plans_equal_fresh_ones(monkeypatch):
         except NoPlaceableCandidateError as exc:
             assert exc.reasons == entry["error"].reasons
             continue
-        assert decision.rationale == entry["decision"].rationale
-        assert decision.placement == entry["decision"].placement
+        assert decision == entry["decision"]
+        rationale = entry["decision"].rationale
+        key = (levels, tuple(snapshot), entry["current"],
+               tuple(entry["candidates"]))
+        repeated += key in first
+        assert first.setdefault(key, rationale) is rationale
+        other = CostModel(w_vcpu=entry["cost_model"].w_vcpu + 1)
+        again = select_optimum(fresh, entry["candidates"], other, snapshot,
+                               entry["current"])
+        assert [e.cost for e in again.rationale] == [
+            other.cost(fresh.capacity(e.ns_il_id)) for e in again.rationale]
     assert len(selections) > 200
     assert reused > 0
+    assert repeated > 0
 
 
 def test_a_move_is_planned_once_per_snapshot(monkeypatch):
@@ -441,3 +461,17 @@ def test_a_move_is_planned_once_per_snapshot(monkeypatch):
             for s in selections for c in s["candidates"]]
     assert len(planned) == len(set(planned)) == len(set(keys)) < len(keys)
     assert len(set(keys)) == len(keys) // 3
+    # The second and third cycles reuse the first cycle's selections.
+    decisions = [d for _, d in result.decisions]
+    for earlier, later in zip(decisions, decisions[2:]):
+        assert later.rationale is earlier.rationale
+    # A selection is kept per candidates and cost model as well: other
+    # candidates or another model on a seen snapshot select afresh.
+    first = selections[0]
+    for candidates, cost_model in (
+            (first["candidates"][1:], first["cost_model"]),
+            (first["candidates"], CostModel(w_vcpu=2.0))):
+        assert select_optimum(sim.levels, candidates, cost_model,
+                              first["snapshot"], first["current"]) == \
+            select_optimum(_fresh(sim.levels), candidates, cost_model,
+                           first["snapshot"], first["current"])

@@ -1,18 +1,21 @@
 import dataclasses
+import functools
 import json
+import pickle
 import random
 
 import sample_catalog as sc
 from conftest import (
-    SEVEN_AND_SEVEN, audit_every_event, build_sim, refuse_large_vnfcs,
-    run_dict, run_logged, transitions,
+    SEVEN_AND_SEVEN, audit_every_event, build_sim, record_decisions,
+    refuse_large_vnfcs, run_dict, run_logged, transitions,
 )
-from corpus import record, small_zone_scenario
+from corpus import record, samples, small_zone_scenario
 from scenario_gen import random_scenario
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsscale.capacity import ZERO
+from nsscale.capacity import ZERO, CapacityVector
+from nsscale.drpa import ACTION_SCALE, DemandEstimate, DrpaDecision
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
@@ -21,7 +24,7 @@ from nsscale.scenario import (
 )
 from nsscale.simulator import (
     PHASE_COMPLETED, PHASE_FAILED, STATUS_COMPLETED, STATUS_OPERATION_FAILED,
-    Arrow, Simulator,
+    Arrow, DecisionLog, Simulator,
 )
 from nsscale.trace import canonical_json, trace_lines
 
@@ -785,3 +788,129 @@ def test_a_bad_record_is_named_by_its_file_index(kind, record, problem):
         sim.run()
     assert raised.value.problems == [
         "workload: %s[2] at tick 4: %s" % (kind, problem)]
+
+
+def _estimate_types(decision) -> list:
+    estimate = decision.estimate
+    return [type(part) for part in (*estimate.required, estimate.headroom)]
+
+
+def test_decisions_read_back_what_the_drpa_decided(monkeypatch):
+    """Over the 24 samples and random seeds 0-49, a run's decisions read
+    back, in order, each decision the DRPA returned, or the text of each
+    error it raised, with its tick; each demand component keeps its type
+    (an unviolated dimension keeps the level's int). They read by index,
+    negative index and slice as the list of those pairs does, raise
+    IndexError out of range as it does, and pickle as it."""
+    recorded = record_decisions(monkeypatch)
+    scenarios = list(samples().values()) + [
+        random_scenario(random.Random(seed)) for seed in range(50)]
+    errors = 0
+    types = set()
+    for scenario in scenarios:
+        recorded.clear()
+        decisions = run_dict(scenario).decisions
+        assert list(decisions) == recorded
+        for (_, read), (_, made) in zip(decisions, recorded):
+            if isinstance(made, str):
+                errors += 1
+            else:
+                assert _estimate_types(read) == _estimate_types(made)
+                types.update(_estimate_types(made))
+        n = len(recorded)
+        assert len(decisions) == n
+        assert [decisions[i] for i in range(-n, n)] == recorded * 2
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                decisions[i]
+        for cut in (slice(None), slice(1, -1, 2), slice(None, None, -1),
+                    slice(n, None)):
+            assert decisions[cut] == recorded[cut]
+        assert list(pickle.loads(pickle.dumps(decisions))) == recorded
+    assert errors > 0
+    assert types == {int, float}
+
+
+@pytest.mark.parametrize("required, headroom", [
+    ((-2 ** 53, 12.5, 0, 1e308), float("inf")),  # each read from a float
+    ((2 ** 53 + 1, 12, 20, 100), 0.6),  # too wide for a float
+    ((7.5, float("nan"), 20, 100), 0.6),
+    ((7.5, 12, True, 100), 0.6),
+])
+def test_a_decision_log_gives_back_each_estimate_part(required, headroom):
+    """Each part of a decision's demand estimate reads back as itself, of
+    its type: the log keeps as its object an estimate with an int a
+    float cannot hold, a NaN or a bool. An error reads back as its text,
+    between two decisions."""
+    estimate = DemandEstimate(CapacityVector(*required), headroom)
+    decision = DrpaDecision(ACTION_SCALE, "level-2", "vnf-scaling",
+                            estimate=estimate)
+    log = DecisionLog()
+    pairs = [(10, decision), (11, "no placeable candidate"), (12, decision)]
+    for pair in pairs:
+        log.append(pair)
+    assert list(log) == pairs
+    for (_, read), (_, made) in zip(log, pairs):
+        if not isinstance(made, str):
+            assert _estimate_types(read) == _estimate_types(made)
+
+
+def _indicator_scenario() -> dict:
+    """The escalation sample with indicator records between, before and at
+    the ticks of its metric records."""
+    scenario = sc.sample_scenario(workload=sc.escalation_workload())
+    scenario["workload"]["indicators"] = [
+        [5, "vnfd-b", "congestion", 0.5], [10, "vnfd-b", "congestion", 2.0],
+        [25, "vnfd-b", "congestion", {"level": [1.0, 0.5]}],
+        [40, "vnfd-b", "congestion", 1.5], [90, "vnfd-b", "congestion", 0.1]]
+    return scenario
+
+
+def _delivered_before(metrics, indicators, k) -> tuple:
+    """(m, i): the metrics and indicators among the first `k` records
+    `Simulator.run` delivers, a tick's metrics before its indicators."""
+    m = i = 0
+    while m + i < k:
+        if i < len(indicators) and (m == len(metrics)
+                                    or indicators[i][0] < metrics[m][0]):
+            i += 1
+        else:
+            m += 1
+    return m, i
+
+
+def _outcome(result) -> tuple:
+    return (trace_lines(result.trace), canonical_json(result.final_state),
+            [(op.op_id, op.kind, op.begun, op.end, op.failed_step, op.error)
+             for op in result.operations], list(result.decisions))
+
+
+def _pieces_scenario(seed: int) -> dict:
+    return _indicator_scenario() if seed < 0 else \
+        random_scenario(random.Random(seed))
+
+
+@functools.cache
+def _whole_run(seed: int) -> tuple:
+    """The outcome of `_pieces_scenario(seed)` run in one piece."""
+    return _outcome(run_dict(_pieces_scenario(seed)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(-1, 19), st.data())
+@example(-1, None)
+def test_a_run_delivered_in_pieces_equals_one_run(seed, data):
+    """A simulator that delivers its workload in two calls of `run`, cut
+    anywhere in the delivery order, ends with the trace text, final state,
+    operations and decisions of one whole run. Seed -1 is a scenario with
+    indicator records; the random seeds have none. The explicit example
+    cuts it after its tick-10 metric, before its tick-10 indicator."""
+    scenario = _pieces_scenario(seed)
+    sim = build_sim(scenario)
+    metrics, indicators = workload_records(sim.scenario.workload)
+    k = 2 if data is None else data.draw(
+        st.integers(0, len(metrics) + len(indicators)))
+    m, i = _delivered_before(metrics, indicators, k)
+    sim.run((metrics[:m], indicators[:i]))
+    assert _outcome(sim.run((metrics[m:], indicators[i:]))) == \
+        _whole_run(seed)
