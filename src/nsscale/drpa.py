@@ -2,8 +2,8 @@
 cost-optimal level selection, and infrastructure-site placement.
 
 Every function here is pure over its input snapshots; a `LevelGraph` only
-keeps what the descriptors determine and the plans made on the snapshots it
-was given.
+keeps what the descriptors determine and the selections made on the
+snapshots it was given.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .descriptors import (
 from .inventory import NoZoneFitsError, vim_placement
 from .monitoring import MetricStore
 
-ACTION_NONE = "none"
 ACTION_SCALE = "scale"
 
 DEFAULT_TARGET_UTILIZATION = 0.6
@@ -226,22 +225,17 @@ def delta_additions(catalog: Catalog, flavor: NsDeploymentFlavor,
 class LevelGraph:
     """The instantiation levels of one NS deployment flavor and the moves
     between them: each level's aggregate capacity, each ordered pair's
-    `NsIlDelta` and the placement items that delta adds, and each move's
-    placement plan and each selection per capacity snapshot.
+    `NsIlDelta` and the placement items that delta adds, and each
+    selection made on a capacity snapshot.
 
     Capacities, deltas and items depend only on the descriptors and the
     placement constraints, which do not change during a run, so each entry
-    is derived on first use and kept. A plan depends on the move's items
-    and the snapshot alone, so `plans` keeps each move's `PlacementMap`, or
-    the text of its `UnplaceableError`, per snapshot: a decision on a
-    snapshot the run has already seen reuses the plans made on it. Each
-    entry is one plan the DRPA would otherwise have made again, so the
-    graph never holds more plans than a run computes. In the same way,
-    `selections` keeps what `select_optimum` derives from a snapshot, the
-    current level, the candidates and the cost model alone: the chosen
-    level, the move's classification and plan and the tuple of
-    `CandidateEval`s, or the reasons no candidate is placeable. A repeated
-    decision builds no evaluation, and the decisions made from one
+    is derived on first use and kept. `selections` keeps what
+    `select_optimum` derives from a snapshot, the current level, the
+    candidates and the cost model alone: the chosen level, the move's
+    classification and plan and the tuple of `CandidateEval`s, or the
+    reasons no candidate is placeable. A repeated decision builds no
+    evaluation and makes no plan, and the decisions made from one
     selection share its rationale. Nothing is derived up front: a run
     visits only some of the ordered pairs. A move from None, the empty
     level, instantiates its target. Returned values are shared between
@@ -258,11 +252,9 @@ class LevelGraph:
         self._delta = {}  # (from, to) -> NsIlDelta
         self._additions = {}  # (from, to) -> tuple of PlacementItem
         self._vdus = {}  # (profile id, VDU id) -> (spec, anti-affinity label)
-        # snapshot tuple -> (from, to) -> PlacementMap | unplaceable reason
-        self._plans = {}
-        # snapshot tuple -> (current, candidates, cost model) ->
+        # (snapshot tuple, current, candidates tuple, cost model) ->
         # DrpaDecision with no estimate or verdicts | {level: reason}
-        self._selections = {}
+        self.selections = {}
 
     @property
     def nodes(self) -> list:
@@ -290,35 +282,6 @@ class LevelGraph:
                 self.catalog, self.flavor, self.delta(from_il, to_il),
                 self.constraints, self._vdus))
         return items
-
-    def plans(self, from_il: str | None, to_ils, snapshot: tuple) -> list:
-        """For each level of `to_ils`, the plan `plan_placement` makes for
-        the move from `from_il` on `snapshot`, a `capacity_report` as a
-        tuple, or the text of the `UnplaceableError` it raises. The
-        snapshot is hashed once per call."""
-        known = self._plans.get(snapshot)
-        if known is None:
-            known = self._plans[snapshot] = {}
-        plans = []
-        for to_il in to_ils:
-            plan = known.get((from_il, to_il))
-            if plan is None:
-                try:
-                    plan = plan_placement(self.additions(from_il, to_il),
-                                          snapshot)
-                except UnplaceableError as exc:
-                    plan = str(exc)
-                known[from_il, to_il] = plan
-            plans.append(plan)
-        return plans
-
-    def selections(self, snapshot: tuple) -> dict:
-        """The selections made on `snapshot`, keyed by (current level,
-        candidates tuple, cost model); the caller fills it."""
-        known = self._selections.get(snapshot)
-        if known is None:
-            known = self._selections[snapshot] = {}
-        return known
 
 
 def plan_placement(items, snapshot: list) -> PlacementMap:
@@ -377,15 +340,14 @@ def select_optimum(levels: LevelGraph, candidates: list,
     declaration order.
 
     Every candidate is placed by `plan_placement` against `snapshot`, a
-    `capacity_report` of the PoPs; `levels` keeps the plans and the
-    selection, so a snapshot seen before reuses them."""
+    `capacity_report` of the PoPs; `levels` keeps the selection, so the
+    same choice asked again on an equal snapshot reuses it."""
     snapshot = tuple(snapshot)
-    known = levels.selections(snapshot)
-    key = (current, tuple(candidates), cost_model)
-    selection = known.get(key)
+    key = (snapshot, current, tuple(candidates), cost_model)
+    selection = levels.selections.get(key)
     if selection is None:
-        selection = known[key] = _select(levels, candidates, cost_model,
-                                         snapshot, current)
+        selection = levels.selections[key] = _select(
+            levels, candidates, cost_model, snapshot, current)
     if isinstance(selection, dict):
         raise NoPlaceableCandidateError(selection)
     return with_estimate(selection, estimate, tuple(verdicts))
@@ -408,16 +370,18 @@ def _select(levels: LevelGraph, candidates: list, cost_model: CostModel,
     flavor = levels.flavor
     order = {il.id: i for i, il in enumerate(flavor.ns_ils)}
     evaluations = []
-    for ns_il_id, plan in zip(candidates, levels.plans(current, candidates,
-                                                       snapshot)):
+    for ns_il_id in candidates:
         cost = cost_model.cost(levels.capacity(ns_il_id))
         instances = _total_instances(flavor, ns_il_id)
-        if isinstance(plan, PlacementMap):
+        try:
+            plan = plan_placement(levels.additions(current, ns_il_id),
+                                  snapshot)
+        except UnplaceableError as exc:
+            evaluations.append(CandidateEval(ns_il_id, cost, instances, False,
+                                             reason=str(exc)))
+        else:
             evaluations.append(CandidateEval(ns_il_id, cost, instances, True,
                                              placement=plan))
-        else:
-            evaluations.append(CandidateEval(ns_il_id, cost, instances, False,
-                                             reason=plan))
     feasible = [e for e in evaluations if e.feasible]
     if not feasible:
         return {e.ns_il_id: e.reason for e in evaluations}
@@ -438,12 +402,11 @@ def decide(levels: LevelGraph, verdicts: tuple, current: str,
            dimension_map: dict) -> DrpaDecision:
     """Full pipeline for an NS at level `current` of the flavor `levels`
     describes: rule verdicts -> demand -> candidates -> optimum, placed
-    against `snapshot`, a `capacity_report` of the PoPs."""
+    against `snapshot`, a `capacity_report` of the PoPs. It is called only
+    once a rule fired: some verdict of `verdicts` is not satisfied."""
     hints = {rule.id: rule.direction_hint
              for rule in levels.nsd.auto_scaling_rules}
     fired = [v for v in verdicts if not v.satisfied]
-    if not fired:
-        return DrpaDecision(action=ACTION_NONE, verdicts=tuple(verdicts))
     if any(hints.get(v.rule_id) == "scale-out" for v in fired):
         direction = "scale-out"
     else:

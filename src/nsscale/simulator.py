@@ -36,7 +36,7 @@ from .scenario import (
 )
 from .shapes import by_id
 from .trace import (
-    Columns, Trace, capacity_text, object_form, payload_digest, string_text,
+    Trace, capacity_text, object_form, payload_digest, string_text,
     strings_text,
 )
 
@@ -196,7 +196,7 @@ def _parts_kind(parts: tuple) -> int:
     return kind
 
 
-class DecisionLog(Columns):
+class DecisionLog:
     """A run's DRPA decisions, held as columns as `Trace` holds events:
     the tick of each, in an `array("q")`; its row, in an `array("I")`, in
     the table of the distinct decisions less their estimate (a scaling
@@ -206,9 +206,9 @@ class DecisionLog(Columns):
     with, in an `array("B")`, a bit for each that is an int. An estimate
     that a float would not give back, and an error's None, is kept as its
     object. That is 53 bytes per decision. `append` takes a `(tick,
-    DrpaDecision | str)` pair, as a list's does; each pair read back
-    equals the one appended, each estimate part of its type. It pickles
-    as its pairs."""
+    DrpaDecision | str)` pair, as a list's does; iterating the log yields
+    each pair appended, in order, equal to it and each estimate part of
+    its type."""
 
     __slots__ = ("_ticks", "_rows", "_parts", "_kinds", "_kept", "_row_ids",
                  "_row_table")
@@ -262,15 +262,13 @@ class DecisionLog(Columns):
         return drpa_mod.DemandEstimate(CapacityVector(*parts[:-1]),
                                        parts[-1])
 
-    def _record(self, i: int) -> tuple:
-        decision = self._row_table[self._rows[i]]
-        if not isinstance(decision, str):
-            decision = drpa_mod.with_estimate(decision, self._estimate(i),
-                                              decision.verdicts)
-        return self._ticks[i], decision
-
-    def __reduce__(self):
-        return DecisionLog, (), None, iter(self)
+    def __iter__(self):
+        for i, row in enumerate(self._rows):
+            decision = self._row_table[row]
+            if not isinstance(decision, str):
+                decision = drpa_mod.with_estimate(
+                    decision, self._estimate(i), decision.verdicts)
+            yield self._ticks[i], decision
 
 
 @dataclass
@@ -523,8 +521,7 @@ class Simulator:
             string_text(decision.action), string_text(decision.classification),
             string_text(decision.target_ns_il)))
         self.decisions.append((now, decision))
-        if decision.action == drpa_mod.ACTION_SCALE:
-            self._execute_decision(decision)
+        self._execute_decision(decision)
 
     # -- procedure execution -------------------------------------------------
 

@@ -9,7 +9,6 @@ from array import array
 from bisect import bisect_right
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import NamedTuple
 
 from .capacity import DIMENSIONS
 
@@ -31,7 +30,7 @@ else:
 
 def canonical_json(obj) -> str:
     """Byte-stable JSON: sorted keys, no whitespace, integral floats
-    collapsed to ints, tuples written as lists, sets sorted.
+    collapsed to ints, tuples written as lists.
 
     A dict or list that holds a dict or list is written member by member,
     down to its scalars, and its text grows in place, as `trace_lines`
@@ -91,8 +90,8 @@ def _nests(obj) -> bool:
 def _is_canonical(obj) -> bool:
     """Whether the encoder writes `obj` as `_normalize` would rewrite it:
     str-keyed dicts, lists, str, int, bool, None and non-integral floats,
-    by exact type. Anything else (another key type, a tuple, a set, a
-    subclass, an integral float) needs `_normalize`."""
+    by exact type. Anything else (another key type, a tuple, a subclass,
+    an integral float) needs `_normalize`."""
     kind = type(obj)
     if kind is str or kind is int or kind is bool or obj is None:
         return True
@@ -118,8 +117,6 @@ def _normalize(obj):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_normalize(v) for v in obj)
     return obj
 
 
@@ -182,43 +179,11 @@ def payload_digest(text: str) -> bytes:
     return hashlib.sha256(text.encode()).digest()[:DIGEST_BYTES]
 
 
-class EventRecord(NamedTuple):
-    """One event of a `Trace`, as reading it builds it."""
-    seq: int
-    tick: int
-    step: int | None
-    src: str
-    dst: str
-    message: str
-    digest: str
-
-
 # The route id that no longer fits the `_routes` typecode -> the next one.
 _WIDER = {256: "H", 65536: "I"}
 
 
-class Columns:
-    """A sequence held as columns, whose `_record(i)` builds its item i.
-    Reading (an int or negative index, a slice or iteration) builds each
-    item read; a slice reads as a list."""
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self._record, range(*index.indices(len(self)))))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("%s index out of range" % type(self).__name__)
-        return self._record(i)
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-
-class Trace(Columns):
+class Trace:
     """A run's events, held as columns rather than one record each: a
     route id indexing the table of the distinct `(arrow, src, dst)` seen,
     `arrow` being a `(step, message)` pair, in an `array("B")` widened to
@@ -227,9 +192,8 @@ class Trace(Columns):
     `array("q")`, the position and tick of each jump, an event whose tick
     is not the previous event's tick + 1 (as the first is not). That is 9
     bytes per event under 256 routes, and 16 per jump. An event's seq is
-    its position, counted from 1. Reading an event (by an int or negative
-    index, a slice or iteration) builds its `EventRecord`, whose digest is
-    hex; a slice reads as a list."""
+    its position, counted from 1. A trace is read as the text of
+    `trace_chunks` or `trace_lines`, and as the step logs of `step_log`."""
 
     __slots__ = ("_routes", "_digests", "_jump_at", "_jump_tick",
                  "_next_tick", "_route_ids", "_route_table")
@@ -276,14 +240,6 @@ class Trace(Columns):
             start = end
             j += 1
         return chain.from_iterable(runs)
-
-    def _record(self, i: int) -> EventRecord:
-        step, src, dst, message = self._route_table[self._routes[i]]
-        j = bisect_right(self._jump_at, i) - 1
-        at = DIGEST_BYTES * i
-        return tuple.__new__(EventRecord, (
-            i + 1, self._jump_tick[j] + i - self._jump_at[j], step, src, dst,
-            message, self._digests[at:at + DIGEST_BYTES].hex()))
 
     def step_log(self, begun: int, end: int | None) -> list:
         """The `(step, tick)` of the events at positions `begun` up to

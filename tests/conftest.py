@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 
 import sample_catalog as sc
@@ -7,6 +9,7 @@ from nsscale.descriptors import load_catalog
 from nsscale.inventory import InsufficientCapacityError, ResourceZone
 from nsscale.scenario import scenario_from_dict
 from nsscale.simulator import Simulator
+from nsscale.trace import payload_digest, trace_lines
 
 # One PoP with two zones of 7 vcpu: level-1 fits, and level-3's 8-vcpu
 # VNFC fits no zone although the PoP's 14 vcpu cover level-3's 12.
@@ -60,6 +63,29 @@ def run_logged(scenario_dict) -> tuple:
     return sim.run(), transitions(sim)
 
 
+class Event(NamedTuple):
+    """One event of a trace, as its `trace_lines` line reads."""
+    seq: int
+    tick: int
+    step: int | None
+    src: str
+    dst: str
+    message: str
+    digest: str
+
+
+def trace_events(trace) -> list:
+    """The events of `trace`, each line of its text split into `seq tick
+    step src dst message digest`; a step of `-` reads as None."""
+    events = []
+    for line in trace_lines(trace).splitlines():
+        seq, tick, step, src, dst, message, digest = line.split(" ")
+        events.append(Event(int(seq), int(tick),
+                            None if step == "-" else int(step), src, dst,
+                            message, digest))
+    return events
+
+
 def build_sim(scenario_dict) -> Simulator:
     return Simulator(scenario_from_dict(scenario_dict))
 
@@ -97,14 +123,15 @@ def record_decisions(monkeypatch) -> list:
 
 
 def audit_every_event(monkeypatch, audit):
-    """Call `audit(record, pops)` after every event a Simulator records,
-    with the event's record and the simulator's PoPs; the zones check
-    themselves only on writes."""
+    """Call `audit(event, pops)` after every event a Simulator records,
+    with the `Event` its trace line reads as and the simulator's PoPs; the
+    zones check themselves only on writes."""
     emit = Simulator._emit
 
-    def audited(sim, *args):
-        emit(sim, *args)
-        audit(sim.trace[-1], sim.pops)
+    def audited(sim, src, dst, arrow, text):
+        emit(sim, src, dst, arrow, text)
+        audit(Event(len(sim.trace), sim._clock, arrow.step, src, dst,
+                    arrow.message, payload_digest(text).hex()), sim.pops)
 
     monkeypatch.setattr(Simulator, "_emit", audited)
 

@@ -285,8 +285,9 @@ def corpus_digest(corpus: Corpus) -> str:
         for record in records.values():
             result = record.result
             digest.update(pickle.dumps((
-                len(result.trace), result.final_state, result.decisions,
-                record.transitions, result.failure_reason,
+                len(result.trace), result.final_state,
+                list(result.decisions), record.transitions,
+                result.failure_reason,
                 [(op.op_id, op.kind, op.begun, op.end, op.failed_step,
                   op.error) for op in result.operations])))
     return digest.hexdigest()

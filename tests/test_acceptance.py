@@ -13,7 +13,7 @@ import pytest
 import broken_descriptors
 import sample_catalog as sc
 import scenario_gen
-from conftest import audit_every_event, run_dict, run_logged
+from conftest import audit_every_event, run_dict, run_logged, trace_events
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import (
     aggregate_capacity, load_catalog, validate_catalog,
@@ -92,13 +92,13 @@ def test_acceptance_4_reservation_toggle(capsys):
         plain = run_dict(sc.sample_scenario(
             workload=sc.jump_workload(),
             options={"reservation_enabled": False}))
-        messages = [r.message for r in plain.trace]
+        messages = [r.message for r in trace_events(plain.trace)]
         assert not any(m.startswith("Reserve") for m in messages)
         assert "GrantRequest" in messages and "GrantResponse" in messages
 
         reserved = run_dict(sc.sample_scenario(workload=sc.jump_workload()))
         per_vim = {}
-        for r in reserved.trace:
+        for r in trace_events(reserved.trace):
             if r.message == "ReserveRequest":
                 per_vim.setdefault(r.dst, []).append(r.digest)
         assert per_vim  # at least one VIM was selected
@@ -195,7 +195,7 @@ def test_acceptance_7_state_machine_soundness(capsys, catalog, nsd, flavor):
             spans = [(min(t for _, t in op.step_log),
                       max(t for _, t in op.step_log))
                      for op in result.operations if op.step_log]
-            for record in result.trace:
+            for record in trace_events(result.trace):
                 if record.step is not None and record.step >= 5:
                     assert any(lo <= record.tick <= hi for lo, hi in spans)
             # quiescent per-VNF shape: VNFC multiset == current VNF-IL counts

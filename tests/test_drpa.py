@@ -8,7 +8,7 @@ from conftest import build_sim, run_dict
 from nsscale.capacity import CapacityVector
 from nsscale.descriptors import load_catalog
 from nsscale.drpa import (
-    ACTION_NONE, ACTION_SCALE, CostModel, DrpaError, LevelGraph,
+    ACTION_SCALE, CostModel, DrpaError, LevelGraph,
     NoFeasibleLevelError, NoPlaceableCandidateError, PlacementItem,
     UnplaceableError, candidate_ns_ils, decide, delta_additions,
     estimate_demand, plan_placement, select_optimum,
@@ -27,8 +27,9 @@ def make_store(samples):
     return store
 
 
-def verdict(dims, rule_id="r-out", satisfied=False):
-    return RuleVerdict(rule_id, satisfied, frozenset(dims))
+def verdict(dims, rule_id="r-out"):
+    """A fired rule's verdict."""
+    return RuleVerdict(rule_id, False, frozenset(dims))
 
 
 def make_pop(pop_id="pop-1", vim="vim-1", **totals):
@@ -257,13 +258,6 @@ def test_select_optimum_tie_breaks_on_instances(levels):
     assert decision.target_ns_il == "level-2"
 
 
-def test_decide_none_when_all_satisfied(levels):
-    decision = decide(levels, (verdict({"vcpu"}, satisfied=True),),
-                      "level-1", MetricStore(), CostModel(), 0.6,
-                      capacity_report([make_pop()]), sc.DIMENSION_MAP)
-    assert decision.action == ACTION_NONE
-
-
 def test_decide_full_pipeline(levels):
     store = make_store([(10, "vnfd-b", "cpu_load", 0.9)])
     decision = decide(levels, (verdict({"vcpu"}),), "level-1", store,
@@ -387,12 +381,12 @@ def _fresh(levels: LevelGraph) -> LevelGraph:
                       levels.constraints)
 
 
-def test_reused_plans_equal_fresh_ones(monkeypatch):
-    """Every decision of 200 random runs equals, in every field, one made
-    on a fresh LevelGraph with the same snapshot and candidates. A
-    selection repeated on a run's graph (same snapshot, level and
-    candidates) shares the first one's rationale. On the fresh graph, a
-    second selection under another cost model, which reuses the plans,
+def test_kept_selections_equal_fresh_ones(monkeypatch):
+    """Every decision of 200 random runs, kept selections included, equals
+    in every field one made on a fresh LevelGraph with the same snapshot
+    and candidates. A selection repeated on a run's graph (same snapshot,
+    level and candidates) shares the first one's rationale. On the fresh
+    graph, a second selection under another cost model, a key of its own,
     costs the candidates by that model."""
     selections = _record_selections(monkeypatch)
     for seed in range(200):
@@ -435,7 +429,8 @@ def test_reused_plans_equal_fresh_ones(monkeypatch):
 
 def test_a_move_is_planned_once_per_snapshot(monkeypatch):
     """A run that cycles level-1 -> 3 -> 1 three times makes each plan
-    once: the second and third cycles meet the first cycle's snapshots."""
+    once: the second and third cycles meet the first cycle's snapshots and
+    reuse its selections, and a plan is made once per kept selection."""
     import nsscale.drpa
 
     streams = (("vnfd-b", "cpu_load"), ("vnfd-b", "mem_load"),

@@ -10,7 +10,7 @@ from collections import Counter
 
 import sample_catalog as sc
 import scenario_gen
-from conftest import build_sim, refuse_large_vnfcs
+from conftest import build_sim, refuse_large_vnfcs, trace_events
 from corpus import (
     VL_WALK, WORKLOADS, fail_kth_zone_write, sample, samples, zone_writes)
 import pytest
@@ -164,7 +164,7 @@ def test_reserve_fault_is_a_step_seven_failure(monkeypatch):
     assert result.status == STATUS_OPERATION_FAILED
     assert result.operations[0].failed_step == 7
     assert result.operations[0].error == "injected fault"
-    assert [r.message for r in result.trace[-3:]] == [
+    assert [r.message for r in trace_events(result.trace)[-3:]] == [
         "ReserveRequest", "ReserveResponse", "OperationFailed"]
     assert result.final_state == initial
 
@@ -186,7 +186,8 @@ def test_release_fault_is_a_step_26_failure(monkeypatch, write, last):
     assert result.status == STATUS_OPERATION_FAILED
     assert result.operations[0].failed_step == 26
     assert result.operations[0].error == "injected fault"
-    assert [r.message for r in result.trace[-2:]] == [last, "OperationFailed"]
+    assert [r.message for r in trace_events(result.trace)[-2:]] == [
+        last, "OperationFailed"]
     assert result.final_state == initial
 
 
@@ -200,12 +201,11 @@ def test_step_log_is_the_trace_of_its_operation(corpus):
     writes = len(sweep) - 1  # less the clean run
     phases = []
     for record in (*corpus["sample"].values(), *sweep):
-        trace = record.result.trace
         for op, (begun, end) in zip(record.result.operations, record.spans,
                                     strict=True):
-            assert op.step_log == [(event.step, event.tick)
-                                   for event in trace[begun:end]
-                                   if event.message != "OperationFailed"]
+            assert op.step_log == [
+                (step, tick) for _, _, step, message, _, tick
+                in record.events[begun:end] if message != "OperationFailed"]
             assert (op.phase == PHASE_FAILED) == (op.failed_step is not None)
             phases.append(op.phase)
     assert phases.count(PHASE_FAILED) == writes  # one failure per fault
@@ -221,8 +221,9 @@ def fail_at_every_message(scenario: dict, label) -> int:
     the scenario in an assertion's message."""
     runs = 0
     clean = FailingAtEvent(scenario).run()
+    clean_events = trace_events(clean.trace)
     for n, op in enumerate(clean.operations, 1):
-        for k, event in enumerate(clean.trace[op.begun:op.end], 1):
+        for k, event in enumerate(clean_events[op.begun:op.end], 1):
             if event.message == OPERATION_FAILED.message:
                 continue
             sim = FailingAtEvent(scenario, n, k)
@@ -230,9 +231,9 @@ def fail_at_every_message(scenario: dict, label) -> int:
             runs += 1
             failed = result.operations[n - 1]
             assert failed.failed_step == sim.failed_at.step, (label, n, k)
+            events = trace_events(result.trace)
             for any_op, before, after in sim.failures:
-                messages = [e.message for e in result.trace[
-                    any_op.begun:any_op.end]]
+                messages = [e.message for e in events[any_op.begun:any_op.end]]
                 assert messages.index(OPERATION_FAILED.message) \
                     == len(messages) - 1, (label, n, k, any_op.op_id)
                 assert after == before, (label, n, k, any_op.op_id)

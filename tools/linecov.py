@@ -4,10 +4,12 @@ runs, with `sys.settrace`; it needs only the standard library.
     python tools/linecov.py pytest -q -p no:cacheprovider
 
 runs the tier-1 tests under the collector, in about three times their
-usual time, and prints each module's executable lines that never ran. It
-exits with the module's status when that is not 0, else 1 when it lists
-any line and 0 when it lists none. The collector pauses while
-`tracemalloc` traces, so that a test that measures its own memory
+usual time, and prints each module's executable lines that never ran.
+A first argument ending in `.py` is run as a script, as `python` runs
+it: `python tools/linecov.py tools/reach.py` lists what no entry point
+reaches. It exits with the module's status when that is not 0, else 1
+when it lists any line and 0 when it lists none. The collector pauses
+while `tracemalloc` traces, so that a test that measures its own memory
 measures none of the collector's: a line that runs only then is listed
 as never run.
 """
@@ -35,8 +37,9 @@ def executable_lines(path: str) -> set:
 
 
 def main(argv: list) -> int:
-    """Runs module `argv[0]` as `__main__` with arguments `argv[1:]`,
-    prints the lines it never ran, and returns the exit status."""
+    """Runs module or script `argv[0]` as `__main__` with arguments
+    `argv[1:]`, prints the lines it never ran, and returns the exit
+    status."""
     hits = set()
 
     def in_package(frame, event, arg):
@@ -66,7 +69,10 @@ def main(argv: list) -> int:
     threading.settrace(in_package)
     sys.settrace(in_package)
     try:
-        runpy.run_module(argv[0], run_name="__main__", alter_sys=True)
+        if argv[0].endswith(".py"):
+            runpy.run_path(argv[0], run_name="__main__")
+        else:
+            runpy.run_module(argv[0], run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         status = exc.code
     else:
