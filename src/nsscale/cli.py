@@ -174,11 +174,11 @@ def cmd_explain(args) -> int:
         print("tick %d: action: none" % args.at)
         return EXIT_OK
     for decision in found:
-        _print_rationale(args.at, decision)
+        _print_rationale(args.at, decision, sim.target_utilization)
     return EXIT_OK
 
 
-def _print_rationale(tick, decision):
+def _print_rationale(tick, decision, target_utilization):
     """A run records the DRPA's error text, or a scaling decision: it asks
     the DRPA only once some rule has fired."""
     if isinstance(decision, str):
@@ -191,7 +191,7 @@ def _print_rationale(tick, decision):
         print("  rule %s: %s" % (verdict.rule_id, state))
     print("  demand: %s (target utilization %s)"
           % (canonical_json(decision.estimate.required.as_dict()),
-             decision.estimate.headroom))
+             target_utilization))
     for evaluation in decision.rationale:
         if evaluation.feasible:
             print("  candidate %s: cost %s, %d instances"
@@ -203,9 +203,8 @@ def _print_rationale(tick, decision):
     print("  chosen: %s (%s)" % (decision.target_ns_il,
                                  decision.classification))
     plan = decision.placement
-    for key in sorted(plan.assignments):
-        print("  place %s at %s/%s"
-              % (key, plan.assignments[key], plan.zones[key]))
+    for key in sorted(plan):
+        print("  place %s at %s/%s" % (key, plan[key].pop_id, plan[key].id))
 
 
 class _ArgumentParser(argparse.ArgumentParser):

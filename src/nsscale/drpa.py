@@ -61,7 +61,6 @@ class CostModel:
 
 class DemandEstimate(NamedTuple):
     required: CapacityVector
-    headroom: float  # the target utilization fraction
 
 
 class PlacementItem(NamedTuple):
@@ -79,26 +78,20 @@ class PlacementItem(NamedTuple):
     anti_affinity: str = ""
 
 
-class PlacementMap(NamedTuple):
-    assignments: dict  # item key -> pop id
-    selected_vims: frozenset
-    zones: dict  # item key -> the id of the zone it is counted and put in
-
-
 class CandidateEval(NamedTuple):
     ns_il_id: str
     cost: float
     total_instances: int
     feasible: bool
     reason: str = ""
-    placement: PlacementMap | None = None
+    placement: dict | None = None  # a feasible candidate's plan
 
 
 class DrpaDecision(NamedTuple):
-    action: str
+    action = ACTION_SCALE  # a class constant: every decision scales
     target_ns_il: str = ""
     classification: str = CLASS_NONE
-    placement: PlacementMap | None = None  # the move's plan, when scaling
+    placement: dict | None = None  # the move's plan
     rationale: tuple = ()
     estimate: DemandEstimate | None = None
     verdicts: tuple = ()
@@ -126,7 +119,7 @@ def estimate_demand(verdicts: tuple, store: MetricStore,
             if utilization is not None:
                 required[dim] = _exact_ratio(utilization, required[dim],
                                              target_utilization)
-    return DemandEstimate(CapacityVector(**required), target_utilization)
+    return DemandEstimate(CapacityVector(**required))
 
 
 def _exact_ratio(utilization, capacity, target) -> float:
@@ -239,8 +232,8 @@ class LevelGraph:
     selection share its rationale. Nothing is derived up front: a run
     visits only some of the ordered pairs. A move from None, the empty
     level, instantiates its target. Returned values are shared between
-    callers, who must not mutate them (their count maps and a plan's maps
-    are dicts)."""
+    callers, who must not mutate them (their count maps and plans are
+    dicts)."""
 
     def __init__(self, catalog: Catalog, nsd: Nsd, flavor: NsDeploymentFlavor,
                  constraints: dict | None = None):
@@ -284,22 +277,20 @@ class LevelGraph:
         return items
 
 
-def plan_placement(items, snapshot: list) -> PlacementMap:
-    """Assign each item to the first PoP, in id order, in which the VIM's
-    own zone rule (`vim_placement`) finds it a zone in `snapshot`, a
-    `capacity_report`, after the items placed before it. Items sharing an
-    anti-affinity label land on distinct PoPs. The map also names the zone
-    each item was counted in: the only zone choice, in which the workflow
-    then reserves and allocates the item. The snapshot is left unchanged."""
+def plan_placement(items, snapshot: list) -> dict:
+    """Map each item's key to the `ZoneReport` of `snapshot`, a
+    `capacity_report`, in which the VIM's own zone rule (`vim_placement`)
+    counts it: a zone of the first PoP, in id order, that fits the item
+    after the items placed before it. Items sharing an anti-affinity label
+    land on distinct PoPs. The record names the item's PoP, VIM and zone:
+    the only zone choice, in which the workflow then reserves and
+    allocates the item. The snapshot is left unchanged."""
     zones_of = {}  # pop id -> its zones, in the snapshot's pop id order
-    vim_of = {}
     for zone in snapshot:
         zones_of.setdefault(zone.pop_id, []).append(zone)
-        vim_of[zone.pop_id] = zone.vim_ref
     pending = {pop_id: {} for pop_id in zones_of}  # pop id -> zone id -> spec
     label_pops = {}  # anti-affinity label -> pop ids already used
-    assignments = {}
-    zone_of = {}  # item key -> zone id
+    plan = {}
     for item in items:
         used = label_pops.get(item.anti_affinity, ())
         shortfalls = []
@@ -313,17 +304,14 @@ def plan_placement(items, snapshot: list) -> PlacementMap:
                 shortfalls.append(exc.shortfall)
                 continue
             placed[zone.id] = placed.get(zone.id, ZERO) + item.spec
-            assignments[item.key] = pop_id
-            zone_of[item.key] = zone.id
+            plan[item.key] = zone
             if item.anti_affinity:
                 label_pops.setdefault(item.anti_affinity, set()).add(pop_id)
             break
         else:
             shortfall = min(shortfalls, key=len, default=())
             raise UnplaceableError(item.key, shortfall or ["anti-affinity"])
-    return PlacementMap(assignments,
-                        frozenset(vim_of[p] for p in assignments.values()),
-                        zone_of)
+    return plan
 
 
 def _total_instances(flavor: NsDeploymentFlavor, ns_il_id: str) -> int:
@@ -358,9 +346,9 @@ def with_estimate(decision: DrpaDecision, estimate: DemandEstimate | None,
     """`decision` with `estimate` and `verdicts`. Built by the constructor:
     `_replace` builds a plain tuple first, and each call leaves it on the
     interpreter's tuple free list."""
-    return DrpaDecision(decision.action, decision.target_ns_il,
-                        decision.classification, decision.placement,
-                        decision.rationale, estimate, verdicts)
+    return DrpaDecision(decision.target_ns_il, decision.classification,
+                        decision.placement, decision.rationale, estimate,
+                        verdicts)
 
 
 def _select(levels: LevelGraph, candidates: list, cost_model: CostModel,
@@ -388,7 +376,6 @@ def _select(levels: LevelGraph, candidates: list, cost_model: CostModel,
     best = min(feasible,
                key=lambda e: (e.cost, e.total_instances, order[e.ns_il_id]))
     return DrpaDecision(
-        action=ACTION_SCALE,
         target_ns_il=best.ns_il_id,
         classification=levels.delta(current, best.ns_il_id).classification,
         placement=best.placement,

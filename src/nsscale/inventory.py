@@ -49,7 +49,7 @@ class NoZoneFitsError(InventoryError):
     """No zone of a PoP can take a spec; `shortfall` lists the dimensions
     the closest zone lacks."""
 
-    def __init__(self, spec: CapacityVector, shortfall: list = ()):
+    def __init__(self, spec: CapacityVector, shortfall: list):
         super().__init__("no zone fits %s" % spec.as_dict())
         self.shortfall = list(shortfall)
 

@@ -177,8 +177,8 @@ class ScalingOperation:
 
 
 # A demand estimate's parts, as a `DecisionLog` holds them: the required
-# capacity's components, then the headroom.
-_ESTIMATE_PARTS = len(CapacityVector._fields) + 1
+# capacity's components.
+_ESTIMATE_PARTS = len(CapacityVector._fields)
 _KEPT = 255  # the kind of an estimate a `DecisionLog` keeps as its object
 
 
@@ -202,10 +202,10 @@ class DecisionLog:
     the table of the distinct decisions less their estimate (a scaling
     decision with its verdicts, whose selection the `LevelGraph` shares
     between decisions, or a DRPA error's text); and its `DemandEstimate`,
-    as its four required components and its headroom in an `array("d")`
+    as the four components of its required capacity in an `array("d")`
     with, in an `array("B")`, a bit for each that is an int. An estimate
     that a float would not give back, and an error's None, is kept as its
-    object. That is 53 bytes per decision. `append` takes a `(tick,
+    object. That is 45 bytes per decision. `append` takes a `(tick,
     DrpaDecision | str)` pair, as a list's does; iterating the log yields
     each pair appended, in order, equal to it and each estimate part of
     its type."""
@@ -229,7 +229,7 @@ class DecisionLog:
         if isinstance(decision, str):
             key, estimate = decision, None
         else:
-            key = (*decision[:3], id(decision.placement),
+            key = (*decision[:2], id(decision.placement),
                    id(decision.rationale), decision.verdicts)
             estimate = decision.estimate
         row = self._row_ids.get(key)
@@ -238,8 +238,7 @@ class DecisionLog:
             self._row_table.append(decision if estimate is None else
                                    drpa_mod.with_estimate(
                                        decision, None, decision.verdicts))
-        parts = () if estimate is None else (*estimate.required,
-                                             estimate.headroom)
+        parts = () if estimate is None else tuple(estimate.required)
         kind = _parts_kind(parts)
         if kind == _KEPT:
             self._kept[len(self)] = estimate
@@ -259,8 +258,7 @@ class DecisionLog:
         at = _ESTIMATE_PARTS * i
         parts = [int(part) if kind >> j & 1 else part for j, part in
                  enumerate(self._parts[at:at + _ESTIMATE_PARTS])]
-        return drpa_mod.DemandEstimate(CapacityVector(*parts[:-1]),
-                                       parts[-1])
+        return drpa_mod.DemandEstimate(CapacityVector(*parts))
 
     def __iter__(self):
         for i, row in enumerate(self._rows):
@@ -335,7 +333,6 @@ class Simulator:
         self.operations = []
         self.decisions = DecisionLog()
         self._clock = 0
-        self._op_counter = itertools.count(1)
         self._instance_counter = itertools.count(1)
         self._cooldown_state = {}
         self._verdict_cache = {}  # evaluate_rules' reuse of unchanged verdicts
@@ -409,8 +406,9 @@ class Simulator:
 
     def _planned_zone(self, plan, item) -> tuple:
         """The PoP and the zone in which `plan` counted `item`."""
-        pop = self._pop(plan.assignments[item.key])
-        return pop, pop.zone(plan.zones[item.key])
+        site = plan[item.key]
+        pop = self._pop(site.pop_id)
+        return pop, pop.zone(site.id)
 
     # -- main loop ----------------------------------------------------------
 
@@ -531,7 +529,8 @@ class Simulator:
         # Every VNFC and VL addition of the operation, each placed by `plan`.
         items = self.levels.additions(*move)
         plan = decision.placement
-        op = ScalingOperation("op-%d" % next(self._op_counter),
+        # Operations are only ever appended, so their count numbers them.
+        op = ScalingOperation("op-%d" % (len(self.operations) + 1),
                               delta.classification, self.trace,
                               len(self.trace))
         self.operations.append(op)
@@ -660,7 +659,7 @@ class Simulator:
             strings_text(sorted(i.vl_profile_id for i in vl_items)), op_id,
             strings_text(sorted(i.vdu_ref for i in vnfc_items))))
 
-        vims = strings_text(sorted(plan.selected_vims))
+        vims = strings_text(sorted({site.vim_ref for site in plan.values()}))
         if self.reservation_enabled:
             # (item key, kind) -> reservation id
             reservations = self._reservation_subphase(op, plan, items)
@@ -703,14 +702,14 @@ class Simulator:
         return new_ids
 
     def _reservation_subphase(self, op, plan, items) -> dict:
-        """Three reservation requests (compute, storage, network) per
-        selected VIM; each item is reserved in the zone the plan names."""
+        """Three reservation requests (compute, storage, network) per VIM
+        of the plan's sites; each item is reserved in its site's zone."""
         reservations = {}
         op_id = string_text(op.op_id)
         by_vim = defaultdict(list)
         for item in items:
-            by_vim[self._pop(plan.assignments[item.key]).vim_ref].append(item)
-        for vim_ref in sorted(plan.selected_vims):
+            by_vim[plan[item.key].vim_ref].append(item)
+        for vim_ref in sorted({site.vim_ref for site in plan.values()}):
             vim = self.vim_actor[vim_ref]
             for kind in ("compute", "storage", "network"):
                 kind_text = string_text(kind)
@@ -720,7 +719,7 @@ class Simulator:
                 self._emit(self.nfvo, vim, RESERVE_REQUEST, RESERVE_FORM % (
                     "[%s]" % ",".join([RESERVE_ITEM_FORM % (
                         string_text(i.anti_affinity), string_text(i.key),
-                        string_text(plan.assignments[i.key]),
+                        string_text(plan[i.key].pop_id),
                         capacity_text(s)) for i, s in kind_items]),
                     kind_text, op_id))
                 placed = []
@@ -791,7 +790,7 @@ class Simulator:
     # -- release phase -------------------------------------------------------
 
     def _release_phase(self, op, vnfm, em, vnf_id, remove_ids, vl_decreases,
-                       delete_vnf=False):
+                       delete_vnf):
         op_id = string_text(op.op_id)
         removed = strings_text(sorted(remove_ids))
         self._emit(vnfm, self.nfvo, RELEASE_GRANT_REQUEST,
@@ -861,12 +860,12 @@ class Simulator:
 
     def _new_vnf(self, profile, plan, vnfc_items) -> str:
         """Register a new VNF instance of `profile`, with none of its VNFC
-        `vnfc_items` yet, and return its id. Its VIM is that of the PoP
+        `vnfc_items` yet, and return its id. Its VIM is that of the site
         `plan` gives its first VNFC."""
         vnf_id = "vnf-%s-%d" % (profile.id, next(self._instance_counter))
         self.vnf_infos[vnf_id] = VnfInfo(
             profile.vnfd_ref, profile.vnf_flavor_ref, (),
-            self._pop(plan.assignments[vnfc_items[0].key]).vim_ref,
+            plan[vnfc_items[0].key].vim_ref,
             audit=(("instantiation", self._clock),), profile_ref=profile.id)
         return vnf_id
 

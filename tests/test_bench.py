@@ -139,7 +139,7 @@ def test_a_wide_run_retains_little_per_trace_event():
     assert per_event < RETAINED_PER_EVENT, "%.0f B/event" % per_event
 
 
-RETAINED_PER_DECISION = 100  # bytes
+RETAINED_PER_DECISION = 60  # bytes
 
 
 def kept_by_decisions(data: dict) -> tuple:
@@ -166,14 +166,15 @@ def kept_by_decisions(data: dict) -> tuple:
 
 def test_a_finished_run_keeps_little_per_decision():
     """What only a finished run's decisions keep grows by less than
-    `RETAINED_PER_DECISION` (100) bytes per decision between scale-churn
+    `RETAINED_PER_DECISION` (60) bytes per decision between scale-churn
     sizes 10 and 40 (50 and 200 decisions), measured with `tracemalloc`
     on CPython 3.11.7: 691 B/decision while each was a `(tick,
     DrpaDecision)` pair with its own candidate evaluations; 217 with the
     decisions held as columns (the tick, a row of the table of distinct
     selections and verdicts, the `DemandEstimate` object) over selections
     the `LevelGraph` makes once per snapshot; 54 with each estimate's
-    parts held as floats."""
+    parts held as floats; 47 with the target utilization, a run constant,
+    no longer kept as a part of each estimate."""
     workloads = import_bench("workloads")
     (small, small_count), (large, large_count) = (
         kept_by_decisions(workloads.GENERATORS["scale-churn"](0, size))

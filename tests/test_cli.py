@@ -13,7 +13,8 @@ import nsscale.cli
 import nsscale.scenario
 import nsscale.simulator
 from conftest import (
-    SEVEN_AND_SEVEN, record_decisions, refuse_large_vnfcs, run_dict,
+    SEVEN_AND_SEVEN, build_sim, record_decisions, refuse_large_vnfcs,
+    run_dict,
 )
 from corpus import samples
 from nsscale.capacity import CapacityVector
@@ -808,8 +809,9 @@ def test_explain_at_decision_tick(tmp_path, capsys):
 def test_explain_prints_each_recorded_decision(tmp_path, capsys, monkeypatch,
                                                workload):
     """At every decision tick of the 8 samples of `workload`, `explain`
-    prints what `_print_rationale` prints for each decision the DRPA
-    returned at that tick, or each error it raised."""
+    prints what `_print_rationale` prints, given the run's target
+    utilization, for each decision the DRPA returned at that tick, or each
+    error it raised."""
     recorded = record_decisions(monkeypatch)
     ticks = 0
     for name, scenario in samples().items():
@@ -817,14 +819,16 @@ def test_explain_prints_each_recorded_decision(tmp_path, capsys, monkeypatch,
             continue
         path = scenario_file(tmp_path, scenario)
         recorded.clear()
-        run_dict(scenario)
+        sim = build_sim(scenario)
+        sim.run()
         made = list(recorded)
         for tick in sorted({tick for tick, _ in made}):
             assert main(["explain", path, "--at", str(tick)]) == 0
             out = capsys.readouterr().out
             for at, decision in made:
                 if at == tick:
-                    nsscale.cli._print_rationale(at, decision)
+                    nsscale.cli._print_rationale(at, decision,
+                                                 sim.target_utilization)
             assert out == capsys.readouterr().out, (name, tick)
             ticks += 1
     assert ticks >= 8

@@ -164,19 +164,22 @@ def plan(items, pops):
     return plan_placement(items, capacity_report(pops))
 
 
+def pop_ids(placement) -> dict:
+    return {key: site.pop_id for key, site in placement.items()}
+
+
 def test_plan_placement_first_fit_by_pop_id():
     items = [PlacementItem("a", CapacityVector(vcpu=8), "vnfc")]
     pops = [make_pop("pop-2"), make_pop("pop-1", vcpu=10)]
     placement = plan(items, pops)
-    assert placement.assignments == {"a": "pop-1"}
-    assert placement.selected_vims == frozenset({"vim-1"})
+    assert pop_ids(placement) == {"a": "pop-1"}
+    assert {site.vim_ref for site in placement.values()} == {"vim-1"}
 
 
 def test_plan_placement_skips_full_pops():
     items = [PlacementItem("a", CapacityVector(vcpu=8), "vnfc")]
     pops = [make_pop("pop-1", vcpu=4), make_pop("pop-2")]
-    placement = plan(items, pops)
-    assert placement.assignments == {"a": "pop-2"}
+    assert pop_ids(plan(items, pops)) == {"a": "pop-2"}
 
 
 def test_plan_placement_needs_one_zone_to_fit():
@@ -185,8 +188,7 @@ def test_plan_placement_needs_one_zone_to_fit():
         ResourceZone("z-1", CapacityVector(vcpu=6, memory=64)),
         ResourceZone("z-2", CapacityVector(vcpu=6, memory=64))])
     items = [PlacementItem("a", CapacityVector(vcpu=8), "vnfc")]
-    assert plan(items, [split, make_pop("pop-2")]).assignments == \
-        {"a": "pop-2"}
+    assert pop_ids(plan(items, [split, make_pop("pop-2")])) == {"a": "pop-2"}
     with pytest.raises(UnplaceableError) as err:
         plan(items, [split])
     assert err.value.shortfall == ["vcpu"]
@@ -199,8 +201,12 @@ def test_plan_placement_counts_the_items_placed_before():
     items = [PlacementItem(k, CapacityVector(vcpu=4), "vnfc")
              for k in ("a", "b", "c")]
     # a and b take a zone each; c fits neither remainder of 2
-    assert plan(items, [split, make_pop("pop-2")]).assignments == \
-        {"a": "pop-1", "b": "pop-1", "c": "pop-2"}
+    snapshot = capacity_report([split, make_pop("pop-2")])
+    placement = plan_placement(items, snapshot)
+    assert pop_ids(placement) == {"a": "pop-1", "b": "pop-1", "c": "pop-2"}
+    # each site is the snapshot's own record of its zone, not a copy
+    assert all(any(site is zone for zone in snapshot)
+               for site in placement.values())
     snapshot = capacity_report([split])
     with pytest.raises(UnplaceableError):
         plan_placement(items, snapshot)
@@ -214,8 +220,9 @@ def test_anti_affinity_forces_distinct_pops():
     ]
     pops = [make_pop("pop-1"), make_pop("pop-2", vim="vim-2")]
     placement = plan(items, pops)
-    assert set(placement.assignments.values()) == {"pop-1", "pop-2"}
-    assert placement.selected_vims == frozenset({"vim-1", "vim-2"})
+    assert set(pop_ids(placement).values()) == {"pop-1", "pop-2"}
+    assert {site.vim_ref for site in placement.values()} == \
+        {"vim-1", "vim-2"}
     with pytest.raises(UnplaceableError):
         plan(items, [make_pop("pop-1")])
 
@@ -266,7 +273,7 @@ def test_decide_full_pipeline(levels):
     # 0.9 * 6 / 0.6 = 9 vcpu: level-2 (8) is out, level-3 (12) is optimal
     assert decision.target_ns_il == "level-3"
     assert decision.classification == "vnf-scaling"
-    assert decision.placement.assignments["p-b/scale0/vnfc/vdu-2/0"] == "pop-1"
+    assert decision.placement["p-b/scale0/vnfc/vdu-2/0"].pop_id == "pop-1"
 
 
 def test_exhaustive_select_agrees_on_sample(catalog, flavor, levels):

@@ -30,12 +30,13 @@ class FailingAtEvent(Simulator):
     """A simulator whose `_emit` fails the n-th operation at its k-th event,
     raising `OperationFailure` at the event's step before recording it,
     unless that event is an OperationFailed; n = 0 fails nothing. It keeps
-    the arrow it failed at, and each failed operation with (final state,
-    NS level) before and after it."""
+    the arrow it failed at, the message of each event it records, and each
+    failed operation with (final state, NS level) before and after it."""
 
     def __init__(self, scenario: dict, n: int = 0, k: int = 0):
         self.fault = (n, k)
         self.failed_at = None
+        self.messages = []
         self.failures = []
         super().__init__(scenario_from_dict(scenario))
 
@@ -48,6 +49,7 @@ class FailingAtEvent(Simulator):
             self.failed_at = arrow
             raise OperationFailure(arrow.step, "injected fault")
         super()._emit(src, dst, arrow, text)
+        self.messages.append(arrow.message)
 
     def _execute_decision(self, decision):
         before = (self.final_state(), self.current_ns_il)
@@ -218,22 +220,24 @@ def fail_at_every_message(scenario: dict, label) -> int:
     the step of the message it failed at, and every failed operation ends
     at its OperationFailed and leaves the final state and the NS level as
     they were before it. Returns the number of failing runs; `label` names
-    the scenario in an assertion's message."""
+    the scenario in an assertion's message. The messages of each run are
+    those its simulator kept, which the clean run shows to be the trace's."""
     runs = 0
-    clean = FailingAtEvent(scenario).run()
-    clean_events = trace_events(clean.trace)
-    for n, op in enumerate(clean.operations, 1):
-        for k, event in enumerate(clean_events[op.begun:op.end], 1):
-            if event.message == OPERATION_FAILED.message:
+    clean = FailingAtEvent(scenario)
+    operations = clean.run().operations
+    assert clean.messages == [e.message for e in trace_events(clean.trace)], \
+        label
+    for n, op in enumerate(operations, 1):
+        for k, message in enumerate(clean.messages[op.begun:op.end], 1):
+            if message == OPERATION_FAILED.message:
                 continue
             sim = FailingAtEvent(scenario, n, k)
             result = sim.run()
             runs += 1
             failed = result.operations[n - 1]
             assert failed.failed_step == sim.failed_at.step, (label, n, k)
-            events = trace_events(result.trace)
             for any_op, before, after in sim.failures:
-                messages = [e.message for e in events[any_op.begun:any_op.end]]
+                messages = sim.messages[any_op.begun:any_op.end]
                 assert messages.index(OPERATION_FAILED.message) \
                     == len(messages) - 1, (label, n, k, any_op.op_id)
                 assert after == before, (label, n, k, any_op.op_id)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nsscale.capacity import ZERO, CapacityVector
-from nsscale.drpa import ACTION_SCALE, DemandEstimate, DrpaDecision
+from nsscale.drpa import DemandEstimate, DrpaDecision
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
@@ -525,8 +525,8 @@ def test_plans_the_drpa_accepts_execute(corpus):
                                     and d.action == "scale"])}
             for op_id, key, pop_id, zone_id in sites:
                 plan = plans[op_id]
-                assert zone_id == plan.zones[key], (family, seed, op_id, key)
-                assert pop_id in (None, plan.assignments[key]), \
+                assert zone_id == plan[key].id, (family, seed, op_id, key)
+                assert pop_id in (None, plan[key].pop_id), \
                     (family, seed, op_id, key)
             checked += len(sites)
             reported += sum(pop_id is None for _, _, pop_id, _ in sites)
@@ -795,7 +795,7 @@ def test_a_bad_record_is_named_by_its_file_index(kind, record, problem):
 
 def _estimate_types(decision) -> list:
     estimate = decision.estimate
-    return [type(part) for part in (*estimate.required, estimate.headroom)]
+    return [type(part) for part in estimate.required]
 
 
 def test_decisions_read_back_what_the_drpa_decided(monkeypatch):
@@ -823,20 +823,19 @@ def test_decisions_read_back_what_the_drpa_decided(monkeypatch):
     assert types == {int, float}
 
 
-@pytest.mark.parametrize("required, headroom", [
-    ((-2 ** 53, 12.5, 0, 1e308), float("inf")),  # each read from a float
-    ((2 ** 53 + 1, 12, 20, 100), 0.6),  # too wide for a float
-    ((7.5, float("nan"), 20, 100), 0.6),
-    ((7.5, 12, True, 100), 0.6),
+@pytest.mark.parametrize("required", [
+    (-2 ** 53, 12.5, 1e308, float("inf")),  # each read from a float
+    (2 ** 53 + 1, 12, 20, 100),  # too wide for a float
+    (7.5, float("nan"), 20, 100),
+    (7.5, 12, True, 100),
 ])
-def test_a_decision_log_gives_back_each_estimate_part(required, headroom):
+def test_a_decision_log_gives_back_each_estimate_part(required):
     """Each part of a decision's demand estimate reads back as itself, of
     its type: the log keeps as its object an estimate with an int a
     float cannot hold, a NaN or a bool. An error reads back as its text,
     between two decisions."""
-    estimate = DemandEstimate(CapacityVector(*required), headroom)
-    decision = DrpaDecision(ACTION_SCALE, "level-2", "vnf-scaling",
-                            estimate=estimate)
+    estimate = DemandEstimate(CapacityVector(*required))
+    decision = DrpaDecision("level-2", "vnf-scaling", estimate=estimate)
     log = DecisionLog()
     pairs = [(10, decision), (11, "no placeable candidate"), (12, decision)]
     for pair in pairs:
