@@ -134,13 +134,10 @@ def _exact_ratio(utilization, capacity, target) -> float:
 
 def _observed_utilization(store: MetricStore, dimension: str,
                           dimension_map: dict):
-    values = []
-    for (subject, name) in sorted(store.streams()):
-        if dimension_map.get(name) == dimension:
-            latest = store.latest(subject, name)
-            if latest is not None:
-                values.append(latest)
-    return max(values) if values else None
+    """The largest newest value of the streams of `dimension`'s metrics,
+    None without one."""
+    return max((stream[-1] for (_, name), stream in store.streams().items()
+                if dimension_map.get(name) == dimension), default=None)
 
 
 def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,

@@ -85,11 +85,12 @@ class MetricStore:
 
     `monitored_info` gives the collection periods and `thresholds` the
     ThresholdSpecs, which a stream takes when its first sample arrives.
-    Single-writer by contract; readers see a consistent snapshot between
-    ingests.
+    Samples arrive in tick order, the last at `newest_tick`, and windows
+    are read at or after it, so a window is a suffix of its stream.
     """
 
     def __init__(self, monitored_info: tuple = (), thresholds: tuple = ()):
+        self.newest_tick = -math.inf
         self._streams = {}  # (subject, name) -> _Stream
         # (subject, name) -> (period, thresholds) of a stream to be created
         self._settings = {}
@@ -106,10 +107,6 @@ class MetricStore:
         """Stream key -> the stream's values in arrival order."""
         return self._streams
 
-    def ticks(self) -> dict:
-        """Stream key -> the stream's ticks, parallel to `streams()`."""
-        return {key: stream.times for key, stream in self._streams.items()}
-
     def resolve(self, metric_ref: str):
         """Map a rule metric reference to a (subject, name) stream key.
 
@@ -124,33 +121,28 @@ class MetricStore:
         matches = sorted(k for k in self._streams if k[1] == metric_ref)
         return matches[0] if matches else None
 
-    def latest(self, subject: str, name: str):
-        values = self._streams.get((subject, name))
-        return values[-1] if values else None
-
     def window_values(self, subject: str, name: str, window: int, now: int) -> list:
         """Values of samples in the last `window` ticks ending at `now`,
-        that is with `now - window < tick <= now`."""
+        at or after `newest_tick`: the suffix with `now - window < tick`."""
         stream = self._streams.get((subject, name))
         if not stream:
             return []
-        times = stream.times
-        return stream[bisect_right(times, now - window):
-                      bisect_right(times, now)]
+        return stream[bisect_right(stream.times, now - window):]
 
     def ingest(self, sample: MetricSample) -> list:
-        """Append a sample; emit PerfInfoAvailable on collection-period
+        """Append a sample, at or after `newest_tick` (an older one raises
+        TimeRegressionError); emit PerfInfoAvailable on collection-period
         boundaries and ThresholdCrossed edge-triggered notifications."""
         time, subject, name, value = sample
+        if time < self.newest_tick:
+            raise TimeRegressionError("%r precedes tick %d"
+                                      % (sample, self.newest_tick))
+        self.newest_tick = time
         key = (subject, name)
         stream = self._streams.get(key)
         if stream is None:
             stream = self._streams[key] = _Stream(
                 subject, name, *self._settings.get(key, (0, ())))
-        elif time < stream.times[-1]:
-            raise TimeRegressionError(
-                "sample at tick %d precedes tick %d for stream %s"
-                % (time, stream.times[-1], key))
         stream.times.append(time)
         stream.append(value)
 
@@ -186,7 +178,8 @@ def _crossed(value: float, spec: ThresholdSpec) -> bool:
 def evaluate_rules(rules: tuple, store: MetricStore, now: int,
                    dimension_map: dict, cooldown_state: dict,
                    verdict_cache: dict) -> list:
-    """Evaluate each rule at logical tick `now`.
+    """Evaluate each rule at logical tick `now`, at or after the store's
+    `newest_tick`; an earlier `now` raises TimeRegressionError at once.
 
     A rule whose condition holds is reported as not satisfied (scaling is
     required), with the dimensions `dimension_map` (metric name ->
@@ -215,6 +208,9 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
     no cooldown write: a write of `now` changes the next key, unless the
     entry already held `now`.
     """
+    if now < store.newest_tick:
+        raise TimeRegressionError("rules read at tick %d precede tick %d"
+                                  % (now, store.newest_tick))
     stream_count = len(store.streams())
     verdicts = []
     for rule in rules:
@@ -254,13 +250,13 @@ class _RuleState:
         ast = rule.ast
         refs = ast.metric_refs
         keys = [store.resolve(ref) for ref in refs]
-        ticks, streams = store.ticks(), store.streams()
+        streams = store.streams()
         self.stream_count = stream_count
         # an unresolved ref binds an empty stream, which is always missing
-        self.bound_streams = [
-            (ref, ticks[key] if key else (), window)
-            for ref, key, window in zip(refs, keys, ast.min_windows)]
         values = self.values = [streams[key] if key else () for key in keys]
+        self.bound_streams = [
+            (ref, stream.times if stream else (), window)
+            for ref, stream, window in zip(refs, values, ast.min_windows)]
         read = self.read = []
 
         def cut(i, window, now):
@@ -279,40 +275,22 @@ class _RuleState:
         self.verdict = None
 
 
-def _holds_sample(times, window: int, now: int) -> bool:
-    """Whether a stream with ticks `times` has a sample in the `window`
-    ticks ending at `now`: whether its newest tick at or before `now` is
-    later than `now - window`."""
-    if not times:
-        return False
-    newest = times[-1]
-    if newest > now:
-        i = bisect_right(times, now)
-        if not i:
-            return False
-        newest = times[i - 1]
-    return newest > now - window
-
-
 def _evaluate_rule(rule, state: _RuleState, now: int,
                    cooldown_state: dict) -> RuleVerdict:
     """One rule's verdict at `now` over its bound streams."""
-    # Every window ends at `now`, so when a metric's smallest window holds
-    # a sample, so do its others, and no comparison cuts an empty window.
-    # A newest tick in (now - window, now] is checked inline.
-    for _, times, window in state.bound_streams:
-        if not times or not now - window < times[-1] <= now:
-            missing = tuple([ref for ref, times, window in state.bound_streams
-                             if not _holds_sample(times, window, now)])
-            if missing:
-                state.read += state.values
-                verdict = state.verdicts_missing.get(missing)
-                if verdict is None:
-                    verdict = state.verdicts_missing[missing] = RuleVerdict(
-                        rule.id, True, _NO_DIMENSIONS,
-                        missing_streams=frozenset(missing))
-                return verdict
-            break
+    # No tick follows `now`, where every window ends: a window is empty
+    # when its stream's newest tick is not in it, and when a metric's
+    # smallest window is not, no comparison cuts an empty one.
+    missing = tuple([ref for ref, times, window in state.bound_streams
+                     if not times or times[-1] <= now - window])
+    if missing:
+        state.read += state.values
+        verdict = state.verdicts_missing.get(missing)
+        if verdict is None:
+            verdict = state.verdicts_missing[missing] = RuleVerdict(
+                rule.id, True, _NO_DIMENSIONS,
+                missing_streams=frozenset(missing))
+        return verdict
     if not rules_mod.evaluate_expr(rule.ast.plan, state.cut, now):
         return state.verdict_satisfied
     last = cooldown_state.get(rule.id)

@@ -27,8 +27,8 @@ from .inventory import (
 )
 from .monitoring import (
     PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, VNF_INDICATOR_CHANGE,
-    MetricSample, MetricStore, RuleVerdict, UndeclaredIndicatorError,
-    evaluate_rules, indicator_change,
+    MetricSample, MetricStore, RuleVerdict, TimeRegressionError,
+    UndeclaredIndicatorError, evaluate_rules, indicator_change,
 )
 from .scenario import (
     Scenario, ScenarioValidationError, build_topology,
@@ -185,9 +185,8 @@ _KEPT = 255  # the kind of an estimate a `DecisionLog` keeps as its object
 def _parts_kind(parts: tuple) -> int:
     """Which of a demand estimate's `parts` are ints, bit j for part j,
     when each reads back from a float as itself: a float other than NaN,
-    or an int of at most 53 bits. Else, and for no parts (an error has no
-    estimate), `_KEPT`."""
-    kind = 0 if parts else _KEPT
+    or an int of at most 53 bits. Else `_KEPT`."""
+    kind = 0
     for j, part in enumerate(parts):
         if type(part) is int and -2 ** 53 <= part <= 2 ** 53:
             kind |= 1 << j
@@ -204,11 +203,11 @@ class DecisionLog:
     between decisions, or a DRPA error's text); and its `DemandEstimate`,
     as the four components of its required capacity in an `array("d")`
     with, in an `array("B")`, a bit for each that is an int. An estimate
-    that a float would not give back, and an error's None, is kept as its
-    object. That is 45 bytes per decision. `append` takes a `(tick,
-    DrpaDecision | str)` pair, as a list's does; iterating the log yields
-    each pair appended, in order, equal to it and each estimate part of
-    its type."""
+    that a float would not give back is kept as its object; an error's
+    parts are zeros, never read. That is 45 bytes per decision. `append`
+    takes a `(tick, DrpaDecision | str)` pair, as a list's does; iterating
+    the log yields each pair appended, in order, equal to it and each
+    estimate part of its type."""
 
     __slots__ = ("_ticks", "_rows", "_parts", "_kinds", "_kept", "_row_ids",
                  "_row_table")
@@ -238,7 +237,8 @@ class DecisionLog:
             self._row_table.append(decision if estimate is None else
                                    drpa_mod.with_estimate(
                                        decision, None, decision.verdicts))
-        parts = () if estimate is None else tuple(estimate.required)
+        parts = (0.0,) * _ESTIMATE_PARTS if estimate is None else tuple(
+            estimate.required)
         kind = _parts_kind(parts)
         if kind == _KEPT:
             self._kept[len(self)] = estimate
@@ -426,7 +426,9 @@ class Simulator:
         indicators[:i]))` and then `run((metrics[m:], indicators[i:]))`,
         where `m` and `i` count the metrics and the indicators delivered
         before the cut, end with the trace, final state, operations and
-        decisions of one whole run. Each call returns the run so far."""
+        decisions of one whole run. Each call returns the run so far. A
+        record older than a sample already delivered raises
+        TimeRegressionError before it emits any event."""
         if workload is None:
             workload = workload_records(self.scenario.workload)
         metrics, indicators = workload
@@ -492,6 +494,9 @@ class Simulator:
             # numeric indicators feed the rule engine like any metric
             self.store.ingest(tuple.__new__(
                 MetricSample, (tick, vnfd_ref, indicator, value)))
+        elif tick < self.store.newest_tick:  # as `ingest` checks a sample
+            raise TimeRegressionError("%r precedes tick %d"
+                                      % (record, self.store.newest_tick))
         vnfm = self.vnfm_actor[vnfd_ref]
         self._emit(em, vnfm, INDICATOR, note.payload)
         self._emit(vnfm, self.nfvo, INDICATOR, note.payload)

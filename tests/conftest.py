@@ -86,6 +86,19 @@ def trace_events(trace) -> list:
     return events
 
 
+def rule_state(store, cooldowns, cache) -> tuple:
+    """What a call of `evaluate_rules` or `MetricStore.ingest` that raises
+    TimeRegressionError must leave as it was: each stream's ticks and
+    values, the store's newest tick, the cooldown entries and each cached
+    rule state with its reuse key and last verdict."""
+    return ({key: (list(stream.times), list(stream))
+             for key, stream in store.streams().items()},
+            store.newest_tick, dict(cooldowns),
+            {rule_id: (state, state.key_tick, state.key_cooldown,
+                       state.key_samples, state.verdict)
+             for rule_id, state in cache.items()})
+
+
 def build_sim(scenario_dict) -> Simulator:
     return Simulator(scenario_from_dict(scenario_dict))
 

@@ -8,12 +8,13 @@ from nsscale.descriptors import AutoScalingRule, MonitoredInfoItem, load_catalog
 from nsscale.monitoring import (
     PERF_INFO_AVAILABLE, THRESHOLD_CROSSED, VNF_INDICATOR_CHANGE,
     MetricSample, MetricStore, Notification, ThresholdSpec,
-    TimeRegressionError, UndeclaredIndicatorError, _holds_sample,
-    evaluate_rules, indicator_change,
+    TimeRegressionError, UndeclaredIndicatorError, evaluate_rules,
+    indicator_change,
 )
 from nsscale.rules import evaluate_expr, parse_rule
 from nsscale.trace import canonical_json
 import sample_catalog as sc
+from conftest import rule_state
 
 
 def make_store(period=5, thresholds=()):
@@ -39,10 +40,24 @@ def test_periodic_report_on_period_boundary():
 
 
 def test_time_regression_rejected():
+    """Samples arrive in tick order across streams, and rules are read at
+    or after the newest tick; a call that goes back changes nothing."""
+    catalog = load_catalog(sc.sample_documents())
     store = make_store()
-    store.ingest(MetricSample(5, "vnfd-b", "cpu_load", 0.1))
+    cooldowns, cache = {}, {}
+    store.ingest(MetricSample(5, "vnfd-b", "cpu_load", 0.9))
+    evaluate_rules(rules_of(catalog), store, 5, sc.DIMENSION_MAP,
+                   cooldowns, cache)
+    before = rule_state(store, cooldowns, cache)
+    for sample in (MetricSample(4, "vnfd-b", "cpu_load", 0.2),
+                   MetricSample(4, "vnfd-b", "mem_load", 0.2)):
+        with pytest.raises(TimeRegressionError):
+            store.ingest(sample)
     with pytest.raises(TimeRegressionError):
-        store.ingest(MetricSample(4, "vnfd-b", "cpu_load", 0.2))
+        evaluate_rules(rules_of(catalog), store, 4, sc.DIMENSION_MAP,
+                       cooldowns, cache)
+    assert cooldowns == {"r-out": 5}
+    assert rule_state(store, cooldowns, cache) == before
 
 
 def test_threshold_crossing_is_edge_triggered():
@@ -218,8 +233,8 @@ def test_mixed_windows_report_missing_stream_instead_of_crashing():
     assert not verdict.missing_streams
 
 
-# (subject, tick step, value): ticks per subject never go back, and a step
-# of 0 repeats the previous tick.
+# (subject, tick step, value): the store's one clock never goes back, and
+# a step of 0 repeats the previous tick.
 samples = st.lists(st.tuples(
     st.sampled_from(("vnfd-a", "vnfd-b")), st.integers(0, 3),
     st.floats(-1e6, 1e6, allow_nan=False)), max_size=60)
@@ -229,27 +244,30 @@ samples = st.lists(st.tuples(
 def test_window_cut_matches_brute_force_definition(steps, window, regress_by):
     store = MetricStore()
     streams = {}  # subject -> [(tick, value)] as ingested
-    clock = {}
+    clock = 0
     for subject, step, value in steps:
-        tick = clock[subject] = clock.get(subject, 0) + step
-        store.ingest(MetricSample(tick, subject, "cpu_load", value))
-        streams.setdefault(subject, []).append((tick, value))
+        clock += step
+        store.ingest(MetricSample(clock, subject, "cpu_load", value))
+        streams.setdefault(subject, []).append((clock, value))
     for subject, stream in streams.items():
-        counts = {k: len(v) for k, v in store.streams().items()}
-        with pytest.raises(TimeRegressionError):
-            store.ingest(MetricSample(stream[-1][0] - regress_by, subject,
-                                      "cpu_load", 0.0))
-        assert {k: len(v) for k, v in store.streams().items()} == counts
-    # every `now` from before the first tick to past the last window's end,
-    # so each sample sits on both edges of some window
-    for now in range(-1, max(clock.values(), default=0) + window + 2):
+        assert store.streams()[(subject, "cpu_load")].times == \
+            [t for t, _ in stream]
+    if streams:
+        # older than the newest tick, in a stream of any subject
+        for subject in ("vnfd-a", "vnfd-b", "vnfd-c"):
+            before = rule_state(store, {}, {})
+            with pytest.raises(TimeRegressionError):
+                store.ingest(MetricSample(clock - regress_by, subject,
+                                          "cpu_load", 0.0))
+            assert rule_state(store, {}, {}) == before
+    # every `now` from the newest tick to past the last window's end, so
+    # each sample of the last `window` ticks sits on its lower edge once
+    for now in range(clock, clock + window + 2):
         for subject in ("vnfd-a", "vnfd-b"):
             expected = [v for t, v in streams.get(subject, ())
                         if now - window < t <= now]
             assert store.window_values(subject, "cpu_load", window, now) \
                 == expected
-            ticks = store.ticks().get((subject, "cpu_load"), ())
-            assert _holds_sample(ticks, window, now) == bool(expected)
             if not expected:
                 continue
             for func, reference in (("avg", lambda v: sum(v) / len(v)),
@@ -293,9 +311,9 @@ CACHED_RULES = (
 )
 
 # ("ingest", subject, metric, step from the latest tick, value): a step of
-# 0 adds a sample to an evaluated tick, a negative one may go back in its
-# stream and raise; ("evaluate", offset from the latest tick, times): a
-# negative offset evaluates a tick that goes back.
+# 0 adds a sample to an evaluated tick, a negative one goes back and
+# raises; ("evaluate", offset from the latest tick, times): a negative
+# offset reads before the newest sample and raises.
 rule_steps = st.lists(st.one_of(
     st.tuples(st.just("ingest"), st.sampled_from(("vnfd-b", "vnfd-a")),
               st.sampled_from(("cpu_load", "mem_load")),
@@ -315,22 +333,31 @@ rule_steps = st.lists(st.one_of(
 def test_reused_verdicts_equal_fresh_ones(steps):
     store = MetricStore()
     clock = 0  # the latest tick ingested
-    last = {}  # stream key -> its latest tick
+    newest = None  # the tick of the newest sample, None before the first
     cached_cooldowns, cache, fresh_cooldowns = {}, {}, {}
     for step in steps:
         if step[0] == "ingest":
             _, subject, name, tick_step, value = step
             tick = clock + tick_step
-            if tick < last.get((subject, name), tick):
+            if newest is not None and tick < newest:
+                before = rule_state(store, cached_cooldowns, cache)
                 with pytest.raises(TimeRegressionError):
                     store.ingest(MetricSample(tick, subject, name, value))
+                assert rule_state(store, cached_cooldowns, cache) == before
                 continue
             store.ingest(MetricSample(tick, subject, name, value))
-            last[(subject, name)] = tick
+            newest = tick
             clock = max(clock, tick)
             continue
         _, offset, times = step
         now = clock + offset
+        if newest is not None and now < newest:
+            before = rule_state(store, cached_cooldowns, cache)
+            with pytest.raises(TimeRegressionError):
+                evaluate_rules(CACHED_RULES, store, now, sc.DIMENSION_MAP,
+                               cached_cooldowns, cache)
+            assert rule_state(store, cached_cooldowns, cache) == before
+            continue
         for _ in range(times):
             reused = evaluate_rules(CACHED_RULES, store, now,
                                     sc.DIMENSION_MAP, cached_cooldowns, cache)

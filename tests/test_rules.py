@@ -3,13 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from nsscale.descriptors import AutoScalingRule
 from nsscale.monitoring import (
-    MetricSample, MetricStore, RuleVerdict, evaluate_rules,
+    MetricSample, MetricStore, RuleVerdict, TimeRegressionError,
+    evaluate_rules,
 )
 from nsscale.rules import (
     ACTIONS, AGGREGATES, COMPARATORS, Aggregate, And, Comparison, Not, Or,
     RuleSyntaxError, _tokenize, evaluate_expr, parse_rule,
 )
 import sample_catalog as sc
+from conftest import rule_state
 
 
 def test_parse_minimal_rule():
@@ -246,7 +248,8 @@ STREAMS = (("vnfd-b", "cpu_load"), ("vnfd-b", "mem_load"),
            ("vnfd-a", "cpu_load"), ("vnfd-a", "mem_load"))
 # Per tick: how far the clock advances (0 adds samples to the tick just
 # evaluated), each stream's sample or None, and the offsets from the tick
-# to evaluate at (a negative one lies before some streams' newest sample).
+# to evaluate at (a negative one may lie before the newest sample, and
+# raise).
 plan_ticks = st.lists(st.tuples(
     st.sampled_from((0, 1, 1, 2, 3)),
     st.tuples(*[st.one_of(st.none(), st.sampled_from(VALUES))] * 4),
@@ -321,14 +324,23 @@ def test_compiled_rules_match_the_oracle(texts, ticks):
     streams = {}  # (subject, name) -> [(tick, value)] as ingested
     cooldowns, cache, oracle_cooldowns = {}, {}, {}
     clock = 0
+    newest = None  # the tick of the newest sample, None before the first
     for advance, samples, offsets in ticks:
         clock += advance
         for (subject, name), value in zip(STREAMS, samples):
             if value is not None:
                 store.ingest(MetricSample(clock, subject, name, value))
                 streams.setdefault((subject, name), []).append((clock, value))
+                newest = clock
         for offset in offsets:
             now = clock + offset
+            if newest is not None and now < newest:
+                before = rule_state(store, cooldowns, cache)
+                with pytest.raises(TimeRegressionError):
+                    evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
+                                   cooldowns, cache)
+                assert rule_state(store, cooldowns, cache) == before
+                continue
             verdicts = evaluate_rules(rules, store, now, sc.DIMENSION_MAP,
                                       cooldowns, cache)
             expected = [oracle_verdict(rule, streams, now, oracle_cooldowns,

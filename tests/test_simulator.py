@@ -18,6 +18,7 @@ from nsscale.drpa import DemandEstimate, DrpaDecision
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
+from nsscale.monitoring import TimeRegressionError
 from nsscale.scenario import (
     ScenarioValidationError, scenario_from_dict, workload_records,
 )
@@ -905,3 +906,23 @@ def test_a_run_delivered_in_pieces_equals_one_run(seed, data):
     sim.run((metrics[:m], indicators[:i]))
     assert _outcome(sim.run((metrics[m:], indicators[i:]))) == \
         _whole_run(seed)
+
+
+def test_a_piece_that_goes_back_in_time_raises_before_any_event():
+    """A second piece whose record is older than the newest sample
+    delivered raises TimeRegressionError before that record emits an
+    event: the trace and final state stay those of the first piece. The
+    record is a metric, a numeric indicator, which the store ingests, and
+    an indicator that it does not."""
+    sim = build_sim(_indicator_scenario())
+    metrics, indicators = workload_records(sim.scenario.workload)
+    first = sim.run((metrics, indicators))
+    events, state = len(first.trace), first.final_state
+    numeric, other = indicators[0], indicators[2]
+    assert isinstance(numeric[3], float) and isinstance(other[3], dict)
+    for piece in ((metrics[:1], ()), ((), [numeric]), ((), [other])):
+        assert [*piece[0], *piece[1]][0][0] < sim.store.newest_tick
+        with pytest.raises(TimeRegressionError):
+            sim.run(piece)
+        assert len(sim.trace) == events
+        assert sim.final_state() == state
