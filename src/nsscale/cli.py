@@ -190,7 +190,7 @@ def _print_rationale(tick, decision, target_utilization):
             "cooldown" if verdict.cooldown_active else "satisfied")
         print("  rule %s: %s" % (verdict.rule_id, state))
     print("  demand: %s (target utilization %s)"
-          % (canonical_json(decision.estimate.required.as_dict()),
+          % (canonical_json(decision.estimate.as_dict()),
              target_utilization))
     for evaluation in decision.rationale:
         if evaluation.feasible:

@@ -18,7 +18,6 @@ from .descriptors import (
     aggregate_capacity, ns_il_delta, vdu_capacity,
 )
 from .inventory import NoZoneFitsError, vim_placement
-from .monitoring import MetricStore
 
 ACTION_SCALE = "scale"
 
@@ -59,10 +58,6 @@ class CostModel:
                 + self.w_bandwidth * capacity.bandwidth)
 
 
-class DemandEstimate(NamedTuple):
-    required: CapacityVector
-
-
 class PlacementItem(NamedTuple):
     """One resource addition to place: a new VNFC instance or a VL bitrate
     increase."""
@@ -93,16 +88,17 @@ class DrpaDecision(NamedTuple):
     classification: str = CLASS_NONE
     placement: dict | None = None  # the move's plan
     rationale: tuple = ()
-    estimate: DemandEstimate | None = None
+    estimate: CapacityVector | None = None  # the required capacity
     verdicts: tuple = ()
 
 
-def estimate_demand(verdicts: tuple, store: MetricStore,
+def estimate_demand(verdicts: tuple, utilization: dict,
                     current_capacity: CapacityVector,
-                    target_utilization: float,
-                    dimension_map: dict) -> DemandEstimate:
-    """Linear utilization scaling: a violated dimension must end up at the
-    target utilization given its observed load; other dimensions keep their
+                    target_utilization: float) -> CapacityVector:
+    """The required capacity, by linear utilization scaling: a violated
+    dimension must end up at the target utilization given its observed
+    load, `utilization[dimension]` (as `MetricStore.utilization` gives
+    it); other dimensions, and one with no observation, keep their
     current capacity.
 
     A violated dimension's requirement, utilization * capacity / target, is
@@ -114,12 +110,10 @@ def estimate_demand(verdicts: tuple, store: MetricStore,
         violated |= set(verdict.violated_dimensions)
     required = current_capacity._asdict()
     for dim in DIMENSIONS:
-        if dim in violated:
-            utilization = _observed_utilization(store, dim, dimension_map)
-            if utilization is not None:
-                required[dim] = _exact_ratio(utilization, required[dim],
-                                             target_utilization)
-    return DemandEstimate(CapacityVector(**required))
+        if dim in violated and dim in utilization:
+            required[dim] = _exact_ratio(utilization[dim], required[dim],
+                                         target_utilization)
+    return CapacityVector(**required)
 
 
 def _exact_ratio(utilization, capacity, target) -> float:
@@ -132,15 +126,7 @@ def _exact_ratio(utilization, capacity, target) -> float:
         return utilization * capacity / target
 
 
-def _observed_utilization(store: MetricStore, dimension: str,
-                          dimension_map: dict):
-    """The largest newest value of the streams of `dimension`'s metrics,
-    None without one."""
-    return max((stream[-1] for (_, name), stream in store.streams().items()
-                if dimension_map.get(name) == dimension), default=None)
-
-
-def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
+def candidate_ns_ils(levels: LevelGraph, estimate: CapacityVector,
                      direction: str, current: str,
                      cost_model: CostModel) -> list:
     """Levels able to carry the estimated demand, in declaration order.
@@ -155,7 +141,7 @@ def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
         if ns_il.id == current:
             continue
         capacity = levels.capacity(ns_il.id)
-        if not capacity.covers(estimate.required):
+        if not capacity.covers(estimate):
             continue
         if direction == "scale-in" and cost_model.cost(capacity) >= current_cost:
             continue
@@ -163,7 +149,7 @@ def candidate_ns_ils(levels: LevelGraph, estimate: DemandEstimate,
     if not candidates:
         raise NoFeasibleLevelError(
             "no %s level in flavor %s satisfies demand %s"
-            % (direction, flavor.id, estimate.required.as_dict()))
+            % (direction, flavor.id, estimate.as_dict()))
     return candidates
 
 
@@ -317,16 +303,16 @@ def _total_instances(flavor: NsDeploymentFlavor, ns_il_id: str) -> int:
 
 
 def select_optimum(levels: LevelGraph, candidates: list,
-                   cost_model: CostModel, snapshot: list, current: str,
-                   estimate: DemandEstimate | None = None,
-                   verdicts: tuple = ()) -> DrpaDecision:
+                   cost_model: CostModel, snapshot: list,
+                   current: str) -> DrpaDecision:
     """Minimum weighted-capacity cost among placeable candidates for the
-    move from `current`. Ties break on fewest total VNF instances, then
-    declaration order.
+    move from `current`, with no estimate or verdicts. Ties break on
+    fewest total VNF instances, then declaration order.
 
     Every candidate is placed by `plan_placement` against `snapshot`, a
-    `capacity_report` of the PoPs; `levels` keeps the selection, so the
-    same choice asked again on an equal snapshot reuses it."""
+    `capacity_report` of the PoPs; `levels` keeps the selection and
+    returns it as kept, so the same choice asked again on an equal
+    snapshot reuses it."""
     snapshot = tuple(snapshot)
     key = (snapshot, current, tuple(candidates), cost_model)
     selection = levels.selections.get(key)
@@ -335,10 +321,10 @@ def select_optimum(levels: LevelGraph, candidates: list,
             levels, candidates, cost_model, snapshot, current)
     if isinstance(selection, dict):
         raise NoPlaceableCandidateError(selection)
-    return with_estimate(selection, estimate, tuple(verdicts))
+    return selection
 
 
-def with_estimate(decision: DrpaDecision, estimate: DemandEstimate | None,
+def with_estimate(decision: DrpaDecision, estimate: CapacityVector | None,
                   verdicts: tuple) -> DrpaDecision:
     """`decision` with `estimate` and `verdicts`. Built by the constructor:
     `_replace` builds a plain tuple first, and each call leaves it on the
@@ -381,13 +367,13 @@ def _select(levels: LevelGraph, candidates: list, cost_model: CostModel,
 
 
 def decide(levels: LevelGraph, verdicts: tuple, current: str,
-           store: MetricStore, cost_model: CostModel,
-           target_utilization: float, snapshot: list,
-           dimension_map: dict) -> DrpaDecision:
+           utilization: dict, cost_model: CostModel,
+           target_utilization: float, snapshot: list) -> DrpaDecision:
     """Full pipeline for an NS at level `current` of the flavor `levels`
-    describes: rule verdicts -> demand -> candidates -> optimum, placed
-    against `snapshot`, a `capacity_report` of the PoPs. It is called only
-    once a rule fired: some verdict of `verdicts` is not satisfied."""
+    describes: rule verdicts and observed `utilization` -> demand ->
+    candidates -> optimum, placed against `snapshot`, a `capacity_report`
+    of the PoPs. It is called only once a rule fired: some verdict of
+    `verdicts` is not satisfied. It reads values only, no live store."""
     hints = {rule.id: rule.direction_hint
              for rule in levels.nsd.auto_scaling_rules}
     fired = [v for v in verdicts if not v.satisfied]
@@ -395,9 +381,10 @@ def decide(levels: LevelGraph, verdicts: tuple, current: str,
         direction = "scale-out"
     else:
         direction = "scale-in"
-    estimate = estimate_demand(tuple(fired), store, levels.capacity(current),
-                               target_utilization, dimension_map)
+    estimate = estimate_demand(tuple(fired), utilization,
+                               levels.capacity(current), target_utilization)
     candidates = candidate_ns_ils(levels, estimate, direction, current,
                                   cost_model)
-    return select_optimum(levels, candidates, cost_model, snapshot, current,
-                          estimate=estimate, verdicts=tuple(verdicts))
+    return with_estimate(select_optimum(levels, candidates, cost_model,
+                                        snapshot, current),
+                         estimate, tuple(verdicts))

@@ -64,7 +64,8 @@ class _Stream(list):
     values in arrival order, with their ticks (non-decreasing, so a window
     is cut by bisection); its collection period and `next_report`, the
     first tick of the next period, from which a sample is reported again
-    (infinite without a period); the thresholds on it as [spec, last
+    (-inf until the first sample, so it is always reported, at any tick;
+    +inf without a period); the thresholds on it as [spec, last
     value] pairs; and its PerfInfoAvailable payload up to the value."""
 
     __slots__ = ("times", "period", "next_report", "thresholds", "prefix")
@@ -73,7 +74,7 @@ class _Stream(list):
         super().__init__()
         self.times = []
         self.period = period
-        self.next_report = 0 if period else math.inf
+        self.next_report = -math.inf if period else math.inf
         self.thresholds = [[spec, None] for spec in thresholds]
         # the form with an empty value, cut before its closing brace
         self.prefix = (_PERF_INFO_FORM % (string_text(name),
@@ -106,6 +107,17 @@ class MetricStore:
     def streams(self) -> dict:
         """Stream key -> the stream's values in arrival order."""
         return self._streams
+
+    def utilization(self, dimension_map: dict) -> dict:
+        """Dimension -> the largest newest value of the streams whose
+        metric `dimension_map` maps to it, over every subject; a dimension
+        with no such stream is left out."""
+        out = {}
+        for (_, name), stream in self._streams.items():
+            dim = dimension_map.get(name)
+            if dim is not None and (dim not in out or stream[-1] > out[dim]):
+                out[dim] = stream[-1]
+        return out
 
     def resolve(self, metric_ref: str):
         """Map a rule metric reference to a (subject, name) stream key.
@@ -232,38 +244,32 @@ def evaluate_rules(rules: tuple, store: MetricStore, now: int,
 
 class _RuleState:
     """One rule's streams, bound while the store holds `stream_count`
-    streams, as (ref, ticks, smallest window) triples; its verdicts, those
-    reporting missing streams by the tuple of their refs; and its last
-    verdict with its key. `read` holds the streams that evaluation read.
+    streams: their keys, values and (ref, ticks, smallest window) triples;
+    its verdicts, those reporting missing streams by the tuple of their
+    refs; and its last verdict with its key. `read` holds the streams that
+    evaluation read. The state holds the store and no closure, so a paused
+    simulator deep-copies: the copy's rule states read the copy's
+    streams."""
 
-    `cut` appends each stream whose window it cuts to `read`, a list it
-    shares with the state; it holds no reference to the state itself, so
-    a state is freed by reference counting alone."""
-
-    __slots__ = ("stream_count", "bound_streams", "values", "read", "cut",
-                 "verdict_satisfied", "verdict_cooling", "verdict_violated",
-                 "verdicts_missing", "key_tick", "key_cooldown", "key_samples",
-                 "verdict")
+    __slots__ = ("store", "stream_count", "keys", "bound_streams", "values",
+                 "read", "verdict_satisfied", "verdict_cooling",
+                 "verdict_violated", "verdicts_missing", "key_tick",
+                 "key_cooldown", "key_samples", "verdict")
 
     def __init__(self, rule, store: MetricStore, stream_count: int,
                  dimension_map: dict):
         ast = rule.ast
         refs = ast.metric_refs
-        keys = [store.resolve(ref) for ref in refs]
+        keys = self.keys = [store.resolve(ref) for ref in refs]
         streams = store.streams()
+        self.store = store
         self.stream_count = stream_count
         # an unresolved ref binds an empty stream, which is always missing
         values = self.values = [streams[key] if key else () for key in keys]
         self.bound_streams = [
             (ref, stream.times if stream else (), window)
             for ref, stream, window in zip(refs, values, ast.min_windows)]
-        read = self.read = []
-
-        def cut(i, window, now):
-            read.append(values[i])
-            subject, name = keys[i]
-            return store.window_values(subject, name, window, now)
-        self.cut = cut
+        self.read = []
         names = [ref.split(".", 1)[-1] for ref in refs]
         self.verdict_satisfied = RuleVerdict(rule.id, True, _NO_DIMENSIONS)
         self.verdict_cooling = RuleVerdict(rule.id, True, _NO_DIMENSIONS,
@@ -273,6 +279,12 @@ class _RuleState:
         self.verdicts_missing = {}
         self.key_tick = self.key_cooldown = self.key_samples = None
         self.verdict = None
+
+    def cut(self, i, window, now):
+        """The window of the state's stream `i`, which it notes as read."""
+        self.read.append(self.values[i])
+        subject, name = self.keys[i]
+        return self.store.window_values(subject, name, window, now)
 
 
 def _evaluate_rule(rule, state: _RuleState, now: int,

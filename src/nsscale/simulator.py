@@ -200,8 +200,8 @@ class DecisionLog:
     the tick of each, in an `array("q")`; its row, in an `array("I")`, in
     the table of the distinct decisions less their estimate (a scaling
     decision with its verdicts, whose selection the `LevelGraph` shares
-    between decisions, or a DRPA error's text); and its `DemandEstimate`,
-    as the four components of its required capacity in an `array("d")`
+    between decisions, or a DRPA error's text); and its estimate, the
+    required `CapacityVector`, as its four components in an `array("d")`
     with, in an `array("B")`, a bit for each that is an int. An estimate
     that a float would not give back is kept as its object; an error's
     parts are zeros, never read. That is 45 bytes per decision. `append`
@@ -237,8 +237,7 @@ class DecisionLog:
             self._row_table.append(decision if estimate is None else
                                    drpa_mod.with_estimate(
                                        decision, None, decision.verdicts))
-        parts = (0.0,) * _ESTIMATE_PARTS if estimate is None else tuple(
-            estimate.required)
+        parts = (0.0,) * _ESTIMATE_PARTS if estimate is None else estimate
         kind = _parts_kind(parts)
         if kind == _KEPT:
             self._kept[len(self)] = estimate
@@ -258,7 +257,7 @@ class DecisionLog:
         at = _ESTIMATE_PARTS * i
         parts = [int(part) if kind >> j & 1 else part for j, part in
                  enumerate(self._parts[at:at + _ESTIMATE_PARTS])]
-        return drpa_mod.DemandEstimate(CapacityVector(*parts))
+        return CapacityVector(*parts)
 
     def __iter__(self):
         for i, row in enumerate(self._rows):
@@ -511,9 +510,9 @@ class Simulator:
             return
         try:
             decision = drpa_mod.decide(
-                self.levels, verdicts, self.current_ns_il, self.store,
-                self.cost_model, self.target_utilization,
-                capacity_report(self.pops), self.dimension_map)
+                self.levels, verdicts, self.current_ns_il,
+                self.store.utilization(self.dimension_map), self.cost_model,
+                self.target_utilization, capacity_report(self.pops))
         except drpa_mod.DrpaError as exc:
             self._emit(self.nfvo, self.nfvo, DRPA_DECISION,
                        DECISION_ERROR_FORM % ('"error"',

@@ -11,8 +11,9 @@ from nsscale.descriptors import (
     Catalog, NsDeploymentFlavor, aggregate_capacity, ns_il_delta,
 )
 from nsscale.drpa import (
-    CostModel, DemandEstimate, _total_instances, delta_additions,
+    CostModel, _total_instances, delta_additions,
 )
+from nsscale.capacity import CapacityVector
 
 
 def _zone_assignment_exists(items, free: dict, label_pops: dict) -> bool:
@@ -39,7 +40,7 @@ def _zone_assignment_exists(items, free: dict, label_pops: dict) -> bool:
 
 
 def exhaustive_select(catalog: Catalog, flavor: NsDeploymentFlavor,
-                      estimate: DemandEstimate, cost_model: CostModel,
+                      estimate: CapacityVector, cost_model: CostModel,
                       snapshot: list, current: str, exclude: tuple = (),
                       constraints: dict | None = None):
     """Brute-force selection oracle: enumerate every level, check feasibility
@@ -53,7 +54,7 @@ def exhaustive_select(catalog: Catalog, flavor: NsDeploymentFlavor,
         if ns_il.id in exclude:
             continue
         capacity = aggregate_capacity(catalog, flavor, ns_il.id)
-        if not capacity.covers(estimate.required):
+        if not capacity.covers(estimate):
             continue
         delta = ns_il_delta(catalog, flavor, current, ns_il.id)
         items = delta_additions(catalog, flavor, delta, constraints)

@@ -145,14 +145,10 @@ def check_oracle_agreement(catalog, nsd, flavor, rng, demands):
     for _ in range(demands):
         current = rng.choice(levels)
         demand = scenario_gen.random_demand(rng, capacities)
-
-        class Est:
-            required = demand
-
-        oracle = exhaustive_select(catalog, flavor, Est, CostModel(),
+        oracle = exhaustive_select(catalog, flavor, demand, CostModel(),
                                    snapshot, current=current, exclude=(current,))
         try:
-            candidates = candidate_ns_ils(graph, Est, "scale-out", current,
+            candidates = candidate_ns_ils(graph, demand, "scale-out", current,
                                           CostModel())
         except NoFeasibleLevelError:
             if oracle is not None:

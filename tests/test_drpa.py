@@ -17,14 +17,7 @@ from nsscale.descriptors import aggregate_capacity, ns_il_delta
 from scenario_gen import random_catalog
 from selection_oracle import exhaustive_select
 from nsscale.inventory import NfviPop, ResourceZone, capacity_report
-from nsscale.monitoring import MetricSample, MetricStore, RuleVerdict
-
-
-def make_store(samples):
-    store = MetricStore()
-    for t, subject, name, value in samples:
-        store.ingest(MetricSample(t, subject, name, value))
-    return store
+from nsscale.monitoring import RuleVerdict
 
 
 def verdict(dims, rule_id="r-out"):
@@ -40,61 +33,49 @@ def make_pop(pop_id="pop-1", vim="vim-1", **totals):
 
 
 def test_demand_linear_scaling():
-    store = make_store([(10, "s", "cpu_load", 0.9)])
-    est = estimate_demand((verdict({"vcpu"}),), store,
-                          CapacityVector(vcpu=8, memory=16),
-                          0.6, {"cpu_load": "vcpu"})
-    assert est.required.vcpu == pytest.approx(12.0)
+    est = estimate_demand((verdict({"vcpu"}),), {"vcpu": 0.9},
+                          CapacityVector(vcpu=8, memory=16), 0.6)
+    assert est.vcpu == pytest.approx(12.0)
     # non-violated dimensions keep the current capacity
-    assert est.required.memory == 16
+    assert est.memory == 16
 
 
 def test_demand_fixed_point_at_target():
-    store = make_store([(10, "s", "cpu_load", 0.6)])
-    est = estimate_demand((verdict({"vcpu"}),), store,
-                          CapacityVector(vcpu=8), 0.6, {"cpu_load": "vcpu"})
-    assert est.required.vcpu == pytest.approx(8.0)
+    est = estimate_demand((verdict({"vcpu"}),), {"vcpu": 0.6},
+                          CapacityVector(vcpu=8), 0.6)
+    assert est.vcpu == pytest.approx(8.0)
 
 
 def test_demand_scale_in_path():
-    store = make_store([(10, "s", "cpu_load", 0.2)])
-    est = estimate_demand((verdict({"vcpu"}, rule_id="r-in"),), store,
-                          CapacityVector(vcpu=8), 0.6, {"cpu_load": "vcpu"})
-    assert est.required.vcpu == pytest.approx(0.2 * 8 / 0.6)
+    est = estimate_demand((verdict({"vcpu"}, rule_id="r-in"),), {"vcpu": 0.2},
+                          CapacityVector(vcpu=8), 0.6)
+    assert est.vcpu == pytest.approx(0.2 * 8 / 0.6)
 
 
 def test_demand_without_observation_keeps_capacity():
-    est = estimate_demand((verdict({"vcpu"}),), MetricStore(),
-                          CapacityVector(vcpu=8), 0.6, {"cpu_load": "vcpu"})
-    assert est.required.vcpu == 8
+    est = estimate_demand((verdict({"vcpu"}),), {}, CapacityVector(vcpu=8),
+                          0.6)
+    assert est.vcpu == 8
 
 
 @pytest.mark.parametrize("load, required", [(1.1, 22), (0.9, 18)])
 def test_demand_has_no_float_drift(load, required):
     # As floats, load * 12 / 0.6 is 22.000000000000004 and
     # 18.000000000000004.
-    store = make_store([(10, "vnfd-b", "cpu_load", load)])
-    est = estimate_demand((verdict({"vcpu"}),), store,
-                          CapacityVector(vcpu=12), 0.6, sc.DIMENSION_MAP)
-    assert est.required.vcpu == required
+    est = estimate_demand((verdict({"vcpu"}),), {"vcpu": load},
+                          CapacityVector(vcpu=12), 0.6)
+    assert est.vcpu == required
 
 
 def test_demand_equal_to_a_level_selects_that_level(catalog, nsd, flavor):
     # 1.1 at level-3 (12 vcpu) needs exactly level-4's 22 vcpu.
-    store = make_store([(10, "vnfd-b", "cpu_load", 1.1)])
-    est = estimate_demand((verdict({"vcpu"}),), store,
-                          aggregate_capacity(catalog, flavor, "level-3"),
-                          0.6, sc.DIMENSION_MAP)
+    est = estimate_demand((verdict({"vcpu"}),), {"vcpu": 1.1},
+                          aggregate_capacity(catalog, flavor, "level-3"), 0.6)
     assert candidate_ns_ils(LevelGraph(catalog, nsd, flavor), est,
                             "scale-out", "level-3", CostModel()) == ["level-4"]
     assert exhaustive_select(catalog, flavor, est, CostModel(),
                              capacity_report([make_pop()]), current="level-3",
                              exclude=("level-3",)) == "level-4"
-
-
-class Est:
-    def __init__(self, **dims):
-        self.required = CapacityVector(**dims)
 
 
 @pytest.fixture
@@ -103,27 +84,27 @@ def levels(catalog, nsd, flavor):
 
 
 def test_candidates_scale_out_excludes_current(levels):
-    got = candidate_ns_ils(levels, Est(vcpu=7.5), "scale-out", "level-1",
-                           CostModel())
+    got = candidate_ns_ils(levels, CapacityVector(vcpu=7.5), "scale-out",
+                           "level-1", CostModel())
     assert got == ["level-2", "level-3", "level-4"]
 
 
 def test_candidates_when_only_top_level_fits(levels):
-    got = candidate_ns_ils(levels, Est(vcpu=18), "scale-out", "level-3",
-                           CostModel())
+    got = candidate_ns_ils(levels, CapacityVector(vcpu=18), "scale-out",
+                           "level-3", CostModel())
     assert got == ["level-4"]
 
 
 def test_candidates_empty_is_an_error(levels):
     with pytest.raises(NoFeasibleLevelError):
-        candidate_ns_ils(levels, Est(vcpu=100), "scale-out", "level-1",
-                         CostModel())
+        candidate_ns_ils(levels, CapacityVector(vcpu=100), "scale-out",
+                         "level-1", CostModel())
 
 
 def test_candidates_scale_in_requires_cheaper(levels):
     got = candidate_ns_ils(levels,
-                           Est(vcpu=9.2, memory=11, storage=20,
-                               bandwidth=267),
+                           CapacityVector(vcpu=9.2, memory=11, storage=20,
+                                          bandwidth=267),
                            "scale-in", "level-4", CostModel())
     assert got == ["level-3"]
 
@@ -266,10 +247,8 @@ def test_select_optimum_tie_breaks_on_instances(levels):
 
 
 def test_decide_full_pipeline(levels):
-    store = make_store([(10, "vnfd-b", "cpu_load", 0.9)])
-    decision = decide(levels, (verdict({"vcpu"}),), "level-1", store,
-                      CostModel(), 0.6, capacity_report([make_pop()]),
-                      sc.DIMENSION_MAP)
+    decision = decide(levels, (verdict({"vcpu"}),), "level-1", {"vcpu": 0.9},
+                      CostModel(), 0.6, capacity_report([make_pop()]))
     # 0.9 * 6 / 0.6 = 9 vcpu: level-2 (8) is out, level-3 (12) is optimal
     assert decision.target_ns_il == "level-3"
     assert decision.classification == "vnf-scaling"
@@ -281,8 +260,9 @@ def test_exhaustive_select_agrees_on_sample(catalog, flavor, levels):
     snapshot = capacity_report([make_pop()])
     for _ in range(200):
         current = rng.choice(list(sc.LEVELS))
-        demand = Est(vcpu=rng.uniform(0, 30), memory=rng.uniform(0, 50),
-                     storage=rng.uniform(0, 70), bandwidth=rng.uniform(0, 900))
+        demand = CapacityVector(
+            vcpu=rng.uniform(0, 30), memory=rng.uniform(0, 50),
+            storage=rng.uniform(0, 70), bandwidth=rng.uniform(0, 900))
         oracle = exhaustive_select(catalog, flavor, demand, CostModel(),
                                    snapshot, current=current, exclude=(current,))
         try:
@@ -299,7 +279,7 @@ def test_exhaustive_select_agrees_on_sample(catalog, flavor, levels):
 def test_weight_increase_never_buys_more_of_that_dimension(catalog, nsd,
                                                            flavor, levels):
     snapshot = capacity_report([make_pop()])
-    demand = Est(vcpu=7.5, memory=12, storage=20, bandwidth=100)
+    demand = CapacityVector(vcpu=7.5, memory=12, storage=20, bandwidth=100)
     candidates = candidate_ns_ils(levels, demand, "scale-out", "level-1",
                                   CostModel())
     base = select_optimum(levels, candidates, CostModel(), snapshot, "level-1")
@@ -340,7 +320,7 @@ def test_exhaustive_select_asks_for_a_zone_per_item(catalog, flavor):
                                                    bandwidth=2000))
             for i, v in enumerate(vcpus)])
 
-    demand = Est(vcpu=18)
+    demand = CapacityVector(vcpu=18)
     assert exhaustive_select(catalog, flavor, demand, CostModel(),
                              capacity_report([pop(7, 7)]),
                              current="level-3") is None
@@ -365,15 +345,14 @@ def _record_selections(monkeypatch) -> list:
         snapshots.append(real_report(pops))
         return snapshots[-1]
 
-    def select(levels, candidates, cost_model, snapshot, current, **kwargs):
+    def select(levels, candidates, cost_model, snapshot, current):
         entry = {"levels": levels, "candidates": list(candidates),
                  "cost_model": cost_model, "snapshot": snapshot,
-                 "taken": snapshots[-1], "current": current,
-                 "kwargs": kwargs}
+                 "taken": snapshots[-1], "current": current}
         selections.append(entry)
         try:
             entry["decision"] = real_select(levels, candidates, cost_model,
-                                            snapshot, current, **kwargs)
+                                            snapshot, current)
         except DrpaError as exc:
             entry["error"] = exc
             raise
@@ -414,7 +393,7 @@ def test_kept_selections_equal_fresh_ones(monkeypatch):
         try:
             decision = select_optimum(fresh, entry["candidates"],
                                       entry["cost_model"], snapshot,
-                                      entry["current"], **entry["kwargs"])
+                                      entry["current"])
         except NoPlaceableCandidateError as exc:
             assert exc.reasons == entry["error"].reasons
             continue

@@ -27,6 +27,30 @@ def make_store(period=5, thresholds=()):
     return MetricStore(items, thresholds)
 
 
+def test_a_first_periodic_sample_reports_before_tick_0():
+    store = make_store(period=5)
+    notes = store.ingest(MetricSample(-19, "vnfd-b", "cpu_load", 0.1))
+    assert [n.variant for n in notes] == [PERF_INFO_AVAILABLE]
+    assert store.ingest(MetricSample(-16, "vnfd-b", "cpu_load", 0.2)) == []
+    notes = store.ingest(MetricSample(-15, "vnfd-b", "cpu_load", 0.3))
+    assert [n.variant for n in notes] == [PERF_INFO_AVAILABLE]
+
+
+def test_utilization_is_the_largest_newest_value_per_dimension():
+    """Each dimension reads the largest newest value over every subject's
+    stream of the metrics mapped to it; an unmapped metric is ignored and
+    a dimension with no stream is left out."""
+    store = MetricStore()
+    for sample in [(1, "a", "cpu_load", 0.9), (2, "a", "cpu_load", 0.3),
+                   (2, "b", "cpu_load", 0.5), (3, "a", "cpu_steal", 0.4),
+                   (3, "a", "mem_load", 0.7), (4, "a", "disk_load", 2.0)]:
+        store.ingest(MetricSample(*sample))
+    dimension_map = {"cpu_load": "vcpu", "cpu_steal": "vcpu",
+                     "mem_load": "memory", "net_load": "bandwidth"}
+    assert store.utilization(dimension_map) == {"vcpu": 0.5, "memory": 0.7}
+    assert MetricStore().utilization(dimension_map) == {}
+
+
 def test_periodic_report_on_period_boundary():
     store = make_store(period=5)
     notes = store.ingest(MetricSample(0, "vnfd-b", "cpu_load", 0.1))

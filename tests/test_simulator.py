@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nsscale.capacity import ZERO, CapacityVector
-from nsscale.drpa import DemandEstimate, DrpaDecision
+from nsscale.drpa import DrpaDecision
 from nsscale.inventory import (
     STARTED, STOPPED, ConservationError, ResourceZone, VnfInfo,
 )
@@ -795,8 +796,7 @@ def test_a_bad_record_is_named_by_its_file_index(kind, record, problem):
 
 
 def _estimate_types(decision) -> list:
-    estimate = decision.estimate
-    return [type(part) for part in estimate.required]
+    return [type(part) for part in decision.estimate]
 
 
 def test_decisions_read_back_what_the_drpa_decided(monkeypatch):
@@ -835,8 +835,8 @@ def test_a_decision_log_gives_back_each_estimate_part(required):
     its type: the log keeps as its object an estimate with an int a
     float cannot hold, a NaN or a bool. An error reads back as its text,
     between two decisions."""
-    estimate = DemandEstimate(CapacityVector(*required))
-    decision = DrpaDecision("level-2", "vnf-scaling", estimate=estimate)
+    decision = DrpaDecision("level-2", "vnf-scaling",
+                            estimate=CapacityVector(*required))
     log = DecisionLog()
     pairs = [(10, decision), (11, "no placeable candidate"), (12, decision)]
     for pair in pairs:
@@ -896,7 +896,9 @@ def test_a_run_delivered_in_pieces_equals_one_run(seed, data):
     anywhere in the delivery order, ends with the trace text, final state,
     operations and decisions of one whole run. Seed -1 is a scenario with
     indicator records; the random seeds have none. The explicit example
-    cuts it after its tick-10 metric, before its tick-10 indicator."""
+    cuts it after its tick-10 metric, before its tick-10 indicator. A
+    deep copy of the simulator paused at the cut runs on to the same end,
+    and so does the original after it."""
     scenario = _pieces_scenario(seed)
     sim = build_sim(scenario)
     metrics, indicators = workload_records(sim.scenario.workload)
@@ -904,8 +906,35 @@ def test_a_run_delivered_in_pieces_equals_one_run(seed, data):
         st.integers(0, len(metrics) + len(indicators)))
     m, i = _delivered_before(metrics, indicators, k)
     sim.run((metrics[:m], indicators[:i]))
-    assert _outcome(sim.run((metrics[m:], indicators[i:]))) == \
-        _whole_run(seed)
+    rest = (metrics[m:], indicators[i:])
+    fork = copy.deepcopy(sim)
+    assert _outcome(fork.run(rest)) == _whole_run(seed)
+    assert _outcome(sim.run(rest)) == _whole_run(seed)
+
+
+SHIFT = 1000  # ticks; a multiple of every collection period used
+
+
+def test_a_workload_moved_before_tick_0_runs_alike():
+    """Every record of a workload moved `SHIFT` ticks back, before tick 0,
+    gives the same events (routes, steps and digests; the trace clock
+    starts at 0, so its ticks differ) and the same decisions, each `SHIFT`
+    ticks earlier: a periodic stream reports its first sample at any
+    tick. Over the 24 samples and random seeds 0-39."""
+    scenarios = list(samples().values()) + [
+        random_scenario(random.Random(seed)) for seed in range(40)]
+    for scenario in scenarios:
+        moved = copy.deepcopy(scenario)
+        for records in moved["workload"].values():
+            for record in records:
+                record[0] -= SHIFT
+        base, shifted = run_dict(scenario), run_dict(moved)
+        assert [event._replace(tick=None)
+                for event in trace_events(shifted.trace)] == \
+            [event._replace(tick=None) for event in trace_events(base.trace)]
+        assert [(tick + SHIFT, decision)
+                for tick, decision in shifted.decisions] == \
+            list(base.decisions)
 
 
 def test_a_piece_that_goes_back_in_time_raises_before_any_event():
