@@ -74,7 +74,10 @@ class CapacityVector(NamedTuple):
 
 
 def _num(value: float):
-    """Collapse integral floats to int so serialized output is stable."""
+    """Collapse integral floats to int. `canonical_json` collapses them
+    itself; `as_dict()` needs this for its `%s` text, which
+    `NoFeasibleLevelError`'s message holds and a DrpaDecision payload
+    carries."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value

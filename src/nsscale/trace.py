@@ -1,64 +1,62 @@
-"""The event trace, its text, and canonical JSON serialization helpers."""
+"""The event trace, its text, and canonical JSON: one walk that writes any
+value, and the texts that fill the payload forms."""
 
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from .capacity import DIMENSIONS
-
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-# `JSONEncoder.encode` builds its C core afresh on every call; build it
-# once. It keeps no circular-reference markers: a value that refers to
-# itself recurses until RecursionError, in `_is_canonical` or `_normalize`.
-if c_make_encoder is None:  # no C accelerator
-    _encode = _ENCODER.encode
-else:
-    _iterencode = c_make_encoder(
-        None, _ENCODER.default, encode_basestring_ascii, None,
-        _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
-
-    def _encode(obj) -> str:
-        return "".join(_iterencode(obj, 0))
 
 
 def canonical_json(obj) -> str:
     """Byte-stable JSON: sorted keys, no whitespace, integral floats
     collapsed to ints, tuples written as lists.
 
-    A dict or list that holds a dict or list is written member by member,
-    down to its scalars, and its text grows in place, as `trace_lines`
-    grows its text: the encoder keeps every token of what it writes as
-    its own str until it joins them, about 13 times the text of a run's
-    final state. The walk keeps its open containers on a stack in this
-    one frame, and writes a str member as the encoder does, any other
-    scalar with one `_encode` call. Anything else, as each flat payload
-    of a run, is one `_encode` call."""
-    if not _is_canonical(obj):
-        obj = _normalize(obj)
-    if not _nests(obj):
-        return _encode(obj)
+    One walk writes the value member by member down to its scalars,
+    normalizing as it goes: a dict subclass, or a dict with a key that is
+    not a str, is read as `{str(key): value}`, a later key winning over
+    an earlier one of the same text; a list subclass is written as a
+    list; an int or float subclass, such as an IntEnum member, as its
+    base type writes it. Anything else, such as a set, raises the
+    encoder's TypeError; nesting deeper than `sys.getrecursionlimit()`,
+    as in a list that holds itself, raises RecursionError. The open
+    containers wait on a stack in this one frame, and the text grows in
+    place, as `trace_lines` grows its text: the encoder keeps each token
+    as its own str until it joins them, about 13 times the text of a
+    run's final state."""
+    limit = sys.getrecursionlimit()
     text = ""
     stack = []  # per open container: (its members, the dict or None, closer)
     value = obj
     while True:
         kind = type(value)
-        if kind is dict:
+        if isinstance(value, str):
+            text += encode_basestring_ascii(value)
+        elif value is None or kind is bool:
+            text += _LITERALS[value]
+        elif isinstance(value, int):
+            text += int.__repr__(value)
+        elif isinstance(value, float):
+            text += number_text(float.__float__(value))
+        elif isinstance(value, dict):
+            if kind is not dict or not all(type(key) is str for key in value):
+                value = {str(key): member for key, member in value.items()}
             text += "{"
             stack.append((iter(sorted(value)), value, "}"))
-        elif kind is list:
+        elif isinstance(value, (list, tuple)):
             text += "["
             stack.append((iter(value), None, "]"))
-        elif kind is str:
-            text += encode_basestring_ascii(value)
         else:
-            text += _encode(value)
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % kind.__name__)
+        if len(stack) > limit:
+            raise RecursionError("maximum recursion depth exceeded")
         while True:  # the next member of the innermost open container
             if not stack:
                 return text
@@ -78,46 +76,7 @@ def canonical_json(obj) -> str:
 
 
 _DONE = object()
-
-
-def _nests(obj) -> bool:
-    """Whether `obj` is a dict or a list that holds a dict or a list."""
-    members = obj.values() if type(obj) is dict else \
-        obj if type(obj) is list else ()
-    return any(type(value) in (dict, list) for value in members)
-
-
-def _is_canonical(obj) -> bool:
-    """Whether the encoder writes `obj` as `_normalize` would rewrite it:
-    str-keyed dicts, lists, str, int, bool, None and non-integral floats,
-    by exact type. Anything else (another key type, a tuple, a subclass,
-    an integral float) needs `_normalize`."""
-    kind = type(obj)
-    if kind is str or kind is int or kind is bool or obj is None:
-        return True
-    if kind is float:
-        return not obj.is_integer()
-    if kind is dict:
-        for key, value in obj.items():
-            if type(key) is not str or not _is_canonical(value):
-                return False
-        return True
-    if kind is list:
-        for value in obj:
-            if not _is_canonical(value):
-                return False
-        return True
-    return False
-
-
-def _normalize(obj):
-    if isinstance(obj, float) and obj.is_integer():
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    return obj
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 # The canonical text of a str: JSON with every non-ASCII character escaped.

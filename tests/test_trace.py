@@ -1,7 +1,7 @@
 import ast
+import enum
 import gc
 import hashlib
-import importlib.util
 import json
 import sys
 import tracemalloc
@@ -22,15 +22,47 @@ from nsscale.trace import (
     string_text, strings_text, trace_chunks, trace_lines)
 
 
+def normalize(obj):
+    """A copy of `obj` that the encoder writes as canonical JSON: integral
+    floats as ints, every dict rebuilt with str keys, tuples as lists."""
+    if isinstance(obj, float) and obj.is_integer():
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): normalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [normalize(v) for v in obj]
+    return obj
+
+
 def reference_json(obj) -> str:
-    """Canonical JSON as it was written before the fast path: every value
-    copied through `_normalize`, then a fresh encoder."""
-    return json.dumps(nsscale.trace._normalize(obj), sort_keys=True,
-                      separators=(",", ":"))
+    """Canonical JSON as it was first written: the value copied through
+    `normalize`, then a fresh encoder."""
+    return json.dumps(normalize(obj), sort_keys=True, separators=(",", ":"))
 
 
 class Tag(str):
-    """A str subclass, which the fast path must hand to `_normalize`."""
+    """A str subclass, as a key and as a value."""
+
+
+class Level(enum.IntEnum):
+    """An int subclass whose repr is not its number."""
+    LOW = 2
+    HIGH = -7
+
+
+class Ratio(float):
+    """A float subclass whose repr is not JSON."""
+
+    def __repr__(self):
+        return "Ratio(%s)" % float.__repr__(self)
+
+
+class Record(dict):
+    """A dict subclass."""
+
+
+class Row(list):
+    """A list subclass."""
 
 
 floats = st.one_of(
@@ -39,7 +71,8 @@ floats = st.one_of(
                      float("inf"), float("-inf"))))
 leaves = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
                    floats, st.text(max_size=4),
-                   st.builds(Tag, st.text(max_size=3)))
+                   st.builds(Tag, st.text(max_size=3)),
+                   st.sampled_from(Level), floats.map(Ratio))
 keys = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(),
                  st.none(), st.builds(Tag, st.text(max_size=2)))
 json_like = st.recursive(
@@ -47,10 +80,12 @@ json_like = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(Row),
         st.dictionaries(st.text(max_size=3), children, max_size=4),
-        st.dictionaries(keys, children, max_size=4)),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=4).map(Record)),
     max_leaves=16)
-# What `_is_canonical` accepts: what `canonical_json` encodes as it stands.
+# What the encoder writes as `canonical_json` does, with no normalizing.
 canonical_like = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
               floats.filter(lambda f: not f.is_integer()),
@@ -67,22 +102,13 @@ def sha16(text: str) -> str:
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(json_like)
+@example(obj=Record({"n": Level.HIGH, 1: [Ratio(2.0), Ratio(-0.5)]}))
+@example(obj=Row([Level.LOW, Ratio(3.0), Record(), Row(), Ratio(0.1)]))
 def test_canonical_json_equals_the_normalized_encoding(obj):
+    """Subclasses included: an IntEnum member is written as its number, a
+    float subclass as a float, integral or not, and a dict or list
+    subclass as a dict or list."""
     assert canonical_json(obj) == reference_json(obj)
-
-
-@pytest.fixture(scope="module")
-def pure_trace():
-    """A copy of `nsscale.trace` loaded as where json has no C accelerator:
-    its `_encode` is the encoder's own `encode`."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(json.encoder, "c_make_encoder", None)
-        spec = importlib.util.spec_from_file_location(
-            "nsscale.pure_trace", nsscale.trace.__file__)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    assert module._encode == module._ENCODER.encode
-    return module
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -90,22 +116,16 @@ def pure_trace():
 @example(obj={"\u00e9": [[], {}], "": [[1.5, []], [{"\u03b2": {}}]],
               "a": {"b": [None, True, "\u00fc", -0.25]}})
 @example(obj=[[[]], [{}], [], {"k": [[2.5]]}])
-def test_a_canonical_value_is_written_as_the_encoder_writes_it(pure_trace,
-                                                               obj):
-    """Whether it is walked member by member, as a value that holds a dict
-    or a list is, or encoded in one call, a canonical value's text is the
-    encoder's: empty containers, lists of lists, non-ASCII keys and
-    non-integral floats included. Without json's C accelerator, it is the
-    same text."""
+def test_a_canonical_value_is_written_as_the_encoder_writes_it(obj):
+    """A canonical value's text is the encoder's: empty containers, lists
+    of lists, non-ASCII keys and non-integral floats included."""
     assert canonical_json(obj) == json.dumps(obj, sort_keys=True,
                                              separators=(",", ":"))
-    assert pure_trace.canonical_json(obj) == canonical_json(obj)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(canonical_like)
 def test_digest_of_a_canonical_payload_is_that_of_its_canonical_json(obj):
-    assert nsscale.trace._is_canonical(obj)
     assert payload_digest(canonical_json(obj)).hex() == \
         sha16(reference_json(obj))
 
@@ -190,6 +210,27 @@ def test_integral_floats_and_foreign_keys_take_the_normalizing_path():
     assert canonical_json([(1, 2), ((3,), 1)]) == "[[1,2],[[3],1]]"
     assert canonical_json({"b": [0.5, float("nan")], "a": None}) == \
         '{"a":null,"b":[0.5,NaN]}'
+
+
+@pytest.mark.parametrize("value", [{1, 2}, frozenset(), object()])
+def test_a_value_json_has_no_form_for_raises_the_encoders_type_error(value):
+    """A set, a frozenset or any other object, alone or as a member, is
+    refused as the encoder refuses it."""
+    message = "Object of type %s is not JSON serializable" \
+        % type(value).__name__
+    for obj in (value, {"a": value}):
+        with pytest.raises(TypeError) as refused:
+            canonical_json(obj)
+        assert str(refused.value) == message
+
+
+def test_a_container_that_holds_itself_raises_recursion_error():
+    loop, knot = [1], {"a": 1}
+    loop.append(loop)
+    knot["b"] = knot
+    for obj in (loop, knot):
+        with pytest.raises(RecursionError):
+            canonical_json(obj)
 
 
 def test_every_sent_payload_is_canonical(corpus):
